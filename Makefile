@@ -22,10 +22,10 @@ race:
 # harness itself surface quickly, plus a machine-readable record of the
 # run appended to the BENCH_<n>.json perf trajectory (see cmd/benchjson).
 # Full runs: `go test -bench=. -benchmem .`
-# -timeout 40m: the root package's large-N tiers (BenchmarkLargeN +
-# BenchmarkParallelLargeN) legitimately run ~15 min even at one
-# iteration each; go test's default 10 min per-package limit would kill
-# the run mid-bench.
+# -timeout 40m: the root package's large-N tiers (BenchmarkLargeN) took
+# ~5 min at one iteration each on BENCH_6.json's machine and take longer
+# on slower ones; go test's default 10 min per-package limit is too
+# close and would kill the run mid-bench.
 bench:
 	@$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem -timeout 40m ./... > bench.out 2>&1; \
 	st=$$?; cat bench.out; \

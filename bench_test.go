@@ -219,37 +219,6 @@ func BenchmarkLargeN(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelLargeN measures the opt-in parallel kernel (ROADMAP
-// item 5) against its own serial baseline: the same large-N point at
-// workers 1/2/4, output byte-identical by construction, so the only
-// thing moving is wall clock. Traffic is denser than BenchmarkLargeN
-// (200 flows at N=5000) because the parallel-safe work is collision- and
-// overhear-driven end-of-reception handling: dense traffic widens the
-// same-timestamp keyed windows the executor fans out. The N=5000 tier is
-// where workers pay off today (~10% at 4 workers); the N=20000/1s tier
-// is tracked honestly even though barrier events still fragment its
-// windows — the gap is the measure of how much of the MAC/routing hot
-// path remains to be keyed.
-func BenchmarkParallelLargeN(b *testing.B) {
-	for _, tier := range []struct {
-		n, flows int
-		dur      sim.Time
-	}{{5000, 200, 4 * time.Second}, {20000, 100, time.Second}} {
-		for _, proto := range []scenario.ProtocolName{scenario.SRP, scenario.OLSR} {
-			for _, w := range []int{1, 2, 4} {
-				b.Run(fmt.Sprintf("%s/N=%d/workers=%d", proto, tier.n, w), func(b *testing.B) {
-					p := largeNParamsDur(proto, tier.n, tier.dur)
-					p.Traffic.Flows = tier.flows
-					p.Workers = w
-					runPoint(b, p, map[string]func(scenario.Result) float64{
-						"deliv-ratio": func(r scenario.Result) float64 { return r.DeliveryRatio },
-					})
-				})
-			}
-		}
-	}
-}
-
 // --- Micro-benchmarks of the label machinery --------------------------
 
 // BenchmarkMediant measures the mediant split (Eq. 1).

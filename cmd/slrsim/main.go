@@ -65,10 +65,10 @@ func main() {
 // workerModeFlags is the single allowlist of flags that combine with
 // -worker: the worker's own knobs plus profiling (a worker is exactly
 // where a large-N sweep spends its time). Everything else — scenario
-// shape, the dynamic checkers (-check, -ordercheck), kernel execution
-// knobs (-parallel), and output routing — is refused by name: jobs arrive
-// fully parameterized from the coordinator, so such a flag on the same
-// command line means confusion, not intent.
+// shape, the dynamic checkers (-check, -ordercheck), and output routing —
+// is refused by name: jobs arrive fully parameterized from the
+// coordinator, so such a flag on the same command line means confusion,
+// not intent.
 var workerModeFlags = map[string]bool{
 	"worker": true, "worker-id": true, "batch": true, "poll": true,
 	"crash-after-lease": true, "cpuprofile": true, "memprofile": true,
@@ -107,7 +107,6 @@ func run(args []string) (retErr error) {
 		pktSize   = fs.Int("size", 512, "CBR payload bytes")
 		check     = fs.Bool("check", false, "verify loop-freedom invariant during the run")
 		ordrcheck = fs.Bool("ordercheck", false, "shadow the event queue with a reference implementation and verify dispatch order (slow; debugging aid)")
-		parallel  = fs.Int("parallel", 1, "kernel workers for applying same-timestamp event batches within each trial (1 = serial; results are byte-identical per seed for any value)")
 		trials    = fs.Int("trials", 1, "independent trials (seeds seed..seed+trials-1)")
 		specArg   = fs.String("spec", "", "scenario spec (path or built-in name) as the baseline; explicit flags override it")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to `file`")
@@ -234,11 +233,6 @@ func run(args []string) (retErr error) {
 		}
 		p.CheckInvariants = *check
 	}
-
-	if *parallel < 1 {
-		return fmt.Errorf("-parallel %d: worker count must be >= 1", *parallel)
-	}
-	p.Workers = *parallel
 
 	// -pparam overrides merge over the spec's protocol_params.
 	p.ProtoParams = routing.MergeParams(p.ProtoParams, protoParams)

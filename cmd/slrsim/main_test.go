@@ -170,9 +170,9 @@ func TestWorkerModeRejectsScenarioFlags(t *testing.T) {
 }
 
 // TestWorkerModeFlagTable drives the consolidated workerModeFlags
-// allowlist: each run-mode flag — the dynamic checkers and the kernel's
-// -parallel included — must be refused by name in -worker mode, while the
-// worker's own knobs and profiling pass the gate.
+// allowlist: each run-mode flag — the dynamic checkers included — must be
+// refused by name in -worker mode, while the worker's own knobs and
+// profiling pass the gate.
 func TestWorkerModeFlagTable(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -181,7 +181,6 @@ func TestWorkerModeFlagTable(t *testing.T) {
 	}{
 		{"check", []string{"-check"}, "-check"},
 		{"ordercheck", []string{"-ordercheck"}, "-ordercheck"},
-		{"parallel", []string{"-parallel", "4"}, "-parallel"},
 		{"protocol", []string{"-protocol", "AODV"}, "-protocol"},
 		{"trials", []string{"-trials", "2"}, "-trials"},
 		{"jsonl", []string{"-jsonl", "x.jsonl"}, "-jsonl"},
@@ -207,6 +206,12 @@ func TestWorkerModeFlagTable(t *testing.T) {
 	}
 	if err := rejectNonWorkerFlags(map[string]bool{"cpuprofile": true, "memprofile": true, "batch": true}); err != nil {
 		t.Fatalf("profiling + batch should be allowed in -worker mode: %v", err)
+	}
+	// The kernel has one execution model: -parallel is not a flag in any
+	// mode, so the flag package itself refuses it.
+	if err := run([]string{"-parallel", "2"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -parallel") {
+		t.Fatalf("-parallel should be an undefined flag, got %v", err)
 	}
 }
 

@@ -92,17 +92,9 @@
 // -cpuprofile and -memprofile flags make the next outlier one flag
 // away.
 //
-// The kernel itself executes in two phases — extraction pops the whole
-// batch of minimum-timestamp events in seq order, application fires it —
-// and that split carries an opt-in parallel mode (Simulator.SetWorkers,
-// slrsim -parallel): events tagged with spatial conflict keys derived
-// from the radio grid are partitioned into provably disjoint groups per
-// same-timestamp window, fanned across a bounded worker pool, and their
-// staged kernel effects merged back in deterministic batch-rank order.
-// Untagged events are full barriers, so worker count changes wall-clock
-// only: output stays byte-identical to serial per seed, enforced by a
-// serial-vs-parallel replay gate over all five protocols and a
-// differential fuzz harness in internal/sim.
+// Execution is one serial kernel per trial: the Simulator pops the
+// earliest (time, seq) event and fires it, and parallelism is across
+// trials in internal/runner, one Simulator per trial.
 //
 // The routing control plane shares one toolkit: internal/routing/rcommon
 // owns the drop-reason vocabulary, discovery queues with retry and

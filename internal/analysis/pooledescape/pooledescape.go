@@ -25,12 +25,8 @@ Reports storing a pointer to a pooled type (-types, default *sim.Event,
 netstack's control envelopes, radio's rx nodes) into a struct field,
 package variable, element of either, or a channel. Local variables and
 direct use inside the receiving callback are fine; so is each pool's own
-package, whose freelists legitimately retain their nodes, and any
-package listed in -owners — by default the kernel and its parallel
-executor, whose merge buffers hold fired events between a window's
-dispatch and the coordinator's sweep as the ownership-transfer protocol
-itself. Deliberate retention elsewhere annotates with
-//slrlint:allow pooledescape <reason>.
+package, whose freelists legitimately retain their nodes. Deliberate
+retention elsewhere annotates with //slrlint:allow pooledescape <reason>.
 
 The check is shallow by design: it sees the pointer itself escape, not a
 struct that wraps one. Wrapping a pooled pointer in a new struct is
@@ -43,20 +39,6 @@ var pooledTypes = slrlint.NewList(
 	"slr/internal/sim.Event",
 	"slr/internal/netstack.controlEnvelope",
 	"slr/internal/radio.rx",
-)
-
-// ownerPkgs lists packages that join the pool-owner exemption beyond each
-// type's defining package. The parallel executor's merge buffers
-// (ExecCtx.fired, stagedOp.ev, Simulator.mergeBuf) retain pooled
-// *sim.Event nodes between a window's dispatch and the coordinator's
-// post-join sweep — that retention IS the ownership-transfer protocol,
-// not an escape: the node's generation is already bumped, so every timer
-// to it is stale, and the sweep is the release. The executor lives inside
-// the kernel package today (already owner-exempt as the defining
-// package); the /... pattern keeps the exemption attached to it if it is
-// ever split into a subpackage.
-var ownerPkgs = slrlint.NewList(
-	"slr/internal/sim/...",
 )
 
 // Analyzer is the pooledescape analyzer.
@@ -73,16 +55,9 @@ func init() {
 	checkTests = slrlint.TestsFlag(Analyzer)
 	Analyzer.Flags.Var(pooledTypes, "types",
 		"comma-separated pkg/path.Type patterns of pooled types")
-	Analyzer.Flags.Var(ownerPkgs, "owners",
-		"comma-separated package patterns that join the pool-owner exemption (kernel executor merge buffers)")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if ownerPkgs.MatchPath(pass.Pkg.Path()) {
-		// Pool-owner package (the kernel and its executor): freelists and
-		// merge buffers retain nodes by construction.
-		return nil, nil
-	}
 	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := slrlint.NewSuppressor(pass, *checkTests)
 

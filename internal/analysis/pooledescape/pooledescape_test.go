@@ -9,8 +9,6 @@ import (
 
 func TestPooledEscape(t *testing.T) {
 	// sim exercises the defining-package exemption: the pool owner's
-	// freelist stores must produce zero diagnostics. sim/executor
-	// exercises the -owners exemption: the parallel executor's merge
-	// buffers retain fired events between dispatch and sweep by design.
-	atest.Run(t, "../testdata", pooledescape.Analyzer, "pooledescape", "sim", "sim/executor")
+	// freelist stores must produce zero diagnostics.
+	atest.Run(t, "../testdata", pooledescape.Analyzer, "pooledescape", "sim")
 }

@@ -449,18 +449,6 @@ func (m *MAC) exchangeTimeout() {
 
 // OnFrame implements radio.Receiver.
 func (m *MAC) OnFrame(f *radio.Frame) {
-	// Re-entrancy/parallelism audit: the radio tags end-of-reception
-	// events for overheard unicast frames as node-local (see
-	// radio.beginReception), which relies on this handler's overheard
-	// paths touching nothing beyond this node. That holds: overheard
-	// frames with Dur > 0 (every unicast DATA/RTS/CTS) take the NAV
-	// branch below — reads of f and AirTime, one write to this station's
-	// NAV — and overheard Dur == 0 frames can only be ACKs, which hit the
-	// f.To != m.id early return in the switch. Neither draws RNG,
-	// schedules, nor transmits. Every other path (addressed frames,
-	// broadcasts) runs only under barrier events, where the full MAC —
-	// backoff's shared-RNG draw included — is fair game.
-	//
 	// Virtual carrier sense: frames addressed elsewhere reserve the
 	// medium for their advertised duration. An overheard RTS reserves
 	// only up to where its CTS would appear (the 802.11 NAV-reset rule):

@@ -5,16 +5,6 @@
 // The routing protocol owns every forwarding decision; the stack only
 // provides transmit primitives, timers, and delivery/drop accounting, so
 // SRP and the four baseline protocols plug in behind one interface.
-//
-// Parallel-kernel audit (sim's two-phase batching, ROADMAP item 5):
-// every event this package schedules stays an unkeyed full barrier. The
-// stack's callbacks reach shared state in all directions — the routing
-// protocol (which draws the shared sim RNG for jitter), the MAC transmit
-// path, the metrics collector, and the pooled control-envelope freelist —
-// so none of them satisfy a node-local conflict key. The only keyed
-// events in the system are radio-owned end-of-reception callbacks that
-// terminate before reaching this layer's mutable state (see
-// internal/radio and the mac.OnFrame audit).
 package netstack
 
 import (

@@ -18,7 +18,6 @@ package radio
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"slr/internal/geo"
@@ -135,9 +134,8 @@ type rx struct {
 	// dist is the sender-receiver distance at transmission start, used
 	// for the capture comparison.
 	dist float64
-	st   *station  // receiving station, set for the node's current life
-	done func()    // calls endReception(rx); allocated once per node
-	tm   sim.Timer // the end-of-reception event, for conflict re-keying
+	st   *station // receiving station, set for the node's current life
+	done func()   // calls endReception(rx); allocated once per node
 }
 
 // station is per-node channel state.
@@ -158,13 +156,8 @@ type station struct {
 	slot      int
 }
 
-// Channel is the shared medium. It is not safe for general concurrent
-// use; a simulation run is coordinator-driven by construction. The one
-// concession to the kernel's opt-in parallel executor is the class of
-// end-of-reception events tagged with node-local conflict keys (corrupted
-// receptions, clean overheard unicasts): those may run concurrently with
-// each other on disjoint nodes, touching only their receiver's state and
-// the mutex-guarded rx freelist.
+// Channel is the shared medium. It is not safe for concurrent use; a
+// simulation run is single-threaded by construction.
 type Channel struct {
 	sim      *sim.Simulator
 	p        Params
@@ -180,12 +173,6 @@ type Channel struct {
 	grid   *grid      // nil = linear scan
 	hits   []hit      // scratch for audible-set results
 	freeRx []*rx      // reception freelist (see rx)
-	// rxMu guards freeRx pushes from parallel end-of-reception events
-	// (the only channel state such events share; see endReception). Pops
-	// happen only inside Transmit, which is a barrier event, and the
-	// window join gives the needed happens-before edge, so pops stay
-	// lock-free.
-	rxMu sync.Mutex
 
 	// Stats counters.
 	frames     uint64
@@ -367,52 +354,6 @@ func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 	return c.hits
 }
 
-// stationKey returns the node-local conflict footprint for st: the node id
-// plus the grid cell its cached position occupies (the cell the spatial
-// index would search from), or a position-free node key without a grid.
-func (c *Channel) stationKey(st *station) sim.ConflictKey {
-	if c.grid != nil {
-		return sim.NodeCellKey(int32(st.id), int32(st.cellKey>>32), int32(uint32(st.cellKey)))
-	}
-	return sim.NodeKey(int32(st.id))
-}
-
-// ConflictKey returns the conflict footprint for an event that mutates
-// only station id's local channel/MAC state. Unknown stations degrade to
-// the conflicts-with-all key.
-func (c *Channel) ConflictKey(id NodeID) sim.ConflictKey {
-	st := c.station(id)
-	if st == nil {
-		return sim.ConflictAll
-	}
-	return c.stationKey(st)
-}
-
-// AreaConflictKey returns the conflict footprint for an event that may
-// touch station id's whole radio neighborhood (its grid cell plus the
-// interference margin). Without a grid there is no neighborhood bound, so
-// it degrades to the conflicts-with-all key.
-func (c *Channel) AreaConflictKey(id NodeID) sim.ConflictKey {
-	st := c.station(id)
-	if st == nil || c.grid == nil {
-		return sim.ConflictAll
-	}
-	return sim.AreaKey(int32(st.id), int32(st.cellKey>>32), int32(uint32(st.cellKey)))
-}
-
-// corrupt marks r corrupted and downgrades its end-of-reception event to a
-// node-local conflict key: a corrupted reception's completion only removes
-// it from its receiver's active set and returns the rx to the pool, so the
-// parallel executor may run it concurrently with other nodes' receptions.
-// Every corruption site runs inside Transmit — a barrier event — strictly
-// before the end event fires, and the window partitioner reads keys at
-// application time, so the retag is always observed.
-func (c *Channel) corrupt(r *rx) {
-	r.corrupted = true
-	c.collisions++
-	c.sim.SetConflictKey(r.tm, c.stationKey(r.st))
-}
-
 // Frames returns the total number of transmissions started.
 func (c *Channel) Frames() uint64 { return c.frames }
 
@@ -424,13 +365,6 @@ func (c *Channel) Collisions() uint64 { return c.collisions }
 // station cannot decode anything while sending (half-duplex), and any
 // overlap of audible frames at a station corrupts all of them.
 func (c *Channel) Transmit(f *Frame) {
-	if c.sim.Flushing() {
-		// Transmission mutates the audible neighborhood, the frame counter,
-		// and every receiver's active set — strictly barrier-event work.
-		// Keyed callbacks (end-of-reception) never transmit; reaching here
-		// from one is a conflict-contract bug.
-		panic("radio: Transmit during parallel window application")
-	}
 	sender := c.station(f.From)
 	if sender == nil {
 		panic(fmt.Sprintf("radio: transmit from unregistered station %d", f.From))
@@ -443,7 +377,8 @@ func (c *Channel) Transmit(f *Frame) {
 	// Half duplex: starting to transmit corrupts anything being received.
 	for _, r := range sender.active {
 		if !r.corrupted {
-			c.corrupt(r)
+			r.corrupted = true
+			c.collisions++
 		}
 	}
 	if sender.txUntil < end {
@@ -475,12 +410,11 @@ func (c *Channel) allocRx(st *station, f *Frame, dist float64) *rx {
 func (c *Channel) beginReception(st *station, f *Frame, end sim.Time, dist2 float64) {
 	r := c.allocRx(st, f, math.Sqrt(dist2))
 	// Overlapping receptions corrupt each other unless one captures: its
-	// sender is CaptureRatio times closer than the interferer's. r itself
-	// is not scheduled yet, so its corruption feeds the initial key below
-	// rather than a retag.
+	// sender is CaptureRatio times closer than the interferer's.
 	for _, other := range st.active {
 		if !other.corrupted && !c.captures(other, r) {
-			c.corrupt(other)
+			other.corrupted = true
+			c.collisions++
 		}
 		if !r.corrupted && !c.captures(r, other) {
 			r.corrupted = true
@@ -496,18 +430,7 @@ func (c *Channel) beginReception(st *station, f *Frame, end sim.Time, dist2 floa
 	if st.busyTill < end {
 		st.busyTill = end
 	}
-	// Conflict key: a corrupted reception completes node-locally (active-
-	// set removal, no delivery), and a clean overheard unicast delivers
-	// into the MAC's virtual-carrier-sense path, which only reads the
-	// frame and writes this station's NAV (see mac.OnFrame's re-entrancy
-	// audit). Everything else — broadcast deliveries and frames addressed
-	// to this station — climbs into routing code that draws shared RNG and
-	// transmits, so it stays a barrier event.
-	key := sim.ConflictAll
-	if r.corrupted || (f.To != Broadcast && f.To != st.id) {
-		key = c.stationKey(st)
-	}
-	r.tm = c.sim.AtKeyed(end, key, r.done)
+	c.sim.At(end, r.done)
 }
 
 // captures reports whether reception r survives interference from other:
@@ -532,19 +455,7 @@ func (c *Channel) endReception(r *rx) {
 	}
 	frame, corrupted := r.frame, r.corrupted
 	r.frame, r.st = nil, nil
-	// The freelist is the only channel state keyed (parallel-safe)
-	// end-of-reception events share, so pushes take a lock during a
-	// parallel window. Pops (allocRx, via Transmit) run only in barrier
-	// events, after the window join's happens-before edge, so they stay
-	// lock-free, and pool order is semantically inert — an rx is fully
-	// reinitialized on alloc.
-	if c.sim.Flushing() {
-		c.rxMu.Lock()
-		c.freeRx = append(c.freeRx, r)
-		c.rxMu.Unlock()
-	} else {
-		c.freeRx = append(c.freeRx, r)
-	}
+	c.freeRx = append(c.freeRx, r)
 	// A transmission that started while r was on the air has already
 	// corrupted it (beginReception / Transmit handle both directions).
 	if corrupted {

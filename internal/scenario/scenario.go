@@ -79,14 +79,6 @@ type Params struct {
 	// known; tests force the linear reference scan to prove the two are
 	// byte-identical.
 	RadioIndex radio.IndexKind
-	// Workers is the kernel's intra-trial worker count (sim.SetWorkers):
-	// same-timestamp batches of conflict-disjoint events are applied
-	// across this many goroutines. 0 or 1 is pure serial; any value
-	// produces byte-identical results per seed by construction (the
-	// parallel-replay gate in the repo root enforces it), so Workers only
-	// changes wall-clock and never identifies a run — it is deliberately
-	// excluded from sweep job identity.
-	Workers int
 }
 
 // DefaultParams returns the paper's simulation setup: 100 nodes on
@@ -183,12 +175,6 @@ func Run(p Params) Result {
 	if SimHook != nil {
 		SimHook(s)
 	}
-	if p.Workers > 1 {
-		s.SetWorkers(p.Workers)
-		// Stop the worker goroutines when the trial is done so sweeps that
-		// run thousands of trials never accumulate idle pools.
-		defer s.SetWorkers(1)
-	}
 	mobSpec := p.Mobility
 	if mobSpec.Model == "" {
 		// The paper's random waypoint, from the legacy scalar fields.
@@ -212,17 +198,6 @@ func Run(p Params) Result {
 	// stack, and each node's mobility its own stream, so a seed fixes
 	// one topology and one workload for every protocol — the paper's
 	// offline-generated per-trial scripts.
-	//
-	// RNG-partitioning audit for intra-trial parallelism: these per-node
-	// mobility streams and the traffic stream are the only private RNGs;
-	// everything in the protocol stack (routing jitter, multipath picks,
-	// MAC backoff) draws from the one shared kernel RNG via node.Rand().
-	// The parallel executor therefore treats every RNG-drawing callback as
-	// a barrier event — only provably RNG-free event classes (see
-	// radio.beginReception) carry conflict keys — and mobility positions
-	// are only sampled from inside barrier events (Transmit's audible
-	// query), never from keyed callbacks, so the private streams are never
-	// raced either.
 	protos := make([]netstack.Protocol, p.Nodes)
 	nodes := make([]*netstack.Node, p.Nodes)
 	senders := make([]traffic.Sender, p.Nodes)

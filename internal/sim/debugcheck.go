@@ -7,16 +7,6 @@ package sim
 // and any deviation of the ladder's firing order from the reference
 // (at, seq) total order panics at the first divergent event, with the
 // expected and actual keys.
-//
-// The two-phase kernel (batch.go) does not change what the checker sees
-// in serial mode: extraction keeps events logically pending, and fire()
-// still consults the checker per event in application order, so the
-// reference pop sequence is compared exactly as it was against the old
-// pop-and-fire loop. In parallel mode (parallel.go) a dispatched window's
-// events fire concurrently, so the coordinator consumes the checker for
-// the whole window in batch-rank order before dispatch — asserting the
-// extracted batch matches the reference heap's pop order — and staged
-// batch-cancels merge into the deleted set afterwards (exec.go).
 
 type shadowKey struct {
 	at  Time
@@ -31,9 +21,8 @@ type shadowChecker struct {
 
 // EnableOrderCheck attaches a shadow reference queue to the simulator:
 // every subsequent schedule/unlink/fire is mirrored and each fired event
-// is checked to be the global (at, seq) minimum — per fire in serial
-// mode, per extracted window (in batch-rank order, before dispatch) when
-// workers are configured. Costs O(log n) per operation; for tests only.
+// is checked to be the global (at, seq) minimum. Costs O(log n) per
+// operation; for tests only.
 func (s *Simulator) EnableOrderCheck() {
 	s.check = &shadowChecker{deleted: make(map[uint64]struct{}), s: s}
 }

@@ -64,8 +64,6 @@ const (
 	locNone   int32 = -1 // not queued (free, fired, or canceled)
 	locBottom int32 = -2 // in the bottom heap; Event.index is the heap slot
 	locTop    int32 = -3 // in the top list; Event.index is the slot
-	locBatch  int32 = -4 // extracted into s.batch; Event.index is the slot
-	locStaged int32 = -5 // created by a staged ExecCtx.At, awaiting merge
 )
 
 // rung is one bucket array of the ladder: buckets of `width` covering
@@ -149,11 +147,6 @@ func (s *Simulator) unlink(ev *Event) {
 	switch ev.loc {
 	case locBottom:
 		s.bottomRemove(int(ev.index))
-	case locBatch:
-		// Extracted but not yet applied: tombstone the batch slot so
-		// application skips it — the same filtering the pre-split kernel
-		// got implicitly by never extracting ahead of firing.
-		s.batch[ev.index] = nil
 	case locTop:
 		i := int(ev.index)
 		last := len(s.top) - 1
@@ -367,10 +360,8 @@ func (s *Simulator) bottomPop() *Event {
 		last.index = 0
 		s.siftDown(0)
 	}
-	// npend is NOT decremented here: extraction keeps the event logically
-	// pending (Pending counts it, Cancel can still tombstone it); the
-	// count drops when the event fires or is unlinked.
 	root.loc = locNone
+	s.npend--
 	return root
 }
 

@@ -2,40 +2,10 @@
 //
 // The kernel is the substrate equivalent of GloMoSim's event engine used in
 // the paper's evaluation: a virtual clock, an event queue, and a seeded
-// random number generator. A Simulator is serial by default so that a given
-// seed always reproduces the same event ordering; parallelism across trials
-// is obtained by running many Simulator instances concurrently (one per
-// trial, see internal/runner), and opt-in parallelism *within* a trial by
-// SetWorkers (below).
-//
-// # Two-phase execution: extract, then apply
-//
-// The kernel runs in two phases. Extraction pops the batch of every pending
-// event sharing the minimum timestamp, in seq order (extract in batch.go);
-// application fires their callbacks one at a time in that exact order.
-// Events scheduled during application always receive larger seq values, so
-// if they land on the current timestamp they form a later batch at the same
-// time and still run in (at, seq) order: the split is observationally
-// identical to the old pop-one/fire-one loop, and the shadow checker
-// (debugcheck.go) asserts per-event that extraction order matches the
-// reference heap's pop order. Cancel and Reschedule of an extracted-but-
-// unfired event tombstone its batch slot, exactly as firing-time filtering
-// did before.
-//
-// # Conflict keys and opt-in intra-trial parallelism
-//
-// Each event carries a ConflictKey (conflict.go) describing its footprint:
-// the zero value ConflictAll conservatively conflicts with everything, a
-// node/area key scopes the event to a node and its radio-grid neighborhood.
-// With SetWorkers(n>1), Run and RunUntil apply each batch window-by-window:
-// maximal runs of keyed events between ConflictAll barriers are partitioned
-// into conflict-disjoint groups and fanned across a bounded worker pool
-// (parallel.go); kernel mutations from keyed callbacks are staged through
-// an ExecCtx (exec.go) and merged on the coordinator in (batch-rank, call)
-// order — the exact order serial execution would have issued them, so seq
-// assignment, queue state, and therefore every downstream byte of output
-// are identical to serial per seed. Default is serial; nothing changes for
-// existing callers.
+// random number generator. A single Simulator instance is single-threaded
+// by design so that a given seed always reproduces the same event ordering;
+// parallelism is obtained by running many Simulator instances concurrently
+// (one per trial, see internal/runner).
 //
 // The event queue is a ladder queue (see ladder.go) over a freelist of
 // pooled Event structs: a near-future bucket wheel absorbs the dense timer
@@ -90,17 +60,9 @@ type Event struct {
 	at  Time
 	seq uint64 // tie-break so equal-time events run FIFO
 	fn  func()
-	// kfn is the staged-callback form used by AtExec: callbacks that may
-	// schedule or cancel during parallel batch application receive an
-	// *ExecCtx to do it through. Exactly one of fn and kfn is non-nil.
-	kfn func(*ExecCtx)
-	// key is the event's conflict footprint (see conflict.go). The zero
-	// value ConflictAll conservatively conflicts with everything, so
-	// untagged events always serialize.
-	key ConflictKey
 	// loc says which tier holds the event (locNone / locBottom / locTop /
-	// locBatch / a rung index); index is its slot in that tier, and bucket
-	// the bucket within a rung.
+	// a rung index); index is its slot in that tier, and bucket the bucket
+	// within a rung.
 	loc    int32
 	index  int32
 	bucket int32
@@ -143,25 +105,6 @@ type Simulator struct {
 	topStart Time     // rung/top boundary: top events are >= topStart
 	rungPool []*rung
 
-	// Two-phase state: batch holds the currently extracted same-timestamp
-	// batch in seq order (nil slots are tombstones from Cancel/Reschedule),
-	// batchPos the next unapplied slot. The batch persists across Step /
-	// Run / RunUntil entry points so partial application is resumable.
-	batch    []*Event
-	batchPos int
-
-	// Parallel executor state (parallel.go). workers <= 1 means serial.
-	workers   int
-	minWindow int  // smallest keyed window worth dispatching to the pool
-	flushing  bool // true while a keyed window is being applied in parallel
-	pool      *workerPool
-	job       *flushJob
-	wctx      []*ExecCtx  // one staging context per worker, [0] = coordinator
-	dctx      *ExecCtx    // direct (serial) context handed to keyed callbacks
-	mergeBuf  []*stagedOp // scratch for the deterministic effect merge
-	window    []*Event    // scratch: current keyed window
-	groups    groupScratch
-
 	// check, when non-nil, mirrors every operation into a reference
 	// (at, seq) heap and panics on the first out-of-order firing. See
 	// debugcheck.go; tests only.
@@ -170,31 +113,15 @@ type Simulator struct {
 
 // New returns a Simulator whose RNG is seeded with seed.
 func New(seed int64) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
-	s.dctx = &ExecCtx{s: s, direct: true}
-	return s
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulation RNG. All randomness in a run must come from
-// this generator so a seed fully determines the run. Drawing from it inside
-// a keyed callback while a parallel window is in flight would make the
-// draw order depend on worker interleaving, so that panics; keyed callbacks
-// must be RNG-free (events that need randomness stay unkeyed and run on
-// the coordinator between windows).
-func (s *Simulator) Rand() *rand.Rand {
-	if s.flushing {
-		panic("sim: Rand() called from a keyed callback during parallel window application")
-	}
-	return s.rng
-}
-
-// Flushing reports whether a parallel keyed window is currently being
-// applied. Model code with shared mutable state (e.g. the radio channel's
-// rx pool) uses it to reject or guard accesses that would race.
-func (s *Simulator) Flushing() bool { return s.flushing }
+// this generator so a seed fully determines the run.
+func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // SetEventLimit bounds the total number of events fired by Run; 0 removes
 // the bound. It is a guard against runaway event storms in tests.
@@ -228,8 +155,6 @@ func (s *Simulator) alloc() *Event {
 // generation invalidates every Timer issued for the node's previous life.
 func (s *Simulator) release(ev *Event) {
 	ev.fn = nil
-	ev.kfn = nil
-	ev.key = ConflictAll
 	ev.loc = locNone
 	ev.gen++
 	s.free = append(s.free, ev)
@@ -255,49 +180,6 @@ func (s *Simulator) After(d Time, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
 
-// AtKeyed schedules fn like At but tags the event with a conflict key, so
-// the parallel executor may run it concurrently with other keyed events in
-// disjoint groups. The contract for a keyed plain callback is strict: it
-// must not touch the Simulator at all (no At/Cancel/Reschedule, no Rand)
-// and may only mutate state covered by its key. Callbacks that need to
-// schedule or cancel use AtExec instead.
-func (s *Simulator) AtKeyed(at Time, key ConflictKey, fn func()) Timer {
-	t := s.At(at, fn)
-	t.ev.key = key
-	return t
-}
-
-// AtExec schedules a keyed callback that receives an *ExecCtx. In serial
-// mode (and for unkeyed events) the ctx forwards directly to the Simulator;
-// during parallel window application it stages kernel effects for the
-// deterministic merge. Kernel access from the callback must go through the
-// ctx; key discipline is as for AtKeyed.
-func (s *Simulator) AtExec(at Time, key ConflictKey, fn func(*ExecCtx)) Timer {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
-	}
-	ev := s.alloc()
-	ev.at = at
-	ev.seq = s.seq
-	ev.kfn = fn
-	ev.key = key
-	s.seq++
-	s.schedule(ev)
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// SetConflictKey retags a still-pending event's conflict footprint. The
-// radio uses it to downgrade a reception that just got corrupted from
-// "conflicts with all" to node-local: corruption is decided strictly no
-// later than the end-of-reception event fires, and the window partitioner
-// reads keys at application time, so a retag is always observed. Stale
-// timers are ignored.
-func (s *Simulator) SetConflictKey(t Timer, key ConflictKey) {
-	if t.Pending() {
-		t.ev.key = key
-	}
-}
-
 // Reschedule moves t's event to fire fn at absolute time at. When t is
 // still pending its pooled node is reused — one unlink from whichever
 // ladder tier holds it and one re-insert, no cancel+allocate churn —
@@ -316,9 +198,7 @@ func (s *Simulator) Reschedule(t Timer, at Time, fn func()) Timer {
 	s.unlink(ev)
 	ev.at = at
 	ev.fn = fn
-	ev.kfn = nil
-	ev.key = ConflictAll // a plain reschedule makes the event unkeyed again
-	ev.seq = s.seq       // a reschedule orders FIFO with fresh schedules
+	ev.seq = s.seq // a reschedule orders FIFO with fresh schedules
 	s.seq++
 	s.schedule(ev)
 	return t
@@ -339,63 +219,34 @@ func (s *Simulator) Cancel(t Timer) {
 	s.release(t.ev)
 }
 
-// Step applies the next event from the current batch, extracting a new
-// batch when the previous one is exhausted. It returns false when the
-// queue is empty. Step is always serial — parallel application happens at
-// batch granularity inside Run and RunUntil.
+// Step runs the next event. It returns false when the queue is empty.
 func (s *Simulator) Step() bool {
-	for {
-		ev, ok := s.nextBatchEvent()
-		if !ok {
-			return false
-		}
-		if ev == nil {
-			continue // tombstoned after extraction
-		}
-		s.fire(ev)
-		return true
+	if len(s.bottom) == 0 && !s.refill() {
+		return false
 	}
-}
-
-// fire applies one extracted event: shadow-check, advance the clock,
-// release the node, run the callback. Releasing before running means the
-// callback sees its own timer as spent — canceling or rescheduling it from
-// inside hits the stale-handle path, and the node is immediately reusable
-// for events the callback schedules.
-func (s *Simulator) fire(ev *Event) {
+	ev := s.bottomPop()
 	if s.check != nil {
 		s.check.fire(ev)
 	}
 	s.now = ev.at
-	fn, kfn := ev.fn, ev.kfn
-	s.npend--
+	fn := ev.fn
+	// Release before running so fn sees its own timer as spent: canceling
+	// or rescheduling it from inside the callback hits the stale-handle
+	// path, and the node is immediately reusable for events fn schedules.
 	s.release(ev)
 	s.fired++
-	if kfn != nil {
-		kfn(s.dctx)
-	} else {
-		fn()
-	}
+	fn()
+	return true
 }
 
 // RunUntil executes events until the clock would pass end or the queue
-// drains. Events scheduled exactly at end do run. With SetWorkers(n>1)
-// batches are applied window-by-window across the worker pool; the event
-// limit is then checked at batch granularity.
+// drains. Events scheduled exactly at end do run.
 func (s *Simulator) RunUntil(end Time) {
-	if s.workers > 1 {
-		s.runParallel(end, true)
-		return
-	}
-	for {
-		at, ok := s.peek()
-		if !ok {
-			break
-		}
+	for len(s.bottom) > 0 || s.refill() {
 		if s.maxGas != 0 && s.fired >= s.maxGas {
 			return
 		}
-		if at > end {
+		if s.bottom[0].at > end {
 			s.now = end
 			return
 		}
@@ -408,10 +259,6 @@ func (s *Simulator) RunUntil(end Time) {
 
 // Run executes events until the queue drains.
 func (s *Simulator) Run() {
-	if s.workers > 1 {
-		s.runParallel(0, false)
-		return
-	}
 	for s.Step() {
 		if s.maxGas != 0 && s.fired >= s.maxGas {
 			return

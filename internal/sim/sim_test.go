@@ -305,6 +305,91 @@ func TestPending(t *testing.T) {
 	}
 }
 
+func TestCancelLaterEventAtSameTimestamp(t *testing.T) {
+	// The victim is already due — same timestamp, later seq — when the
+	// event ahead of it cancels it.
+	s := New(1)
+	var log []string
+	var victim Timer
+	s.At(time.Second, func() {
+		log = append(log, "a")
+		s.Cancel(victim)
+	})
+	victim = s.At(time.Second, func() { log = append(log, "victim") })
+	s.At(time.Second, func() { log = append(log, "c") })
+	s.Run()
+	if len(log) != 2 || log[0] != "a" || log[1] != "c" {
+		t.Fatalf("log = %v, want [a c]", log)
+	}
+	if victim.Pending() || s.Pending() != 0 {
+		t.Fatalf("victim pending = %v, Pending = %d after drain", victim.Pending(), s.Pending())
+	}
+}
+
+func TestRescheduleLaterEventAtSameTimestamp(t *testing.T) {
+	s := New(1)
+	var log []string
+	var firedAt Time
+	var moved Timer
+	s.At(time.Second, func() {
+		log = append(log, "a")
+		moved = s.Reschedule(moved, 2*time.Second, func() {
+			log = append(log, "moved")
+			firedAt = s.Now()
+		})
+	})
+	moved = s.At(time.Second, func() { log = append(log, "stale") })
+	s.At(time.Second, func() { log = append(log, "c") })
+	s.Run()
+	if len(log) != 3 || log[0] != "a" || log[1] != "c" || log[2] != "moved" {
+		t.Fatalf("log = %v, want [a c moved]", log)
+	}
+	if firedAt != 2*time.Second {
+		t.Fatalf("moved event fired at %v, want 2s", firedAt)
+	}
+}
+
+func TestPendingBetweenSameTimestampEvents(t *testing.T) {
+	// Pending counts exactly the events that have not fired, including
+	// the rest of the timestamp being worked through.
+	s := New(1)
+	var seen []int
+	for i := 0; i < 3; i++ {
+		s.At(time.Second, func() { seen = append(seen, s.Pending()) })
+	}
+	s.Step()
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d after one of three same-time events, want 2", s.Pending())
+	}
+	s.Run()
+	if len(seen) != 3 || seen[0] != 2 || seen[1] != 1 || seen[2] != 0 {
+		t.Fatalf("Pending seen from callbacks = %v, want [2 1 0]", seen)
+	}
+}
+
+func TestEventLimitStopsMidTimestamp(t *testing.T) {
+	s := New(1)
+	var order []int
+	for i := 0; i < 5; i++ {
+		i := i
+		s.At(time.Second, func() { order = append(order, i) })
+	}
+	s.SetEventLimit(3)
+	s.RunUntil(time.Hour)
+	if s.Fired() != 3 || len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("fired %d events in order %v, want exactly [0 1 2]", s.Fired(), order)
+	}
+	if s.Pending() != 2 || s.Now() != time.Second {
+		t.Fatalf("Pending = %d at %v, want 2 at 1s", s.Pending(), s.Now())
+	}
+	// Lifting the limit resumes in the middle of the timestamp.
+	s.SetEventLimit(0)
+	s.RunUntil(time.Hour)
+	if len(order) != 5 || order[3] != 3 || order[4] != 4 {
+		t.Fatalf("order after resume = %v, want [0 1 2 3 4]", order)
+	}
+}
+
 // TestHeapStress drives the 4-ary heap through a large randomized mix of
 // schedules, cancels, and reschedules and checks the firing order is
 // globally sorted by (time, schedule order).
