@@ -44,14 +44,15 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# slrlint: the repo's determinism analyzers (internal/analysis) behind
-# the go vet unitchecker protocol. Zero unsuppressed diagnostics is the
-# bar; deliberate exceptions carry //slrlint:allow <analyzer> <reason>.
+# slrlint: the repo's determinism analyzers (internal/analysis), run one
+# package at a time by go vet -vettool on the standard-library driver in
+# internal/analysis/slrlint. Zero unsuppressed diagnostics is the bar;
+# deliberate exceptions carry //slrlint:allow <analyzer> <reason>.
 lint:
 	$(GO) build -o bin/slrlint ./cmd/slrlint
 	$(GO) vet -vettool=$(CURDIR)/bin/slrlint ./...
 
-# Regenerate the paper's Table I and Figures 3-7 on the work-stealing
+# Regenerate the paper's Table I and Figures 3-7 on the all-cores trial
 # runner. SCALE=full for the paper's exact setup (hours of CPU). -force:
 # re-running the target deliberately regenerates the results files (the
 # binary otherwise refuses to clobber a non-empty sweep output).

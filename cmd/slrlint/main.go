@@ -1,36 +1,29 @@
-// Command slrlint is the repo's determinism linter: a go/analysis
-// multichecker bundling the four analyzers of internal/analysis
-// (mapiter, walltime, floatfmt, pooledescape), each machine-enforcing an
-// invariant the byte-identical-per-seed contract depends on.
-//
-// It speaks the unitchecker protocol, so it composes with the go tool's
-// vet driver instead of shipping its own loader:
+// Command slrlint is the repo's determinism linter: the four analyzers of
+// internal/analysis (mapiter, walltime, floatfmt, pooledescape), each
+// machine-enforcing an invariant the byte-identical-per-seed contract
+// depends on, behind slrlint.Main — a standard-library-only driver for
+// the go tool's vet protocol. It has no package loader and no flags of
+// its own; `go vet` hands it one type-checkable package at a time:
 //
 //	go build -o bin/slrlint ./cmd/slrlint
 //	go vet -vettool=$(pwd)/bin/slrlint ./...
 //
-// (make lint does exactly this.) Single analyzers and flags pass through
-// vet as usual:
-//
-//	go vet -vettool=bin/slrlint -mapiter.tests ./internal/routing/...
-//
-// Suppressions are source comments, not linter config:
-// //slrlint:allow <analyzer> <reason> on (or directly above) the flagged
-// line, with a mandatory reason. See the README's determinism-discipline
-// section for the invariants and their history.
+// (make lint does exactly this.) Suppressions are source comments, not
+// linter config: //slrlint:allow <analyzer> <reason> on (or directly
+// above) the flagged line, with a mandatory reason. See the README's
+// determinism-discipline section for the invariants and their history.
 package main
 
 import (
-	"golang.org/x/tools/go/analysis/unitchecker"
-
 	"slr/internal/analysis/floatfmt"
 	"slr/internal/analysis/mapiter"
 	"slr/internal/analysis/pooledescape"
+	"slr/internal/analysis/slrlint"
 	"slr/internal/analysis/walltime"
 )
 
 func main() {
-	unitchecker.Main(
+	slrlint.Main(
 		mapiter.Analyzer,
 		walltime.Analyzer,
 		floatfmt.Analyzer,

@@ -163,7 +163,17 @@ func run(args []string) error {
 	if onListen != nil {
 		onListen(ln.Addr())
 	}
-	return http.Serve(ln, sweepd.NewHandler(c))
+	// Fixed deadlines so a stalled or trickling client cannot hold a
+	// connection open forever; the read budget covers a full-size record
+	// batch (sweepd caps the body) on a slow link.
+	srv := &http.Server{
+		Handler:           sweepd.NewHandler(c),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       2 * time.Minute,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	return srv.Serve(ln)
 }
 
 // onListen, when set (tests), receives the bound address once the /v1

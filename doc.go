@@ -19,7 +19,7 @@
 // transmission, byte-identical to the linear reference scan) with bulk
 // epoch position refreshes, and
 // internal/runner flattens the whole (protocol x pause x trial) grid into
-// one job queue consumed by a work-stealing worker pool, streaming
+// one job queue consumed by a pool of workers, streaming
 // per-trial JSONL/CSV results as they complete. Identical seeds give
 // identical results whatever the worker count — which is what lets a
 // sweep span processes and crashes: -shard i/n runs a disjoint
@@ -48,12 +48,14 @@
 // single-process sweep of the same flags.
 //
 // That byte-identical contract is machine-enforced: internal/analysis
-// holds four go/analysis analyzers — map-iteration order escaping into
+// holds four analyzers — map-iteration order escaping into
 // output or scheduling, wall-clock or global-rand use in sim-reachable
 // code, float formatting outside the canonical runner.Key codec, and
 // pooled values retained past their callback — which cmd/slrlint runs
-// over the whole repo through go vet -vettool (make lint). Deliberate
-// exceptions carry //slrlint:allow annotations with mandatory reasons.
+// over the whole repo through go vet -vettool (make lint) on a
+// standard-library-only driver, so the module has no dependencies.
+// Deliberate exceptions carry //slrlint:allow annotations with mandatory
+// reasons.
 //
 // Workloads are declarative: internal/spec loads versioned JSON scenario
 // files (see examples/scenarios/) that select every model by name from a

@@ -2,8 +2,6 @@ module slr
 
 go 1.24
 
-// x/tools backs the slrlint determinism analyzers (internal/analysis,
-// cmd/slrlint). The vendor/ tree is the source of truth: it holds the
-// exact go/analysis subset shipped in this Go toolchain's cmd/vendor,
-// so builds never need the network.
-require golang.org/x/tools v0.28.1-0.20250131145412-98746475647e
+// No requirements, by design: slrlint (internal/analysis, cmd/slrlint)
+// runs on the standard library, and CI's lint job fails if a dependency
+// or a vendor/ tree appears.

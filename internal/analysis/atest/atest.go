@@ -1,14 +1,11 @@
-// Package atest is a minimal, offline stand-in for
-// golang.org/x/tools/go/analysis/analysistest. The Go toolchain vendors
-// the go/analysis core but not analysistest, and this repo builds
-// without network access, so the analyzer tests load their fixtures by
-// hand: parse testdata/src/<pkg>, typecheck against the source importer
-// (stdlib) plus a recursive fixture importer (local imports like "sim"),
-// run the analyzer over a hand-built Pass, and match diagnostics against
+// Package atest runs one slrlint analyzer over fixture packages and
+// checks what it reports, with the standard library only: parse
+// testdata/src/<pkg>, typecheck against the source importer (stdlib) plus
+// a recursive fixture importer (local imports like "sim"), run the
+// analyzer over a hand-built slrlint.Pass, and match diagnostics against
 // the fixtures' "// want" comments.
 //
-// The expectation syntax is analysistest's core subset: a comment
-// containing
+// The expectation syntax: a comment containing
 //
 //	// want `regexp` `another`
 //
@@ -32,14 +29,12 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"slr/internal/analysis/slrlint"
 )
 
 // Run loads each named package from testdata/src/<pkg>, runs a over it,
 // and checks the diagnostics against the fixtures' want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
+func Run(t *testing.T, testdata string, a *slrlint.Analyzer, pkgs ...string) {
 	t.Helper()
 	ld := newLoader(filepath.Join(testdata, "src"))
 	for _, pkg := range pkgs {
@@ -47,29 +42,22 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	}
 }
 
-func runPkg(t *testing.T, ld *loader, a *analysis.Analyzer, pkgPath string) {
+func runPkg(t *testing.T, ld *loader, a *slrlint.Analyzer, pkgPath string) {
 	t.Helper()
 	lp, err := ld.load(pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture package %s: %v", pkgPath, err)
 	}
 
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       ld.fset,
-		Files:      lp.files,
-		Pkg:        lp.pkg,
-		TypesInfo:  lp.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf: map[*analysis.Analyzer]interface{}{
-			inspect.Analyzer: inspector.New(lp.files),
-		},
-		Report: func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s over %s: %v", a.Name, pkgPath, err)
-	}
+	var diags []slrlint.Diagnostic
+	a.Run(&slrlint.Pass{
+		Analyzer:  a,
+		Fset:      ld.fset,
+		Files:     lp.files,
+		Pkg:       lp.pkg,
+		TypesInfo: lp.info,
+		Report:    func(d slrlint.Diagnostic) { diags = append(diags, d) },
+	})
 
 	wants := collectWants(t, ld.fset, lp.files)
 	for _, d := range diags {
@@ -245,15 +233,7 @@ func (ld *loader) load(path string) (*loadedPkg, error) {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
 
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
+	info := slrlint.NewInfo()
 	conf := types.Config{Importer: ld}
 	pkg, err := conf.Check(path, ld.fset, files, info)
 	if err != nil {

@@ -1,6 +1,8 @@
 // Package analysis is the home of slrlint, the repo's determinism
-// linter: four golang.org/x/tools/go/analysis analyzers that machine-
-// enforce the invariants every PR since PR 1 has re-proven by hand.
+// linter: four analyzers that machine-enforce the invariants every PR
+// since PR 1 has re-proven by hand. They are written against the small
+// Analyzer/Pass types of internal/analysis/slrlint — standard library
+// only (go/ast, go/types, go/importer), no flags.
 //
 // The repo's contract is that a trial's JSONL output is a byte-identical
 // function of its seed — across worker counts, shards, resumed runs and
@@ -21,9 +23,11 @@
 //
 // Deliberate exceptions carry //slrlint:allow <analyzer> <reason> on or
 // directly above the flagged line; the reason is mandatory. cmd/slrlint
-// bundles the analyzers behind the unitchecker protocol so `go vet
-// -vettool` (make lint) drives them over the whole repo; the fixtures
-// under testdata/ are deliberately pathological and excluded from the
-// repo-wide gates (the go tool skips testdata directories by itself, and
-// make fmt excludes them explicitly).
+// hands the analyzers to slrlint.Main, which speaks cmd/go's vet-tool
+// protocol, so `go vet -vettool` (make lint) drives them over the whole
+// repo one package at a time. atest runs one analyzer over the fixtures
+// under testdata/ and checks their "// want" comments; those fixtures are
+// deliberately pathological and excluded from the repo-wide gates (the go
+// tool skips testdata directories by itself, and make fmt excludes them
+// explicitly).
 package analysis

@@ -15,11 +15,6 @@ import (
 	"go/constant"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"slr/internal/analysis/slrlint"
 )
 
@@ -33,28 +28,15 @@ with an explicit precision) are report formatting, not identity encoding,
 and stay legal; so is fmt.Errorf, whose output is human-facing error
 text that never participates in identity comparison.
 
-The -allow flag lists the sanctioned codec functions (default
-runner.Key.String); other deliberate sites annotate with
+allowFuncs lists the sanctioned codec functions (runner.Key.String);
+other deliberate sites annotate with
 //slrlint:allow floatfmt <reason>.`
 
 // allowFuncs are the functions allowed to format floats shortest-form.
-var allowFuncs = slrlint.NewList("slr/internal/runner.Key.String")
+var allowFuncs = slrlint.List{"slr/internal/runner.Key.String"}
 
 // Analyzer is the floatfmt analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "floatfmt",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-var checkTests *bool
-
-func init() {
-	checkTests = slrlint.TestsFlag(Analyzer)
-	Analyzer.Flags.Var(allowFuncs, "allow",
-		"comma-separated pkg/path.Func (or pkg/path.Recv.Func) patterns allowed to format floats shortest-form")
-}
+var Analyzer = &slrlint.Analyzer{Name: "floatfmt", Doc: doc, Run: run}
 
 // nonFormat maps fmt's non-verb print functions to the index of their
 // first value argument.
@@ -70,22 +52,21 @@ var withFormat = map[string]int{
 	"Sprintf": 0, "Printf": 0, "Fprintf": 1, "Appendf": 1,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := slrlint.NewSuppressor(pass, *checkTests)
+func run(pass *slrlint.Pass) {
+	sup := slrlint.NewSuppressor(pass)
 
-	insp.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+	pass.Walk(func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		call := n.(*ast.CallExpr)
-		fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
+		fn := slrlint.Callee(pass.TypesInfo, call)
+		if fn == nil || fn.Pkg() == nil {
+			return
 		}
 		if fd := slrlint.TopDecl(stack); fd != nil &&
-			allowFuncs.MatchFunc(pass.Pkg.Path(), declSym(fd)) {
-			return true
+			allowFuncs.MatchFunc(pass.Pkg.Path(), slrlint.DeclSym(fd)) {
+			return
 		}
 		name := fn.Name()
 		switch fn.Pkg().Path() {
@@ -95,7 +76,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		case "fmt":
 			if call.Ellipsis.IsValid() {
-				return true // a spread argument list cannot be paired with verbs
+				return // a spread argument list cannot be paired with verbs
 			}
 			if start, ok := nonFormat[name]; ok {
 				for _, arg := range call.Args[min(start, len(call.Args)):] {
@@ -108,21 +89,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				checkFormat(pass, sup, name, call, fi)
 			}
 		}
-		return true
 	})
-	return nil, nil
-}
-
-// declSym renders the Recv.Name (or Name) part of a declaration for
-// allow-list matching.
-func declSym(fd *ast.FuncDecl) string {
-	full := slrlint.DeclName("", fd)
-	return full[1:] // DeclName("", fd) == "." + sym
 }
 
 // checkFormat pairs a constant format string's verbs with the call's
 // variadic arguments and reports float arguments formatted with %v.
-func checkFormat(pass *analysis.Pass, sup *slrlint.Suppressor, name string, call *ast.CallExpr, fi int) {
+func checkFormat(pass *slrlint.Pass, sup *slrlint.Suppressor, name string, call *ast.CallExpr, fi int) {
 	tv := pass.TypesInfo.Types[call.Args[fi]]
 	if tv.Value == nil || tv.Value.Kind() != constant.String {
 		return // dynamic format string: nothing to pair against

@@ -10,11 +10,6 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"slr/internal/analysis/slrlint"
 )
 
@@ -37,23 +32,10 @@ commutative folds) are excused with //slrlint:allow mapiter <reason>.`
 
 // schedRecvs names the types whose At/After methods consume the kernel's
 // FIFO sequence numbers, making bare call order observable.
-var schedRecvs = slrlint.NewList("slr/internal/sim.Simulator", "slr/internal/netstack.Node")
+var schedRecvs = slrlint.List{"slr/internal/sim.Simulator", "slr/internal/netstack.Node"}
 
 // Analyzer is the mapiter analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "mapiter",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-var checkTests *bool
-
-func init() {
-	checkTests = slrlint.TestsFlag(Analyzer)
-	Analyzer.Flags.Var(schedRecvs, "schedrecvs",
-		"comma-separated types whose At/After methods are scheduling sinks")
-}
+var Analyzer = &slrlint.Analyzer{Name: "mapiter", Doc: doc, Run: run}
 
 // accum is one slice the loop body appends range-derived values to.
 type accum struct {
@@ -62,23 +44,15 @@ type accum struct {
 	pos token.Pos    // first offending append
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := slrlint.NewSuppressor(pass, *checkTests)
+func run(pass *slrlint.Pass) {
+	sup := slrlint.NewSuppressor(pass)
 	reported := map[token.Pos]bool{}
 
-	insp.WithStack([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+	pass.Walk(func(n ast.Node, stack []ast.Node) {
+		if rs, ok := n.(*ast.RangeStmt); ok && isMap(pass.TypesInfo.TypeOf(rs.X)) {
+			checkRange(pass, sup, rs, stack, reported)
 		}
-		rs := n.(*ast.RangeStmt)
-		if !isMap(pass.TypesInfo.TypeOf(rs.X)) {
-			return true
-		}
-		checkRange(pass, sup, rs, stack, reported)
-		return true
 	})
-	return nil, nil
 }
 
 func isMap(t types.Type) bool {
@@ -89,7 +63,7 @@ func isMap(t types.Type) bool {
 	return ok
 }
 
-func checkRange(pass *analysis.Pass, sup *slrlint.Suppressor, rs *ast.RangeStmt, stack []ast.Node, reported map[token.Pos]bool) {
+func checkRange(pass *slrlint.Pass, sup *slrlint.Suppressor, rs *ast.RangeStmt, stack []ast.Node, reported map[token.Pos]bool) {
 	loopVars := rangeVars(pass, rs)
 	var accums []accum
 
@@ -135,7 +109,7 @@ func checkRange(pass *analysis.Pass, sup *slrlint.Suppressor, rs *ast.RangeStmt,
 
 // rangeVars collects the objects of the range statement's key and value
 // variables.
-func rangeVars(pass *analysis.Pass, rs *ast.RangeStmt) []types.Object {
+func rangeVars(pass *slrlint.Pass, rs *ast.RangeStmt) []types.Object {
 	var out []types.Object
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
 		id, ok := e.(*ast.Ident)
@@ -153,10 +127,9 @@ func rangeVars(pass *analysis.Pass, rs *ast.RangeStmt) []types.Object {
 
 // sinkCall classifies a call as order-sensitive: an emitter or a
 // scheduling call. It returns a short description, or "".
-func sinkCall(pass *analysis.Pass, call *ast.CallExpr) string {
-	callee := typeutil.Callee(pass.TypesInfo, call)
-	fn, ok := callee.(*types.Func)
-	if !ok {
+func sinkCall(pass *slrlint.Pass, call *ast.CallExpr) string {
+	fn := slrlint.Callee(pass.TypesInfo, call)
+	if fn == nil {
 		return ""
 	}
 	name := fn.Name()
@@ -177,7 +150,7 @@ func sinkCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	case strings.HasPrefix(name, "Schedule") || name == "Reschedule" || name == "RescheduleAfter":
 		return "scheduling call " + name
 	case name == "At" || name == "After":
-		for _, p := range schedRecvs.Items {
+		for _, p := range schedRecvs {
 			if slrlint.MatchNamed(sig.Recv().Type(), p) {
 				return "scheduling call " + name
 			}
@@ -186,7 +159,7 @@ func sinkCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isBuiltinAppend(pass *slrlint.Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" {
 		return false
@@ -196,7 +169,7 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // refsAny reports whether any expression references one of the objects.
-func refsAny(pass *analysis.Pass, exprs []ast.Expr, objs []types.Object) bool {
+func refsAny(pass *slrlint.Pass, exprs []ast.Expr, objs []types.Object) bool {
 	found := false
 	for _, e := range exprs {
 		ast.Inspect(e, func(n ast.Node) bool {
@@ -219,7 +192,7 @@ func refsAny(pass *analysis.Pass, exprs []ast.Expr, objs []types.Object) bool {
 // appendTarget resolves an append assignment's destination to a trackable
 // accumulator: an identifier declared outside the loop, or a selector
 // path (struct field), both of which outlive the iteration.
-func appendTarget(pass *analysis.Pass, lhs ast.Expr, rs *ast.RangeStmt) (accum, bool) {
+func appendTarget(pass *slrlint.Pass, lhs ast.Expr, rs *ast.RangeStmt) (accum, bool) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		obj := pass.TypesInfo.Uses[l]
@@ -240,7 +213,7 @@ func insideLoop(pos token.Pos, rs *ast.RangeStmt) bool {
 	return pos >= rs.Pos() && pos <= rs.End()
 }
 
-func rootObj(pass *analysis.Pass, e ast.Expr) types.Object {
+func rootObj(pass *slrlint.Pass, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
@@ -257,7 +230,7 @@ func rootObj(pass *analysis.Pass, e ast.Expr) types.Object {
 // enclosing function passes the accumulator to a sort: any sort.* or
 // slices.Sort* call, or a Sort method, mentioning the accumulator in its
 // arguments (including wrapped forms like sort.Sort(byID(x))).
-func sortedAfter(pass *analysis.Pass, body *ast.BlockStmt, a accum) bool {
+func sortedAfter(pass *slrlint.Pass, body *ast.BlockStmt, a accum) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -291,10 +264,9 @@ func sortedAfter(pass *analysis.Pass, body *ast.BlockStmt, a accum) bool {
 	return found
 }
 
-func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	callee := typeutil.Callee(pass.TypesInfo, call)
-	fn, ok := callee.(*types.Func)
-	if !ok {
+func isSortCall(pass *slrlint.Pass, call *ast.CallExpr) bool {
+	fn := slrlint.Callee(pass.TypesInfo, call)
+	if fn == nil {
 		return false
 	}
 	sig, _ := fn.Type().(*types.Signature)

@@ -12,16 +12,12 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"slr/internal/analysis/slrlint"
 )
 
 const doc = `flag pooled values retained past the callback that received them
 
-Reports storing a pointer to a pooled type (-types, default *sim.Event,
+Reports storing a pointer to a pooled type (pooledTypes: *sim.Event,
 netstack's control envelopes, radio's rx nodes) into a struct field,
 package variable, element of either, or a channel. Local variables and
 direct use inside the receiving callback are fine; so is each pool's own
@@ -35,33 +31,19 @@ stale use a safe no-op — so reach for that instead of a bare copy.`
 
 // pooledTypes names the recycled types whose pointers must not outlive
 // their callback.
-var pooledTypes = slrlint.NewList(
+var pooledTypes = slrlint.List{
 	"slr/internal/sim.Event",
 	"slr/internal/netstack.controlEnvelope",
 	"slr/internal/radio.rx",
-)
+}
 
 // Analyzer is the pooledescape analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "pooledescape",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+var Analyzer = &slrlint.Analyzer{Name: "pooledescape", Doc: doc, Run: run}
 
-var checkTests *bool
+func run(pass *slrlint.Pass) {
+	sup := slrlint.NewSuppressor(pass)
 
-func init() {
-	checkTests = slrlint.TestsFlag(Analyzer)
-	Analyzer.Flags.Var(pooledTypes, "types",
-		"comma-separated pkg/path.Type patterns of pooled types")
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := slrlint.NewSuppressor(pass, *checkTests)
-
-	insp.Preorder([]ast.Node{(*ast.AssignStmt)(nil), (*ast.SendStmt)(nil)}, func(n ast.Node) {
+	pass.Walk(func(n ast.Node, _ []ast.Node) {
 		switch n := n.(type) {
 		case *ast.SendStmt:
 			if name, ok := pooled(pass, pass.TypesInfo.TypeOf(n.Value)); ok {
@@ -92,19 +74,18 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	})
-	return nil, nil
 }
 
 // pooled reports whether t is a pointer to a configured pooled type and
 // the current package is not the pool's own.
-func pooled(pass *analysis.Pass, t types.Type) (string, bool) {
+func pooled(pass *slrlint.Pass, t types.Type) (string, bool) {
 	if t == nil {
 		return "", false
 	}
 	if _, ok := types.Unalias(t).(*types.Pointer); !ok {
 		return "", false
 	}
-	for _, pat := range pooledTypes.Items {
+	for _, pat := range pooledTypes {
 		if !slrlint.MatchNamed(t, pat) {
 			continue
 		}
@@ -123,7 +104,7 @@ func pooled(pass *analysis.Pass, t types.Type) (string, bool) {
 // persistent reports whether an assignment destination outlives the
 // enclosing call: a struct field, a package-level variable, or an element
 // reached through one.
-func persistent(pass *analysis.Pass, lhs ast.Expr) bool {
+func persistent(pass *slrlint.Pass, lhs ast.Expr) bool {
 	switch l := lhs.(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := pass.TypesInfo.Selections[l]; ok {
@@ -146,7 +127,7 @@ func pkgLevelVar(obj types.Object) bool {
 	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
-func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isBuiltinAppend(pass *slrlint.Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" {
 		return false

@@ -1,7 +1,8 @@
 // Package slrlint holds the machinery shared by the repo's determinism
-// analyzers (internal/analysis/...): the //slrlint:allow suppression
-// contract, package-path and symbol matching for analyzer configuration,
-// and small helpers over the analysis.Pass surface.
+// analyzers (internal/analysis/...): the Analyzer/Pass types and the
+// standard-library-only `go vet -vettool` driver that runs them
+// (driver.go), the //slrlint:allow suppression contract, and package-path
+// and symbol matching for the analyzers' fixed configuration.
 //
 // Suppression contract: a diagnostic is silenced by a comment of the form
 //
@@ -18,8 +19,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // AllowPrefix is the comment directive that suppresses one diagnostic.
@@ -30,22 +29,20 @@ const AllowPrefix = "slrlint:allow"
 const wantMarker = "// want "
 
 // Suppressor filters one analyzer's diagnostics through the pass's
-// //slrlint:allow comments and, by default, drops findings in _test.go
-// files (test code may use wall clocks and unordered iteration freely —
-// golden comparisons, not source hygiene, gate its determinism).
+// //slrlint:allow comments and drops findings in _test.go files (test
+// code may use wall clocks and unordered iteration freely — golden
+// comparisons, not source hygiene, gate its determinism).
 type Suppressor struct {
-	pass      *analysis.Pass
-	checkTest bool
+	pass *Pass
 	// allowed marks file:line coordinates excused for this analyzer: the
 	// allow comment's own line and the line below it.
 	allowed map[string]map[int]bool
 }
 
 // NewSuppressor scans the pass's files for allow comments naming
-// pass.Analyzer and reports any that lack a reason. checkTests extends
-// reporting into _test.go files.
-func NewSuppressor(pass *analysis.Pass, checkTests bool) *Suppressor {
-	s := &Suppressor{pass: pass, checkTest: checkTests, allowed: map[string]map[int]bool{}}
+// pass.Analyzer and reports any that lack a reason.
+func NewSuppressor(pass *Pass) *Suppressor {
+	s := &Suppressor{pass: pass, allowed: map[string]map[int]bool{}}
 	name := pass.Analyzer.Name
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
@@ -66,7 +63,7 @@ func NewSuppressor(pass *analysis.Pass, checkTests bool) *Suppressor {
 					continue
 				}
 				p := pass.Fset.Position(c.Pos())
-				if s.skipFile(p.Filename) {
+				if isTestFile(p.Filename) {
 					continue
 				}
 				if strings.TrimSpace(reason) == "" {
@@ -86,27 +83,18 @@ func NewSuppressor(pass *analysis.Pass, checkTests bool) *Suppressor {
 	return s
 }
 
-func (s *Suppressor) skipFile(filename string) bool {
-	return !s.checkTest && strings.HasSuffix(filename, "_test.go")
+func isTestFile(filename string) bool {
+	return strings.HasSuffix(filename, "_test.go")
 }
 
 // Reportf reports a diagnostic at pos unless an allow comment for this
-// analyzer covers the line or the finding is in a skipped test file.
+// analyzer covers the line or the finding is in a test file.
 func (s *Suppressor) Reportf(pos token.Pos, format string, args ...any) {
 	p := s.pass.Fset.Position(pos)
-	if s.skipFile(p.Filename) {
-		return
-	}
-	if s.allowed[p.Filename][p.Line] {
+	if isTestFile(p.Filename) || s.allowed[p.Filename][p.Line] {
 		return
 	}
 	s.pass.Reportf(pos, format, args...)
-}
-
-// TestsFlag registers the shared -<analyzer>.tests flag that extends an
-// analyzer into _test.go files.
-func TestsFlag(a *analysis.Analyzer) *bool {
-	return a.Flags.Bool("tests", false, "also report findings in _test.go files")
 }
 
 // MatchPkg reports whether package path matches pattern. A pattern
@@ -135,37 +123,14 @@ func MatchPkg(pattern, path string) bool {
 		strings.HasSuffix(path, "/"+pattern)
 }
 
-// List is a comma-separated list flag with MatchPkg semantics.
-type List struct {
-	Items []string
-}
-
-// NewList returns a List holding items.
-func NewList(items ...string) *List { return &List{Items: items} }
-
-// String implements flag.Value.
-func (l *List) String() string {
-	if l == nil {
-		return ""
-	}
-	return strings.Join(l.Items, ",")
-}
-
-// Set implements flag.Value, replacing the list.
-func (l *List) Set(s string) error {
-	l.Items = nil
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			l.Items = append(l.Items, f)
-		}
-	}
-	return nil
-}
+// List is an analyzer's fixed list of package or symbol patterns, matched
+// with MatchPkg semantics.
+type List []string
 
 // MatchPath reports whether any pattern in the list matches the package
 // path.
-func (l *List) MatchPath(path string) bool {
-	for _, p := range l.Items {
+func (l List) MatchPath(path string) bool {
+	for _, p := range l {
 		if MatchPkg(p, path) {
 			return true
 		}
@@ -210,13 +175,13 @@ func Named(t types.Type) *types.Named {
 	return n
 }
 
-// DeclName renders the allow-list identity of a function declaration:
-// "pkg/path.Name" for functions, "pkg/path.Recv.Name" for methods.
-func DeclName(pkgPath string, fd *ast.FuncDecl) string {
+// DeclSym renders the symbol part of a function declaration's allow-list
+// identity: "Name" for functions, "Recv.Name" for methods.
+func DeclSym(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return pkgPath + "." + fd.Name.Name
+		return fd.Name.Name
 	}
-	return pkgPath + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+	return recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
 }
 
 // recvTypeName extracts the bare receiver type name from its AST form.
@@ -237,11 +202,11 @@ func recvTypeName(e ast.Expr) string {
 	}
 }
 
-// MatchFunc reports whether the function identity (as DeclName renders
-// it, with pkgPath the pass's package path) matches any
+// MatchFunc reports whether the function identity (pkgPath the pass's
+// package path, declSym as DeclSym renders it) matches any
 // "pkg/path.Sym.Bol" pattern in the list.
-func (l *List) MatchFunc(pkgPath, declSym string) bool {
-	for _, p := range l.Items {
+func (l List) MatchFunc(pkgPath, declSym string) bool {
+	for _, p := range l {
 		pkgPat, sym := SplitSymbol(p)
 		if sym == declSym && MatchPkg(pkgPat, pkgPath) {
 			return true
@@ -251,7 +216,7 @@ func (l *List) MatchFunc(pkgPath, declSym string) bool {
 }
 
 // EnclosingFunc returns the innermost function declaration or literal in
-// a WithStack stack, and the enclosing FuncDecl if the innermost function
+// a Pass.Walk stack, and the enclosing FuncDecl if the innermost function
 // is a declaration (nil inside a closure).
 func EnclosingFunc(stack []ast.Node) (body *ast.BlockStmt, decl *ast.FuncDecl) {
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -265,7 +230,7 @@ func EnclosingFunc(stack []ast.Node) (body *ast.BlockStmt, decl *ast.FuncDecl) {
 	return nil, nil
 }
 
-// TopDecl returns the top-level function declaration a WithStack stack is
+// TopDecl returns the top-level function declaration a Pass.Walk stack is
 // inside, regardless of intervening closures.
 func TopDecl(stack []ast.Node) *ast.FuncDecl {
 	for _, n := range stack {

@@ -10,10 +10,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"slr/internal/analysis/slrlint"
 )
 
@@ -25,29 +21,16 @@ generator functions. rand.New/NewSource and methods on a *rand.Rand are
 the sanctioned seeded path and stay legal, as do time's types and
 constants (sim.Time is a time.Duration).
 
-Daemon and CLI code legitimately lives on the wall clock; the -allow flag
-lists those package patterns (default: the sweep coordinator/worker
-daemon and the command mains). Anything else — e.g. a progress meter in
+Daemon and CLI code legitimately lives on the wall clock; allowPkgs lists
+those package patterns (the sweep coordinator/worker daemon, the command
+mains and the examples). Anything else — e.g. a progress meter in
 otherwise sim-adjacent code — carries //slrlint:allow walltime <reason>.`
 
 // allowPkgs are the package patterns allowed to touch the wall clock.
-var allowPkgs = slrlint.NewList("slr/internal/sweepd", "slr/cmd/...", "slr/examples/...")
+var allowPkgs = slrlint.List{"slr/internal/sweepd", "slr/cmd/...", "slr/examples/..."}
 
 // Analyzer is the walltime analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "walltime",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-var checkTests *bool
-
-func init() {
-	checkTests = slrlint.TestsFlag(Analyzer)
-	Analyzer.Flags.Var(allowPkgs, "allow",
-		"comma-separated package patterns allowed to use the wall clock and global rand")
-}
+var Analyzer = &slrlint.Analyzer{Name: "walltime", Doc: doc, Run: run}
 
 // bannedTime is the host-clock surface of package time. Types, constants
 // and pure converters (Duration, ParseDuration, Unix…) stay legal.
@@ -71,15 +54,17 @@ var bannedRand = map[string]bool{
 	"UintN": true, "Uint32N": true, "Uint64N": true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *slrlint.Pass) {
 	if allowPkgs.MatchPath(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	sup := slrlint.NewSuppressor(pass, *checkTests)
+	sup := slrlint.NewSuppressor(pass)
 
-	insp.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
+	pass.Walk(func(n ast.Node, _ []ast.Node) {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
 		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			return
@@ -99,5 +84,4 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	})
-	return nil, nil
 }

@@ -185,13 +185,6 @@ func (m *Merged) TrialsReport() string {
 	return b.String()
 }
 
-// GridFromRecords reconstructs a sweep Grid from streamed per-trial
-// records (a -jsonl file, a JSONReport's runs); it is
-// MergeRecords(recs).Grid(s), kept for callers that need no other view.
-func GridFromRecords(s Scale, recs []runner.Record) (*Grid, []runner.Record) {
-	return MergeRecords(recs).Grid(s)
-}
-
 // Groups splits records into per-(protocol, pause) trial sets; it is
 // MergeRecords(recs).TrialSets(), kept for callers that need no other
 // view.

@@ -173,7 +173,7 @@ func TestGridFromRecordsReconstruction(t *testing.T) {
 		mk("SRP", 2, 0, 1, 0.97),
 		{Protocol: "SRP", PauseSeconds: 123.456, Trial: 0, Seed: 9, Schema: runner.RecordSchema},
 	}
-	g, leftover := GridFromRecords(s, recs)
+	g, leftover := MergeRecords(recs).Grid(s)
 	if len(leftover) != 1 || leftover[0].PauseSeconds != 123.456 {
 		t.Fatalf("leftover = %+v, want the off-grid pause", leftover)
 	}
@@ -204,7 +204,7 @@ func TestGridFromRecordsDedupsShardOverlap(t *testing.T) {
 		}
 	}
 	recs := []runner.Record{mk(0, 1), mk(1, 2), mk(0, 1), mk(1, 2), mk(0, 1)}
-	g, leftover := GridFromRecords(s, recs)
+	g, leftover := MergeRecords(recs).Grid(s)
 	if len(leftover) != 0 {
 		t.Fatalf("leftover = %+v", leftover)
 	}
@@ -265,7 +265,7 @@ func TestGridJSONPartialCellTrialNumbers(t *testing.T) {
 		Protocol: "SRP", PauseSeconds: pauseSec, Trial: 1, Seed: 2,
 		DeliveryRatio: 0.9, NetworkLoad: &load, Schema: runner.RecordSchema,
 	}
-	g, _ := GridFromRecords(s, []runner.Record{rec})
+	g, _ := MergeRecords([]runner.Record{rec}).Grid(s)
 	runs := g.JSON().Runs
 	if len(runs) != 1 || runs[0].Trial != 1 {
 		t.Fatalf("partial-cell JSON runs = %+v, want the real trial number 1", runs)

@@ -156,7 +156,7 @@ func Sweep(s Scale, protos []scenario.ProtocolName, seed int64, w io.Writer) *Gr
 	return g
 }
 
-// SweepOpts runs the whole grid on the work-stealing runner: every
+// SweepOpts runs the whole grid on the all-cores runner: every
 // (protocol, pause, trial) cell becomes one job in a single flat queue, so
 // slow cells never serialize the sweep the way per-point parallelism did.
 // Results are identical to running every point through the serial
@@ -165,8 +165,8 @@ func Sweep(s Scale, protos []scenario.ProtocolName, seed int64, w io.Writer) *Gr
 //
 // With opts.Shard or opts.SkipDone set, only the selected slice of the
 // grid runs and the returned Grid holds just those trials; merge the
-// emitted JSONL shards through GridFromRecords (cmd/slranalyze) to
-// reconstruct the full grid.
+// emitted JSONL shards through MergeRecords(recs).Grid(s), as
+// cmd/slranalyze does, to reconstruct the full grid.
 func SweepOpts(s Scale, protos []scenario.ProtocolName, seed int64, opts SweepOptions) (*Grid, error) {
 	g := &Grid{Scale: s, Protos: protos, cells: make(map[point]scenario.TrialSet)}
 	jobs := runner.GridJobs(protos, PauseFractions, s.Trials, seed, s.Params)

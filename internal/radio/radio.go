@@ -221,20 +221,6 @@ func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
 	}
 }
 
-// RefreshPositions eagerly re-caches every station position in the spatial
-// index and opens a new refresh epoch. The channel already does this
-// lazily on the first transmission of each epoch; scenarios that advance
-// mobility in discrete steps can call it at each step boundary to pay the
-// bulk pass at a deterministic point instead. Results are unaffected
-// either way (the index only ever narrows the candidate set; audibility is
-// always decided on exact positions). No-op without a grid or with
-// immobile stations.
-func (c *Channel) RefreshPositions() {
-	if c.grid != nil && c.grid.refresh != 0 {
-		c.grid.refreshAll(c.byIdx, c.sim.Now())
-	}
-}
-
 // station resolves id through the dense table, falling back to the map
 // for IDs outside it.
 func (c *Channel) station(id NodeID) *station {

@@ -1,0 +1,70 @@
+package runner
+
+import (
+	"bytes"
+	"os"
+	"testing"
+)
+
+// goldenJSONL is a committed sweep output, the seed for both fuzz targets.
+const goldenJSONL = "../../testdata/olsr-small.golden.jsonl"
+
+// FuzzSalvageRecords feeds arbitrary bytes to the JSONL salvage every
+// reader of sweep output shares (resume, slranalyze, the coordinator's
+// /v1/records). It must never panic, and the clean offset it reports must
+// be a real append point: inside the input, with everything before it
+// salvaging cleanly to that same offset.
+func FuzzSalvageRecords(f *testing.F) {
+	golden, err := os.ReadFile(goldenJSONL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	line := golden[:bytes.IndexByte(golden, '\n')+1]
+	f.Add(line[:len(line)-1]) // final newline lost
+	f.Add(line[:len(line)/2]) // killed mid-record
+	f.Add(append(bytes.Clone(line), "not a record\n"...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, clean, _ := SalvageRecords(bytes.NewReader(data))
+		if clean < 0 || clean > int64(len(data)) {
+			t.Fatalf("clean offset %d outside the %d-byte input", clean, len(data))
+		}
+		prefix, cleanAgain, err := SalvageRecords(bytes.NewReader(data[:clean]))
+		if err != nil || cleanAgain != clean {
+			t.Fatalf("prefix up to the clean offset %d re-salvages to %d, %v", clean, cleanAgain, err)
+		}
+		if len(prefix) > len(recs) {
+			t.Fatalf("clean prefix holds %d records, the whole input only %d", len(prefix), len(recs))
+		}
+	})
+}
+
+// FuzzParseKey checks the identity-key codec from the parsing side:
+// ParseKey must never panic, and any key it accepts must round-trip
+// through String — the property dedup maps and the lease table rely on.
+func FuzzParseKey(f *testing.F) {
+	file, err := os.Open(goldenJSONL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	recs, _, err := SalvageRecords(file)
+	file.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range recs {
+		f.Add(rec.Key().String())
+	}
+	f.Add("SRP|0.30000000000000004|1|-42")
+
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseKey(s)
+		if err != nil {
+			return
+		}
+		if again, err := ParseKey(k.String()); err != nil || again != k {
+			t.Fatalf("ParseKey(%q) = %+v, but its String %q parses back to %+v, %v", s, k, k.String(), again, err)
+		}
+	})
+}

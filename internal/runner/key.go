@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,6 +53,11 @@ func ParseKey(s string) (Key, error) {
 	pause, err := strconv.ParseFloat(parts[1], 64)
 	if err != nil {
 		return Key{}, fmt.Errorf("key %q: bad pause: %v", s, err)
+	}
+	if math.IsNaN(pause) {
+		// No record carries one (JSON cannot), and a NaN key would not
+		// even equal itself.
+		return Key{}, fmt.Errorf("key %q: pause is NaN", s)
 	}
 	trial, err := strconv.Atoi(parts[2])
 	if err != nil {

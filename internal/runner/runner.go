@@ -1,13 +1,12 @@
-// Package runner executes simulation trials across all CPUs with a
-// work-stealing scheduler.
+// Package runner executes simulation trials across all CPUs from one
+// shared job queue.
 //
 // The paper's evaluation (§V) is one grid of (protocol x pause time x
 // trial) simulation runs. The runner flattens any such grid into a single
-// job list and consumes it with GOMAXPROCS workers: each worker owns a
-// contiguous span of job indices and, when its span drains, steals the back
-// half of the largest remaining span. Long-running cells (a chatty protocol
-// at zero pause) therefore never leave cores idle the way per-point
-// parallelism does.
+// job list and consumes it with GOMAXPROCS workers: a free worker claims
+// the next unclaimed job index from a shared atomic cursor. Long-running
+// cells (a chatty protocol at zero pause) therefore never leave cores idle
+// the way per-point parallelism does.
 //
 // Results are deterministic regardless of worker count: every job carries
 // fully seeded scenario.Params fixed at flatten time, each trial runs on
@@ -92,85 +91,10 @@ type Options struct {
 	OnResult func(Job, scenario.Result)
 }
 
-// span is one worker's contiguous range [lo, hi) of unclaimed job indices.
-type span struct {
-	mu     sync.Mutex
-	lo, hi int
-}
-
-// pop claims the front job of the span.
-func (s *span) pop() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lo >= s.hi {
-		return 0, false
-	}
-	i := s.lo
-	s.lo++
-	return i, true
-}
-
-// remaining reports the unclaimed job count.
-func (s *span) remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hi - s.lo
-}
-
-// stealHalf takes the back half (rounded up) of the span's remaining range.
-func (s *span) stealHalf() (lo, hi int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rem := s.hi - s.lo
-	if rem == 0 {
-		return 0, 0, false
-	}
-	take := (rem + 1) / 2
-	hi = s.hi
-	lo = s.hi - take
-	s.hi = lo
-	return lo, hi, true
-}
-
-// steal moves half of the largest remaining span into spans[self] and
-// returns the first stolen index. A batch a thief has taken from its victim
-// but not yet published into its own span is invisible to this scan, so an
-// empty-everywhere scan is not proof the sweep is done; unclaimed (the
-// count of jobs no worker has claimed yet) is. steal returns false only
-// once unclaimed hits zero, briefly yielding and rescanning while a
-// transfer is in flight.
-func steal(spans []span, self int, unclaimed *atomic.Int64) (int, bool) {
-	for {
-		victim, best := -1, 0
-		for i := range spans {
-			if i == self {
-				continue
-			}
-			if rem := spans[i].remaining(); rem > best {
-				best, victim = rem, i
-			}
-		}
-		if victim < 0 {
-			if unclaimed.Load() == 0 {
-				return 0, false
-			}
-			runtime.Gosched() // a steal is mid-transfer; let it publish
-			continue
-		}
-		lo, hi, ok := spans[victim].stealHalf()
-		if !ok {
-			continue // lost a race for the victim's jobs; rescan
-		}
-		s := &spans[self]
-		s.mu.Lock()
-		s.lo, s.hi = lo+1, hi
-		s.mu.Unlock()
-		return lo, true
-	}
-}
-
-// Run executes every job and returns results in job order. Worker count,
-// stealing, and completion order never affect the results, only the
+// Run executes every job and returns results in job order. Workers claim
+// jobs in index order, so one worker runs them strictly in that order, one
+// at a time. Worker count and completion order never affect the results,
+// only the
 // wall-clock time and the order sinks observe trials. The returned error
 // is the first Emitter error, if any; results are complete either way. A
 // failed emitter (full disk, closed pipe) is disabled after its first
@@ -201,21 +125,14 @@ func Run(jobs []Job, opts Options) ([]scenario.Result, error) {
 		workers = n
 	}
 
-	spans := make([]span, workers)
-	for w := range spans {
-		spans[w].lo = w * n / workers
-		spans[w].hi = (w + 1) * n / workers
-	}
-
 	var (
-		done      atomic.Int64
-		unclaimed atomic.Int64
-		sinkMu    sync.Mutex
-		sinkErr   error
-		failed    = make([]bool, len(opts.Emitters))
-		start     = time.Now() //slrlint:allow walltime progress-meter elapsed time, never reaches trial output
+		next    atomic.Int64 // index of the next unclaimed job
+		done    atomic.Int64
+		sinkMu  sync.Mutex
+		sinkErr error
+		failed  = make([]bool, len(opts.Emitters))
+		start   = time.Now() //slrlint:allow walltime progress-meter elapsed time, never reaches trial output
 	)
-	unclaimed.Store(int64(n))
 	sink := func(i int) {
 		d := done.Add(1)
 		if opts.Progress == nil && opts.OnResult == nil && len(opts.Emitters) == 0 {
@@ -248,20 +165,17 @@ func Run(jobs []Job, opts Options) ([]scenario.Result, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			for {
-				i, ok := spans[self].pop()
-				if !ok {
-					if i, ok = steal(spans, self, &unclaimed); !ok {
-						return
-					}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-				unclaimed.Add(-1)
 				results[i] = scenario.Run(jobs[i].Params)
 				sink(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

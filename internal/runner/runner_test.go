@@ -7,7 +7,6 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,7 +64,7 @@ func TestGridJobsLayout(t *testing.T) {
 }
 
 // TestRunnerMatchesSerial is the determinism regression test of the
-// work-stealing scheduler: for the same seeds, results must be identical
+// runner's worker pool: for the same seeds, results must be identical
 // to the serial scenario.RunTrials path, whatever the worker count. OLSR
 // is included because it is the protocol most sensitive to incidental
 // ordering (MPR tie-breaks), so it would surface any nondeterminism the
@@ -223,58 +222,5 @@ func TestEmitterDisabledAfterFirstError(t *testing.T) {
 		if r.DataSent == 0 {
 			t.Fatalf("results[%d] looks unrun despite emitter failure: %+v", i, r)
 		}
-	}
-}
-
-// TestStealing drives the span/steal machinery directly through a skewed
-// partition and checks every job is claimed exactly once.
-func TestStealing(t *testing.T) {
-	const n = 1000
-	spans := make([]span, 4)
-	// All jobs start on worker 0; the rest must steal everything.
-	spans[0] = span{lo: 0, hi: n}
-	var unclaimed atomic.Int64
-	unclaimed.Store(n)
-	var claimed [n]atomic.Int64
-	workers := make(chan struct{}, len(spans))
-	for w := range spans {
-		go func(self int) {
-			defer func() { workers <- struct{}{} }()
-			for {
-				i, ok := spans[self].pop()
-				if !ok {
-					if i, ok = steal(spans, self, &unclaimed); !ok {
-						return
-					}
-				}
-				unclaimed.Add(-1)
-				claimed[i].Add(1)
-			}
-		}(w)
-	}
-	for range spans {
-		<-workers
-	}
-	for i := range claimed {
-		if c := claimed[i].Load(); c != 1 {
-			t.Fatalf("job %d claimed %d times", i, c)
-		}
-	}
-}
-
-func TestStealHalf(t *testing.T) {
-	s := span{lo: 10, hi: 20}
-	lo, hi, ok := s.stealHalf()
-	if !ok || lo != 15 || hi != 20 || s.hi != 15 {
-		t.Fatalf("stealHalf = (%d,%d,%v), span now [%d,%d)", lo, hi, ok, s.lo, s.hi)
-	}
-	// A single remaining job is stealable too.
-	s = span{lo: 5, hi: 6}
-	lo, hi, ok = s.stealHalf()
-	if !ok || lo != 5 || hi != 6 || s.lo != s.hi {
-		t.Fatalf("stealHalf single = (%d,%d,%v), span now [%d,%d)", lo, hi, ok, s.lo, s.hi)
-	}
-	if _, _, ok = s.stealHalf(); ok {
-		t.Fatal("stole from empty span")
 	}
 }

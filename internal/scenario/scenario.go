@@ -348,7 +348,7 @@ func (ts *TrialSet) Series(metric func(Result) float64) *metrics.Series {
 // same topology and traffic for every protocol, matching the paper's fixed
 // per-trial mobility and traffic scripts.
 //
-// RunTrials is the serial reference path: the work-stealing scheduler in
+// RunTrials is the serial reference path: the worker pool in
 // internal/runner must produce byte-identical results for the same seeds,
 // and its regression tests compare against this loop. Use
 // runner.Run(runner.TrialJobs(p, trials), opts) to saturate all cores.

@@ -1,0 +1,75 @@
+package spec
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// jsonKeys returns the JSON field names of struct type t.
+func jsonKeys(t reflect.Type) []string {
+	var keys []string
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		keys = append(keys, name)
+	}
+	return keys
+}
+
+// FuzzParse feeds arbitrary bytes to the spec parser, seeded from every
+// spec file the repo ships (read in place, so a new example or benchmark
+// workload is a new seed). Parse must never panic; whatever it accepts
+// must be one JSON object with no unknown top-level field, must resolve
+// to Params, and must survive a marshal/Parse round trip unchanged.
+func FuzzParse(f *testing.F) {
+	for _, pattern := range []string{"../../examples/scenarios/*.json", "../../cmd/slrbench/workloads/*.json"} {
+		paths, _ := filepath.Glob(pattern)
+		if len(paths) == 0 {
+			f.Fatalf("no seed specs match %s", pattern)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	known := jsonKeys(reflect.TypeOf(ScenarioSpec{}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("Parse accepted input that is not one JSON object: %v", err)
+		}
+		for key := range doc {
+			// encoding/json matches field names case-insensitively.
+			if !slices.ContainsFunc(known, func(k string) bool { return strings.EqualFold(k, key) }) {
+				t.Fatalf("Parse accepted unknown field %q", key)
+			}
+		}
+		if _, err := s.Params(); err != nil {
+			t.Fatalf("accepted spec has no Params: %v", err)
+		}
+		out, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("accepted spec does not re-validate after a round trip: %v\n%s", err, out)
+		}
+		if out2, _ := json.Marshal(again); !bytes.Equal(out, out2) {
+			t.Fatalf("round trip changed the spec:\n%s\n%s", out, out2)
+		}
+	})
+}

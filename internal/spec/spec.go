@@ -39,6 +39,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -149,14 +150,20 @@ func NamedSpecs() []string {
 	return names
 }
 
-// Parse decodes and validates one spec document. Unknown fields are
-// errors: a typoed knob must not silently fall back to a default.
+// Parse decodes and validates one spec document. Unknown fields and
+// trailing data are errors: a typoed knob must not silently fall back to
+// a default.
 func Parse(data []byte) (*ScenarioSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s ScenarioSpec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
+	}
+	// Decode stops after one value; anything but whitespace after it (a
+	// second object, a stray brace) would otherwise be silently ignored.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("spec: trailing data after the spec object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -25,6 +26,18 @@ const (
 	PathRecords = "/v1/records"
 	PathStatus  = "/v1/status"
 	PathReport  = "/v1/report"
+)
+
+// Request body caps. A body past its cap is refused whole with 413 and
+// leaves the coordinator untouched, so no client can make the daemon
+// buffer without bound.
+const (
+	// maxLeaseBody bounds a LeaseRequest: a worker id and a count.
+	maxLeaseBody = 4 << 10
+	// maxRecordsBody bounds one record batch. A record line is a few KB
+	// (hop and latency histograms included), so this is thousands of
+	// trials per POST — far past any batch a lease timeout allows.
+	maxRecordsBody = 64 << 20
 )
 
 // LeaseRequest asks for a batch of jobs.
@@ -72,8 +85,8 @@ func NewHandler(c *Coordinator) http.Handler {
 			return
 		}
 		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("bad lease request: %v", err), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(&req); err != nil {
+			http.Error(w, fmt.Sprintf("bad lease request: %v", err), bodyErrStatus(err))
 			return
 		}
 		if req.Worker == "" {
@@ -100,7 +113,13 @@ func NewHandler(c *Coordinator) http.Handler {
 		// validated with the same salvage rules as every other reader: a
 		// batch cut off mid-line (a worker dying mid-POST) contributes its
 		// complete records; a line that is no record at all is foreign.
-		recs, _, serr := runner.SalvageRecords(r.Body)
+		recs, _, serr := runner.SalvageRecords(http.MaxBytesReader(w, r.Body, maxRecordsBody))
+		if bodyErrStatus(serr) == http.StatusRequestEntityTooLarge {
+			// Not salvaged like a cut-off batch: the sender is misbehaving,
+			// and its jobs simply stay leased until the lease expires.
+			http.Error(w, fmt.Sprintf("record batch refused: %v", serr), http.StatusRequestEntityTooLarge)
+			return
+		}
 		sum, err := c.Ingest(recs)
 		if err != nil {
 			// A checkpoint write failure is the coordinator's problem, not
@@ -138,6 +157,16 @@ func NewHandler(c *Coordinator) http.Handler {
 		fmt.Fprint(w, text)
 	})
 	return mux
+}
+
+// bodyErrStatus maps a request-body read or decode error to its status:
+// 413 when the body ran past its MaxBytesReader cap, 400 otherwise.
+func bodyErrStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // writeJSON encodes one response body.

@@ -231,3 +231,50 @@ func TestHandlerSurface(t *testing.T) {
 		t.Errorf("grid report on a scale-less coordinator: %d, want 400", resp.StatusCode)
 	}
 }
+
+// blankLines is an endless stream of whitespace-only JSONL lines, which
+// SalvageRecords skips: padding that is valid right up to the body cap.
+type blankLines struct{}
+
+func (blankLines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	p[len(p)-1] = '\n'
+	return len(p), nil
+}
+
+// TestOversizedBodiesRefused pins the /v1 body caps: a lease request or a
+// record batch past its cap gets a 413 and changes nothing — not even the
+// acceptable record at the front of the oversized batch is ingested.
+func TestOversizedBodiesRefused(t *testing.T) {
+	jobs := testJobs(t, 2)
+	c, err := New(jobs, Options{Now: newFakeClock().Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(c)
+	leased, _ := c.Lease("w1", 1)
+	before := c.Status()
+
+	var batch bytes.Buffer
+	if err := json.NewEncoder(&batch).Encode(fakeRecord(leased[0])); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       io.Reader
+	}{
+		{"lease", PathLease, strings.NewReader(`{"worker":"w2","max":1,"pad":"` + strings.Repeat("x", maxLeaseBody) + `"}`)},
+		{"records", PathRecords, io.MultiReader(&batch, io.LimitReader(blankLines{}, maxRecordsBody))},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized %s body: status %d, want 413 (%s)", tc.name, rec.Code, rec.Body)
+		}
+		if after := c.Status(); after != before {
+			t.Errorf("oversized %s body changed the coordinator: %+v -> %+v", tc.name, before, after)
+		}
+	}
+}
