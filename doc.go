@@ -16,8 +16,10 @@
 // fuzzed against a reference heap) over pooled events with
 // generation-checked timers — internal/radio finds audible sets
 // through an incremental spatial grid index (O(neighbors) per
-// transmission, byte-identical to the linear reference scan) with bulk
-// epoch position refreshes, and
+// transmission, the only audibility path; the exhaustive scan is its
+// test oracle) with bulk epoch position refreshes and a per-station memo
+// of link ranges, so a fading model is asked about a link once rather
+// than once per transmission, and
 // internal/runner flattens the whole (protocol x pause x trial) grid into
 // one job queue consumed by a pool of workers, streaming
 // per-trial JSONL/CSV results as they complete. Identical seeds give

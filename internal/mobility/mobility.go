@@ -84,6 +84,10 @@ func NewWaypoint(terrain geo.Terrain, rng *rand.Rand, minSpeed, maxSpeed float64
 	return w
 }
 
+// MaxSpeed returns the model's hard speed bound in m/s; at or below zero
+// the node is parked.
+func (w *Waypoint) MaxSpeed() float64 { return w.maxSpeed }
+
 func randPoint(t geo.Terrain, rng *rand.Rand) geo.Point {
 	return geo.Point{X: rng.Float64() * t.Width, Y: rng.Float64() * t.Height}
 }
@@ -135,7 +139,8 @@ type TracePoint struct {
 // waypoints, the in-memory equivalent of the paper's offline-generated
 // mobility scripts.
 type Trace struct {
-	points []TracePoint
+	points   []TracePoint
+	maxSpeed float64
 }
 
 var _ Model = (*Trace)(nil)
@@ -146,8 +151,21 @@ func NewTrace(points []TracePoint) *Trace {
 	ps := make([]TracePoint, len(points))
 	copy(ps, points)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].At < ps[j].At })
-	return &Trace{points: ps}
+	tr := &Trace{points: ps}
+	for i := 1; i < len(ps); i++ {
+		a, b := ps[i-1], ps[i]
+		if d := a.Pos.Dist(b.Pos); d > 0 {
+			// A jump between two positions at one instant divides by
+			// zero: +Inf, no bound.
+			tr.maxSpeed = math.Max(tr.maxSpeed, d/(b.At-a.At).Seconds())
+		}
+	}
+	return tr
 }
+
+// MaxSpeed returns the speed of the trace's fastest segment in m/s, the
+// exact bound radio.Params.MaxSpeed needs for a scripted mover.
+func (tr *Trace) MaxSpeed() float64 { return tr.maxSpeed }
 
 // Position interpolates the trace at time t, clamping beyond the ends.
 func (tr *Trace) Position(t sim.Time) geo.Point {

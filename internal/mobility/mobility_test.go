@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -57,6 +58,9 @@ func TestWaypointSpeedBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const maxSpeed = 20.0
 	w := NewWaypoint(testTerrain, rng, 0, maxSpeed, 0)
+	if got := w.MaxSpeed(); got != maxSpeed {
+		t.Fatalf("MaxSpeed() = %v, want %v", got, maxSpeed)
+	}
 	prev := w.Position(0)
 	step := 100 * time.Millisecond
 	for i := 1; i < 20000; i++ {
@@ -113,6 +117,33 @@ func TestTraceInterpolation(t *testing.T) {
 	}
 	if got := tr.Position(time.Hour); got != (geo.Point{X: 100, Y: 0}) {
 		t.Errorf("Position(1h) = %v, want clamp to last", got)
+	}
+}
+
+// TestTraceMaxSpeed verifies a trace reports the speed of its fastest
+// segment — the bound the radio grid needs for a scripted mover — with
+// rests, empty traces, and same-instant jumps handled.
+func TestTraceMaxSpeed(t *testing.T) {
+	rest := TracePoint{At: 5 * time.Second, Pos: geo.Point{X: 30}}
+	for _, tc := range []struct {
+		name   string
+		points []TracePoint
+		want   float64
+	}{
+		{"empty", nil, 0},
+		{"parked", []TracePoint{rest, {At: time.Hour, Pos: rest.Pos}}, 0},
+		{"fastest segment", []TracePoint{
+			{At: 0, Pos: geo.Point{}},
+			rest, // 6 m/s
+			{At: 7 * time.Second, Pos: geo.Point{X: 30, Y: 50}},  // 25 m/s
+			{At: 17 * time.Second, Pos: geo.Point{X: 30, Y: 40}}, // 1 m/s
+		}, 25},
+		{"rest at one instant", []TracePoint{rest, rest}, 0},
+		{"jump", []TracePoint{rest, {At: rest.At, Pos: geo.Point{X: 31}}}, math.Inf(1)},
+	} {
+		if got := NewTrace(tc.points).MaxSpeed(); got != tc.want {
+			t.Errorf("%s: MaxSpeed() = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

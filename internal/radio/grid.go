@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -15,10 +16,15 @@ import (
 //
 // Exactness without re-indexing every move: a cached position is allowed
 // to drift up to `slack` meters from the station's true position. Querying
-// the cells within MaxRange+slack of a transmitter therefore yields a
-// superset of every station truly within MaxRange, and the caller applies
-// the exact per-link distance test to that superset — so the audible set
-// is identical to the O(N) linear scan, station for station.
+// the cells within MaxRange+slack (`reach`) of a transmitter therefore
+// yields a superset of every station truly within MaxRange, and the caller
+// applies the exact per-link distance test to that superset — so the
+// audible set is identical to an O(N) scan of every station (the oracle in
+// grid_test.go), station for station. The cached positions also trim the
+// superset before the caller sees it: a station cached beyond `reach` of
+// the transmitter is, by the same drift bound, truly beyond MaxRange, so
+// query leaves it out and nobody asks its mobility model where it is (the
+// cells are squares around a disk; about half their stations go this way).
 //
 // The drift bound is maintained lazily, with no simulator events: cached
 // positions are refreshed in one bulk pass per mobility epoch (epoch =
@@ -31,8 +37,9 @@ import (
 // per-transmit age bookkeeping on the hot path.
 //
 // Candidates are returned in registration order so reception events are
-// scheduled in exactly the order the linear scan would produce —
-// byte-identical simulation results, enforced by TestGridMatchesLinear.
+// scheduled in exactly the order a scan of the registration list would
+// produce — byte-identical simulation results, enforced by
+// TestGridMatchesLinear.
 // Ordering costs no sort: candidates are marked in a bitset over
 // registration indices and read back in ascending-bit order.
 type grid struct {
@@ -57,7 +64,9 @@ const gridSlackFraction = 0.25
 
 // newGrid sizes a grid for the given propagation reach and speed bound.
 // maxSpeed 0 means stations are known never to move: no slack, no
-// refreshing.
+// refreshing. A bound so large (or infinite: a teleporting Trace) that the
+// epoch rounds to no time at all panics — every query would re-cache every
+// station.
 func newGrid(maxRange, maxSpeed float64) *grid {
 	g := &grid{
 		cell:  maxRange,
@@ -69,6 +78,9 @@ func newGrid(maxRange, maxSpeed float64) *grid {
 		slack := maxRange * gridSlackFraction
 		g.reach = maxRange + slack
 		g.refresh = sim.Time(slack / maxSpeed * float64(time.Second))
+		if g.refresh <= 0 {
+			panic(fmt.Sprintf("radio: MaxSpeed %.3f m/s leaves no refresh epoch over %.3f m of slack", maxSpeed, slack))
+		}
 	}
 	return g
 }
@@ -87,7 +99,7 @@ func (g *grid) insert(st *station, pos geo.Point, nStations int) {
 	st.cachedPos = pos
 	st.cellKey = g.cellKey(pos)
 	bucket := g.cells[st.cellKey]
-	st.slot = len(bucket)
+	st.slot = int32(len(bucket))
 	g.cells[st.cellKey] = append(bucket, st)
 	if need := (nStations + 63) / 64; need > len(g.marks) {
 		g.marks = append(g.marks, make([]uint64, need-len(g.marks))...)
@@ -111,7 +123,7 @@ func (g *grid) move(st *station, pos geo.Point) {
 
 	st.cellKey = key
 	bucket := g.cells[key]
-	st.slot = len(bucket)
+	st.slot = int32(len(bucket))
 	g.cells[key] = append(bucket, st)
 }
 
@@ -135,13 +147,16 @@ func (g *grid) refreshAll(stations []*station, now sim.Time) {
 	g.nextRefresh = now + g.refresh
 }
 
-// query returns the registration indices of every station whose true
-// position could be within MaxRange of pos, sorted ascending — i.e. in
-// registration order, the order the linear scan visits stations. Cells
+// query returns the registration indices of every station whose cached
+// position is within reach of pos — a superset of the stations truly
+// within MaxRange of it, since no cache has drifted more than reach minus
+// MaxRange — sorted ascending, i.e. in registration order. Cells
 // overlapping the bounding box of the search disk but not the disk itself
-// are skipped outright (the corner cells, ~1/4 of the box). The caller
-// must apply the exact distance test; the slice is scratch, valid until
-// the next query.
+// are skipped outright (the corner cells, ~1/4 of the box); of the stations
+// in the remaining cells about half are cached outside the disk, and
+// dropping those here spares the caller a mobility-model call apiece. The
+// caller must apply the exact distance test; the slice is scratch, valid
+// until the next query.
 func (g *grid) query(pos geo.Point) []int32 {
 	g.cands = g.cands[:0]
 	cx0 := int32(math.Floor((pos.X - g.reach) * g.inv))
@@ -169,7 +184,14 @@ func (g *grid) query(pos geo.Point) []int32 {
 			}
 			key := int64(cx)<<32 | int64(uint32(cy))
 			for _, st := range g.cells[key] {
-				g.marks[st.idx>>6] |= 1 << (uint(st.idx) & 63)
+				// A mark bit computed, not branched on: which side of
+				// the disk a cell's station falls is a coin toss the
+				// branch predictor loses.
+				var in uint64
+				if pos.Dist2(st.cachedPos) <= r2 {
+					in = 1
+				}
+				g.marks[st.idx>>6] |= in << (uint(st.idx) & 63)
 			}
 		}
 	}

@@ -10,9 +10,15 @@
 // hidden-terminal case) or the receiver itself is transmitting.
 //
 // Audible-set lookup is O(neighbors) through an incremental spatial grid
-// index (see grid) when Params supplies a speed bound; the O(N) linear
-// scan remains as the reference path and the two are byte-identical for
-// the same seed.
+// index (see grid), the only audibility path: Params.MaxSpeed bounds how
+// far the grid's cached positions drift. A station is rejected as cheaply
+// as possible — by the grid on its cached position, then on its exact
+// distance against MaxRange — and only the remainder consult the
+// propagation model, at most once per link while the link stays in the
+// sender's memo (see station.memo). That cache is sound because
+// Propagation is pure by contract; the O(N) scan that calls LinkRange
+// directly survives as the oracle in this package's tests, and the two are
+// identical hit for hit.
 package radio
 
 import (
@@ -65,23 +71,6 @@ type Receiver interface {
 	OnFrame(f *Frame)
 }
 
-// IndexKind selects how the channel finds a transmission's audible set.
-type IndexKind uint8
-
-const (
-	// IndexAuto uses the spatial grid when MaxSpeed is a known positive
-	// bound (the grid needs it to cap position drift) and the linear
-	// scan otherwise.
-	IndexAuto IndexKind = iota
-	// IndexLinear scans every registered station per transmission, the
-	// original O(N) reference path.
-	IndexLinear
-	// IndexGrid uses the spatial grid unconditionally, trusting MaxSpeed
-	// as a hard bound (0 = stations never move). Results are
-	// byte-identical to IndexLinear for any spec-conformant mobility.
-	IndexGrid
-)
-
 // Params configures the channel.
 type Params struct {
 	// Range is the transmission (and interference) radius in meters.
@@ -103,13 +92,13 @@ type Params struct {
 	// Seed feeds deterministic per-link fading draws (shadowing,
 	// rayleigh); unit-disk ignores it.
 	Seed int64
-	// MaxSpeed is an upper bound on any station's speed in m/s. It lets
-	// the spatial grid bound how far cached positions drift between
+	// MaxSpeed is a hard upper bound on any station's speed in m/s. It
+	// lets the spatial grid bound how far cached positions drift between
 	// refreshes; mobility models built from a mobility.Spec guarantee
-	// it. Zero means no bound is known.
+	// it. Zero means stations never move: a caller that registers movers
+	// must pass a true bound, and a station caught away from its cached
+	// position under a zero bound panics.
 	MaxSpeed float64
-	// Index selects the audible-set lookup structure; see IndexKind.
-	Index IndexKind
 }
 
 // DefaultParams matches the paper's setup: 2 Mbps channel and a ~275 m
@@ -138,22 +127,42 @@ type rx struct {
 	done func()   // calls endReception(rx); allocated once per node
 }
 
-// station is per-node channel state.
+// station is per-node channel state. It is kept to 128 bytes — two cache
+// lines, which the allocator's size class then keeps aligned — with the
+// fields audible and grid.query read for every candidate in the first.
 type station struct {
-	id       NodeID
-	idx      int // registration order, the deterministic iteration key
-	mob      mobility.Model
+	id   NodeID
+	idx  int32 // registration order, the deterministic iteration key
+	slot int32 // index in its grid cell's bucket
+	mob  mobility.Model
+	// cachedPos is the position the spatial grid last cached (see grid).
+	cachedPos geo.Point
+	// memo caches squared link ranges from this station, direct-mapped on
+	// the peer's registration index (see linkRange2). nil until a link
+	// from this station turns out not to span MaxRange.
+	memo *[memoSize]memoEntry
+
+	cellKey  int64 // the grid cell holding the station
 	recv     Receiver
 	active   []*rx    // receptions currently on the air at this station
 	txUntil  sim.Time // end of this station's own transmission
 	busyTill sim.Time // latest end of anything audible here
 	navUntil sim.Time // virtual carrier sense (802.11 NAV)
+}
 
-	// Spatial grid bookkeeping (see grid): the cached position and where
-	// the station sits in the cell hash.
-	cachedPos geo.Point
-	cellKey   int64
-	slot      int
+// memoSize is the number of links a station remembers, a power of two.
+// Measured on slrbench's city-500, seed 2 (about 80 of 500 peers inside
+// MaxRange of a sender, drifting), of 44.3 M uncached LinkRange calls 64
+// entries leave 9.9 M, 128 leave 5.8 M, 256 leave 2.4 M, at 4 KiB per
+// station. (512 leave 0.03 M only because every one of 500 peers then has
+// a slot to itself, which no larger network would see.)
+const memoSize = 256
+
+// memoEntry is one remembered link: the peer's registration index plus
+// one (so the zero entry is empty) and its squared range.
+type memoEntry struct {
+	peer int32
+	lr2  float64
 }
 
 // Channel is the shared medium. It is not safe for concurrent use; a
@@ -168,11 +177,12 @@ type Channel struct {
 	// Transmit) resolve stations without hashing. Sparse or exotic IDs
 	// fall back to the map.
 	byID   []*station
-	order  []NodeID   // registration order, for deterministic iteration
-	byIdx  []*station // stations in registration order
-	grid   *grid      // nil = linear scan
-	hits   []hit      // scratch for audible-set results
-	freeRx []*rx      // reception freelist (see rx)
+	byIdx  []*station // stations in registration order, the deterministic iteration key
+	grid   *grid
+	hits   []hit // scratch for audible-set results
+	freeRx []*rx // reception freelist (see rx)
+	// maxRange is prop.MaxRange(), fixed for the run; maxRange2 its square.
+	maxRange, maxRange2 float64
 
 	// Stats counters.
 	frames     uint64
@@ -180,24 +190,27 @@ type Channel struct {
 }
 
 // NewChannel returns an empty channel bound to the simulator. An
-// unregistered Params.Propagation model panics: spec loading validates
-// model names, so reaching here with one is a wiring bug.
+// unregistered Params.Propagation model or a model without a positive
+// MaxRange panics: spec loading validates model names and range_m, so
+// reaching here with either is a wiring bug.
 func NewChannel(s *sim.Simulator, p Params) *Channel {
 	prop, err := NewPropagation(p)
 	if err != nil {
 		panic(err)
 	}
-	c := &Channel{
-		sim:      s,
-		p:        p,
-		prop:     prop,
-		stations: make(map[NodeID]*station),
+	max := prop.MaxRange()
+	if !(max > 0) {
+		panic(fmt.Sprintf("radio: propagation MaxRange %.3f m (Params.Range %.3f m) must be positive", max, p.Range))
 	}
-	useGrid := p.Index == IndexGrid || (p.Index == IndexAuto && p.MaxSpeed > 0)
-	if useGrid && prop.MaxRange() > 0 {
-		c.grid = newGrid(prop.MaxRange(), p.MaxSpeed)
+	return &Channel{
+		sim:       s,
+		p:         p,
+		prop:      prop,
+		stations:  make(map[NodeID]*station),
+		grid:      newGrid(max, p.MaxSpeed),
+		maxRange:  max,
+		maxRange2: max * max,
 	}
-	return c
 }
 
 // Register attaches a station with its mobility model and frame receiver.
@@ -206,9 +219,8 @@ func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
 	if _, dup := c.stations[id]; dup {
 		panic(fmt.Sprintf("radio: station %d registered twice", id))
 	}
-	st := &station{id: id, idx: len(c.order), mob: m, recv: r}
+	st := &station{id: id, idx: int32(len(c.byIdx)), mob: m, recv: r}
 	c.stations[id] = st
-	c.order = append(c.order, id)
 	c.byIdx = append(c.byIdx, st)
 	if id >= 0 {
 		for int(id) >= len(c.byID) {
@@ -216,9 +228,7 @@ func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
 		}
 		c.byID[id] = st
 	}
-	if c.grid != nil {
-		c.grid.insert(st, m.Position(c.sim.Now()), len(c.byIdx))
-	}
+	c.grid.insert(st, m.Position(c.sim.Now()), len(c.byIdx))
 }
 
 // station resolves id through the dense table, falling back to the map
@@ -303,41 +313,56 @@ type hit struct {
 }
 
 // audible returns the stations that can hear a transmission from sender at
-// pos right now, in registration order, with exact squared distances. The
-// grid path and the linear path apply the identical per-link test to exact
-// positions, so they return the identical slice — the grid only narrows
-// how many stations are tested. The slice is scratch, valid until the next
-// call.
+// pos (its exact position) right now, in registration order, with exact
+// squared distances. The grid proposes every station cached within its
+// search radius of pos, which includes every station truly within MaxRange;
+// a candidate is then dropped if its exact distance exceeds MaxRange, which
+// bounds every link, and only then asked about its own link (linkRange2).
+// The slice is scratch, valid until the next call.
 func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 	now := c.sim.Now()
-	c.hits = c.hits[:0]
-	if c.grid != nil {
-		c.grid.maybeRefresh(c.byIdx, now)
-		for _, idx := range c.grid.query(pos) {
-			st := c.byIdx[idx]
-			if st == sender {
-				continue
-			}
-			d2 := pos.Dist2(st.mob.Position(now))
-			if lr := c.prop.LinkRange(sender.id, st.id); d2 > lr*lr {
-				continue
-			}
-			c.hits = append(c.hits, hit{st: st, d2: d2})
-		}
-		return c.hits
+	c.grid.maybeRefresh(c.byIdx, now)
+	if c.grid.refresh == 0 && pos != sender.cachedPos {
+		panic(fmt.Sprintf("radio: station %d moved from %v to %v but Params.MaxSpeed is 0 (stations never move); pass a true speed bound",
+			sender.id, sender.cachedPos, pos))
 	}
-	for _, oid := range c.order {
-		if oid == sender.id {
+	c.hits = c.hits[:0]
+	for _, idx := range c.grid.query(pos) {
+		st := c.byIdx[idx]
+		if st == sender {
 			continue
 		}
-		st := c.stations[oid]
 		d2 := pos.Dist2(st.mob.Position(now))
-		if lr := c.prop.LinkRange(sender.id, st.id); d2 > lr*lr {
+		if d2 > c.maxRange2 || d2 > c.linkRange2(sender, st) {
 			continue
 		}
 		c.hits = append(c.hits, hit{st: st, d2: d2})
 	}
 	return c.hits
+}
+
+// linkRange2 returns the squared range of the link a-b: from a's memo when
+// the link is there, from the propagation model (and into the memo,
+// overwriting whichever link held the slot) when not. Propagation is pure,
+// so what the memo holds or evicts cannot change a result, only how often
+// the model is asked. A station gets a memo once one of its links returns
+// something other than MaxRange; a uniform model (unit-disk) never does
+// and pays one LinkRange call per in-range candidate, as before.
+func (c *Channel) linkRange2(a, b *station) float64 {
+	slot, tag := b.idx&(memoSize-1), b.idx+1
+	if a.memo != nil && a.memo[slot].peer == tag {
+		return a.memo[slot].lr2
+	}
+	lr := c.prop.LinkRange(a.id, b.id)
+	lr2 := lr * lr
+	if a.memo == nil {
+		if lr == c.maxRange {
+			return lr2
+		}
+		a.memo = new([memoSize]memoEntry)
+	}
+	a.memo[slot] = memoEntry{peer: tag, lr2: lr2}
+	return lr2
 }
 
 // Frames returns the total number of transmissions started.

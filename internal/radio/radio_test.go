@@ -1,8 +1,11 @@
 package radio
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"slr/internal/geo"
 	"slr/internal/mobility"
@@ -152,15 +155,16 @@ func TestAirTimeScalesWithSize(t *testing.T) {
 }
 
 func TestNeighborsTracksMobility(t *testing.T) {
-	s := sim.New(1)
-	p := DefaultParams()
-	p.Range = 100
-	ch := NewChannel(s, p)
-	ch.Register(0, &mobility.Static{At: geo.Point{}}, &recorder{})
 	mover := mobility.NewTrace([]mobility.TracePoint{
 		{At: 0, Pos: geo.Point{X: 50}},
 		{At: 10 * time.Second, Pos: geo.Point{X: 500}},
 	})
+	s := sim.New(1)
+	p := DefaultParams()
+	p.Range = 100
+	p.MaxSpeed = mover.MaxSpeed()
+	ch := NewChannel(s, p)
+	ch.Register(0, &mobility.Static{At: geo.Point{}}, &recorder{})
 	ch.Register(1, mover, &recorder{})
 	if nb := ch.Neighbors(0); len(nb) != 1 || nb[0] != 1 {
 		t.Fatalf("Neighbors at t=0: %v, want [1]", nb)
@@ -183,6 +187,70 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	ch.Register(0, &mobility.Static{}, &recorder{})
+}
+
+// mustPanic runs f and fails unless it panics with a message containing
+// every want.
+func mustPanic(t *testing.T, f func(), want ...string) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprint(recover())
+		for _, w := range want {
+			if !strings.Contains(msg, w) {
+				t.Fatalf("panic %q does not mention %q", msg, w)
+			}
+		}
+	}()
+	f()
+	t.Fatal("did not panic")
+}
+
+// TestNonPositiveMaxRangePanics verifies a channel cannot be built over a
+// propagation model without a positive MaxRange (the grid, the only
+// audibility path, sizes its cells from it), and that the panic names the
+// offending range.
+func TestNonPositiveMaxRangePanics(t *testing.T) {
+	for _, r := range []float64{0, -5} {
+		p := DefaultParams()
+		p.Range = r
+		mustPanic(t, func() { NewChannel(sim.New(1), p) }, "MaxRange", fmt.Sprint(r))
+	}
+}
+
+// TestMoverWithoutSpeedBoundPanics verifies MaxSpeed 0 means what it says:
+// a station that transmits away from where it registered is a wiring
+// error, not a reason to fall back to a slower path.
+func TestMoverWithoutSpeedBoundPanics(t *testing.T) {
+	s, ch, _ := build(t, 0, 50)
+	ch.Register(2, mobility.NewTrace([]mobility.TracePoint{
+		{At: 0, Pos: geo.Point{X: 60}},
+		{At: time.Second, Pos: geo.Point{X: 70}},
+	}), &recorder{})
+	ch.Transmit(&Frame{From: 2, To: Broadcast, Kind: Data, Size: 10})
+	s.RunUntil(time.Second)
+	mustPanic(t, func() { ch.Transmit(&Frame{From: 2, To: Broadcast, Kind: Data, Size: 10}) }, "station 2", "MaxSpeed")
+}
+
+// TestUnboundedSpeedPanics verifies a speed bound that leaves the grid no
+// refresh epoch (a teleporting Trace reports +Inf) is refused.
+func TestUnboundedSpeedPanics(t *testing.T) {
+	jump := mobility.NewTrace([]mobility.TracePoint{
+		{At: time.Second, Pos: geo.Point{X: 0}},
+		{At: time.Second, Pos: geo.Point{X: 10}},
+	})
+	p := DefaultParams()
+	p.MaxSpeed = jump.MaxSpeed()
+	mustPanic(t, func() { NewChannel(sim.New(1), p) }, "MaxSpeed", "+Inf")
+}
+
+// TestStationSize pins the per-station footprint audible and grid.query
+// walk on every transmission: past 128 bytes a station leaves its size
+// class, stops being cache-line aligned, and every tier slows a little.
+func TestStationSize(t *testing.T) {
+	if size := unsafe.Sizeof(station{}); size > 128 {
+		t.Fatalf("station is %d bytes, want at most 128", size)
+	}
 }
 
 func TestFramesCounter(t *testing.T) {

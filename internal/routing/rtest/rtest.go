@@ -6,6 +6,7 @@ package rtest
 
 import (
 	"fmt"
+	"math"
 
 	"slr/internal/geo"
 	"slr/internal/loopcheck"
@@ -30,7 +31,10 @@ type Factory func(id netstack.NodeID) netstack.Protocol
 
 // New builds a world with one node per position and starts every
 // protocol. Nodes are static unless models is non-nil, in which case
-// models[i] overrides position i.
+// models[i] overrides position i. Every override must report a MaxSpeed()
+// (mobility.Trace and mobility.Waypoint do): the channel's spatial grid
+// needs a true bound on how fast stations move, and a mover without one
+// panics here rather than silently outrunning its cached position.
 func New(seed int64, rangeM float64, f Factory, positions []geo.Point, models []mobility.Model) *World {
 	w := NewStopped(seed, rangeM, f, positions, models)
 	w.StartAll()
@@ -44,6 +48,16 @@ func NewStopped(seed int64, rangeM float64, f Factory, positions []geo.Point, mo
 	s := sim.New(seed)
 	p := radio.DefaultParams()
 	p.Range = rangeM
+	for i, m := range models {
+		if m == nil {
+			continue
+		}
+		b, ok := m.(interface{ MaxSpeed() float64 })
+		if !ok {
+			panic(fmt.Sprintf("rtest: models[%d] (%T) has no MaxSpeed() bound", i, m))
+		}
+		p.MaxSpeed = math.Max(p.MaxSpeed, b.MaxSpeed())
+	}
 	ch := radio.NewChannel(s, p)
 	mx := metrics.NewCollector()
 	w := &World{Sim: s, Ch: ch, MX: mx}

@@ -1,57 +1,12 @@
 package scenario
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
 	"slr/internal/mobility"
 	"slr/internal/radio"
 )
-
-// TestGridChannelMatchesLinear is the full-stack half of the acceptance
-// criterion: a complete protocol run (MAC, routing, traffic, metrics)
-// under the spatial-grid channel index must be byte-identical to the same
-// run under the linear reference scan — every metric, counter, and drop
-// reason — for the paper's default waypoint setup and for the new
-// mobility/propagation models.
-func TestGridChannelMatchesLinear(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Params)
-	}{
-		{"paper-default", func(*Params) {}},
-		{"gauss-markov-shadowing", func(p *Params) {
-			p.Mobility = mobility.Spec{Model: "gauss-markov", MinSpeed: 1, MaxSpeed: 15}
-			p.Propagation = radio.PropSpec{Model: "shadowing"}
-		}},
-		{"manhattan-rayleigh-poisson", func(p *Params) {
-			p.Mobility = mobility.Spec{Model: "manhattan", MinSpeed: 1, MaxSpeed: 15}
-			p.Propagation = radio.PropSpec{Model: "rayleigh"}
-			p.Traffic.Model = "poisson"
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			for _, proto := range []ProtocolName{SRP, AODV} {
-				lin := smallParams(proto, 0, 11)
-				tc.mutate(&lin)
-				grd := lin
-				lin.RadioIndex = radio.IndexLinear
-				grd.RadioIndex = radio.IndexGrid
-				lr, gr := Run(lin), Run(grd)
-				if !reflect.DeepEqual(lr, gr) {
-					t.Fatalf("%s: grid and linear runs diverge:\nlinear: %+v\ngrid:   %+v", proto, lr, gr)
-				}
-				if lr.DataSent == 0 {
-					t.Fatalf("%s: scenario generated no traffic", proto)
-				}
-			}
-		})
-	}
-}
 
 // TestNewModelsDeliverTraffic verifies every registered mobility, traffic,
 // and propagation model runs end to end through the full stack and still

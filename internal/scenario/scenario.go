@@ -74,11 +74,6 @@ type Params struct {
 	// Propagation optionally selects a registered radio propagation
 	// model; the zero value is unit-disk at Range, the paper's radio.
 	Propagation radio.PropSpec
-	// RadioIndex selects the channel's audible-set index. The default
-	// (auto) uses the spatial grid whenever the mobility speed bound is
-	// known; tests force the linear reference scan to prove the two are
-	// byte-identical.
-	RadioIndex radio.IndexKind
 }
 
 // DefaultParams returns the paper's simulation setup: 100 nodes on
@@ -190,7 +185,6 @@ func Run(p Params) Result {
 	rp.Propagation = p.Propagation
 	rp.Seed = p.Seed
 	rp.MaxSpeed = mobSpec.MaxSpeed
-	rp.Index = p.RadioIndex
 	ch := radio.NewChannel(s, rp)
 	mx := metrics.NewCollector()
 

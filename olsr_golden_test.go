@@ -40,34 +40,43 @@ func TestOLSRGoldenJSONL(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 	}
+	checkGolden(t, olsrGolden, jobs)
+}
+
+// checkGolden runs jobs in order on one worker and compares their JSONL
+// with the committed golden file at path, naming the first differing line;
+// under -update it rewrites the file instead.
+func checkGolden(t *testing.T, path string, jobs []runner.Job) {
+	t.Helper()
 	var buf bytes.Buffer
 	em := runner.NewJSONL(&buf)
 	if _, err := runner.Run(jobs, runner.Options{Workers: 1, Emitters: []runner.Emitter{em}}); err != nil {
 		t.Fatal(err)
 	}
+	got := buf.Bytes()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(olsrGolden), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(olsrGolden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", olsrGolden, buf.Len())
+		t.Logf("wrote %s (%d bytes)", path, len(got))
 		return
 	}
-	want, err := os.ReadFile(olsrGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		got := buf.Bytes()
-		gl := bytes.Split(got, []byte("\n"))
-		wl := bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("OLSR JSONL drifted from golden at line %d:\ngot:  %.200s\nwant: %.200s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("OLSR JSONL drifted from golden: got %d lines, want %d", len(gl), len(wl))
+	if bytes.Equal(got, want) {
+		return
 	}
+	gl := bytes.Split(got, []byte("\n"))
+	wl := bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("%s: JSONL drifted from golden at line %d:\ngot:  %.200s\nwant: %.200s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: JSONL drifted from golden: got %d lines, want %d", path, len(gl), len(wl))
 }
