@@ -19,18 +19,10 @@ race:
 	$(GO) test -race ./...
 
 # Bench smoke: one iteration of every bench, so regressions in the bench
-# harness itself surface quickly, plus a machine-readable record of the
-# run appended to the BENCH_<n>.json perf trajectory (see cmd/benchjson).
-# Full runs: `go test -bench=. -benchmem .`
-# -timeout 40m: the root package's large-N tiers (BenchmarkLargeN) took
-# ~5 min at one iteration each on BENCH_6.json's machine and take longer
-# on slower ones; go test's default 10 min per-package limit is too
-# close and would kill the run mid-bench.
+# harness itself surface quickly. It measures nothing — the repo's perf
+# record is cmd/slrbench (BENCHMARK.json). Full runs: `go test -bench=. -benchmem .`
 bench:
-	@$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem -timeout 40m ./... > bench.out 2>&1; \
-	st=$$?; cat bench.out; \
-	if [ $$st -ne 0 ]; then echo "bench failed; output kept in bench.out" >&2; exit $$st; fi; \
-	$(GO) run ./cmd/benchjson -in bench.out && rm -f bench.out
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
 # The analyzer fixtures under internal/analysis/testdata are deliberately
 # pathological source and sit outside the repo's gofmt gate (the go tool

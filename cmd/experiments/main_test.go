@@ -15,16 +15,30 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownExperiment: -exp takes the shared report
+// vocabulary — percentiles and shape included, like slranalyze -report
+// and /v1/report — and refuses anything else before sweeping.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	err := run([]string{"-exp", "fig99"})
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+	if err == nil || !strings.Contains(err.Error(), `-exp: unknown report "fig99"`) {
 		t.Fatalf("err = %v", err)
+	}
+	// An accepted name gets past -exp to the next refusal (no sweep runs).
+	for _, exp := range []string{"percentiles", "shape", "fig7", "trials"} {
+		err := run([]string{"-exp", exp, "-scale", "galactic"})
+		if err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Errorf("-exp %s: err = %v, want the -scale refusal", exp, err)
+		}
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-zap"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// There is no whole-grid JSON dump: -jsonl streams the records.
+	if err := run([]string{"-json", "x"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -json") {
+		t.Fatalf("-json: err = %v", err)
 	}
 }
 
@@ -53,6 +67,12 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-shard", "2"}); err == nil {
 		t.Error("malformed shard accepted")
 	}
+	if err := run([]string{"-pparam", "ttl_0=30"}); err == nil || !strings.Contains(err.Error(), "-pparam requires -spec") {
+		t.Errorf("-pparam on the grid: %v", err)
+	}
+	if err := run([]string{"-trials", "-1"}); err == nil || !strings.Contains(err.Error(), "-trials") {
+		t.Errorf("negative -trials: %v", err)
+	}
 }
 
 // TestRunRefusesToClobber pins the os.Create satellite fix: pointing
@@ -60,7 +80,7 @@ func TestRunFlagValidation(t *testing.T) {
 // runs, leaving the file untouched, unless -resume or -force.
 func TestRunRefusesToClobber(t *testing.T) {
 	dir := t.TempDir()
-	for _, flag := range []string{"-jsonl", "-csv", "-json"} {
+	for _, flag := range []string{"-jsonl", "-csv"} {
 		path := filepath.Join(dir, "sweep"+flag+".out")
 		if err := os.WriteFile(path, []byte("40 hours of CPU\n"), 0o644); err != nil {
 			t.Fatal(err)

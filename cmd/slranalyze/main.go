@@ -59,7 +59,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var (
 		scaleName = fs.String("scale", "mid", "scale the sweep ran at: full, mid, small (grid reports)")
 		trials    = fs.Int("trials", 0, "trials per grid point the sweep ran with, if it overrode the scale default (0 = scale default); sets the missing-cell expectation")
-		report    = fs.String("report", "all", "report: all, table1, fig3..fig7, percentiles, shape, trials")
+		report    = fs.String("report", "all", "report: "+strings.Join(experiments.ReportKinds, ", "))
 		protos    = fs.String("protos", "", "comma-separated protocol filter (default: all present)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -117,13 +117,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return fmt.Errorf("no records to analyze (after filters)")
 	}
 
-	// One merge for every report shape: grouping, ordering, and dedup all
-	// come from the shared entry point, so this output stays byte-identical
-	// to the live sweep's and to the coordinator's /v1/report.
+	// One merge and one renderer for every report shape: grouping,
+	// ordering, and dedup all come from the shared entry point, so this
+	// output stays byte-identical to the live sweep's and to the
+	// coordinator's /v1/report.
 	merged := experiments.MergeRecords(recs)
-
 	if *report == "trials" {
-		fmt.Fprint(stdout, merged.TrialsReport())
+		fmt.Fprint(stdout, merged.TrialsReport(""))
 		return nil
 	}
 
@@ -136,11 +136,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		// check expects what actually ran, not the scale's default.
 		scale.Trials = *trials
 	}
-	grid, leftover := merged.Grid(scale)
-	if len(leftover) > 0 {
+	rep, err := merged.Render(*report, &scale, nil)
+	if err != nil {
+		return err
+	}
+	if len(rep.Leftover) > 0 {
 		fmt.Fprintf(stderr, "slranalyze: %d of %d records match no %s-scale pause time (wrong -scale? try -report trials); analyzing the rest\n",
-			len(leftover), len(recs), scale.Name)
-		if len(leftover) == len(recs) {
+			len(rep.Leftover), len(recs), scale.Name)
+		if len(rep.Leftover) == len(recs) {
 			return fmt.Errorf("no records left to analyze")
 		}
 	}
@@ -148,32 +151,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	// (or the tail of a resume) is missing, and an over-full cell means
 	// records from different sweeps were mixed — name the anomalies
 	// rather than letting skewed CIs pass for a complete sweep. The check
-	// is -protos-safe: MissingCells judges only the protocols the
-	// (filtered) grid actually holds.
-	if missing := grid.MissingCells(); len(missing) > 0 {
+	// is -protos-safe: it judges only the protocols the (filtered) grid
+	// actually holds.
+	if len(rep.Missing) > 0 {
 		fmt.Fprintf(stderr, "slranalyze: %d grid cells deviate from %d trials (missing shard, unfinished resume, or mixed sweeps? a sweep run with -trials needs the same flag here):\n",
-			len(missing), scale.Trials)
-		for _, m := range missing {
+			len(rep.Missing), scale.Trials)
+		for _, m := range rep.Missing {
 			fmt.Fprintln(stderr, "  "+m)
 		}
 	}
-
-	switch *report {
-	case "all":
-		fmt.Fprintln(stdout, grid.Report())
-	case "table1":
-		fmt.Fprintln(stdout, grid.Table1())
-	case "percentiles":
-		fmt.Fprintln(stdout, grid.LatencyPercentileTable())
-	case "shape":
-		fmt.Fprintln(stdout, grid.ShapeReport())
-	default:
-		m := experiments.MetricByName[*report]
-		if m == nil {
-			return fmt.Errorf("unknown report %q", *report)
-		}
-		fmt.Fprintln(stdout, grid.FigureTable(*m))
-	}
+	fmt.Fprintln(stdout, rep.Text)
 	return nil
 }
 

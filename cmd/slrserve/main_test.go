@@ -5,14 +5,18 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"slr/internal/geo"
 	"slr/internal/runner"
+	"slr/internal/scenario"
 	"slr/internal/sweepd"
+	"slr/internal/traffic"
 )
 
 // TestFlagValidation pins the refusals that must fire before the
@@ -27,12 +31,64 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-jsonl", "x.jsonl", "-pparam", "ttl_0=30"}, "-pparam requires -spec"},
 		{[]string{"-jsonl", "x.jsonl", "-spec", "no-such-spec"}, "no-such-spec"},
 		{[]string{"-resume"}, "-resume needs -jsonl"},
+		{[]string{"-jsonl", "x.jsonl", "wroker"}, `unexpected argument "wroker"`},
+		{[]string{"worker"}, "-url is required"},
+		{[]string{"worker", "-url", "http://127.0.0.1:1", "extra"}, `unexpected argument "extra"`},
 	}
 	for _, c := range cases {
 		err := run(c.args)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("run(%v) = %v, want error containing %q", c.args, err, c.want)
 		}
+	}
+}
+
+// TestWorkerModeFlagTable: the worker subcommand has its own FlagSet, so
+// every scenario, checker and output flag is refused by name by the flag
+// package itself — jobs arrive fully parameterized from the coordinator,
+// and no allowlist has to be kept in step with the coordinator's flags.
+func TestWorkerModeFlagTable(t *testing.T) {
+	for name, extra := range map[string][]string{
+		"check":      {"-check"},
+		"ordercheck": {"-ordercheck"},
+		"protocol":   {"-protocol", "AODV"},
+		"trials":     {"-trials", "2"},
+		"jsonl":      {"-jsonl", "x.jsonl"},
+		"seed":       {"-seed", "7"},
+		"nodes":      {"-nodes", "5"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			args := append([]string{"worker", "-url", "http://127.0.0.1:1"}, extra...)
+			want := "flag provided but not defined: " + extra[0]
+			if err := run(args); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("run(%v) = %v, want %q", args, err, want)
+			}
+		})
+	}
+}
+
+// TestWorkerModeDrainsCoordinator runs the real worker subcommand against
+// an in-process coordinator and checks the sweep completes.
+func TestWorkerModeDrainsCoordinator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	p := scenario.DefaultParams(scenario.SRP, 0, 1)
+	p.Nodes = 10
+	p.Terrain = geo.Terrain{Width: 500, Height: 250}
+	p.Duration = 5 * time.Second
+	p.Traffic = traffic.Params{Flows: 2, PacketSize: 256, Rate: 4, MeanLife: 10 * time.Second}
+	c, err := sweepd.New(runner.TrialJobs(p, 2), sweepd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sweepd.NewHandler(c))
+	defer srv.Close()
+	if err := run([]string{"worker", "-url", srv.URL, "-id", "t", "-batch", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Status(); !st.SweepDone {
+		t.Fatalf("sweep not done after worker exit: %+v", st)
 	}
 }
 

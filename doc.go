@@ -37,8 +37,8 @@
 //
 // The same determinism powers sweep-as-a-service: cmd/slrserve is an
 // HTTP/JSON coordinator (internal/sweepd) that owns a sweep's flattened
-// job list and leases identity-keyed job batches to pulling slrsim
-// -worker processes over a versioned /v1 API whose payloads are exactly
+// job list and leases identity-keyed job batches to pulling slrserve
+// worker processes over a versioned /v1 API whose payloads are exactly
 // runner.Job and runner.Record — lease out (POST /v1/lease),
 // acknowledge results as JSONL (POST /v1/records, salvage-validated and
 // de-duplicated on the identity key), watch progress (GET /v1/status),
@@ -48,6 +48,16 @@
 // -jsonl file, which -resume salvages after a coordinator crash. The
 // finished service's report and checkpoint are byte-identical to a
 // single-process sweep of the same flags.
+//
+// Above the runner the orchestration is one pipeline written once: plan
+// (internal/runner/sweepcli turns -scale|-spec, -trials, -seed, -pparam
+// into a job list), run (runner.Run, or the coordinator), records
+// (runner.Record is the only thing that crosses from a run to a report),
+// merge (experiments.MergeRecords) and render (one report-by-name
+// function). Each binary is the front door for one job: cmd/slrsim runs
+// one scenario, cmd/experiments sweeps in one process (grid or -spec,
+// shards, resume), cmd/slrserve coordinates a sweep and slrserve worker
+// pulls from one, cmd/slranalyze reports from files.
 //
 // That byte-identical contract is machine-enforced: internal/analysis
 // holds four analyzers — map-iteration order escaping into
@@ -92,7 +102,7 @@
 // N=5000 (BenchmarkChannelTransmitLargeN). The tier has its own
 // reference scenarios (examples/scenarios/manhattan-5000.json and
 // manhattan-20000.json), bench family (BenchmarkLargeN, through
-// N=20000), and a timeboxed 20000-node CI smoke. cmd/slrsim's
+// N=5000), and a timeboxed 20000-node CI smoke. cmd/slrsim's
 // -cpuprofile and -memprofile flags make the next outlier one flag
 // away.
 //

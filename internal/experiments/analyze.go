@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -61,11 +62,12 @@ func (g mergeGroup) trialSet() scenario.TrialSet {
 }
 
 // Merged is a record stream folded into per-(protocol, pause) groups: the
-// one record-merge entry point behind every analysis of streamed trials.
-// cmd/slranalyze's shard merge, the resumed CLI runs that fold salvaged
-// records back into their tables, and the sweep coordinator's live report
-// endpoint (internal/sweepd) all build a Merged first, so grouping,
-// ordering, and dedup semantics cannot drift between them.
+// one record-merge entry point behind every analysis of a sweep.
+// cmd/experiments' printed tables (fresh records plus any salvaged by a
+// resume), cmd/slranalyze's shard merge, and the sweep coordinator's live
+// report endpoint (internal/sweepd) all build a Merged first and Render
+// from it, so grouping, ordering, and dedup semantics cannot drift between
+// them.
 //
 // Construction dedups on the canonical identity key (first occurrence
 // wins; determinism makes the copies identical) and orders groups by
@@ -112,30 +114,17 @@ func MergeRecords(recs []runner.Record) *Merged {
 	return m
 }
 
-// TrialSets returns the groups as per-(protocol, pause) trial sets for
-// analyses that need no grid geometry (single-spec runs, ad-hoc pause
-// times).
-func (m *Merged) TrialSets() []scenario.TrialSet {
-	out := make([]scenario.TrialSet, 0, len(m.groups))
-	for _, g := range m.groups {
-		out = append(out, g.trialSet())
-	}
-	return out
-}
-
 // Grid maps the groups onto the sweep grid of scale s, so Table I, the
-// figure tables, the latency percentiles, and the shape report can be
-// regenerated offline — grouping, CIs, and histogram merges included —
-// without re-simulating. The scale must be the one the sweep ran at: its
-// duration maps each group's pause seconds back to the grid's pause
-// fraction, and its node/flow counts label the tables.
+// figure tables, the latency percentiles, and the shape report render
+// from records alone — live, resumed, or offline without re-simulating.
+// The scale must be the one the sweep ran at: its duration maps each
+// group's pause seconds back to the grid's pause fraction, and its
+// node/flow counts label the tables.
 //
-// Every rendered table is byte-identical to the one the live Sweep
-// printed. The second return value holds records whose pause time matches
-// no pause fraction at this scale (wrong -scale, or a single-spec run):
-// they are left out of the grid, never silently folded into the wrong
-// cell. Grid.MissingCells afterwards names any cells the merge left
-// short.
+// The second return value holds records whose pause time matches no pause
+// fraction at this scale (wrong -scale, or a single-spec run): they are
+// left out of the grid, never silently folded into the wrong cell.
+// Grid.MissingCells afterwards names any cells the merge left short.
 func (m *Merged) Grid(s Scale) (*Grid, []runner.Record) {
 	// Pause seconds survive the float64→JSON→float64 round trip exactly
 	// (the encoder emits the shortest representation that parses back to
@@ -154,11 +143,9 @@ func (m *Merged) Grid(s Scale) (*Grid, []runner.Record) {
 			leftover = append(leftover, grp.recs...)
 			continue
 		}
-		pt := point{grp.proto, pf}
-		pause := sim.Time(pf * float64(s.Duration))
-		for _, rec := range grp.recs {
-			g.addResult(pt, rec.Trial, pt.proto, pause, rec.Result())
-		}
+		ts := grp.trialSet()
+		ts.Pause = sim.Time(pf * float64(s.Duration))
+		g.cells[point{grp.proto, pf}] = ts
 		seen[grp.proto] = true
 	}
 	for p := range seen {
@@ -169,25 +156,104 @@ func (m *Merged) Grid(s Scale) (*Grid, []runner.Record) {
 }
 
 // TrialsReport renders every group's trial summary, one TrialReport per
-// group separated by blank lines — the "-report trials" text of
-// cmd/slranalyze and the trials view of the coordinator's /v1/report
-// endpoint, byte-identical between the two by construction.
-func (m *Merged) TrialsReport() string {
+// group separated by blank lines. name labels every group (a spec sweep's
+// scenario name); empty labels each group by its protocol and pause — the
+// "trials" report of cmd/slranalyze and /v1/report.
+func (m *Merged) TrialsReport(name string) string {
 	var b strings.Builder
 	for i, g := range m.groups {
 		if i > 0 {
 			b.WriteString("\n")
 		}
 		ts := g.trialSet()
-		name := fmt.Sprintf("%s pause=%.0fs", ts.Protocol, ts.Pause.Seconds())
-		b.WriteString(TrialReport(name, ts))
+		label := name
+		if label == "" {
+			label = fmt.Sprintf("%s pause=%.0fs", ts.Protocol, ts.Pause.Seconds())
+		}
+		b.WriteString(TrialReport(label, ts))
 	}
 	return b.String()
 }
 
-// Groups splits records into per-(protocol, pause) trial sets; it is
-// MergeRecords(recs).TrialSets(), kept for callers that need no other
-// view.
-func Groups(recs []runner.Record) []scenario.TrialSet {
-	return MergeRecords(recs).TrialSets()
+// ReportKinds lists the report names Render accepts — the vocabulary of
+// cmd/experiments -exp, cmd/slranalyze -report and /v1/report?report=.
+var ReportKinds = []string{"all", "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "percentiles", "shape", "trials"}
+
+// checkKind refuses a report name outside ReportKinds.
+func checkKind(kind string) error {
+	if !slices.Contains(ReportKinds, kind) {
+		return fmt.Errorf("unknown report %q (want %s)", kind, strings.Join(ReportKinds, ", "))
+	}
+	return nil
+}
+
+// figure returns the metric behind a figN report name, nil for any other.
+func figure(kind string) *Metric {
+	for i := range AllMetrics {
+		if AllMetrics[i].Key == kind {
+			return &AllMetrics[i]
+		}
+	}
+	return nil
+}
+
+// ReportProtos returns the protocols a sweep must cover to render report
+// kind: a figure restricted to a protocol subset (Fig. 7) needs only that
+// subset, everything else the paper's five. An unknown kind is an error,
+// so a sweep can refuse a bad report name before it runs.
+func ReportProtos(kind string) ([]scenario.ProtocolName, error) {
+	if err := checkKind(kind); err != nil {
+		return nil, err
+	}
+	if m := figure(kind); m != nil && m.Protos != nil {
+		return m.Protos, nil
+	}
+	return scenario.AllProtocols, nil
+}
+
+// Rendered is one report plus what the merge found amiss with its input;
+// callers word the warnings for their own audience.
+type Rendered struct {
+	Text string
+	// Leftover holds the records whose pause matches no grid point at the
+	// scale (see Merged.Grid); they are left out of Text.
+	Leftover []runner.Record
+	// Missing is Grid.MissingCells of the rendered grid.
+	Missing []string
+}
+
+// Render renders report kind (one of ReportKinds) from the merged records:
+// the one place a report name becomes a table. "trials" groups by
+// (protocol, pause) as the records are; every other kind maps the groups
+// onto the paper grid and needs the scale s the sweep ran at. protos, when
+// non-nil, fixes the grid's protocol rows to the sweep's plan instead of
+// the protocols present, so a near-empty shard still prints every row.
+func (m *Merged) Render(kind string, s *Scale, protos []scenario.ProtocolName) (Rendered, error) {
+	if err := checkKind(kind); err != nil {
+		return Rendered{}, err
+	}
+	if kind == "trials" {
+		return Rendered{Text: m.TrialsReport("")}, nil
+	}
+	if s == nil {
+		return Rendered{}, fmt.Errorf("report %q needs the sweep's grid scale; these records come from a scale-less spec sweep (use trials)", kind)
+	}
+	g, leftover := m.Grid(*s)
+	if protos != nil {
+		g.Protos = protos
+	}
+	r := Rendered{Leftover: leftover, Missing: g.MissingCells()}
+	switch kind {
+	case "all":
+		r.Text = g.Report()
+	case "table1":
+		r.Text = g.Table1()
+	case "percentiles":
+		r.Text = g.LatencyPercentileTable()
+	case "shape":
+		r.Text = g.ShapeReport()
+	default:
+		r.Text = g.FigureTable(*figure(kind))
+	}
+	return r, nil
 }

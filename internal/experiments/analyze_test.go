@@ -212,9 +212,8 @@ func TestGridFromRecordsDedupsShardOverlap(t *testing.T) {
 		t.Fatalf("duplicated records inflated the cell to %d trials, want 2", len(cell.Results))
 	}
 
-	groups := Groups(recs)
-	if len(groups) != 1 || len(groups[0].Results) != 2 {
-		t.Fatalf("Groups did not dedup: %+v", groups)
+	if m := MergeRecords(recs); m.Duplicates != 3 || !strings.Contains(m.TrialsReport(""), "SRP, 2 trials") {
+		t.Fatalf("merge did not dedup: %d duplicates\n%s", m.Duplicates, m.TrialsReport(""))
 	}
 }
 
@@ -250,28 +249,6 @@ func TestMissingCells(t *testing.T) {
 	excess := g.MissingCells()
 	if len(excess) != 1 || excess[0] != "SRP pause=0s: 3/2 trials (excess: mixed sweeps?)" {
 		t.Fatalf("excess = %v", excess)
-	}
-}
-
-// TestGridJSONPartialCellTrialNumbers verifies JSON() stamps the real
-// trial numbers on a partial (sharded/resumed) grid — the trial is part of
-// the record identity key, so defaulting to the slice index would forge
-// records that never ran and break cross-file dedup.
-func TestGridJSONPartialCellTrialNumbers(t *testing.T) {
-	s := Small
-	pauseSec := (sim.Time(PauseFractions[0] * float64(s.Duration))).Seconds()
-	load := 1.0
-	rec := runner.Record{
-		Protocol: "SRP", PauseSeconds: pauseSec, Trial: 1, Seed: 2,
-		DeliveryRatio: 0.9, NetworkLoad: &load, Schema: runner.RecordSchema,
-	}
-	g, _ := MergeRecords([]runner.Record{rec}).Grid(s)
-	runs := g.JSON().Runs
-	if len(runs) != 1 || runs[0].Trial != 1 {
-		t.Fatalf("partial-cell JSON runs = %+v, want the real trial number 1", runs)
-	}
-	if runs[0].Key() != rec.Key() {
-		t.Fatalf("identity key changed through Grid.JSON: %+v vs %+v", runs[0].Key(), rec.Key())
 	}
 }
 

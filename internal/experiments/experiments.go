@@ -1,12 +1,12 @@
 // Package experiments regenerates the paper's evaluation artifacts:
-// Table I and Figures 3–7 (§V). A Sweep runs the (protocol x pause time x
-// trial) grid once; every table and figure is derived from that grid, as in
+// Table I and Figures 3–7 (§V). A sweep runs the (protocol x pause time x
+// trial) grid once and keeps one runner.Record per trial; every table and
+// figure is derived from those records (MergeRecords, then Render), as in
 // the paper, where all metrics come from the same 400 simulation runs.
 package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -95,122 +95,41 @@ func (s Scale) Params(proto scenario.ProtocolName, pauseFrac float64, seed int64
 	return p
 }
 
+// Jobs flattens the paper's (protocol x pause x trial) grid at this scale
+// into one job list, protocol-major. The same seeds are reused across
+// protocols so each trial compares protocols on identical topology and
+// traffic, as the paper does.
+func (s Scale) Jobs(protos []scenario.ProtocolName, seed int64) []runner.Job {
+	return runner.GridJobs(protos, PauseFractions, s.Trials, seed, s.Params)
+}
+
 // point identifies a grid cell.
 type point struct {
 	proto scenario.ProtocolName
 	pause float64
 }
 
-// Grid holds sweep results.
+// Grid holds sweep results as (protocol, pause) cells. The only way to
+// build one from a sweep is MergeRecords(recs).Grid(scale).
 type Grid struct {
 	Scale  Scale
 	Protos []scenario.ProtocolName
 	cells  map[point]scenario.TrialSet
-	// trials holds each cell's trial numbers, parallel to its Results. A
-	// full single-process sweep makes it redundant (slice index == trial),
-	// but a sharded or resumed run fills cells partially, and JSON() must
-	// stamp the real trial number — it is part of the record identity key.
-	trials map[point][]int
 }
 
-// addResult appends one trial to its cell, tracking its trial number.
-func (g *Grid) addResult(pt point, trial int, proto scenario.ProtocolName, pause sim.Time, r scenario.Result) {
-	ts, ok := g.cells[pt]
-	if !ok {
-		ts = scenario.TrialSet{Protocol: proto, Pause: pause}
-	}
-	ts.Results = append(ts.Results, r)
-	g.cells[pt] = ts
-	if g.trials == nil {
-		g.trials = make(map[point][]int)
-	}
-	g.trials[pt] = append(g.trials[pt], trial)
-}
-
-// SweepOptions configures a sweep beyond its grid coordinates.
-type SweepOptions struct {
-	// Workers is the runner worker count; 0 means GOMAXPROCS.
-	Workers int
-	// Progress receives one summary line per completed grid point (the
-	// historical per-point format); nil is silent.
-	Progress io.Writer
-	// Emitters stream every completed trial (JSONL/CSV) as it finishes.
-	Emitters []runner.Emitter
-	// Shard restricts the sweep to one deterministic slice of the
-	// flattened job grid (see runner.ShardSpec) so cooperating processes
-	// split the work; the zero value runs everything.
-	Shard runner.ShardSpec
-	// SkipDone drops jobs whose canonical identity key (runner.Key.String)
-	// is present before anything runs — the resume path feeds it
-	// runner.KeySet of the records salvaged from an interrupted sweep's
-	// JSONL.
-	SkipDone map[string]bool
-}
-
-// Sweep runs the whole grid across all CPUs. Progress lines go to w (pass
-// io.Discard to silence). The same seeds are reused across protocols so
-// each trial compares protocols on identical topology and traffic, as the
-// paper does.
-func Sweep(s Scale, protos []scenario.ProtocolName, seed int64, w io.Writer) *Grid {
-	g, _ := SweepOpts(s, protos, seed, SweepOptions{Progress: w})
-	return g
-}
-
-// SweepOpts runs the whole grid on the all-cores runner: every
-// (protocol, pause, trial) cell becomes one job in a single flat queue, so
-// slow cells never serialize the sweep the way per-point parallelism did.
-// Results are identical to running every point through the serial
-// scenario.RunTrials. The error is the first emitter failure, if any; the
-// grid is complete either way.
-//
-// With opts.Shard or opts.SkipDone set, only the selected slice of the
-// grid runs and the returned Grid holds just those trials; merge the
-// emitted JSONL shards through MergeRecords(recs).Grid(s), as
-// cmd/slranalyze does, to reconstruct the full grid.
-func SweepOpts(s Scale, protos []scenario.ProtocolName, seed int64, opts SweepOptions) (*Grid, error) {
-	g := &Grid{Scale: s, Protos: protos, cells: make(map[point]scenario.TrialSet)}
-	jobs := runner.GridJobs(protos, PauseFractions, s.Trials, seed, s.Params)
-	jobs = opts.Shard.Select(jobs)
-	jobs = runner.SkipCompleted(jobs, opts.SkipDone)
-
-	// Per-point completion tracking for the progress lines; a shard or a
-	// resume runs fewer trials per point than the scale's nominal count.
-	remaining := make(map[point]int, len(protos)*len(PauseFractions))
-	total := make(map[point]int, len(remaining))
-	sums := make(map[point]float64, len(remaining))
-	for _, j := range jobs {
-		pt := point{j.Params.Protocol, j.PauseFrac}
-		remaining[pt]++
-		total[pt]++
-	}
-	start := time.Now() //slrlint:allow walltime progress-meter elapsed time, never reaches trial output
-	onResult := func(j runner.Job, r scenario.Result) {
-		if opts.Progress == nil {
-			return
-		}
-		pt := point{j.Params.Protocol, j.PauseFrac}
-		sums[pt] += r.DeliveryRatio
-		remaining[pt]--
-		if remaining[pt] == 0 {
-			fmt.Fprintf(opts.Progress, "%-4s pause=%4ss deliv=%.3f (%d trials, %v elapsed)\n",
-				pt.proto, s.PauseLabel(pt.pause), sums[pt]/float64(total[pt]), total[pt],
-				time.Since(start).Round(time.Millisecond)) //slrlint:allow walltime progress-meter elapsed time, never reaches trial output
-		}
-	}
-
-	results, err := runner.Run(jobs, runner.Options{
-		Workers:  opts.Workers,
-		Emitters: opts.Emitters,
-		OnResult: onResult,
-	})
-
-	// Scatter the flat results back into (protocol, pause) cells, trials
-	// in seed order.
+// SweepOpts runs a planned job list — a whole grid, a spec's trial list, one
+// shard of either, or what a resume left to do — on the all-cores runner
+// and returns one record per job, in job order. Records are the only thing
+// that crosses from a run to a report: every table comes from
+// MergeRecords over them (plus any salvaged ones). The error is the first
+// emitter failure, if any; the records are complete either way.
+func SweepOpts(jobs []runner.Job, opts runner.Options) ([]runner.Record, error) {
+	results, err := runner.Run(jobs, opts)
+	recs := make([]runner.Record, len(jobs))
 	for i, j := range jobs {
-		pt := point{j.Params.Protocol, j.PauseFrac}
-		g.addResult(pt, j.Trial, j.Params.Protocol, j.Params.Pause, results[i])
+		recs[i] = runner.NewRecord(j, results[i])
 	}
-	return g, err
+	return recs, err
 }
 
 // Cell returns the trials at one grid point.
@@ -220,6 +139,7 @@ func (g *Grid) Cell(proto scenario.ProtocolName, pauseFrac float64) scenario.Tri
 
 // Metric extracts a value from a run.
 type Metric struct {
+	Key    string // report name: cmd/experiments -exp, cmd/slranalyze -report, /v1/report
 	Name   string
 	Fig    string
 	Get    func(scenario.Result) float64
@@ -229,32 +149,21 @@ type Metric struct {
 
 // The paper's figures.
 var (
-	MetricMACDrops = Metric{Name: "MAC drops per node", Fig: "Fig. 3",
+	MetricMACDrops = Metric{Key: "fig3", Name: "MAC drops per node", Fig: "Fig. 3",
 		Get: func(r scenario.Result) float64 { return r.MACDrops }, Prec: 1}
-	MetricDelivery = Metric{Name: "Delivery ratio", Fig: "Fig. 4",
+	MetricDelivery = Metric{Key: "fig4", Name: "Delivery ratio", Fig: "Fig. 4",
 		Get: func(r scenario.Result) float64 { return r.DeliveryRatio }, Prec: 3}
-	MetricNetLoad = Metric{Name: "Network load", Fig: "Fig. 5",
+	MetricNetLoad = Metric{Key: "fig5", Name: "Network load", Fig: "Fig. 5",
 		Get: func(r scenario.Result) float64 { return r.NetworkLoad }, Prec: 3}
-	MetricLatency = Metric{Name: "Data latency (s)", Fig: "Fig. 6",
+	MetricLatency = Metric{Key: "fig6", Name: "Data latency (s)", Fig: "Fig. 6",
 		Get: func(r scenario.Result) float64 { return r.Latency }, Prec: 3}
-	MetricSeqno = Metric{Name: "Avg node sequence number", Fig: "Fig. 7",
+	MetricSeqno = Metric{Key: "fig7", Name: "Avg node sequence number", Fig: "Fig. 7",
 		Get: func(r scenario.Result) float64 { return r.AvgSeqno }, Prec: 2,
 		Protos: []scenario.ProtocolName{scenario.SRP, scenario.LDR, scenario.AODV}}
 )
 
 // AllMetrics lists the figures in paper order.
 var AllMetrics = []Metric{MetricMACDrops, MetricDelivery, MetricNetLoad, MetricLatency, MetricSeqno}
-
-// MetricByName maps the CLI figure names (cmd/experiments -exp,
-// cmd/slranalyze -report) to their metrics, so the live sweep and the
-// offline aggregator can never drift on which name renders which figure.
-var MetricByName = map[string]*Metric{
-	"fig3": &MetricMACDrops,
-	"fig4": &MetricDelivery,
-	"fig5": &MetricNetLoad,
-	"fig6": &MetricLatency,
-	"fig7": &MetricSeqno,
-}
 
 // meanCI renders a series cell as mean±CI. A series whose every
 // measurement was the NaN sentinel (an all-zero-delivery cell's network
@@ -559,48 +468,6 @@ func SortedPauses() []float64 {
 	out := append([]float64{}, PauseFractions...)
 	sort.Float64s(out)
 	return out
-}
-
-// JSONReport is the machine-readable form of a grid, one record per run.
-// Runs are the same runner.Record the JSONL/CSV emitters stream — trial
-// index, traffic counters, sorted drop reasons, histograms and all — so
-// the two machine-readable outputs agree field for field and both feed
-// cmd/slranalyze.
-type JSONReport struct {
-	Scale  string          `json:"scale"`
-	Protos []string        `json:"protocols"`
-	Runs   []runner.Record `json:"runs"`
-}
-
-// JSON flattens the grid for external tooling (plotting the figures).
-func (g *Grid) JSON() JSONReport {
-	rep := JSONReport{Scale: g.Scale.Name}
-	for _, p := range g.Protos {
-		rep.Protos = append(rep.Protos, string(p))
-	}
-	for _, proto := range g.Protos {
-		for _, pf := range PauseFractions {
-			pt := point{proto, pf}
-			ts, ok := g.cells[pt]
-			if !ok {
-				continue
-			}
-			for i, r := range ts.Results {
-				// A full sweep's results sit in trial (seed) order, so the
-				// slice index is the trial number; partial cells (a shard,
-				// a resume) carry their real trial numbers in g.trials —
-				// the trial is part of the record identity key, so a
-				// default of i would forge keys that never ran.
-				trial := i
-				if nums := g.trials[pt]; i < len(nums) {
-					trial = nums[i]
-				}
-				rep.Runs = append(rep.Runs, runner.NewRecord(
-					runner.Job{Trial: trial, PauseFrac: pf}, r))
-			}
-		}
-	}
-	return rep
 }
 
 // MissingCells lists the grid cells whose trial count deviates from what

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -60,8 +58,46 @@ func TestParamsScalesPause(t *testing.T) {
 	}
 }
 
+// scatterGrid is the test oracle for the records pipeline: the direct
+// results→cells scatter the sweep used before records became the only
+// currency between a run and a report.
+func scatterGrid(s Scale, protos []scenario.ProtocolName, jobs []runner.Job, results []scenario.Result) *Grid {
+	g := &Grid{Scale: s, Protos: protos, cells: make(map[point]scenario.TrialSet)}
+	for i, j := range jobs {
+		pt := point{j.Params.Protocol, j.PauseFrac}
+		ts, ok := g.cells[pt]
+		if !ok {
+			ts = scenario.TrialSet{Protocol: j.Params.Protocol, Pause: j.Params.Pause}
+		}
+		ts.Results = append(ts.Results, results[i])
+		g.cells[pt] = ts
+	}
+	return g
+}
+
 func TestSweepAndReports(t *testing.T) {
-	grid := Sweep(tinyScale(), []scenario.ProtocolName{scenario.SRP, scenario.AODV}, 1, io.Discard)
+	s := tinyScale()
+	s.Trials = 2
+	protos := []scenario.ProtocolName{scenario.SRP, scenario.AODV}
+	jobs := s.Jobs(protos, 1)
+	if len(jobs) != len(protos)*len(PauseFractions)*s.Trials {
+		t.Fatalf("grid plan has %d jobs", len(jobs))
+	}
+	recs, err := SweepOpts(jobs, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, leftover := MergeRecords(recs).Grid(s)
+	if len(leftover) != 0 {
+		t.Fatalf("%d live records match no grid cell", len(leftover))
+	}
+
+	// The records pipeline renders exactly what scattering the raw results
+	// into cells renders (trials are deterministic, so re-running is fair).
+	results, _ := runner.Run(jobs, runner.Options{})
+	if want, got := scatterGrid(s, protos, jobs, results).Report(), grid.Report(); got != want {
+		t.Fatalf("records pipeline diverged from the direct scatter:\n--- records ---\n%s--- scatter ---\n%s", got, want)
+	}
 
 	tab := grid.Table1()
 	if !strings.Contains(tab, "Table I") || !strings.Contains(tab, "SRP") || !strings.Contains(tab, "AODV") {
@@ -84,8 +120,53 @@ func TestSweepAndReports(t *testing.T) {
 	}
 
 	cell := grid.Cell(scenario.SRP, 0)
-	if len(cell.Results) != 1 {
-		t.Fatalf("cell has %d results", len(cell.Results))
+	if len(cell.Results) != 2 || cell.Results[0].Seed != 1 || cell.Results[1].Seed != 2 {
+		t.Fatalf("cell trials = %+v, want seeds 1, 2", cell.Results)
+	}
+}
+
+// TestRenderKinds drives the one report-by-name function: every name in
+// ReportKinds renders, a figure's protocol subset is what a sweep for it
+// must cover, the plan's protocol set overrides the protocols present,
+// and an unknown name or a grid report without a scale is an error.
+func TestRenderKinds(t *testing.T) {
+	s := Small
+	load := 1.5
+	rec := runner.Record{Protocol: "SRP", PauseSeconds: 0, Trial: 0, Seed: 1,
+		DeliveryRatio: 0.9, NetworkLoad: &load, Schema: runner.RecordSchema}
+	m := MergeRecords([]runner.Record{rec})
+	for _, kind := range ReportKinds {
+		r, err := m.Render(kind, &s, nil)
+		if err != nil || r.Text == "" {
+			t.Errorf("Render(%q) = %q, %v", kind, r.Text, err)
+		}
+		if kind != "trials" && len(r.Missing) != len(PauseFractions) {
+			t.Errorf("Render(%q): %d missing cells, want every SRP cell short of %d trials", kind, len(r.Missing), s.Trials)
+		}
+	}
+	if _, err := m.Render("fig99", &s, nil); err == nil || !strings.Contains(err.Error(), "table1") {
+		t.Errorf("unknown kind: %v, want an error listing the kinds", err)
+	}
+	if _, err := m.Render("table1", nil, nil); err == nil {
+		t.Error("grid report without a scale accepted")
+	}
+	if r, err := m.Render("trials", nil, nil); err != nil || r.Text != m.TrialsReport("") {
+		t.Errorf("trials without a scale: %q, %v", r.Text, err)
+	}
+	r, err := m.Render("table1", &s, scenario.AllProtocols)
+	if err != nil || !strings.Contains(r.Text, "OLSR") {
+		t.Errorf("plan protocols not rendered as rows: %v\n%s", err, r.Text)
+	}
+	if p, _ := ReportProtos("fig7"); len(p) != 3 {
+		t.Errorf("fig7 sweeps %v, want the three seqno protocols", p)
+	}
+	if p, _ := ReportProtos("shape"); len(p) != len(scenario.AllProtocols) {
+		t.Errorf("shape sweeps %v, want all protocols", p)
+	}
+	off := rec
+	off.PauseSeconds = 123.456
+	if r, _ := MergeRecords([]runner.Record{rec, off}).Render("table1", &s, nil); len(r.Leftover) != 1 {
+		t.Errorf("off-grid record not reported as leftover: %+v", r.Leftover)
 	}
 }
 
@@ -100,31 +181,5 @@ func TestSortedPauses(t *testing.T) {
 	ps[0] = 99
 	if PauseFractions[0] == 99 {
 		t.Fatal("SortedPauses aliases PauseFractions")
-	}
-}
-
-func TestJSONReport(t *testing.T) {
-	grid := Sweep(tinyScale(), []scenario.ProtocolName{scenario.SRP}, 1, io.Discard)
-	rep := grid.JSON()
-	if rep.Scale != "tiny" || len(rep.Protos) != 1 {
-		t.Fatalf("report header = %+v", rep)
-	}
-	if len(rep.Runs) != len(PauseFractions) {
-		t.Fatalf("runs = %d, want %d", len(rep.Runs), len(PauseFractions))
-	}
-	blob, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grid.JSON and the runner's JSONL stream are the same Record type:
-	// trial number, traffic counters, and sorted drop reasons included,
-	// so the two machine-readable outputs agree.
-	for _, want := range []string{"delivery_ratio", `"trial"`, `"data_sent"`, `"data_recv"`, `"control_tx"`, `"schema"`} {
-		if !strings.Contains(string(blob), want) {
-			t.Fatalf("json missing %s:\n%s", want, blob)
-		}
-	}
-	if rep.Runs[0].Trial != 0 || rep.Runs[0].Schema != runner.RecordSchema {
-		t.Fatalf("run record header = %+v", rep.Runs[0])
 	}
 }

@@ -148,9 +148,7 @@ var ErrWouldClobber = errors.New("refusing to overwrite")
 // CheckClobber returns an ErrWouldClobber error if path holds data and
 // force is not set — the guard behind every results output: overwriting
 // hours of sweep output because a flag pointed at the wrong path should
-// be an explicit decision, not a silent truncation. Callers that rewrite
-// the file late (e.g. a -json report written after the sweep) call this
-// up front so the refusal lands before any compute is spent.
+// be an explicit decision, not a silent truncation.
 func CheckClobber(path string, force bool) error {
 	if !force {
 		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {

@@ -1,12 +1,16 @@
-// Package sweepcli is the one implementation of the sweep binaries'
-// shared orchestration surface: the -jsonl/-csv output streams, the
-// -shard slice, and the -resume/-force clobber semantics that
-// cmd/experiments, cmd/slrsim, and cmd/slrserve all expose. Each binary
-// registers the same flags with the same help text, validates them with
-// the same rules, opens outputs through the same clobber/salvage guards
-// (runner.OpenJSONLOutput, runner.CreateOutput), and filters its job list
-// through the same shard/resume pipeline — so the three CLIs cannot
-// drift on failure semantics or messaging.
+// Package sweepcli is the one implementation of the command-line surface
+// the simulation binaries share, so they cannot drift on flag names, help
+// text, failure semantics or messaging:
+//
+//   - the plan (Selection): -scale | -spec, -trials, -seed, -pparam
+//     resolved into the sweep's flattened job list, for cmd/experiments
+//     and cmd/slrserve;
+//   - the outputs (Flags): the -jsonl/-csv streams behind the
+//     -resume/-force clobber and salvage guards (runner.OpenJSONLOutput,
+//     runner.CreateOutput), and the -shard slice plus resume skip filter
+//     the job list runs through;
+//   - profiling (Profiles): -cpuprofile/-memprofile, for cmd/slrsim and
+//     slrserve worker.
 package sweepcli
 
 import (
@@ -14,18 +18,188 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
+	"slr/internal/experiments"
+	"slr/internal/routing"
 	"slr/internal/runner"
+	"slr/internal/scenario"
+	"slr/internal/spec"
 )
 
-// Flags holds the shared sweep flags after parsing. Zero values mean the
-// flag was not given.
+// Selection holds the flags that select which sweep runs: the paper grid
+// at a -scale, or one -spec scenario's trial list.
+type Selection struct {
+	Scale   string
+	Spec    string
+	Trials  int
+	Seed    int64
+	PParams routing.ParamsFlag
+
+	fs *flag.FlagSet
+}
+
+// RegisterSelection binds the sweep-selection flags onto fs.
+func RegisterSelection(fs *flag.FlagSet) *Selection {
+	s := &Selection{PParams: routing.ParamsFlag{}, fs: fs}
+	fs.StringVar(&s.Scale, "scale", "mid", "sweep the paper grid at this scale: full, mid, small")
+	fs.StringVar(&s.Spec, "spec", "", "sweep one scenario spec's trial list (path or built-in name) instead of the paper grid")
+	fs.IntVar(&s.Trials, "trials", 0, "override trials per grid point, or per spec (0 = scale or spec default)")
+	fs.Int64Var(&s.Seed, "seed", 1, "base random seed (a spec keeps its own unless this is given)")
+	fs.Var(s.PParams, "pparam", "with -spec: protocol parameter override `name=value` (repeatable)")
+	return s
+}
+
+// Plan is a resolved sweep: what runs, and how to label it.
+type Plan struct {
+	// Jobs is the flattened job list, before any -shard slice or resume
+	// filter (Flags.Jobs applies those).
+	Jobs []runner.Job
+	// Scale is the grid geometry the grid reports need; nil for a spec
+	// sweep, which has none.
+	Scale *experiments.Scale
+	// Name is a spec sweep's scenario name, the label of its trial
+	// summary; empty for a grid.
+	Name string
+	// Descr is a one-line description of the sweep for the startup log.
+	Descr string
+}
+
+// Plan resolves the selection into the sweep's job list. protos is the
+// protocol set a grid covers (a spec names its own protocol). It touches
+// no output file, so callers plan before they open anything: a bad spec or
+// scale must not truncate existing results.
+func (s *Selection) Plan(protos []scenario.ProtocolName) (*Plan, error) {
+	if s.Trials < 0 {
+		return nil, fmt.Errorf("-trials %d: must be positive, or 0 for the scale or spec default", s.Trials)
+	}
+	if s.Spec == "" {
+		if len(s.PParams) > 0 {
+			return nil, fmt.Errorf("-pparam requires -spec (the paper grid runs every protocol at its published constants)")
+		}
+		scale, err := experiments.ScaleByName(s.Scale)
+		if err != nil {
+			return nil, err
+		}
+		if s.Trials > 0 {
+			scale.Trials = s.Trials
+		}
+		return &Plan{
+			Jobs:  scale.Jobs(protos, s.Seed),
+			Scale: &scale,
+			Descr: fmt.Sprintf("%s scale: %d nodes, %d flows, %v, %d trials x %d pauses x %d protocols",
+				scale.Name, scale.Nodes, scale.Flows, scale.Duration, scale.Trials,
+				len(experiments.PauseFractions), len(protos)),
+		}, nil
+	}
+
+	sp, err := spec.Resolve(s.Spec)
+	if err != nil {
+		return nil, err
+	}
+	p, err := sp.Params()
+	if err != nil {
+		return nil, err
+	}
+	if len(s.PParams) > 0 {
+		// -pparam overrides merge over the spec's protocol_params; the
+		// result must still be a scenario a spec file could describe.
+		p.ProtoParams = routing.MergeParams(p.ProtoParams, s.PParams)
+		if err := spec.ValidateParams(p); err != nil {
+			return nil, err
+		}
+	}
+	s.fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			p.Seed = s.Seed
+		}
+	})
+	trials := s.Trials
+	if trials == 0 {
+		trials = sp.TrialCount()
+	}
+	name := sp.Name
+	if name == "" {
+		name = "scenario"
+	}
+	return &Plan{
+		Jobs: runner.TrialJobs(p, trials),
+		Name: name,
+		Descr: fmt.Sprintf("spec %s: %s, %d nodes, %.0fx%.0f m, %v, mobility=%s traffic=%s propagation=%s, %d trials",
+			name, p.Protocol, p.Nodes, p.Terrain.Width, p.Terrain.Height, p.Duration,
+			sp.Mobility.Model, orDefault(sp.Traffic.Model, "cbr"), orDefault(sp.Radio.Propagation, "unit-disk"), trials),
+	}, nil
+}
+
+func orDefault(s, def string) string {
+	if s == "" {
+		return def
+	}
+	return s
+}
+
+// Profiles holds the profiling flags.
+type Profiles struct {
+	CPU, Mem string
+}
+
+// RegisterProfiles binds -cpuprofile and -memprofile onto fs.
+func RegisterProfiles(fs *flag.FlagSet) *Profiles {
+	p := &Profiles{}
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a pprof CPU profile of the whole run to `file`")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a pprof heap profile (after GC, at exit) to `file`")
+	return p
+}
+
+// Start starts CPU profiling (when -cpuprofile was given) and returns a
+// stop function that finishes it and writes a post-GC heap profile (when
+// -memprofile was given). Either may be absent independently.
+func (p *Profiles) Start() (stop func() error, err error) {
+	var cpuF *os.File
+	if p.CPU != "" {
+		f, err := os.Create(p.CPU)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		cpuF = f
+	}
+	return func() error {
+		if cpuF != nil {
+			pprof.StopCPUProfile()
+			if err := cpuF.Close(); err != nil {
+				return fmt.Errorf("cpuprofile: %w", err)
+			}
+		}
+		if p.Mem != "" {
+			f, err := os.Create(p.Mem)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			// Collect garbage first so the profile shows live steady-state
+			// objects, not whatever the last trial left unreclaimed.
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				return fmt.Errorf("memprofile: %w", err)
+			}
+		}
+		return nil
+	}, nil
+}
+
+// Flags holds the shared output and slicing flags after parsing. Zero
+// values mean the flag was not given.
 type Flags struct {
 	// JSONL is the -jsonl per-trial stream path ("" = none).
 	JSONL string
 	// CSV is the -csv per-trial stream path; registered only by binaries
 	// that pass withCSV to Register (the CSV stream cannot be resumed, so
-	// worker-style binaries omit it).
+	// the coordinator omits it).
 	CSV string
 	// Resume continues an interrupted -jsonl stream instead of refusing
 	// to touch it: salvage its complete records, skip their jobs, append
@@ -41,8 +215,7 @@ type Flags struct {
 }
 
 // Register binds the shared flags onto fs. withCSV also registers -csv
-// (cmd/experiments streams CSV; the single-run and daemon binaries do
-// not).
+// (cmd/experiments streams CSV; the coordinator daemon does not).
 func Register(fs *flag.FlagSet, withCSV bool) *Flags {
 	f := &Flags{withCSV: withCSV}
 	fs.StringVar(&f.JSONL, "jsonl", "", "stream per-trial results as JSON lines to this file")
@@ -76,7 +249,7 @@ type Outputs struct {
 	Emitters []runner.Emitter
 	// JSONLFile is the open -jsonl stream, positioned for appending (nil
 	// without -jsonl). The coordinator daemon checkpoints through it
-	// directly; the sweep binaries use the JSONL Emitter instead.
+	// directly; cmd/experiments uses the JSONL Emitter instead.
 	JSONLFile *os.File
 
 	files []*os.File

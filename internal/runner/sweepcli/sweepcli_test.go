@@ -6,10 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"slr/internal/experiments"
 	"slr/internal/geo"
 	"slr/internal/runner"
 	"slr/internal/scenario"
@@ -142,5 +144,136 @@ func TestOpenResumeAndJobsPipeline(t *testing.T) {
 	cli.Shard = runner.ShardSpec{Index: 1, Count: 2} // trials 0, 2 — all salvaged
 	if left := cli.Jobs(jobs, out, io.Discard); len(left) != 0 {
 		t.Fatalf("sharded resume left %d jobs, want 0", len(left))
+	}
+}
+
+// TestPlanJobKeys pins the one plan function to the job lists the three
+// pre-consolidation code paths produced (cmd/experiments' grid and spec
+// branches, cmd/slrserve's inline copy of both):
+// testdata/plan-keys.golden holds their runner.Job.Key strings, in job
+// order, written down from commit 9758638 before those paths were folded
+// into Selection.Plan.
+func TestPlanJobKeys(t *testing.T) {
+	blob, err := os.ReadFile("testdata/plan-keys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{}
+	var section string
+	for _, line := range strings.Split(strings.TrimSpace(string(blob)), "\n") {
+		if name, ok := strings.CutPrefix(line, "# "); ok {
+			section = name
+			continue
+		}
+		want[section] = append(want[section], line)
+	}
+
+	fig7, err := experiments.ReportProtos("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tiny = "../../../examples/scenarios/tiny-smoke.json"
+	for _, tc := range []struct {
+		section string
+		args    []string
+		protos  []scenario.ProtocolName
+		grid    bool
+	}{
+		{"-scale small -trials 2", []string{"-scale", "small", "-trials", "2"}, scenario.AllProtocols, true},
+		{"-scale small -trials 2 -exp fig7", []string{"-scale", "small", "-trials", "2"}, fig7, true},
+		{"-spec tiny-smoke.json -seed 7 -pparam max_denom=1000 -trials 3",
+			[]string{"-spec", tiny, "-seed", "7", "-pparam", "max_denom=1000", "-trials", "3"}, scenario.AllProtocols, false},
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		sel := RegisterSelection(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sel.Plan(tc.protos)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.section, err)
+		}
+		var got []string
+		for _, j := range plan.Jobs {
+			got = append(got, j.Key().String())
+		}
+		if !slices.Equal(got, want[tc.section]) {
+			t.Errorf("%s: job keys diverged from the parent's:\n got %v\nwant %v", tc.section, got, want[tc.section])
+		}
+		if (plan.Scale != nil) != tc.grid || (plan.Name == "") != tc.grid || plan.Descr == "" {
+			t.Errorf("%s: plan labels = scale %v, name %q, descr %q", tc.section, plan.Scale, plan.Name, plan.Descr)
+		}
+		if !tc.grid && plan.Jobs[0].Params.ProtoParams["max_denom"] != 1000 {
+			t.Errorf("%s: -pparam not merged into the jobs: %v", tc.section, plan.Jobs[0].Params.ProtoParams)
+		}
+	}
+}
+
+// TestPlanRules pins the selection rules that used to be copied per
+// binary: a spec keeps its own seed and trial count unless the flags are
+// given, -pparam needs -spec and is re-validated after the merge, and a
+// bad scale, spec or trial count is refused.
+func TestPlanRules(t *testing.T) {
+	const tiny = "../../../examples/scenarios/tiny-smoke.json"
+	plan := func(args ...string) (*Plan, error) {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		sel := RegisterSelection(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return sel.Plan(scenario.AllProtocols)
+	}
+	p, err := plan("-spec", tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Jobs) != 1 || p.Jobs[0].Params.Seed != 1 || p.Name != "tiny-smoke" {
+		t.Errorf("spec defaults: %d jobs, seed %d, name %q", len(p.Jobs), p.Jobs[0].Params.Seed, p.Name)
+	}
+	if p, err = plan("-scale", "small"); err != nil || len(p.Jobs) != 5*8*experiments.Small.Trials {
+		t.Errorf("scale default trials: %v, %v", p, err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "galactic"}, "unknown scale"},
+		{[]string{"-spec", "no-such-spec"}, "no-such-spec"},
+		{[]string{"-pparam", "ttl_0=30"}, "-pparam requires -spec"},
+		{[]string{"-spec", tiny, "-pparam", "no_such_knob=1"}, "no_such_knob"},
+		{[]string{"-trials", "-1"}, "-trials"},
+	} {
+		if _, err := plan(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Plan(%v) = %v, want an error mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestProfilesWriteBothFiles: -cpuprofile and -memprofile each leave a
+// non-empty pprof file once the stop function has run, and neither flag
+// given means nothing is written and nothing fails.
+func TestProfilesWriteBothFiles(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	prof := RegisterProfiles(fs)
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := prof.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
+		}
+	}
+	stop, err = (&Profiles{}).Start()
+	if err != nil || stop() != nil {
+		t.Errorf("no profiling flags: start %v", err)
 	}
 }

@@ -205,45 +205,57 @@ func (s *ScenarioSpec) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("spec: version %d unsupported (want %d)", s.Version, Version)
 	}
-	if s.Nodes < 2 {
-		return fmt.Errorf("spec: nodes %d must be >= 2", s.Nodes)
-	}
-	if s.Terrain.WidthM <= 0 || s.Terrain.HeightM <= 0 {
-		return fmt.Errorf("spec: terrain %vx%v must be positive", s.Terrain.WidthM, s.Terrain.HeightM)
-	}
-	if s.DurationSeconds <= 0 {
-		return fmt.Errorf("spec: duration_seconds %v must be positive", s.DurationSeconds)
-	}
 	if s.Trials < 0 {
 		return fmt.Errorf("spec: trials %d must be >= 0", s.Trials)
-	}
-	if s.Radio.RangeM <= 0 {
-		return fmt.Errorf("spec: radio range_m %v must be positive", s.Radio.RangeM)
-	}
-	if err := routing.Validate(routing.Spec{Name: s.Protocol, Params: s.ProtocolParams}); err != nil {
-		return fmt.Errorf("spec: %w", err)
 	}
 	if !slices.Contains(mobility.Models(), s.Mobility.Model) {
 		return fmt.Errorf("spec: unknown mobility model %q (registered: %v)", s.Mobility.Model, mobility.Models())
 	}
-	if s.Mobility.MaxSpeedMps < s.Mobility.MinSpeedMps || s.Mobility.MinSpeedMps < 0 {
-		return fmt.Errorf("spec: mobility speeds [%v, %v] invalid", s.Mobility.MinSpeedMps, s.Mobility.MaxSpeedMps)
-	}
 	if tm := s.Traffic.Model; tm != "" && !slices.Contains(traffic.Models(), tm) {
 		return fmt.Errorf("spec: unknown traffic model %q (registered: %v)", tm, traffic.Models())
-	}
-	if s.Traffic.Flows <= 0 || s.Traffic.RatePps <= 0 || s.Traffic.PacketSizeBytes <= 0 ||
-		s.Traffic.MeanLifeSeconds <= 0 {
-		return fmt.Errorf("spec: traffic flows=%d rate_pps=%v packet_size_bytes=%d mean_life_seconds=%v must all be positive",
-			s.Traffic.Flows, s.Traffic.RatePps, s.Traffic.PacketSizeBytes, s.Traffic.MeanLifeSeconds)
 	}
 	if pm := s.Radio.Propagation; pm != "" && !slices.Contains(radio.PropagationModels(), pm) {
 		return fmt.Errorf("spec: unknown propagation %q (registered: %v)", pm, radio.PropagationModels())
 	}
-	// Dry-build the models so parameter errors (bad block_m, negative
-	// sigma) surface at load time with the spec's vocabulary.
-	p := s.params()
-	if _, err := mobility.Build(p.Terrain, nullRng(), p.Mobility); err != nil {
+	return ValidateParams(s.params())
+}
+
+// ValidateParams is the one statement of what a runnable scenario is: the
+// rules every spec passes at load time, applied to resolved parameters so
+// that values arriving another way (cmd/slrsim's flags overlaid on a
+// spec) are refused exactly as the same values in a spec file would be.
+// It also dry-builds the models, so parameter errors (bad block_m,
+// negative sigma) surface before any simulator exists.
+func ValidateParams(p scenario.Params) error {
+	if p.Nodes < 2 {
+		return fmt.Errorf("spec: nodes %d must be >= 2", p.Nodes)
+	}
+	if p.Terrain.Width <= 0 || p.Terrain.Height <= 0 {
+		return fmt.Errorf("spec: terrain %vx%v must be positive", p.Terrain.Width, p.Terrain.Height)
+	}
+	if p.Duration <= 0 {
+		return fmt.Errorf("spec: duration_seconds %v must be positive", p.Duration.Seconds())
+	}
+	if p.Range <= 0 {
+		return fmt.Errorf("spec: radio range_m %v must be positive", p.Range)
+	}
+	if err := routing.Validate(routing.Spec{Name: string(p.Protocol), Params: p.ProtoParams}); err != nil {
+		return fmt.Errorf("spec: %w", err)
+	}
+	if p.MaxSpeed < p.MinSpeed || p.MinSpeed < 0 {
+		return fmt.Errorf("spec: mobility speeds [%v, %v] invalid", p.MinSpeed, p.MaxSpeed)
+	}
+	if p.Traffic.Flows <= 0 || p.Traffic.Rate <= 0 || p.Traffic.PacketSize <= 0 || p.Traffic.MeanLife <= 0 {
+		return fmt.Errorf("spec: traffic flows=%d rate_pps=%v packet_size_bytes=%d mean_life_seconds=%v must all be positive",
+			p.Traffic.Flows, p.Traffic.Rate, p.Traffic.PacketSize, p.Traffic.MeanLife.Seconds())
+	}
+	mob := p.Mobility
+	if mob.Model == "" {
+		// The paper's random waypoint, from the scalar fields (as
+		// scenario.Run resolves it).
+		mob = mobility.Spec{Model: "waypoint", MinSpeed: p.MinSpeed, MaxSpeed: p.MaxSpeed, Pause: p.Pause}
+	}
+	if _, err := mobility.Build(p.Terrain, nullRng(), mob); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 	if _, err := traffic.NewPacer(p.Traffic); err != nil {

@@ -41,7 +41,7 @@ func TestServiceMatchesSerialRun(t *testing.T) {
 	for i, j := range jobs {
 		serial[i] = runner.NewRecord(j, results[i])
 	}
-	serialReport := experiments.MergeRecords(serial).TrialsReport()
+	serialReport := experiments.MergeRecords(serial).TrialsReport("")
 
 	// The service: short lease timeout so the killed worker's batch
 	// returns to the pool within the test's lifetime.

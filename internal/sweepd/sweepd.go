@@ -302,40 +302,22 @@ func (c *Coordinator) Records() []runner.Record {
 }
 
 // Report renders the named analysis over the records accepted so far,
-// through the same merge entry point as cmd/slranalyze — so a finished
-// sweep's report is byte-identical to running slranalyze over the
-// checkpoint, and to the single-process sweep's own output. "trials"
-// groups by (protocol, pause) with no grid geometry; the grid views
-// (all, table1, fig3..fig7, percentiles, shape) need the coordinator to
-// have been built with a Scale.
+// through the same merge entry point and renderer as cmd/slranalyze — so a
+// finished sweep's report is byte-identical to running slranalyze over
+// the checkpoint, and to the single-process sweep's own output. "trials"
+// (the default) groups by (protocol, pause) with no grid geometry; the
+// grid views need the coordinator to have been built with a Scale.
 func (c *Coordinator) Report(kind string) (string, error) {
-	merged := experiments.MergeRecords(c.Records())
-	if kind == "" || kind == "trials" {
-		return merged.TrialsReport(), nil
+	if kind == "" {
+		kind = "trials"
 	}
-	if c.scale == nil {
-		return "", fmt.Errorf("report %q needs the sweep's grid scale; this coordinator runs a scale-less spec sweep (use report=trials)", kind)
+	rep, err := experiments.MergeRecords(c.Records()).Render(kind, c.scale, nil)
+	if err != nil {
+		return "", err
 	}
-	grid, leftover := merged.Grid(*c.scale)
-	var prefix string
-	if len(leftover) > 0 {
-		prefix = fmt.Sprintf("warning: %d records match no %s-scale pause time; analyzing the rest\n",
-			len(leftover), c.scale.Name)
+	if len(rep.Leftover) > 0 {
+		return fmt.Sprintf("warning: %d records match no %s-scale pause time; analyzing the rest\n%s",
+			len(rep.Leftover), c.scale.Name, rep.Text), nil
 	}
-	switch kind {
-	case "all":
-		return prefix + grid.Report(), nil
-	case "table1":
-		return prefix + grid.Table1(), nil
-	case "percentiles":
-		return prefix + grid.LatencyPercentileTable(), nil
-	case "shape":
-		return prefix + grid.ShapeReport(), nil
-	default:
-		m := experiments.MetricByName[kind]
-		if m == nil {
-			return "", fmt.Errorf("unknown report %q (want trials, all, table1, fig3..fig7, percentiles, shape)", kind)
-		}
-		return prefix + grid.FigureTable(*m), nil
-	}
+	return rep.Text, nil
 }
