@@ -17,8 +17,8 @@
 //   - floatfmt: shortest-form float formatting outside runner.Key, the
 //     PR 6 canonical codec that keeps identity keys injective and equal
 //     to the JSON encoder's rendering.
-//   - pooledescape: pooled values (*sim.Event, control envelopes, radio
-//     rx nodes) retained past the callback that received them — the
+//   - pooledescape: pooled values (*sim.Event, control envelopes)
+//     retained past the callback that received them — the
 //     use-after-recycle hazard of the PR 1/PR 3 pooling.
 //
 // Deliberate exceptions carry //slrlint:allow <analyzer> <reason> on or

@@ -1,9 +1,9 @@
 // Package pooledescape defines an analyzer that flags retaining a pooled
 // value past the callback that received it. The PR 1/PR 3 pooling made
-// *sim.Event, netstack's control envelopes and radio's rx nodes recycled
-// storage: the owner reuses them the moment the callback returns, so a
-// copy parked in a struct field, package variable or channel is a
-// use-after-recycle bug that manifests as another event's data. The
+// *sim.Event and netstack's control envelopes recycled storage: the owner
+// reuses them the moment the callback returns, so a copy parked in a
+// struct field, package variable or channel is a use-after-recycle bug
+// that manifests as another event's data. The
 // sanctioned way to keep a reference is a generation-checked handle
 // (sim.Timer), which turns stale use into a no-op.
 package pooledescape
@@ -18,8 +18,8 @@ import (
 const doc = `flag pooled values retained past the callback that received them
 
 Reports storing a pointer to a pooled type (pooledTypes: *sim.Event,
-netstack's control envelopes, radio's rx nodes) into a struct field,
-package variable, element of either, or a channel. Local variables and
+netstack's control envelopes) into a struct field, package variable,
+element of either, or a channel. Local variables and
 direct use inside the receiving callback are fine; so is each pool's own
 package, whose freelists legitimately retain their nodes. Deliberate
 retention elsewhere annotates with //slrlint:allow pooledescape <reason>.
@@ -34,7 +34,6 @@ stale use a safe no-op — so reach for that instead of a bare copy.`
 var pooledTypes = slrlint.List{
 	"slr/internal/sim.Event",
 	"slr/internal/netstack.controlEnvelope",
-	"slr/internal/radio.rx",
 }
 
 // Analyzer is the pooledescape analyzer.

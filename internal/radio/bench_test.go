@@ -14,10 +14,11 @@ import (
 // benchChannel measures Transmit cost (audible-set lookup plus reception
 // bookkeeping) for n mobile stations on the 3000x3000 m terrain of the
 // 500-node example scenarios. The tier names a fading propagation model,
-// or is "grid" — the name the unit-disk tiers have in the committed
-// BENCH_<n>.json trajectory. It reports how often the channel had to ask
-// the model for a link's range: under unit-disk once per in-range
-// candidate, under a fading model only on a memo miss.
+// or is "grid" for unit-disk. It reports how often the channel had to ask
+// the model for a link's range — under unit-disk once per in-range
+// candidate, under a fading model only on a memo miss — and how many
+// kernel events a transmission cost: one when anybody hears it, whatever
+// the hearer count.
 func benchChannel(b *testing.B, n int, tier string) {
 	s := sim.New(1)
 	p := DefaultParams()
@@ -35,6 +36,7 @@ func benchChannel(b *testing.B, n int, tier string) {
 	calls := &callCounter{Propagation: ch.prop}
 	ch.prop = calls
 	f := &Frame{To: Broadcast, Kind: Data, Size: 64}
+	fired := s.Fired()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.From = NodeID(i % n)
@@ -44,6 +46,7 @@ func benchChannel(b *testing.B, n int, tier string) {
 		s.RunUntil(s.Now() + 2*time.Millisecond)
 	}
 	b.ReportMetric(float64(calls.n)/float64(b.N), "linkrange-calls/op")
+	b.ReportMetric(float64(s.Fired()-fired)/float64(b.N), "events/op")
 }
 
 // callCounter counts LinkRange calls and nothing else, so the wrapper adds

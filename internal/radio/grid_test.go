@@ -316,7 +316,7 @@ func TestMemoMatchesOracle(t *testing.T) {
 }
 
 // TestTransmitSteadyStateAllocs verifies that once every station has
-// transmitted (memos, reception pool and event pool are warm) a
+// transmitted (memos, transmission pool and event pool are warm) a
 // transmission and its receptions allocate nothing under a fading model,
 // evictions included.
 func TestTransmitSteadyStateAllocs(t *testing.T) {

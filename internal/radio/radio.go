@@ -19,6 +19,11 @@
 // Propagation is pure by contract; the O(N) scan that calls LinkRange
 // directly survives as the oracle in this package's tests, and the two are
 // identical hit for hit.
+//
+// Propagation delay is zero, so every reception of a frame ends at the
+// same instant: a transmission costs the kernel one end-of-air event, not
+// one per hearer, and that event settles the frame's receptions one after
+// another in registration order (see transmission).
 package radio
 
 import (
@@ -112,19 +117,32 @@ func DefaultParams() Params {
 	}
 }
 
-// rx tracks one in-progress reception at a station. rx structs are pooled
-// per Channel: a reception is the hottest allocation in a run (every frame
-// allocates one per audible receiver), so endReception returns them to a
-// freelist and allocRx reuses them, together with their end-of-reception
-// closure (built once per pooled node, capturing only the node itself).
+// rx tracks one in-progress reception at a station. It lives by value in
+// its transmission's record; the station's active list points at it there
+// for as long as the frame is on the air.
 type rx struct {
-	frame     *Frame
+	st        *station // receiving station
 	corrupted bool
 	// dist is the sender-receiver distance at transmission start, used
 	// for the capture comparison.
 	dist float64
-	st   *station // receiving station, set for the node's current life
-	done func()   // calls endReception(rx); allocated once per node
+}
+
+// transmission is one frame on the air: its receptions in registration
+// order and the single kernel event that ends them all. Records are pooled
+// per Channel — a dozen or more stations hear every frame of a paper-shaped
+// run, so a reception is the hottest object there is — and a record keeps
+// its rxs capacity and its closure (built once, capturing only the record)
+// across lives, which is what makes a steady-state Transmit allocate
+// nothing. rxs is sized before the first address into it is taken and
+// never grows while the frame is on the air, and the record goes back to
+// the freelist only after endOfAir has walked all of it, so a Transmit
+// made from inside that walk can neither move nor be handed the receptions
+// still being settled.
+type transmission struct {
+	frame *Frame
+	rxs   []rx
+	done  func() // calls endOfAir(transmission); allocated once per record
 }
 
 // station is per-node channel state. It is kept to 128 bytes — two cache
@@ -179,8 +197,8 @@ type Channel struct {
 	byID   []*station
 	byIdx  []*station // stations in registration order, the deterministic iteration key
 	grid   *grid
-	hits   []hit // scratch for audible-set results
-	freeRx []*rx // reception freelist (see rx)
+	hits   []hit           // scratch for audible-set results
+	freeTx []*transmission // transmission freelist (see transmission)
 	// maxRange is prop.MaxRange(), fixed for the run; maxRange2 its square.
 	maxRange, maxRange2 float64
 
@@ -232,14 +250,28 @@ func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
 }
 
 // station resolves id through the dense table, falling back to the map
-// for IDs outside it.
+// for IDs outside it. Every entry point that takes a NodeID goes through
+// it, so an id nobody registered (a wiring bug) panics by name instead of
+// dereferencing nil.
 func (c *Channel) station(id NodeID) *station {
 	if id >= 0 && int(id) < len(c.byID) {
 		if st := c.byID[id]; st != nil {
 			return st
 		}
 	}
-	return c.stations[id]
+	if st := c.stations[id]; st != nil {
+		return st
+	}
+	panic(unregistered(id))
+}
+
+// unregistered is station's panic value. A call to fmt in station itself
+// would put it, and with it Busy and IdleAt, over the inlining budget; as a
+// value the message is only built if somebody prints it.
+type unregistered NodeID
+
+func (u unregistered) Error() string {
+	return fmt.Sprintf("radio: unregistered station %d", NodeID(u))
 }
 
 // AirTime returns how long a frame of size bytes occupies the medium.
@@ -269,17 +301,7 @@ func (c *Channel) SetNAV(id NodeID, until sim.Time) {
 // sense the medium idle, based on currently known transmissions and NAV.
 func (c *Channel) IdleAt(id NodeID) sim.Time {
 	st := c.station(id)
-	t := c.sim.Now()
-	if st.txUntil > t {
-		t = st.txUntil
-	}
-	if st.busyTill > t {
-		t = st.busyTill
-	}
-	if st.navUntil > t {
-		t = st.navUntil
-	}
-	return t
+	return max(c.sim.Now(), st.txUntil, st.busyTill, st.navUntil)
 }
 
 // Transmitting reports whether station id is transmitting right now.
@@ -377,9 +399,6 @@ func (c *Channel) Collisions() uint64 { return c.collisions }
 // overlap of audible frames at a station corrupts all of them.
 func (c *Channel) Transmit(f *Frame) {
 	sender := c.station(f.From)
-	if sender == nil {
-		panic(fmt.Sprintf("radio: transmit from unregistered station %d", f.From))
-	}
 	now := c.sim.Now()
 	air := c.AirTime(f.Size)
 	end := now + air
@@ -397,29 +416,41 @@ func (c *Channel) Transmit(f *Frame) {
 	}
 
 	pos := sender.mob.Position(now)
-	for _, h := range c.audible(sender, pos) {
-		c.beginReception(h.st, f, end, h.d2)
+	hits := c.audible(sender, pos)
+	if len(hits) == 0 {
+		return
 	}
+	t := c.allocTx(f, len(hits))
+	for i, h := range hits {
+		c.beginReception(&t.rxs[i], h.st, end, h.d2)
+	}
+	c.sim.At(end, t.done)
 }
 
-// allocRx takes a reception node from the freelist, or builds a fresh one
-// with its reusable end-of-reception closure.
-func (c *Channel) allocRx(st *station, f *Frame, dist float64) *rx {
-	var r *rx
-	if n := len(c.freeRx); n > 0 {
-		r = c.freeRx[n-1]
-		c.freeRx[n-1] = nil
-		c.freeRx = c.freeRx[:n-1]
+// allocTx takes a transmission record from the freelist, or builds a fresh
+// one with its reusable end-of-air closure, and sizes it for n receptions.
+func (c *Channel) allocTx(f *Frame, n int) *transmission {
+	var t *transmission
+	if k := len(c.freeTx); k > 0 {
+		t = c.freeTx[k-1]
+		c.freeTx[k-1] = nil
+		c.freeTx = c.freeTx[:k-1]
 	} else {
-		r = &rx{}
-		r.done = func() { c.endReception(r) }
+		t = &transmission{}
+		t.done = func() { c.endOfAir(t) }
 	}
-	r.st, r.frame, r.dist, r.corrupted = st, f, dist, false
-	return r
+	t.frame = f
+	if cap(t.rxs) < n {
+		t.rxs = make([]rx, n)
+	}
+	t.rxs = t.rxs[:n]
+	return t
 }
 
-func (c *Channel) beginReception(st *station, f *Frame, end sim.Time, dist2 float64) {
-	r := c.allocRx(st, f, math.Sqrt(dist2))
+// beginReception starts reception r, a slot of its transmission's record,
+// at st, of a frame sent from dist2 (squared) away and ending at end.
+func (c *Channel) beginReception(r *rx, st *station, end sim.Time, dist2 float64) {
+	*r = rx{st: st, dist: math.Sqrt(dist2)}
 	// Overlapping receptions corrupt each other unless one captures: its
 	// sender is CaptureRatio times closer than the interferer's.
 	for _, other := range st.active {
@@ -441,7 +472,6 @@ func (c *Channel) beginReception(st *station, f *Frame, end sim.Time, dist2 floa
 	if st.busyTill < end {
 		st.busyTill = end
 	}
-	c.sim.At(end, r.done)
 }
 
 // captures reports whether reception r survives interference from other:
@@ -453,26 +483,31 @@ func (c *Channel) captures(r, other *rx) bool {
 	return other.dist >= c.p.CaptureRatio*r.dist
 }
 
-func (c *Channel) endReception(r *rx) {
-	st := r.st
-	// Remove r from the active set.
-	for i, other := range st.active {
-		if other == r {
-			st.active[i] = st.active[len(st.active)-1]
-			st.active[len(st.active)-1] = nil
-			st.active = st.active[:len(st.active)-1]
-			break
+// endOfAir ends t's receptions one at a time, in registration order: each
+// leaves its station's active set and only then, if still clean, is
+// delivered. A receiver that transmits from OnFrame therefore finds the
+// later hearers still receiving t, and the new frame and theirs corrupt
+// each other — which is why corruption is read at each reception's turn
+// and never up front.
+func (c *Channel) endOfAir(t *transmission) {
+	for i := range t.rxs {
+		r := &t.rxs[i]
+		st := r.st
+		for j, other := range st.active {
+			if other == r {
+				last := len(st.active) - 1
+				st.active[j] = st.active[last]
+				st.active[last] = nil
+				st.active = st.active[:last]
+				break
+			}
+		}
+		// A transmission that started while r was on the air has already
+		// corrupted it (beginReception / Transmit handle both directions).
+		if !r.corrupted && st.recv != nil {
+			st.recv.OnFrame(t.frame)
 		}
 	}
-	frame, corrupted := r.frame, r.corrupted
-	r.frame, r.st = nil, nil
-	c.freeRx = append(c.freeRx, r)
-	// A transmission that started while r was on the air has already
-	// corrupted it (beginReception / Transmit handle both directions).
-	if corrupted {
-		return
-	}
-	if st.recv != nil {
-		st.recv.OnFrame(frame)
-	}
+	t.frame = nil
+	c.freeTx = append(c.freeTx, t)
 }

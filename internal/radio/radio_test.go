@@ -12,11 +12,19 @@ import (
 	"slr/internal/sim"
 )
 
+// recorder records the frames a station decodes, then runs on if set —
+// which may transmit synchronously, the way the MAC answers a frame.
 type recorder struct {
 	frames []*Frame
+	on     func(f *Frame)
 }
 
-func (r *recorder) OnFrame(f *Frame) { r.frames = append(r.frames, f) }
+func (r *recorder) OnFrame(f *Frame) {
+	r.frames = append(r.frames, f)
+	if r.on != nil {
+		r.on(f)
+	}
+}
 
 // build places stations at the given x coordinates (y = 0) on a channel
 // with 100 m range.
@@ -300,5 +308,124 @@ func TestCaptureDisabled(t *testing.T) {
 	s.Run()
 	if len(recs[0].frames) != 0 {
 		t.Fatalf("capture disabled but frame decoded: %v", recs[0].frames)
+	}
+}
+
+// TestSameInstantTransmitFromOnFrame pins how a frame's receptions end:
+// one at a time in registration order, each leaving its station's active
+// set before it is delivered. A, B, C are mutually in range; B answers A's
+// frame from OnFrame, at the very instant it ends. C is still receiving
+// A's frame then, so at C the two frames corrupt each other (C's distances
+// to A and B, 60 and 50 m, are too alike for capture), while A — no
+// longer transmitting — decodes B's.
+func TestSameInstantTransmitFromOnFrame(t *testing.T) {
+	s, ch, h := build(t, 0, 10, 60)
+	var busyAtC, busyAtB bool
+	h[1].on = func(f *Frame) {
+		busyAtB, busyAtC = ch.Busy(1), ch.Busy(2)
+		ch.Transmit(&Frame{From: 1, To: Broadcast, Kind: Data, Size: 100, Seq: 2})
+	}
+	ch.Transmit(&Frame{From: 0, To: Broadcast, Kind: Data, Size: 100, Seq: 1})
+	s.Run()
+	if len(h[1].frames) != 1 || h[1].frames[0].Seq != 1 {
+		t.Fatalf("B got %v, want A's frame", h[1].frames)
+	}
+	if busyAtB || !busyAtC {
+		t.Fatalf("inside B's OnFrame: Busy(B)=%v Busy(C)=%v, want false (its reception is over) and true (C's is not)", busyAtB, busyAtC)
+	}
+	if len(h[2].frames) != 0 {
+		t.Fatalf("C decoded %v; A's frame was still on the air at C when B transmitted, so both are lost there", h[2].frames)
+	}
+	if len(h[0].frames) != 1 || h[0].frames[0].Seq != 2 {
+		t.Fatalf("A got %v, want B's frame", h[0].frames)
+	}
+	if ch.Collisions() != 2 {
+		t.Fatalf("Collisions = %d, want 2 (A's and B's frames, both at C)", ch.Collisions())
+	}
+	if ch.Busy(0) || ch.Busy(1) || ch.Busy(2) {
+		t.Fatal("a station is busy after the run drained")
+	}
+}
+
+// TestOneEventPerTransmission verifies a transmission costs the kernel one
+// event however many stations hear it, and none when nobody does.
+func TestOneEventPerTransmission(t *testing.T) {
+	for _, hearers := range []int{1, 5, 40} {
+		xs := make([]float64, hearers+1)
+		for i := range xs {
+			xs[i] = float64(2 * i)
+		}
+		s, ch, recs := build(t, xs...)
+		for i := 0; i < 3; i++ {
+			before := s.Fired()
+			ch.Transmit(&Frame{From: 0, To: Broadcast, Kind: Data, Size: 100})
+			if s.Pending() != 1 {
+				t.Fatalf("%d hearers: %d events pending after Transmit, want 1", hearers, s.Pending())
+			}
+			s.Run()
+			if got := s.Fired() - before; got != 1 {
+				t.Fatalf("%d hearers: transmission fired %d events, want 1", hearers, got)
+			}
+		}
+		for i, r := range recs[1:] {
+			if len(r.frames) != 3 {
+				t.Fatalf("%d hearers: station %d got %d frames, want 3", hearers, i+1, len(r.frames))
+			}
+		}
+	}
+	s, ch, _ := build(t, 0, 500)
+	ch.Transmit(&Frame{From: 0, To: Broadcast, Kind: Data, Size: 100})
+	if s.Pending() != 0 {
+		t.Fatalf("a transmission nobody hears left %d events pending, want 0", s.Pending())
+	}
+}
+
+// TestSameInstantEndsDeliverInScheduleOrder verifies two transmissions that
+// end at the same instant are delivered whole, one after the other, in the
+// order they were put on the air — not merged by registration order, which
+// here runs the other way.
+func TestSameInstantEndsDeliverInScheduleOrder(t *testing.T) {
+	// Late pair registered first: stations 0, 1 at 1000, 1050 and the early
+	// pair 2, 3 at 0, 50, out of each other's range.
+	s, ch, h := build(t, 1000, 1050, 0, 50)
+	var order []uint32
+	for _, x := range h {
+		x.on = func(f *Frame) { order = append(order, f.Seq) }
+	}
+	long, short := 200, 100
+	ch.Transmit(&Frame{From: 2, To: Broadcast, Kind: Data, Size: long, Seq: 1})
+	s.At(ch.AirTime(long)-ch.AirTime(short), func() {
+		ch.Transmit(&Frame{From: 0, To: Broadcast, Kind: Data, Size: short, Seq: 2})
+	})
+	s.Run()
+	if s.Now() != ch.AirTime(long) {
+		t.Fatalf("run ended at %v, want both frames to end at %v", s.Now(), ch.AirTime(long))
+	}
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("delivery order %v, want [1 2]", order)
+	}
+}
+
+// TestUnregisteredStationPanics verifies every entry point that takes a
+// station id names an id nobody registered instead of dereferencing nil.
+func TestUnregisteredStationPanics(t *testing.T) {
+	_, ch, _ := build(t, 0, 50)
+	for _, id := range []NodeID{7, -3} {
+		for _, c := range []struct {
+			name string
+			call func()
+		}{
+			{"Busy", func() { ch.Busy(id) }},
+			{"IdleAt", func() { ch.IdleAt(id) }},
+			{"SetNAV", func() { ch.SetNAV(id, time.Second) }},
+			{"Transmitting", func() { ch.Transmitting(id) }},
+			{"Position", func() { ch.Position(id) }},
+			{"Neighbors", func() { ch.Neighbors(id) }},
+			{"Transmit", func() { ch.Transmit(&Frame{From: id, To: Broadcast, Kind: Data, Size: 10}) }},
+		} {
+			t.Run(fmt.Sprintf("%s/%d", c.name, id), func(t *testing.T) {
+				mustPanic(t, c.call, fmt.Sprintf("radio: unregistered station %d", id))
+			})
+		}
 	}
 }

@@ -124,7 +124,10 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // SetEventLimit bounds the total number of events fired by Run; 0 removes
-// the bound. It is a guard against runaway event storms in tests.
+// the bound. It is a guard against runaway event storms in tests. A limit
+// stops the run between two events, and the radio ends all of a frame's
+// receptions in one: the run can halt between two transmissions' ends of
+// air, never between two receptions of one frame.
 func (s *Simulator) SetEventLimit(n uint64) { s.maxGas = n }
 
 // Fired returns the number of events executed so far.
