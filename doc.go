@@ -113,8 +113,9 @@
 // The routing control plane shares one toolkit: internal/routing/rcommon
 // owns the drop-reason vocabulary, discovery queues with retry and
 // hold-down bookkeeping, RREQ/RERR rate limiters, the periodic beaconer,
-// the hello/link-liveness neighbor table, and duplicate-flood
-// suppression. internal/routing/rtest's conformance suite runs every
+// the hello/link-liveness neighbor table, duplicate-flood suppression,
+// and the flat by-value id table (IDTable) that holds SRP's routes and
+// RREQ state. internal/routing/rtest's conformance suite runs every
 // registered protocol through a shared contract: quiet before Start,
 // idempotent Start, deterministic replay at any worker count, and drops
 // only from the canonical vocabulary.

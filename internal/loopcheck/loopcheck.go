@@ -3,9 +3,13 @@
 // harness and the scenario runner's invariant checking.
 package loopcheck
 
+import "slices"
+
 // FindCycle returns a directed cycle in adj as a node sequence whose first
 // and last elements coincide, or nil if the graph is acyclic. The search is
-// iterative, so deep graphs cannot overflow the stack.
+// iterative, so deep graphs cannot overflow the stack. The report is
+// canonical: roots are tried in ascending id order and the cycle starts at
+// its smallest id, so one graph always prints one way.
 func FindCycle(adj map[int][]int) []int {
 	const (
 		white = 0
@@ -14,7 +18,12 @@ func FindCycle(adj map[int][]int) []int {
 	)
 	color := make(map[int]int, len(adj))
 
-	for root := range adj {
+	roots := make([]int, 0, len(adj))
+	for n := range adj {
+		roots = append(roots, n)
+	}
+	slices.Sort(roots)
+	for _, root := range roots {
 		if color[root] != white {
 			continue
 		}
@@ -36,7 +45,8 @@ func FindCycle(adj map[int][]int) []int {
 			top.next++
 			switch color[m] {
 			case gray:
-				// Back edge: the cycle is the stack suffix from m.
+				// Back edge: the cycle is the stack suffix from m,
+				// rotated to start at its smallest id.
 				var cycle []int
 				for i := range stack {
 					if stack[i].node == m {
@@ -46,7 +56,9 @@ func FindCycle(adj map[int][]int) []int {
 						break
 					}
 				}
-				return append(cycle, m)
+				lo := slices.Index(cycle, slices.Min(cycle))
+				cycle = append(cycle[lo:], cycle[:lo]...)
+				return append(cycle, cycle[0])
 			case white:
 				color[m] = gray
 				stack = append(stack, frame{node: m})

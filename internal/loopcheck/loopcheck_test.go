@@ -2,6 +2,7 @@ package loopcheck
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,6 +97,26 @@ func TestRandomGraphWithKnownCycle(t *testing.T) {
 		adj[c] = append(adj[c], a)
 		if FindCycle(adj) == nil {
 			t.Fatalf("trial %d: planted cycle not found", trial)
+		}
+	}
+}
+
+// TestCycleReportIsCanonical: a violation must print the same way on every
+// run, whatever order the map hands out roots in.
+func TestCycleReportIsCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		adj  func() map[int][]int
+		want []int
+	}{
+		{"two-node", func() map[int][]int { return map[int][]int{6: {4}, 4: {6}, 2: {}, 8: {6}} }, []int{4, 6, 4}},
+		{"three-node", func() map[int][]int { return map[int][]int{9: {7}, 7: {3}, 3: {9}, 1: {7}, 5: {1}} }, []int{3, 9, 7, 3}},
+		{"two cycles", func() map[int][]int { return map[int][]int{12: {11}, 11: {12}, 21: {20}, 20: {21}} }, []int{11, 12, 11}},
+	} {
+		for i := 0; i < 50; i++ {
+			if got := FindCycle(tc.adj()); !slices.Equal(got, tc.want) {
+				t.Fatalf("%s, run %d: cycle %v, want %v", tc.name, i, got, tc.want)
+			}
 		}
 	}
 }

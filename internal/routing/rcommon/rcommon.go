@@ -10,7 +10,17 @@
 //     sim timers (beacon.go),
 //   - the hello/link-liveness neighbor table (neighbors.go),
 //   - duplicate-flood suppression keyed on (originator, id) (dupcache.go),
-//   - and sequence-number wraparound comparisons (seqno.go).
+//   - sequence-number wraparound comparisons (seqno.go),
+//   - and IDTable, the flat table protocol state keyed by a node id or an
+//     (originator, id) pair lives in (idtable.go).
+//
+// Node ids are dense 0…N-1, so per-destination state is an indexing
+// problem, not a hashing one — but not an [N]-array one either: 5000 nodes
+// with a slot per destination is 25 M slots for tables that hold dozens.
+// IDTable keeps values by value in a slab sized to what a node has
+// actually heard of, behind a small int32 index; there is no heap object
+// per entry, and a pointer into the slab is good only until the table's
+// next Put or Delete.
 //
 // Every helper is a pure extraction: porting a protocol onto rcommon must
 // not change its packet trace. Helpers therefore never draw randomness

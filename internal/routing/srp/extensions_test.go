@@ -70,10 +70,10 @@ func TestRackRequested(t *testing.T) {
 
 func TestMultipathPolicies(t *testing.T) {
 	now := sim.Time(0)
-	r := &route{succ: map[netstack.NodeID]*successor{
-		1: {dist: 2, expiry: sim.Time(time.Minute)},
-		2: {dist: 1, expiry: sim.Time(time.Minute)},
-		3: {dist: 2, expiry: sim.Time(time.Minute)},
+	r := &route{succ: []successor{
+		{id: 1, dist: 2, expiry: sim.Time(time.Minute)},
+		{id: 2, dist: 1, expiry: sim.Time(time.Minute)},
+		{id: 3, dist: 2, expiry: sim.Time(time.Minute)},
 	}}
 	// MinHop always picks 2.
 	for i := 0; i < 5; i++ {

@@ -198,3 +198,32 @@ func TestAgedControlDropped(t *testing.T) {
 		t.Fatal("aged RREQ relayed past DELETE_PERIOD")
 	}
 }
+
+// TestHandleRREQAllocs pins what a flood costs the heap. Routes, successor
+// sets and computation state live by value in slabs, so a duplicate of an
+// engaged computation — what a node hears a dozen times per flood, each
+// copy re-advertising the source — allocates nothing, and a new
+// computation from a source already routed allocates only the relayed
+// copy and its jitter closure.
+func TestHandleRREQAllocs(t *testing.T) {
+	_, pr, _ := relayWorld(t, DefaultConfig())
+	req := rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU,
+		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second}
+	pr.handleRREQ(1, &req)
+	if len(pr.SuccessorsOf(5)) != 1 {
+		t.Fatal("the advertisement piece built no reverse route")
+	}
+
+	if n := testing.AllocsPerRun(200, func() { pr.handleRREQ(1, &req) }); n != 0 {
+		t.Errorf("duplicate RREQ: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		req.RreqID++
+		pr.handleRREQ(1, &req)
+	}); n > 2 {
+		t.Errorf("new computation from a routed source: %v allocs, want <= 2", n)
+	}
+	if got := pr.rreqs.Len(); got != 1+1+200 { // AllocsPerRun warms up once
+		t.Fatalf("%d computations engaged, want 202", got)
+	}
+}

@@ -179,8 +179,13 @@ type Protocol struct {
 	seqIncrements uint64
 
 	rreqID uint32
-	routes map[netstack.NodeID]*route
-	rreqs  map[rreqKey]*rreqState
+	// routes is keyed by destination id, rreqs by rreqKey. A *route or
+	// *rreqState taken from either is valid until the next Put or Delete
+	// on that table (see rcommon.IDTable): nothing may hold one across a
+	// call that can add a route or a computation, and no closure may
+	// capture one.
+	routes rcommon.IDTable[route]
+	rreqs  rcommon.IDTable[rreqState]
 	// disc owns the pending discoveries, their packet queues, and the
 	// post-failure hold-down.
 	disc *rcommon.DiscoveryTable
@@ -192,8 +197,8 @@ type Protocol struct {
 	helloBeacon rcommon.Beaconer
 	started     bool
 	// helloCursor rotates the HelloFanout window over the (sorted) active
-	// destinations, so which routes a HELLO advertises is deterministic
-	// instead of following map iteration order.
+	// destinations, so which routes a HELLO advertises does not depend on
+	// the order of the routes table.
 	helloCursor uint32
 
 	// stats for analysis.
@@ -209,8 +214,6 @@ func New(cfg Config) *Protocol {
 	return &Protocol{
 		cfg:       cfg,
 		mySeq:     1,
-		routes:    make(map[netstack.NodeID]*route),
-		rreqs:     make(map[rreqKey]*rreqState),
 		disc:      rcommon.NewDiscoveryTable(cfg.QueueCap, cfg.RreqRetries, cfg.DiscoveryHoldDown),
 		rreqLimit: rcommon.RateLimiter{Cap: cfg.RreqRateLimit},
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
@@ -251,11 +254,10 @@ func (p *Protocol) Start() {
 func (p *Protocol) sendHello() {
 	now := p.node.Now()
 	var dsts []netstack.NodeID
-	for dst, r := range p.routes {
-		if !r.assigned || !r.active(now) {
-			continue
+	for i := 0; i < p.routes.Len(); i++ {
+		if r := p.routes.At(i); r.assigned && r.active(now) {
+			dsts = append(dsts, netstack.NodeID(p.routes.KeyAt(i)))
 		}
-		dsts = append(dsts, dst)
 	}
 	sortNodeIDs(dsts)
 	limit := len(dsts)
@@ -265,7 +267,7 @@ func (p *Protocol) sendHello() {
 	h := &hello{}
 	for k := 0; k < limit; k++ {
 		dst := dsts[(int(p.helloCursor)+k)%len(dsts)]
-		r := p.routes[dst]
+		r := p.route(dst)
 		h.Entries = append(h.Entries, helloEntry{Dst: dst, SN: r.order.SN, F: r.order.FD, D: r.dist})
 	}
 	p.helloCursor += uint32(limit)
@@ -307,25 +309,29 @@ func (p *Protocol) OrderViolations() uint64 { return p.statOrderViolations }
 
 func (p *Protocol) sweep() {
 	now := p.node.Now()
-	for k, st := range p.rreqs {
-		if st.expiry <= now {
-			delete(p.rreqs, k)
+	// Last slot first: Delete moves the last entry into the freed slot.
+	for i := p.rreqs.Len() - 1; i >= 0; i-- {
+		if p.rreqs.At(i).expiry <= now {
+			p.rreqs.Delete(p.rreqs.KeyAt(i))
 		}
 	}
-	for dst, r := range p.routes {
-		if !r.active(now) && r.orderExpiry != 0 && r.orderExpiry <= now {
-			delete(p.routes, dst)
+	for i := p.routes.Len() - 1; i >= 0; i-- {
+		if r := p.routes.At(i); !r.active(now) && r.orderExpiry != 0 && r.orderExpiry <= now {
+			p.routes.Delete(p.routes.KeyAt(i))
 		}
 	}
 }
 
+// route returns the route entry for dst, or nil. Like rt's, the pointer is
+// into the routes slab: valid until the next rt or setRoute that adds a
+// destination, or the next sweep.
+func (p *Protocol) route(dst netstack.NodeID) *route {
+	return p.routes.Get(uint64(dst))
+}
+
 // rt returns the route entry for dst, creating it if needed.
 func (p *Protocol) rt(dst netstack.NodeID) *route {
-	r, ok := p.routes[dst]
-	if !ok {
-		r = &route{succ: make(map[netstack.NodeID]*successor)}
-		p.routes[dst] = r
-	}
+	r, _ := p.routes.Put(uint64(dst))
 	return r
 }
 
@@ -335,7 +341,13 @@ func (p *Protocol) order(dst netstack.NodeID) label.Order {
 	if dst == p.self {
 		return label.Destination(p.mySeq)
 	}
-	if r, ok := p.routes[dst]; ok && r.assigned {
+	return assignedOrder(p.route(dst))
+}
+
+// assignedOrder returns r's ordering, Unassigned for a missing or
+// unassigned route.
+func assignedOrder(r *route) label.Order {
+	if r != nil && r.assigned {
 		return r.order
 	}
 	return label.Unassigned
@@ -391,7 +403,7 @@ func (p *Protocol) sendOrDiscover(pkt *netstack.DataPacket) {
 
 // refresh extends the lifetime of a successor in use.
 func (p *Protocol) refresh(r *route, next netstack.NodeID) {
-	if s, ok := r.succ[next]; ok {
+	if s := r.find(next); s != nil {
 		s.expiry = p.node.Now() + p.cfg.ActiveRouteTimeout
 	}
 }
@@ -421,17 +433,18 @@ func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
 func (p *Protocol) linkBreak(to netstack.NodeID) {
 	now := p.node.Now()
 	var lost []netstack.NodeID
-	for dst, r := range p.routes {
-		if _, ok := r.succ[to]; !ok {
+	for i := 0; i < p.routes.Len(); i++ {
+		r := p.routes.At(i)
+		if r.find(to) == nil {
 			continue
 		}
 		if r.dropSuccessor(to, now) {
 			r.orderExpiry = now + p.cfg.DeletePeriod
-			lost = append(lost, dst)
+			lost = append(lost, netstack.NodeID(p.routes.KeyAt(i)))
 		}
 	}
 	if len(lost) > 0 && p.rerrLimit.Allow(now) {
-		sortNodeIDs(lost) // deterministic RERR content whatever the map order
+		sortNodeIDs(lost) // RERR content independent of the table's order
 		e := &rerr{Dests: lost}
 		p.node.BroadcastControl(e.size(), e)
 		p.statRERR++
@@ -448,8 +461,8 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		return
 	}
 	p.rreqID++
-	key := rreqKey{src: p.self, id: p.rreqID}
-	p.rreqs[key] = &rreqState{
+	st, _ := p.rreqs.Put(rreqKey(p.self, p.rreqID))
+	*st = rreqState{
 		cached:  label.Unassigned, // M_k = infinity at the requester
 		lastHop: p.self,
 		active:  true,
@@ -513,11 +526,11 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 		p.setRoute(from, r.Src, r.srcOrder(), r.LD+1, label.Unassigned, r.Lifetime)
 	}
 
-	key := rreqKey{src: r.Src, id: r.RreqID}
-	if _, engaged := p.rreqs[key]; engaged {
+	st, passive := p.rreqs.Put(rreqKey(r.Src, r.RreqID))
+	if !passive {
 		return // only passive nodes may become engaged (§III)
 	}
-	p.rreqs[key] = &rreqState{
+	*st = rreqState{
 		cached:  r.order(),
 		lastHop: from,
 		expiry:  p.node.Now() + p.cfg.DeletePeriod,
@@ -528,6 +541,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 		return
 	}
 	if r.Flags&flagD == 0 && p.satisfiesSDC(r) {
+		st.replied = true
 		p.intermediateReply(from, r)
 		return
 	}
@@ -566,8 +580,8 @@ func (p *Protocol) satisfiesSDC(r *rreq) bool {
 	if r.D+1 < p.cfg.MinReplyHops {
 		return false
 	}
-	rt, ok := p.routes[r.Dst]
-	if !ok || !rt.assigned || !rt.active(p.node.Now()) {
+	rt := p.route(r.Dst)
+	if rt == nil || !rt.assigned || !rt.active(p.node.Now()) {
 		return false
 	}
 	if rt.order.SN > r.DstSeq {
@@ -576,9 +590,10 @@ func (p *Protocol) satisfiesSDC(r *rreq) bool {
 	return r.order().Precedes(rt.order) && r.Flags&flagT == 0
 }
 
-// intermediateReply advertises this node's own route to r.Dst.
+// intermediateReply advertises this node's own route to r.Dst; the caller
+// has marked the computation replied.
 func (p *Protocol) intermediateReply(from netstack.NodeID, r *rreq) {
-	rt := p.routes[r.Dst]
+	rt := p.route(r.Dst)
 	rep := &rrep{
 		Src:      r.Src,
 		RreqID:   r.RreqID,
@@ -591,8 +606,6 @@ func (p *Protocol) intermediateReply(from netstack.NodeID, r *rreq) {
 	if p.cfg.RequestRack {
 		rep.Flags |= flagA
 	}
-	st := p.rreqs[rreqKey{src: r.Src, id: r.RreqID}]
-	st.replied = true
 	p.statRREP++
 	p.node.UnicastControl(from, rrepSize, rep)
 }
@@ -641,7 +654,7 @@ func (p *Protocol) relayRREQ(from netstack.NodeID, r *rreq) {
 
 	// Advertisement piece for the source: replace with this node's own
 	// route to Src if active, else mark N (§III).
-	if rt, ok := p.routes[r.Src]; ok && rt.assigned && rt.active(p.node.Now()) {
+	if rt := p.route(r.Src); rt != nil && rt.assigned && rt.active(p.node.Now()) {
 		z.SrcSeq, z.LF, z.LD = rt.order.SN, rt.order.FD, rt.dist
 		z.Flags &^= flagN
 		z.Lifetime = p.cfg.ActiveRouteTimeout
@@ -652,7 +665,7 @@ func (p *Protocol) relayRREQ(from netstack.NodeID, r *rreq) {
 	p.statRREQ++
 	if r.Flags&flagD != 0 {
 		// Path-reset probe: travel the unicast forward path to Dst.
-		if rt, ok := p.routes[r.Dst]; ok {
+		if rt := p.route(r.Dst); rt != nil {
 			if next, live := rt.best(p.node.Now()); live {
 				p.node.UnicastControl(next, rreqSize, &z)
 				return
@@ -676,8 +689,9 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		p.node.UnicastControl(from, rackSize, &rack{Src: rep.Src, RreqID: rep.RreqID})
 	}
 	terminus := rep.Src == p.self
-	key := rreqKey{src: rep.Src, id: rep.RreqID}
-	st := p.rreqs[key]
+	// st stays valid through setRoute (it adds to routes only) and is not
+	// used after completeDiscovery, which may add a computation.
+	st := p.rreqs.Get(rreqKey(rep.Src, rep.RreqID))
 
 	// C^A_? — Unassigned at the terminus or without cached state.
 	c := label.Unassigned
@@ -691,7 +705,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		// Infeasible advertisement: issue a fresh advertisement from
 		// this node's own label if it can (§III), else discard.
 		if !terminus && st != nil && !st.replied {
-			if rt, ok := p.routes[rep.Dst]; ok && rt.assigned && rt.active(p.node.Now()) && c.Precedes(rt.order) {
+			if rt := p.route(rep.Dst); rt != nil && rt.assigned && rt.active(p.node.Now()) && c.Precedes(rt.order) {
 				st.replied = true
 				p.forwardRREP(st.lastHop, rep, rt.order, rt.dist)
 			}
@@ -712,8 +726,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		return // at most one reply per (source, rreqid) (Procedure 4)
 	}
 	st.replied = true
-	rt := p.routes[rep.Dst]
-	p.forwardRREP(st.lastHop, rep, g, rt.dist)
+	p.forwardRREP(st.lastHop, rep, g, p.route(rep.Dst).dist)
 }
 
 // forwardRREP relays an advertisement rewritten with this node's ordering
@@ -738,6 +751,9 @@ func (p *Protocol) completeDiscovery(rep *rrep, g label.Order) {
 	if !ok {
 		return
 	}
+	// r is held across ForwardData and DropData: neither re-enters the
+	// protocol (a MAC failure arrives as a later event, a queue drop is
+	// silent), so nothing adds a route meanwhile.
 	r := p.rt(rep.Dst)
 	for _, pkt := range pd.Queue {
 		next, live := r.best(p.node.Now())
@@ -753,8 +769,8 @@ func (p *Protocol) completeDiscovery(rep *rrep, g label.Order) {
 // requestPathReset sends a D-bit unicast RREQ along the forward path so the
 // destination issues a reply with a larger sequence number (§III).
 func (p *Protocol) requestPathReset(dst netstack.NodeID) {
-	rt, ok := p.routes[dst]
-	if !ok {
+	rt := p.route(dst)
+	if rt == nil {
 		return
 	}
 	next, live := rt.best(p.node.Now())
@@ -762,8 +778,8 @@ func (p *Protocol) requestPathReset(dst netstack.NodeID) {
 		return
 	}
 	p.rreqID++
-	key := rreqKey{src: p.self, id: p.rreqID}
-	p.rreqs[key] = &rreqState{
+	st, _ := p.rreqs.Put(rreqKey(p.self, p.rreqID))
+	*st = rreqState{
 		cached:  label.Unassigned,
 		lastHop: p.self,
 		active:  true,
@@ -791,7 +807,8 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 	if dst == p.self || adv.FD == frac.One {
 		return label.Unassigned
 	}
-	mine := p.order(dst)
+	r := p.route(dst)
+	mine := assignedOrder(r)
 	if !mine.IsUnassigned() && !mine.Precedes(adv) {
 		return label.Unassigned // infeasible (Theorem 2 guard)
 	}
@@ -806,7 +823,9 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 		p.statOrderViolations++
 		return label.Unassigned
 	}
-	r := p.rt(dst)
+	if r == nil {
+		r = p.rt(dst)
+	}
 	r.assigned = true
 	r.order = g
 	r.dist = dist
@@ -816,7 +835,12 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 	if lifetime <= 0 {
 		lifetime = p.cfg.ActiveRouteTimeout
 	}
-	r.succ[from] = &successor{order: adv, dist: dist, expiry: p.node.Now() + lifetime}
+	s := successor{id: from, order: adv, dist: dist, expiry: p.node.Now() + lifetime}
+	if old := r.find(from); old != nil {
+		*old = s
+	} else {
+		r.succ = append(r.succ, s)
+	}
 	r.pruneOutOfOrder(g)
 	r.orderExpiry = 0
 	return g
@@ -828,11 +852,8 @@ func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {
 	now := p.node.Now()
 	var lost []netstack.NodeID
 	for _, dst := range e.Dests {
-		r, ok := p.routes[dst]
-		if !ok {
-			continue
-		}
-		if _, uses := r.succ[from]; !uses {
+		r := p.route(dst)
+		if r == nil || r.find(from) == nil {
 			continue
 		}
 		if r.dropSuccessor(from, now) {
@@ -850,11 +871,11 @@ func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {
 // Orders exposes the node's (assigned) orderings per destination for
 // invariant checking by the scenario harness.
 func (p *Protocol) Orders() map[netstack.NodeID]label.Order {
-	out := make(map[netstack.NodeID]label.Order, len(p.routes)+1)
+	out := make(map[netstack.NodeID]label.Order, p.routes.Len()+1)
 	out[p.self] = label.Destination(p.mySeq)
-	for dst, r := range p.routes {
-		if r.assigned {
-			out[dst] = r.order
+	for i := 0; i < p.routes.Len(); i++ {
+		if r := p.routes.At(i); r.assigned {
+			out[netstack.NodeID(p.routes.KeyAt(i))] = r.order
 		}
 	}
 	return out
@@ -863,8 +884,8 @@ func (p *Protocol) Orders() map[netstack.NodeID]label.Order {
 // SuccessorsOf exposes the live successor set for a destination, for
 // invariant checking and the multipath example.
 func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
-	r, ok := p.routes[dst]
-	if !ok {
+	r := p.route(dst)
+	if r == nil {
 		return nil
 	}
 	return r.successors(p.node.Now())

@@ -29,6 +29,7 @@ const (
 // successor is one entry of the successor set S^A_T: a next hop with the
 // ordering it advertised and its measured distance.
 type successor struct {
+	id     netstack.NodeID
 	order  label.Order
 	dist   int
 	expiry sim.Time
@@ -37,31 +38,61 @@ type successor struct {
 // route is the per-destination state at a node: its own ordering O^A_T
 // (Definition 3: "assigned" once present; it must be kept for at least
 // DELETE_PERIOD after the route becomes invalid), the successor set, and
-// the measured distance.
+// the measured distance. Routes live by value in Protocol.routes.
 type route struct {
 	assigned bool
 	order    label.Order
 	dist     int
-	succ     map[netstack.NodeID]*successor
+	// succ is unordered and holds at most one entry per next hop. A route
+	// has a handful of successors, so membership is a linear scan.
+	succ []successor
 	// orderExpiry is when an invalid route's ordering may be forgotten.
 	orderExpiry sim.Time
 	// rrIndex cycles PolicyRoundRobin through the successor set.
 	rrIndex uint32
 }
 
+// index returns the position in succ of next hop n, or -1.
+func (r *route) index(n netstack.NodeID) int {
+	for i := range r.succ {
+		if r.succ[i].id == n {
+			return i
+		}
+	}
+	return -1
+}
+
+// find returns the successor entry for next hop n, or nil. The pointer is
+// valid until succ next changes.
+func (r *route) find(n netstack.NodeID) *successor {
+	if i := r.index(n); i >= 0 {
+		return &r.succ[i]
+	}
+	return nil
+}
+
+// remove deletes succ[i] by moving the last entry into its place, so a
+// loop that removes while it walks must walk from the last entry down.
+func (r *route) remove(i int) {
+	last := len(r.succ) - 1
+	r.succ[i] = r.succ[last]
+	r.succ = r.succ[:last]
+}
+
 // active reports whether the route has at least one live successor
 // (Definition 2). It prunes every expired successor, not just those seen
 // before the first live one: linkBreak and handleRERR make membership
 // checks against succ, so the set's content after a call must be a
-// function of event history alone, never of map iteration order.
+// function of event history alone — as the order of succ is, which only
+// setRoute's appends and remove's swaps decide.
 func (r *route) active(now sim.Time) bool {
 	live := false
-	for n, s := range r.succ {
-		if s.expiry > now {
+	for i := len(r.succ) - 1; i >= 0; i-- {
+		if r.succ[i].expiry > now {
 			live = true
 			continue
 		}
-		delete(r.succ, n)
+		r.remove(i)
 	}
 	return live
 }
@@ -72,13 +103,14 @@ func (r *route) best(now sim.Time) (netstack.NodeID, bool) {
 	bestID := netstack.NodeID(-1)
 	bestDist := int(^uint(0) >> 1)
 	found := false
-	for n, s := range r.succ {
+	for i := len(r.succ) - 1; i >= 0; i-- {
+		s := &r.succ[i]
 		if s.expiry <= now {
-			delete(r.succ, n)
+			r.remove(i)
 			continue
 		}
-		if !found || s.dist < bestDist || (s.dist == bestDist && n < bestID) {
-			bestID, bestDist, found = n, s.dist, true
+		if !found || s.dist < bestDist || (s.dist == bestDist && s.id < bestID) {
+			bestID, bestDist, found = s.id, s.dist, true
 		}
 	}
 	return bestID, found
@@ -115,12 +147,12 @@ func sortNodeIDs(ids []netstack.NodeID) {
 
 // successors returns the ids of live successors, sorted so callers that
 // index into the list (round-robin and random picks, the multipath
-// example) never see map-iteration order.
+// example) never see the order of succ.
 func (r *route) successors(now sim.Time) []netstack.NodeID {
 	var out []netstack.NodeID
-	for n, s := range r.succ {
-		if s.expiry > now {
-			out = append(out, n)
+	for i := range r.succ {
+		if r.succ[i].expiry > now {
+			out = append(out, r.succ[i].id)
 		}
 	}
 	sortNodeIDs(out)
@@ -130,7 +162,9 @@ func (r *route) successors(now sim.Time) []netstack.NodeID {
 // dropSuccessor removes next hop n; it reports whether the route is now
 // invalid.
 func (r *route) dropSuccessor(n netstack.NodeID, now sim.Time) bool {
-	delete(r.succ, n)
+	if i := r.index(n); i >= 0 {
+		r.remove(i)
+	}
 	return !r.active(now)
 }
 
@@ -138,9 +172,9 @@ func (r *route) dropSuccessor(n netstack.NodeID, now sim.Time) bool {
 // whose stored ordering is not preceded by g. It returns the number pruned.
 func (r *route) pruneOutOfOrder(g label.Order) int {
 	pruned := 0
-	for n, s := range r.succ {
-		if !g.Precedes(s.order) {
-			delete(r.succ, n)
+	for i := len(r.succ) - 1; i >= 0; i-- {
+		if !g.Precedes(r.succ[i].order) {
+			r.remove(i)
 			pruned++
 		}
 	}
@@ -149,7 +183,8 @@ func (r *route) pruneOutOfOrder(g label.Order) int {
 
 // rreqState is the per-(source, rreqID) computation state (§III): passive
 // nodes have no entry; engaged and active nodes cache the solicitation
-// ordering C (the M of SLR) and the last hop for the reverse path.
+// ordering C (the M of SLR) and the last hop for the reverse path. States
+// live by value in Protocol.rreqs.
 type rreqState struct {
 	cached  label.Order // C^A_?: ordering of the relayed solicitation
 	lastHop netstack.NodeID
@@ -158,8 +193,8 @@ type rreqState struct {
 	expiry  sim.Time
 }
 
-// rreqKey identifies a route computation.
-type rreqKey struct {
-	src netstack.NodeID
-	id  uint32
+// rreqKey identifies a route computation in Protocol.rreqs: source and
+// rreqid packed the way rcommon.DupCache packs (originator, id).
+func rreqKey(src netstack.NodeID, id uint32) uint64 {
+	return uint64(uint32(src))<<32 | uint64(id)
 }

@@ -6,15 +6,14 @@ import (
 
 	"slr/internal/frac"
 	"slr/internal/label"
-	"slr/internal/netstack"
 	"slr/internal/sim"
 )
 
 func TestBestPrefersMinDistance(t *testing.T) {
-	r := &route{succ: map[netstack.NodeID]*successor{
-		1: {dist: 3, expiry: sim.Time(10 * time.Second)},
-		2: {dist: 1, expiry: sim.Time(10 * time.Second)},
-		3: {dist: 2, expiry: sim.Time(10 * time.Second)},
+	r := &route{succ: []successor{
+		{id: 1, dist: 3, expiry: sim.Time(10 * time.Second)},
+		{id: 2, dist: 1, expiry: sim.Time(10 * time.Second)},
+		{id: 3, dist: 2, expiry: sim.Time(10 * time.Second)},
 	}}
 	got, ok := r.best(0)
 	if !ok || got != 2 {
@@ -24,15 +23,15 @@ func TestBestPrefersMinDistance(t *testing.T) {
 
 func TestBestSkipsExpired(t *testing.T) {
 	now := sim.Time(5 * time.Second)
-	r := &route{succ: map[netstack.NodeID]*successor{
-		1: {dist: 1, expiry: sim.Time(time.Second)}, // expired
-		2: {dist: 9, expiry: sim.Time(time.Minute)},
+	r := &route{succ: []successor{
+		{id: 1, dist: 1, expiry: sim.Time(time.Second)}, // expired
+		{id: 2, dist: 9, expiry: sim.Time(time.Minute)},
 	}}
 	got, ok := r.best(now)
 	if !ok || got != 2 {
 		t.Fatalf("best = %v, want 2", got)
 	}
-	if _, still := r.succ[1]; still {
+	if r.find(1) != nil {
 		t.Fatal("expired successor not reaped")
 	}
 	if r.active(now) != true {
@@ -41,9 +40,9 @@ func TestBestSkipsExpired(t *testing.T) {
 }
 
 func TestBestTieBreaksByID(t *testing.T) {
-	r := &route{succ: map[netstack.NodeID]*successor{
-		7: {dist: 2, expiry: sim.Time(time.Minute)},
-		3: {dist: 2, expiry: sim.Time(time.Minute)},
+	r := &route{succ: []successor{
+		{id: 7, dist: 2, expiry: sim.Time(time.Minute)},
+		{id: 3, dist: 2, expiry: sim.Time(time.Minute)},
 	}}
 	got, _ := r.best(0)
 	if got != 3 {
@@ -52,8 +51,8 @@ func TestBestTieBreaksByID(t *testing.T) {
 }
 
 func TestDropSuccessorInvalidates(t *testing.T) {
-	r := &route{succ: map[netstack.NodeID]*successor{
-		1: {dist: 1, expiry: sim.Time(time.Minute)},
+	r := &route{succ: []successor{
+		{id: 1, dist: 1, expiry: sim.Time(time.Minute)},
 	}}
 	if invalid := r.dropSuccessor(1, 0); !invalid {
 		t.Fatal("dropping last successor must invalidate")
@@ -65,19 +64,19 @@ func TestDropSuccessorInvalidates(t *testing.T) {
 
 func TestPruneOutOfOrder(t *testing.T) {
 	g := label.Order{SN: 2, FD: frac.MustNew(1, 2)}
-	r := &route{succ: map[netstack.NodeID]*successor{
+	r := &route{succ: []successor{
 		// In order: g ≺ stored (stored fraction below 1/2, same sn).
-		1: {order: label.Order{SN: 2, FD: frac.MustNew(1, 3)}, expiry: sim.Time(time.Minute)},
+		{id: 1, order: label.Order{SN: 2, FD: frac.MustNew(1, 3)}, expiry: sim.Time(time.Minute)},
 		// Out of order: larger fraction.
-		2: {order: label.Order{SN: 2, FD: frac.MustNew(2, 3)}, expiry: sim.Time(time.Minute)},
+		{id: 2, order: label.Order{SN: 2, FD: frac.MustNew(2, 3)}, expiry: sim.Time(time.Minute)},
 		// Out of order: stale sequence number.
-		3: {order: label.Order{SN: 1, FD: frac.MustNew(1, 4)}, expiry: sim.Time(time.Minute)},
+		{id: 3, order: label.Order{SN: 1, FD: frac.MustNew(1, 4)}, expiry: sim.Time(time.Minute)},
 	}}
 	pruned := r.pruneOutOfOrder(g)
 	if pruned != 2 {
 		t.Fatalf("pruned %d, want 2", pruned)
 	}
-	if _, ok := r.succ[1]; !ok {
+	if r.find(1) == nil {
 		t.Fatal("in-order successor pruned")
 	}
 }
