@@ -1,9 +1,10 @@
 // Per-seed byte-identity pin for a fading radio under Manhattan mobility:
-// the radio channel brackets and memoises Propagation.LinkRange on this
-// path (see internal/radio), and no run can select a linear-scan channel
-// to compare against any more, so the full record stream of a short slice
-// of examples/scenarios/manhattan-500.json is frozen instead. The golden
-// was generated by the commit before the memo landed (9f82299).
+// the radio channel asks Propagation.LinkRange once per sender per
+// mobility epoch on this path (see internal/radio), and no run can select
+// a linear-scan channel to compare against any more, so the full record
+// stream of a short slice of examples/scenarios/manhattan-500.json is
+// frozen instead. The golden was generated by the commit before the
+// channel first remembered a link's range (9f82299).
 //
 // Regenerate (only for a documented behavior change):
 // go test -run TestCityShadowingGoldenJSONL -update .

@@ -14,12 +14,12 @@
 // zero-steady-state-allocation event kernel — a ladder-queue scheduler
 // (amortized O(1) push/pop, FIFO on (time, seq) ties, differentially
 // fuzzed against a reference heap) over pooled events with
-// generation-checked timers — internal/radio finds audible sets
-// through an incremental spatial grid index (O(neighbors) per
-// transmission, the only audibility path; the exhaustive scan is its
-// test oracle) with bulk epoch position refreshes and a per-station memo
-// of link ranges, so a fading model is asked about a link once rather
-// than once per transmission, and
+// generation-checked timers — internal/radio finds audible sets by
+// walking a per-sender hearer list (the only audibility path; the
+// exhaustive scan is its test oracle) that is rebuilt from an
+// incremental spatial grid index once per mobility epoch, so the grid,
+// and a fading model about a link, are asked once per sender per epoch
+// rather than once per transmission, and
 // internal/runner flattens the whole (protocol x pause x trial) grid into
 // one job queue consumed by a pool of workers, streaming
 // per-trial JSONL/CSV results as they complete. Identical seeds give

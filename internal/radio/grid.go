@@ -12,77 +12,94 @@ import (
 
 // grid is an incremental spatial index over stations: a sparse hash of
 // square cells, cell side = the propagation model's maximum range, holding
-// each station under a cached position.
+// each station under a cached position. It is not asked per frame. The
+// channel asks it once per sender per mobility epoch, to build that
+// sender's hearer list (see Channel.hearers), and what it owns is what
+// makes such a list sound for a whole epoch: the cached positions, the
+// bound on how far they have drifted, and the generation that says when
+// they were last re-taken.
 //
-// Exactness without re-indexing every move: a cached position is allowed
-// to drift up to `slack` meters from the station's true position. Querying
-// the cells within MaxRange+slack (`reach`) of a transmitter therefore
-// yields a superset of every station truly within MaxRange, and the caller
-// applies the exact per-link distance test to that superset — so the
-// audible set is identical to an O(N) scan of every station (the oracle in
-// grid_test.go), station for station. The cached positions also trim the
-// superset before the caller sees it: a station cached beyond `reach` of
-// the transmitter is, by the same drift bound, truly beyond MaxRange, so
-// query leaves it out and nobody asks its mobility model where it is (the
-// cells are squares around a disk; about half their stations go this way).
+// A cached position may drift up to `slack` meters from the station's true
+// position. The bound is maintained lazily, with no simulator events:
+// cached positions are refreshed in one bulk pass per mobility epoch
+// (epoch = slack / MaxSpeed, the time a fastest-possible node needs to
+// travel slack meters), triggered by the first transmission past the epoch
+// deadline. Every cache in an epoch was taken at its start (a late
+// registration's later still), so at time now no station is farther than
+// drift(now) = MaxSpeed * (now - epochStart) <= slack from its cache. Two
+// stations within a link's range of each other at any instant of the epoch
+// are therefore cached within that range plus 2*slack of each other, which
+// is the radius (`reach`, with the range at its maximum) the list build
+// queries around the sender's own cached position.
 //
-// The drift bound is maintained lazily, with no simulator events: cached
-// positions are refreshed in one bulk pass per mobility epoch (epoch =
-// slack / MaxSpeed, the time a fastest-possible node needs to travel slack
-// meters), triggered by the first query past the epoch deadline. Every
-// cache in an epoch is at most one epoch old, so drift stays under slack;
-// between epoch boundaries a query touches the index not at all. The bulk
-// pass replaces the per-query staleness ring the grid originally carried:
-// same amortized work (each station re-cached once per epoch), none of the
-// per-transmit age bookkeeping on the hot path.
+// The generation counts everything that can make a list built from the
+// caches stale: a bulk refresh, and a registration (the newcomer is in
+// nobody's list). Lists carry the generation they were built in.
 //
-// Candidates are returned in registration order so reception events are
-// scheduled in exactly the order a scan of the registration list would
-// produce — byte-identical simulation results, enforced by
-// TestGridMatchesLinear.
+// Candidates are returned in registration order so receptions are begun in
+// exactly the order a scan of the registration list would produce —
+// byte-identical simulation results, enforced by TestGridMatchesLinear.
 // Ordering costs no sort: candidates are marked in a bitset over
 // registration indices and read back in ascending-bit order.
 type grid struct {
 	cell    float64  // cell side, = Propagation.MaxRange()
 	inv     float64  // 1 / cell
-	reach   float64  // query radius: MaxRange + slack
+	slack   float64  // bound on cache drift; 0 = stations never move
+	reach   float64  // query radius: MaxRange + 2*slack
+	speed   float64  // MaxSpeed, m/s
 	refresh sim.Time // max cache age (one epoch); 0 = stations never move
-	// nextRefresh is the current epoch's deadline: the first query at or
-	// past it re-caches every station (see maybeRefresh).
-	nextRefresh sim.Time
-	cells       map[int64][]*station
-	marks       []uint64 // candidate bitset over registration indices
-	cands       []int32  // scratch for query results (registration indices)
+	// epochStart is when the current epoch's bulk pass ran, nextRefresh
+	// its deadline: the first transmission at or past it re-caches every
+	// station (see maybeRefresh).
+	epochStart, nextRefresh sim.Time
+	gen                     uint64 // bumped by refreshAll and insert
+	cells                   map[int64][]*station
+	marks                   []uint64 // candidate bitset over registration indices
+	cands                   []int32  // scratch for query results (registration indices)
 }
 
 // gridSlackFraction is the allowed cache drift as a fraction of the cell
-// side. Smaller means a tighter candidate search radius but more frequent
-// cache refreshes; at 1/4 a 20 m/s node under a 275 m range refreshes
-// every ~3.4 s of simulated time, a trivial cost next to per-transmit
-// work, while the query disk shrinks from 1.5x to 1.25x the range.
+// side. Smaller means shorter hearer lists (a list holds the peers cached
+// within a link's range plus 2*slack, so its area goes from 4x to 2.25x the
+// in-range disk between 1/2 and 1/4) but more frequent epochs, each of
+// which re-caches every station and rebuilds every active sender's list; at
+// 1/4 a 20 m/s bound under a 275 m range gives epochs of ~3.4 s of
+// simulated time, tens to hundreds of frames per sender in the benchmarked
+// runs.
 const gridSlackFraction = 0.25
 
 // newGrid sizes a grid for the given propagation reach and speed bound.
 // maxSpeed 0 means stations are known never to move: no slack, no
 // refreshing. A bound so large (or infinite: a teleporting Trace) that the
-// epoch rounds to no time at all panics — every query would re-cache every
-// station.
+// epoch rounds to no time at all panics — every transmission would re-cache
+// every station.
 func newGrid(maxRange, maxSpeed float64) *grid {
 	g := &grid{
 		cell:  maxRange,
 		inv:   1 / maxRange,
 		reach: maxRange,
+		speed: maxSpeed,
 		cells: make(map[int64][]*station),
 	}
 	if maxSpeed > 0 {
-		slack := maxRange * gridSlackFraction
-		g.reach = maxRange + slack
-		g.refresh = sim.Time(slack / maxSpeed * float64(time.Second))
+		g.slack = maxRange * gridSlackFraction
+		g.reach = maxRange + 2*g.slack
+		// Truncated to whole nanoseconds, so an epoch is never longer
+		// than slack / MaxSpeed and drift stays under slack with no
+		// epsilon.
+		g.refresh = sim.Time(g.slack / maxSpeed * float64(time.Second))
 		if g.refresh <= 0 {
-			panic(fmt.Sprintf("radio: MaxSpeed %.3f m/s leaves no refresh epoch over %.3f m of slack", maxSpeed, slack))
+			panic(fmt.Sprintf("radio: MaxSpeed %.3f m/s leaves no refresh epoch over %.3f m of slack", maxSpeed, g.slack))
 		}
 	}
 	return g
+}
+
+// drift bounds how far any station can be from its cached position at now:
+// every cache is at least as young as the epoch, and nothing outruns
+// MaxSpeed. Zero for stations that never move.
+func (g *grid) drift(now sim.Time) float64 {
+	return g.speed * (now - g.epochStart).Seconds()
 }
 
 // cellKey packs the cell coordinates of p into one map key.
@@ -94,8 +111,10 @@ func (g *grid) cellKey(p geo.Point) int64 {
 
 // insert adds a newly registered station at its current position. The
 // fresh cache is younger than the current epoch's bulk pass, so the drift
-// bound holds for it until the next epoch like for everyone else.
+// bound holds for it until the next epoch like for everyone else; the
+// generation moves because no list built so far has the newcomer in it.
 func (g *grid) insert(st *station, pos geo.Point, nStations int) {
+	g.gen++
 	st.cachedPos = pos
 	st.cellKey = g.cellKey(pos)
 	bucket := g.cells[st.cellKey]
@@ -128,9 +147,9 @@ func (g *grid) move(st *station, pos geo.Point) {
 }
 
 // maybeRefresh starts a new mobility epoch when the current one has
-// expired: one bulk pass re-caching every station. Queries between epoch
-// boundaries see caches at most one epoch (refresh) old, which bounds
-// drift to slack meters and keeps the reach-disk superset sound.
+// expired: one bulk pass re-caching every station. Transmissions between
+// epoch boundaries see caches at most one epoch (refresh) old, which bounds
+// drift to slack meters (see drift).
 func (g *grid) maybeRefresh(stations []*station, now sim.Time) {
 	if g.refresh == 0 || now < g.nextRefresh {
 		return
@@ -138,25 +157,26 @@ func (g *grid) maybeRefresh(stations []*station, now sim.Time) {
 	g.refreshAll(stations, now)
 }
 
-// refreshAll re-caches every station's position and opens a fresh epoch
-// ending one refresh interval from now.
+// refreshAll re-caches every station's position and opens a fresh epoch,
+// and generation, ending one refresh interval from now.
 func (g *grid) refreshAll(stations []*station, now sim.Time) {
 	for _, st := range stations {
 		g.move(st, st.mob.Position(now))
 	}
+	g.epochStart = now
 	g.nextRefresh = now + g.refresh
+	g.gen++
 }
 
 // query returns the registration indices of every station whose cached
-// position is within reach of pos — a superset of the stations truly
-// within MaxRange of it, since no cache has drifted more than reach minus
-// MaxRange — sorted ascending, i.e. in registration order. Cells
-// overlapping the bounding box of the search disk but not the disk itself
-// are skipped outright (the corner cells, ~1/4 of the box); of the stations
-// in the remaining cells about half are cached outside the disk, and
-// dropping those here spares the caller a mobility-model call apiece. The
-// caller must apply the exact distance test; the slice is scratch, valid
-// until the next query.
+// position is within reach of pos, itself a cached position — a superset of
+// the stations that come within MaxRange of pos's station at any instant of
+// the epoch, since neither end drifts more than slack — sorted ascending,
+// i.e. in registration order. Cells overlapping the bounding box of the
+// search disk but not the disk itself are skipped outright (the corner
+// cells, ~1/4 of the box); of the stations in the remaining cells about
+// half are cached outside the disk and are dropped here. The slice is
+// scratch, valid until the next query.
 func (g *grid) query(pos geo.Point) []int32 {
 	g.cands = g.cands[:0]
 	cx0 := int32(math.Floor((pos.X - g.reach) * g.inv))

@@ -13,7 +13,7 @@ import (
 
 // oracle is the reference audibility path: the O(N) scan over every
 // registered station that asks the propagation model about every link,
-// which is what the channel did before it had a grid or a memo. The
+// which is what the channel did before it had a grid or hearer lists. The
 // channel's audible must return the identical slice — same stations, same
 // order, same float64 distances — so a run checked transmission by
 // transmission against the oracle is byte-identical to one driven by it.
@@ -25,8 +25,11 @@ type oracle struct {
 	// questions do not show up in a countingProp.
 	prop Propagation
 	// checks counts the comparisons made, inMax the stations they found
-	// within MaxRange of the sender: the links the channel had to resolve.
-	checks, inMax int
+	// within MaxRange of the sender. builds counts the checks that made
+	// the channel build the sender's hearer list, inBuild the stations
+	// then cached within the build radius of the sender's cache: the links
+	// such a build has to ask the model about.
+	checks, inMax, builds, inBuild int
 }
 
 func newOracle(t *testing.T, ch *Channel) *oracle {
@@ -66,7 +69,17 @@ func (o *oracle) check(id NodeID) []NodeID {
 	sender := o.ch.station(id)
 	pos := sender.mob.Position(o.ch.sim.Now())
 	want := o.audible(sender, pos)
+	before := o.ch.listBuilds
 	got := o.ch.audible(sender, pos)
+	if o.ch.listBuilds != before {
+		o.builds++
+		reach := o.ch.grid.reach
+		for _, st := range o.ch.byIdx {
+			if st != sender && sender.cachedPos.Dist2(st.cachedPos) <= reach*reach {
+				o.inBuild++
+			}
+		}
+	}
 	if len(got) != len(want) {
 		o.t.Fatalf("t=%v sender %d: channel hears %d stations, oracle %d", o.ch.sim.Now(), id, len(got), len(want))
 	}
@@ -140,13 +153,14 @@ func propName(p PropSpec) string {
 	return p.Model
 }
 
-// TestGridMatchesLinear is the regression test for the grid's exactness:
-// over a randomized mobile broadcast workload spanning many refresh
-// epochs, every transmission's audible set equals the linear oracle's,
-// for every propagation model. It also pins what the channel asks of the
-// model: under unit-disk exactly one LinkRange per station within
-// MaxRange, under a fading model (60 stations fit any memo) a small
-// fraction of that.
+// TestGridMatchesLinear is the regression test for the channel's
+// exactness: over a randomized mobile broadcast workload spanning many
+// refresh epochs, every transmission's audible set equals the linear
+// oracle's, for every propagation model. It also pins what the channel
+// asks of the model, which no longer depends on the model: one LinkRange
+// per station cached within the build radius each time a hearer list is
+// built, and nothing per frame. (Senders here transmit about once per
+// epoch, the case in which the lists save nothing.)
 func TestGridMatchesLinear(t *testing.T) {
 	const n = 60
 	terrain := geo.Terrain{Width: 1500, Height: 900}
@@ -163,10 +177,15 @@ func TestGridMatchesLinear(t *testing.T) {
 				if o.checks != 600 || o.inMax == 0 || ch.Frames() != 600 {
 					t.Fatalf("seed %d: %d checks, %d stations in range, %d frames", seed, o.checks, o.inMax, ch.Frames())
 				}
-				// The channel resolves every transmission twice: once
-				// for the check, once to transmit.
-				if uniform := prop.Model == ""; uniform && cp.n != 2*o.inMax || !uniform && cp.n*4 > o.inMax {
-					t.Fatalf("seed %d: %d LinkRange calls for 2x%d links within MaxRange", seed, cp.n, o.inMax)
+				// The channel resolves every transmission twice, once for
+				// the check and once to transmit, at the same instant: the
+				// second walks the list the first built.
+				if ch.listBuilds != uint64(o.builds) || o.builds == 0 || o.builds > o.checks {
+					t.Fatalf("seed %d: %d list builds, %d of them in the %d checks", seed, ch.listBuilds, o.builds, o.checks)
+				}
+				if cp.n != o.inBuild || cp.beyond != 0 || cp.repeated != 0 {
+					t.Fatalf("seed %d: %d LinkRange calls (%d beyond the build radius, %d repeated within a generation) for %d builds with %d stations in their radius",
+						seed, cp.n, cp.beyond, cp.repeated, o.builds, o.inBuild)
 				}
 			}
 		})
@@ -192,6 +211,17 @@ func TestGridNeighborsMatchesLinear(t *testing.T) {
 	}
 }
 
+// heardAFrame counts the stations among sts that a frame ever reached.
+func heardAFrame(sts []*station) int {
+	n := 0
+	for _, st := range sts {
+		if st.busyTill > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestGridLateRegistrationMatchesLinear verifies stations registered
 // after the simulation has been running (several refresh epochs deep) are
 // still refreshed correctly: the late insert must join the bulk refresh
@@ -209,60 +239,60 @@ func TestGridLateRegistrationMatchesLinear(t *testing.T) {
 	s.At(100*time.Second, func() { register(t, ch, late, terrain, waypoint) })
 	driveRandomTraffic(s, o, n+late, 300, 100*time.Second+1, 300*time.Second, 6)
 	s.Run()
-	heard := 0
-	for _, st := range ch.byIdx[n:] {
-		if st.busyTill > 0 {
-			heard++
-		}
-	}
+	heard := heardAFrame(ch.byIdx[n:])
 	if o.checks != 900 || heard == 0 {
 		t.Fatalf("%d checks, %d of %d late stations ever heard a frame", o.checks, heard, late)
 	}
 }
 
 // countingProp wraps a channel's propagation model to observe how the
-// channel uses it: how often (callCounter.n), how often per directed link,
-// and whether it is ever asked about a pair farther apart than MaxRange.
+// channel uses it: how often (callCounter.n), whether it asks about a
+// directed link twice within one grid generation, and whether it is ever
+// asked about a pair cached farther apart than the list-build radius,
+// MaxRange + 2*slack.
 type countingProp struct {
 	callCounter
-	ch     *Channel
-	asked  map[[2]NodeID]int
-	beyond int // calls for a pair more than MaxRange apart
+	ch    *Channel
+	gen   uint64             // the generation asked holds
+	asked map[[2]NodeID]bool // directed links asked about in gen
+	// repeated counts calls for a link already asked about in its
+	// generation; a list holds the answer for as long as it lives, so
+	// there should be none.
+	repeated int
+	beyond   int // calls for a pair cached beyond the build radius
 }
 
 func count(ch *Channel) *countingProp {
-	cp := &countingProp{callCounter: callCounter{Propagation: ch.prop}, ch: ch, asked: make(map[[2]NodeID]int)}
+	cp := &countingProp{callCounter: callCounter{Propagation: ch.prop}, ch: ch, asked: make(map[[2]NodeID]bool)}
 	ch.prop = cp
 	return cp
 }
 
 func (cp *countingProp) LinkRange(a, b NodeID) float64 {
-	if cp.asked != nil {
-		cp.asked[[2]NodeID{a, b}]++
+	if g := cp.ch.grid.gen; g != cp.gen {
+		cp.gen = g
+		clear(cp.asked)
 	}
-	if max := cp.MaxRange(); cp.ch.Position(a).Dist2(cp.ch.Position(b)) > max*max {
+	if cp.asked[[2]NodeID{a, b}] {
+		cp.repeated++
+	}
+	cp.asked[[2]NodeID{a, b}] = true
+	if reach := cp.ch.grid.reach; cp.ch.station(a).cachedPos.Dist2(cp.ch.station(b).cachedPos) > reach*reach {
 		cp.beyond++
 	}
 	return cp.callCounter.LinkRange(a, b)
 }
 
-// repeats returns how many calls asked about a directed link already
-// asked about. Under a fading model that is a memo eviction (or a link
-// seen before its station had a memo).
-func (cp *countingProp) repeats() int {
-	return cp.n - len(cp.asked)
-}
-
-// TestMemoMatchesOracle is the property test for the link-range memo: on a
-// terrain dense enough that a sender's in-range set exceeds its memo (so
-// entries are evicted and re-fetched all run long), with movers, late
-// registration, and every propagation model, each audible set equals the
-// oracle's; the model is never asked about a pair beyond MaxRange; a
-// uniform model allocates no memo and a fading one evicts. (How much the
-// memo saves when the in-range set fits it is TestGridMatchesLinear's to
-// assert; here nearly every slot is contended.)
-func TestMemoMatchesOracle(t *testing.T) {
-	const n, late = 3*memoSize + 32, 40
+// TestHearerListMatchesOracle is the property test for the hearer lists: on
+// a terrain dense enough that a list runs to hundreds of entries, with
+// movers, every propagation model, and a late registration — which lands
+// mid-epoch, between two checks of the same twenty senders at the same
+// instant, so a sender whose list predates the newcomers must hear them all
+// the same — each audible set equals the oracle's. Within a generation
+// the model is asked about no directed link twice, and never about a pair
+// cached farther apart than the build radius.
+func TestHearerListMatchesOracle(t *testing.T) {
+	const n, late, dense = 800, 40, 256
 	terrain := geo.Terrain{Width: 600, Height: 600}
 	city := mobility.Spec{Model: "manhattan", MinSpeed: 1, MaxSpeed: 25, Pause: time.Second}
 	drift := mobility.Spec{Model: "gauss-markov", MinSpeed: 1, MaxSpeed: 25}
@@ -284,31 +314,71 @@ func TestMemoMatchesOracle(t *testing.T) {
 				register(t, ch, n, terrain, tc.mob)
 				o := newOracle(t, ch)
 				driveRandomTraffic(s, o, n, 200, 0, 300*time.Second, seed+7)
-				s.At(100*time.Second, func() { register(t, ch, late, terrain, tc.mob) })
+				s.At(100*time.Second, func() {
+					// Twenty senders whose lists are as fresh as can be
+					// when the newcomers arrive, asked again right after.
+					for id := NodeID(0); id < 20; id++ {
+						o.check(id)
+					}
+					register(t, ch, late, terrain, tc.mob)
+					for id := NodeID(0); id < 20; id++ {
+						o.check(id)
+					}
+				})
 				driveRandomTraffic(s, o, n+late, 100, 100*time.Second+1, 200*time.Second, seed+8)
 				s.Run()
 
-				if o.checks != 300 || o.inMax < o.checks*memoSize {
-					t.Fatalf("seed %d: %d checks with %d stations within MaxRange in all; want more than the memo's %d each",
-						seed, o.checks, o.inMax, memoSize)
+				heard := heardAFrame(ch.byIdx[n:])
+				if o.checks != 340 || o.inMax < o.checks*dense || heard == 0 {
+					t.Fatalf("seed %d: %d checks with %d stations within MaxRange in all (want more than %d each), %d of %d late stations ever heard a frame",
+						seed, o.checks, o.inMax, dense, heard, late)
 				}
-				if cp.beyond != 0 {
-					t.Fatalf("seed %d: LinkRange asked about %d pairs beyond MaxRange", seed, cp.beyond)
+				if cp.beyond != 0 || cp.repeated != 0 || cp.n != o.inBuild {
+					t.Fatalf("seed %d: of %d LinkRange calls %d were for pairs cached beyond the build radius and %d repeated a link within a generation; %d builds had %d stations in their radius",
+						seed, cp.n, cp.beyond, cp.repeated, o.builds, o.inBuild)
 				}
-				memos := 0
-				for _, st := range ch.byIdx {
-					if st.memo != nil {
-						memos++
-					}
+			}
+		})
+	}
+}
+
+// TestHearerListAtEpochEdges checks every sender against the oracle at the
+// last nanosecond of an epoch, when the per-frame drift margin is at its
+// widest and the lists at their oldest, and at the first nanosecond of the
+// next, when the margin is zero and every list is rebuilt.
+func TestHearerListAtEpochEdges(t *testing.T) {
+	const n = 200
+	terrain := geo.Terrain{Width: 1000, Height: 1000}
+	for _, prop := range []PropSpec{{}, {Model: "shadowing"}} {
+		t.Run(propName(prop), func(t *testing.T) {
+			s := sim.New(1)
+			ch := NewChannel(s, mobileParams(prop, 1))
+			register(t, ch, n, terrain, waypoint)
+			o := newOracle(t, ch)
+			checkAll := func(wantGen, wantBuilds uint64) {
+				t.Helper()
+				for id := NodeID(0); id < n; id++ {
+					o.check(id)
 				}
-				if tc.prop.Model == "" {
-					if memos != 0 {
-						t.Fatalf("seed %d: unit-disk allocated %d memos", seed, memos)
-					}
-					continue
+				if ch.grid.gen != wantGen || ch.listBuilds != wantBuilds {
+					t.Fatalf("t=%v: generation %d with %d list builds, want %d with %d", s.Now(), ch.grid.gen, ch.listBuilds, wantGen, wantBuilds)
 				}
-				if memos == 0 || cp.repeats() == 0 {
-					t.Fatalf("seed %d: %d memos, %d repeated LinkRange calls; the memo never evicted", seed, memos, cp.repeats())
+			}
+			s.RunUntil(7 * time.Second)
+			gen := ch.grid.gen + 1 // the first check opens an epoch
+			checkAll(gen, n)
+			for epoch := uint64(1); epoch <= 5; epoch++ {
+				edge := ch.grid.nextRefresh
+				s.RunUntil(edge - 1)
+				if slack := ch.grid.slack; ch.grid.drift(s.Now()) > slack || ch.grid.drift(edge) < slack*(1-1e-9) {
+					t.Fatalf("drift bound %v at the epoch's last nanosecond, %v one later; slack is %v", ch.grid.drift(s.Now()), ch.grid.drift(edge), slack)
+				}
+				checkAll(gen, epoch*n)
+				s.RunUntil(edge)
+				gen++
+				checkAll(gen, (epoch+1)*n)
+				if ch.grid.drift(s.Now()) != 0 {
+					t.Fatalf("drift bound %v at the epoch's first nanosecond, want 0", ch.grid.drift(s.Now()))
 				}
 			}
 		})
@@ -316,35 +386,64 @@ func TestMemoMatchesOracle(t *testing.T) {
 }
 
 // TestTransmitSteadyStateAllocs verifies that once every station has
-// transmitted (memos, transmission pool and event pool are warm) a
-// transmission and its receptions allocate nothing under a fading model,
-// evictions included.
+// transmitted (lists, transmission pool and event pool are warm) a
+// transmission and its receptions allocate nothing under a fading model
+// for as long as the generation lasts, and that across generations a
+// rebuild reuses the arena the last generation's lists left behind: movers
+// crossing several epoch boundaries cost a few allocations in all, not one
+// per list.
 func TestTransmitSteadyStateAllocs(t *testing.T) {
-	const n = 2 * memoSize
-	s := sim.New(1)
-	p := DefaultParams()
-	p.Propagation = PropSpec{Model: "shadowing"}
-	p.Seed = 1
-	ch := NewChannel(s, p)
-	register(t, ch, n, geo.Terrain{Width: 600, Height: 600}, mobility.Spec{Model: "static"})
-	cp := count(ch)
-	f := &Frame{To: Broadcast, Kind: Data, Size: 64}
-	next := 0
-	step := func() {
-		f.From = NodeID(next % n)
-		next++
-		ch.Transmit(f)
-		s.RunUntil(s.Now() + 2*time.Millisecond)
+	const n = 512
+	// run builds a channel of n stations under shadowing and a step that
+	// transmits from the next of them in turn, then advances the clock.
+	run := func(p Params, mob mobility.Spec) (*Channel, func(gap sim.Time)) {
+		s := sim.New(1)
+		p.Propagation, p.Seed = PropSpec{Model: "shadowing"}, 1
+		ch := NewChannel(s, p)
+		register(t, ch, n, geo.Terrain{Width: 600, Height: 600}, mob)
+		f := &Frame{To: Broadcast, Kind: Data, Size: 64}
+		next := 0
+		return ch, func(gap sim.Time) {
+			f.From = NodeID(next % n)
+			next++
+			ch.Transmit(f)
+			s.RunUntil(s.Now() + gap)
+		}
 	}
+
+	ch, step := run(DefaultParams(), mobility.Spec{Model: "static"})
 	for i := 0; i < 2*n; i++ {
-		step()
+		step(2 * time.Millisecond)
 	}
-	cp.n, cp.asked = 0, nil // a growing map would be the wrapper's allocation
-	if avg := testing.AllocsPerRun(n, step); avg != 0 {
-		t.Fatalf("steady-state Transmit allocates %v objects per frame, want 0", avg)
+	if avg := testing.AllocsPerRun(n, func() { step(2 * time.Millisecond) }); avg != 0 || ch.listBuilds != n {
+		t.Fatalf("steady-state Transmit allocates %v objects per frame with %d lists built for %d static stations, want 0 and one each", avg, ch.listBuilds, n)
 	}
-	if cp.n == 0 {
-		t.Fatal("no LinkRange call in the measured window: the memo was never evicted, so eviction allocs went unmeasured")
+
+	// Movers, each transmitting once per round of n frames, a round lasting
+	// a little over an epoch: every frame rebuilds its sender's list. Once
+	// warm, only a high-water mark moving as density shifts allocates (the
+	// arena, the hit scratch, a transmission's receptions, a station's
+	// active list).
+	const rounds, maxAllocs = 4, 8
+	ch, step = run(mobileParams(PropSpec{}, 1), waypoint)
+	round := func() {
+		for i := 0; i < n; i++ {
+			step(ch.grid.refresh/n + 1)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	gen, builds := ch.grid.gen, ch.listBuilds
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	})
+	// AllocsPerRun runs the function twice: once to warm up, once measured.
+	if epochs, built := ch.grid.gen-gen, ch.listBuilds-builds; epochs < 2*(rounds-1) || built != 2*rounds*n || allocs > maxAllocs {
+		t.Fatalf("%v allocations over %d frames; twice that crossed %d epoch boundaries and rebuilt %d lists; want at most %d allocations, at least %d boundaries and %d rebuilds",
+			allocs, rounds*n, epochs, built, maxAllocs, 2*(rounds-1), 2*rounds*n)
 	}
 }
 

@@ -15,17 +15,18 @@ import (
 //
 // Implementations must be pure: LinkRange(a, b) is symmetric, independent
 // of call order, and fixed for the whole run. The channel depends on it
-// twice over: it tests only the stations its spatial grid proposes, in
-// whatever order, and it remembers a link's range instead of asking again
-// (station.memo), so a model that answered differently the second time
-// would be heard only the first. Per-link randomness therefore comes from
-// hashing (seed, link), never from a shared rng stream.
+// twice over: it asks only about the stations its spatial grid proposes, in
+// whatever order, and it keeps a link's range in the sender's hearer list
+// for a whole mobility epoch instead of asking per frame (Channel.hearers),
+// so a model that answered differently the second time would be heard only
+// the first. Per-link randomness therefore comes from hashing (seed, link),
+// never from a shared rng stream.
 type Propagation interface {
 	// MaxRange bounds LinkRange over all links, exactly: no LinkRange may
-	// exceed it by even a rounding error, because the channel rejects a
-	// station farther than MaxRange without consulting its link. It must
-	// be positive and fixed for the run; the spatial grid sizes its cells
-	// and its candidate search radius from it.
+	// exceed it by even a rounding error, because the channel never asks
+	// about a station cached beyond MaxRange plus the drift allowance of
+	// the sender. It must be positive and fixed for the run; the spatial
+	// grid sizes its cells and its candidate search radius from it.
 	MaxRange() float64
 	// LinkRange returns the audible distance in meters for the link
 	// between a and b.

@@ -9,16 +9,19 @@
 // transmission overlaps it in time at that receiver (including the
 // hidden-terminal case) or the receiver itself is transmitting.
 //
-// Audible-set lookup is O(neighbors) through an incremental spatial grid
-// index (see grid), the only audibility path: Params.MaxSpeed bounds how
-// far the grid's cached positions drift. A station is rejected as cheaply
-// as possible — by the grid on its cached position, then on its exact
-// distance against MaxRange — and only the remainder consult the
-// propagation model, at most once per link while the link stays in the
-// sender's memo (see station.memo). That cache is sound because
-// Propagation is pure by contract; the O(N) scan that calls LinkRange
-// directly survives as the oracle in this package's tests, and the two are
-// identical hit for hit.
+// Audible-set lookup walks the sender's hearer list (see Channel.hearers),
+// the only audibility path: the stations that could come within their
+// link's range of the sender before the current mobility epoch ends, each
+// with that range. Who can be in range changes only as fast as stations
+// move, so the spatial grid (see grid) and the propagation model are asked
+// once per sender per epoch, when the list is built from cached positions;
+// Params.MaxSpeed bounds how far those drift. Per frame an entry is
+// rejected on its cached position without asking its mobility model where
+// it is, and the survivors take the exact test on their true positions.
+// Remembering a link's range is sound because Propagation is pure by
+// contract; the O(N) scan that calls LinkRange for every station survives
+// as the oracle in this package's tests, and the two are identical hit for
+// hit.
 //
 // Propagation delay is zero, so every reception of a frame ends at the
 // same instant: a transmission costs the kernel one end-of-air event, not
@@ -145,9 +148,11 @@ type transmission struct {
 	done  func() // calls endOfAir(transmission); allocated once per record
 }
 
-// station is per-node channel state. It is kept to 128 bytes — two cache
-// lines, which the allocator's size class then keeps aligned — with the
-// fields audible and grid.query read for every candidate in the first.
+// station is per-node channel state. It is kept within 128 bytes — two
+// cache lines, which the allocator's size class then keeps aligned — with
+// the fields audible reads for every list entry (and grid.query for every
+// candidate) in the first. Its hearer list lives outside it, behind
+// Channel.lists.
 type station struct {
 	id   NodeID
 	idx  int32 // registration order, the deterministic iteration key
@@ -155,10 +160,6 @@ type station struct {
 	mob  mobility.Model
 	// cachedPos is the position the spatial grid last cached (see grid).
 	cachedPos geo.Point
-	// memo caches squared link ranges from this station, direct-mapped on
-	// the peer's registration index (see linkRange2). nil until a link
-	// from this station turns out not to span MaxRange.
-	memo *[memoSize]memoEntry
 
 	cellKey  int64 // the grid cell holding the station
 	recv     Receiver
@@ -168,19 +169,21 @@ type station struct {
 	navUntil sim.Time // virtual carrier sense (802.11 NAV)
 }
 
-// memoSize is the number of links a station remembers, a power of two.
-// Measured on slrbench's city-500, seed 2 (about 80 of 500 peers inside
-// MaxRange of a sender, drifting), of 44.3 M uncached LinkRange calls 64
-// entries leave 9.9 M, 128 leave 5.8 M, 256 leave 2.4 M, at 4 KiB per
-// station. (512 leave 0.03 M only because every one of 500 peers then has
-// a slot to itself, which no larger network would see.)
-const memoSize = 256
-
-// memoEntry is one remembered link: the peer's registration index plus
-// one (so the zero entry is empty) and its squared range.
-type memoEntry struct {
-	peer int32
-	lr2  float64
+// hearerList locates one sender's hearer list in the channel's arenas and
+// names the grid generation it was built in; a list of any other generation
+// is stale. The zero header is stale from the start: registering its
+// station has already moved the generation off zero.
+type hearerList struct {
+	gen uint64
+	// The peers, by registration index, are Channel.peers[off : off+n];
+	// their cached positions are read through Channel.byIdx, as
+	// grid.query reads them.
+	off, n int32
+	// The links' ranges, asked of the propagation model once, when the
+	// list was built, are Channel.ranges[lrs : lrs+n] — or, when every one
+	// of them spans MaxRange (a uniform model's always do), are not stored
+	// and lrs is -1.
+	lrs int32
 }
 
 // Channel is the shared medium. It is not safe for concurrent use; a
@@ -194,17 +197,25 @@ type Channel struct {
 	// assigns 0..N-1): the per-frame entry points (Busy, IdleAt, SetNAV,
 	// Transmit) resolve stations without hashing. Sparse or exotic IDs
 	// fall back to the map.
-	byID   []*station
-	byIdx  []*station // stations in registration order, the deterministic iteration key
-	grid   *grid
-	hits   []hit           // scratch for audible-set results
-	freeTx []*transmission // transmission freelist (see transmission)
-	// maxRange is prop.MaxRange(), fixed for the run; maxRange2 its square.
-	maxRange, maxRange2 float64
+	byID  []*station
+	byIdx []*station // stations in registration order, the deterministic iteration key
+	grid  *grid
+	// lists holds every station's hearer list header, indexed like byIdx;
+	// peers and ranges are the arenas holding every list of generation
+	// arenaGen, each list contiguous and exactly as long as it is (see
+	// hearers).
+	lists    []hearerList
+	peers    []int32
+	ranges   []float64
+	arenaGen uint64
+	maxRange float64         // prop.MaxRange(), fixed for the run
+	hits     []hit           // scratch for audible-set results
+	freeTx   []*transmission // transmission freelist (see transmission)
 
 	// Stats counters.
 	frames     uint64
 	collisions uint64
+	listBuilds uint64 // hearer lists built; read by tests and benchmarks
 }
 
 // NewChannel returns an empty channel bound to the simulator. An
@@ -221,13 +232,12 @@ func NewChannel(s *sim.Simulator, p Params) *Channel {
 		panic(fmt.Sprintf("radio: propagation MaxRange %.3f m (Params.Range %.3f m) must be positive", max, p.Range))
 	}
 	return &Channel{
-		sim:       s,
-		p:         p,
-		prop:      prop,
-		stations:  make(map[NodeID]*station),
-		grid:      newGrid(max, p.MaxSpeed),
-		maxRange:  max,
-		maxRange2: max * max,
+		sim:      s,
+		p:        p,
+		prop:     prop,
+		stations: make(map[NodeID]*station),
+		grid:     newGrid(max, p.MaxSpeed),
+		maxRange: max,
 	}
 }
 
@@ -240,6 +250,7 @@ func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
 	st := &station{id: id, idx: int32(len(c.byIdx)), mob: m, recv: r}
 	c.stations[id] = st
 	c.byIdx = append(c.byIdx, st)
+	c.lists = append(c.lists, hearerList{})
 	if id >= 0 {
 		for int(id) >= len(c.byID) {
 			c.byID = append(c.byID, nil)
@@ -336,10 +347,13 @@ type hit struct {
 
 // audible returns the stations that can hear a transmission from sender at
 // pos (its exact position) right now, in registration order, with exact
-// squared distances. The grid proposes every station cached within its
-// search radius of pos, which includes every station truly within MaxRange;
-// a candidate is then dropped if its exact distance exceeds MaxRange, which
-// bounds every link, and only then asked about its own link (linkRange2).
+// squared distances. It walks the sender's hearer list. An entry whose
+// cached position is farther from pos than the link's range plus the drift
+// bound at this instant is truly out of range — pos is exact, so only the
+// peer's drift enters — and is rejected without asking its mobility model
+// where it is; that is legal because a model's Position is a function of
+// time alone. The rest take the exact test on their true position. Because
+// LinkRange never exceeds MaxRange, passing it implies d2 <= MaxRange^2.
 // The slice is scratch, valid until the next call.
 func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 	now := c.sim.Now()
@@ -348,14 +362,20 @@ func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 		panic(fmt.Sprintf("radio: station %d moved from %v to %v but Params.MaxSpeed is 0 (stations never move); pass a true speed bound",
 			sender.id, sender.cachedPos, pos))
 	}
+	drift := c.grid.drift(now)
 	c.hits = c.hits[:0]
-	for _, idx := range c.grid.query(pos) {
+	peers, ranges := c.hearers(sender)
+	for i, idx := range peers {
 		st := c.byIdx[idx]
-		if st == sender {
+		lr := c.maxRange
+		if ranges != nil {
+			lr = ranges[i]
+		}
+		if far := lr + drift; pos.Dist2(st.cachedPos) > far*far {
 			continue
 		}
 		d2 := pos.Dist2(st.mob.Position(now))
-		if d2 > c.maxRange2 || d2 > c.linkRange2(sender, st) {
+		if d2 > lr*lr {
 			continue
 		}
 		c.hits = append(c.hits, hit{st: st, d2: d2})
@@ -363,28 +383,74 @@ func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 	return c.hits
 }
 
-// linkRange2 returns the squared range of the link a-b: from a's memo when
-// the link is there, from the propagation model (and into the memo,
-// overwriting whichever link held the slot) when not. Propagation is pure,
-// so what the memo holds or evicts cannot change a result, only how often
-// the model is asked. A station gets a memo once one of its links returns
-// something other than MaxRange; a uniform model (unit-disk) never does
-// and pays one LinkRange call per in-range candidate, as before.
-func (c *Channel) linkRange2(a, b *station) float64 {
-	slot, tag := b.idx&(memoSize-1), b.idx+1
-	if a.memo != nil && a.memo[slot].peer == tag {
-		return a.memo[slot].lr2
+// hearers returns sender's hearer list for the grid's current generation,
+// building it if the one it has is older: every peer, in registration
+// order, that can come within its link's range of sender at some instant of
+// the current mobility epoch. If |a(t) - b(t)| <= lr then, both caches
+// having drifted at most slack, |a_c - b_c| <= lr + 2*slack; so the grid is
+// queried once around sender's cached position at MaxRange + 2*slack
+// (which spares the model every pair beyond it) and a candidate is kept iff
+// it is cached within its own link's range plus 2*slack. Cutting at the
+// link's range, not at MaxRange, is what keeps lists short under a fading
+// model, where most links reach far less than the maximum.
+//
+// Lists of one generation sit back to back in two arenas, peers' indices
+// in one and links' ranges in the other, which are emptied when the
+// generation moves: a rebuild reuses their capacity, so steady state
+// allocates nothing, and a list occupies exactly its length — 12 bytes an
+// entry, or 4 when every link of the list spans MaxRange and the ranges
+// (nil then) go unstored, which is every list of a uniform model and what
+// keeps 5000 unit-disk stations' lists under a megabyte.
+//
+// The worst case is an epoch shorter than a sender's inter-frame gap (very
+// fast movers): every frame then rebuilds its list from one query at
+// MaxRange + 2*slack, where the per-frame query this replaced used
+// MaxRange + slack. BenchmarkChannelTransmit's fast/N=500 tier is that
+// case: 5.6 us per frame against 5.0 for the per-frame query under the
+// same speed bound (medians of three alternating runs of 100000 frames on
+// a shared host, 1.1x), most of either being the bulk re-cache such a
+// bound forces on every frame; under the usual 20 m/s bound, where a list
+// there serves three or four frames, the same harness (grid/N=500) read
+// 1.55 us before the lists and 1.25 with them.
+func (c *Channel) hearers(sender *station) (peers []int32, ranges []float64) {
+	l := &c.lists[sender.idx]
+	if l.gen != c.grid.gen {
+		c.buildHearers(sender, l)
 	}
-	lr := c.prop.LinkRange(a.id, b.id)
-	lr2 := lr * lr
-	if a.memo == nil {
-		if lr == c.maxRange {
-			return lr2
+	peers = c.peers[l.off : l.off+l.n]
+	if l.lrs >= 0 {
+		ranges = c.ranges[l.lrs : l.lrs+l.n]
+	}
+	return peers, ranges
+}
+
+// buildHearers builds sender's list for the current generation at the end
+// of the arenas and points l at it.
+func (c *Channel) buildHearers(sender *station, l *hearerList) {
+	if c.arenaGen != c.grid.gen {
+		c.peers, c.ranges, c.arenaGen = c.peers[:0], c.ranges[:0], c.grid.gen
+	}
+	c.listBuilds++
+	off, lrs := len(c.peers), len(c.ranges)
+	twoSlack := 2 * c.grid.slack
+	uniform := true
+	for _, idx := range c.grid.query(sender.cachedPos) {
+		st := c.byIdx[idx]
+		if st == sender {
+			continue
 		}
-		a.memo = new([memoSize]memoEntry)
+		lr := c.prop.LinkRange(sender.id, st.id)
+		if far := lr + twoSlack; sender.cachedPos.Dist2(st.cachedPos) > far*far {
+			continue
+		}
+		c.peers = append(c.peers, idx)
+		c.ranges = append(c.ranges, lr)
+		uniform = uniform && lr == c.maxRange
 	}
-	a.memo[slot] = memoEntry{peer: tag, lr2: lr2}
-	return lr2
+	if uniform {
+		c.ranges, lrs = c.ranges[:lrs], -1
+	}
+	*l = hearerList{gen: c.grid.gen, off: int32(off), n: int32(len(c.peers) - off), lrs: int32(lrs)}
 }
 
 // Frames returns the total number of transmissions started.

@@ -252,9 +252,11 @@ func TestUnboundedSpeedPanics(t *testing.T) {
 	mustPanic(t, func() { NewChannel(sim.New(1), p) }, "MaxSpeed", "+Inf")
 }
 
-// TestStationSize pins the per-station footprint audible and grid.query
-// walk on every transmission: past 128 bytes a station leaves its size
-// class, stops being cache-line aligned, and every tier slows a little.
+// TestStationSize pins the per-station footprint audible walks for every
+// hearer-list entry of every transmission: past 128 bytes a station leaves
+// its size class, stops being cache-line aligned, and every tier slows a
+// little. (The list itself is not in it: a 24-byte header per station in
+// Channel.lists, 4 or 12 bytes per entry in the channel's arenas.)
 func TestStationSize(t *testing.T) {
 	if size := unsafe.Sizeof(station{}); size > 128 {
 		t.Fatalf("station is %d bytes, want at most 128", size)
