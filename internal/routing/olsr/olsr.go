@@ -27,78 +27,45 @@
 //     re-running the computation would read exactly the same inputs and
 //     produce exactly the same output, so it is skipped.
 //
-// Rebuilds that do run reuse preallocated storage (the route and hop maps
-// are cleared in place, the BFS queue is popped by head index over a
-// reused slice, and the symmetric-neighbor ring is maintained as a sorted
-// slice incrementally), so the steady-state data plane allocates nothing —
+// The MPR set is moreover computed on demand. It is read in one place, the
+// node's own HELLO, yet its inputs change with nearly every HELLO heard.
+// So a HELLO heard, the once-a-second expiry sweep (when anything changed
+// since the last route rebuild) and a failed data unicast do not run the
+// cover: each notes the instant the inputs changed (mprAt) and leaves the
+// selection pending. sendHello settles it by running the cover, skip rule
+// included, as of mprAt. The result is the set the cover would have left
+// behind had it run at every note, by one invariant: every mutation of the
+// MPR inputs is either noted at the instant it happens (HELLO, expiry
+// sweep, DataFailed) or preceded by a settle (ControlFailed's removal,
+// after which the selection stays as it was until the next note). When
+// sendHello settles, the inputs are therefore exactly those of mprAt, and
+// the cover is a pure function of them and mprAt. A new mutator of the
+// neighbor table must note or settle, too.
+//
+// Rebuilds that do run reuse preallocated storage (the route table is
+// emptied in place, the BFS queue is popped by head index over a reused
+// slice, and the symmetric-neighbor ids are maintained as a sorted slice
+// incrementally), so the steady-state data plane allocates nothing —
 // pinned by TestRecomputeAllocFree. Outputs are byte-identical per seed to
 // the full-rebuild-per-dirty-flag implementation (TestOLSRGoldenJSONL at
 // the repo root pins the JSONL stream), because every skip is justified by
 // the purity argument above and every rebuild visits neighbors in the same
 // sorted order.
+//
+// No state is hashed: neighbors, topology and routes live by value in
+// rcommon.IDTable slabs. HELLO and TC bodies list ids in slot order, which
+// is deterministic though not sorted; receivers treat both bodies as sets.
 package olsr
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"slr/internal/netstack"
-	"slr/internal/registry"
 	"slr/internal/routing/rcommon"
 	"slr/internal/sim"
 )
-
-// Config holds OLSR's intervals and holds.
-type Config struct {
-	HelloInterval sim.Time
-	TCInterval    sim.Time
-	NeighborHold  sim.Time
-	TopologyHold  sim.Time
-	Jitter        sim.Time
-}
-
-// DefaultConfig returns the draft's default timing.
-func DefaultConfig() Config {
-	return Config{
-		HelloInterval: 2 * time.Second,
-		TCInterval:    5 * time.Second,
-		NeighborHold:  6 * time.Second,
-		TopologyHold:  15 * time.Second,
-		Jitter:        500 * time.Millisecond,
-	}
-}
-
-// ConfigFromParams returns DefaultConfig with the spec-level overrides in
-// params applied; durations arrive in seconds. Unknown keys and
-// out-of-range values are errors.
-func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg := DefaultConfig()
-	if err := registry.ApplyParams("olsr", params, map[string]func(float64){
-		"hello_interval_seconds": func(v float64) { cfg.HelloInterval = rcommon.Seconds(v) },
-		"tc_interval_seconds":    func(v float64) { cfg.TCInterval = rcommon.Seconds(v) },
-		"neighbor_hold_seconds":  func(v float64) { cfg.NeighborHold = rcommon.Seconds(v) },
-		"topology_hold_seconds":  func(v float64) { cfg.TopologyHold = rcommon.Seconds(v) },
-		"jitter_seconds":         func(v float64) { cfg.Jitter = rcommon.Seconds(v) },
-	}); err != nil {
-		return Config{}, err
-	}
-	if err := cfg.validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// validate rejects configurations no deployment could run.
-func (c Config) validate() error {
-	if c.HelloInterval <= 0 || c.TCInterval <= 0 || c.NeighborHold <= 0 ||
-		c.TopologyHold <= 0 || c.Jitter <= 0 {
-		return fmt.Errorf("olsr: intervals and holds must be positive (hello %v, tc %v, neighbor_hold %v, topology_hold %v, jitter %v)",
-			c.HelloInterval, c.TCInterval, c.NeighborHold, c.TopologyHold, c.Jitter)
-	}
-	return nil
-}
 
 // hello advertises the sender's neighbor set; receivers use it for link
 // sensing (bidirectionality), two-hop discovery, and MPR signaling.
@@ -125,19 +92,26 @@ const (
 
 type topoEntry struct {
 	// advertised is kept sorted by id: route recomputation walks it, and
-	// equal-cost tie-breaks must not depend on incidental ordering (the
-	// sender serialized its selector map in map-iteration order).
+	// equal-cost tie-breaks must not depend on the order the sender
+	// listed its selectors in. It is rewritten in place.
 	advertised []netstack.NodeID
 	seq        uint32
 	expiry     sim.Time
+}
+
+// route is one routing-table entry: the next hop toward a destination and
+// the length of the path through it.
+type route struct {
+	nh   netstack.NodeID
+	hops int
 }
 
 // forever is the expiry horizon of a computation that consumed no
 // expirable inputs: it can never be invalidated by the clock alone.
 const forever = sim.Time(math.MaxInt64)
 
-// symNeighbor is one entry of the sorted symmetric-neighbor slice: the id
-// plus the table entry, so rebuild loops never pay a map lookup.
+// symNeighbor is one live symmetric neighbor of an MPR selection run: the
+// id plus its table entry, which is valid for that run only.
 type symNeighbor struct {
 	id netstack.NodeID
 	nb *rcommon.Neighbor
@@ -153,16 +127,18 @@ type Protocol struct {
 	// nbrs is the hello-liveness neighbor table: Touch on every HELLO,
 	// Remove on link-layer failure, Expire from the periodic sweep.
 	nbrs *rcommon.NeighborTable
-	// symList mirrors the Sym entries of nbrs as a slice sorted by id,
-	// maintained incrementally on symmetry flips and removals (and
-	// rebuilt wholesale after the once-a-second expiry sweep). Entries
+	// symList holds the ids of the Sym entries of nbrs, sorted, maintained
+	// incrementally on symmetry flips and removals (and rebuilt wholesale
+	// after the once-a-second expiry sweep). It holds ids, not entries: a
+	// *Neighbor dies at the table's next Touch, Remove or Expire. Entries
 	// may be expired-but-unswept; consumers filter by Expiry.
-	symList []symNeighbor
-	mprs    map[netstack.NodeID]struct{}
-	topo    map[netstack.NodeID]*topoEntry
+	symList []netstack.NodeID
+	// mprs is the MPR set as of the last selection, in selection order.
+	mprs []netstack.NodeID
+	topo rcommon.IDTable[topoEntry]
 	// topoHorizon lower-bounds every topo entry's expiry; the per-second
-	// sweep skips scanning the map before it. handleTC lowers it on entry
-	// writes, the sweep recomputes the exact minimum.
+	// sweep skips scanning the table before it. handleTC lowers it on
+	// entry writes, the sweep recomputes the exact minimum.
 	topoHorizon sim.Time
 	// seenTC suppresses duplicate TC floods.
 	seenTC *rcommon.DupCache
@@ -172,11 +148,11 @@ type Protocol struct {
 	tcBeacon    rcommon.Beaconer
 	sweeper     rcommon.Beaconer
 
-	routes map[netstack.NodeID]netstack.NodeID // dst -> next hop
-	hops   map[netstack.NodeID]int
-	queue  []netstack.NodeID // BFS scratch, reused across rebuilds
-	// liveSym is selectMPRs' scratch of live symmetric neighbors;
-	// symBits/uncov its reusable membership bitsets over node ids.
+	routes rcommon.IDTable[route] // dst -> route, refilled by each rebuild
+	queue  []netstack.NodeID      // BFS scratch, reused across rebuilds
+	// liveSym is selectMPRsAt's scratch of live symmetric neighbors;
+	// symBits/uncov its reusable membership bitsets over node ids. symBits
+	// is also sameTwoHop's scratch.
 	liveSym []symNeighbor
 	symBits bitset
 	uncov   bitset
@@ -194,8 +170,8 @@ type Protocol struct {
 
 	// linkVer counts structural changes to the route inputs (symmetric
 	// links and TC-learned links); mprInVer counts structural changes to
-	// the MPR inputs (symmetric links and two-hop key sets). Expiry
-	// refreshes and content-identical re-advertisements bump neither.
+	// the MPR inputs (symmetric links and two-hop sets). Expiry refreshes
+	// and content-identical re-advertisements bump neither.
 	linkVer  uint64
 	mprInVer uint64
 	// routeVer/routeHorizon stamp the inputs of the last route rebuild;
@@ -205,6 +181,11 @@ type Protocol struct {
 	routeHorizon sim.Time
 	mprVer       uint64
 	mprHorizon   sim.Time
+	// mprAt is the instant of the last noted change to the MPR inputs;
+	// mprPending says the selection has not been settled since. See the
+	// package comment for the note-or-settle rule.
+	mprAt      sim.Time
+	mprPending bool
 	// rebuilds/mprRuns count the computations that actually ran, for
 	// tests and profiling; skips are the difference against dirty events.
 	rebuilds uint64
@@ -221,11 +202,7 @@ func New(cfg Config) *Protocol {
 	return &Protocol{
 		cfg:    cfg,
 		nbrs:   rcommon.NewNeighborTable(),
-		mprs:   make(map[netstack.NodeID]struct{}),
-		topo:   make(map[netstack.NodeID]*topoEntry),
 		seenTC: rcommon.NewDupCache(30 * time.Second),
-		routes: make(map[netstack.NodeID]netstack.NodeID),
-		hops:   make(map[netstack.NodeID]int),
 	}
 }
 
@@ -257,8 +234,8 @@ func (p *Protocol) jitter() sim.Time {
 // SuccessorsOf exposes the next hop for inspection.
 func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 	p.recompute()
-	if nh, ok := p.routes[dst]; ok {
-		return []netstack.NodeID{nh}
+	if r := p.routes.Get(uint64(dst)); r != nil {
+		return []netstack.NodeID{r.nh}
 	}
 	return nil
 }
@@ -266,55 +243,49 @@ func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 // --- Symmetric-neighbor slice ------------------------------------------
 
 // symInsert adds id to the sorted symmetric slice.
-func (p *Protocol) symInsert(id netstack.NodeID, nb *rcommon.Neighbor) {
-	i := sort.Search(len(p.symList), func(i int) bool { return p.symList[i].id >= id })
-	if i < len(p.symList) && p.symList[i].id == id {
-		p.symList[i].nb = nb
-		return
+func (p *Protocol) symInsert(id netstack.NodeID) {
+	if i, found := slices.BinarySearch(p.symList, id); !found {
+		p.symList = slices.Insert(p.symList, i, id)
 	}
-	p.symList = append(p.symList, symNeighbor{})
-	copy(p.symList[i+1:], p.symList[i:])
-	p.symList[i] = symNeighbor{id: id, nb: nb}
 }
 
 // symRemove drops id from the sorted symmetric slice, if present.
 func (p *Protocol) symRemove(id netstack.NodeID) {
-	i := sort.Search(len(p.symList), func(i int) bool { return p.symList[i].id >= id })
-	if i >= len(p.symList) || p.symList[i].id != id {
-		return
+	if i, found := slices.BinarySearch(p.symList, id); found {
+		p.symList = slices.Delete(p.symList, i, i+1)
 	}
-	copy(p.symList[i:], p.symList[i+1:])
-	p.symList = p.symList[:len(p.symList)-1]
 }
 
 // rebuildSymList re-derives the slice from the table after a bulk change
 // (the once-a-second expiry sweep, which removes entries en masse).
 func (p *Protocol) rebuildSymList() {
 	p.symList = p.symList[:0]
-	for id, nb := range p.nbrs.All() {
-		if nb.Sym {
-			p.symList = append(p.symList, symNeighbor{id: id, nb: nb})
+	for i := range p.nbrs.Len() {
+		if id, nb := p.nbrs.At(i); nb.Sym {
+			p.symList = append(p.symList, id)
 		}
 	}
-	sort.Slice(p.symList, func(i, j int) bool { return p.symList[i].id < p.symList[j].id })
+	slices.Sort(p.symList)
 }
 
 // --- Periodic control -------------------------------------------------
 
 func (p *Protocol) sendHello() {
+	p.settleMPRs()
 	now := p.node.Now()
-	var nbs, mprList []netstack.NodeID
-	for id, nb := range p.nbrs.All() {
-		if nb.Expiry <= now {
-			continue
+	// Both heard (asymmetric) and symmetric links are advertised; hearing
+	// oneself in a HELLO is what upgrades a link to symmetric, so
+	// asymmetric links must be included to bootstrap.
+	nbs := make([]netstack.NodeID, 0, p.nbrs.Len())
+	for i := range p.nbrs.Len() {
+		if id, nb := p.nbrs.At(i); nb.Expiry > now {
+			nbs = append(nbs, id)
 		}
-		// Both heard (asymmetric) and symmetric links are advertised;
-		// hearing oneself in a HELLO is what upgrades a link to
-		// symmetric, so asymmetric links must be included to
-		// bootstrap.
-		nbs = append(nbs, id) //slrlint:allow mapiter HELLO advertises a set; receivers only test membership, order never reaches output (PR 1 goldens)
-		if _, isMPR := p.mprs[id]; isMPR {
-			mprList = append(mprList, id) //slrlint:allow mapiter MPR list is a set for the receiver's SelectsMe membership test
+	}
+	var mprList []netstack.NodeID
+	for _, id := range p.mprs {
+		if nb := p.nbrs.Get(id); nb != nil && nb.Expiry > now {
+			mprList = append(mprList, id)
 		}
 	}
 	h := &hello{From: p.self, Neighbors: nbs, MPRs: mprList}
@@ -325,9 +296,9 @@ func (p *Protocol) sendTC() {
 	// Only nodes selected as MPR by someone originate TCs.
 	var selectors []netstack.NodeID
 	now := p.node.Now()
-	for id, nb := range p.nbrs.All() {
-		if nb.Expiry > now && nb.SelectsMe {
-			selectors = append(selectors, id) //slrlint:allow mapiter TC advertises the selector set; receivers fold it into a topology map
+	for i := range p.nbrs.Len() {
+		if id, nb := p.nbrs.At(i); nb.Expiry > now && nb.SelectsMe {
+			selectors = append(selectors, id)
 		}
 	}
 	if len(selectors) == 0 {
@@ -342,10 +313,10 @@ func (p *Protocol) sendTC() {
 func (p *Protocol) expire() {
 	now := p.node.Now()
 	if p.nbrs.Expire(now) {
-		// The sweep removes neighbors and prunes two-hop sets in bulk;
-		// re-derive the symmetric slice and invalidate both caches
-		// rather than attributing each individual removal. Once a
-		// second, this is noise next to the per-hello savings.
+		// The sweep removes neighbors in bulk; re-derive the symmetric
+		// slice and invalidate both caches rather than attributing each
+		// individual removal. Once a second, this is noise next to the
+		// per-hello savings.
 		p.dirty = true
 		p.linkVer++
 		p.mprInVer++
@@ -354,23 +325,24 @@ func (p *Protocol) expire() {
 	// The topology sweep is gated on the same horizon rule as the MPR and
 	// route caches: topoHorizon lower-bounds every entry's expiry, so a
 	// sweep before it provably removes nothing. Each real sweep recomputes
-	// the exact minimum; entry writes in handleTC lower the bound.
+	// the exact minimum; entry writes in handleTC lower the bound. The walk
+	// goes down because Delete moves the last entry into the freed slot.
 	if now >= p.topoHorizon {
 		min := forever
-		for id, te := range p.topo {
-			if te.expiry <= now {
-				delete(p.topo, id)
+		for i := p.topo.Len() - 1; i >= 0; i-- {
+			if exp := p.topo.At(i).expiry; exp <= now {
+				p.topo.Delete(p.topo.KeyAt(i))
 				p.dirty = true
 				p.linkVer++
-			} else if te.expiry < min {
-				min = te.expiry
+			} else if exp < min {
+				min = exp
 			}
 		}
 		p.topoHorizon = min
 	}
 	p.seenTC.Sweep(now)
 	if p.dirty {
-		p.selectMPRs()
+		p.noteMPRs(now)
 	}
 }
 
@@ -386,26 +358,20 @@ func (p *Protocol) RecvControl(from netstack.NodeID, msg any) {
 
 func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 	now := p.node.Now()
-	old, existed := p.nbrs.Get(from)
 	// A live symmetric link before this hello; the hello's Touch always
 	// leaves the entry live, so comparing against the recomputed Sym
 	// below detects both symmetry flips and the revival of an
 	// expired-but-unswept link — the two ways a hello can change which
 	// links the next rebuild sees.
-	wasLiveSym := existed && old.Sym && old.Expiry > now
+	old := p.nbrs.Get(from)
+	wasLiveSym := old != nil && old.Sym && old.Expiry > now
 	nb := p.nbrs.Touch(from, now+p.cfg.NeighborHold)
 	// The link is symmetric once the neighbor lists us.
-	sym := false
-	for _, n := range h.Neighbors {
-		if n == p.self {
-			sym = true
-			break
-		}
-	}
+	sym := slices.Contains(h.Neighbors, p.self)
 	if sym != nb.Sym {
 		nb.Sym = sym
 		if sym {
-			p.symInsert(from, nb)
+			p.symInsert(from)
 		} else {
 			p.symRemove(from)
 		}
@@ -414,55 +380,60 @@ func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 		p.linkVer++
 		p.mprInVer++
 	}
-	nb.SelectsMe = false
-	for _, n := range h.MPRs {
-		if n == p.self {
-			nb.SelectsMe = true
-			break
-		}
-	}
+	nb.SelectsMe = slices.Contains(h.MPRs, p.self)
 	// Two-hop neighborhood from the neighbor's symmetric set. Only a
-	// changed key set invalidates the MPR cache; the common steady-state
-	// hello re-advertises the same neighbors and merely refreshes their
-	// deadlines.
-	same, count := true, 0
-	for _, n := range h.Neighbors {
-		if n == p.self {
-			continue
-		}
-		count++
-		if _, ok := nb.TwoHop[n]; !ok {
-			same = false
-		}
-	}
-	changed := !same || count != len(nb.TwoHop)
-	if changed {
-		clear(nb.TwoHop)
-		nb.TwoHopList = nb.TwoHopList[:0]
-		p.mprInVer++
-	}
-	exp := now + p.cfg.NeighborHold
-	// The TwoHop deadlines below are written outside Touch; report them so
-	// the table's sweep horizon stays a true lower bound. (exp equals the
-	// Touch deadline above, so this is a no-op compare in practice, but the
-	// contract belongs to the writer, not to luck.)
-	p.nbrs.Observe(exp)
-	for _, n := range h.Neighbors {
-		if n == p.self {
-			continue
-		}
-		if changed {
-			if _, ok := nb.TwoHop[n]; !ok {
-				nb.TwoHopList = append(nb.TwoHopList, n)
+	// changed set invalidates the MPR cache; the common steady-state hello
+	// re-advertises the same neighbors, and Touch has already refreshed
+	// the deadline they share with nb.
+	if !p.sameTwoHop(nb, h.Neighbors) {
+		nb.TwoHop, nb.TwoHopMax = nb.TwoHop[:0], 0
+		for _, n := range h.Neighbors {
+			if n != p.self {
+				nb.TwoHop = append(nb.TwoHop, n)
+				nb.TwoHopMax = max(nb.TwoHopMax, n)
 			}
 		}
-		if n > nb.TwoHopMax {
-			nb.TwoHopMax = n
-		}
-		nb.TwoHop[n] = exp
+		p.mprInVer++
 	}
 	p.dirty = true
-	p.selectMPRs()
+	p.noteMPRs(now)
+}
+
+// sameTwoHop reports whether incoming, less self, names exactly the set
+// nb.TwoHop holds. A neighbor lists its neighbors in its table's slot
+// order, which rarely changes between two of its hellos, so the common
+// case is a positional match; any other order falls back to membership in
+// a scratch bitset.
+func (p *Protocol) sameTwoHop(nb *rcommon.Neighbor, incoming []netstack.NodeID) bool {
+	i, inStep := 0, true
+	for _, n := range incoming {
+		if n == p.self {
+			continue
+		}
+		if i == len(nb.TwoHop) || nb.TwoHop[i] != n {
+			inStep = false
+			break
+		}
+		i++
+	}
+	if inStep {
+		return i == len(nb.TwoHop)
+	}
+	p.symBits.reset(int(nb.TwoHopMax) + 1)
+	for _, th := range nb.TwoHop {
+		p.symBits.set(th)
+	}
+	count := 0
+	for _, n := range incoming {
+		if n == p.self {
+			continue
+		}
+		if n > nb.TwoHopMax || !p.symBits.has(n) {
+			return false
+		}
+		count++
+	}
+	return count == len(nb.TwoHop)
 }
 
 func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
@@ -471,10 +442,10 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 	}
 	now := p.node.Now()
 	if p.seenTC.Witness(m.Orig, m.Seq, now) {
-		te, ok := p.topo[m.Orig]
-		if !ok || !seqNewer(te.seq, m.Seq) {
+		te := p.topo.Get(uint64(m.Orig))
+		if te == nil || !seqNewer(te.seq, m.Seq) {
 			exp := now + p.cfg.TopologyHold
-			if ok && te.expiry > now && sameAdvertised(te.advertised, m.Advertised) {
+			if te != nil && te.expiry > now && sameAdvertised(te.advertised, m.Advertised) {
 				// The re-advertisement names the same links and the old
 				// entry is still live: refresh in place. No link appears
 				// or disappears at any instant before the (previous)
@@ -482,13 +453,12 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 				te.seq = m.Seq
 				te.expiry = exp
 			} else {
-				adv := append([]netstack.NodeID(nil), m.Advertised...)
-				sort.Slice(adv, func(i, j int) bool { return adv[i] < adv[j] })
-				if ok {
-					te.advertised, te.seq, te.expiry = adv, m.Seq, exp
-				} else {
-					p.topo[m.Orig] = &topoEntry{advertised: adv, seq: m.Seq, expiry: exp}
+				if te == nil {
+					te, _ = p.topo.Put(uint64(m.Orig))
 				}
+				te.advertised = append(te.advertised[:0], m.Advertised...)
+				slices.Sort(te.advertised)
+				te.seq, te.expiry = m.Seq, exp
 				p.linkVer++
 			}
 			if exp < p.topoHorizon {
@@ -498,7 +468,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 		}
 		// MPR forwarding rule: relay only if the transmitter selected
 		// this node as MPR.
-		if nb, ok := p.nbrs.Get(from); ok && nb.SelectsMe && m.TTL > 1 {
+		if nb := p.nbrs.Get(from); nb != nil && nb.SelectsMe && m.TTL > 1 {
 			z := *m
 			z.TTL--
 			jit := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
@@ -515,8 +485,7 @@ func sameAdvertised(stored, incoming []netstack.NodeID) bool {
 		return false
 	}
 	for _, n := range incoming {
-		i := sort.Search(len(stored), func(i int) bool { return stored[i] >= n })
-		if i >= len(stored) || stored[i] != n {
+		if _, found := slices.BinarySearch(stored, n); !found {
 			return false
 		}
 	}
@@ -527,20 +496,37 @@ func sameAdvertised(stored, incoming []netstack.NodeID) bool {
 // wraparound comparison.
 func seqNewer(stored, incoming uint32) bool { return rcommon.SeqGT(stored, incoming) }
 
-// selectMPRs runs the greedy set cover of the strict two-hop neighborhood
-// — unless the one/two-hop neighborhood provably has not changed since the
-// last run (unchanged structure version, clock before the expiry horizon),
-// in which case the cached set is already exactly what the cover would
-// produce.
+// --- MPR selection ------------------------------------------------------
+
+// noteMPRs records that the MPR inputs changed at now: the selection is
+// pending until the next HELLO settles it.
+func (p *Protocol) noteMPRs(now sim.Time) {
+	p.mprAt, p.mprPending = now, true
+}
+
+// settleMPRs brings mprs up to date with the last noted change. It is the
+// only caller of selectMPRsAt: sendHello settles before reading mprs, and
+// any mutation of the MPR inputs that is not noted settles first.
+func (p *Protocol) settleMPRs() {
+	if p.mprPending {
+		p.mprPending = false
+		p.selectMPRsAt(p.mprAt)
+	}
+}
+
+// selectMPRsAt runs the greedy set cover of the strict two-hop
+// neighborhood as of now — unless the one/two-hop neighborhood provably
+// has not changed since the last run (unchanged structure version, now
+// before the expiry horizon), in which case the cached set is already
+// exactly what the cover would produce.
 //
-// The cover runs over bitsets indexed by node id and the flat TwoHopList
-// mirrors, not the TwoHop maps: node ids are dense in every scenario, so
-// membership is one shift+mask instead of a map probe, and the scratch
-// bitsets are reused across runs. Cover counts are order-independent sums
-// and the candidate scan walks liveSym in sorted id order, so the selected
-// set is identical to the map-based cover's.
-func (p *Protocol) selectMPRs() {
-	now := p.node.Now()
+// The cover runs over bitsets indexed by node id and the flat TwoHop
+// lists: node ids are dense in every scenario, so membership is one
+// shift+mask, and the scratch bitsets are reused across runs. Cover counts
+// are order-independent sums and the candidate scan walks liveSym in
+// sorted id order, so the selected set does not depend on the order of
+// any TwoHop list.
+func (p *Protocol) selectMPRsAt(now sim.Time) {
 	if p.mprVer == p.mprInVer && now < p.mprHorizon {
 		return
 	}
@@ -548,18 +534,12 @@ func (p *Protocol) selectMPRs() {
 	horizon := forever
 	p.liveSym = p.liveSym[:0]
 	maxID := p.self
-	for _, e := range p.symList {
-		if e.nb.Expiry > now {
-			p.liveSym = append(p.liveSym, e)
-			if e.nb.Expiry < horizon {
-				horizon = e.nb.Expiry
-			}
-			if e.id > maxID {
-				maxID = e.id
-			}
-			if e.nb.TwoHopMax > maxID {
-				maxID = e.nb.TwoHopMax
-			}
+	for _, id := range p.symList {
+		nb := p.nbrs.Get(id)
+		if nb.Expiry > now {
+			p.liveSym = append(p.liveSym, symNeighbor{id: id, nb: nb})
+			horizon = min(horizon, nb.Expiry)
+			maxID = max(maxID, id, nb.TwoHopMax)
 		}
 	}
 	p.symBits.reset(int(maxID) + 1)
@@ -588,7 +568,7 @@ func (p *Protocol) selectMPRs() {
 	// per-round rescan used to recompute, and the selection is identical.
 	for i, e := range p.liveSym {
 		cnt := int32(0)
-		for _, th := range e.nb.TwoHopList {
+		for _, th := range e.nb.TwoHop {
 			if th == p.self || p.symBits.has(th) {
 				continue
 			}
@@ -604,7 +584,7 @@ func (p *Protocol) selectMPRs() {
 		}
 		p.coverCnt[i] = cnt
 	}
-	clear(p.mprs)
+	p.mprs = p.mprs[:0]
 	for uncovered > 0 {
 		best := -1
 		bestCover := int32(0)
@@ -623,8 +603,8 @@ func (p *Protocol) selectMPRs() {
 		}
 		bestE := p.liveSym[best]
 		p.chosen[best] = true
-		p.mprs[bestE.id] = struct{}{}
-		for _, th := range bestE.nb.TwoHopList {
+		p.mprs = append(p.mprs, bestE.id)
+		for _, th := range bestE.nb.TwoHop {
 			if p.uncov.has(th) {
 				p.uncov.clearBit(th)
 				uncovered--
@@ -639,7 +619,7 @@ func (p *Protocol) selectMPRs() {
 	// beyond two hops. liveSym is sorted, so the first entry is the
 	// lowest id.
 	if len(p.mprs) == 0 && len(p.liveSym) > 0 {
-		p.mprs[p.liveSym[0].id] = struct{}{}
+		p.mprs = append(p.mprs, p.liveSym[0].id)
 	}
 	p.mprVer = p.mprInVer
 	p.mprHorizon = horizon
@@ -700,51 +680,43 @@ func (p *Protocol) recompute() {
 	}
 	p.dirty = false
 	p.rebuilds++
-	clear(p.routes)
-	clear(p.hops)
-	p.hops[p.self] = 0
+	p.routes.Reset()
 	horizon := forever
 
 	// First ring: symmetric neighbors, visited in id order — the BFS
 	// assigns each destination the first equal-cost route it reaches, so
-	// tie-breaks must not depend on map iteration order (it varies across
-	// goroutines, which would make trial results depend on the worker
-	// count of the sweep runner). symList is maintained sorted, so no
-	// per-rebuild sort.
+	// tie-breaks must not depend on table order. symList is maintained
+	// sorted, so no per-rebuild sort.
 	queue := p.queue[:0]
-	for _, e := range p.symList {
-		if e.nb.Expiry <= now {
+	for _, id := range p.symList {
+		nb := p.nbrs.Get(id)
+		if nb.Expiry <= now {
 			continue
 		}
-		queue = append(queue, e.id)
-		p.routes[e.id] = e.id
-		p.hops[e.id] = 1
-		if e.nb.Expiry < horizon {
-			horizon = e.nb.Expiry
-		}
+		queue = append(queue, id)
+		r, _ := p.routes.Put(uint64(id))
+		*r = route{nh: id, hops: 1}
+		horizon = min(horizon, nb.Expiry)
 	}
 	// Expand over TC-advertised links, popping by head index (re-slicing
 	// the queue would keep the whole backing array pinned and re-grow it
-	// every rebuild).
+	// every rebuild). Self has no entry; it is skipped by id instead.
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		te, ok := p.topo[cur]
-		if !ok || te.expiry <= now {
+		te := p.topo.Get(uint64(cur))
+		if te == nil || te.expiry <= now {
 			continue
 		}
-		if te.expiry < horizon {
-			horizon = te.expiry
-		}
+		horizon = min(horizon, te.expiry)
+		via := *p.routes.Get(uint64(cur)) // copied: Put below may move it
 		for _, adv := range te.advertised {
 			if adv == p.self {
 				continue
 			}
-			if _, known := p.hops[adv]; known {
-				continue
+			if r, fresh := p.routes.Put(uint64(adv)); fresh {
+				*r = route{nh: via.nh, hops: via.hops + 1}
+				queue = append(queue, adv)
 			}
-			p.hops[adv] = p.hops[cur] + 1
-			p.routes[adv] = p.routes[cur]
-			queue = append(queue, adv)
 		}
 	}
 	p.queue = queue
@@ -757,12 +729,12 @@ func (p *Protocol) recompute() {
 // OriginateData implements netstack.Protocol.
 func (p *Protocol) OriginateData(pkt *netstack.DataPacket) {
 	p.recompute()
-	nh, ok := p.routes[pkt.Dst]
-	if !ok {
+	r := p.routes.Get(uint64(pkt.Dst))
+	if r == nil {
 		p.node.DropData(pkt, rcommon.DropNoRoute)
 		return
 	}
-	p.node.ForwardData(nh, pkt)
+	p.node.ForwardData(r.nh, pkt)
 }
 
 // RecvData implements netstack.Protocol.
@@ -778,12 +750,12 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 		return
 	}
 	p.recompute()
-	nh, ok := p.routes[pkt.Dst]
-	if !ok {
+	r := p.routes.Get(uint64(pkt.Dst))
+	if r == nil {
 		p.node.DropData(pkt, rcommon.DropNoRoute)
 		return
 	}
-	p.node.ForwardData(nh, pkt)
+	p.node.ForwardData(r.nh, pkt)
 }
 
 // DataFailed implements netstack.Protocol: proactive OLSR has no reactive
@@ -792,12 +764,15 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 // for all protocols in the evaluation.
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	p.removeNeighbor(to)
-	p.selectMPRs()
+	p.noteMPRs(p.node.Now())
 	p.node.DropData(pkt, rcommon.DropLinkLost)
 }
 
-// ControlFailed implements netstack.Protocol.
+// ControlFailed implements netstack.Protocol. The removal is not noted as
+// an MPR input change — the selection stays as it was until the next note
+// — so a pending selection is settled before the inputs move.
 func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
+	p.settleMPRs()
 	p.removeNeighbor(to)
 }
 
@@ -806,7 +781,7 @@ func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
 // disappeared (removing an asymmetric or already-expired entry changes no
 // computation input).
 func (p *Protocol) removeNeighbor(to netstack.NodeID) {
-	if nb, ok := p.nbrs.Get(to); ok {
+	if nb := p.nbrs.Get(to); nb != nil {
 		if nb.Sym {
 			p.symRemove(to)
 			if nb.Expiry > p.node.Now() {

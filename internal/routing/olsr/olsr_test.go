@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -13,13 +14,17 @@ import (
 
 func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
 
+// selectMPRs runs the selection as of now, as the eager code did on every
+// change of its inputs.
+func (p *Protocol) selectMPRs() { p.selectMPRsAt(p.node.Now()) }
+
 func TestNeighborDiscovery(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
 	p := w.Nodes[1].Protocol().(*Protocol)
 	sym := 0
-	for _, nb := range p.nbrs.All() {
-		if nb.Sym {
+	for i := range p.nbrs.Len() {
+		if _, nb := p.nbrs.At(i); nb.Sym {
 			sym++
 		}
 	}
@@ -73,10 +78,11 @@ func TestMPRSelectionCoversTwoHop(t *testing.T) {
 	w := rtest.New(1, 120, factory, pts, nil)
 	w.Sim.RunUntil(15 * time.Second)
 	p := w.Nodes[0].Protocol().(*Protocol)
-	if _, ok := p.mprs[1]; !ok {
+	p.settleMPRs()
+	if !slices.Contains(p.mprs, 1) {
 		t.Error("node 1 (only path to 2) not selected as MPR")
 	}
-	if _, ok := p.mprs[3]; !ok {
+	if !slices.Contains(p.mprs, 3) {
 		t.Error("node 3 (only path to 4) not selected as MPR")
 	}
 }
@@ -89,8 +95,8 @@ func TestTCFloodBuildsRemoteRoutes(t *testing.T) {
 		t.Fatalf("route 0->5 next hop = %v, want [1]", got)
 	}
 	p.recompute()
-	if p.hops[5] != 5 {
-		t.Fatalf("hops to 5 = %d, want 5", p.hops[5])
+	if r := p.routes.Get(5); r == nil || r.hops != 5 {
+		t.Fatalf("route to 5 = %+v, want 5 hops", r)
 	}
 }
 
@@ -232,26 +238,22 @@ func TestMPRCoverProperty(t *testing.T) {
 			nb.Sym = true
 			// Tests mutate the table directly, so mirror the symmetry
 			// flip into the sorted slice as handleHello would.
-			p.symInsert(id, nb)
+			p.symInsert(id)
 			p.mprInVer++
 			for j := 0; j < rng.Intn(6); j++ {
 				th := netstack.NodeID(200 + rng.Intn(10))
-				if _, ok := nb.TwoHop[th]; !ok {
-					nb.TwoHopList = append(nb.TwoHopList, th)
+				if !slices.Contains(nb.TwoHop, th) {
+					nb.TwoHop = append(nb.TwoHop, th)
 				}
-				if th > nb.TwoHopMax {
-					nb.TwoHopMax = th
-				}
-				nb.TwoHop[th] = sim.Time(time.Hour)
+				nb.TwoHopMax = max(nb.TwoHopMax, th)
 				twoHopUniverse[th] = true
 			}
 		}
 		p.selectMPRs()
 		// Verify cover.
 		covered := make(map[netstack.NodeID]bool)
-		for id := range p.mprs {
-			nb, _ := p.nbrs.Get(id)
-			for th := range nb.TwoHop {
+		for _, id := range p.mprs {
+			for _, th := range p.nbrs.Get(id).TwoHop {
 				covered[th] = true
 			}
 		}
@@ -264,5 +266,101 @@ func TestMPRCoverProperty(t *testing.T) {
 		if nNb > 0 && len(p.mprs) == 0 {
 			t.Fatalf("trial %d: no MPR selected with %d neighbors", trial, nNb)
 		}
+	}
+}
+
+func TestMPRSelectedOnDemand(t *testing.T) {
+	// Center 4 of a 3x3 grid has the symmetric neighbors 1, 3, 5 and 7.
+	w := rtest.New(1, 120, factory, rtest.Grid(3, 3, 100), nil)
+	w.Sim.RunUntil(15 * time.Second)
+	p := w.Nodes[4].Protocol().(*Protocol)
+	// heard delivers a hello from a neighbor that lists 4 and twoHop, so
+	// the neighbor's two-hop set changes and the MPR inputs with it.
+	heard := func(from netstack.NodeID, twoHop ...netstack.NodeID) {
+		p.handleHello(from, &hello{From: from, Neighbors: append([]netstack.NodeID{4}, twoHop...)})
+	}
+
+	// HELLOs heard between two of the node's own HELLOs only note.
+	p.settleMPRs()
+	runs := p.mprRuns
+	heard(1, 0, 2, 900)
+	heard(3, 0, 6, 901)
+	if p.mprRuns != runs || !p.mprPending {
+		t.Fatalf("hellos heard ran the cover %d times, pending %v; want 0 runs, pending", p.mprRuns-runs, p.mprPending)
+	}
+
+	// The next own HELLO runs the cover once, as of the last note, and
+	// carries what a fresh selection at that instant chooses.
+	at := p.mprAt
+	p.sendHello()
+	if p.mprRuns != runs+1 || p.mprPending {
+		t.Fatalf("sendHello ran the cover %d times, pending %v; want 1 run, settled", p.mprRuns-runs, p.mprPending)
+	}
+	got := slices.Clone(p.mprs)
+	if !slices.Contains(got, 1) || !slices.Contains(got, 3) {
+		t.Fatalf("MPRs %v miss 1 or 3, the only paths to 900 and 901", got)
+	}
+	p.mprInVer++ // defeat the skip rule: select from scratch
+	p.selectMPRsAt(at)
+	if !slices.Equal(got, p.mprs) {
+		t.Fatalf("settled MPRs %v, a fresh selection at %v chooses %v", got, at, p.mprs)
+	}
+
+	// A ControlFailed removal is not noted: it settles first, so the next
+	// HELLO carries the set from before the removal, as the eager code did.
+	heard(5, 2, 8, 902)
+	runs = p.mprRuns
+	p.ControlFailed(5, nil)
+	if p.mprRuns != runs+1 || p.mprPending {
+		t.Fatalf("ControlFailed ran the cover %d times, pending %v; want 1 run, settled", p.mprRuns-runs, p.mprPending)
+	}
+	if !slices.Contains(p.mprs, 5) {
+		t.Fatalf("MPRs %v settled after removing 5, the only path to 902", p.mprs)
+	}
+	before := slices.Clone(p.mprs)
+	p.sendHello()
+	if p.mprRuns != runs+1 || !slices.Equal(p.mprs, before) {
+		t.Fatalf("the HELLO after the removal re-selected: %d runs, MPRs %v, want %v", p.mprRuns-runs, p.mprs, before)
+	}
+}
+
+func TestHandleTCAllocs(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w.Sim.RunUntil(10 * time.Second)
+	p := w.Nodes[0].Protocol().(*Protocol)
+	// TTL 1: a relayed TC is a new message and allocates by design.
+	m := tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{7, 3, 5}, TTL: 1}
+	p.handleTC(1, &m)
+	if te := p.topo.Get(9); te == nil || !slices.Equal(te.advertised, []netstack.NodeID{3, 5, 7}) {
+		t.Fatalf("topology entry of 9 = %+v, want advertised [3 5 7]", te)
+	}
+	if n := testing.AllocsPerRun(200, func() { p.handleTC(1, &m) }); n != 0 {
+		t.Errorf("duplicate TC: %v allocs, want 0", n)
+	}
+
+	// Steady state: the dup cache has held a retention window's worth of
+	// sightings before, so new ones reuse its storage.
+	for range 500 {
+		m.Seq++
+		p.handleTC(1, &m)
+	}
+	p.seenTC.Sweep(p.node.Now() + time.Minute)
+	if n := testing.AllocsPerRun(200, func() {
+		m.Seq++
+		p.handleTC(1, &m)
+	}); n != 0 {
+		t.Errorf("content-identical TC refresh: %v allocs, want 0", n)
+	}
+	linkVer := p.linkVer
+	changed := [][]netstack.NodeID{{4, 3}, {8, 6, 2}}
+	if n := testing.AllocsPerRun(200, func() {
+		m.Seq++
+		m.Advertised = changed[m.Seq%2]
+		p.handleTC(1, &m)
+	}); n != 0 {
+		t.Errorf("changed TC no longer than the stored one: %v allocs, want 0", n)
+	}
+	if p.linkVer == linkVer {
+		t.Fatal("changed TCs did not register as topology changes")
 	}
 }

@@ -12,14 +12,16 @@ import (
 // The cache is a flood-rate hot path (every received TC/RREQ probes it),
 // so the key is packed into one uint64 — originators are registered node
 // ids, dense and non-negative, so 32 bits each side loses nothing — and
-// sightings are additionally queued in insertion order. Because the clock
-// is monotone and the retention is fixed, insertion order is expiry order,
-// so Sweep pops expired sightings from the queue head in O(expired)
-// instead of iterating the whole map once per housekeeping tick.
+// sightings live in an IDTable, deadline by value, with no heap object
+// per sighting. They are additionally queued in insertion order. Because
+// the clock is monotone and the retention is fixed, insertion order is
+// expiry order, so Sweep pops expired sightings from the queue head in
+// O(expired) instead of walking the whole table once per housekeeping
+// tick.
 type DupCache struct {
-	m    map[uint64]sim.Time
-	q    []dupEntry // insertion order == expiry order
-	head int        // first live queue slot; compacted when past the midpoint
+	m    IDTable[sim.Time] // key -> retention deadline
+	q    []dupEntry        // insertion order == expiry order
+	head int               // first live queue slot; compacted when past the midpoint
 	ttl  sim.Time
 }
 
@@ -34,14 +36,14 @@ func dupKey(orig netstack.NodeID, id uint32) uint64 {
 
 // NewDupCache returns a cache retaining sightings for ttl.
 func NewDupCache(ttl sim.Time) *DupCache {
-	return &DupCache{m: make(map[uint64]sim.Time), ttl: ttl}
+	return &DupCache{ttl: ttl}
 }
 
 // Witness records the first sighting of (orig, id) and reports whether it
 // was new; a repeat sighting inside the retention window returns false.
 func (c *DupCache) Witness(orig netstack.NodeID, id uint32, now sim.Time) bool {
 	key := dupKey(orig, id)
-	if _, dup := c.m[key]; dup {
+	if c.m.Get(key) != nil {
 		return false
 	}
 	c.insert(key, now+c.ttl)
@@ -55,7 +57,8 @@ func (c *DupCache) Mark(orig netstack.NodeID, id uint32, now sim.Time) {
 }
 
 func (c *DupCache) insert(key uint64, exp sim.Time) {
-	c.m[key] = exp
+	v, _ := c.m.Put(key)
+	*v = exp
 	c.q = append(c.q, dupEntry{key: key, exp: exp})
 }
 
@@ -68,8 +71,8 @@ func (c *DupCache) Sweep(now sim.Time) {
 		e := c.q[c.head]
 		c.q[c.head] = dupEntry{}
 		c.head++
-		if exp, ok := c.m[e.key]; ok && exp == e.exp {
-			delete(c.m, e.key)
+		if exp := c.m.Get(e.key); exp != nil && *exp == e.exp {
+			c.m.Delete(e.key)
 		}
 	}
 	if c.head == len(c.q) {
@@ -81,4 +84,4 @@ func (c *DupCache) Sweep(now sim.Time) {
 }
 
 // Len returns the number of retained sightings.
-func (c *DupCache) Len() int { return len(c.m) }
+func (c *DupCache) Len() int { return c.m.Len() }

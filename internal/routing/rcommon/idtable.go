@@ -10,9 +10,9 @@ import "math/bits"
 // The zero value is an empty table.
 //
 // Pointer validity: a *T returned by Get, Put or At points into the slab.
-// It is valid until the next Put or Delete on the same table — Put may
-// move the slab to grow it, Delete moves the last entry into the freed
-// slot — and must not be kept, or captured by a closure, past either.
+// It is valid until the next Put, Delete or Reset on the same table — Put
+// may move the slab to grow it, Delete moves the last entry into the freed
+// slot — and must not be kept, or captured by a closure, past any of them.
 //
 // Order: slots 0…Len()-1 are dense. Their order is a function of the
 // Put/Delete history alone, never of hashing, so a walk is deterministic;
@@ -94,6 +94,14 @@ func (t *IDTable[T]) Put(key uint64) (v *T, fresh bool) {
 	t.slab = append(t.slab, idEntry[T]{key: key})
 	t.index[pos] = int32(len(t.slab))
 	return &t.slab[len(t.slab)-1].val, true
+}
+
+// Reset removes every entry and keeps the slab's and the index's storage,
+// so a table emptied and refilled to the same size allocates nothing.
+func (t *IDTable[T]) Reset() {
+	clear(t.slab) // drop what the values referenced
+	t.slab = t.slab[:0]
+	clear(t.index)
 }
 
 // grow doubles the index and re-enters every slot.

@@ -50,6 +50,14 @@ func (m *idModel) del(key uint64) {
 	m.check(key)
 }
 
+// reset empties the table and the map, then checks key.
+func (m *idModel) reset(key uint64) {
+	m.step++
+	m.tab.Reset()
+	clear(m.ref)
+	m.check(key)
+}
+
 // check compares presence and value of key, Len, and every slot.
 func (m *idModel) check(key uint64) {
 	m.step++
@@ -93,11 +101,13 @@ func TestIDTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m := newIDModel(t)
 	const full = 280 // entries; needs a 1024-slot index, seven doublings from 8
-	filling, peak, emptied := true, 0, 0
+	filling, peak, emptied, resets := true, 0, 0, 0
 	for s := 0; s < steps; s++ {
 		key := keys[rng.Intn(len(keys))]
-		// Fill with random keys until nearly all are in, then drain by
-		// deleting occupied slots until the table is empty, and go round.
+		// Fill with random keys until nearly all are in, then empty the
+		// table — every other round by draining occupied slots one by one,
+		// otherwise by one Reset, whose kept storage the next round
+		// refills — and go round.
 		r := rng.Intn(100)
 		switch {
 		case r < 10:
@@ -111,15 +121,21 @@ func TestIDTableMatchesMap(t *testing.T) {
 		}
 		n := m.tab.Len()
 		peak = max(peak, n)
-		if n >= full {
+		switch {
+		case n >= full && emptied%2 == 1:
+			m.reset(key)
+			resets++
+			emptied++
+		case n >= full:
 			filling = false
-		} else if n == 0 {
+		case n == 0:
 			filling = true
 			emptied++
 		}
 	}
-	if peak < full || emptied < 2 {
-		t.Fatalf("walk reached %d entries and emptied the table %d times; want >= %d and >= 2", peak, emptied, full)
+	if peak < full || emptied < 2 || resets < 2 {
+		t.Fatalf("walk reached %d entries and emptied the table %d times, %d by Reset; want >= %d, >= 2 and >= 2",
+			peak, emptied, resets, full)
 	}
 	if m.tab.Get(1<<40) != nil || m.tab.Delete(1<<40) {
 		t.Fatal("a key never put is present")
@@ -135,8 +151,8 @@ func TestIDTableZeroValue(t *testing.T) {
 
 // FuzzIDTable reads its input as (op, key) byte pairs over 256 keys and
 // holds the table to the map after every one. The seeds fill the table
-// past several growths, empty it front to back and back to front, and
-// hammer one probe run.
+// past several growths, empty it front to back and back to front, hammer
+// one probe run, and refill a Reset table into its kept storage.
 func FuzzIDTable(f *testing.F) {
 	var fill, drainUp, drainDown, churn []byte
 	for i := 0; i < 256; i++ {
@@ -149,19 +165,22 @@ func FuzzIDTable(f *testing.F) {
 	f.Add(append(append([]byte{}, fill...), drainUp...))
 	f.Add(append(append([]byte{}, fill...), drainDown...))
 	f.Add(churn)
+	f.Add(append(append(append(append([]byte{}, fill...), 4, 0), drainDown[:64]...), fill...))
 	keys := idKeys(256)
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := newIDModel(t)
 		for i := 0; i+1 < len(ops); i += 2 {
 			key := keys[ops[i+1]]
-			switch ops[i] % 4 {
+			switch ops[i] % 5 {
 			case 0, 1:
 				m.put(key)
 			case 2:
 				m.del(key)
-			default:
+			case 3:
 				m.check(key)
+			default:
+				m.reset(key)
 			}
 		}
 	})

@@ -13,17 +13,15 @@ type Neighbor struct {
 	// Expiry is the hello-liveness deadline; a neighbor whose hellos stop
 	// ages out at Expiry.
 	Expiry sim.Time
-	// TwoHop maps the neighbor's own symmetric neighbors to their
-	// liveness deadlines — the two-hop neighborhood MPR selection covers.
-	TwoHop map[netstack.NodeID]sim.Time
-	// TwoHopList mirrors TwoHop's key set as a flat slice so hot loops can
-	// iterate it without map-iteration cost. The owning protocol rebuilds
-	// it whenever it rewrites the key set; Expire keeps it in sync when
-	// pruning. Protocols that never populate it simply leave it nil.
-	TwoHopList []netstack.NodeID
-	// TwoHopMax is a conservative upper bound on the ids in TwoHopList,
-	// maintained by the writer on insert and never lowered by pruning. It
-	// lets id-indexed scratch (MPR cover bitsets) be sized without
+	// TwoHop is the neighbor's own symmetric neighbor set as its last hello
+	// listed it — the two-hop neighborhood MPR selection covers — in no
+	// particular order, without duplicates. It needs no deadlines of its
+	// own: the hello that writes it also writes Expiry, so every two-hop
+	// entry lives exactly as long as the neighbor that reported it.
+	// Protocols that never populate it simply leave it nil.
+	TwoHop []netstack.NodeID
+	// TwoHopMax is an upper bound on the ids in TwoHop, set by the writer.
+	// It lets id-indexed scratch (MPR cover bitsets) be sized without
 	// scanning the list.
 	TwoHopMax netstack.NodeID
 	// SelectsMe marks that the neighbor chose this node as multipoint
@@ -36,70 +34,51 @@ type Neighbor struct {
 // delivery failure (Remove kills the entry immediately, without waiting
 // for the hold time to expire).
 //
-// Iteration over All is map-ordered and therefore unordered; callers must
-// keep every outcome order-independent (or sort), exactly as the
-// protocol-local maps this table replaces required.
+// Entries live by value in an IDTable, so the IDTable's rules carry over:
+// a *Neighbor from Get, Touch or At is valid until the next Touch, Remove
+// or Expire, and a walk over slots 0…Len()-1 is deterministic but not
+// sorted by id.
 type NeighborTable struct {
-	m map[netstack.NodeID]*Neighbor
-	// horizon is a lower bound on every liveness deadline in the table —
-	// neighbor expiries and two-hop expiries alike. Before it, a sweep
-	// provably removes nothing and Expire returns immediately; each real
-	// sweep recomputes the exact minimum. Touch maintains the bound for
-	// the deadlines it writes; callers that write TwoHop deadlines
-	// directly must report them via Observe.
+	m IDTable[Neighbor]
+	// horizon is a lower bound on every liveness deadline in the table.
+	// Before it, a sweep provably removes nothing and Expire returns
+	// immediately; each real sweep recomputes the exact minimum and Touch
+	// lowers it for the deadlines it writes.
 	horizon sim.Time
 }
 
 // NewNeighborTable returns an empty table.
-func NewNeighborTable() *NeighborTable {
-	return &NeighborTable{m: make(map[netstack.NodeID]*Neighbor)}
-}
+func NewNeighborTable() *NeighborTable { return &NeighborTable{} }
 
 // Len returns the number of entries, live or not yet expired-out.
-func (t *NeighborTable) Len() int { return len(t.m) }
+func (t *NeighborTable) Len() int { return t.m.Len() }
 
-// Get returns the entry for id, if present.
-func (t *NeighborTable) Get(id netstack.NodeID) (*Neighbor, bool) {
-	nb, ok := t.m[id]
-	return nb, ok
+// At returns the id and entry in slot i, 0 <= i < Len().
+func (t *NeighborTable) At(i int) (netstack.NodeID, *Neighbor) {
+	return netstack.NodeID(t.m.KeyAt(i)), t.m.At(i)
 }
+
+// Get returns the entry for id, or nil.
+func (t *NeighborTable) Get(id netstack.NodeID) *Neighbor { return t.m.Get(uint64(id)) }
 
 // Touch records hello receipt from id: the entry is created on first
 // contact and its liveness deadline extended to expiry.
 func (t *NeighborTable) Touch(id netstack.NodeID, expiry sim.Time) *Neighbor {
-	nb, ok := t.m[id]
-	if !ok {
-		nb = &Neighbor{TwoHop: make(map[netstack.NodeID]sim.Time)}
-		t.m[id] = nb
-	}
+	nb, _ := t.m.Put(uint64(id))
 	nb.Expiry = expiry
-	t.Observe(expiry)
-	return nb
-}
-
-// Observe lowers the sweep horizon to cover a liveness deadline written
-// outside Touch (a caller-managed TwoHop entry). Deadlines at or past the
-// current horizon need no reporting, but reporting them is harmless.
-func (t *NeighborTable) Observe(expiry sim.Time) {
 	if expiry < t.horizon {
 		t.horizon = expiry
 	}
+	return nb
 }
 
 // Remove drops id on link-layer failure evidence; it reports whether an
 // entry existed.
-func (t *NeighborTable) Remove(id netstack.NodeID) bool {
-	if _, ok := t.m[id]; !ok {
-		return false
-	}
-	delete(t.m, id)
-	return true
-}
+func (t *NeighborTable) Remove(id netstack.NodeID) bool { return t.m.Delete(uint64(id)) }
 
-// Expire ages out neighbors whose hellos stopped and prunes stale two-hop
-// entries of the survivors. It reports whether anything changed. Sweeps
-// before the horizon return immediately: no deadline in the table has
-// passed, so a full scan would find nothing.
+// Expire ages out neighbors whose hellos stopped and reports whether any
+// did. Sweeps before the horizon return immediately: no deadline in the
+// table has passed, so a full scan would find nothing.
 func (t *NeighborTable) Expire(now sim.Time) bool {
 	if now < t.horizon {
 		return false
@@ -107,39 +86,15 @@ func (t *NeighborTable) Expire(now sim.Time) bool {
 	const forever = sim.Time(1<<63 - 1)
 	min := forever
 	changed := false
-	for id, nb := range t.m {
-		if nb.Expiry <= now {
-			delete(t.m, id)
+	// Walk down: the entry Delete moves into slot i is one already seen.
+	for i := t.m.Len() - 1; i >= 0; i-- {
+		if exp := t.m.At(i).Expiry; exp <= now {
+			t.m.Delete(t.m.KeyAt(i))
 			changed = true
-			continue
-		}
-		if nb.Expiry < min {
-			min = nb.Expiry
-		}
-		pruned := false
-		for th, exp := range nb.TwoHop {
-			if exp <= now {
-				delete(nb.TwoHop, th)
-				pruned = true
-				changed = true
-			} else if exp < min {
-				min = exp
-			}
-		}
-		if pruned && len(nb.TwoHopList) > 0 {
-			kept := nb.TwoHopList[:0]
-			for _, th := range nb.TwoHopList {
-				if _, ok := nb.TwoHop[th]; ok {
-					kept = append(kept, th)
-				}
-			}
-			nb.TwoHopList = kept
+		} else if exp < min {
+			min = exp
 		}
 	}
 	t.horizon = min
 	return changed
 }
-
-// All exposes the underlying map for iteration. Outcomes of an iteration
-// must not depend on its order.
-func (t *NeighborTable) All() map[netstack.NodeID]*Neighbor { return t.m }
