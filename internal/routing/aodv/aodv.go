@@ -111,6 +111,7 @@ type rreq struct {
 	UnknownSeq bool
 	HopCount   int
 	TTL        int
+	Flood      *rcommon.Flood // duplicate record, shared by every copy
 }
 
 // rrep is the route reply.
@@ -164,8 +165,9 @@ type Protocol struct {
 	seq    uint32 // own sequence number, starts at 0 (Fig. 7 baseline)
 	rreqID uint32
 	table  map[netstack.NodeID]*routeEntry
-	// seen suppresses duplicate RREQ floods (PATH_DISCOVERY_TIME).
-	seen *rcommon.DupCache
+	// swept is the instant of the last 10 s sweep, which is when RREQ
+	// sightings expire (rcommon.Flood).
+	swept sim.Time
 	// disc owns the pending discoveries, their packet queues, and the
 	// post-failure hold-down.
 	disc *rcommon.DiscoveryTable
@@ -182,7 +184,6 @@ func New(cfg Config) *Protocol {
 	return &Protocol{
 		cfg:       cfg,
 		table:     make(map[netstack.NodeID]*routeEntry),
-		seen:      rcommon.NewDupCache(30 * time.Second),
 		disc:      rcommon.NewDiscoveryTable(cfg.QueueCap, cfg.RreqRetries, cfg.DiscoveryHoldDown),
 		rreqLimit: rcommon.RateLimiter{Cap: cfg.RreqRateLimit},
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
@@ -199,7 +200,7 @@ func (p *Protocol) Attach(n *netstack.Node) {
 // Start implements netstack.Protocol. Starting twice is a no-op.
 func (p *Protocol) Start() {
 	p.sweeper.StartEvery(p.node, 10*time.Second, func() {
-		p.seen.Sweep(p.node.Now())
+		p.swept = p.node.Now()
 	})
 }
 
@@ -297,7 +298,6 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 	// increment its own sequence number."
 	p.seq++
 	p.rreqID++
-	p.seen.Mark(p.self, p.rreqID, p.node.Now())
 
 	r := &rreq{
 		Src:    p.self,
@@ -305,6 +305,7 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
 		TTL:    p.cfg.TTLs[min(pd.Attempt, len(p.cfg.TTLs)-1)],
+		Flood:  rcommon.NewFlood(p.node.Now()),
 	}
 	if e, ok := p.table[pd.Dst]; ok && e.validSeq {
 		r.DstSeq = e.seq
@@ -352,7 +353,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	// Build/refresh the reverse route to the originator.
 	p.update(r.Src, r.SrcSeq, true, r.HopCount+1, from)
 
-	if !p.seen.Witness(r.Src, r.RreqID, p.node.Now()) {
+	if !r.Flood.Witness(p.self, p.node.Now(), p.swept) {
 		return
 	}
 

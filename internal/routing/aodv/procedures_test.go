@@ -48,6 +48,13 @@ func spyWorld(t *testing.T) (*rtest.World, *Protocol, *spy) {
 	return w, pr, sp
 }
 
+// flooded returns r as its originator would send it: carrying a fresh
+// flood record.
+func flooded(r rreq) *rreq {
+	r.Flood = rcommon.NewFlood(0)
+	return &r
+}
+
 func TestExpandingRingTTLs(t *testing.T) {
 	// Discovery for an unreachable destination walks the TTL schedule
 	// 5, 10, 35 with a fresh rreq id and incremented source seqno each
@@ -77,8 +84,8 @@ func TestExpandingRingTTLs(t *testing.T) {
 
 func TestReverseRouteFromRREQ(t *testing.T) {
 	w, pr, _ := spyWorld(t)
-	pr.handleRREQ(1, &rreq{Src: 7, SrcSeq: 3, RreqID: 1, Dst: 42,
-		UnknownSeq: true, HopCount: 2, TTL: 5})
+	pr.handleRREQ(1, flooded(rreq{Src: 7, SrcSeq: 3, RreqID: 1, Dst: 42,
+		UnknownSeq: true, HopCount: 2, TTL: 5}))
 	w.Sim.RunUntil(time.Second)
 	e, ok := pr.liveRoute(7)
 	if !ok {
@@ -89,12 +96,25 @@ func TestReverseRouteFromRREQ(t *testing.T) {
 	}
 }
 
+func TestHandleRREQAllocs(t *testing.T) {
+	w, pr, sp := spyWorld(t)
+	req := flooded(rreq{Src: 7, SrcSeq: 3, RreqID: 1, Dst: 42, UnknownSeq: true, HopCount: 2, TTL: 5})
+	pr.handleRREQ(1, req)
+	w.Sim.RunUntil(time.Second)
+	if len(sp.rreqs) != 1 {
+		t.Fatalf("heard %d relayed RREQs, want 1", len(sp.rreqs))
+	}
+	if n := testing.AllocsPerRun(200, func() { pr.handleRREQ(1, req) }); n != 0 {
+		t.Errorf("duplicate RREQ: %v allocs, want 0", n)
+	}
+}
+
 func TestDestinationReplyHonorsSeqnoRule(t *testing.T) {
 	// "If its own sequence number equals the RREQ's destination sequence
 	// number, increment it before replying."
 	w, pr, sp := spyWorld(t)
 	pr.seq = 5
-	pr.handleRREQ(1, &rreq{Src: 7, SrcSeq: 1, RreqID: 2, Dst: 0, DstSeq: 5, TTL: 5})
+	pr.handleRREQ(1, flooded(rreq{Src: 7, SrcSeq: 1, RreqID: 2, Dst: 0, DstSeq: 5, TTL: 5}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
 		t.Fatalf("heard %d RREPs, want 1", len(sp.rreps))

@@ -107,11 +107,12 @@ func (c Config) validate() error {
 // rreq accumulates the traversed path in Path (intermediate nodes only,
 // excluding Src and Dst).
 type rreq struct {
-	Src  netstack.NodeID
-	ID   uint32
-	Dst  netstack.NodeID
-	Path []netstack.NodeID
-	TTL  int
+	Src   netstack.NodeID
+	ID    uint32
+	Dst   netstack.NodeID
+	Path  []netstack.NodeID
+	TTL   int
+	Flood *rcommon.Flood // duplicate record, shared by every copy
 }
 
 // rrep carries the complete source route Src..Dst in Full and travels back
@@ -152,8 +153,9 @@ type Protocol struct {
 
 	rreqID uint32
 	cache  map[netstack.NodeID][]*cachedRoute
-	// seen suppresses duplicate RREQ floods.
-	seen *rcommon.DupCache
+	// swept is the instant of the last 10 s sweep, which is when RREQ
+	// sightings expire (rcommon.Flood).
+	swept sim.Time
 	// disc owns the pending discoveries, their packet queues, and the
 	// post-failure hold-down.
 	disc *rcommon.DiscoveryTable
@@ -169,7 +171,6 @@ func New(cfg Config) *Protocol {
 	return &Protocol{
 		cfg:       cfg,
 		cache:     make(map[netstack.NodeID][]*cachedRoute),
-		seen:      rcommon.NewDupCache(30 * time.Second),
 		disc:      rcommon.NewDiscoveryTable(cfg.QueueCap, cfg.RreqRetries, cfg.DiscoveryHoldDown),
 		rreqLimit: rcommon.RateLimiter{Cap: cfg.RreqRateLimit},
 	}
@@ -185,7 +186,7 @@ func (p *Protocol) Attach(n *netstack.Node) {
 // Start implements netstack.Protocol. Starting twice is a no-op.
 func (p *Protocol) Start() {
 	p.sweeper.StartEvery(p.node, 10*time.Second, func() {
-		p.seen.Sweep(p.node.Now())
+		p.swept = p.node.Now()
 	})
 }
 
@@ -397,12 +398,11 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		return
 	}
 	p.rreqID++
-	p.seen.Mark(p.self, p.rreqID, p.node.Now())
 	ttl := p.cfg.FirstTTL
 	if pd.Attempt > 0 {
 		ttl = p.cfg.NetTTL
 	}
-	r := &rreq{Src: p.self, ID: p.rreqID, Dst: pd.Dst, TTL: ttl}
+	r := &rreq{Src: p.self, ID: p.rreqID, Dst: pd.Dst, TTL: ttl, Flood: rcommon.NewFlood(p.node.Now())}
 	p.node.BroadcastControl(rreqBase, r)
 	// Binary exponential backoff across retries.
 	wait := 2 * sim.Time(ttl) * p.cfg.NodeTraversal << uint(pd.Attempt)
@@ -425,7 +425,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	if r.Src == p.self {
 		return
 	}
-	if !p.seen.Witness(r.Src, r.ID, p.node.Now()) {
+	if !r.Flood.Witness(p.self, p.node.Now(), p.swept) {
 		return
 	}
 	for _, n := range r.Path {

@@ -14,6 +14,26 @@ import (
 
 func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
 
+// flooded returns r as its originator would send it: carrying a fresh
+// flood record.
+func flooded(r rreq) *rreq {
+	r.Flood = rcommon.NewFlood(0)
+	return &r
+}
+
+func TestHandleRREQAllocs(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	p := w.Nodes[1].Protocol().(*Protocol)
+	req := flooded(rreq{Src: 0, ID: 1, Dst: 2, TTL: 5})
+	p.handleRREQ(0, req)
+	if _, ok := p.lookup(0); !ok {
+		t.Fatal("the RREQ cached no reverse route")
+	}
+	if n := testing.AllocsPerRun(200, func() { p.handleRREQ(0, req) }); n != 0 {
+		t.Errorf("duplicate RREQ: %v allocs, want 0", n)
+	}
+}
+
 func TestChainDiscoveryAndDelivery(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(5, 100), nil)
 	w.Send(0, 4)

@@ -81,6 +81,7 @@ type tc struct {
 	Seq        uint32
 	Advertised []netstack.NodeID
 	TTL        int
+	Flood      *rcommon.Flood // duplicate record, shared by every copy
 }
 
 // Wire sizes.
@@ -140,9 +141,10 @@ type Protocol struct {
 	// sweep skips scanning the table before it. handleTC lowers it on
 	// entry writes, the sweep recomputes the exact minimum.
 	topoHorizon sim.Time
-	// seenTC suppresses duplicate TC floods.
-	seenTC *rcommon.DupCache
-	tcSeq  uint32
+	tcSeq       uint32
+	// swept is the instant of the last once-a-second sweep, which is when
+	// TC sightings expire (rcommon.Flood).
+	swept sim.Time
 
 	helloBeacon rcommon.Beaconer
 	tcBeacon    rcommon.Beaconer
@@ -199,11 +201,7 @@ var _ netstack.Protocol = (*Protocol)(nil)
 
 // New returns an OLSR instance.
 func New(cfg Config) *Protocol {
-	return &Protocol{
-		cfg:    cfg,
-		nbrs:   rcommon.NewNeighborTable(),
-		seenTC: rcommon.NewDupCache(30 * time.Second),
-	}
+	return &Protocol{cfg: cfg, nbrs: rcommon.NewNeighborTable()}
 }
 
 // Attach implements netstack.Protocol.
@@ -305,8 +303,7 @@ func (p *Protocol) sendTC() {
 		return
 	}
 	p.tcSeq++
-	m := &tc{Orig: p.self, Seq: p.tcSeq, Advertised: selectors, TTL: 35}
-	p.seenTC.Mark(p.self, p.tcSeq, now)
+	m := &tc{Orig: p.self, Seq: p.tcSeq, Advertised: selectors, TTL: 35, Flood: rcommon.NewFlood(now)}
 	p.node.BroadcastControl(tcBase+perAddr*len(selectors), m)
 }
 
@@ -340,7 +337,7 @@ func (p *Protocol) expire() {
 		}
 		p.topoHorizon = min
 	}
-	p.seenTC.Sweep(now)
+	p.swept = now
 	if p.dirty {
 		p.noteMPRs(now)
 	}
@@ -441,7 +438,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 		return
 	}
 	now := p.node.Now()
-	if p.seenTC.Witness(m.Orig, m.Seq, now) {
+	if m.Flood.Witness(p.self, now, p.swept) {
 		te := p.topo.Get(uint64(m.Orig))
 		if te == nil || !seqNewer(te.seq, m.Seq) {
 			exp := now + p.cfg.TopologyHold

@@ -8,6 +8,7 @@ import (
 	"slr/internal/geo"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
+	"slr/internal/routing/rcommon"
 	"slr/internal/routing/rtest"
 	"slr/internal/sim"
 )
@@ -324,41 +325,69 @@ func TestMPRSelectedOnDemand(t *testing.T) {
 	}
 }
 
+// flooded returns m as its originator would send it: carrying a fresh
+// flood record.
+func flooded(m tc) *tc {
+	m.Flood = rcommon.NewFlood(0)
+	return &m
+}
+
+// floodRecords returns n fresh flood records, made outside the code whose
+// allocations a test counts.
+func floodRecords(n int) []*rcommon.Flood {
+	recs := make([]*rcommon.Flood, n)
+	for i := range recs {
+		recs[i] = rcommon.NewFlood(0)
+	}
+	return recs
+}
+
 func TestHandleTCAllocs(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
 	p := w.Nodes[0].Protocol().(*Protocol)
 	// TTL 1: a relayed TC is a new message and allocates by design.
-	m := tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{7, 3, 5}, TTL: 1}
-	p.handleTC(1, &m)
+	m := flooded(tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{7, 3, 5}, TTL: 1})
+	p.handleTC(1, m)
 	if te := p.topo.Get(9); te == nil || !slices.Equal(te.advertised, []netstack.NodeID{3, 5, 7}) {
 		t.Fatalf("topology entry of 9 = %+v, want advertised [3 5 7]", te)
 	}
-	if n := testing.AllocsPerRun(200, func() { p.handleTC(1, &m) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { p.handleTC(1, m) }); n != 0 {
 		t.Errorf("duplicate TC: %v allocs, want 0", n)
 	}
 
-	// Steady state: the dup cache has held a retention window's worth of
-	// sightings before, so new ones reuse its storage.
-	for range 500 {
+	// Every new TC is a new flood with its own record, made before the
+	// count starts. The node's first sighting then allocates on the record
+	// alone: it grows the record's bit words and its sighting list, which
+	// is 2 allocations (3 under the race detector, whose instrumentation
+	// keeps append from growing a slice by a make in place). handleTC may
+	// allocate exactly that and nothing per node.
+	recs := floodRecords(201) // AllocsPerRun warms up once
+	recordAllocs := testing.AllocsPerRun(200, func() {
+		recs[0].Witness(p.self, p.node.Now(), p.swept)
+		recs = recs[1:]
+	})
+	t.Logf("a record's first sighting: %v allocs", recordAllocs)
+	recs = floodRecords(201)
+	next := func() {
 		m.Seq++
-		p.handleTC(1, &m)
+		m.Flood, recs = recs[0], recs[1:]
 	}
-	p.seenTC.Sweep(p.node.Now() + time.Minute)
 	if n := testing.AllocsPerRun(200, func() {
-		m.Seq++
-		p.handleTC(1, &m)
-	}); n != 0 {
-		t.Errorf("content-identical TC refresh: %v allocs, want 0", n)
+		next()
+		p.handleTC(1, m)
+	}); n != recordAllocs {
+		t.Errorf("content-identical TC refresh: %v allocs, want the record's %v", n, recordAllocs)
 	}
 	linkVer := p.linkVer
 	changed := [][]netstack.NodeID{{4, 3}, {8, 6, 2}}
+	recs = floodRecords(201)
 	if n := testing.AllocsPerRun(200, func() {
-		m.Seq++
+		next()
 		m.Advertised = changed[m.Seq%2]
-		p.handleTC(1, &m)
-	}); n != 0 {
-		t.Errorf("changed TC no longer than the stored one: %v allocs, want 0", n)
+		p.handleTC(1, m)
+	}); n != recordAllocs {
+		t.Errorf("changed TC no longer than the stored one: %v allocs, want the record's %v", n, recordAllocs)
 	}
 	if p.linkVer == linkVer {
 		t.Fatal("changed TCs did not register as topology changes")

@@ -3,11 +3,11 @@ package rcommon
 import "math/bits"
 
 // IDTable maps uint64 keys — a node id, or an (originator, id) pair packed
-// the way DupCache packs it — to values of T held by value in one flat
-// slab. An open-addressed index of int32 slab positions (one
-// multiplicative hash, linear probing) finds an entry, so a table costs no
-// heap object per entry and a lookup hashes nothing but one multiply.
-// The zero value is an empty table.
+// into one uint64, originator in the high 32 bits — to values of T held by
+// value in one flat slab. An open-addressed index of int32 slab positions
+// (one multiplicative hash, linear probing) finds an entry, so a table
+// costs no heap object per entry and a lookup hashes nothing but one
+// multiply. The zero value is an empty table.
 //
 // Pointer validity: a *T returned by Get, Put or At points into the slab.
 // It is valid until the next Put, Delete or Reset on the same table — Put

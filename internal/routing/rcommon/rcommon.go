@@ -9,7 +9,9 @@
 //   - the periodic beaconer driving HELLO/TC/sweep schedules on re-armed
 //     sim timers (beacon.go),
 //   - the hello/link-liveness neighbor table (neighbors.go),
-//   - duplicate-flood suppression keyed on (originator, id) (dupcache.go),
+//   - duplicate-flood suppression: a record created with each flood and
+//     carried by all its copies, so a node's duplicate test is a bit test on
+//     the flood, and no node keeps a table of the floods it heard (flood.go),
 //   - sequence-number wraparound comparisons (seqno.go),
 //   - and IDTable, the flat table protocol state keyed by a node id or an
 //     (originator, id) pair lives in (idtable.go).

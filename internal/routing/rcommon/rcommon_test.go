@@ -42,27 +42,6 @@ func TestRateLimiterWindow(t *testing.T) {
 	}
 }
 
-func TestDupCache(t *testing.T) {
-	c := NewDupCache(30 * time.Second)
-	if !c.Witness(1, 7, 0) {
-		t.Fatal("first sighting must be new")
-	}
-	if c.Witness(1, 7, time.Second) {
-		t.Fatal("repeat sighting inside retention must be suppressed")
-	}
-	c.Mark(2, 9, 0)
-	if c.Witness(2, 9, time.Second) {
-		t.Fatal("marked flood must read as seen")
-	}
-	c.Sweep(31 * time.Second)
-	if c.Len() != 0 {
-		t.Fatalf("sweep left %d entries", c.Len())
-	}
-	if !c.Witness(1, 7, 31*time.Second) {
-		t.Fatal("sighting after retention must be new again")
-	}
-}
-
 func TestNeighborTableLiveness(t *testing.T) {
 	nt := NewNeighborTable()
 	nb := nt.Touch(3, 6*time.Second)

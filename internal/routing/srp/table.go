@@ -193,8 +193,9 @@ type rreqState struct {
 	expiry  sim.Time
 }
 
-// rreqKey identifies a route computation in Protocol.rreqs: source and
-// rreqid packed the way rcommon.DupCache packs (originator, id).
+// rreqKey identifies a route computation in Protocol.rreqs: source in the
+// high 32 bits, rreqid in the low 32. Node ids are dense and non-negative,
+// so 32 bits each side loses nothing.
 func rreqKey(src netstack.NodeID, id uint32) uint64 {
 	return uint64(uint32(src))<<32 | uint64(id)
 }
