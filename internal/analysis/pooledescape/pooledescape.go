@@ -1,9 +1,11 @@
 // Package pooledescape defines an analyzer that flags retaining a pooled
-// value past the callback that received it. The PR 1/PR 3 pooling made
-// *sim.Event and netstack's control envelopes recycled storage: the owner
-// reuses them the moment the callback returns, so a copy parked in a
-// struct field, package variable or channel is a use-after-recycle bug
-// that manifests as another event's data. The
+// value past the callback that received it. *sim.Event and netstack's
+// control envelopes are recycled storage: the kernel reuses an event the
+// moment its callback returns, and a node reuses an envelope the moment
+// its send completes (a delayed broadcast takes its envelope early, but
+// only the node and the kernel event that will send it hold the box until
+// then). A copy parked in a struct field, package variable or channel is a
+// use-after-recycle bug that manifests as another event's data. The
 // sanctioned way to keep a reference is a generation-checked handle
 // (sim.Timer), which turns stale use into a no-op.
 package pooledescape

@@ -80,10 +80,16 @@ type Protocol interface {
 // distinguish it from data and account for its size. Envelopes are pooled
 // per node (see newEnvelope): one is recycled when its unicast completes
 // (SendOK/SendFailed) or its broadcast leaves the air (BroadcastDone), so
-// steady-state hello/update traffic stops allocating a box per send.
+// steady-state hello/update traffic stops allocating a box per send. A box
+// may be taken ahead of its send: BroadcastControlAfter holds it on the
+// clock until the broadcast starts.
 type controlEnvelope struct {
 	size int
 	msg  any
+	// send broadcasts this box as BroadcastControl would. It is built once,
+	// when the box is first allocated, and lives as long as the box, so a
+	// delayed broadcast schedules it without allocating a closure.
+	send func()
 }
 
 // Node is one simulated host: MAC below, routing protocol above.
@@ -166,7 +172,9 @@ func (n *Node) ForwardData(to NodeID, pkt *DataPacket) {
 // dataHeaderSize approximates the IP-style network header on data packets.
 const dataHeaderSize = 20
 
-// newEnvelope takes a pooled envelope or allocates one.
+// newEnvelope takes a pooled envelope or allocates one, with its send
+// closure bound to n. The box belongs to the caller until it is handed to
+// the MAC, now or (BroadcastControlAfter) later.
 func (n *Node) newEnvelope(size int, msg any) *controlEnvelope {
 	if k := len(n.envFree); k > 0 {
 		e := n.envFree[k-1]
@@ -175,12 +183,15 @@ func (n *Node) newEnvelope(size int, msg any) *controlEnvelope {
 		e.size, e.msg = size, msg
 		return e
 	}
-	return &controlEnvelope{size: size, msg: msg}
+	e := &controlEnvelope{size: size, msg: msg}
+	e.send = func() { n.broadcast(e) }
+	return e
 }
 
 // freeEnvelope recycles an envelope whose send completed. The wrapped
 // message is not pooled: receivers may hold it past delivery (e.g. a
-// forwarded RREP), only the box is dead.
+// forwarded RREP), only the box is dead. The box keeps its send closure
+// for its next use.
 func (n *Node) freeEnvelope(e *controlEnvelope) {
 	e.msg = nil
 	n.envFree = append(n.envFree, e)
@@ -190,8 +201,20 @@ func (n *Node) freeEnvelope(e *controlEnvelope) {
 // packets jump the data queue, as in the ns-2/GloMoSim priority interface
 // queue used by the paper's evaluation.
 func (n *Node) BroadcastControl(size int, msg any) {
-	n.mx.Control(size)
-	n.mac.BroadcastPriority(size, n.newEnvelope(size, msg))
+	n.broadcast(n.newEnvelope(size, msg))
+}
+
+// BroadcastControlAfter broadcasts a control message d from now, as
+// BroadcastControl would at that instant: the jittered relay of a flood.
+// It schedules one kernel event, like After, and allocates nothing once
+// the envelope pool is warm. msg must not change before the send.
+func (n *Node) BroadcastControlAfter(d sim.Time, size int, msg any) {
+	n.sim.After(d, n.newEnvelope(size, msg).send)
+}
+
+func (n *Node) broadcast(e *controlEnvelope) {
+	n.mx.Control(e.size)
+	n.mac.BroadcastPriority(e.size, e)
 }
 
 // UnicastControl transmits a control message to one neighbor with ARQ and

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ type hopProto struct {
 	n        *Node
 	nextHop  map[NodeID]NodeID // dst -> next hop
 	control  []any
+	heard    []heard
 	failed   []*DataPacket
 	acked    []*DataPacket
 	started  bool
@@ -52,7 +54,18 @@ func (p *hopProto) route(pkt *DataPacket) {
 	p.n.ForwardData(next, pkt)
 }
 
-func (p *hopProto) RecvControl(from NodeID, msg any)      { p.control = append(p.control, msg) }
+// heard is one control receipt: who sent what, when.
+type heard struct {
+	at   sim.Time
+	from NodeID
+	msg  any
+}
+
+func (p *hopProto) RecvControl(from NodeID, msg any) {
+	p.control = append(p.control, msg)
+	p.heard = append(p.heard, heard{at: p.n.Now(), from: from, msg: msg})
+}
+
 func (p *hopProto) DataFailed(to NodeID, pkt *DataPacket) { p.failed = append(p.failed, pkt) }
 func (p *hopProto) DataAcked(to NodeID, pkt *DataPacket)  { p.acked = append(p.acked, pkt) }
 func (p *hopProto) ControlFailed(to NodeID, msg any)      { p.ctlFails = append(p.ctlFails, msg) }
@@ -201,5 +214,65 @@ func TestTimersViaNode(t *testing.T) {
 	}
 	if w.nodes[0].Now() != 3*time.Second {
 		t.Fatalf("Now = %v", w.nodes[0].Now())
+	}
+}
+
+// TestBroadcastControlAfterMatchesAfter pins the delayed broadcast to the
+// pattern it replaces, a timer whose closure calls BroadcastControl: on a
+// three-node chain, with the middle node's two relays contending with its
+// neighbors' immediate sends, every frame reaches every hearer at the same
+// instant and in the same order, and the kernel fires the same events.
+func TestBroadcastControlAfterMatchesAfter(t *testing.T) {
+	run := func(relay func(n *Node, d sim.Time, size int, msg any)) *world {
+		w := buildWorld(t, 0, 80, 160)
+		w.nodes[0].BroadcastControl(40, "a0")
+		relay(w.nodes[1], 0, 48, "r1")
+		relay(w.nodes[1], 300*time.Microsecond, 56, "r2")
+		relay(w.nodes[1], 2*time.Millisecond, 64, "r3")
+		w.nodes[2].After(300*time.Microsecond, func() { w.nodes[2].BroadcastControl(40, "a2") })
+		w.sim.Run()
+		return w
+	}
+	want := run(func(n *Node, d sim.Time, size int, msg any) {
+		n.After(d, func() { n.BroadcastControl(size, msg) })
+	})
+	got := run((*Node).BroadcastControlAfter)
+	for i := range want.prots {
+		if !slices.Equal(got.prots[i].heard, want.prots[i].heard) {
+			t.Errorf("node %d heard %v, want %v", i, got.prots[i].heard, want.prots[i].heard)
+		}
+	}
+	if len(want.prots[0].heard) != 3 || len(want.prots[2].heard) != 3 {
+		t.Fatalf("edge nodes heard %d and %d frames, want the relay's 3 each",
+			len(want.prots[0].heard), len(want.prots[2].heard))
+	}
+	if got.sim.Fired() != want.sim.Fired() || got.mx.ControlTx != want.mx.ControlTx ||
+		got.mx.ControlBytes != want.mx.ControlBytes {
+		t.Errorf("events/control tx/bytes = %d/%d/%d, want %d/%d/%d",
+			got.sim.Fired(), got.mx.ControlTx, got.mx.ControlBytes,
+			want.sim.Fired(), want.mx.ControlTx, want.mx.ControlBytes)
+	}
+}
+
+// TestBroadcastControlAfterAllocs pins the relay path's cost: once a sent
+// envelope has come back to the pool, a delayed broadcast allocates
+// nothing, and neither does its trip through the MAC and the radio.
+func TestBroadcastControlAfterAllocs(t *testing.T) {
+	w := buildWorld(t, 0, 80)
+	msg := &DataPacket{} // any pointer: the stack never looks inside
+	relay := func() {
+		w.nodes[0].BroadcastControlAfter(time.Millisecond, 48, msg)
+		w.sim.Run()
+		w.prots[1].control, w.prots[1].heard = w.prots[1].control[:0], w.prots[1].heard[:0]
+	}
+	relay()
+	if len(w.nodes[0].envFree) != 1 {
+		t.Fatalf("%d envelopes pooled after the broadcast left the air, want 1", len(w.nodes[0].envFree))
+	}
+	if n := testing.AllocsPerRun(200, relay); n != 0 {
+		t.Errorf("delayed broadcast with a warm pool: %v allocs, want 0", n)
+	}
+	if w.mx.ControlTx != 1+1+200 { // AllocsPerRun warms up once
+		t.Fatalf("ControlTx = %d, want 202", w.mx.ControlTx)
 	}
 }

@@ -109,6 +109,30 @@ func TestHandleRREQAllocs(t *testing.T) {
 	}
 }
 
+// TestRREQRelayAllocs pins what relaying a RREQ costs the heap: over the
+// same RREQ arriving with TTL 1, which is not relayed, exactly the relayed
+// copy. The envelope and the jitter timer come from pools once earlier
+// relays have left the air.
+func TestRREQRelayAllocs(t *testing.T) {
+	w, pr, _ := spyWorld(t)
+	id := uint32(0)
+	cost := func(ttl int) float64 {
+		reqs := make([]*rreq, 201) // AllocsPerRelay warms up once
+		for i := range reqs {
+			id++
+			reqs[i] = flooded(rreq{Src: 7, SrcSeq: 3, RreqID: id, Dst: 42, UnknownSeq: true, HopCount: 2, TTL: ttl})
+		}
+		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
+			pr.handleRREQ(1, reqs[0])
+			reqs = reqs[1:]
+		})
+	}
+	unrelayed, relayed := cost(1), cost(5)
+	if relayed-unrelayed != 1 {
+		t.Errorf("relayed RREQ: %v allocs, unrelayed %v; want exactly 1 more (the relayed copy)", relayed, unrelayed)
+	}
+}
+
 func TestDestinationReplyHonorsSeqnoRule(t *testing.T) {
 	// "If its own sequence number equals the RREQ's destination sequence
 	// number, increment it before replying."

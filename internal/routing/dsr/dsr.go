@@ -14,6 +14,7 @@ package dsr
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"slr/internal/netstack"
@@ -459,10 +460,9 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	}
 	z := *r
 	z.TTL--
-	z.Path = append(append([]netstack.NodeID{}, r.Path...), p.self)
+	z.Path = append(slices.Clip(r.Path), p.self) // a new array: copies share r.Path
 	jitter := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
-	size := rreqBase + perAddr*len(z.Path)
-	p.node.After(jitter, func() { p.node.BroadcastControl(size, &z) })
+	p.node.BroadcastControlAfter(jitter, rreqBase+perAddr*len(z.Path), &z)
 }
 
 // buildFull assembles src + path + dst.

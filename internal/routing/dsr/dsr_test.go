@@ -34,6 +34,32 @@ func TestHandleRREQAllocs(t *testing.T) {
 	}
 }
 
+// TestRREQRelayAllocs pins what relaying a RREQ costs the heap: over the
+// same RREQ arriving with TTL 1, which is not relayed, exactly the relayed
+// copy and its path, which grows by the relay. The envelope and the jitter
+// timer come from pools once earlier relays have left the air.
+func TestRREQRelayAllocs(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	p := w.Nodes[1].Protocol().(*Protocol)
+	id := uint32(0)
+	cost := func(ttl int) float64 {
+		reqs := make([]*rreq, 201) // AllocsPerRelay warms up once
+		for i := range reqs {
+			id++
+			// Dst 99 is no node: nothing ever answers, so every copy relays.
+			reqs[i] = flooded(rreq{Src: 0, ID: id, Dst: 99, TTL: ttl})
+		}
+		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
+			p.handleRREQ(0, reqs[0])
+			reqs = reqs[1:]
+		})
+	}
+	unrelayed, relayed := cost(1), cost(5)
+	if relayed-unrelayed != 2 {
+		t.Errorf("relayed RREQ: %v allocs, unrelayed %v; want exactly 2 more (the relayed copy and its path)", relayed, unrelayed)
+	}
+}
+
 func TestChainDiscoveryAndDelivery(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(5, 100), nil)
 	w.Send(0, 4)

@@ -434,7 +434,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 		}
 	}
 	jitter := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
-	p.node.After(jitter, func() { p.node.BroadcastControl(rreqSize, &z) })
+	p.node.BroadcastControlAfter(jitter, rreqSize, &z)
 }
 
 func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {

@@ -69,6 +69,25 @@ func TestRelayStrengthensConstraint(t *testing.T) {
 	}
 }
 
+// TestRREQRelayAllocs pins what relaying a RREQ costs the heap: over the
+// same RREQ arriving with TTL 1, which is not relayed, exactly the relayed
+// copy. The envelope and the jitter timer come from pools once earlier
+// relays have left the air.
+func TestRREQRelayAllocs(t *testing.T) {
+	w, pr, _ := spyWorld(t)
+	id := uint32(0)
+	cost := func(ttl int) float64 {
+		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
+			id++
+			pr.handleRREQ(1, &rreq{Src: 5, RreqID: id, Dst: 9, DstSeq: 4, FD: 6, TTL: ttl, D: 3})
+		})
+	}
+	unrelayed, relayed := cost(1), cost(5)
+	if relayed-unrelayed != 1 {
+		t.Errorf("relayed RREQ: %v allocs, unrelayed %v; want exactly 1 more (the relayed copy)", relayed, unrelayed)
+	}
+}
+
 func TestOutOfOrderRelayRequestsReset(t *testing.T) {
 	// Same era, FD not below the constraint: integers are not dense, so
 	// the relay cannot be threaded in-order — reset required.

@@ -53,8 +53,10 @@
 // sorted order.
 //
 // No state is hashed: neighbors, topology and routes live by value in
-// rcommon.IDTable slabs. HELLO and TC bodies list ids in slot order, which
-// is deterministic though not sorted; receivers treat both bodies as sets.
+// rcommon.IDTable slabs. HELLO bodies list ids in slot order, which is
+// deterministic though not sorted; receivers treat them as sets. A TC body
+// is sorted once by its originator and then shared, never copied: every
+// relayed copy and every receiver's topology entry alias it.
 package olsr
 
 import (
@@ -77,8 +79,10 @@ type hello struct {
 
 // tc floods the sender's MPR-selector set through the MPR backbone.
 type tc struct {
-	Orig       netstack.NodeID
-	Seq        uint32
+	Orig netstack.NodeID
+	Seq  uint32
+	// Advertised is sorted by id by the originator and never written after
+	// send; every copy of the flood and every topology entry aliases it.
 	Advertised []netstack.NodeID
 	TTL        int
 	Flood      *rcommon.Flood // duplicate record, shared by every copy
@@ -92,9 +96,11 @@ const (
 )
 
 type topoEntry struct {
-	// advertised is kept sorted by id: route recomputation walks it, and
-	// equal-cost tie-breaks must not depend on the order the sender
-	// listed its selectors in. It is rewritten in place.
+	// advertised is the Advertised list of the TC that last changed the
+	// entry, aliased, not copied: sorted by the originator, never written
+	// after send, so it is read-only here too. Route recomputation walks
+	// it in id order, so equal-cost tie-breaks do not depend on the order
+	// the originator's table listed its selectors in.
 	advertised []netstack.NodeID
 	seq        uint32
 	expiry     sim.Time
@@ -302,6 +308,7 @@ func (p *Protocol) sendTC() {
 	if len(selectors) == 0 {
 		return
 	}
+	slices.Sort(selectors)
 	p.tcSeq++
 	m := &tc{Orig: p.self, Seq: p.tcSeq, Advertised: selectors, TTL: 35, Flood: rcommon.NewFlood(now)}
 	p.node.BroadcastControl(tcBase+perAddr*len(selectors), m)
@@ -442,7 +449,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 		te := p.topo.Get(uint64(m.Orig))
 		if te == nil || !seqNewer(te.seq, m.Seq) {
 			exp := now + p.cfg.TopologyHold
-			if te != nil && te.expiry > now && sameAdvertised(te.advertised, m.Advertised) {
+			if te != nil && te.expiry > now && slices.Equal(te.advertised, m.Advertised) {
 				// The re-advertisement names the same links and the old
 				// entry is still live: refresh in place. No link appears
 				// or disappears at any instant before the (previous)
@@ -453,9 +460,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 				if te == nil {
 					te, _ = p.topo.Put(uint64(m.Orig))
 				}
-				te.advertised = append(te.advertised[:0], m.Advertised...)
-				slices.Sort(te.advertised)
-				te.seq, te.expiry = m.Seq, exp
+				te.advertised, te.seq, te.expiry = m.Advertised, m.Seq, exp
 				p.linkVer++
 			}
 			if exp < p.topoHorizon {
@@ -469,24 +474,9 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 			z := *m
 			z.TTL--
 			jit := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
-			size := tcBase + perAddr*len(z.Advertised)
-			p.node.After(jit, func() { p.node.BroadcastControl(size, &z) })
+			p.node.BroadcastControlAfter(jit, tcBase+perAddr*len(z.Advertised), &z)
 		}
 	}
-}
-
-// sameAdvertised reports whether the sorted stored set and the unsorted
-// incoming list name exactly the same nodes, without allocating.
-func sameAdvertised(stored, incoming []netstack.NodeID) bool {
-	if len(stored) != len(incoming) {
-		return false
-	}
-	for _, n := range incoming {
-		if _, found := slices.BinarySearch(stored, n); !found {
-			return false
-		}
-	}
-	return true
 }
 
 // seqNewer reports that stored is newer than incoming, via the shared

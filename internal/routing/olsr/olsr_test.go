@@ -346,8 +346,9 @@ func TestHandleTCAllocs(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
 	p := w.Nodes[0].Protocol().(*Protocol)
-	// TTL 1: a relayed TC is a new message and allocates by design.
-	m := flooded(tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{7, 3, 5}, TTL: 1})
+	// TTL 1: no relay; TestTCRelayAllocs prices that. The body is sorted,
+	// as every originator sends it.
+	m := flooded(tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}, TTL: 1})
 	p.handleTC(1, m)
 	if te := p.topo.Get(9); te == nil || !slices.Equal(te.advertised, []netstack.NodeID{3, 5, 7}) {
 		t.Fatalf("topology entry of 9 = %+v, want advertised [3 5 7]", te)
@@ -379,17 +380,122 @@ func TestHandleTCAllocs(t *testing.T) {
 	}); n != recordAllocs {
 		t.Errorf("content-identical TC refresh: %v allocs, want the record's %v", n, recordAllocs)
 	}
+	// A changed body of any length is stored by aliasing it: a longer one
+	// costs no more than a shorter one, and neither does a body longer
+	// than every earlier one, which a copy into the entry would have to
+	// grow for.
 	linkVer := p.linkVer
-	changed := [][]netstack.NodeID{{4, 3}, {8, 6, 2}}
+	changed := [][]netstack.NodeID{{3, 4}, {2, 4, 6, 8, 10, 12, 14}}
 	recs = floodRecords(201)
 	if n := testing.AllocsPerRun(200, func() {
 		next()
 		m.Advertised = changed[m.Seq%2]
 		p.handleTC(1, m)
 	}); n != recordAllocs {
-		t.Errorf("changed TC no longer than the stored one: %v allocs, want the record's %v", n, recordAllocs)
+		t.Errorf("changed TC: %v allocs, want the record's %v", n, recordAllocs)
 	}
 	if p.linkVer == linkVer {
 		t.Fatal("changed TCs did not register as topology changes")
+	}
+	growing := make([][]netstack.NodeID, 5)
+	for i := range growing {
+		growing[i] = make([]netstack.NodeID, 16<<i)
+		for j := range growing[i] {
+			growing[i][j] = netstack.NodeID(j + 10)
+		}
+	}
+	recs = floodRecords(len(growing))
+	if n := testing.AllocsPerRun(len(growing)-1, func() {
+		next()
+		m.Advertised, growing = growing[0], growing[1:]
+		p.handleTC(1, m)
+	}); n != recordAllocs {
+		t.Errorf("TC longer than every earlier one: %v allocs, want the record's %v", n, recordAllocs)
+	}
+}
+
+// TestTCBodySharedByReceivers pins the TC body's life: the originator
+// sorts it once, and every receiver's topology entry aliases the one
+// array that went on the air.
+func TestTCBodySharedByReceivers(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w.Sim.RunUntil(10 * time.Second)
+	p := w.Nodes[1].Protocol().(*Protocol)
+	// Selectors that joined in descending id order sit in the neighbor
+	// table's slots out of order.
+	for _, id := range []netstack.NodeID{90, 70, 40} {
+		p.nbrs.Touch(id, p.node.Now()+time.Minute).SelectsMe = true
+	}
+	p.sendTC()
+	w.Sim.RunUntil(w.Sim.Now() + 50*time.Millisecond)
+	var sent []netstack.NodeID
+	for _, i := range []int{0, 2} {
+		te := w.Nodes[i].Protocol().(*Protocol).topo.Get(1)
+		if te == nil || te.seq != p.tcSeq {
+			t.Fatalf("node %d holds %+v for node 1, want the entry of TC %d", i, te, p.tcSeq)
+		}
+		if !slices.IsSorted(te.advertised) || !slices.Contains(te.advertised, 40) || len(te.advertised) < 3 {
+			t.Fatalf("node %d holds advertised %v, want node 1's selectors, sorted", i, te.advertised)
+		}
+		if sent == nil {
+			sent = te.advertised
+		} else if &te.advertised[0] != &sent[0] {
+			t.Errorf("nodes 0 and 2 hold copies of node 1's TC body, want one shared array")
+		}
+	}
+}
+
+// TestTCBodyAliasedNotCopied pins that handleTC stores the TC's own
+// array, and that a later, changed TC from the same originator replaces
+// the alias without writing through it.
+func TestTCBodyAliasedNotCopied(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w.Sim.RunUntil(10 * time.Second)
+	p0 := w.Nodes[0].Protocol().(*Protocol)
+	p2 := w.Nodes[2].Protocol().(*Protocol)
+	m := flooded(tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}, TTL: 1})
+	p0.handleTC(1, m)
+	p2.handleTC(1, m)
+	for _, p := range []*Protocol{p0, p2} {
+		if te := p.topo.Get(9); te == nil || &te.advertised[0] != &m.Advertised[0] {
+			t.Fatalf("node %d's entry of 9 = %+v, want it to alias the TC's body", p.self, te)
+		}
+	}
+	for i, later := range [][]netstack.NodeID{{2, 4}, {1, 2, 4, 6, 8}} {
+		n := flooded(tc{Orig: 9, Seq: m.Seq + 1 + uint32(i), Advertised: later, TTL: 1})
+		p0.handleTC(1, n)
+		if te := p0.topo.Get(9); !slices.Equal(te.advertised, later) {
+			t.Fatalf("entry of 9 = %v after TC %d, want %v", te.advertised, n.Seq, later)
+		}
+		if !slices.Equal(m.Advertised, []netstack.NodeID{3, 5, 7}) {
+			t.Fatalf("TC %d rewrote the earlier body to %v", n.Seq, m.Advertised)
+		}
+	}
+}
+
+// TestTCRelayAllocs pins what relaying a TC costs the heap: over the same
+// TC arriving with TTL 1, which is not relayed, exactly the relayed copy.
+// The envelope and the jitter timer come from pools once earlier relays
+// have left the air. The middle of a chain relays for both ends, which
+// select it as their MPR.
+func TestTCRelayAllocs(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w.Sim.RunUntil(10 * time.Second)
+	p := w.Nodes[1].Protocol().(*Protocol)
+	if nb := p.nbrs.Get(0); nb == nil || !nb.SelectsMe {
+		t.Fatal("node 0 does not select node 1 as MPR")
+	}
+	m := tc{Orig: 9, Advertised: []netstack.NodeID{3, 5, 7}}
+	cost := func(ttl int) float64 {
+		recs := floodRecords(201) // AllocsPerRelay warms up once
+		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
+			m.Seq++
+			m.TTL, m.Flood, recs = ttl, recs[0], recs[1:]
+			p.handleTC(0, &m)
+		})
+	}
+	unrelayed, relayed := cost(1), cost(5)
+	if relayed-unrelayed != 1 {
+		t.Errorf("relayed TC: %v allocs, unrelayed %v; want exactly 1 more (the relayed copy)", relayed, unrelayed)
 	}
 }

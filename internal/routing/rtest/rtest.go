@@ -7,6 +7,7 @@ package rtest
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"slr/internal/geo"
 	"slr/internal/loopcheck"
@@ -112,6 +113,29 @@ func (w *World) Send(src, dst int) {
 		TTL:     netstack.DefaultTTL,
 		Created: w.Sim.Now(),
 	})
+}
+
+// AllocsPerRelay reports the average number of heap allocations of fn, a
+// call that schedules relays, over runs calls, in the manner of
+// testing.AllocsPerRun (one uncounted warm-up call, GOMAXPROCS 1, integer
+// average). Between calls, outside the count, it runs the simulator settle
+// further, so every relay the previous call scheduled has left the air and
+// its envelope is back in the node's pool: the count is that of a relay on
+// a warm pool, not of the pool filling up.
+func (w *World) AllocsPerRelay(runs int, settle sim.Time, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i := 0; i <= runs; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		w.Sim.RunUntil(w.Sim.Now() + settle)
+	}
+	return float64(mallocs / uint64(runs))
 }
 
 // SuccessorLister is implemented by protocols that expose their successor

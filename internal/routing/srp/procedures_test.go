@@ -204,9 +204,10 @@ func TestAgedControlDropped(t *testing.T) {
 // engaged computation — what a node hears a dozen times per flood, each
 // copy re-advertising the source — allocates nothing, and a new
 // computation from a source already routed allocates only the relayed
-// copy and its jitter closure.
+// copy: its envelope and timer come from pools once earlier relays have
+// left the air.
 func TestHandleRREQAllocs(t *testing.T) {
-	_, pr, _ := relayWorld(t, DefaultConfig())
+	w, pr, _ := relayWorld(t, DefaultConfig())
 	req := rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU,
 		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second}
 	pr.handleRREQ(1, &req)
@@ -217,11 +218,11 @@ func TestHandleRREQAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { pr.handleRREQ(1, &req) }); n != 0 {
 		t.Errorf("duplicate RREQ: %v allocs, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n := w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 		req.RreqID++
 		pr.handleRREQ(1, &req)
-	}); n > 2 {
-		t.Errorf("new computation from a routed source: %v allocs, want <= 2", n)
+	}); n != 1 {
+		t.Errorf("new computation from a routed source: %v allocs, want 1 (the relayed copy)", n)
 	}
 	if got := pr.rreqs.Len(); got != 1+1+200 { // AllocsPerRun warms up once
 		t.Fatalf("%d computations engaged, want 202", got)

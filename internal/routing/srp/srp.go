@@ -675,7 +675,7 @@ func (p *Protocol) relayRREQ(from netstack.NodeID, r *rreq) {
 	}
 	// Jitter desynchronizes neighbor rebroadcasts of the flood.
 	jitter := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
-	p.node.After(jitter, func() { p.node.BroadcastControl(rreqSize, &z) })
+	p.node.BroadcastControlAfter(jitter, rreqSize, &z)
 }
 
 // --- Advertisements (Procedures 3 and 4) ------------------------------
