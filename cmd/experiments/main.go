@@ -5,7 +5,8 @@
 // The default -scale mid runs a half-size network that finishes in minutes
 // on one machine while preserving the protocol ranking; -scale full runs
 // the paper's exact 100-node / 30-flow / 900 s / 10-trial configuration
-// (hours of CPU).
+// (one trial per cell took 1 m 40 s on one 2-vCPU host and 5 m 42 s on
+// another, so ten trials take minutes to an hour; -shard splits them).
 //
 // With -spec, the command instead sweeps the trials of one declarative
 // scenario spec (a JSON file or a built-in name like "paper-default") and
@@ -17,7 +18,7 @@
 // (sweepcli.Selection), the runner turns jobs into records, and every
 // printed table is experiments.MergeRecords over the fresh records plus
 // any a -resume salvaged, rendered by name — the same merge and renderer
-// cmd/slranalyze and cmd/slrserve use, so the three cannot disagree.
+// cmd/slranalyze uses, so the two cannot disagree.
 //
 // Sweeps shard and resume: -shard i/n runs a deterministic 1/n slice of
 // the flattened job grid so n processes (or machines) split the work, and
@@ -64,7 +65,7 @@ func run(args []string) error {
 		workers = fs.Int("workers", 0, "worker goroutines for the sweep (0 = all CPUs)")
 	)
 	sel := sweepcli.RegisterSelection(fs)
-	cli := sweepcli.Register(fs, true)
+	cli := sweepcli.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

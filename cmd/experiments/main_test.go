@@ -16,8 +16,8 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 }
 
 // TestRunRejectsUnknownExperiment: -exp takes the shared report
-// vocabulary — percentiles and shape included, like slranalyze -report
-// and /v1/report — and refuses anything else before sweeping.
+// vocabulary — percentiles and shape included, like slranalyze -report —
+// and refuses anything else before sweeping.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	err := run([]string{"-exp", "fig99"})
 	if err == nil || !strings.Contains(err.Error(), `-exp: unknown report "fig99"`) {
@@ -97,7 +97,8 @@ func TestRunRefusesToClobber(t *testing.T) {
 
 // TestRunSpecShardAndResume drives the spec path end to end: two shards'
 // JSONL concatenates to the single-process stream, a truncated file
-// resumes to the same bytes, and a plain re-run refuses to clobber.
+// resumes to the same bytes, a truncated shard resumes to its own bytes,
+// and a plain re-run refuses to clobber.
 func TestRunSpecShardAndResume(t *testing.T) {
 	const spec = "../../examples/scenarios/tiny-smoke.json"
 	dir := t.TempDir()
@@ -151,5 +152,19 @@ func TestRunSpecShardAndResume(t *testing.T) {
 	resumed, _ := os.ReadFile(trunc)
 	if !bytes.Equal(resumed, golden) {
 		t.Fatalf("resume did not converge:\n--- resumed ---\n%s--- golden ---\n%s", resumed, golden)
+	}
+
+	// A lost shard host: shard 2/2 dies inside its last record, and the
+	// same shard re-run with -resume completes it, so the shards again
+	// concatenate to the single-process stream.
+	if err := os.WriteFile(s2, b2[:len(b2)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(base, "-shard", "2/2", "-resume", "-jsonl", s2)); err != nil {
+		t.Fatal(err)
+	}
+	b2, _ = os.ReadFile(s2)
+	if !bytes.Equal(append(b1, b2...), golden) {
+		t.Fatalf("resumed shard union differs from single process:\n--- shards ---\n%s%s--- single ---\n%s", b1, b2, golden)
 	}
 }

@@ -1,9 +1,11 @@
 // Command slranalyze regenerates the paper's evaluation artifacts from a
 // sweep's per-trial JSONL stream alone — no re-simulation. A full-scale
-// sweep (400 runs, hours of CPU) is run once with -jsonl; every table,
-// CI, percentile merge, and shape verdict is then recomputed offline in
-// milliseconds, with protocol filters and report selection, and the
-// output is byte-identical to what the in-process sweep printed.
+// sweep (400 runs; one trial per cell took 1 m 40 s on one 2-vCPU host
+// and 5 m 42 s on another, so all ten take about 17–57 min) is run once
+// with -jsonl; every table, CI, percentile merge, and shape verdict is
+// then recomputed offline in milliseconds, with protocol filters and
+// report selection, and the output is byte-identical to what the
+// in-process sweep printed.
 //
 // -in repeats, so a sweep split across processes with -shard merges here:
 // records from all inputs are concatenated, de-duplicated on the
@@ -25,7 +27,7 @@
 //
 // Example:
 //
-//	experiments -scale full -workers 0 -jsonl full.jsonl   # hours, once
+//	experiments -scale full -workers 0 -jsonl full.jsonl   # 17–57 min, once
 //	slranalyze -in full.jsonl -scale full                  # ms, repeatable
 //	slranalyze -in full.jsonl -scale full -report table1 -protos SRP,LDR
 //	slranalyze -in tiny.jsonl -report trials
@@ -119,8 +121,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	// One merge and one renderer for every report shape: grouping,
 	// ordering, and dedup all come from the shared entry point, so this
-	// output stays byte-identical to the live sweep's and to the
-	// coordinator's /v1/report.
+	// output stays byte-identical to the live sweep's.
 	merged := experiments.MergeRecords(recs)
 	if *report == "trials" {
 		fmt.Fprint(stdout, merged.TrialsReport(""))

@@ -129,9 +129,8 @@ func TestRunRejectsUnrunnable(t *testing.T) {
 }
 
 // TestRunOneJobOnly: slrsim runs one scenario. Sweep slicing and resuming
-// live in cmd/experiments and the pull worker in `slrserve worker`, so
-// the flag package itself refuses their flags here — there is no allowlist
-// to keep in step.
+// live in cmd/experiments, so the flag package itself refuses their flags
+// here — there is no allowlist to keep in step.
 func TestRunOneJobOnly(t *testing.T) {
 	for _, args := range [][]string{
 		{"-worker", "http://127.0.0.1:1"},

@@ -33,31 +33,18 @@
 // reported — into analysis output byte-identical to a single-process
 // sweep. A failing emitter is disabled at its first error so the sweep
 // finishes on the healthy sinks, and non-empty outputs are never
-// clobbered without -resume or -force.
-//
-// The same determinism powers sweep-as-a-service: cmd/slrserve is an
-// HTTP/JSON coordinator (internal/sweepd) that owns a sweep's flattened
-// job list and leases identity-keyed job batches to pulling slrserve
-// worker processes over a versioned /v1 API whose payloads are exactly
-// runner.Job and runner.Record — lease out (POST /v1/lease),
-// acknowledge results as JSONL (POST /v1/records, salvage-validated and
-// de-duplicated on the identity key), watch progress (GET /v1/status),
-// and read the live merged analysis (GET /v1/report). A worker killed
-// mid-batch loses nothing: its lease times out and the jobs return to
-// the pool; every accepted record is checkpointed to the daemon's
-// -jsonl file, which -resume salvages after a coordinator crash. The
-// finished service's report and checkpoint are byte-identical to a
-// single-process sweep of the same flags.
+// clobbered without -resume or -force. A lost shard host loses nothing
+// but its unfinished trials: re-running its -shard with -resume completes
+// its file.
 //
 // Above the runner the orchestration is one pipeline written once: plan
 // (internal/runner/sweepcli turns -scale|-spec, -trials, -seed, -pparam
-// into a job list), run (runner.Run, or the coordinator), records
-// (runner.Record is the only thing that crosses from a run to a report),
-// merge (experiments.MergeRecords) and render (one report-by-name
-// function). Each binary is the front door for one job: cmd/slrsim runs
-// one scenario, cmd/experiments sweeps in one process (grid or -spec,
-// shards, resume), cmd/slrserve coordinates a sweep and slrserve worker
-// pulls from one, cmd/slranalyze reports from files.
+// into a job list), run (runner.Run), records (runner.Record is the only
+// thing that crosses from a run to a report), merge
+// (experiments.MergeRecords) and render (one report-by-name function).
+// Each binary is the front door for one job: cmd/slrsim runs one
+// scenario, cmd/experiments sweeps (grid or -spec, shards, resume), and
+// cmd/slranalyze reports from files.
 //
 // That byte-identical contract is machine-enforced: internal/analysis
 // holds four analyzers — map-iteration order escaping into

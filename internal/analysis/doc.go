@@ -5,9 +5,9 @@
 // only (go/ast, go/types, go/importer), no flags.
 //
 // The repo's contract is that a trial's JSONL output is a byte-identical
-// function of its seed — across worker counts, shards, resumed runs and
-// coordinator/worker topologies. Each analyzer encodes one way Go code
-// has broken (or could break) that contract:
+// function of its seed — across worker counts, shards and resumed runs.
+// Each analyzer encodes one way Go code has broken (or could break) that
+// contract:
 //
 //   - mapiter: map-iteration order escaping into output or scheduling
 //     (the PR 1 OLSR/SRP bug class — BFS seeded in range-over-map order).

@@ -3,7 +3,7 @@
 // Key.String the single source of shortest-float truth: its
 // strconv.FormatFloat(v, 'g', -1, 64) rendering is what makes identity
 // keys injective and equal to the JSON encoder's semantics, so dedup
-// maps, resume skip-sets, lease tables and the /v1 wire format all agree.
+// maps and resume skip-sets agree.
 // A second, drifting float-to-string path (a %v verb, an fmt.Sprint, a
 // stray FormatFloat) can silently disagree with that codec — two
 // renderings of one pause value stop comparing equal — so every such

@@ -21,13 +21,13 @@ generator functions. rand.New/NewSource and methods on a *rand.Rand are
 the sanctioned seeded path and stay legal, as do time's types and
 constants (sim.Time is a time.Duration).
 
-Daemon and CLI code legitimately lives on the wall clock; allowPkgs lists
-those package patterns (the sweep coordinator/worker daemon, the command
-mains and the examples). Anything else — e.g. a progress meter in
-otherwise sim-adjacent code — carries //slrlint:allow walltime <reason>.`
+CLI code legitimately lives on the wall clock; allowPkgs lists those
+package patterns (the command mains and the examples). Anything else —
+e.g. a progress meter in otherwise sim-adjacent code — carries
+//slrlint:allow walltime <reason>.`
 
 // allowPkgs are the package patterns allowed to touch the wall clock.
-var allowPkgs = slrlint.List{"slr/internal/sweepd", "slr/cmd/...", "slr/examples/..."}
+var allowPkgs = slrlint.List{"slr/cmd/...", "slr/examples/..."}
 
 // Analyzer is the walltime analyzer.
 var Analyzer = &slrlint.Analyzer{Name: "walltime", Doc: doc, Run: run}

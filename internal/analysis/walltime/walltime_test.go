@@ -8,7 +8,7 @@ import (
 )
 
 func TestWalltime(t *testing.T) {
-	// sweepd exercises the package allowlist: wall-clock reads there
-	// must produce zero diagnostics.
-	atest.Run(t, "../testdata", walltime.Analyzer, "walltime", "sweepd")
+	// cmd/progress exercises the package allowlist: wall-clock reads
+	// there must produce zero diagnostics.
+	atest.Run(t, "../testdata", walltime.Analyzer, "walltime", "cmd/progress")
 }

@@ -64,10 +64,9 @@ func (g mergeGroup) trialSet() scenario.TrialSet {
 // Merged is a record stream folded into per-(protocol, pause) groups: the
 // one record-merge entry point behind every analysis of a sweep.
 // cmd/experiments' printed tables (fresh records plus any salvaged by a
-// resume), cmd/slranalyze's shard merge, and the sweep coordinator's live
-// report endpoint (internal/sweepd) all build a Merged first and Render
-// from it, so grouping, ordering, and dedup semantics cannot drift between
-// them.
+// resume) and cmd/slranalyze's shard merge both build a Merged first and
+// Render from it, so grouping, ordering, and dedup semantics cannot drift
+// between them.
 //
 // Construction dedups on the canonical identity key (first occurrence
 // wins; determinism makes the copies identical) and orders groups by
@@ -82,9 +81,8 @@ type Merged struct {
 }
 
 // MergeRecords folds records — possibly the concatenation of several
-// files: shard outputs, a resumed file plus its pre-crash predecessor, a
-// coordinator's checkpoint — into their merged, deterministically ordered
-// groups.
+// files: shard outputs, a resumed file plus its pre-crash predecessor —
+// into their merged, deterministically ordered groups.
 func MergeRecords(recs []runner.Record) *Merged {
 	recs, dups := runner.DedupRecords(recs)
 	type key struct {
@@ -158,7 +156,7 @@ func (m *Merged) Grid(s Scale) (*Grid, []runner.Record) {
 // TrialsReport renders every group's trial summary, one TrialReport per
 // group separated by blank lines. name labels every group (a spec sweep's
 // scenario name); empty labels each group by its protocol and pause — the
-// "trials" report of cmd/slranalyze and /v1/report.
+// "trials" report of cmd/slranalyze.
 func (m *Merged) TrialsReport(name string) string {
 	var b strings.Builder
 	for i, g := range m.groups {
@@ -176,7 +174,7 @@ func (m *Merged) TrialsReport(name string) string {
 }
 
 // ReportKinds lists the report names Render accepts — the vocabulary of
-// cmd/experiments -exp, cmd/slranalyze -report and /v1/report?report=.
+// cmd/experiments -exp and cmd/slranalyze -report.
 var ReportKinds = []string{"all", "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "percentiles", "shape", "trials"}
 
 // checkKind refuses a report name outside ReportKinds.

@@ -139,7 +139,7 @@ func (g *Grid) Cell(proto scenario.ProtocolName, pauseFrac float64) scenario.Tri
 
 // Metric extracts a value from a run.
 type Metric struct {
-	Key    string // report name: cmd/experiments -exp, cmd/slranalyze -report, /v1/report
+	Key    string // report name: cmd/experiments -exp, cmd/slranalyze -report
 	Name   string
 	Fig    string
 	Get    func(scenario.Result) float64

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// goldenJSONL is a committed sweep output, the seed for both fuzz targets.
+// goldenJSONL is a committed sweep output, the fuzz target's seed.
 const goldenJSONL = "../../testdata/olsr-small.golden.jsonl"
 
 // FuzzSalvageRecords feeds arbitrary bytes to the JSONL salvage every
-// reader of sweep output shares (resume, slranalyze, the coordinator's
-// /v1/records). It must never panic, and the clean offset it reports must
-// be a real append point: inside the input, with everything before it
-// salvaging cleanly to that same offset.
+// reader of sweep output shares (resume and slranalyze). It must never
+// panic, and the clean offset it reports must be a real append point:
+// inside the input, with everything before it salvaging cleanly to that
+// same offset.
 func FuzzSalvageRecords(f *testing.F) {
 	golden, err := os.ReadFile(goldenJSONL)
 	if err != nil {
@@ -36,35 +36,6 @@ func FuzzSalvageRecords(f *testing.F) {
 		}
 		if len(prefix) > len(recs) {
 			t.Fatalf("clean prefix holds %d records, the whole input only %d", len(prefix), len(recs))
-		}
-	})
-}
-
-// FuzzParseKey checks the identity-key codec from the parsing side:
-// ParseKey must never panic, and any key it accepts must round-trip
-// through String — the property dedup maps and the lease table rely on.
-func FuzzParseKey(f *testing.F) {
-	file, err := os.Open(goldenJSONL)
-	if err != nil {
-		f.Fatal(err)
-	}
-	recs, _, err := SalvageRecords(file)
-	file.Close()
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, rec := range recs {
-		f.Add(rec.Key().String())
-	}
-	f.Add("SRP|0.30000000000000004|1|-42")
-
-	f.Fuzz(func(t *testing.T, s string) {
-		k, err := ParseKey(s)
-		if err != nil {
-			return
-		}
-		if again, err := ParseKey(k.String()); err != nil || again != k {
-			t.Fatalf("ParseKey(%q) = %+v, but its String %q parses back to %+v, %v", s, k, k.String(), again, err)
 		}
 	})
 }

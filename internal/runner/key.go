@@ -1,19 +1,12 @@
 package runner
 
-import (
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Key identifies one trial across processes: the (protocol, pause, trial,
 // seed) coordinates that are fixed at flatten time and serialized into
 // every Record. Because trials are deterministic, two records with the
 // same Key hold the same measurements, so the key is what sharded sweeps
-// de-duplicate on, what resume uses to skip already-completed jobs, and
-// what the sweep coordinator (internal/sweepd) leases and acknowledges
-// over the wire.
+// de-duplicate on and what resume uses to skip already-completed jobs.
 //
 // Pause is in seconds, exactly as serialized: float64 values survive the
 // JSON round trip bit for bit (the encoder emits the shortest
@@ -31,43 +24,11 @@ type Key struct {
 // shortest float representation that parses back to the same value (the
 // same rule the JSON encoder applies to pause_seconds), so String is
 // injective: two keys render equal strings exactly when they are equal.
-// This one encoding is used everywhere keys are compared or transmitted —
-// dedup maps, resume skip-sets, the coordinator's lease table, and the
-// /v1 wire format — so the equality semantics cannot drift between them.
+// This one encoding is used everywhere keys are compared — dedup maps and
+// resume skip-sets — so the equality semantics cannot drift between them.
 func (k Key) String() string {
 	return k.Protocol + "|" + strconv.FormatFloat(k.Pause, 'g', -1, 64) +
 		"|" + strconv.Itoa(k.Trial) + "|" + strconv.FormatInt(k.Seed, 10)
-}
-
-// ParseKey inverts Key.String. It rejects anything String cannot have
-// produced: a wrong field count, an empty protocol (no Record carries
-// one; see SalvageRecords), or unparsable numbers.
-func ParseKey(s string) (Key, error) {
-	parts := strings.Split(s, "|")
-	if len(parts) != 4 {
-		return Key{}, fmt.Errorf("key %q: want protocol|pause|trial|seed", s)
-	}
-	if parts[0] == "" {
-		return Key{}, fmt.Errorf("key %q: empty protocol", s)
-	}
-	pause, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return Key{}, fmt.Errorf("key %q: bad pause: %v", s, err)
-	}
-	if math.IsNaN(pause) {
-		// No record carries one (JSON cannot), and a NaN key would not
-		// even equal itself.
-		return Key{}, fmt.Errorf("key %q: pause is NaN", s)
-	}
-	trial, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return Key{}, fmt.Errorf("key %q: bad trial: %v", s, err)
-	}
-	seed, err := strconv.ParseInt(parts[3], 10, 64)
-	if err != nil {
-		return Key{}, fmt.Errorf("key %q: bad seed: %v", s, err)
-	}
-	return Key{Protocol: parts[0], Pause: pause, Trial: trial, Seed: seed}, nil
 }
 
 // Key returns the job's identity key.

@@ -3,14 +3,12 @@
 // text, failure semantics or messaging:
 //
 //   - the plan (Selection): -scale | -spec, -trials, -seed, -pparam
-//     resolved into the sweep's flattened job list, for cmd/experiments
-//     and cmd/slrserve;
+//     resolved into the sweep's flattened job list, for cmd/experiments;
 //   - the outputs (Flags): the -jsonl/-csv streams behind the
 //     -resume/-force clobber and salvage guards (runner.OpenJSONLOutput,
 //     runner.CreateOutput), and the -shard slice plus resume skip filter
 //     the job list runs through;
-//   - profiling (Profiles): -cpuprofile/-memprofile, for cmd/slrsim and
-//     slrserve worker.
+//   - profiling (Profiles): -cpuprofile/-memprofile, for cmd/slrsim.
 package sweepcli
 
 import (
@@ -197,9 +195,7 @@ func (p *Profiles) Start() (stop func() error, err error) {
 type Flags struct {
 	// JSONL is the -jsonl per-trial stream path ("" = none).
 	JSONL string
-	// CSV is the -csv per-trial stream path; registered only by binaries
-	// that pass withCSV to Register (the CSV stream cannot be resumed, so
-	// the coordinator omits it).
+	// CSV is the -csv per-trial stream path ("" = none).
 	CSV string
 	// Resume continues an interrupted -jsonl stream instead of refusing
 	// to touch it: salvage its complete records, skip their jobs, append
@@ -210,18 +206,13 @@ type Flags struct {
 	// Shard selects one deterministic 1/n slice of the flattened job
 	// list.
 	Shard runner.ShardSpec
-
-	withCSV bool
 }
 
-// Register binds the shared flags onto fs. withCSV also registers -csv
-// (cmd/experiments streams CSV; the coordinator daemon does not).
-func Register(fs *flag.FlagSet, withCSV bool) *Flags {
-	f := &Flags{withCSV: withCSV}
+// Register binds the shared output and slicing flags onto fs.
+func Register(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
 	fs.StringVar(&f.JSONL, "jsonl", "", "stream per-trial results as JSON lines to this file")
-	if withCSV {
-		fs.StringVar(&f.CSV, "csv", "", "stream per-trial results as CSV to this file")
-	}
+	fs.StringVar(&f.CSV, "csv", "", "stream per-trial results as CSV to this file")
 	fs.BoolVar(&f.Resume, "resume", false, "resume an interrupted -jsonl sweep: salvage its complete records, skip their jobs, append only the missing trials")
 	fs.BoolVar(&f.Force, "force", false, "overwrite an existing non-empty output")
 	fs.Var(&f.Shard, "shard", "run only shard `i/n` (1-based) of the flattened job list; concatenate the shards' JSONL and merge with slranalyze")
@@ -247,10 +238,6 @@ type Outputs struct {
 	Salvaged []runner.Record
 	// Emitters stream completed trials to every requested output.
 	Emitters []runner.Emitter
-	// JSONLFile is the open -jsonl stream, positioned for appending (nil
-	// without -jsonl). The coordinator daemon checkpoints through it
-	// directly; cmd/experiments uses the JSONL Emitter instead.
-	JSONLFile *os.File
 
 	files []*os.File
 }
@@ -275,7 +262,6 @@ func (f *Flags) Open(stderr io.Writer) (*Outputs, error) {
 			return nil, err
 		}
 		out.Salvaged = recs
-		out.JSONLFile = jf
 		out.files = append(out.files, jf)
 		out.Emitters = append(out.Emitters, runner.NewJSONL(jf))
 	}

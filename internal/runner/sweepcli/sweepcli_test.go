@@ -30,21 +30,12 @@ func tinyParams(proto scenario.ProtocolName, seed int64) scenario.Params {
 // TestRegisterFlagSurface pins the shared flag names: every binary that
 // calls Register exposes exactly this orchestration surface.
 func TestRegisterFlagSurface(t *testing.T) {
-	for _, withCSV := range []bool{false, true} {
-		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		Register(fs, withCSV)
-		want := []string{"jsonl", "resume", "force", "shard"}
-		if withCSV {
-			want = append(want, "csv")
-		}
-		for _, name := range want {
-			if fs.Lookup(name) == nil {
-				t.Errorf("withCSV=%v: flag -%s not registered", withCSV, name)
-			}
-		}
-		if !withCSV && fs.Lookup("csv") != nil {
-			t.Error("withCSV=false registered -csv anyway")
-		}
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	Register(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if want := []string{"csv", "force", "jsonl", "resume", "shard"}; !slices.Equal(got, want) {
+		t.Errorf("registered flags %v, want %v", got, want)
 	}
 }
 
@@ -86,9 +77,11 @@ func TestOpenClobberGuard(t *testing.T) {
 		t.Fatalf("-force open: %v", err)
 	}
 	defer out.Close()
-	if len(out.Salvaged) != 0 || out.JSONLFile == nil || len(out.Emitters) != 1 {
-		t.Fatalf("force-open outputs: salvaged=%d file=%v emitters=%d",
-			len(out.Salvaged), out.JSONLFile != nil, len(out.Emitters))
+	if len(out.Salvaged) != 0 || len(out.Emitters) != 1 {
+		t.Fatalf("force-open outputs: salvaged=%d emitters=%d", len(out.Salvaged), len(out.Emitters))
+	}
+	if blob, err := os.ReadFile(path); err != nil || len(blob) != 0 {
+		t.Fatalf("-force left %q, %v; want the file truncated", blob, err)
 	}
 }
 
@@ -147,9 +140,9 @@ func TestOpenResumeAndJobsPipeline(t *testing.T) {
 	}
 }
 
-// TestPlanJobKeys pins the one plan function to the job lists the three
+// TestPlanJobKeys pins the one plan function to the job lists the
 // pre-consolidation code paths produced (cmd/experiments' grid and spec
-// branches, cmd/slrserve's inline copy of both):
+// branches, and a second command's inline copy of both):
 // testdata/plan-keys.golden holds their runner.Job.Key strings, in job
 // order, written down from commit 9758638 before those paths were folded
 // into Selection.Plan.

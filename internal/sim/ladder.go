@@ -43,6 +43,20 @@ package sim
 // are simply pushed into the bottom heap — exactly the pre-ladder
 // scheduler. Correctness never depends on the bucket geometry; only the
 // constant factors do.
+//
+// Why the ladder stays: it was measured against the heap-only scheduler
+// (schedule always bottomPush, refill just len(bottom) > 0) in
+// cmd/slrbench's end-to-end mode, 20 s per run, seeds 1–10 in
+// alternating order on a 2-vCPU host. On table1-mid heap-only costs
+// 1.06× the ladder's cpu_us_per_frame (winning 0 of 10 pairs; a 0.44 µs
+// gap against the ladder's 0.39 µs IQR) and 1.08× its wall_us_per_frame
+// (winning 1 of 10). On flood-5000 it costs 1.06–1.07×, inside the IQR;
+// on olsr-1000 and city-500 the two are level. A second batch on the same
+// host found a smaller gap, heap-only at 1.02× both per-frame times on
+// table1-mid (3 of 10 wins) and 1.01–1.02× on flood-5000 (3–4 of 10),
+// all inside the ladder's IQR. Heap-only never won on time. Its
+// peak_mem_mb is 0.93–0.99× the ladder's (flood-5000: 0.95×, 10 of 10,
+// a 7 MB gap inside the 9 MB IQR), too small a saving to pay for the CPU.
 const (
 	// ladderThresh is the bucket size at or below which promotion dumps
 	// straight into the bottom heap instead of spawning a finer rung.
