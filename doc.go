@@ -98,8 +98,10 @@
 // trials in internal/runner, one Simulator per trial.
 //
 // The routing control plane shares one toolkit: internal/routing/rcommon
-// owns the drop-reason vocabulary, discovery queues with retry and
-// hold-down bookkeeping, RREQ/RERR rate limiters, the periodic beaconer,
+// owns the drop-reason vocabulary, route discovery for the four
+// on-demand protocols and its parameters (solicitation with the RREQ rate
+// limit, TTL pick, retry back-off, hold-down and queue flush; a protocol
+// only builds its RREQ), the RERR rate limiter, the periodic beaconer,
 // the hello/link-liveness neighbor table, duplicate-flood suppression,
 // and the flat by-value id table (IDTable) that holds SRP's routes and
 // RREQ state. internal/routing/rtest's conformance suite runs every

@@ -24,36 +24,23 @@ import (
 
 // Config holds AODV's protocol constants.
 type Config struct {
+	rcommon.DiscoveryConfig
 	ActiveRouteTimeout sim.Time
-	NodeTraversal      sim.Time
-	RreqRetries        int
-	TTLs               []int
-	QueueCap           int
 	// LocalRepair lets an intermediate node that detects a link break
 	// attempt a repair discovery before reporting upstream (§V: "AODV
 	// uses local repair").
 	LocalRepair bool
-	MaxSalvage  int
-	// RreqRateLimit caps RREQ originations per second (RREQ_RATELIMIT).
-	RreqRateLimit int
-	// DiscoveryHoldDown delays a fresh discovery for a destination that
-	// just failed all retries, so saturated flows do not flood the
-	// network with back-to-back failed searches.
-	DiscoveryHoldDown sim.Time
 }
+
+// ttlKeys name the entries of the expanding-ring TTL schedule.
+var ttlKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
 
 // DefaultConfig returns the constants used in the evaluation.
 func DefaultConfig() Config {
 	return Config{
+		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
 		ActiveRouteTimeout: 10 * time.Second,
-		NodeTraversal:      40 * time.Millisecond,
-		RreqRetries:        2,
-		TTLs:               []int{5, 10, 35},
-		QueueCap:           10,
 		LocalRepair:        true,
-		MaxSalvage:         3,
-		RreqRateLimit:      10,
-		DiscoveryHoldDown:  3 * time.Second,
 	}
 }
 
@@ -62,19 +49,10 @@ func DefaultConfig() Config {
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
 	cfg := DefaultConfig()
-	if err := registry.ApplyParams("aodv", params, map[string]func(float64){
-		"active_route_timeout_seconds": func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) },
-		"node_traversal_seconds":       func(v float64) { cfg.NodeTraversal = rcommon.Seconds(v) },
-		"rreq_retries":                 func(v float64) { cfg.RreqRetries = int(v) },
-		"ttl_0":                        func(v float64) { cfg.TTLs[0] = int(v) },
-		"ttl_1":                        func(v float64) { cfg.TTLs[1] = int(v) },
-		"ttl_2":                        func(v float64) { cfg.TTLs[2] = int(v) },
-		"queue_cap":                    func(v float64) { cfg.QueueCap = int(v) },
-		"local_repair":                 func(v float64) { cfg.LocalRepair = v != 0 },
-		"max_salvage":                  func(v float64) { cfg.MaxSalvage = int(v) },
-		"rreq_rate_limit":              func(v float64) { cfg.RreqRateLimit = int(v) },
-		"discovery_holddown_seconds":   func(v float64) { cfg.DiscoveryHoldDown = rcommon.Seconds(v) },
-	}); err != nil {
+	apply := cfg.Appliers(ttlKeys, 2)
+	apply["active_route_timeout_seconds"] = func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) }
+	apply["local_repair"] = func(v float64) { cfg.LocalRepair = v != 0 }
+	if err := registry.ApplyParams("aodv", params, apply); err != nil {
 		return Config{}, err
 	}
 	if err := cfg.validate(); err != nil {
@@ -85,20 +63,10 @@ func ConfigFromParams(params map[string]float64) (Config, error) {
 
 // validate rejects configurations no deployment could run.
 func (c Config) validate() error {
-	if c.ActiveRouteTimeout <= 0 || c.NodeTraversal <= 0 {
-		return fmt.Errorf("aodv: timeouts must be positive (active_route_timeout %v, node_traversal %v)",
-			c.ActiveRouteTimeout, c.NodeTraversal)
+	if c.ActiveRouteTimeout <= 0 {
+		return fmt.Errorf("aodv: active_route_timeout_seconds %v must be positive", c.ActiveRouteTimeout)
 	}
-	if c.RreqRetries < 0 || c.QueueCap < 1 || c.MaxSalvage < 0 || c.DiscoveryHoldDown < 0 {
-		return fmt.Errorf("aodv: rreq_retries %d, queue_cap %d, max_salvage %d, discovery_holddown %v out of range",
-			c.RreqRetries, c.QueueCap, c.MaxSalvage, c.DiscoveryHoldDown)
-	}
-	for _, t := range c.TTLs {
-		if t < 1 {
-			return fmt.Errorf("aodv: ttl schedule entry %d must be >= 1", t)
-		}
-	}
-	return nil
+	return c.DiscoveryConfig.Validate("aodv", ttlKeys)
 }
 
 // rreq is the AODV route request.
@@ -168,11 +136,10 @@ type Protocol struct {
 	// swept is the instant of the last 10 s sweep, which is when RREQ
 	// sightings expire (rcommon.Flood).
 	swept sim.Time
-	// disc owns the pending discoveries, their packet queues, and the
-	// post-failure hold-down.
+	// disc runs route discovery: queues, RREQ rate limit, retries and
+	// hold-down.
 	disc *rcommon.DiscoveryTable
-	// rreqLimit and rerrLimit enforce RREQ_RATELIMIT / RERR_RATELIMIT.
-	rreqLimit rcommon.RateLimiter
+	// rerrLimit enforces RERR_RATELIMIT.
 	rerrLimit rcommon.RateLimiter
 	sweeper   rcommon.Beaconer
 }
@@ -181,13 +148,13 @@ var _ netstack.Protocol = (*Protocol)(nil)
 
 // New returns an AODV instance.
 func New(cfg Config) *Protocol {
-	return &Protocol{
+	p := &Protocol{
 		cfg:       cfg,
 		table:     make(map[netstack.NodeID]*routeEntry),
-		disc:      rcommon.NewDiscoveryTable(cfg.QueueCap, cfg.RreqRetries, cfg.DiscoveryHoldDown),
-		rreqLimit: rcommon.RateLimiter{Cap: cfg.RreqRateLimit},
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
 	}
+	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, p.repairFailed)
+	return p
 }
 
 // Attach implements netstack.Protocol.
@@ -238,12 +205,20 @@ func (p *Protocol) liveRoute(dst netstack.NodeID) (*routeEntry, bool) {
 
 // OriginateData implements netstack.Protocol.
 func (p *Protocol) OriginateData(pkt *netstack.DataPacket) {
-	if e, ok := p.liveRoute(pkt.Dst); ok {
+	if !p.forward(pkt) {
+		p.disc.Enqueue(pkt, false)
+	}
+}
+
+// forward sends pkt along the live route to its destination, refreshing
+// the route; it reports false when there is none.
+func (p *Protocol) forward(pkt *netstack.DataPacket) bool {
+	e, ok := p.liveRoute(pkt.Dst)
+	if ok {
 		p.useRoute(e)
 		p.node.ForwardData(e.nextHop, pkt)
-		return
 	}
-	p.enqueue(pkt, false)
+	return ok
 }
 
 // RecvData implements netstack.Protocol.
@@ -282,18 +257,9 @@ func (p *Protocol) useRoute(e *routeEntry) {
 	e.expiry = p.node.Now() + p.cfg.ActiveRouteTimeout
 }
 
-// enqueue queues pkt behind a (possibly new) discovery.
-func (p *Protocol) enqueue(pkt *netstack.DataPacket, repair bool) {
-	p.disc.Enqueue(pkt, repair, p.solicit)
-}
-
-// solicit broadcasts a RREQ per the expanding-ring schedule; over-cap
-// discoveries are deferred, not abandoned (RREQ_RATELIMIT).
-func (p *Protocol) solicit(pd *rcommon.Discovery) {
-	if !p.rreqLimit.Allow(p.node.Now()) {
-		p.disc.Defer(pd, 200*time.Millisecond, p.solicit)
-		return
-	}
+// solicit broadcasts a RREQ for pd's destination with the TTL the
+// discovery table picked.
+func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	// "Immediately before a node originates a route discovery, it MUST
 	// increment its own sequence number."
 	p.seq++
@@ -304,7 +270,7 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		SrcSeq: p.seq,
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
-		TTL:    p.cfg.TTLs[min(pd.Attempt, len(p.cfg.TTLs)-1)],
+		TTL:    ttl,
 		Flood:  rcommon.NewFlood(p.node.Now()),
 	}
 	if e, ok := p.table[pd.Dst]; ok && e.validSeq {
@@ -313,9 +279,6 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		r.UnknownSeq = true
 	}
 	p.node.BroadcastControl(rreqSize, r)
-	// Binary exponential backoff across retries, per the draft.
-	wait := 2 * sim.Time(r.TTL) * p.cfg.NodeTraversal << uint(pd.Attempt)
-	pd.Timer = p.node.After(wait, func() { p.disc.Retry(pd, p.solicit, p.repairFailed) })
 }
 
 // repairFailed runs when an abandoned discovery was a local repair:
@@ -398,7 +361,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		return
 	}
 	if rep.Src == p.self {
-		p.complete(rep.Dst)
+		p.disc.Complete(rep.Dst, p.forward)
 		return
 	}
 	// Forward along the reverse route toward the originator.
@@ -412,23 +375,6 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 	y := *rep
 	y.HopCount++
 	p.node.UnicastControl(rev.nextHop, rrepSize, &y)
-}
-
-// complete flushes the discovery queue for dst.
-func (p *Protocol) complete(dst netstack.NodeID) {
-	pd, ok := p.disc.Complete(dst)
-	if !ok {
-		return
-	}
-	e, live := p.liveRoute(dst)
-	for _, pkt := range pd.Queue {
-		if !live {
-			p.node.DropData(pkt, rcommon.DropNoRoute)
-			continue
-		}
-		p.useRoute(e)
-		p.node.ForwardData(e.nextHop, pkt)
-	}
 }
 
 // update applies the draft's route-update rule: adopt when the sequence
@@ -480,7 +426,7 @@ func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	broken := p.breakLink(to)
 	if p.cfg.LocalRepair && pkt.Salvaged < p.cfg.MaxSalvage {
 		pkt.Salvaged++
-		p.enqueue(pkt, true)
+		p.disc.Enqueue(pkt, true)
 	} else {
 		p.node.DropData(pkt, rcommon.DropLinkLost)
 	}

@@ -3,6 +3,7 @@ package routing_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,15 +64,25 @@ func TestUnknownProtocolAndParamsRejected(t *testing.T) {
 			t.Errorf("%s accepted out-of-range parameters", name)
 		}
 	}
-	// Conversion hazards: values that would wrap a uint32 or panic the
-	// hello jitter must fail validation, not truncate or crash later.
-	for _, params := range []map[string]float64{
-		{"max_denom": -5},
-		{"max_denom": 5e9},
-		{"hello_interval_seconds": 1e-9},
+	// Conversion hazards: values that would wrap a uint32, panic the hello
+	// jitter, or make a discovery's back-off overflow the clock must fail
+	// validation, naming the parameter, not truncate or crash later.
+	for _, c := range []struct {
+		name   string
+		params map[string]float64
+		key    string
+	}{
+		{"SRP", map[string]float64{"max_denom": -5}, "max_denom"},
+		{"SRP", map[string]float64{"max_denom": 5e9}, "max_denom"},
+		{"SRP", map[string]float64{"hello_interval_seconds": 1e-9}, "hello_interval"},
+		{"AODV", map[string]float64{"ttl_0": 2e11}, "ttl_0"},
+		{"DSR", map[string]float64{"first_ttl": 2e11}, "first_ttl"},
+		{"AODV", map[string]float64{"node_traversal_seconds": 1e9}, "node_traversal_seconds"},
+		{"LDR", map[string]float64{"rreq_retries": 64}, "rreq_retries"},
 	} {
-		if err := routing.Validate(routing.Spec{Name: "SRP", Params: params}); err == nil {
-			t.Errorf("SRP accepted hazardous params %v", params)
+		err := routing.Validate(routing.Spec{Name: c.name, Params: c.params})
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("%s with hazardous params %v: got %v, want an error naming %s", c.name, c.params, err, c.key)
 		}
 	}
 }

@@ -23,42 +23,27 @@ import (
 	"slr/internal/sim"
 )
 
-// Config holds DSR's constants.
+// Config holds DSR's constants. Its TTL schedule has two entries: the
+// non-propagating first attempt (first_ttl), then network-wide floods
+// (net_ttl).
 type Config struct {
+	rcommon.DiscoveryConfig
 	CacheLifetime sim.Time
 	RoutesPerDest int
-	RreqRetries   int
-	// FirstTTL is the non-propagating first attempt; later attempts
-	// flood with NetTTL.
-	FirstTTL      int
-	NetTTL        int
-	NodeTraversal sim.Time
-	QueueCap      int
-	MaxSalvage    int
 	// ReplyFromCache lets intermediate nodes answer with cached routes.
 	ReplyFromCache bool
-	// RreqRateLimit caps RREQ originations per second.
-	RreqRateLimit int
-	// DiscoveryHoldDown delays a fresh discovery for a destination that
-	// just failed all retries, so saturated flows do not flood the
-	// network with back-to-back failed searches.
-	DiscoveryHoldDown sim.Time
 }
+
+// ttlKeys name the entries of the TTL schedule.
+var ttlKeys = []string{"first_ttl", "net_ttl"}
 
 // DefaultConfig returns the evaluation constants.
 func DefaultConfig() Config {
 	return Config{
-		CacheLifetime:     300 * time.Second,
-		RoutesPerDest:     3,
-		RreqRetries:       2,
-		FirstTTL:          1,
-		NetTTL:            35,
-		NodeTraversal:     40 * time.Millisecond,
-		QueueCap:          10,
-		MaxSalvage:        3,
-		ReplyFromCache:    true,
-		RreqRateLimit:     10,
-		DiscoveryHoldDown: 3 * time.Second,
+		DiscoveryConfig: rcommon.DefaultDiscovery(1, 35),
+		CacheLifetime:   300 * time.Second,
+		RoutesPerDest:   3,
+		ReplyFromCache:  true,
 	}
 }
 
@@ -67,19 +52,11 @@ func DefaultConfig() Config {
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
 	cfg := DefaultConfig()
-	if err := registry.ApplyParams("dsr", params, map[string]func(float64){
-		"cache_lifetime_seconds":     func(v float64) { cfg.CacheLifetime = rcommon.Seconds(v) },
-		"routes_per_dest":            func(v float64) { cfg.RoutesPerDest = int(v) },
-		"rreq_retries":               func(v float64) { cfg.RreqRetries = int(v) },
-		"first_ttl":                  func(v float64) { cfg.FirstTTL = int(v) },
-		"net_ttl":                    func(v float64) { cfg.NetTTL = int(v) },
-		"node_traversal_seconds":     func(v float64) { cfg.NodeTraversal = rcommon.Seconds(v) },
-		"queue_cap":                  func(v float64) { cfg.QueueCap = int(v) },
-		"max_salvage":                func(v float64) { cfg.MaxSalvage = int(v) },
-		"reply_from_cache":           func(v float64) { cfg.ReplyFromCache = v != 0 },
-		"rreq_rate_limit":            func(v float64) { cfg.RreqRateLimit = int(v) },
-		"discovery_holddown_seconds": func(v float64) { cfg.DiscoveryHoldDown = rcommon.Seconds(v) },
-	}); err != nil {
+	apply := cfg.Appliers(ttlKeys, 3)
+	apply["cache_lifetime_seconds"] = func(v float64) { cfg.CacheLifetime = rcommon.Seconds(v) }
+	apply["routes_per_dest"] = func(v float64) { cfg.RoutesPerDest = int(v) }
+	apply["reply_from_cache"] = func(v float64) { cfg.ReplyFromCache = v != 0 }
+	if err := registry.ApplyParams("dsr", params, apply); err != nil {
 		return Config{}, err
 	}
 	if err := cfg.validate(); err != nil {
@@ -90,19 +67,11 @@ func ConfigFromParams(params map[string]float64) (Config, error) {
 
 // validate rejects configurations no deployment could run.
 func (c Config) validate() error {
-	if c.CacheLifetime <= 0 || c.NodeTraversal <= 0 {
-		return fmt.Errorf("dsr: cache_lifetime %v and node_traversal %v must be positive",
-			c.CacheLifetime, c.NodeTraversal)
+	if c.CacheLifetime <= 0 || c.RoutesPerDest < 1 {
+		return fmt.Errorf("dsr: cache_lifetime_seconds %v must be positive and routes_per_dest %d >= 1",
+			c.CacheLifetime, c.RoutesPerDest)
 	}
-	if c.RoutesPerDest < 1 || c.FirstTTL < 1 || c.NetTTL < 1 {
-		return fmt.Errorf("dsr: routes_per_dest %d, first_ttl %d, net_ttl %d must be >= 1",
-			c.RoutesPerDest, c.FirstTTL, c.NetTTL)
-	}
-	if c.RreqRetries < 0 || c.QueueCap < 1 || c.MaxSalvage < 0 || c.DiscoveryHoldDown < 0 {
-		return fmt.Errorf("dsr: rreq_retries %d, queue_cap %d, max_salvage %d, discovery_holddown %v out of range",
-			c.RreqRetries, c.QueueCap, c.MaxSalvage, c.DiscoveryHoldDown)
-	}
-	return nil
+	return c.DiscoveryConfig.Validate("dsr", ttlKeys)
 }
 
 // rreq accumulates the traversed path in Path (intermediate nodes only,
@@ -157,24 +126,22 @@ type Protocol struct {
 	// swept is the instant of the last 10 s sweep, which is when RREQ
 	// sightings expire (rcommon.Flood).
 	swept sim.Time
-	// disc owns the pending discoveries, their packet queues, and the
-	// post-failure hold-down.
-	disc *rcommon.DiscoveryTable
-	// rreqLimit enforces the per-second RREQ origination cap.
-	rreqLimit rcommon.RateLimiter
-	sweeper   rcommon.Beaconer
+	// disc runs route discovery: queues, RREQ rate limit, retries and
+	// hold-down.
+	disc    *rcommon.DiscoveryTable
+	sweeper rcommon.Beaconer
 }
 
 var _ netstack.Protocol = (*Protocol)(nil)
 
 // New returns a DSR instance.
 func New(cfg Config) *Protocol {
-	return &Protocol{
-		cfg:       cfg,
-		cache:     make(map[netstack.NodeID][]*cachedRoute),
-		disc:      rcommon.NewDiscoveryTable(cfg.QueueCap, cfg.RreqRetries, cfg.DiscoveryHoldDown),
-		rreqLimit: rcommon.RateLimiter{Cap: cfg.RreqRateLimit},
+	p := &Protocol{
+		cfg:   cfg,
+		cache: make(map[netstack.NodeID][]*cachedRoute),
 	}
+	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
+	return p
 }
 
 // Attach implements netstack.Protocol.
@@ -303,11 +270,19 @@ func equalPath(a, b []netstack.NodeID) bool {
 
 // OriginateData implements netstack.Protocol.
 func (p *Protocol) OriginateData(pkt *netstack.DataPacket) {
-	if path, ok := p.lookup(pkt.Dst); ok {
-		p.sendAlong(pkt, path)
-		return
+	if !p.forward(pkt) {
+		p.disc.Enqueue(pkt, false)
 	}
-	p.enqueue(pkt)
+}
+
+// forward sends pkt along the shortest live cached route to its
+// destination; it reports false when there is none.
+func (p *Protocol) forward(pkt *netstack.DataPacket) bool {
+	path, ok := p.lookup(pkt.Dst)
+	if ok {
+		p.sendAlong(pkt, path)
+	}
+	return ok
 }
 
 // sendAlong stamps the source route [self, path...] on pkt and forwards.
@@ -354,12 +329,11 @@ func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 		return
 	}
 	pkt.Salvaged++
-	if path, ok := p.lookup(pkt.Dst); ok {
-		p.sendAlong(pkt, path)
+	if p.forward(pkt) {
 		return
 	}
 	if pkt.Src == p.self {
-		p.enqueue(pkt)
+		p.disc.Enqueue(pkt, false)
 		return
 	}
 	p.node.DropData(pkt, rcommon.DropLinkLost)
@@ -385,29 +359,14 @@ func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
 	p.removeLink(p.self, to)
 }
 
-func (p *Protocol) enqueue(pkt *netstack.DataPacket) {
-	p.disc.Enqueue(pkt, false, p.solicit)
-}
-
 // --- Control plane ----------------------------------------------------
 
-// solicit broadcasts a RREQ: a non-propagating first attempt, then
-// network-wide floods. Over-cap solicitations are deferred, not abandoned.
-func (p *Protocol) solicit(pd *rcommon.Discovery) {
-	if !p.rreqLimit.Allow(p.node.Now()) {
-		p.disc.Defer(pd, 200*time.Millisecond, p.solicit)
-		return
-	}
+// solicit broadcasts a RREQ for pd's destination with the TTL the
+// discovery table picked: first_ttl, then net_ttl on every retry.
+func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	p.rreqID++
-	ttl := p.cfg.FirstTTL
-	if pd.Attempt > 0 {
-		ttl = p.cfg.NetTTL
-	}
 	r := &rreq{Src: p.self, ID: p.rreqID, Dst: pd.Dst, TTL: ttl, Flood: rcommon.NewFlood(p.node.Now())}
 	p.node.BroadcastControl(rreqBase, r)
-	// Binary exponential backoff across retries.
-	wait := 2 * sim.Time(ttl) * p.cfg.NodeTraversal << uint(pd.Attempt)
-	pd.Timer = p.node.After(wait, func() { p.disc.Retry(pd, p.solicit, nil) })
 }
 
 // RecvControl implements netstack.Protocol.
@@ -527,27 +486,13 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		p.addRoute(rep.Full[idx+1:])
 	}
 	if rep.Src == p.self {
-		p.complete(rep.Dst)
+		p.disc.Complete(rep.Dst, p.forward)
 		return
 	}
 	if idx == 0 {
 		return // malformed: not the requester yet at route head
 	}
 	p.node.UnicastControl(rep.Full[idx-1], rrepBase+perAddr*len(rep.Full), rep)
-}
-
-func (p *Protocol) complete(dst netstack.NodeID) {
-	pd, ok := p.disc.Complete(dst)
-	if !ok {
-		return
-	}
-	for _, pkt := range pd.Queue {
-		if path, live := p.lookup(dst); live {
-			p.sendAlong(pkt, path)
-		} else {
-			p.node.DropData(pkt, rcommon.DropNoRoute)
-		}
-	}
 }
 
 func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {

@@ -31,35 +31,22 @@ const infinity = int(^uint(0) >> 1)
 
 // Config holds LDR's constants; they mirror SRP's for a fair comparison.
 type Config struct {
+	rcommon.DiscoveryConfig
 	ActiveRouteTimeout sim.Time
-	NodeTraversal      sim.Time
-	RreqRetries        int
-	TTLs               []int
-	QueueCap           int
-	MaxSalvage         int
 	MinReplyHops       int
 	UsePacketCache     bool
-	// RreqRateLimit caps RREQ originations per second.
-	RreqRateLimit int
-	// DiscoveryHoldDown delays a fresh discovery for a destination that
-	// just failed all retries, so saturated flows do not flood the
-	// network with back-to-back failed searches.
-	DiscoveryHoldDown sim.Time
 }
+
+// ttlKeys name the entries of the expanding-ring TTL schedule.
+var ttlKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
 
 // DefaultConfig returns the evaluation constants.
 func DefaultConfig() Config {
 	return Config{
+		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
 		ActiveRouteTimeout: 10 * time.Second,
-		NodeTraversal:      40 * time.Millisecond,
-		RreqRetries:        2,
-		TTLs:               []int{5, 10, 35},
-		QueueCap:           10,
-		MaxSalvage:         3,
 		MinReplyHops:       2,
 		UsePacketCache:     true,
-		RreqRateLimit:      10,
-		DiscoveryHoldDown:  3 * time.Second,
 	}
 }
 
@@ -68,20 +55,11 @@ func DefaultConfig() Config {
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
 	cfg := DefaultConfig()
-	if err := registry.ApplyParams("ldr", params, map[string]func(float64){
-		"active_route_timeout_seconds": func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) },
-		"node_traversal_seconds":       func(v float64) { cfg.NodeTraversal = rcommon.Seconds(v) },
-		"rreq_retries":                 func(v float64) { cfg.RreqRetries = int(v) },
-		"ttl_0":                        func(v float64) { cfg.TTLs[0] = int(v) },
-		"ttl_1":                        func(v float64) { cfg.TTLs[1] = int(v) },
-		"ttl_2":                        func(v float64) { cfg.TTLs[2] = int(v) },
-		"queue_cap":                    func(v float64) { cfg.QueueCap = int(v) },
-		"max_salvage":                  func(v float64) { cfg.MaxSalvage = int(v) },
-		"min_reply_hops":               func(v float64) { cfg.MinReplyHops = int(v) },
-		"use_packet_cache":             func(v float64) { cfg.UsePacketCache = v != 0 },
-		"rreq_rate_limit":              func(v float64) { cfg.RreqRateLimit = int(v) },
-		"discovery_holddown_seconds":   func(v float64) { cfg.DiscoveryHoldDown = rcommon.Seconds(v) },
-	}); err != nil {
+	apply := cfg.Appliers(ttlKeys, 3)
+	apply["active_route_timeout_seconds"] = func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) }
+	apply["min_reply_hops"] = func(v float64) { cfg.MinReplyHops = int(v) }
+	apply["use_packet_cache"] = func(v float64) { cfg.UsePacketCache = v != 0 }
+	if err := registry.ApplyParams("ldr", params, apply); err != nil {
 		return Config{}, err
 	}
 	if err := cfg.validate(); err != nil {
@@ -92,21 +70,11 @@ func ConfigFromParams(params map[string]float64) (Config, error) {
 
 // validate rejects configurations no deployment could run.
 func (c Config) validate() error {
-	if c.ActiveRouteTimeout <= 0 || c.NodeTraversal <= 0 {
-		return fmt.Errorf("ldr: timeouts must be positive (active_route_timeout %v, node_traversal %v)",
-			c.ActiveRouteTimeout, c.NodeTraversal)
+	if c.ActiveRouteTimeout <= 0 || c.MinReplyHops < 0 {
+		return fmt.Errorf("ldr: active_route_timeout_seconds %v must be positive and min_reply_hops %d non-negative",
+			c.ActiveRouteTimeout, c.MinReplyHops)
 	}
-	if c.RreqRetries < 0 || c.QueueCap < 1 || c.MaxSalvage < 0 ||
-		c.MinReplyHops < 0 || c.DiscoveryHoldDown < 0 {
-		return fmt.Errorf("ldr: rreq_retries %d, queue_cap %d, max_salvage %d, min_reply_hops %d, discovery_holddown %v out of range",
-			c.RreqRetries, c.QueueCap, c.MaxSalvage, c.MinReplyHops, c.DiscoveryHoldDown)
-	}
-	for _, t := range c.TTLs {
-		if t < 1 {
-			return fmt.Errorf("ldr: ttl schedule entry %d must be >= 1", t)
-		}
-	}
-	return nil
+	return c.DiscoveryConfig.Validate("ldr", ttlKeys)
 }
 
 // rreq is the LDR route request: a solicitation carrying the requester's
@@ -184,11 +152,10 @@ type Protocol struct {
 	rreqID   uint32
 	table    map[netstack.NodeID]*entry
 	rreqs    map[rreqKey]*rreqState
-	// disc owns the pending discoveries, their packet queues, and the
-	// post-failure hold-down.
+	// disc runs route discovery: queues, RREQ rate limit, retries and
+	// hold-down.
 	disc *rcommon.DiscoveryTable
-	// rreqLimit and rerrLimit enforce RREQ_RATELIMIT / RERR_RATELIMIT.
-	rreqLimit rcommon.RateLimiter
+	// rerrLimit enforces RERR_RATELIMIT.
 	rerrLimit rcommon.RateLimiter
 	sweeper   rcommon.Beaconer
 }
@@ -197,14 +164,14 @@ var _ netstack.Protocol = (*Protocol)(nil)
 
 // New returns an LDR instance.
 func New(cfg Config) *Protocol {
-	return &Protocol{
+	p := &Protocol{
 		cfg:       cfg,
 		table:     make(map[netstack.NodeID]*entry),
 		rreqs:     make(map[rreqKey]*rreqState),
-		disc:      rcommon.NewDiscoveryTable(cfg.QueueCap, cfg.RreqRetries, cfg.DiscoveryHoldDown),
-		rreqLimit: rcommon.RateLimiter{Cap: cfg.RreqRateLimit},
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
 	}
+	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
+	return p
 }
 
 // Attach implements netstack.Protocol.
@@ -284,12 +251,20 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 }
 
 func (p *Protocol) sendOrDiscover(pkt *netstack.DataPacket) {
-	if e, ok := p.live(pkt.Dst); ok {
+	if !p.forward(pkt) {
+		p.disc.Enqueue(pkt, false)
+	}
+}
+
+// forward sends pkt along the live route to its destination, refreshing
+// the route; it reports false when there is none.
+func (p *Protocol) forward(pkt *netstack.DataPacket) bool {
+	e, ok := p.live(pkt.Dst)
+	if ok {
 		e.expiry = p.node.Now() + p.cfg.ActiveRouteTimeout
 		p.node.ForwardData(e.nextHop, pkt)
-		return
 	}
-	p.disc.Enqueue(pkt, false, p.solicit)
+	return ok
 }
 
 // DataFailed implements netstack.Protocol.
@@ -324,13 +299,9 @@ func (p *Protocol) linkBreak(to netstack.NodeID) {
 
 // --- Control plane ----------------------------------------------------
 
-// solicit broadcasts a RREQ; over-cap solicitations are deferred, not
-// abandoned (RREQ_RATELIMIT).
-func (p *Protocol) solicit(pd *rcommon.Discovery) {
-	if !p.rreqLimit.Allow(p.node.Now()) {
-		p.disc.Defer(pd, 200*time.Millisecond, p.solicit)
-		return
-	}
+// solicit broadcasts a RREQ for pd's destination with the TTL the
+// discovery table picked.
+func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	p.rreqID++
 	key := rreqKey{src: p.self, id: p.rreqID}
 	p.rreqs[key] = &rreqState{lastHop: p.self, reqFD: infinity,
@@ -340,7 +311,7 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		Src:    p.self,
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
-		TTL:    p.cfg.TTLs[min(pd.Attempt, len(p.cfg.TTLs)-1)],
+		TTL:    ttl,
 	}
 	if e.fd == infinity && e.sn == 0 {
 		r.Unknown = true
@@ -350,9 +321,6 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		r.FD = e.fd
 	}
 	p.node.BroadcastControl(rreqSize, r)
-	// Binary exponential backoff across retries.
-	wait := 2 * sim.Time(r.TTL) * p.cfg.NodeTraversal << uint(pd.Attempt)
-	pd.Timer = p.node.After(wait, func() { p.disc.Retry(pd, p.solicit, nil) })
 }
 
 // RecvControl implements netstack.Protocol.
@@ -458,7 +426,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 	}
 
 	if terminus {
-		p.complete(rep.Dst)
+		p.disc.Complete(rep.Dst, p.forward)
 		return
 	}
 	if st == nil || st.replied {
@@ -503,22 +471,6 @@ func (p *Protocol) accept(from netstack.NodeID, rep *rrep) bool {
 	e.valid = true
 	e.expiry = p.node.Now() + rep.Lifetime
 	return true
-}
-
-func (p *Protocol) complete(dst netstack.NodeID) {
-	pd, ok := p.disc.Complete(dst)
-	if !ok {
-		return
-	}
-	for _, pkt := range pd.Queue {
-		e, live := p.live(dst)
-		if !live {
-			p.node.DropData(pkt, rcommon.DropNoRoute)
-			continue
-		}
-		e.expiry = p.node.Now() + p.cfg.ActiveRouteTimeout
-		p.node.ForwardData(e.nextHop, pkt)
-	}
 }
 
 func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {

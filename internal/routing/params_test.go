@@ -1,0 +1,161 @@
+package routing_test
+
+import (
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"slr/internal/routing"
+	"slr/internal/routing/aodv"
+	"slr/internal/routing/dsr"
+	"slr/internal/routing/ldr"
+	"slr/internal/routing/olsr"
+	"slr/internal/routing/srp"
+)
+
+// vocabulary is every protocol's protocol_params key set, each key with the
+// default it stands for in spec units (seconds, booleans as 0/1).
+var vocabulary = map[string]map[string]float64{
+	"AODV": {
+		"active_route_timeout_seconds": 10,
+		"discovery_holddown_seconds":   3,
+		"local_repair":                 1,
+		"max_salvage":                  3,
+		"node_traversal_seconds":       0.04,
+		"queue_cap":                    10,
+		"rreq_rate_limit":              10,
+		"rreq_retries":                 2,
+		"ttl_0":                        5,
+		"ttl_1":                        10,
+		"ttl_2":                        35,
+	},
+	"DSR": {
+		"cache_lifetime_seconds":     300,
+		"discovery_holddown_seconds": 3,
+		"first_ttl":                  1,
+		"max_salvage":                3,
+		"net_ttl":                    35,
+		"node_traversal_seconds":     0.04,
+		"queue_cap":                  10,
+		"reply_from_cache":           1,
+		"routes_per_dest":            3,
+		"rreq_rate_limit":            10,
+		"rreq_retries":               2,
+	},
+	"LDR": {
+		"active_route_timeout_seconds": 10,
+		"discovery_holddown_seconds":   3,
+		"max_salvage":                  3,
+		"min_reply_hops":               2,
+		"node_traversal_seconds":       0.04,
+		"queue_cap":                    10,
+		"rreq_rate_limit":              10,
+		"rreq_retries":                 2,
+		"ttl_0":                        5,
+		"ttl_1":                        10,
+		"ttl_2":                        35,
+		"use_packet_cache":             1,
+	},
+	"OLSR": {
+		"hello_interval_seconds": 2,
+		"jitter_seconds":         0.5,
+		"neighbor_hold_seconds":  6,
+		"tc_interval_seconds":    5,
+		"topology_hold_seconds":  15,
+	},
+	"SRP": {
+		"active_route_timeout_seconds": 10,
+		"delete_period_seconds":        60,
+		"discovery_holddown_seconds":   3,
+		"farey":                        0,
+		"hello_fanout":                 10,
+		"hello_interval_seconds":       0,
+		"max_denom":                    1e9,
+		"max_salvage":                  3,
+		"min_reply_hops":               2,
+		"multipath":                    0,
+		"next_element_only":            0,
+		"node_traversal_seconds":       0.04,
+		"queue_cap":                    10,
+		"request_rack":                 0,
+		"rreq_rate_limit":              10,
+		"rreq_retries":                 2,
+		"ttl_0":                        5,
+		"ttl_1":                        10,
+		"ttl_2":                        35,
+		"use_lie":                      1,
+		"use_packet_cache":             1,
+	},
+}
+
+// configs reaches each protocol's ConfigFromParams and DefaultConfig
+// behind one signature.
+var configs = map[string]struct {
+	fromParams func(map[string]float64) (any, error)
+	defaults   func() any
+}{
+	"AODV": {
+		func(p map[string]float64) (any, error) { return aodv.ConfigFromParams(p) },
+		func() any { return aodv.DefaultConfig() },
+	},
+	"DSR": {
+		func(p map[string]float64) (any, error) { return dsr.ConfigFromParams(p) },
+		func() any { return dsr.DefaultConfig() },
+	},
+	"LDR": {
+		func(p map[string]float64) (any, error) { return ldr.ConfigFromParams(p) },
+		func() any { return ldr.DefaultConfig() },
+	},
+	"OLSR": {
+		func(p map[string]float64) (any, error) { return olsr.ConfigFromParams(p) },
+		func() any { return olsr.DefaultConfig() },
+	},
+	"SRP": {
+		func(p map[string]float64) (any, error) { return srp.ConfigFromParams(p) },
+		func() any { return srp.DefaultConfig() },
+	},
+}
+
+// TestParamVocabulary pins every protocol's parameter vocabulary and its
+// defaults: the unknown-key error must list exactly the expected keys, and
+// each key set to its default, alone and all together, must give
+// DefaultConfig. A key that disappears, a key a protocol newly accepts, or
+// a default that moves fails here.
+func TestParamVocabulary(t *testing.T) {
+	for _, name := range routing.Protocols() {
+		want, ok := vocabulary[name]
+		if !ok {
+			t.Fatalf("no vocabulary for %s", name)
+		}
+		cf := configs[name]
+		keys := make([]string, 0, len(want))
+		for k := range want {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+
+		_, err := cf.fromParams(map[string]float64{"definitely_not_a_knob": 1})
+		if err == nil {
+			t.Fatalf("%s accepted an unknown parameter", name)
+		}
+		_, list, _ := strings.Cut(err.Error(), "(known: [")
+		list, _, _ = strings.Cut(list, "])")
+		if got := strings.Fields(list); !slices.Equal(got, keys) {
+			t.Errorf("%s accepts %v, want %v", name, got, keys)
+		}
+
+		def := cf.defaults()
+		for _, k := range keys {
+			cfg, err := cf.fromParams(map[string]float64{k: want[k]})
+			if err != nil {
+				t.Errorf("%s %s=%v: %v", name, k, want[k], err)
+			} else if !reflect.DeepEqual(cfg, def) {
+				t.Errorf("%s %s=%v gives %+v, want DefaultConfig %+v", name, k, want[k], cfg, def)
+			}
+		}
+		if cfg, err := cf.fromParams(want); err != nil || !reflect.DeepEqual(cfg, def) {
+			t.Errorf("%s with every key at its default gives %+v (%v), want DefaultConfig %+v", name, cfg, err, def)
+		}
+	}
+}

@@ -1,127 +1,232 @@
 package rcommon
 
 import (
+	"fmt"
+	"math"
+	"time"
+
 	"slr/internal/netstack"
 	"slr/internal/sim"
 )
 
+// DiscoveryConfig holds the route-discovery constants the four on-demand
+// protocols share. Each embeds it in its own Config, so the fields read as
+// the protocol's (cfg.QueueCap).
+type DiscoveryConfig struct {
+	// NodeTraversal is the estimated per-hop latency: attempt k waits
+	// 2·TTL·NodeTraversal·2^k for a reply.
+	NodeTraversal sim.Time
+	// RreqRetries is the number of retries after the first attempt.
+	RreqRetries int
+	// TTLs is the expanding-ring schedule; the last entry repeats.
+	TTLs []int
+	// QueueCap bounds the per-destination packet queue during discovery.
+	QueueCap int
+	// MaxSalvage bounds how often one packet is rerouted after a link
+	// break.
+	MaxSalvage int
+	// RreqRateLimit caps RREQ originations per second (RREQ_RATELIMIT).
+	RreqRateLimit int
+	// DiscoveryHoldDown delays a fresh discovery for a destination that
+	// just failed all retries, so saturated flows do not flood the
+	// network with back-to-back failed searches.
+	DiscoveryHoldDown sim.Time
+}
+
+// maxTTL is the largest TTL schedule entry: the IP header's 8-bit field.
+const maxTTL = 255
+
+// rateLimitDeferral is how long a solicitation over RreqRateLimit waits
+// before it tries again.
+const rateLimitDeferral = 200 * time.Millisecond
+
+// DefaultDiscovery returns the evaluation's discovery constants with the
+// TTL schedule ttls.
+func DefaultDiscovery(ttls ...int) DiscoveryConfig {
+	return DiscoveryConfig{
+		NodeTraversal:     40 * time.Millisecond,
+		RreqRetries:       2,
+		TTLs:              ttls,
+		QueueCap:          10,
+		MaxSalvage:        3,
+		RreqRateLimit:     10,
+		DiscoveryHoldDown: 3 * time.Second,
+	}
+}
+
+// Appliers returns the spec-level appliers of the discovery keys for
+// registry.ApplyParams, sized to take own further keys of the protocol's.
+// ttlKeys name the TTL schedule's entries in order; durations arrive in
+// seconds.
+func (c *DiscoveryConfig) Appliers(ttlKeys []string, own int) map[string]func(float64) {
+	apply := make(map[string]func(float64), 6+len(ttlKeys)+own)
+	apply["node_traversal_seconds"] = func(v float64) { c.NodeTraversal = Seconds(v) }
+	apply["rreq_retries"] = func(v float64) { c.RreqRetries = int(v) }
+	apply["queue_cap"] = func(v float64) { c.QueueCap = int(v) }
+	apply["max_salvage"] = func(v float64) { c.MaxSalvage = int(v) }
+	apply["rreq_rate_limit"] = func(v float64) { c.RreqRateLimit = int(v) }
+	apply["discovery_holddown_seconds"] = func(v float64) { c.DiscoveryHoldDown = Seconds(v) }
+	for i, k := range ttlKeys {
+		apply[k] = func(v float64) { c.TTLs[i] = int(v) }
+	}
+	return apply
+}
+
+// Validate rejects discovery constants no deployment could run, naming
+// the offending keys; kind prefixes the error and ttlKeys are the
+// schedule's keys, as given to Appliers.
+func (c DiscoveryConfig) Validate(kind string, ttlKeys []string) error {
+	if c.NodeTraversal <= 0 {
+		return fmt.Errorf("%s: node_traversal_seconds %v must be positive", kind, c.NodeTraversal)
+	}
+	if c.RreqRetries < 0 || c.QueueCap < 1 || c.MaxSalvage < 0 || c.DiscoveryHoldDown < 0 {
+		return fmt.Errorf("%s: rreq_retries %d, queue_cap %d, max_salvage %d, discovery_holddown_seconds %v out of range",
+			kind, c.RreqRetries, c.QueueCap, c.MaxSalvage, c.DiscoveryHoldDown)
+	}
+	longest := 0
+	for i, ttl := range c.TTLs {
+		if ttl < 1 || ttl > maxTTL {
+			return fmt.Errorf("%s: %s %d must be in [1, %d]", kind, ttlKeys[i], ttl, maxTTL)
+		}
+		longest = max(longest, ttl)
+	}
+	// The last attempt waits at most 2·longest·NodeTraversal·2^RreqRetries.
+	if c.NodeTraversal > (maxWait>>c.RreqRetries)/sim.Time(2*longest) {
+		return fmt.Errorf("%s: node_traversal_seconds %v, ttl %d and rreq_retries %d make the last wait, 2·ttl·node_traversal·2^rreq_retries, exceed %v",
+			kind, c.NodeTraversal, longest, c.RreqRetries, maxWait)
+	}
+	return nil
+}
+
+// maxWait bounds a discovery's longest wait. It is half of sim.Time's
+// range, so the clock plus the wait cannot wrap in any trial shorter than
+// that (146 years).
+const maxWait = sim.Time(math.MaxInt64 >> 1)
+
 // Discovery is one in-flight route discovery: the packets queued behind
-// it, the retry attempt counter, and the timer driving the next retry.
+// it, the attempt counter, and the timer of its next retry or deferred
+// solicitation.
 type Discovery struct {
-	Dst     netstack.NodeID
-	Attempt int
-	Timer   sim.Timer
-	Queue   []*netstack.DataPacket
+	Dst netstack.NodeID
 	// Repair marks a local-repair discovery started by an intermediate
 	// node (AODV §V); the owner consults it when the discovery is
 	// abandoned.
-	Repair bool
+	Repair  bool
+	attempt int
+	timer   sim.Timer
+	queue   []*netstack.DataPacket
 }
 
-// DiscoveryTable owns the per-destination discovery state every on-demand
-// protocol keeps: the pending map, the bounded packet queue behind each
-// discovery, the retry budget, and the post-failure hold-down that stops
-// saturated flows from flooding back-to-back failed searches.
-//
-// The table does the bookkeeping only — soliciting (building and
-// broadcasting the RREQ, arming the retry timer) stays with the protocol,
-// which receives the *Discovery to operate on.
+// DiscoveryTable runs route discovery for an on-demand protocol: the
+// pending discoveries and the bounded packet queue behind each, the RREQ
+// rate limit, the expanding-ring TTL pick, the retry timer with its binary
+// exponential back-off, and the post-failure hold-down. The protocol only
+// builds and broadcasts the RREQ.
 type DiscoveryTable struct {
-	node     *netstack.Node
-	queueCap int
-	retries  int
-	holdFor  sim.Time
-	pending  map[netstack.NodeID]*Discovery
-	holdDown map[netstack.NodeID]sim.Time
+	node      *netstack.Node
+	cfg       DiscoveryConfig
+	send      func(d *Discovery, ttl int)
+	abandoned func(d *Discovery)
+	limit     RateLimiter
+	pending   map[netstack.NodeID]*Discovery
+	holdDown  map[netstack.NodeID]sim.Time
 }
 
-// NewDiscoveryTable returns a table allowing queueCap packets behind each
-// discovery, retries re-solicitations after the first attempt, and a
-// holdFor hold-down after a discovery fails all retries.
-func NewDiscoveryTable(queueCap, retries int, holdFor sim.Time) *DiscoveryTable {
+// NewDiscoveryTable returns a table running discoveries under cfg. send
+// builds and broadcasts one RREQ for d with the given TTL. abandoned, which
+// may be nil, runs once a discovery that failed all retries has dropped
+// its queue.
+func NewDiscoveryTable(cfg DiscoveryConfig, send func(d *Discovery, ttl int), abandoned func(d *Discovery)) *DiscoveryTable {
 	return &DiscoveryTable{
-		queueCap: queueCap,
-		retries:  retries,
-		holdFor:  holdFor,
-		pending:  make(map[netstack.NodeID]*Discovery),
-		holdDown: make(map[netstack.NodeID]sim.Time),
+		cfg:       cfg,
+		send:      send,
+		abandoned: abandoned,
+		limit:     RateLimiter{Cap: cfg.RreqRateLimit},
+		pending:   make(map[netstack.NodeID]*Discovery),
+		holdDown:  make(map[netstack.NodeID]sim.Time),
 	}
 }
 
 // Attach binds the table to its node; called from the protocol's Attach.
 func (t *DiscoveryTable) Attach(n *netstack.Node) { t.node = n }
 
-// Owns reports whether d is still the current discovery for its
-// destination — the staleness check every retry and deferral callback
-// performs before acting.
-func (t *DiscoveryTable) Owns(d *Discovery) bool { return t.pending[d.Dst] == d }
-
 // Enqueue routes pkt into the discovery machinery: queue it behind an
 // existing discovery (dropping with DropQueueFull past the cap), drop it
 // with DropNoRoute while the destination is held down, or start a fresh
-// discovery and hand it to solicit.
-func (t *DiscoveryTable) Enqueue(pkt *netstack.DataPacket, repair bool, solicit func(*Discovery)) {
+// discovery, a local repair if repair is set.
+func (t *DiscoveryTable) Enqueue(pkt *netstack.DataPacket, repair bool) {
 	d, ok := t.pending[pkt.Dst]
 	if ok {
-		if len(d.Queue) >= t.queueCap {
+		if len(d.queue) >= t.cfg.QueueCap {
 			t.node.DropData(pkt, DropQueueFull)
 			return
 		}
-		d.Queue = append(d.Queue, pkt)
+		d.queue = append(d.queue, pkt)
 		return
 	}
 	if until, held := t.holdDown[pkt.Dst]; held && t.node.Now() < until {
 		t.node.DropData(pkt, DropNoRoute)
 		return
 	}
-	d = &Discovery{Dst: pkt.Dst, Queue: []*netstack.DataPacket{pkt}, Repair: repair}
+	d = &Discovery{Dst: pkt.Dst, Repair: repair, queue: []*netstack.DataPacket{pkt}}
 	t.pending[pkt.Dst] = d
-	solicit(d)
+	t.solicit(d)
 }
 
-// Defer re-arms d's timer to re-run solicit after delay — the path a
-// rate-limited solicitation takes instead of transmitting.
-func (t *DiscoveryTable) Defer(d *Discovery, delay sim.Time, solicit func(*Discovery)) {
-	d.Timer = t.node.After(delay, func() {
-		if t.Owns(d) {
-			solicit(d)
-		}
-	})
+// solicit sends d's RREQ for its current attempt and arms the retry timer.
+// Over the rate limit it tries again after rateLimitDeferral instead,
+// without counting an attempt.
+func (t *DiscoveryTable) solicit(d *Discovery) {
+	if !t.limit.Allow(t.node.Now()) {
+		d.timer = t.node.After(rateLimitDeferral, func() {
+			if t.pending[d.Dst] == d {
+				t.solicit(d)
+			}
+		})
+		return
+	}
+	ttl := t.cfg.TTLs[min(d.attempt, len(t.cfg.TTLs)-1)]
+	t.send(d, ttl)
+	// Binary exponential back-off across attempts (RFC 3561 §6.3).
+	wait := 2 * sim.Time(ttl) * t.cfg.NodeTraversal << uint(d.attempt)
+	d.timer = t.node.After(wait, func() { t.retry(d) })
 }
 
-// Retry advances d when its retry timer fires: re-solicit while attempts
+// retry runs when d's wait ends unanswered: re-solicit while attempts
 // remain, otherwise abandon — drop every queued packet with DropTimeout,
-// start the destination's hold-down, and invoke abandoned (which may be
-// nil) for protocol-specific failure handling such as AODV's local-repair
-// error report.
-func (t *DiscoveryTable) Retry(d *Discovery, solicit, abandoned func(*Discovery)) {
-	if !t.Owns(d) {
+// start the destination's hold-down, and call abandoned.
+func (t *DiscoveryTable) retry(d *Discovery) {
+	if t.pending[d.Dst] != d {
 		return
 	}
-	d.Attempt++
-	if d.Attempt > t.retries {
-		delete(t.pending, d.Dst)
-		t.holdDown[d.Dst] = t.node.Now() + t.holdFor
-		for _, pkt := range d.Queue {
-			t.node.DropData(pkt, DropTimeout)
-		}
-		if abandoned != nil {
-			abandoned(d)
-		}
+	d.attempt++
+	if d.attempt <= t.cfg.RreqRetries {
+		t.solicit(d)
 		return
 	}
-	solicit(d)
+	delete(t.pending, d.Dst)
+	t.holdDown[d.Dst] = t.node.Now() + t.cfg.DiscoveryHoldDown
+	for _, pkt := range d.queue {
+		t.node.DropData(pkt, DropTimeout)
+	}
+	if t.abandoned != nil {
+		t.abandoned(d)
+	}
 }
 
-// Complete ends the discovery for dst, canceling its retry timer and
-// returning it so the protocol can flush the queued packets onto the
-// fresh route. It returns false when no discovery was pending.
-func (t *DiscoveryTable) Complete(dst netstack.NodeID) (*Discovery, bool) {
+// Complete ends the discovery for dst, if one is pending: it cancels the
+// discovery's timer and hands each queued packet to forward, dropping with
+// DropNoRoute every packet forward reports it could not send.
+func (t *DiscoveryTable) Complete(dst netstack.NodeID, forward func(*netstack.DataPacket) bool) {
 	d, ok := t.pending[dst]
 	if !ok {
-		return nil, false
+		return
 	}
-	t.node.Cancel(d.Timer)
+	t.node.Cancel(d.timer)
 	delete(t.pending, dst)
-	return d, true
+	for _, pkt := range d.queue {
+		if !forward(pkt) {
+			t.node.DropData(pkt, DropNoRoute)
+		}
+	}
 }

@@ -7,13 +7,11 @@ import (
 )
 
 // RateLimiter is the sliding-window origination cap of the AODV framework
-// (RREQ_RATELIMIT / RERR_RATELIMIT): at most Cap events per window,
+// (RREQ_RATELIMIT / RERR_RATELIMIT): at most Cap events in any one second,
 // enforced over the exact timestamps of the recent events. A non-positive
-// Cap disables the limiter. The zero value is a disabled limiter; set Cap
-// (and leave Window zero for the framework's one-second window).
+// Cap, as in the zero value, disables the limiter.
 type RateLimiter struct {
 	Cap    int
-	Window sim.Time
 	recent []sim.Time
 }
 
@@ -22,13 +20,9 @@ func (r *RateLimiter) Allow(now sim.Time) bool {
 	if r.Cap <= 0 {
 		return true
 	}
-	window := r.Window
-	if window <= 0 {
-		window = time.Second
-	}
 	kept := r.recent[:0]
 	for _, t := range r.recent {
-		if now-t < window {
+		if now-t < time.Second {
 			kept = append(kept, t)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 // Config holds SRP's protocol constants and the heuristic switches that the
 // ablation benchmarks toggle.
 type Config struct {
+	rcommon.DiscoveryConfig
 	// ActiveRouteTimeout is how long an unused successor stays valid.
 	ActiveRouteTimeout sim.Time
 	// DeletePeriod bounds control-packet age and ordering retention
@@ -23,27 +24,10 @@ type Config struct {
 	// MaxDenom triggers a destination-controlled path reset when the
 	// terminus' fraction denominator exceeds it (§III, one billion).
 	MaxDenom uint32
-	// NodeTraversal is the estimated per-hop latency for RREQ timers.
-	NodeTraversal sim.Time
-	// RreqRetries is the number of retries after the first attempt.
-	RreqRetries int
-	// TTLs is the expanding-ring schedule; the last entry repeats.
-	TTLs []int
 	// MinReplyHops keeps intermediate nodes within this many hops of the
 	// source from answering (§V: "RREQ packets need to travel several
 	// hops before allowing a node to reply").
 	MinReplyHops int
-	// QueueCap bounds the per-destination packet queue during discovery.
-	QueueCap int
-	// MaxSalvage bounds per-packet packet-cache retransmissions.
-	MaxSalvage int
-	// RreqRateLimit caps RREQ originations per node per second
-	// (RREQ_RATELIMIT of the AODV framework SRP's messaging follows).
-	RreqRateLimit int
-	// DiscoveryHoldDown delays a fresh discovery for a destination that
-	// just failed all retries, so saturated flows do not flood the
-	// network with back-to-back failed searches.
-	DiscoveryHoldDown sim.Time
 	// UseLie enables the understated RREQ ordering of §V.
 	UseLie bool
 	// UsePacketCache enables resending MAC-dropped packets on new routes.
@@ -71,20 +55,17 @@ type Config struct {
 	RequestRack bool
 }
 
+// ttlKeys name the entries of the expanding-ring TTL schedule.
+var ttlKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
+
 // DefaultConfig returns the configuration used in the paper's simulations.
 func DefaultConfig() Config {
 	return Config{
+		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
 		ActiveRouteTimeout: 10 * time.Second,
 		DeletePeriod:       60 * time.Second,
 		MaxDenom:           1_000_000_000,
-		NodeTraversal:      40 * time.Millisecond,
-		RreqRetries:        2,
-		TTLs:               []int{5, 10, 35},
 		MinReplyHops:       2,
-		QueueCap:           10,
-		MaxSalvage:         3,
-		RreqRateLimit:      10,
-		DiscoveryHoldDown:  3 * time.Second,
 		UseLie:             true,
 		UsePacketCache:     true,
 		Farey:              false,
@@ -100,29 +81,20 @@ func DefaultConfig() Config {
 func ConfigFromParams(params map[string]float64) (Config, error) {
 	cfg := DefaultConfig()
 	maxDenom := float64(cfg.MaxDenom)
-	if err := registry.ApplyParams("srp", params, map[string]func(float64){
-		"active_route_timeout_seconds": func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) },
-		"delete_period_seconds":        func(v float64) { cfg.DeletePeriod = rcommon.Seconds(v) },
-		"max_denom":                    func(v float64) { maxDenom = v },
-		"node_traversal_seconds":       func(v float64) { cfg.NodeTraversal = rcommon.Seconds(v) },
-		"rreq_retries":                 func(v float64) { cfg.RreqRetries = int(v) },
-		"ttl_0":                        func(v float64) { cfg.TTLs[0] = int(v) },
-		"ttl_1":                        func(v float64) { cfg.TTLs[1] = int(v) },
-		"ttl_2":                        func(v float64) { cfg.TTLs[2] = int(v) },
-		"min_reply_hops":               func(v float64) { cfg.MinReplyHops = int(v) },
-		"queue_cap":                    func(v float64) { cfg.QueueCap = int(v) },
-		"max_salvage":                  func(v float64) { cfg.MaxSalvage = int(v) },
-		"rreq_rate_limit":              func(v float64) { cfg.RreqRateLimit = int(v) },
-		"discovery_holddown_seconds":   func(v float64) { cfg.DiscoveryHoldDown = rcommon.Seconds(v) },
-		"use_lie":                      func(v float64) { cfg.UseLie = v != 0 },
-		"use_packet_cache":             func(v float64) { cfg.UsePacketCache = v != 0 },
-		"farey":                        func(v float64) { cfg.Farey = v != 0 },
-		"next_element_only":            func(v float64) { cfg.NextElementOnly = v != 0 },
-		"multipath":                    func(v float64) { cfg.Multipath = PathPolicy(v) },
-		"hello_interval_seconds":       func(v float64) { cfg.HelloInterval = rcommon.Seconds(v) },
-		"hello_fanout":                 func(v float64) { cfg.HelloFanout = int(v) },
-		"request_rack":                 func(v float64) { cfg.RequestRack = v != 0 },
-	}); err != nil {
+	apply := cfg.Appliers(ttlKeys, 12)
+	apply["active_route_timeout_seconds"] = func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) }
+	apply["delete_period_seconds"] = func(v float64) { cfg.DeletePeriod = rcommon.Seconds(v) }
+	apply["max_denom"] = func(v float64) { maxDenom = v }
+	apply["min_reply_hops"] = func(v float64) { cfg.MinReplyHops = int(v) }
+	apply["use_lie"] = func(v float64) { cfg.UseLie = v != 0 }
+	apply["use_packet_cache"] = func(v float64) { cfg.UsePacketCache = v != 0 }
+	apply["farey"] = func(v float64) { cfg.Farey = v != 0 }
+	apply["next_element_only"] = func(v float64) { cfg.NextElementOnly = v != 0 }
+	apply["multipath"] = func(v float64) { cfg.Multipath = PathPolicy(v) }
+	apply["hello_interval_seconds"] = func(v float64) { cfg.HelloInterval = rcommon.Seconds(v) }
+	apply["hello_fanout"] = func(v float64) { cfg.HelloFanout = int(v) }
+	apply["request_rack"] = func(v float64) { cfg.RequestRack = v != 0 }
+	if err := registry.ApplyParams("srp", params, apply); err != nil {
 		return Config{}, err
 	}
 	// Range-check before the uint32 conversion: out-of-range float-to-int
@@ -140,9 +112,9 @@ func ConfigFromParams(params map[string]float64) (Config, error) {
 
 // validate rejects configurations no deployment could run.
 func (c Config) validate() error {
-	if c.ActiveRouteTimeout <= 0 || c.DeletePeriod <= 0 || c.NodeTraversal <= 0 {
-		return fmt.Errorf("srp: timeouts must be positive (active_route_timeout %v, delete_period %v, node_traversal %v)",
-			c.ActiveRouteTimeout, c.DeletePeriod, c.NodeTraversal)
+	if c.ActiveRouteTimeout <= 0 || c.DeletePeriod <= 0 {
+		return fmt.Errorf("srp: timeouts must be positive (active_route_timeout %v, delete_period %v)",
+			c.ActiveRouteTimeout, c.DeletePeriod)
 	}
 	if c.MaxDenom < 2 {
 		return fmt.Errorf("srp: max_denom %d must be >= 2", c.MaxDenom)
@@ -153,16 +125,14 @@ func (c Config) validate() error {
 		// nonsense anyway.
 		return fmt.Errorf("srp: hello_interval %v must be 0 (disabled) or >= 1ms", c.HelloInterval)
 	}
-	if c.RreqRetries < 0 || c.QueueCap < 1 || c.MaxSalvage < 0 ||
-		c.MinReplyHops < 0 || c.DiscoveryHoldDown < 0 || c.HelloInterval < 0 ||
-		c.HelloFanout < 0 {
-		return fmt.Errorf("srp: rreq_retries %d, queue_cap %d, max_salvage %d, min_reply_hops %d, discovery_holddown %v, hello_interval %v, hello_fanout %d out of range",
-			c.RreqRetries, c.QueueCap, c.MaxSalvage, c.MinReplyHops, c.DiscoveryHoldDown, c.HelloInterval, c.HelloFanout)
+	if c.MinReplyHops < 0 || c.HelloInterval < 0 || c.HelloFanout < 0 {
+		return fmt.Errorf("srp: min_reply_hops %d, hello_interval %v, hello_fanout %d out of range",
+			c.MinReplyHops, c.HelloInterval, c.HelloFanout)
 	}
 	if c.Multipath != PolicyMinHop && c.Multipath != PolicyRoundRobin && c.Multipath != PolicyRandom {
 		return fmt.Errorf("srp: multipath policy %d unknown (0 min-hop, 1 round-robin, 2 random)", c.Multipath)
 	}
-	return nil
+	return c.DiscoveryConfig.Validate("srp", ttlKeys)
 }
 
 // Protocol is one node's SRP instance.
@@ -186,12 +156,11 @@ type Protocol struct {
 	// capture one.
 	routes rcommon.IDTable[route]
 	rreqs  rcommon.IDTable[rreqState]
-	// disc owns the pending discoveries, their packet queues, and the
-	// post-failure hold-down.
+	// disc runs route discovery: queues, RREQ rate limit, retries and
+	// hold-down.
 	disc *rcommon.DiscoveryTable
-	// rreqLimit and rerrLimit enforce RREQ_RATELIMIT / RERR_RATELIMIT of
-	// the AODV framework SRP's messaging follows.
-	rreqLimit   rcommon.RateLimiter
+	// rerrLimit enforces RERR_RATELIMIT of the AODV framework SRP's
+	// messaging follows.
 	rerrLimit   rcommon.RateLimiter
 	sweeper     rcommon.Beaconer
 	helloBeacon rcommon.Beaconer
@@ -211,13 +180,13 @@ var _ netstack.Protocol = (*Protocol)(nil)
 
 // New returns an SRP instance with the given configuration.
 func New(cfg Config) *Protocol {
-	return &Protocol{
+	p := &Protocol{
 		cfg:       cfg,
 		mySeq:     1,
-		disc:      rcommon.NewDiscoveryTable(cfg.QueueCap, cfg.RreqRetries, cfg.DiscoveryHoldDown),
-		rreqLimit: rcommon.RateLimiter{Cap: cfg.RreqRateLimit},
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
 	}
+	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
+	return p
 }
 
 // Attach implements netstack.Protocol.
@@ -398,7 +367,7 @@ func (p *Protocol) sendOrDiscover(pkt *netstack.DataPacket) {
 		p.node.ForwardData(next, pkt)
 		return
 	}
-	p.disc.Enqueue(pkt, false, p.solicit)
+	p.disc.Enqueue(pkt, false)
 }
 
 // refresh extends the lifetime of a successor in use.
@@ -453,13 +422,9 @@ func (p *Protocol) linkBreak(to netstack.NodeID) {
 
 // --- Solicitation (Procedures 1 and 2) --------------------------------
 
-// solicit issues a RREQ for pd's destination (Procedure 1). When the
-// origination cap is hit the discovery is deferred, not abandoned.
-func (p *Protocol) solicit(pd *rcommon.Discovery) {
-	if !p.rreqLimit.Allow(p.node.Now()) {
-		p.disc.Defer(pd, 200*time.Millisecond, p.solicit)
-		return
-	}
+// solicit issues a RREQ for pd's destination (Procedure 1) with the TTL
+// the discovery table picked.
+func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	p.rreqID++
 	st, _ := p.rreqs.Put(rreqKey(p.self, p.rreqID))
 	*st = rreqState{
@@ -468,7 +433,6 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 		active:  true,
 		expiry:  p.node.Now() + p.cfg.DeletePeriod,
 	}
-	ttl := p.cfg.TTLs[min(pd.Attempt, len(p.cfg.TTLs)-1)]
 	r := &rreq{
 		Src:    p.self,
 		RreqID: p.rreqID,
@@ -491,11 +455,6 @@ func (p *Protocol) solicit(pd *rcommon.Discovery) {
 	}
 	p.statRREQ++
 	p.node.BroadcastControl(rreqSize, r)
-
-	// Binary exponential backoff across attempts, per the AODV
-	// framework's retry rule.
-	wait := 2 * sim.Time(ttl) * p.cfg.NodeTraversal << uint(pd.Attempt)
-	pd.Timer = p.node.After(wait, func() { p.disc.Retry(pd, p.solicit, nil) })
 }
 
 // RecvControl implements netstack.Protocol.
@@ -747,23 +706,19 @@ func (p *Protocol) completeDiscovery(rep *rrep, g label.Order) {
 	}
 	// Any reply for the destination completes the discovery, even one
 	// answering an earlier attempt: the route is already installed.
-	pd, ok := p.disc.Complete(rep.Dst)
-	if !ok {
-		return
-	}
-	// r is held across ForwardData and DropData: neither re-enters the
-	// protocol (a MAC failure arrives as a later event, a queue drop is
-	// silent), so nothing adds a route meanwhile.
-	r := p.rt(rep.Dst)
-	for _, pkt := range pd.Queue {
-		next, live := r.best(p.node.Now())
-		if !live {
-			p.node.DropData(pkt, rcommon.DropNoRoute)
-			continue
-		}
+	p.disc.Complete(rep.Dst, p.forwardBest)
+}
+
+// forwardBest sends pkt to the best live successor toward its destination
+// (no multipath draw), refreshing it; it reports false when there is none.
+func (p *Protocol) forwardBest(pkt *netstack.DataPacket) bool {
+	r := p.rt(pkt.Dst)
+	next, live := r.best(p.node.Now())
+	if live {
 		p.refresh(r, next)
 		p.node.ForwardData(next, pkt)
 	}
+	return live
 }
 
 // requestPathReset sends a D-bit unicast RREQ along the forward path so the
