@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"slr/internal/experiments"
+	"slr/internal/runner"
 )
 
 func TestRunRejectsUnknownScale(t *testing.T) {
@@ -98,7 +101,10 @@ func TestRunRefusesToClobber(t *testing.T) {
 // TestRunSpecShardAndResume drives the spec path end to end: two shards'
 // JSONL concatenates to the single-process stream, a truncated file
 // resumes to the same bytes, a truncated shard resumes to its own bytes,
-// and a plain re-run refuses to clobber.
+// and a plain re-run refuses to clobber. The stream, analyzed as
+// slranalyze -report trials analyzes it, prints
+// testdata/tiny-smoke-analyze.golden; every later stream equals it byte
+// for byte, so the shard unions and resumes print the golden too.
 func TestRunSpecShardAndResume(t *testing.T) {
 	const spec = "../../examples/scenarios/tiny-smoke.json"
 	dir := t.TempDir()
@@ -114,6 +120,18 @@ func TestRunSpecShardAndResume(t *testing.T) {
 	}
 	if bytes.Count(golden, []byte("\n")) != 2 {
 		t.Fatalf("expected 2 records:\n%s", golden)
+	}
+	recs, err := runner.ReadRecords(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const analysis = "../../testdata/tiny-smoke-analyze.golden"
+	want, err := os.ReadFile(analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := experiments.MergeRecords(recs).TrialsReport(""); got != string(want) {
+		t.Fatalf("%s drifted:\n--- got ---\n%s--- want ---\n%s", analysis, got, want)
 	}
 
 	// Clobber guard, and -force to override it.

@@ -10,10 +10,11 @@
 // -pparam name=value (repeatable) overrides one protocol constant using
 // the same vocabulary as the spec's "protocol_params" section.
 //
-// -jsonl streams one record per trial, the same schema the sweep binary
-// writes; an existing non-empty file needs -force. Sweeps — shards,
-// resume, many configurations — are cmd/experiments' job (-spec there
-// runs this command's scenario as a sweep).
+// -jsonl writes one record per trial, in trial order once the run ends,
+// the same schema the sweep binary writes; an existing non-empty file
+// needs -force. Sweeps — shards, resume, many configurations — are
+// cmd/experiments' job (-spec there runs this command's scenario as a
+// sweep).
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the heap
 // profile is taken after a final GC), so finding the next hot spot in a
@@ -30,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -45,13 +47,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "slrsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (retErr error) {
+func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("slrsim", flag.ContinueOnError)
 	// The defaults shown are paper-default's values; a flag takes effect
 	// only when given, so under -spec the spec's values are the defaults.
@@ -160,14 +162,12 @@ func run(args []string) (retErr error) {
 		return err
 	}
 
-	var emitters []runner.Emitter
+	var out *os.File
 	if *jsonl != "" {
-		f, err := runner.CreateOutput(*jsonl, *force)
-		if err != nil {
+		if out, err = runner.CreateOutput(*jsonl, *force); err != nil {
 			return err
 		}
-		defer f.Close()
-		emitters = append(emitters, runner.NewJSONL(f))
+		defer out.Close()
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -184,25 +184,24 @@ func run(args []string) (retErr error) {
 		scenario.SimHook = func(s *sim.Simulator) { s.EnableOrderCheck() }
 	}
 
-	// An emitter failure (e.g. disk full under -jsonl) must not discard
-	// computed trials: print the metrics, then report the error.
-	results, emitErr := runner.Run(runner.TrialJobs(p, *trials), runner.Options{Emitters: emitters})
+	jobs := runner.TrialJobs(p, *trials)
+	results, _ := runner.Run(jobs, runner.Options{}) // errors come only from emitters; there are none
 	ts := scenario.TrialSet{Protocol: p.Protocol, Pause: p.Pause, Results: results}
 	for _, r := range ts.Results {
-		fmt.Printf("protocol=%s seed=%d pause=%v\n", r.Protocol, r.Seed, r.Pause)
-		fmt.Printf("  delivery ratio  %.4f  (%d/%d)\n", r.DeliveryRatio, r.DataRecv, r.DataSent)
-		fmt.Printf("  network load    %.4f  (%d control packets)\n", r.NetworkLoad, r.ControlTx)
-		fmt.Printf("  latency         %.4f s\n", r.Latency)
-		fmt.Printf("  mean hops       %.2f\n", r.MeanHops)
-		fmt.Printf("  MAC drops/node  %.1f\n", r.MACDrops)
-		fmt.Printf("  avg seqno       %.2f\n", r.AvgSeqno)
+		fmt.Fprintf(stdout, "protocol=%s seed=%d pause=%v\n", r.Protocol, r.Seed, r.Pause)
+		fmt.Fprintf(stdout, "  delivery ratio  %.4f  (%d/%d)\n", r.DeliveryRatio, r.DataRecv, r.DataSent)
+		fmt.Fprintf(stdout, "  network load    %.4f  (%d control packets)\n", r.NetworkLoad, r.ControlTx)
+		fmt.Fprintf(stdout, "  latency         %.4f s\n", r.Latency)
+		fmt.Fprintf(stdout, "  mean hops       %.2f\n", r.MeanHops)
+		fmt.Fprintf(stdout, "  MAC drops/node  %.1f\n", r.MACDrops)
+		fmt.Fprintf(stdout, "  avg seqno       %.2f\n", r.AvgSeqno)
 		if r.MaxDenom > 0 {
-			fmt.Printf("  max denominator %d\n", r.MaxDenom)
+			fmt.Fprintf(stdout, "  max denominator %d\n", r.MaxDenom)
 		}
 		if p.CheckInvariants {
-			fmt.Printf("  loop checks     %d (%d violations)\n", r.LoopChecks, len(r.LoopErrors))
+			fmt.Fprintf(stdout, "  loop checks     %d (%d violations)\n", r.LoopChecks, len(r.LoopErrors))
 			for _, e := range r.LoopErrors {
-				fmt.Printf("    VIOLATION %s\n", e)
+				fmt.Fprintf(stdout, "    VIOLATION %s\n", e)
 			}
 		}
 	}
@@ -211,17 +210,29 @@ func run(args []string) (retErr error) {
 		deliv := ts.Series(func(r scenario.Result) float64 { return r.DeliveryRatio })
 		load := ts.Series(func(r scenario.Result) float64 { return r.NetworkLoad })
 		lat := ts.Series(func(r scenario.Result) float64 { return r.Latency })
-		fmt.Printf("mean over %d trials: deliv %.4f±%.4f  load %.4f±%.4f  latency %.4f±%.4f",
+		fmt.Fprintf(stdout, "mean over %d trials: deliv %.4f±%.4f  load %.4f±%.4f  latency %.4f±%.4f",
 			n, deliv.Mean(), deliv.CI(), load.Mean(), load.CI(), lat.Mean(), lat.CI())
 		if load.NaNs > 0 {
 			// Zero-delivery trials have no load ratio; say the sample
 			// shrank instead of printing a mean that looks measured.
-			fmt.Printf("  (load n/a in %d of %d trials)", load.NaNs, n)
+			fmt.Fprintf(stdout, "  (load n/a in %d of %d trials)", load.NaNs, n)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	if emitErr != nil {
-		return fmt.Errorf("per-trial streaming failed (metrics above are complete): %w", emitErr)
+	if out == nil {
+		return nil
 	}
-	return nil
+	// The records go out after the run, in trial order, so a file's bytes
+	// do not depend on which worker finished first. A write failure (e.g.
+	// disk full) still leaves the metrics above complete.
+	em := runner.NewJSONL(out)
+	for i, r := range results {
+		if err := em.Emit(jobs[i], r); err != nil {
+			return fmt.Errorf("writing -jsonl (metrics above are complete): %w", err)
+		}
+	}
+	if err := em.Flush(); err != nil {
+		return fmt.Errorf("writing -jsonl (metrics above are complete): %w", err)
+	}
+	return out.Close()
 }

@@ -47,10 +47,10 @@
 // slice, and the symmetric-neighbor ids are maintained as a sorted slice
 // incrementally), so the steady-state data plane allocates nothing —
 // pinned by TestRecomputeAllocFree. Outputs are byte-identical per seed to
-// the full-rebuild-per-dirty-flag implementation (TestOLSRGoldenJSONL at
-// the repo root pins the JSONL stream), because every skip is justified by
-// the purity argument above and every rebuild visits neighbors in the same
-// sorted order.
+// the full-rebuild-per-dirty-flag implementation (the olsr-small row of
+// cmd/slrsim's TestGoldens pins the JSONL stream), because every skip is
+// justified by the purity argument above and every rebuild visits
+// neighbors in the same sorted order.
 //
 // No state is hashed: neighbors, topology and routes live by value in
 // rcommon.IDTable slabs. HELLO bodies list ids in slot order, which is
