@@ -48,8 +48,8 @@ lint:
 # runner. SCALE=full for the paper's exact setup: the whole grid at one
 # trial per cell took 1 m 40 s wall on a 2-vCPU host, so the paper's 10
 # trials take about 17 minutes there. -force: re-running the target
-# deliberately regenerates the results files (the binary otherwise
+# deliberately regenerates the results file (the binary otherwise
 # refuses to clobber a non-empty sweep output).
 sweep:
 	$(GO) run ./cmd/experiments -scale $(SCALE) -workers $(WORKERS) -force \
-		-jsonl results-$(SCALE).jsonl -csv results-$(SCALE).csv
+		-jsonl results-$(SCALE).jsonl

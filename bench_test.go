@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artifacts (§V): one bench
-// per table and figure, plus ablations of the design choices called out in
-// DESIGN.md and micro-benchmarks of the label machinery.
+// per table and figure, plus ablations of the paper's design choices and
+// micro-benchmarks of the label machinery.
 //
 // Scenario benches run the Small experiment scale (30 nodes, 14 flows,
 // 120 s) so `go test -bench=.` finishes in minutes; the shapes match the

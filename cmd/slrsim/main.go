@@ -34,13 +34,14 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
 	"slr/internal/mobility"
 	"slr/internal/routing"
 	"slr/internal/runner"
-	"slr/internal/runner/sweepcli"
 	"slr/internal/scenario"
 	"slr/internal/sim"
 	"slr/internal/spec"
@@ -76,8 +77,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		specArg   = fs.String("spec", "", "scenario spec (path or built-in name) as the baseline; explicit flags override it")
 		jsonl     = fs.String("jsonl", "", "stream per-trial results as JSON lines to this file")
 		force     = fs.Bool("force", false, "overwrite an existing non-empty -jsonl file")
+		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to `file`")
+		memProf   = fs.String("memprofile", "", "write a pprof heap profile (after GC, at exit) to `file`")
 	)
-	prof := sweepcli.RegisterProfiles(fs)
 	protoParams := routing.ParamsFlag{}
 	fs.Var(protoParams, "pparam", "protocol parameter override `name=value` (repeatable); keys follow the spec's protocol_params vocabulary")
 	if err := fs.Parse(args); err != nil {
@@ -169,7 +171,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		}
 		defer out.Close()
 	}
-	stopProf, err := prof.Start()
+	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
@@ -235,4 +237,44 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return fmt.Errorf("writing -jsonl (metrics above are complete): %w", err)
 	}
 	return out.Close()
+}
+
+// startProfiles starts CPU profiling into cpu (when given) and returns a
+// stop function that finishes it and writes a post-GC heap profile to mem
+// (when given). Either may be absent independently.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuF *os.File
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		cpuF = f
+	}
+	return func() error {
+		if cpuF != nil {
+			pprof.StopCPUProfile()
+			if err := cpuF.Close(); err != nil {
+				return fmt.Errorf("cpuprofile: %w", err)
+			}
+		}
+		if mem != "" {
+			f, err := os.Create(mem)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			// Collect garbage first so the profile shows live steady-state
+			// objects, not whatever the last trial left unreclaimed.
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				return fmt.Errorf("memprofile: %w", err)
+			}
+		}
+		return nil
+	}, nil
 }

@@ -152,3 +152,18 @@ func TestRunOneJobOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilesWriteBothFiles: -cpuprofile and -memprofile each leave a
+// non-empty pprof file once the run returns.
+func TestProfilesWriteBothFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if err := run([]string{"-spec", "../../examples/scenarios/tiny-smoke.json", "-cpuprofile", cpu, "-memprofile", mem}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
+		}
+	}
+}

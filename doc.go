@@ -22,7 +22,7 @@
 // rather than once per transmission, and
 // internal/runner flattens the whole (protocol x pause x trial) grid into
 // one job queue consumed by a pool of workers, streaming
-// per-trial JSONL/CSV results as they complete. Identical seeds give
+// per-trial JSONL records as they complete. Identical seeds give
 // identical results whatever the worker count — which is what lets a
 // sweep span processes and crashes: -shard i/n runs a disjoint
 // round-robin slice of the flattened jobs on each of n machines, -resume
@@ -38,13 +38,13 @@
 // its file.
 //
 // Above the runner the orchestration is one pipeline written once: plan
-// (internal/runner/sweepcli turns -scale|-spec, -trials, -seed, -pparam
-// into a job list), run (runner.Run), records (runner.Record is the only
-// thing that crosses from a run to a report), merge
-// (experiments.MergeRecords) and render (one report-by-name function).
-// Each binary is the front door for one job: cmd/slrsim runs one
-// scenario, cmd/experiments sweeps (grid or -spec, shards, resume), and
-// cmd/slranalyze reports from files.
+// (cmd/experiments turns -scale|-spec, -trials, -seed, -pparam into a job
+// list), run (runner.Run), records (runner.Record is the only thing that
+// crosses from a run to a report), merge (experiments.MergeRecords) and
+// render (one report-by-name function). Each binary is the front door for
+// one job and owns its flags: cmd/slrsim runs one scenario, cmd/experiments
+// sweeps (grid or -spec, shards, resume), and cmd/slranalyze reports from
+// files.
 //
 // That byte-identical contract is machine-enforced: internal/analysis
 // holds four analyzers — map-iteration order escaping into

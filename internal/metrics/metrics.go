@@ -104,7 +104,7 @@ func (c *Collector) DeliveryRatio() float64 {
 // NaN as the documented sentinel (the old fallback returned the raw
 // ControlTx count, silently mixing a count into a ratio and skewing
 // Table-I averages). Series.Add excludes NaN from aggregates and counts
-// the exclusions, and the JSONL/CSV emitters serialize it as null/"NaN".
+// the exclusions, and the JSONL emitter serializes it as null.
 // A fully idle run (no control traffic either) reports 0.
 func (c *Collector) NetworkLoad() float64 {
 	if c.DataRecv == 0 {

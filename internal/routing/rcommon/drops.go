@@ -4,7 +4,7 @@ import "slices"
 
 // The canonical routing-layer drop reasons. Every DropData call across the
 // protocols must use one of these strings: they key Result.DropReasons and
-// the JSONL/CSV drop_reasons output, and the conformance suite rejects any
+// the JSONL drop_reasons output, and the conformance suite rejects any
 // reason outside this vocabulary so ad-hoc per-protocol spellings cannot
 // creep back in.
 const (

@@ -2,13 +2,10 @@ package runner
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"slr/internal/metrics"
@@ -32,8 +29,8 @@ type Emitter interface {
 // and a missing "network_load" value as NaN.
 const RecordSchema = 2
 
-// Record is the flat per-trial form written by the JSONL and CSV emitters
-// and read back by cmd/slranalyze. Version-1 fields keep their exact
+// Record is the flat per-trial form written by the JSONL emitter and read
+// back by cmd/slranalyze. Version-1 fields keep their exact
 // serialization (order, names, formatting) so existing JSONL consumers and
 // byte-level diffs keep working; new fields only ever append.
 type Record struct {
@@ -253,85 +250,4 @@ func (e *JSONLEmitter) Flush() error { return e.bw.Flush() }
 func ReadRecords(r io.Reader) ([]Record, error) {
 	recs, _, err := SalvageRecords(r)
 	return recs, err
-}
-
-// csvHeader lists the CSV columns, matching Record field order. The
-// version-1 columns keep their positions; version-2 columns append (the
-// sparse histograms and per-flow ledger stay JSONL-only — a flow list does
-// not flatten into a cell — so CSV carries the percentile summary and the
-// flow count).
-var csvHeader = []string{
-	"protocol", "pause_seconds", "trial", "seed",
-	"delivery_ratio", "network_load", "latency_sec", "mac_drops_per_node",
-	"avg_seqno", "mean_hops", "data_sent", "data_recv", "control_tx",
-	"collisions", "max_denom", "drop_reasons",
-	"latency_p50_sec", "latency_p95_sec", "latency_p99_sec", "flows",
-}
-
-// CSVEmitter streams one CSV row per completed trial, with a header row
-// before the first.
-type CSVEmitter struct {
-	w      *csv.Writer
-	header bool
-}
-
-// NewCSV returns a CSV emitter writing to w.
-func NewCSV(w io.Writer) *CSVEmitter {
-	return &CSVEmitter{w: csv.NewWriter(w)}
-}
-
-// writeHeader writes the header row once.
-func (e *CSVEmitter) writeHeader() error {
-	if e.header {
-		return nil
-	}
-	e.header = true
-	return e.w.Write(csvHeader)
-}
-
-// Emit writes one trial as a CSV row.
-func (e *CSVEmitter) Emit(j Job, r scenario.Result) error {
-	if err := e.writeHeader(); err != nil {
-		return err
-	}
-	rec := NewRecord(j, r)
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) } //slrlint:allow floatfmt CSV cells share the Key codec's shortest-form rendering so spreadsheet joins line up with JSONL keys
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	// A zero-delivery run has no network-load ratio; the cell reads "NaN"
-	// (strconv's rendering of the sentinel), never a raw control count.
-	load := f(math.NaN())
-	if rec.NetworkLoad != nil {
-		load = f(*rec.NetworkLoad)
-	}
-	// Drop reasons render as "reason=count;..." in reason order, one
-	// stable cell regardless of map iteration order.
-	var reasons strings.Builder
-	for i, rc := range rec.DropReasons {
-		if i > 0 {
-			reasons.WriteByte(';')
-		}
-		reasons.WriteString(rc.Reason)
-		reasons.WriteByte('=')
-		reasons.WriteString(strconv.FormatUint(rc.Count, 10))
-	}
-	return e.w.Write([]string{
-		rec.Protocol, f(rec.PauseSeconds), strconv.Itoa(rec.Trial),
-		strconv.FormatInt(rec.Seed, 10),
-		f(rec.DeliveryRatio), load, f(rec.LatencySec), f(rec.MACDrops),
-		f(rec.AvgSeqno), f(rec.MeanHops), u(rec.DataSent), u(rec.DataRecv),
-		u(rec.ControlTx), u(rec.Collisions), strconv.FormatUint(uint64(rec.MaxDenom), 10),
-		reasons.String(),
-		f(rec.LatencyP50), f(rec.LatencyP95), f(rec.LatencyP99),
-		strconv.Itoa(len(rec.Flows)),
-	})
-}
-
-// Flush flushes buffered rows. An empty sweep still gets the header row,
-// so the output is always a parseable CSV, never a zero-byte file.
-func (e *CSVEmitter) Flush() error {
-	if err := e.writeHeader(); err != nil {
-		return err
-	}
-	e.w.Flush()
-	return e.w.Error()
 }

@@ -29,92 +29,52 @@ func dropResult() scenario.Result {
 // same result is byte-identical: drop reasons are sorted, not emitted in
 // map order.
 func TestEmitDropReasonsByteStable(t *testing.T) {
-	render := func() (string, string) {
-		var js, cs bytes.Buffer
-		je, ce := NewJSONL(&js), NewCSV(&cs)
-		r := dropResult()
-		if err := je.Emit(Job{}, r); err != nil {
-			t.Fatal(err)
-		}
-		if err := ce.Emit(Job{}, r); err != nil {
+	render := func() string {
+		var js bytes.Buffer
+		je := NewJSONL(&js)
+		if err := je.Emit(Job{}, dropResult()); err != nil {
 			t.Fatal(err)
 		}
 		if err := je.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ce.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return js.String(), cs.String()
+		return js.String()
 	}
-	j0, c0 := render()
+	j0 := render()
 	for i := 0; i < 20; i++ {
-		if j, c := render(); j != j0 || c != c0 {
-			t.Fatalf("iteration %d: serialization not byte-stable:\n%q\n%q", i, j, c)
+		if j := render(); j != j0 {
+			t.Fatalf("iteration %d: serialization not byte-stable:\n%q\n%q", i, j, j0)
 		}
 	}
-	wantOrder := "cache-miss=3;filter=8;loop=7;mac-retry=9;no-route=4;queue-full=2;stale=5;ttl=1"
-	if !strings.Contains(c0, wantOrder) {
-		t.Fatalf("csv drop reasons not reason-sorted:\n%s", c0)
+	if !strings.Contains(j0, `"drop_reasons":[`) {
+		t.Fatalf("jsonl missing drop_reasons:\n%s", j0)
 	}
-	for _, want := range []string{`"reason":"cache-miss","count":3`, `"drop_reasons":[`} {
-		if !strings.Contains(j0, want) {
-			t.Fatalf("jsonl missing %q:\n%s", want, j0)
+	at := -1
+	for _, reason := range []string{"cache-miss", "filter", "loop", "mac-retry", "no-route", "queue-full", "stale", "ttl"} {
+		i := strings.Index(j0, `"reason":"`+reason+`"`)
+		if i <= at {
+			t.Fatalf("jsonl drop reasons not reason-sorted at %q:\n%s", reason, j0)
 		}
+		at = i
 	}
-}
-
-// TestCSVEmptySweepWritesHeader verifies a sweep that completed zero
-// trials still produces a parseable CSV (header row), not a zero-byte
-// file.
-func TestCSVEmptySweepWritesHeader(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewCSV(&buf)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	if !strings.HasPrefix(got, "protocol,pause_seconds,trial,seed,") {
-		t.Fatalf("empty-sweep CSV missing header: %q", got)
-	}
-	if strings.Count(got, "\n") != 1 {
-		t.Fatalf("empty-sweep CSV should be exactly the header row: %q", got)
-	}
-	// A second Flush (or an Emit after it) must not duplicate the header.
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Emit(Job{}, scenario.Result{Protocol: scenario.SRP}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(buf.String(), "protocol,") != 1 {
-		t.Fatalf("header duplicated:\n%s", buf.String())
+	if !strings.Contains(j0, `"reason":"cache-miss","count":3`) {
+		t.Fatalf("jsonl drop reason counts lost:\n%s", j0)
 	}
 }
 
 // TestEmitZeroDeliverySentinel verifies the NaN network-load sentinel
-// survives both serializations: null in JSONL (JSON has no NaN), "NaN" in
-// the CSV cell — never a raw control-packet count.
+// survives serialization: null in JSONL (JSON has no NaN), never a raw
+// control-packet count.
 func TestEmitZeroDeliverySentinel(t *testing.T) {
 	r := scenario.Result{Protocol: scenario.SRP, NetworkLoad: math.NaN(), ControlTx: 500}
-	var js, cs bytes.Buffer
-	je, ce := NewJSONL(&js), NewCSV(&cs)
+	var js bytes.Buffer
+	je := NewJSONL(&js)
 	if err := je.Emit(Job{}, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := ce.Emit(Job{}, r); err != nil {
-		t.Fatal(err)
-	}
 	je.Flush()
-	ce.Flush()
 	if !strings.Contains(js.String(), `"network_load":null`) {
 		t.Fatalf("jsonl zero-delivery load not null:\n%s", js.String())
-	}
-	if !strings.Contains(cs.String(), ",NaN,") {
-		t.Fatalf("csv zero-delivery load not NaN:\n%s", cs.String())
 	}
 	// And it reads back as the NaN sentinel.
 	recs, err := ReadRecords(&js)

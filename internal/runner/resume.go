@@ -122,7 +122,7 @@ func ResumeJSONL(path string) (recs []Record, f *os.File, dropped int64, err err
 	default:
 		// Damage without a killed-writer signature — a complete line that
 		// is no record — is not what resume repairs: the file is either not
-		// a sweep output at all (a CSV, a log) or a sweep with garbage
+		// a sweep output at all (a log, a notes file) or a sweep with garbage
 		// spliced mid-file, where truncating at the damage would destroy
 		// every good record after it. Refuse and leave the file untouched.
 		f.Close()
@@ -141,85 +141,19 @@ func ResumeJSONL(path string) (recs []Record, f *os.File, dropped int64, err err
 	return recs, f, size - clean, nil
 }
 
-// ErrWouldClobber marks a CheckClobber refusal, so callers can
+// ErrWouldClobber marks a CreateOutput refusal, so callers can
 // distinguish "the file has data" from I/O errors when adding hints.
 var ErrWouldClobber = errors.New("refusing to overwrite")
 
-// CheckClobber returns an ErrWouldClobber error if path holds data and
-// force is not set — the guard behind every results output: overwriting
-// hours of sweep output because a flag pointed at the wrong path should
-// be an explicit decision, not a silent truncation.
-func CheckClobber(path string, force bool) error {
+// CreateOutput creates a results file, refusing with an ErrWouldClobber
+// error if path holds data and force is not set: overwriting hours of
+// sweep output because a flag pointed at the wrong path should be an
+// explicit decision, not a silent truncation.
+func CreateOutput(path string, force bool) (*os.File, error) {
 	if !force {
 		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-			return fmt.Errorf("%w: %s already holds %d bytes; use -force to overwrite", ErrWouldClobber, path, fi.Size())
+			return nil, fmt.Errorf("%w: %s already holds %d bytes; use -force to overwrite", ErrWouldClobber, path, fi.Size())
 		}
-	}
-	return nil
-}
-
-// CreateOutput creates a results file behind the CheckClobber guard.
-func CreateOutput(path string, force bool) (*os.File, error) {
-	if err := CheckClobber(path, force); err != nil {
-		return nil, err
 	}
 	return os.Create(path)
-}
-
-// ResumeJobs is the one resume filter both CLIs run: it drops the jobs
-// whose identity key the salvaged records already cover and reports the
-// split to w (stderr), so the binaries cannot drift on skip semantics or
-// messaging. Salvaged records that match no job of this run mean the
-// flags drifted from the ones that wrote the file (a different -seed,
-// -trials, or -shard): every trial still re-runs and appends, but the
-// file and any folded summary then mix two sweeps, so that is warned, not
-// silent.
-func ResumeJobs(jobs []Job, salvaged []Record, w io.Writer) []Job {
-	salvaged, _ = DedupRecords(salvaged)
-	done := KeySet(salvaged)
-	before := len(jobs)
-	jobs = SkipCompleted(jobs, done)
-	skipped := before - len(jobs)
-	fmt.Fprintf(w, "resume: %d of %d jobs already complete, running %d\n",
-		skipped, before, len(jobs))
-	if skipped < len(done) {
-		fmt.Fprintf(w, "resume: warning: %d salvaged records match no job of this run (different -seed, -trials, or -shard than the file was written with?); the output now mixes sweeps\n",
-			len(done)-skipped)
-	}
-	return jobs
-}
-
-// OpenJSONLOutput is the one way the CLIs open a -jsonl stream: with
-// resume it salvages the file via ResumeJSONL and reports what it found
-// to w (stderr), otherwise it creates the file through the CreateOutput
-// clobber guard. Keeping both binaries on this helper keeps their
-// failure semantics and messaging from drifting apart.
-//
-// Resume trusts the identity key alone: records carry no topology or
-// traffic fingerprint, so resuming with different scenario parameters
-// (node count, duration, ...) but the same key coordinates would silently
-// accept the old records as done. Resume a file only with the flags that
-// produced it.
-func OpenJSONLOutput(path string, resume, force bool, w io.Writer) ([]Record, *os.File, error) {
-	if !resume {
-		f, err := CreateOutput(path, force)
-		if errors.Is(err, ErrWouldClobber) {
-			// Only on a JSONL clobber refusal is -resume an alternative:
-			// the stream can be continued, where CSV and report outputs
-			// can only be overwritten. Other errors (bad directory,
-			// permissions) would hit -resume all the same.
-			err = fmt.Errorf("%w (or -resume to continue the sweep)", err)
-		}
-		return nil, f, err
-	}
-	recs, f, dropped, err := ResumeJSONL(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Fprintf(w, "resume %s: %d complete records salvaged", path, len(recs))
-	if dropped > 0 {
-		fmt.Fprintf(w, " (%d bytes of truncated tail dropped)", dropped)
-	}
-	fmt.Fprintln(w)
-	return recs, f, nil
 }

@@ -16,8 +16,15 @@
 // reference loop (scenario.RunTrials) — see TestRunnerMatchesSerial.
 //
 // Completed trials stream, in completion order, through optional Emitters
-// (JSONL, CSV) and an OnResult hook, serialized by the runner so sinks need
-// no locking; a Progress writer gets a live line per completion.
+// (NewJSONL writes the per-trial Record) and an OnResult hook, serialized
+// by the runner so sinks need no locking; a Progress writer gets a live
+// line per completion.
+//
+// Around a run the package keeps what a sweep's output files need: each
+// record's identity Key, the ShardSpec slice, the salvage and resume of an
+// interrupted JSONL file (SalvageRecords, ResumeJSONL) and the clobber
+// guard on a fresh one (CreateOutput). cmd/experiments plans, shards and
+// resumes a sweep with them.
 package runner
 
 import (
@@ -94,29 +101,16 @@ type Options struct {
 // Run executes every job and returns results in job order. Workers claim
 // jobs in index order, so one worker runs them strictly in that order, one
 // at a time. Worker count and completion order never affect the results,
-// only the
-// wall-clock time and the order sinks observe trials. The returned error
-// is the first Emitter error, if any; results are complete either way. A
-// failed emitter (full disk, closed pipe) is disabled after its first
-// error instead of being hammered with every remaining trial — which
-// would interleave partial lines into the very file a resume later needs
-// to salvage — and the other emitters keep streaming.
+// only the wall-clock time and the order sinks observe trials. An empty
+// job list starts no worker and still flushes every emitter once. The
+// returned error is the first Emitter error, if any; results are complete
+// either way. A failed emitter (full disk, closed pipe) is disabled after
+// its first error instead of being hammered with every remaining trial —
+// which would interleave partial lines into the very file a resume later
+// needs to salvage — and the other emitters keep streaming.
 func Run(jobs []Job, opts Options) ([]scenario.Result, error) {
 	n := len(jobs)
 	results := make([]scenario.Result, n)
-	if n == 0 {
-		// Zero jobs is a real outcome now that shard slices and resume
-		// filters feed Run: emitters still get their Flush so an empty
-		// sweep leaves a parseable artifact (e.g. the CSV header row),
-		// never a zero-byte file.
-		var sinkErr error
-		for _, e := range opts.Emitters {
-			if err := e.Flush(); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
-		return results, sinkErr
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -104,29 +103,26 @@ func TestRunResultsInJobOrder(t *testing.T) {
 }
 
 func TestRunEmptyJobList(t *testing.T) {
-	results, err := Run(nil, Options{})
+	// A zero-job run (an out-of-range shard slice, a fully-resumed file)
+	// starts no worker and still flushes every emitter exactly once.
+	e := &countingEmitter{}
+	results, err := Run(nil, Options{Emitters: []Emitter{e}})
 	if err != nil || len(results) != 0 {
 		t.Fatalf("Run(nil) = %v, %v", results, err)
 	}
-	// A zero-job run (an out-of-range shard slice, a fully-resumed file)
-	// still flushes emitters: the CSV gets its header row, not 0 bytes.
-	var buf bytes.Buffer
-	if _, err := Run(nil, Options{Emitters: []Emitter{NewCSV(&buf)}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "protocol,") {
-		t.Fatalf("empty run left an unflushed CSV: %q", buf.String())
+	if e.emits != 0 || e.flushes != 1 {
+		t.Fatalf("empty run: %d emits / %d flushes, want 0 / 1", e.emits, e.flushes)
 	}
 }
 
 func TestSinksObserveEveryTrial(t *testing.T) {
-	var jsonl, csvBuf, progress bytes.Buffer
+	var jsonl, progress bytes.Buffer
 	seen := 0
 	jobs := TrialJobs(tinyParams(scenario.SRP, 50), 3)
 	_, err := Run(jobs, Options{
 		Workers:  2,
 		Progress: &progress,
-		Emitters: []Emitter{NewJSONL(&jsonl), NewCSV(&csvBuf)},
+		Emitters: []Emitter{NewJSONL(&jsonl)},
 		OnResult: func(Job, scenario.Result) { seen++ },
 	})
 	if err != nil {
@@ -161,17 +157,6 @@ func TestSinksObserveEveryTrial(t *testing.T) {
 		}
 	}
 
-	// CSV: header plus one row per trial, same column count throughout.
-	rows, err := csv.NewReader(&csvBuf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(jobs)+1 {
-		t.Fatalf("csv rows = %d, want %d", len(rows), len(jobs)+1)
-	}
-	if rows[0][0] != "protocol" || len(rows[0]) != len(csvHeader) {
-		t.Fatalf("csv header = %v", rows[0])
-	}
 }
 
 // countingEmitter fails every Emit after `failAt` calls and records how
