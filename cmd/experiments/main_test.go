@@ -114,6 +114,62 @@ func TestRunRefusesToClobber(t *testing.T) {
 	}
 }
 
+// TestValidateRules pins the orchestration flag-combination rules:
+// -resume needs -jsonl, -resume with -jsonl is a valid combination, no
+// orchestration flags at all is valid, and the CSV stream is gone.
+// Each accepted case stops at the unknown -scale, before any sweep.
+func TestValidateRules(t *testing.T) {
+	if err := run([]string{"-resume"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-resume needs -jsonl") {
+		t.Errorf("-resume without -jsonl: err = %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "a.jsonl")
+	for _, args := range [][]string{
+		{"-resume", "-jsonl", path, "-scale", "galactic"},
+		{"-scale", "galactic"},
+	} {
+		if err := run(args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Errorf("%v: err = %v, want the -scale refusal", args, err)
+		}
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused plan created %s: %v", path, err)
+	}
+	if err := run([]string{"-resume", "-jsonl", path, "-csv", "a.csv"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -csv") {
+		t.Errorf("-csv: err = %v", err)
+	}
+}
+
+// TestOpenClobberGuard checks the -jsonl open: an existing non-empty
+// file is refused with runner.ErrWouldClobber and left untouched, and
+// -force truncates it so the sweep's records start a fresh stream.
+func TestOpenClobberGuard(t *testing.T) {
+	const old = "{\"protocol\":\"SRP\"}\n"
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-spec", "../../examples/scenarios/tiny-smoke.json", "-trials", "1", "-quiet", "-workers", "1", "-jsonl", path}
+	if err := run(args, io.Discard, io.Discard); !errors.Is(err, runner.ErrWouldClobber) {
+		t.Fatalf("got %v, want ErrWouldClobber", err)
+	}
+	if blob, err := os.ReadFile(path); err != nil || string(blob) != old {
+		t.Fatalf("refused file was modified: %q, %v", blob, err)
+	}
+	if err := run(append(args, "-force"), io.Discard, io.Discard); err != nil {
+		t.Fatalf("-force: %v", err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.HasPrefix(blob, []byte(old)) || bytes.Count(blob, []byte("\n")) != 1 {
+		t.Fatalf("-force left %q; want the old record gone and one fresh record", blob)
+	}
+	if recs, err := runner.ReadRecords(bytes.NewReader(blob)); err != nil || len(recs) != 1 {
+		t.Fatalf("-force output: %d records, %v", len(recs), err)
+	}
+}
+
 // TestRunSpecShardAndResume drives the spec path end to end: two shards'
 // JSONL concatenates to the single-process stream, a truncated file
 // resumes to the same bytes, a truncated shard resumes to its own bytes,
