@@ -12,8 +12,9 @@
 //   - mapiter: map-iteration order escaping into output or scheduling
 //     (the PR 1 OLSR/SRP bug class — BFS seeded in range-over-map order).
 //   - walltime: wall-clock reads or global math/rand in sim-reachable
-//     code; all time must come from sim.Now(), all randomness from
-//     seeded per-trial sources.
+//     code, and math/rand.NewSource outside internal/sim; all time must
+//     come from sim.Now(), all randomness from seeded sim.NewRand
+//     streams.
 //   - floatfmt: shortest-form float formatting outside runner.Key, the
 //     PR 6 canonical codec that keeps identity keys injective and equal
 //     to the JSON encoder's rendering.

@@ -5,6 +5,12 @@
 // defaults ("slr/internal/sim.Event", ...) bind to this package too.
 package sim
 
+import "math/rand"
+
+// NewRand is the stream constructor: the one place rand.NewSource is
+// legal (walltime).
+func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
 // Time is simulated time.
 type Time int64
 

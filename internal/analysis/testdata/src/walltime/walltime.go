@@ -1,6 +1,6 @@
 // Package walltime holds fixtures for the walltime analyzer: wall-clock
-// reads and global math/rand draws are flagged, the seeded per-source
-// path and time's pure value surface stay legal.
+// reads, global math/rand draws and math/rand.NewSource are flagged, draws
+// from a seeded stream and time's pure value surface stay legal.
 package walltime
 
 import (
@@ -28,9 +28,16 @@ func badGlobalFloat() float64 {
 	return rand.Float64() // want `rand\.Float64 uses the global math/rand generator`
 }
 
-// okSeeded is the sanctioned path: a per-trial source built from a seed.
-func okSeeded(seed int64) float64 {
-	r := rand.New(rand.NewSource(seed))
+// badEagerSource builds a stream with math/rand's eager seeding instead
+// of sim.NewRand.
+func badEagerSource(seed int64) float64 {
+	r := rand.New(rand.NewSource(seed)) // want `rand\.NewSource seeds .* sim\.NewRand\(seed\)`
+	return r.Float64()
+}
+
+// okSeeded is the sanctioned path: draws from a stream handed in by the
+// simulation.
+func okSeeded(r *rand.Rand) float64 {
 	return r.Float64()
 }
 

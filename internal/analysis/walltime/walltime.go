@@ -1,9 +1,10 @@
 // Package walltime defines an analyzer that forbids wall-clock reads and
 // the global math/rand generator in simulation-reachable code. A trial's
 // output must be a pure function of its seed: all time comes from
-// sim.Now() and all randomness from the seeded per-trial sources
-// (sim.Rand and the per-node mobility/traffic streams), never from the
-// host clock or process-global state that other goroutines share.
+// sim.Now() and all randomness from the seeded per-trial streams
+// (sim.Rand and the per-node mobility/traffic streams, all built by
+// sim.NewRand), never from the host clock or process-global state that
+// other goroutines share.
 package walltime
 
 import (
@@ -17,9 +18,11 @@ const doc = `forbid wall-clock and global math/rand in simulation-reachable code
 
 Flags references (calls or function values) to time.Now, time.Since and
 the rest of the host-clock surface, and to math/rand's package-level
-generator functions. rand.New/NewSource and methods on a *rand.Rand are
-the sanctioned seeded path and stay legal, as do time's types and
-constants (sim.Time is a time.Duration).
+generator functions. Methods on a *rand.Rand from sim.NewRand are the
+sanctioned seeded path and stay legal, as do time's types and constants
+(sim.Time is a time.Duration). math/rand.NewSource is reported outside
+internal/sim: sim.NewRand draws the same values per seed but seeds on
+first draw, where NewSource fills a 4.9 KB register up front.
 
 CLI code legitimately lives on the wall clock; allowPkgs lists those
 package patterns (the command mains and the examples). Anything else —
@@ -28,6 +31,10 @@ e.g. a progress meter in otherwise sim-adjacent code — carries
 
 // allowPkgs are the package patterns allowed to touch the wall clock.
 var allowPkgs = slrlint.List{"slr/cmd/...", "slr/examples/..."}
+
+// streamPkgs may call math/rand.NewSource: the stream constructor's own
+// package.
+var streamPkgs = slrlint.List{"slr/internal/sim"}
 
 // Analyzer is the walltime analyzer.
 var Analyzer = &slrlint.Analyzer{Name: "walltime", Doc: doc, Run: run}
@@ -41,8 +48,8 @@ var bannedTime = map[string]bool{
 }
 
 // bannedRand is the process-global generator surface of math/rand and
-// math/rand/v2. Constructors (New, NewSource, NewZipf, NewPCG,
-// NewChaCha8) build seeded per-trial sources and stay legal.
+// math/rand/v2. Constructors (New, NewZipf, NewPCG, NewChaCha8) build
+// seeded sources and stay legal; NewSource is checked on its own.
 var bannedRand = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint": true, "Uint32": true,
@@ -59,6 +66,7 @@ func run(pass *slrlint.Pass) {
 		return
 	}
 	sup := slrlint.NewSuppressor(pass)
+	streamPkg := streamPkgs.MatchPath(pass.Pkg.Path())
 
 	pass.Walk(func(n ast.Node, _ []ast.Node) {
 		sel, ok := n.(*ast.SelectorExpr)
@@ -80,7 +88,10 @@ func run(pass *slrlint.Pass) {
 			}
 		case "math/rand", "math/rand/v2":
 			if bannedRand[name] {
-				sup.Reportf(sel.Pos(), "rand.%s uses the global math/rand generator; sim code draws from its seeded per-trial source (sim.Rand or a rand.New(rand.NewSource(seed)) stream)", name)
+				sup.Reportf(sel.Pos(), "rand.%s uses the global math/rand generator; sim code draws from its seeded per-trial streams (sim.Rand or a sim.NewRand(seed) stream)", name)
+			}
+			if name == "NewSource" && !streamPkg {
+				sup.Reportf(sel.Pos(), "rand.NewSource seeds its 4.9 KB state up front; sim code builds streams with sim.NewRand(seed), which draws the same values and seeds on first draw")
 			}
 		}
 	})

@@ -7,6 +7,8 @@ package registry
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -58,29 +60,28 @@ func Param(params map[string]float64, name string, def float64) float64 {
 	return def
 }
 
-// ApplyParams walks params in sorted key order, invoking the matching
-// applier for each entry. A key with no applier is an error naming the
-// known keys — a typoed knob must fail loudly, never silently fall back
-// to a default. It is the shared override mechanism for model families
-// whose parameter set is fixed and validated (routing protocol configs),
-// as opposed to Param's open accessor for optional knobs.
-func ApplyParams(kind string, params map[string]float64, apply map[string]func(float64)) error {
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
+// ApplyParams returns cfg with params applied: it walks params in sorted
+// key order, invoking the matching applier for each entry. A key with no
+// applier is an error naming the known keys — a typoed knob must fail
+// loudly, never silently fall back to a default. It is the shared override
+// mechanism for model families whose parameter set is fixed and validated
+// (routing protocol configs), as opposed to Param's open accessor for
+// optional knobs. apply is the family's package-level table, so a call
+// builds no closures, and one without params allocates nothing.
+func ApplyParams[C any](kind string, params map[string]float64, apply map[string]func(*C, float64), cfg C) (C, error) {
+	if len(params) == 0 {
+		return cfg, nil
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	// Copy to the heap only here: taking &cfg would move cfg to the heap
+	// on every call.
+	c := new(C)
+	*c = cfg
+	for _, k := range slices.Sorted(maps.Keys(params)) {
 		f, ok := apply[k]
 		if !ok {
-			known := make([]string, 0, len(apply))
-			for n := range apply {
-				known = append(known, n)
-			}
-			sort.Strings(known)
-			return fmt.Errorf("%s: unknown parameter %q (known: %v)", kind, k, known)
+			return cfg, fmt.Errorf("%s: unknown parameter %q (known: %v)", kind, k, slices.Sorted(maps.Keys(apply)))
 		}
-		f(params[k])
+		f(c, params[k])
 	}
-	return nil
+	return *c, nil
 }

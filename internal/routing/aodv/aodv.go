@@ -44,15 +44,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// appliers are AODV's spec-level keys; see ConfigFromParams.
+var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
+	map[string]func(*Config, float64){
+		"active_route_timeout_seconds": func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) },
+		"local_repair":                 func(c *Config, v float64) { c.LocalRepair = v != 0 },
+	})
+
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds, booleans as 0/1. Unknown
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg := DefaultConfig()
-	apply := cfg.Appliers(ttlKeys, 2)
-	apply["active_route_timeout_seconds"] = func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) }
-	apply["local_repair"] = func(v float64) { cfg.LocalRepair = v != 0 }
-	if err := registry.ApplyParams("aodv", params, apply); err != nil {
+	cfg, err := registry.ApplyParams("aodv", params, appliers, DefaultConfig())
+	if err != nil {
 		return Config{}, err
 	}
 	if err := cfg.validate(); err != nil {

@@ -47,16 +47,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// appliers are DSR's spec-level keys; see ConfigFromParams.
+var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
+	map[string]func(*Config, float64){
+		"cache_lifetime_seconds": func(c *Config, v float64) { c.CacheLifetime = rcommon.Seconds(v) },
+		"routes_per_dest":        func(c *Config, v float64) { c.RoutesPerDest = int(v) },
+		"reply_from_cache":       func(c *Config, v float64) { c.ReplyFromCache = v != 0 },
+	})
+
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds, booleans as 0/1. Unknown
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg := DefaultConfig()
-	apply := cfg.Appliers(ttlKeys, 3)
-	apply["cache_lifetime_seconds"] = func(v float64) { cfg.CacheLifetime = rcommon.Seconds(v) }
-	apply["routes_per_dest"] = func(v float64) { cfg.RoutesPerDest = int(v) }
-	apply["reply_from_cache"] = func(v float64) { cfg.ReplyFromCache = v != 0 }
-	if err := registry.ApplyParams("dsr", params, apply); err != nil {
+	cfg, err := registry.ApplyParams("dsr", params, appliers, DefaultConfig())
+	if err != nil {
 		return Config{}, err
 	}
 	if err := cfg.validate(); err != nil {

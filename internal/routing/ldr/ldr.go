@@ -50,16 +50,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// appliers are LDR's spec-level keys; see ConfigFromParams.
+var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
+	map[string]func(*Config, float64){
+		"active_route_timeout_seconds": func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) },
+		"min_reply_hops":               func(c *Config, v float64) { c.MinReplyHops = int(v) },
+		"use_packet_cache":             func(c *Config, v float64) { c.UsePacketCache = v != 0 },
+	})
+
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds, booleans as 0/1. Unknown
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg := DefaultConfig()
-	apply := cfg.Appliers(ttlKeys, 3)
-	apply["active_route_timeout_seconds"] = func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) }
-	apply["min_reply_hops"] = func(v float64) { cfg.MinReplyHops = int(v) }
-	apply["use_packet_cache"] = func(v float64) { cfg.UsePacketCache = v != 0 }
-	if err := registry.ApplyParams("ldr", params, apply); err != nil {
+	cfg, err := registry.ApplyParams("ldr", params, appliers, DefaultConfig())
+	if err != nil {
 		return Config{}, err
 	}
 	if err := cfg.validate(); err != nil {

@@ -29,18 +29,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// appliers are OLSR's spec-level keys; see ConfigFromParams.
+var appliers = map[string]func(*Config, float64){
+	"hello_interval_seconds": func(c *Config, v float64) { c.HelloInterval = rcommon.Seconds(v) },
+	"tc_interval_seconds":    func(c *Config, v float64) { c.TCInterval = rcommon.Seconds(v) },
+	"neighbor_hold_seconds":  func(c *Config, v float64) { c.NeighborHold = rcommon.Seconds(v) },
+	"topology_hold_seconds":  func(c *Config, v float64) { c.TopologyHold = rcommon.Seconds(v) },
+	"jitter_seconds":         func(c *Config, v float64) { c.Jitter = rcommon.Seconds(v) },
+}
+
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds. Unknown keys and
 // out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg := DefaultConfig()
-	if err := registry.ApplyParams("olsr", params, map[string]func(float64){
-		"hello_interval_seconds": func(v float64) { cfg.HelloInterval = rcommon.Seconds(v) },
-		"tc_interval_seconds":    func(v float64) { cfg.TCInterval = rcommon.Seconds(v) },
-		"neighbor_hold_seconds":  func(v float64) { cfg.NeighborHold = rcommon.Seconds(v) },
-		"topology_hold_seconds":  func(v float64) { cfg.TopologyHold = rcommon.Seconds(v) },
-		"jitter_seconds":         func(v float64) { cfg.Jitter = rcommon.Seconds(v) },
-	}); err != nil {
+	cfg, err := registry.ApplyParams("olsr", params, appliers, DefaultConfig())
+	if err != nil {
 		return Config{}, err
 	}
 	if err := cfg.validate(); err != nil {

@@ -159,3 +159,26 @@ func TestParamVocabulary(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigFromParamsAllocs pins what a protocol's config costs each node
+// it is built for: the appliers are package-level tables, so applying no
+// params allocates at most the TTL schedule.
+func TestConfigFromParamsAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() error
+	}{
+		{"AODV", func() error { _, err := aodv.ConfigFromParams(nil); return err }},
+		{"DSR", func() error { _, err := dsr.ConfigFromParams(nil); return err }},
+		{"LDR", func() error { _, err := ldr.ConfigFromParams(nil); return err }},
+		{"OLSR", func() error { _, err := olsr.ConfigFromParams(nil); return err }},
+		{"SRP", func() error { _, err := srp.ConfigFromParams(nil); return err }},
+	} {
+		if err := c.build(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = c.build() }); avg > 1 {
+			t.Errorf("%s ConfigFromParams(nil) allocates %.0f times, want <= 1 (the TTL schedule)", c.name, avg)
+		}
+	}
+}

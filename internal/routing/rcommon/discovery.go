@@ -54,27 +54,30 @@ func DefaultDiscovery(ttls ...int) DiscoveryConfig {
 	}
 }
 
-// Appliers returns the spec-level appliers of the discovery keys for
-// registry.ApplyParams, sized to take own further keys of the protocol's.
-// ttlKeys name the TTL schedule's entries in order; durations arrive in
-// seconds.
-func (c *DiscoveryConfig) Appliers(ttlKeys []string, own int) map[string]func(float64) {
-	apply := make(map[string]func(float64), 6+len(ttlKeys)+own)
-	apply["node_traversal_seconds"] = func(v float64) { c.NodeTraversal = Seconds(v) }
-	apply["rreq_retries"] = func(v float64) { c.RreqRetries = int(v) }
-	apply["queue_cap"] = func(v float64) { c.QueueCap = int(v) }
-	apply["max_salvage"] = func(v float64) { c.MaxSalvage = int(v) }
-	apply["rreq_rate_limit"] = func(v float64) { c.RreqRateLimit = int(v) }
-	apply["discovery_holddown_seconds"] = func(v float64) { c.DiscoveryHoldDown = Seconds(v) }
-	for i, k := range ttlKeys {
-		apply[k] = func(v float64) { c.TTLs[i] = int(v) }
+// DiscoveryAppliers adds the appliers of the discovery keys to own, the
+// spec-level appliers of a protocol config C for registry.ApplyParams, and
+// returns it. disc reaches C's DiscoveryConfig; ttlKeys name the TTL
+// schedule's entries in order; durations arrive in seconds. A protocol
+// builds its table once, at package initialisation.
+func DiscoveryAppliers[C any](disc func(*C) *DiscoveryConfig, ttlKeys []string, own map[string]func(*C, float64)) map[string]func(*C, float64) {
+	set := func(k string, f func(d *DiscoveryConfig, v float64)) {
+		own[k] = func(c *C, v float64) { f(disc(c), v) }
 	}
-	return apply
+	set("node_traversal_seconds", func(d *DiscoveryConfig, v float64) { d.NodeTraversal = Seconds(v) })
+	set("rreq_retries", func(d *DiscoveryConfig, v float64) { d.RreqRetries = int(v) })
+	set("queue_cap", func(d *DiscoveryConfig, v float64) { d.QueueCap = int(v) })
+	set("max_salvage", func(d *DiscoveryConfig, v float64) { d.MaxSalvage = int(v) })
+	set("rreq_rate_limit", func(d *DiscoveryConfig, v float64) { d.RreqRateLimit = int(v) })
+	set("discovery_holddown_seconds", func(d *DiscoveryConfig, v float64) { d.DiscoveryHoldDown = Seconds(v) })
+	for i, k := range ttlKeys {
+		set(k, func(d *DiscoveryConfig, v float64) { d.TTLs[i] = int(v) })
+	}
+	return own
 }
 
 // Validate rejects discovery constants no deployment could run, naming
 // the offending keys; kind prefixes the error and ttlKeys are the
-// schedule's keys, as given to Appliers.
+// schedule's keys, as given to DiscoveryAppliers.
 func (c DiscoveryConfig) Validate(kind string, ttlKeys []string) error {
 	if c.NodeTraversal <= 0 {
 		return fmt.Errorf("%s: node_traversal_seconds %v must be positive", kind, c.NodeTraversal)

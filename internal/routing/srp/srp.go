@@ -74,36 +74,48 @@ func DefaultConfig() Config {
 	}
 }
 
+// overrides is what SRP's spec-level keys set: the Config, and max_denom
+// as given, since it is range-checked before its uint32 conversion.
+type overrides struct {
+	Config
+	maxDenom float64
+}
+
+// appliers are SRP's spec-level keys; see ConfigFromParams.
+var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryConfig { return &o.DiscoveryConfig }, ttlKeys,
+	map[string]func(*overrides, float64){
+		"active_route_timeout_seconds": func(o *overrides, v float64) { o.ActiveRouteTimeout = rcommon.Seconds(v) },
+		"delete_period_seconds":        func(o *overrides, v float64) { o.DeletePeriod = rcommon.Seconds(v) },
+		"max_denom":                    func(o *overrides, v float64) { o.maxDenom = v },
+		"min_reply_hops":               func(o *overrides, v float64) { o.MinReplyHops = int(v) },
+		"use_lie":                      func(o *overrides, v float64) { o.UseLie = v != 0 },
+		"use_packet_cache":             func(o *overrides, v float64) { o.UsePacketCache = v != 0 },
+		"farey":                        func(o *overrides, v float64) { o.Farey = v != 0 },
+		"next_element_only":            func(o *overrides, v float64) { o.NextElementOnly = v != 0 },
+		"multipath":                    func(o *overrides, v float64) { o.Multipath = PathPolicy(v) },
+		"hello_interval_seconds":       func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) },
+		"hello_fanout":                 func(o *overrides, v float64) { o.HelloFanout = int(v) },
+		"request_rack":                 func(o *overrides, v float64) { o.RequestRack = v != 0 },
+	})
+
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds, booleans as 0/1, multipath
 // as the PathPolicy ordinal (0 min-hop, 1 round-robin, 2 random). Unknown
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg := DefaultConfig()
-	maxDenom := float64(cfg.MaxDenom)
-	apply := cfg.Appliers(ttlKeys, 12)
-	apply["active_route_timeout_seconds"] = func(v float64) { cfg.ActiveRouteTimeout = rcommon.Seconds(v) }
-	apply["delete_period_seconds"] = func(v float64) { cfg.DeletePeriod = rcommon.Seconds(v) }
-	apply["max_denom"] = func(v float64) { maxDenom = v }
-	apply["min_reply_hops"] = func(v float64) { cfg.MinReplyHops = int(v) }
-	apply["use_lie"] = func(v float64) { cfg.UseLie = v != 0 }
-	apply["use_packet_cache"] = func(v float64) { cfg.UsePacketCache = v != 0 }
-	apply["farey"] = func(v float64) { cfg.Farey = v != 0 }
-	apply["next_element_only"] = func(v float64) { cfg.NextElementOnly = v != 0 }
-	apply["multipath"] = func(v float64) { cfg.Multipath = PathPolicy(v) }
-	apply["hello_interval_seconds"] = func(v float64) { cfg.HelloInterval = rcommon.Seconds(v) }
-	apply["hello_fanout"] = func(v float64) { cfg.HelloFanout = int(v) }
-	apply["request_rack"] = func(v float64) { cfg.RequestRack = v != 0 }
-	if err := registry.ApplyParams("srp", params, apply); err != nil {
+	def := DefaultConfig()
+	o, err := registry.ApplyParams("srp", params, appliers, overrides{def, float64(def.MaxDenom)})
+	if err != nil {
 		return Config{}, err
 	}
 	// Range-check before the uint32 conversion: out-of-range float-to-int
 	// conversions wrap implementation-specifically, so a negative or
 	// oversized max_denom must error here, not truncate.
-	if maxDenom < 2 || maxDenom > float64(^uint32(0)) {
-		return Config{}, fmt.Errorf("srp: max_denom %v must be in [2, %d]", maxDenom, ^uint32(0))
+	if o.maxDenom < 2 || o.maxDenom > float64(^uint32(0)) {
+		return Config{}, fmt.Errorf("srp: max_denom %v must be in [2, %d]", o.maxDenom, ^uint32(0))
 	}
-	cfg.MaxDenom = uint32(maxDenom)
+	cfg := o.Config
+	cfg.MaxDenom = uint32(o.maxDenom)
 	if err := cfg.validate(); err != nil {
 		return Config{}, err
 	}

@@ -10,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"slr/internal/geo"
@@ -191,14 +190,17 @@ func Run(p Params) Result {
 	// Mobility and traffic get RNG streams independent of the protocol
 	// stack, and each node's mobility its own stream, so a seed fixes
 	// one topology and one workload for every protocol — the paper's
-	// offline-generated per-trial scripts.
+	// offline-generated per-trial scripts. sim.NewRand is the one stream
+	// constructor: its draws equal math/rand's per seed, so recorded seeds
+	// replay unchanged, and a stream seeds only the state its draws touch,
+	// so a node's stream costs what the node draws.
 	protos := make([]netstack.Protocol, p.Nodes)
 	nodes := make([]*netstack.Node, p.Nodes)
 	senders := make([]traffic.Sender, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		protos[i] = buildProtocol(p)
 		n := netstack.NewNode(s, ch, netstack.NodeID(i), protos[i], mx)
-		mobRng := rand.New(rand.NewSource(p.Seed<<16 + int64(i)))
+		mobRng := sim.NewRand(p.Seed<<16 + int64(i))
 		m, err := mobility.Build(p.Terrain, mobRng, mobSpec)
 		if err != nil {
 			// Spec loading validates model names and parameters, so an
@@ -213,7 +215,7 @@ func Run(p Params) Result {
 		n.Start()
 	}
 
-	trafRng := rand.New(rand.NewSource(p.Seed<<16 + int64(p.Nodes) + 1))
+	trafRng := sim.NewRand(p.Seed<<16 + int64(p.Nodes) + 1)
 	gen := traffic.NewGenerator(s, trafRng, senders, p.Traffic, p.Duration)
 	gen.Start()
 

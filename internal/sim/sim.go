@@ -2,10 +2,14 @@
 //
 // The kernel is the substrate equivalent of GloMoSim's event engine used in
 // the paper's evaluation: a virtual clock, an event queue, and a seeded
-// random number generator. A single Simulator instance is single-threaded
-// by design so that a given seed always reproduces the same event ordering;
-// parallelism is obtained by running many Simulator instances concurrently
-// (one per trial, see internal/runner).
+// random number generator. NewRand (rand.go) is the one constructor of
+// random streams in simulation code, the simulator's own and every
+// per-node stream: its draws are bit-identical to math/rand's per seed, so
+// recorded seeds replay unchanged, but it seeds its state on first draw.
+// A single Simulator instance is single-threaded by design so that a given
+// seed always reproduces the same event ordering; parallelism is obtained
+// by running many Simulator instances concurrently (one per trial, see
+// internal/runner).
 //
 // The event queue is a ladder queue (see ladder.go) over a freelist of
 // pooled Event structs: a near-future bucket wheel absorbs the dense timer
@@ -111,16 +115,18 @@ type Simulator struct {
 	check *shadowChecker
 }
 
-// New returns a Simulator whose RNG is seeded with seed.
+// New returns a Simulator whose RNG is NewRand(seed).
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Rand returns the simulation RNG. All randomness in a run must come from
-// this generator so a seed fully determines the run.
+// Rand returns the simulation RNG, a NewRand stream: its draws equal
+// math/rand's for the same seed. All randomness in a run must come from
+// this generator or another NewRand stream seeded from the trial's seed, so
+// a seed fully determines the run.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // SetEventLimit bounds the total number of events fired by Run; 0 removes

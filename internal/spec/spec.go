@@ -329,4 +329,4 @@ func (s *ScenarioSpec) TrialCount() int {
 
 // nullRng is a throwaway deterministic rng for dry-building models during
 // validation.
-func nullRng() *rand.Rand { return rand.New(rand.NewSource(1)) }
+func nullRng() *rand.Rand { return sim.NewRand(1) }
