@@ -16,9 +16,12 @@
 // cmd/experiments' job (-spec there runs this command's scenario as a
 // sweep).
 //
-// -cpuprofile and -memprofile write pprof profiles of the run (the heap
-// profile is taken after a final GC), so finding the next hot spot in a
-// large-N scenario is one flag away: go tool pprof slrsim cpu.out.
+// -cpuprofile and -memprofile write pprof profiles of the run, so finding
+// the next hot spot in a large-N scenario is one flag away: go tool pprof
+// slrsim cpu.out. The heap profile is taken at the simulated end of the
+// last trial to start, after a GC, while that trial's nodes are still
+// live: its in-use view is what a trial holds, and its allocation view
+// covers every trial up to that instant. The records do not change.
 //
 // Example:
 //
@@ -37,6 +40,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"slr/internal/mobility"
@@ -78,7 +82,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		jsonl     = fs.String("jsonl", "", "stream per-trial results as JSON lines to this file")
 		force     = fs.Bool("force", false, "overwrite an existing non-empty -jsonl file")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to `file`")
-		memProf   = fs.String("memprofile", "", "write a pprof heap profile (after GC, at exit) to `file`")
+		memProf   = fs.String("memprofile", "", "write a pprof heap profile, taken at the end of the last trial while it is live, to `file`")
 	)
 	protoParams := routing.ParamsFlag{}
 	fs.Var(protoParams, "pparam", "protocol parameter override `name=value` (repeatable); keys follow the spec's protocol_params vocabulary")
@@ -171,7 +175,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		}
 		defer out.Close()
 	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := startCPUProfile(*cpuProf)
 	if err != nil {
 		return err
 	}
@@ -180,14 +184,33 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			retErr = perr
 		}
 	}()
-	if *ordrcheck {
-		// Pair every ladder-queue dispatch against a reference queue for
-		// the whole run; the hook attaches it to each trial's fresh kernel.
-		scenario.SimHook = func(s *sim.Simulator) { s.EnableOrderCheck() }
+	// Each trial's fresh kernel passes through the hook: -ordercheck pairs
+	// every ladder-queue dispatch against a reference queue, and
+	// -memprofile schedules the heap profile into the last trial to start.
+	// The profile's event takes one sequence number before any other, so
+	// every other event keeps its order and the records their bytes.
+	var (
+		started atomic.Int64
+		heapAt  = p.Duration + scenario.Drain
+		heapErr = fmt.Errorf("memprofile: the last trial ended before t=%v", heapAt)
+	)
+	if *ordrcheck || *memProf != "" {
+		scenario.SimHook = func(s *sim.Simulator) {
+			if *ordrcheck {
+				s.EnableOrderCheck()
+			}
+			if *memProf != "" && started.Add(1) == int64(*trials) {
+				s.At(heapAt, func() { heapErr = writeHeapProfile(*memProf) })
+			}
+		}
+		defer func() { scenario.SimHook = nil }()
 	}
 
 	jobs := runner.TrialJobs(p, *trials)
 	results, _ := runner.Run(jobs, runner.Options{}) // errors come only from emitters; there are none
+	if *memProf != "" && heapErr != nil {
+		return heapErr
+	}
 	ts := scenario.TrialSet{Protocol: p.Protocol, Pause: p.Pause, Results: results}
 	for _, r := range ts.Results {
 		fmt.Fprintf(stdout, "protocol=%s seed=%d pause=%v\n", r.Protocol, r.Seed, r.Pause)
@@ -239,42 +262,41 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	return out.Close()
 }
 
-// startProfiles starts CPU profiling into cpu (when given) and returns a
-// stop function that finishes it and writes a post-GC heap profile to mem
-// (when given). Either may be absent independently.
-func startProfiles(cpu, mem string) (stop func() error, err error) {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-		cpuF = f
+// startCPUProfile starts CPU profiling into path (when given) and returns
+// a stop function that finishes it.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
 	}
 	return func() error {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil {
-				return fmt.Errorf("cpuprofile: %w", err)
-			}
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			// Collect garbage first so the profile shows live steady-state
-			// objects, not whatever the last trial left unreclaimed.
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return fmt.Errorf("memprofile: %w", err)
-			}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		return nil
 	}, nil
+}
+
+// writeHeapProfile writes a heap profile to path. It collects garbage
+// first: a heap profile's in-use view is as of the last completed GC, and
+// this one is to show what the caller's trial holds now.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return f.Close()
 }

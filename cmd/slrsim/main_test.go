@@ -2,9 +2,15 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,11 +160,18 @@ func TestRunOneJobOnly(t *testing.T) {
 }
 
 // TestProfilesWriteBothFiles: -cpuprofile and -memprofile each leave a
-// non-empty pprof file once the run returns.
+// non-empty pprof file once the run returns, the heap profile's in-use
+// view holds the protocol state of a trial that was still live, and the
+// records are the bytes a run without profiling writes.
 func TestProfilesWriteBothFiles(t *testing.T) {
+	// Sample every allocation, so a 12-node trial's tables show.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
-	if err := run([]string{"-spec", "../../examples/scenarios/tiny-smoke.json", "-cpuprofile", cpu, "-memprofile", mem}, io.Discard); err != nil {
+	spec := []string{"-spec", "../../examples/scenarios/tiny-smoke.json", "-trials", "2"}
+	profiled, plain := filepath.Join(dir, "profiled.jsonl"), filepath.Join(dir, "plain.jsonl")
+	if err := run(append(spec, "-cpuprofile", cpu, "-memprofile", mem, "-jsonl", profiled), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{cpu, mem} {
@@ -166,4 +179,205 @@ func TestProfilesWriteBothFiles(t *testing.T) {
 			t.Errorf("%s: %v, want a non-empty profile", path, err)
 		}
 	}
+	if err := run(append(spec, "-jsonl", plain), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(profiled)
+	b, errB := os.ReadFile(plain)
+	if errA != nil || errB != nil || len(a) == 0 || !bytes.Equal(a, b) {
+		t.Errorf("records with -memprofile differ from those without (errors %v, %v):\n%s\nvs\n%s", errA, errB, a, b)
+	}
+
+	raw, err := os.ReadFile(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := inUseSamples(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Package state the routing packages build at init is live at any
+	// instant; a trial's own is allocated under scenario.Run, at least one
+	// protocol instance per node of tiny-smoke's 12.
+	held := int64(0)
+	for _, s := range samples {
+		if slices.Contains(s.stack, "slr/internal/scenario.Run") && slices.ContainsFunc(s.stack, func(fn string) bool {
+			return strings.HasPrefix(fn, "slr/internal/routing/")
+		}) {
+			held += s.objects
+		}
+	}
+	if held < 12 {
+		t.Errorf("the heap profile holds %d objects a trial's routing code allocated, want at least the 12 nodes' protocols", held)
+	}
+}
+
+// heapSample is one in-use sample of a heap profile: a stack, as function
+// names, innermost first, and the count of live objects it allocated.
+type heapSample struct {
+	stack   []string
+	objects int64
+}
+
+// inUseSamples decodes a gzipped pprof heap profile and returns its
+// samples with live objects. Field numbers are those of pprof's
+// profile.proto.
+func inUseSamples(gz []byte) ([]heapSample, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return nil, err
+	}
+	msg, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		strs      []string
+		types     []uint64                // sample_type, as string indices
+		samples   [][2][]uint64           // location ids, values
+		locations = map[uint64][]uint64{} // location id -> function ids
+		funcs     = map[uint64]uint64{}   // function id -> name index
+	)
+	err = fields(msg, func(num int, v uint64, b []byte) error {
+		switch num {
+		case 1: // sample_type
+			return fields(b, func(num int, v uint64, _ []byte) error {
+				if num == 1 {
+					types = append(types, v)
+				}
+				return nil
+			})
+		case 2: // sample
+			var s [2][]uint64
+			err := fields(b, func(num int, v uint64, b []byte) error {
+				if num == 1 || num == 2 {
+					s[num-1] = uints(s[num-1], v, b)
+				}
+				return nil
+			})
+			samples = append(samples, s)
+			return err
+		case 4: // location
+			var id uint64
+			var fns []uint64
+			err := fields(b, func(num int, v uint64, b []byte) error {
+				switch num {
+				case 1:
+					id = v
+				case 4: // line
+					return fields(b, func(num int, v uint64, _ []byte) error {
+						if num == 1 {
+							fns = append(fns, v)
+						}
+						return nil
+					})
+				}
+				return nil
+			})
+			locations[id] = fns
+			return err
+		case 5: // function
+			var id, name uint64
+			err := fields(b, func(num int, v uint64, _ []byte) error {
+				switch num {
+				case 1:
+					id = v
+				case 2:
+					name = v
+				}
+				return nil
+			})
+			funcs[id] = name
+			return err
+		case 6: // string_table
+			strs = append(strs, string(b))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	inuse := -1
+	for i, ti := range types {
+		if ti < uint64(len(strs)) && strs[ti] == "inuse_objects" {
+			inuse = i
+		}
+	}
+	if inuse < 0 {
+		return nil, fmt.Errorf("no inuse_objects sample type among %d", len(types))
+	}
+	var live []heapSample
+	for _, s := range samples {
+		if inuse >= len(s[1]) || s[1][inuse] == 0 {
+			continue
+		}
+		var stack []string
+		for _, loc := range s[0] {
+			for _, fn := range locations[loc] {
+				if ni := funcs[fn]; ni < uint64(len(strs)) {
+					stack = append(stack, strs[ni])
+				}
+			}
+		}
+		live = append(live, heapSample{stack: stack, objects: int64(s[1][inuse])})
+	}
+	return live, nil
+}
+
+// fields walks the fields of one protobuf message: varints arrive in v,
+// length-delimited fields in b; fixed-width fields are skipped.
+func fields(msg []byte, fn func(num int, v uint64, b []byte) error) error {
+	for len(msg) > 0 {
+		key, n := binary.Uvarint(msg)
+		if n <= 0 {
+			return errors.New("truncated protobuf key")
+		}
+		msg = msg[n:]
+		var v uint64
+		var b []byte
+		switch key & 7 {
+		case 0:
+			if v, n = binary.Uvarint(msg); n <= 0 {
+				return errors.New("truncated protobuf varint")
+			}
+		case 1:
+			n = 8
+		case 2:
+			l, m := binary.Uvarint(msg)
+			if m <= 0 || uint64(len(msg)-m) < l {
+				return errors.New("truncated protobuf field")
+			}
+			b, n = msg[m:m+int(l)], m+int(l)
+		case 5:
+			n = 4
+		default:
+			return fmt.Errorf("protobuf wire type %d", key&7)
+		}
+		if n > len(msg) {
+			return errors.New("truncated protobuf field")
+		}
+		msg = msg[n:]
+		if key&7 == 0 || key&7 == 2 {
+			if err := fn(int(key>>3), v, b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// uints appends a repeated integer field, given as one varint (b == nil)
+// or as a packed run.
+func uints(dst []uint64, v uint64, b []byte) []uint64 {
+	if b == nil {
+		return append(dst, v)
+	}
+	for len(b) > 0 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			break
+		}
+		dst, b = append(dst, v), b[n:]
+	}
+	return dst
 }

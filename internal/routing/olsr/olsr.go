@@ -42,10 +42,15 @@
 // the cover is a pure function of them and mprAt. A new mutator of the
 // neighbor table must note or settle, too.
 //
-// Rebuilds that do run reuse preallocated storage (the route table is
-// emptied in place, the BFS queue is popped by head index over a reused
-// slice, and the symmetric-neighbor ids are maintained as a sorted slice
-// incrementally), so the steady-state data plane allocates nothing —
+// Rebuilds that do run reuse storage instead of allocating it: the route
+// table is emptied in place, the symmetric-neighbor ids are maintained as
+// a sorted slice incrementally, and the working storage of a run (the BFS
+// queue, popped by head index; the cover's bitsets, counts and chains) is
+// a scratch taken from one package-level pool for the call and put back
+// at its end. A node holds no scratch between calls, so N nodes share a
+// handful instead of keeping N node-id-indexed sets each. Every call
+// resets what it reads from its scratch, and a returned scratch points
+// into no node's tables. The steady-state data plane allocates nothing —
 // pinned by TestRecomputeAllocFree. Outputs are byte-identical per seed to
 // the full-rebuild-per-dirty-flag implementation (the olsr-small row of
 // cmd/slrsim's TestGoldens pins the JSONL stream), because every skip is
@@ -53,15 +58,19 @@
 // neighbors in the same sorted order.
 //
 // No state is hashed: neighbors, topology and routes live by value in
-// rcommon.IDTable slabs. HELLO bodies list ids in slot order, which is
-// deterministic though not sorted; receivers treat them as sets. A TC body
-// is sorted once by its originator and then shared, never copied: every
-// relayed copy and every receiver's topology entry alias it.
+// rcommon.IDTable slabs. What a node hears it keeps by reference, never
+// copied, because no body is written after its sender hands it to the
+// air. A HELLO body lists ids in slot order, which is deterministic though
+// not sorted; every receiver's two-hop set aliases it, self included, and
+// the readers skip self. A TC body is sorted once by its originator and
+// sits behind one pointer that every relayed copy and every receiver's
+// topology entry share.
 package olsr
 
 import (
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"slr/internal/netstack"
@@ -72,8 +81,12 @@ import (
 // hello advertises the sender's neighbor set; receivers use it for link
 // sensing (bidirectionality), two-hop discovery, and MPR signaling.
 type hello struct {
-	From      netstack.NodeID
-	Neighbors []netstack.NodeID // symmetric neighbors of From
+	From netstack.NodeID
+	// Neighbors lists every live neighbor of From, heard or symmetric,
+	// with no link type: RFC 3626 §6.1 marks each link's type, this HELLO
+	// does not. It is never written after send; every receiver's two-hop
+	// set aliases it.
+	Neighbors []netstack.NodeID
 	MPRs      []netstack.NodeID // neighbors From selected as MPR
 }
 
@@ -81,9 +94,10 @@ type hello struct {
 type tc struct {
 	Orig netstack.NodeID
 	Seq  uint32
-	// Advertised is sorted by id by the originator and never written after
-	// send; every copy of the flood and every topology entry aliases it.
-	Advertised []netstack.NodeID
+	// Advertised points at the advertised ids, sorted by the originator
+	// and never written after send. sendTC makes it once; every copy of
+	// the flood and every topology entry holds the one pointer.
+	Advertised *[]netstack.NodeID
 	TTL        int
 	Flood      *rcommon.Flood // duplicate record, shared by every copy
 }
@@ -96,21 +110,21 @@ const (
 )
 
 type topoEntry struct {
-	// advertised is the Advertised list of the TC that last changed the
-	// entry, aliased, not copied: sorted by the originator, never written
+	// advertised is the Advertised pointer of the TC that last changed the
+	// entry, shared, not copied: sorted by the originator, never written
 	// after send, so it is read-only here too. Route recomputation walks
 	// it in id order, so equal-cost tie-breaks do not depend on the order
 	// the originator's table listed its selectors in.
-	advertised []netstack.NodeID
+	advertised *[]netstack.NodeID
 	seq        uint32
 	expiry     sim.Time
 }
 
 // route is one routing-table entry: the next hop toward a destination and
-// the length of the path through it.
+// the length of the path through it. Node ids fit 32 bits in every
+// scenario, and a route slab holds an entry per reachable node.
 type route struct {
-	nh   netstack.NodeID
-	hops int
+	nh, hops int32
 }
 
 // forever is the expiry horizon of a computation that consumed no
@@ -157,24 +171,6 @@ type Protocol struct {
 	sweeper     rcommon.Beaconer
 
 	routes rcommon.IDTable[route] // dst -> route, refilled by each rebuild
-	queue  []netstack.NodeID      // BFS scratch, reused across rebuilds
-	// liveSym is selectMPRsAt's scratch of live symmetric neighbors;
-	// symBits/uncov its reusable membership bitsets over node ids. symBits
-	// is also sameTwoHop's scratch.
-	liveSym []symNeighbor
-	symBits bitset
-	uncov   bitset
-	// Greedy-cover scratch: coverCnt[i] is candidate liveSym[i]'s count of
-	// still-uncovered two-hop neighbors, kept exact by decrementing along
-	// covHead/covNext/covOwner — per-two-hop-id chains of the candidate
-	// indices covering that id. covHead is indexed by node id and cleared
-	// lazily (only the slots of ids in play), so a selection run costs
-	// O(two-hop entries), not O(max id).
-	coverCnt []int32
-	covHead  []int32
-	covNext  []int32
-	covOwner []int32
-	chosen   []bool
 
 	// linkVer counts structural changes to the route inputs (symmetric
 	// links and TC-learned links); mprInVer counts structural changes to
@@ -239,7 +235,7 @@ func (p *Protocol) jitter() sim.Time {
 func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 	p.recompute()
 	if r := p.routes.Get(uint64(dst)); r != nil {
-		return []netstack.NodeID{r.nh}
+		return []netstack.NodeID{netstack.NodeID(r.nh)}
 	}
 	return nil
 }
@@ -310,7 +306,7 @@ func (p *Protocol) sendTC() {
 	}
 	slices.Sort(selectors)
 	p.tcSeq++
-	m := &tc{Orig: p.self, Seq: p.tcSeq, Advertised: selectors, TTL: 35, Flood: rcommon.NewFlood(now)}
+	m := &tc{Orig: p.self, Seq: p.tcSeq, Advertised: &selectors, TTL: 35, Flood: rcommon.NewFlood(now)}
 	p.node.BroadcastControl(tcBase+perAddr*len(selectors), m)
 }
 
@@ -385,17 +381,15 @@ func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 		p.mprInVer++
 	}
 	nb.SelectsMe = slices.Contains(h.MPRs, p.self)
-	// Two-hop neighborhood from the neighbor's symmetric set. Only a
-	// changed set invalidates the MPR cache; the common steady-state hello
-	// re-advertises the same neighbors, and Touch has already refreshed
-	// the deadline they share with nb.
+	// Two-hop neighborhood from the neighbor's neighbor list, aliased:
+	// the sender never writes it after send, and the readers skip self.
+	// Only a changed set invalidates the MPR cache; the common
+	// steady-state hello re-advertises the same neighbors, and Touch has
+	// already refreshed the deadline they share with nb.
 	if !p.sameTwoHop(nb, h.Neighbors) {
-		nb.TwoHop, nb.TwoHopMax = nb.TwoHop[:0], 0
+		nb.TwoHop, nb.TwoHopMax = h.Neighbors, 0
 		for _, n := range h.Neighbors {
-			if n != p.self {
-				nb.TwoHop = append(nb.TwoHop, n)
-				nb.TwoHopMax = max(nb.TwoHopMax, n)
-			}
+			nb.TwoHopMax = max(nb.TwoHopMax, n)
 		}
 		p.mprInVer++
 	}
@@ -403,41 +397,51 @@ func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 	p.noteMPRs(now)
 }
 
-// sameTwoHop reports whether incoming, less self, names exactly the set
-// nb.TwoHop holds. A neighbor lists its neighbors in its table's slot
-// order, which rarely changes between two of its hellos, so the common
-// case is a positional match; any other order falls back to membership in
-// a scratch bitset.
+// sameTwoHop reports whether incoming and nb.TwoHop, each less self, name
+// the same set. A neighbor lists its neighbors in its table's slot order,
+// which rarely changes between two of its hellos, so the common case is a
+// positional match; any other order falls back to membership in a
+// scratch bitset.
 func (p *Protocol) sameTwoHop(nb *rcommon.Neighbor, incoming []netstack.NodeID) bool {
-	i, inStep := 0, true
-	for _, n := range incoming {
-		if n == p.self {
-			continue
+	held := nb.TwoHop
+	i, j := 0, 0
+	for {
+		// Neither list repeats an id, so self is skipped at most once.
+		if i < len(incoming) && incoming[i] == p.self {
+			i++
 		}
-		if i == len(nb.TwoHop) || nb.TwoHop[i] != n {
-			inStep = false
+		if j < len(held) && held[j] == p.self {
+			j++
+		}
+		if i == len(incoming) || j == len(held) {
+			return i == len(incoming) && j == len(held)
+		}
+		if incoming[i] != held[j] {
 			break
 		}
 		i++
+		j++
 	}
-	if inStep {
-		return i == len(nb.TwoHop)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.symBits.reset(int(nb.TwoHopMax) + 1)
+	left := 0
+	for _, th := range held {
+		if th != p.self {
+			s.symBits.set(th)
+			left++
+		}
 	}
-	p.symBits.reset(int(nb.TwoHopMax) + 1)
-	for _, th := range nb.TwoHop {
-		p.symBits.set(th)
-	}
-	count := 0
 	for _, n := range incoming {
 		if n == p.self {
 			continue
 		}
-		if n > nb.TwoHopMax || !p.symBits.has(n) {
+		if n > nb.TwoHopMax || !s.symBits.has(n) {
 			return false
 		}
-		count++
+		left--
 	}
-	return count == len(nb.TwoHop)
+	return left == 0
 }
 
 func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
@@ -449,7 +453,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 		te := p.topo.Get(uint64(m.Orig))
 		if te == nil || !seqNewer(te.seq, m.Seq) {
 			exp := now + p.cfg.TopologyHold
-			if te != nil && te.expiry > now && slices.Equal(te.advertised, m.Advertised) {
+			if te != nil && te.expiry > now && slices.Equal(*te.advertised, *m.Advertised) {
 				// The re-advertisement names the same links and the old
 				// entry is still live: refresh in place. No link appears
 				// or disappears at any instant before the (previous)
@@ -474,7 +478,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 			z := *m
 			z.TTL--
 			jit := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
-			p.node.BroadcastControlAfter(jit, tcBase+perAddr*len(z.Advertised), &z)
+			p.node.BroadcastControlAfter(jit, tcBase+perAddr*len(*z.Advertised), &z)
 		}
 	}
 }
@@ -506,97 +510,108 @@ func (p *Protocol) settleMPRs() {
 // has not changed since the last run (unchanged structure version, now
 // before the expiry horizon), in which case the cached set is already
 // exactly what the cover would produce.
-//
-// The cover runs over bitsets indexed by node id and the flat TwoHop
-// lists: node ids are dense in every scenario, so membership is one
-// shift+mask, and the scratch bitsets are reused across runs. Cover counts
-// are order-independent sums and the candidate scan walks liveSym in
-// sorted id order, so the selected set does not depend on the order of
-// any TwoHop list.
 func (p *Protocol) selectMPRsAt(now sim.Time) {
 	if p.mprVer == p.mprInVer && now < p.mprHorizon {
 		return
 	}
+	s := scratchPool.Get().(*scratch)
+	p.coverTwoHop(s, now)
+	scratchPool.Put(s)
+}
+
+// coverTwoHop selects the MPR set as of now, working in s.
+//
+// The cover runs over bitsets indexed by node id and the flat TwoHop
+// lists: node ids are dense in every scenario, so membership is one
+// shift+mask. Cover counts are order-independent sums and the candidate
+// scan walks liveSym in sorted id order, so the selected set does not
+// depend on the order of any TwoHop list. Every piece of s is reset before
+// it is read, and s leaves holding no pointer into p's tables.
+func (p *Protocol) coverTwoHop(s *scratch, now sim.Time) {
 	p.mprRuns++
 	horizon := forever
-	p.liveSym = p.liveSym[:0]
+	s.liveSym = s.liveSym[:0]
 	maxID := p.self
 	for _, id := range p.symList {
 		nb := p.nbrs.Get(id)
 		if nb.Expiry > now {
-			p.liveSym = append(p.liveSym, symNeighbor{id: id, nb: nb})
+			s.liveSym = append(s.liveSym, symNeighbor{id: id, nb: nb})
 			horizon = min(horizon, nb.Expiry)
 			maxID = max(maxID, id, nb.TwoHopMax)
 		}
 	}
-	p.symBits.reset(int(maxID) + 1)
-	p.uncov.reset(int(maxID) + 1)
-	for _, e := range p.liveSym {
-		p.symBits.set(e.id)
+	s.symBits.reset(int(maxID) + 1)
+	s.uncov.reset(int(maxID) + 1)
+	for _, e := range s.liveSym {
+		s.symBits.set(e.id)
 	}
-	nCand := len(p.liveSym)
-	p.coverCnt = resizeInt32(p.coverCnt, nCand)
-	p.chosen = resizeBool(p.chosen, nCand)
-	if len(p.covHead) < int(maxID)+1 {
-		p.covHead = append(p.covHead, make([]int32, int(maxID)+1-len(p.covHead))...)
+	nCand := len(s.liveSym)
+	s.coverCnt = resizeInt32(s.coverCnt, nCand)
+	s.chosen = resizeBool(s.chosen, nCand)
+	if len(s.covHead) < int(maxID)+1 {
+		s.covHead = append(s.covHead, make([]int32, int(maxID)+1-len(s.covHead))...)
 	}
-	p.covNext = p.covNext[:0]
-	p.covOwner = p.covOwner[:0]
+	s.covNext = s.covNext[:0]
+	s.covOwner = s.covOwner[:0]
 	uncovered := 0
 	// One pass builds the strict two-hop set (reachable through a
 	// symmetric neighbor, not a symmetric neighbor itself, not self), the
 	// per-candidate cover counts, and the per-two-hop chains of covering
 	// candidates. Strict-set membership depends only on self and symBits
 	// (both fixed here), so a candidate's count and a two-hop id's chain
-	// are complete even though uncov is still being populated. A two-hop
-	// id cleared during the rounds below was necessarily uncovered here
-	// (uncov only shrinks), so its chain names exactly the candidates
-	// whose counts must drop — the counts stay equal to the cover the
-	// per-round rescan used to recompute, and the selection is identical.
-	for i, e := range p.liveSym {
+	// are complete even though uncov is still being populated. covHead is
+	// cleared lazily: a slot is written the moment its id first enters
+	// uncov, which was reset above, so no slot is read before this run
+	// wrote it. A two-hop id cleared during the rounds below was
+	// necessarily uncovered here (uncov only shrinks), so its chain names
+	// exactly the candidates whose counts must drop — the counts stay
+	// equal to the cover the per-round rescan used to recompute, and the
+	// selection is identical.
+	for i, e := range s.liveSym {
 		cnt := int32(0)
 		for _, th := range e.nb.TwoHop {
-			if th == p.self || p.symBits.has(th) {
+			if th == p.self || s.symBits.has(th) {
 				continue
 			}
-			if !p.uncov.has(th) {
-				p.uncov.set(th)
-				p.covHead[th] = -1
+			if !s.uncov.has(th) {
+				s.uncov.set(th)
+				s.covHead[th] = -1
 				uncovered++
 			}
-			p.covNext = append(p.covNext, p.covHead[th])
-			p.covOwner = append(p.covOwner, int32(i))
-			p.covHead[th] = int32(len(p.covNext) - 1)
+			s.covNext = append(s.covNext, s.covHead[th])
+			s.covOwner = append(s.covOwner, int32(i))
+			s.covHead[th] = int32(len(s.covNext) - 1)
 			cnt++
 		}
-		p.coverCnt[i] = cnt
+		s.coverCnt[i] = cnt
 	}
 	p.mprs = p.mprs[:0]
 	for uncovered > 0 {
 		best := -1
 		bestCover := int32(0)
-		for i, e := range p.liveSym {
-			if p.chosen[i] {
+		for i, e := range s.liveSym {
+			if s.chosen[i] {
 				continue
 			}
-			cover := p.coverCnt[i]
+			cover := s.coverCnt[i]
 			if cover > bestCover ||
-				(cover == bestCover && cover > 0 && e.id < p.liveSym[best].id) {
+				(cover == bestCover && cover > 0 && e.id < s.liveSym[best].id) {
 				best, bestCover = i, cover
 			}
 		}
 		if bestCover == 0 {
 			break // remaining two-hops unreachable (stale info)
 		}
-		bestE := p.liveSym[best]
-		p.chosen[best] = true
+		bestE := s.liveSym[best]
+		s.chosen[best] = true
 		p.mprs = append(p.mprs, bestE.id)
+		// Self is never in uncov, so the alias's own entry is skipped here.
 		for _, th := range bestE.nb.TwoHop {
-			if p.uncov.has(th) {
-				p.uncov.clearBit(th)
+			if s.uncov.has(th) {
+				s.uncov.clearBit(th)
 				uncovered--
-				for k := p.covHead[th]; k >= 0; k = p.covNext[k] {
-					p.coverCnt[p.covOwner[k]]--
+				for k := s.covHead[th]; k >= 0; k = s.covNext[k] {
+					s.coverCnt[s.covOwner[k]]--
 				}
 			}
 		}
@@ -605,12 +620,40 @@ func (p *Protocol) selectMPRsAt(now sim.Time) {
 	// every node is advertised in some TC and remains reachable from
 	// beyond two hops. liveSym is sorted, so the first entry is the
 	// lowest id.
-	if len(p.mprs) == 0 && len(p.liveSym) > 0 {
-		p.mprs = append(p.mprs, p.liveSym[0].id)
+	if len(p.mprs) == 0 && len(s.liveSym) > 0 {
+		p.mprs = append(p.mprs, s.liveSym[0].id)
 	}
+	clear(s.liveSym) // its entries point into p's neighbor table
 	p.mprVer = p.mprInVer
 	p.mprHorizon = horizon
 }
+
+// scratch is the working storage of one MPR selection, route rebuild or
+// two-hop comparison. No node owns one: each call that needs it takes one
+// from scratchPool and puts it back on return, so concurrent trials never
+// share one and a node holds none between calls.
+type scratch struct {
+	queue []netstack.NodeID // BFS queue, popped by head index
+	// liveSym holds the live symmetric neighbors of a selection run;
+	// symBits and uncov are membership bitsets over node ids. symBits is
+	// also sameTwoHop's set.
+	liveSym []symNeighbor
+	symBits bitset
+	uncov   bitset
+	// Greedy-cover state: coverCnt[i] is candidate liveSym[i]'s count of
+	// still-uncovered two-hop neighbors, kept exact by decrementing along
+	// covHead/covNext/covOwner — per-two-hop-id chains of the candidate
+	// indices covering that id. covHead is indexed by node id and cleared
+	// lazily (only the slots of ids in play), so a selection run costs
+	// O(two-hop entries), not O(max id).
+	coverCnt []int32
+	covHead  []int32
+	covNext  []int32
+	covOwner []int32
+	chosen   []bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // resizeInt32 returns s with length n, reallocating only on growth; the
 // contents are unspecified (callers overwrite every slot).
@@ -660,12 +703,18 @@ func (p *Protocol) recompute() {
 	if !p.dirty {
 		return
 	}
-	now := p.node.Now()
-	if p.routeVer == p.linkVer && now < p.routeHorizon {
-		p.dirty = false
+	p.dirty = false
+	if p.routeVer == p.linkVer && p.node.Now() < p.routeHorizon {
 		return
 	}
-	p.dirty = false
+	s := scratchPool.Get().(*scratch)
+	p.rebuildRoutes(s)
+	scratchPool.Put(s)
+}
+
+// rebuildRoutes refills the route table as of now, queueing in s.
+func (p *Protocol) rebuildRoutes(s *scratch) {
+	now := p.node.Now()
 	p.rebuilds++
 	p.routes.Reset()
 	horizon := forever
@@ -674,7 +723,7 @@ func (p *Protocol) recompute() {
 	// assigns each destination the first equal-cost route it reaches, so
 	// tie-breaks must not depend on table order. symList is maintained
 	// sorted, so no per-rebuild sort.
-	queue := p.queue[:0]
+	queue := s.queue[:0]
 	for _, id := range p.symList {
 		nb := p.nbrs.Get(id)
 		if nb.Expiry <= now {
@@ -682,7 +731,7 @@ func (p *Protocol) recompute() {
 		}
 		queue = append(queue, id)
 		r, _ := p.routes.Put(uint64(id))
-		*r = route{nh: id, hops: 1}
+		*r = route{nh: int32(id), hops: 1}
 		horizon = min(horizon, nb.Expiry)
 	}
 	// Expand over TC-advertised links, popping by head index (re-slicing
@@ -696,7 +745,7 @@ func (p *Protocol) recompute() {
 		}
 		horizon = min(horizon, te.expiry)
 		via := *p.routes.Get(uint64(cur)) // copied: Put below may move it
-		for _, adv := range te.advertised {
+		for _, adv := range *te.advertised {
 			if adv == p.self {
 				continue
 			}
@@ -706,7 +755,7 @@ func (p *Protocol) recompute() {
 			}
 		}
 	}
-	p.queue = queue
+	s.queue = queue
 	p.routeVer = p.linkVer
 	p.routeHorizon = horizon
 }
@@ -721,7 +770,7 @@ func (p *Protocol) OriginateData(pkt *netstack.DataPacket) {
 		p.node.DropData(pkt, rcommon.DropNoRoute)
 		return
 	}
-	p.node.ForwardData(r.nh, pkt)
+	p.node.ForwardData(netstack.NodeID(r.nh), pkt)
 }
 
 // RecvData implements netstack.Protocol.
@@ -742,7 +791,7 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 		p.node.DropData(pkt, rcommon.DropNoRoute)
 		return
 	}
-	p.node.ForwardData(r.nh, pkt)
+	p.node.ForwardData(netstack.NodeID(r.nh), pkt)
 }
 
 // DataFailed implements netstack.Protocol: proactive OLSR has no reactive

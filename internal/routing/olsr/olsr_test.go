@@ -1,9 +1,11 @@
 package olsr
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"slr/internal/geo"
 	"slr/internal/mobility"
@@ -158,10 +160,10 @@ func TestDeliveryInMobileNetwork(t *testing.T) {
 }
 
 func TestRecomputeAllocFree(t *testing.T) {
-	// Steady-state rebuilds must reuse the preallocated route/hop maps,
-	// BFS queue, and MPR bitsets: zero allocations once the scratch is
-	// warm, even when the version check is defeated and the full BFS +
-	// greedy cover actually run.
+	// Steady-state rebuilds must reuse the route table and a pooled
+	// scratch (BFS queue, MPR bitsets and chains): zero allocations once
+	// the scratch is warm, even when the version check is defeated and the
+	// full BFS + greedy cover actually run.
 	w := rtest.New(1, 120, factory, rtest.Chain(5, 100), nil)
 	w.Sim.RunUntil(20 * time.Second)
 	p := w.Nodes[2].Protocol().(*Protocol)
@@ -169,18 +171,94 @@ func TestRecomputeAllocFree(t *testing.T) {
 	p.dirty, p.linkVer, p.mprInVer = true, p.linkVer+1, p.mprInVer+1
 	p.selectMPRs()
 	p.recompute()
-	if allocs := testing.AllocsPerRun(100, func() {
+	rebuild := func() {
 		p.dirty = true
 		p.linkVer++
 		p.recompute()
-	}); allocs != 0 {
-		t.Errorf("steady-state recompute allocates %.0f objects/run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
+	cover := func() {
 		p.mprInVer++
 		p.selectMPRs()
-	}); allocs != 0 {
+	}
+	if raceEnabled {
+		// sync.Pool drops a quarter of its Puts under the race detector,
+		// on purpose; price the same computations on one held scratch.
+		s := new(scratch)
+		p.rebuildRoutes(s)
+		p.coverTwoHop(s, p.node.Now())
+		rebuild = func() { p.rebuildRoutes(s) }
+		cover = func() { p.coverTwoHop(s, p.node.Now()) }
+	}
+	if allocs := testing.AllocsPerRun(100, rebuild); allocs != 0 {
+		t.Errorf("steady-state recompute allocates %.0f objects/run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, cover); allocs != 0 {
 		t.Errorf("steady-state selectMPRs allocates %.0f objects/run, want 0", allocs)
+	}
+}
+
+// TestScratchIsolation pins that a scratch carries nothing from one node's
+// call into another's. On a 5x5 grid, node A = 7 has larger ids and a
+// different neighborhood than node B = 0: A's two-hop ids reach 17 where
+// B's stop at 10, so the scratch A returns is longer than B needs, and A's
+// symmetric neighbors 2 and 6 are B's two-hop neighbors, so a symmetric
+// bit left over from A would drop them from B's cover. B's cover and route
+// rebuild on A's scratch must equal the same calls on a fresh scratch, and
+// the scratch A returns must point into none of A's tables.
+func TestScratchIsolation(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Grid(5, 5, 100), nil)
+	w.Sim.RunUntil(25 * time.Second)
+	a := w.Nodes[7].Protocol().(*Protocol)
+	b := w.Nodes[0].Protocol().(*Protocol)
+	now := w.Sim.Now()
+	run := func(s *scratch) ([]netstack.NodeID, map[netstack.NodeID]route) {
+		b.coverTwoHop(s, now)
+		b.rebuildRoutes(s)
+		routes := map[netstack.NodeID]route{}
+		for i := range b.routes.Len() {
+			routes[netstack.NodeID(b.routes.KeyAt(i))] = *b.routes.At(i)
+		}
+		return slices.Clone(b.mprs), routes
+	}
+	fresh := new(scratch)
+	wantMPRs, wantRoutes := run(fresh)
+	if len(wantMPRs) == 0 || len(wantRoutes) < 24 {
+		t.Fatalf("node 0: MPRs %v, %d routes; want a converged grid", wantMPRs, len(wantRoutes))
+	}
+
+	used := new(scratch)
+	a.coverTwoHop(used, now)
+	a.rebuildRoutes(used)
+	if len(used.covHead) <= len(fresh.covHead) || len(used.liveSym) <= len(fresh.liveSym) {
+		t.Fatalf("node 7 left %d heads and %d candidates, node 0 needs %d and %d; want node 7's scratch the larger",
+			len(used.covHead), len(used.liveSym), len(fresh.covHead), len(fresh.liveSym))
+	}
+	for i, e := range used.liveSym[:cap(used.liveSym)] {
+		if e.nb != nil {
+			t.Fatalf("returned scratch holds neighbor entry %d (id %d) of node 7", i, e.id)
+		}
+	}
+	gotMPRs, gotRoutes := run(used)
+	if !slices.Equal(gotMPRs, wantMPRs) {
+		t.Errorf("node 0's MPRs on node 7's scratch = %v, on a fresh one %v", gotMPRs, wantMPRs)
+	}
+	if !maps.Equal(gotRoutes, wantRoutes) {
+		t.Errorf("node 0's routes on node 7's scratch = %v, on a fresh one %v", gotRoutes, wantRoutes)
+	}
+}
+
+// TestEntrySizes pins the per-entry sizes of the two tables that grow with
+// the network: every node keeps a topology entry per TC originator it
+// hears and a route per reachable node. On olsr-1000 the topology slab
+// alone held 27 of 61 sampled MB at the end of a trial when an entry
+// carried its own slice header (48 bytes with the key), and a route was
+// two full ints.
+func TestEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(topoEntry{}); n != 24 {
+		t.Errorf("topoEntry is %d bytes, want 24 (one pointer to the TC body, seq, expiry)", n)
+	}
+	if n := unsafe.Sizeof(route{}); n != 8 {
+		t.Errorf("route is %d bytes, want 8 (two int32s)", n)
 	}
 }
 
@@ -348,9 +426,9 @@ func TestHandleTCAllocs(t *testing.T) {
 	p := w.Nodes[0].Protocol().(*Protocol)
 	// TTL 1: no relay; TestTCRelayAllocs prices that. The body is sorted,
 	// as every originator sends it.
-	m := flooded(tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}, TTL: 1})
+	m := flooded(tc{Orig: 9, Seq: 1, Advertised: &[]netstack.NodeID{3, 5, 7}, TTL: 1})
 	p.handleTC(1, m)
-	if te := p.topo.Get(9); te == nil || !slices.Equal(te.advertised, []netstack.NodeID{3, 5, 7}) {
+	if te := p.topo.Get(9); te == nil || !slices.Equal(*te.advertised, []netstack.NodeID{3, 5, 7}) {
 		t.Fatalf("topology entry of 9 = %+v, want advertised [3 5 7]", te)
 	}
 	if n := testing.AllocsPerRun(200, func() { p.handleTC(1, m) }); n != 0 {
@@ -385,7 +463,7 @@ func TestHandleTCAllocs(t *testing.T) {
 	// than every earlier one, which a copy into the entry would have to
 	// grow for.
 	linkVer := p.linkVer
-	changed := [][]netstack.NodeID{{3, 4}, {2, 4, 6, 8, 10, 12, 14}}
+	changed := []*[]netstack.NodeID{{3, 4}, {2, 4, 6, 8, 10, 12, 14}}
 	recs = floodRecords(201)
 	if n := testing.AllocsPerRun(200, func() {
 		next()
@@ -397,12 +475,13 @@ func TestHandleTCAllocs(t *testing.T) {
 	if p.linkVer == linkVer {
 		t.Fatal("changed TCs did not register as topology changes")
 	}
-	growing := make([][]netstack.NodeID, 5)
+	growing := make([]*[]netstack.NodeID, 5)
 	for i := range growing {
-		growing[i] = make([]netstack.NodeID, 16<<i)
-		for j := range growing[i] {
-			growing[i][j] = netstack.NodeID(j + 10)
+		body := make([]netstack.NodeID, 16<<i)
+		for j := range body {
+			body[j] = netstack.NodeID(j + 10)
 		}
+		growing[i] = &body
 	}
 	recs = floodRecords(len(growing))
 	if n := testing.AllocsPerRun(len(growing)-1, func() {
@@ -415,8 +494,8 @@ func TestHandleTCAllocs(t *testing.T) {
 }
 
 // TestTCBodySharedByReceivers pins the TC body's life: the originator
-// sorts it once, and every receiver's topology entry aliases the one
-// array that went on the air.
+// sorts it once, and every receiver's topology entry holds the one
+// pointer that went on the air.
 func TestTCBodySharedByReceivers(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
@@ -428,47 +507,49 @@ func TestTCBodySharedByReceivers(t *testing.T) {
 	}
 	p.sendTC()
 	w.Sim.RunUntil(w.Sim.Now() + 50*time.Millisecond)
-	var sent []netstack.NodeID
+	var sent *[]netstack.NodeID
 	for _, i := range []int{0, 2} {
 		te := w.Nodes[i].Protocol().(*Protocol).topo.Get(1)
 		if te == nil || te.seq != p.tcSeq {
 			t.Fatalf("node %d holds %+v for node 1, want the entry of TC %d", i, te, p.tcSeq)
 		}
-		if !slices.IsSorted(te.advertised) || !slices.Contains(te.advertised, 40) || len(te.advertised) < 3 {
-			t.Fatalf("node %d holds advertised %v, want node 1's selectors, sorted", i, te.advertised)
+		adv := *te.advertised
+		if !slices.IsSorted(adv) || !slices.Contains(adv, 40) || len(adv) < 3 {
+			t.Fatalf("node %d holds advertised %v, want node 1's selectors, sorted", i, adv)
 		}
 		if sent == nil {
 			sent = te.advertised
-		} else if &te.advertised[0] != &sent[0] {
-			t.Errorf("nodes 0 and 2 hold copies of node 1's TC body, want one shared array")
+		} else if te.advertised != sent {
+			t.Errorf("nodes 0 and 2 hold copies of node 1's TC body, want one shared body")
 		}
 	}
 }
 
-// TestTCBodyAliasedNotCopied pins that handleTC stores the TC's own
-// array, and that a later, changed TC from the same originator replaces
-// the alias without writing through it.
+// TestTCBodyAliasedNotCopied pins that handleTC stores the TC's own body
+// pointer, and that a later, changed TC from the same originator replaces
+// it without writing through it.
 func TestTCBodyAliasedNotCopied(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
 	p0 := w.Nodes[0].Protocol().(*Protocol)
 	p2 := w.Nodes[2].Protocol().(*Protocol)
-	m := flooded(tc{Orig: 9, Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}, TTL: 1})
+	first := []netstack.NodeID{3, 5, 7}
+	m := flooded(tc{Orig: 9, Seq: 1, Advertised: &first, TTL: 1})
 	p0.handleTC(1, m)
 	p2.handleTC(1, m)
 	for _, p := range []*Protocol{p0, p2} {
-		if te := p.topo.Get(9); te == nil || &te.advertised[0] != &m.Advertised[0] {
-			t.Fatalf("node %d's entry of 9 = %+v, want it to alias the TC's body", p.self, te)
+		if te := p.topo.Get(9); te == nil || te.advertised != m.Advertised || &(*te.advertised)[0] != &first[0] {
+			t.Fatalf("node %d's entry of 9 = %+v, want it to hold the TC's body", p.self, te)
 		}
 	}
 	for i, later := range [][]netstack.NodeID{{2, 4}, {1, 2, 4, 6, 8}} {
-		n := flooded(tc{Orig: 9, Seq: m.Seq + 1 + uint32(i), Advertised: later, TTL: 1})
+		n := flooded(tc{Orig: 9, Seq: m.Seq + 1 + uint32(i), Advertised: &later, TTL: 1})
 		p0.handleTC(1, n)
-		if te := p0.topo.Get(9); !slices.Equal(te.advertised, later) {
-			t.Fatalf("entry of 9 = %v after TC %d, want %v", te.advertised, n.Seq, later)
+		if te := p0.topo.Get(9); te.advertised != n.Advertised || !slices.Equal(*te.advertised, later) {
+			t.Fatalf("entry of 9 = %v after TC %d, want %v", *te.advertised, n.Seq, later)
 		}
-		if !slices.Equal(m.Advertised, []netstack.NodeID{3, 5, 7}) {
-			t.Fatalf("TC %d rewrote the earlier body to %v", n.Seq, m.Advertised)
+		if !slices.Equal(*m.Advertised, []netstack.NodeID{3, 5, 7}) {
+			t.Fatalf("TC %d rewrote the earlier body to %v", n.Seq, *m.Advertised)
 		}
 	}
 }
@@ -485,7 +566,7 @@ func TestTCRelayAllocs(t *testing.T) {
 	if nb := p.nbrs.Get(0); nb == nil || !nb.SelectsMe {
 		t.Fatal("node 0 does not select node 1 as MPR")
 	}
-	m := tc{Orig: 9, Advertised: []netstack.NodeID{3, 5, 7}}
+	m := tc{Orig: 9, Advertised: &[]netstack.NodeID{3, 5, 7}}
 	cost := func(ttl int) float64 {
 		recs := floodRecords(201) // AllocsPerRelay warms up once
 		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
@@ -497,5 +578,96 @@ func TestTCRelayAllocs(t *testing.T) {
 	unrelayed, relayed := cost(1), cost(5)
 	if relayed-unrelayed != 1 {
 		t.Errorf("relayed TC: %v allocs, unrelayed %v; want exactly 1 more (the relayed copy)", relayed, unrelayed)
+	}
+}
+
+// TestHelloBodySharedByReceivers pins the HELLO body's life: the sender
+// lists its neighbors once, every receiver's two-hop set aliases the one
+// array that went on the air, self included, and handleHello never
+// writes to a body it holds or replaces.
+func TestHelloBodySharedByReceivers(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w.Sim.RunUntil(10 * time.Second)
+	p := w.Nodes[1].Protocol().(*Protocol)
+	// New neighbors change node 1's list, so both receivers take the next
+	// HELLO's body.
+	for _, id := range []netstack.NodeID{90, 70} {
+		p.nbrs.Touch(id, p.node.Now()+time.Minute)
+	}
+	p.sendHello()
+	w.Sim.RunUntil(w.Sim.Now() + 50*time.Millisecond)
+	var sent []netstack.NodeID
+	for _, i := range []netstack.NodeID{0, 2} {
+		nb := w.Nodes[i].Protocol().(*Protocol).nbrs.Get(1)
+		if nb == nil || !slices.Contains(nb.TwoHop, 90) || !slices.Contains(nb.TwoHop, i) {
+			t.Fatalf("node %d holds %+v for node 1, want its new list, self included", i, nb)
+		}
+		if sent == nil {
+			sent = nb.TwoHop
+		} else if &nb.TwoHop[0] != &sent[0] || len(nb.TwoHop) != len(sent) {
+			t.Errorf("nodes 0 and 2 hold copies of node 1's HELLO body, want one shared array")
+		}
+	}
+	want := slices.Clone(sent)
+
+	// A body held, then the same set reordered (kept: the comparison falls
+	// back to the bitset), then a changed set (replaced): no write lands in
+	// any of them.
+	p0 := w.Nodes[0].Protocol().(*Protocol)
+	bodies := [][]netstack.NodeID{{5, 0, 7}, {0, 7, 5}, {0, 8}}
+	snapshot := make([][]netstack.NodeID, len(bodies))
+	for i, body := range bodies {
+		snapshot[i] = slices.Clone(body)
+		p0.handleHello(1, &hello{From: 1, Neighbors: body})
+	}
+	for i, body := range bodies {
+		if !slices.Equal(body, snapshot[i]) {
+			t.Errorf("handleHello rewrote body %d from %v to %v", i, snapshot[i], body)
+		}
+	}
+	if nb := p0.nbrs.Get(1); &nb.TwoHop[0] != &bodies[2][0] {
+		t.Errorf("node 0 holds %v for node 1, want the last changed body aliased", nb.TwoHop)
+	}
+	if !slices.Equal(sent, want) {
+		t.Errorf("node 1's sent body became %v, want %v", sent, want)
+	}
+}
+
+// TestHandleHelloAllocs pins what a HELLO with a changed neighbor set costs
+// its receiver: nothing. The receiver aliases the body instead of copying
+// it, whether the change shows positionally or only in the scratch bitset.
+func TestHandleHelloAllocs(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w.Sim.RunUntil(10 * time.Second)
+	p := w.Nodes[0].Protocol().(*Protocol)
+	cases := []struct {
+		name   string
+		bodies [][]netstack.NodeID
+		pooled bool // the comparison takes a scratch from the pool
+	}{
+		{"grown", [][]netstack.NodeID{{0, 2, 5}, {0, 2, 5, 6, 7, 8, 9, 10}}, false},
+		{"changed mid-list", [][]netstack.NodeID{{0, 2, 5, 6}, {0, 2, 6, 7}}, true},
+	}
+	for _, c := range cases {
+		if c.pooled && raceEnabled {
+			t.Logf("%s: skipped under -race, where sync.Pool drops Puts on purpose", c.name)
+			continue
+		}
+		hellos := []*hello{{From: 1, Neighbors: c.bodies[0]}, {From: 1, Neighbors: c.bodies[1]}}
+		k := 0
+		p.handleHello(1, hellos[k])
+		ver := p.mprInVer
+		if n := testing.AllocsPerRun(200, func() {
+			k ^= 1
+			p.handleHello(1, hellos[k])
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per changed HELLO, want 0", c.name, n)
+		}
+		if p.mprInVer-ver != 201 {
+			t.Errorf("%s: %d of 201 HELLOs registered as two-hop changes", c.name, p.mprInVer-ver)
+		}
+		if nb := p.nbrs.Get(1); &nb.TwoHop[0] != &c.bodies[k][0] {
+			t.Errorf("%s: node 0 holds %v for node 1, want the last body aliased", c.name, nb.TwoHop)
+		}
 	}
 }

@@ -13,12 +13,17 @@ type Neighbor struct {
 	// Expiry is the hello-liveness deadline; a neighbor whose hellos stop
 	// ages out at Expiry.
 	Expiry sim.Time
-	// TwoHop is the neighbor's own symmetric neighbor set as its last hello
-	// listed it — the two-hop neighborhood MPR selection covers — in no
-	// particular order, without duplicates. It needs no deadlines of its
-	// own: the hello that writes it also writes Expiry, so every two-hop
-	// entry lives exactly as long as the neighbor that reported it.
-	// Protocols that never populate it simply leave it nil.
+	// TwoHop is the neighbor list of the neighbor's last changed hello —
+	// the two-hop neighborhood MPR selection covers — in no particular
+	// order, without duplicates. A protocol may alias the hello's own
+	// slice, which its sender never writes after send, so the list may
+	// name this node, and readers skip it. OLSR's hello lists every live
+	// neighbor of its sender, heard or symmetric, with no link type, so
+	// TwoHop includes asymmetric links (RFC 3626 §8.3.1 keeps only
+	// symmetric ones). It needs no deadlines of its own: the hello that
+	// writes it also writes Expiry, so every two-hop entry lives exactly as
+	// long as the neighbor that reported it. Protocols that never populate
+	// it simply leave it nil.
 	TwoHop []netstack.NodeID
 	// TwoHopMax is an upper bound on the ids in TwoHop, set by the writer.
 	// It lets id-indexed scratch (MPR cover bitsets) be sized without

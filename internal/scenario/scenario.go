@@ -158,10 +158,15 @@ type successorLister interface {
 }
 
 // SimHook, when non-nil, is called with each trial's Simulator right
-// after creation, before any event is scheduled. It exists for the
-// scheduler-gate tests in the repo root, which use it to enable the
-// kernel's shadow order checker on full protocol scenarios.
+// after creation, before any event is scheduled. The scheduler-gate tests
+// in the repo root and slrsim's -ordercheck use it to enable the kernel's
+// shadow order checker on full protocol scenarios; slrsim's -memprofile
+// uses it to schedule a heap profile into a live trial.
 var SimHook func(*sim.Simulator)
+
+// Drain is the grace period a trial runs past its traffic, so in-flight
+// packets count; a trial ends at Duration + Drain.
+const Drain = 10 * time.Second
 
 // Run executes one simulation and returns its measurements.
 func Run(p Params) Result {
@@ -240,9 +245,7 @@ func Run(p Params) Result {
 		s.After(every, check)
 	}
 
-	// Drain for a grace period after traffic ends so in-flight packets
-	// count.
-	s.RunUntil(p.Duration + 10*time.Second)
+	s.RunUntil(p.Duration + Drain)
 
 	res.DeliveryRatio = mx.DeliveryRatio()
 	res.NetworkLoad = mx.NetworkLoad()
