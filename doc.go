@@ -61,7 +61,7 @@
 // registry — routing protocols (SRP, LDR, AODV, DSR, OLSR via
 // internal/routing), mobility models (waypoint, static, gauss-markov,
 // manhattan), traffic models (cbr, poisson, onoff), and radio propagation
-// models (unit-disk, shadowing, rayleigh) — each with a validated
+// models (unit-disk, shadowing) — each with a validated
 // parameter map. The routing registry's "protocol_params" section tunes
 // protocol constants (hello/TC intervals, RREQ retry and TTL schedules,
 // route lifetimes, SRP's label heuristics) per spec file, so

@@ -138,48 +138,3 @@ func TestCI95TTableBoundary(t *testing.T) {
 		t.Errorf("CI95(n=32) = %v, want t=1.96 giving %v", got, want32)
 	}
 }
-
-// TestSeriesOverlapDegenerate covers n<2 series, whose CI collapses to 0:
-// the interval is a point, so overlap degrades to exact agreement.
-func TestSeriesOverlapDegenerate(t *testing.T) {
-	single := func(v float64) *Series { s := &Series{}; s.Add(v); return s }
-	if !single(3).Overlaps(single(3)) {
-		t.Error("identical singletons must overlap")
-	}
-	if single(3).Overlaps(single(4)) {
-		t.Error("distinct singletons must not overlap")
-	}
-	empty := &Series{}
-	if !empty.Overlaps(empty) {
-		t.Error("two empty series (both point-intervals at 0) must overlap")
-	}
-	wide := &Series{}
-	wide.Add(-5)
-	wide.Add(5) // mean 0, wide CI straddling a singleton at 1
-	if !wide.Overlaps(single(1)) || !single(1).Overlaps(wide) {
-		t.Error("singleton inside a wide interval must overlap (both directions)")
-	}
-	if wide.Overlaps(single(100)) {
-		t.Error("singleton far outside a wide interval must not overlap")
-	}
-}
-
-func TestSeriesOverlap(t *testing.T) {
-	a := &Series{}
-	b := &Series{}
-	c := &Series{}
-	for i := 0; i < 10; i++ {
-		a.Add(10 + float64(i%3))
-		b.Add(10.5 + float64(i%3))
-		c.Add(100 + float64(i%3))
-	}
-	if !a.Overlaps(b) {
-		t.Error("close series must overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("distant series must not overlap")
-	}
-	if !a.Overlaps(a) {
-		t.Error("series must overlap itself")
-	}
-}

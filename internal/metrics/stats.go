@@ -76,11 +76,3 @@ func (s *Series) Mean() float64 { return Mean(s.Values) }
 
 // CI returns the 95% confidence half-width.
 func (s *Series) CI() float64 { return CI95(s.Values) }
-
-// Overlaps reports whether the 95% confidence intervals of s and o overlap;
-// the paper calls measurements "statistically identical" when they do.
-func (s *Series) Overlaps(o *Series) bool {
-	sLo, sHi := s.Mean()-s.CI(), s.Mean()+s.CI()
-	oLo, oHi := o.Mean()-o.CI(), o.Mean()+o.CI()
-	return sLo <= oHi && oLo <= sHi
-}

@@ -78,7 +78,6 @@ func BenchmarkChannelTransmit(b *testing.B) {
 		{"grid", 100}, {"grid", 500}, {"grid", 1000},
 		{"fast", 500},
 		{"shadowing", 500}, {"shadowing", 1000},
-		{"rayleigh", 500},
 	} {
 		b.Run(fmt.Sprintf("%s/N=%d", tier.name, tier.n), func(b *testing.B) {
 			benchChannel(b, tier.n, tier.name)

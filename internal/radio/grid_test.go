@@ -164,7 +164,7 @@ func propName(p PropSpec) string {
 func TestGridMatchesLinear(t *testing.T) {
 	const n = 60
 	terrain := geo.Terrain{Width: 1500, Height: 900}
-	for _, prop := range []PropSpec{{}, {Model: "shadowing"}, {Model: "rayleigh"}} {
+	for _, prop := range []PropSpec{{}, {Model: "shadowing"}} {
 		t.Run(propName(prop), func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				s := sim.New(seed)
@@ -302,9 +302,8 @@ func TestHearerListMatchesOracle(t *testing.T) {
 	}{
 		{PropSpec{}, waypoint},
 		{PropSpec{Model: "shadowing"}, waypoint},
-		{PropSpec{Model: "rayleigh"}, waypoint},
 		{PropSpec{Model: "shadowing"}, drift},
-		{PropSpec{Model: "rayleigh"}, city},
+		{PropSpec{Model: "shadowing"}, city},
 	} {
 		t.Run(propName(tc.prop)+"/"+tc.mob.Model, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {

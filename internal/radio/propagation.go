@@ -36,8 +36,8 @@ type Propagation interface {
 // PropSpec selects a registered propagation model by name. The zero value
 // selects unit-disk, the paper's GloMoSim radio.
 type PropSpec struct {
-	// Model names a registered factory: "unit-disk", "shadowing",
-	// "rayleigh". Empty means "unit-disk".
+	// Model names a registered factory: "unit-disk" or "shadowing".
+	// Empty means "unit-disk".
 	Model string `json:"model,omitempty"`
 	// Params carries model-specific knobs (e.g. shadowing's "sigma_db");
 	// missing keys take documented defaults.
@@ -160,55 +160,9 @@ func (s shadowing) LinkRange(a, b NodeID) float64 {
 	return s.r * math.Pow(10, x/(10*s.n))
 }
 
-// rayleigh is a per-link Rayleigh-fading disk: the link's power gain g is
-// exponentially distributed (the envelope is Rayleigh), fixed for the run,
-// and the effective radius is Range * g^(1/n). It models dense multipath
-// with no line of sight: most links roughly keep their nominal reach, a
-// long tail of deeply faded links lose most of it. g is clamped to
-// [0.05, 4] to bound both MaxRange and the deepest fade.
-//
-// PropSpec.Params knobs: "pathloss_exp" (default 3).
-type rayleigh struct {
-	r    float64
-	seed int64
-	n    float64
-	max  float64
-}
-
-const (
-	rayleighMinGain = 0.05
-	rayleighMaxGain = 4.0
-)
-
-func newRayleigh(p Params, spec PropSpec) (Propagation, error) {
-	n := spec.param("pathloss_exp", 3)
-	if n <= 0 {
-		return nil, fmt.Errorf("radio: rayleigh pathloss_exp %v must be positive", n)
-	}
-	return rayleigh{
-		r:    p.Range,
-		seed: p.Seed,
-		n:    n,
-		max:  p.Range * math.Pow(rayleighMaxGain, 1/n),
-	}, nil
-}
-
-func (r rayleigh) MaxRange() float64 { return r.max }
-
-func (r rayleigh) LinkRange(a, b NodeID) float64 {
-	g := -math.Log(linkUniform(r.seed, a, b, 3)) // Exp(1) power gain
-	if g < rayleighMinGain {
-		g = rayleighMinGain
-	} else if g > rayleighMaxGain {
-		g = rayleighMaxGain
-	}
-	return r.r * math.Pow(g, 1/r.n)
-}
-
 func init() {
 	RegisterPropagation("unit-disk", func(p Params, _ PropSpec) (Propagation, error) {
 		return unitDisk{r: p.Range}, nil
 	})
 	RegisterPropagation("shadowing", newShadowing)
-	RegisterPropagation("rayleigh", newRayleigh)
 }

@@ -8,7 +8,7 @@ import (
 // TestPropagationModelsRegistered verifies the built-in propagation models
 // resolve.
 func TestPropagationModelsRegistered(t *testing.T) {
-	want := []string{"rayleigh", "shadowing", "unit-disk"}
+	want := []string{"shadowing", "unit-disk"}
 	if got := PropagationModels(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("PropagationModels() = %v, want %v", got, want)
 	}
@@ -28,8 +28,8 @@ func TestUnknownPropagationErrors(t *testing.T) {
 // contract the channel relies on: LinkRange is symmetric, deterministic
 // across instances, positive, and never exceeds MaxRange — exactly, since
 // the channel rejects on d² > MaxRange² before it consults the link. The
-// sample is wide enough to hit the clamped tails (shadowing beyond +3
-// sigma, rayleigh gain above 4), where LinkRange must equal MaxRange.
+// sample is wide enough to hit the clamped tail (shadowing beyond +3
+// sigma), where LinkRange must equal MaxRange.
 func TestFadingLinkContract(t *testing.T) {
 	for _, model := range PropagationModels() {
 		t.Run(model, func(t *testing.T) {

@@ -97,8 +97,8 @@ type Params struct {
 	// Propagation selects a registered propagation model; the zero
 	// value is unit-disk at Range, the paper's radio.
 	Propagation PropSpec
-	// Seed feeds deterministic per-link fading draws (shadowing,
-	// rayleigh); unit-disk ignores it.
+	// Seed feeds deterministic per-link fading draws (shadowing);
+	// unit-disk ignores it.
 	Seed int64
 	// MaxSpeed is a hard upper bound on any station's speed in m/s. It
 	// lets the spatial grid bound how far cached positions drift between

@@ -249,7 +249,7 @@ func (p *Protocol) sendHello() {
 	for k := 0; k < limit; k++ {
 		dst := dsts[(int(p.helloCursor)+k)%len(dsts)]
 		r := p.route(dst)
-		h.Entries = append(h.Entries, helloEntry{Dst: dst, SN: r.order.SN, F: r.order.FD, D: r.dist})
+		h.Entries = append(h.Entries, helloEntry{Dst: dst, SN: r.order.SN, F: r.order.FD, D: int(r.dist)})
 	}
 	p.helloCursor += uint32(limit)
 	if len(h.Entries) == 0 {
@@ -441,7 +441,7 @@ func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	st, _ := p.rreqs.Put(rreqKey(p.self, p.rreqID))
 	*st = rreqState{
 		cached:  label.Unassigned, // M_k = infinity at the requester
-		lastHop: p.self,
+		lastHop: int32(p.self),
 		active:  true,
 		expiry:  p.node.Now() + p.cfg.DeletePeriod,
 	}
@@ -503,7 +503,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	}
 	*st = rreqState{
 		cached:  r.order(),
-		lastHop: from,
+		lastHop: int32(from),
 		expiry:  p.node.Now() + p.cfg.DeletePeriod,
 	}
 
@@ -571,7 +571,7 @@ func (p *Protocol) intermediateReply(from netstack.NodeID, r *rreq) {
 		Dst:      r.Dst,
 		DstSeq:   rt.order.SN,
 		LF:       rt.order.FD,
-		LD:       rt.dist,
+		LD:       int(rt.dist),
 		Lifetime: p.cfg.ActiveRouteTimeout,
 	}
 	if p.cfg.RequestRack {
@@ -626,7 +626,7 @@ func (p *Protocol) relayRREQ(from netstack.NodeID, r *rreq) {
 	// Advertisement piece for the source: replace with this node's own
 	// route to Src if active, else mark N (§III).
 	if rt := p.route(r.Src); rt != nil && rt.assigned && rt.active(p.node.Now()) {
-		z.SrcSeq, z.LF, z.LD = rt.order.SN, rt.order.FD, rt.dist
+		z.SrcSeq, z.LF, z.LD = rt.order.SN, rt.order.FD, int(rt.dist)
 		z.Flags &^= flagN
 		z.Lifetime = p.cfg.ActiveRouteTimeout
 	} else {
@@ -678,7 +678,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		if !terminus && st != nil && !st.replied {
 			if rt := p.route(rep.Dst); rt != nil && rt.assigned && rt.active(p.node.Now()) && c.Precedes(rt.order) {
 				st.replied = true
-				p.forwardRREP(st.lastHop, rep, rt.order, rt.dist)
+				p.forwardRREP(netstack.NodeID(st.lastHop), rep, rt.order, int(rt.dist))
 			}
 		}
 		return
@@ -697,7 +697,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		return // at most one reply per (source, rreqid) (Procedure 4)
 	}
 	st.replied = true
-	p.forwardRREP(st.lastHop, rep, g, p.route(rep.Dst).dist)
+	p.forwardRREP(netstack.NodeID(st.lastHop), rep, g, int(p.route(rep.Dst).dist))
 }
 
 // forwardRREP relays an advertisement rewritten with this node's ordering
@@ -748,7 +748,7 @@ func (p *Protocol) requestPathReset(dst netstack.NodeID) {
 	st, _ := p.rreqs.Put(rreqKey(p.self, p.rreqID))
 	*st = rreqState{
 		cached:  label.Unassigned,
-		lastHop: p.self,
+		lastHop: int32(p.self),
 		active:  true,
 		expiry:  p.node.Now() + p.cfg.DeletePeriod,
 	}
@@ -795,14 +795,14 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 	}
 	r.assigned = true
 	r.order = g
-	r.dist = dist
+	r.dist = int32(dist)
 	if g.FD.Den > p.maxDenomSeen {
 		p.maxDenomSeen = g.FD.Den
 	}
 	if lifetime <= 0 {
 		lifetime = p.cfg.ActiveRouteTimeout
 	}
-	s := successor{id: from, order: adv, dist: dist, expiry: p.node.Now() + lifetime}
+	s := successor{order: adv, expiry: p.node.Now() + lifetime, id: int32(from), dist: int32(dist)}
 	if old := r.find(from); old != nil {
 		*old = s
 	} else {

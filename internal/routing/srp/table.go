@@ -1,6 +1,7 @@
 package srp
 
 import (
+	"math"
 	"math/rand"
 
 	"slr/internal/label"
@@ -27,35 +28,42 @@ const (
 )
 
 // successor is one entry of the successor set S^A_T: a next hop with the
-// ordering it advertised and its measured distance.
+// ordering it advertised and its measured distance. Every route carries a
+// handful, so on large networks successors are most of SRP's memory: the
+// id and distance are 32 bits each, which makes the entry 32 bytes. Node
+// ids are dense and below 2^31 (spec.ValidateParams bounds the node
+// count; rreqKey assumes the same), and a distance counts hops, so it
+// stays far below 2^31 too.
 type successor struct {
-	id     netstack.NodeID
 	order  label.Order
-	dist   int
 	expiry sim.Time
+	id     int32
+	dist   int32
 }
 
 // route is the per-destination state at a node: its own ordering O^A_T
 // (Definition 3: "assigned" once present; it must be kept for at least
 // DELETE_PERIOD after the route becomes invalid), the successor set, and
-// the measured distance. Routes live by value in Protocol.routes.
+// the measured distance. Routes live by value in Protocol.routes. The
+// distance is 32 bits for the reason successor's is, and assigned sits
+// after the two 32-bit fields, so a route is 64 bytes, not 72.
 type route struct {
-	assigned bool
-	order    label.Order
-	dist     int
+	order label.Order
 	// succ is unordered and holds at most one entry per next hop. A route
 	// has a handful of successors, so membership is a linear scan.
 	succ []successor
 	// orderExpiry is when an invalid route's ordering may be forgotten.
 	orderExpiry sim.Time
+	dist        int32
 	// rrIndex cycles PolicyRoundRobin through the successor set.
-	rrIndex uint32
+	rrIndex  uint32
+	assigned bool
 }
 
 // index returns the position in succ of next hop n, or -1.
 func (r *route) index(n netstack.NodeID) int {
 	for i := range r.succ {
-		if r.succ[i].id == n {
+		if netstack.NodeID(r.succ[i].id) == n {
 			return i
 		}
 	}
@@ -101,7 +109,7 @@ func (r *route) active(now sim.Time) bool {
 // "min-hop set" uni-path rule of §III) and false if none.
 func (r *route) best(now sim.Time) (netstack.NodeID, bool) {
 	bestID := netstack.NodeID(-1)
-	bestDist := int(^uint(0) >> 1)
+	bestDist := int32(math.MaxInt32)
 	found := false
 	for i := len(r.succ) - 1; i >= 0; i-- {
 		s := &r.succ[i]
@@ -109,8 +117,9 @@ func (r *route) best(now sim.Time) (netstack.NodeID, bool) {
 			r.remove(i)
 			continue
 		}
-		if !found || s.dist < bestDist || (s.dist == bestDist && s.id < bestID) {
-			bestID, bestDist, found = s.id, s.dist, true
+		id := netstack.NodeID(s.id)
+		if !found || s.dist < bestDist || (s.dist == bestDist && id < bestID) {
+			bestID, bestDist, found = id, s.dist, true
 		}
 	}
 	return bestID, found
@@ -152,7 +161,7 @@ func (r *route) successors(now sim.Time) []netstack.NodeID {
 	var out []netstack.NodeID
 	for i := range r.succ {
 		if r.succ[i].expiry > now {
-			out = append(out, r.succ[i].id)
+			out = append(out, netstack.NodeID(r.succ[i].id))
 		}
 	}
 	sortNodeIDs(out)
@@ -184,13 +193,15 @@ func (r *route) pruneOutOfOrder(g label.Order) int {
 // rreqState is the per-(source, rreqID) computation state (§III): passive
 // nodes have no entry; engaged and active nodes cache the solicitation
 // ordering C (the M of SLR) and the last hop for the reverse path. States
-// live by value in Protocol.rreqs.
+// live by value in Protocol.rreqs; a flood leaves one at nearly every
+// node, so lastHop is 32 bits (a node id, as in successor) and the two
+// flags pack behind it: 32 bytes, not 40.
 type rreqState struct {
 	cached  label.Order // C^A_?: ordering of the relayed solicitation
-	lastHop netstack.NodeID
+	expiry  sim.Time
+	lastHop int32
 	active  bool // true at the computation's originator
 	replied bool // at most one reply forwarded per computation
-	expiry  sim.Time
 }
 
 // rreqKey identifies a route computation in Protocol.rreqs: source in the

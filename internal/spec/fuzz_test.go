@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,8 +25,9 @@ func jsonKeys(t reflect.Type) []string {
 // FuzzParse feeds arbitrary bytes to the spec parser, seeded from every
 // spec file the repo ships (read in place, so a new example or benchmark
 // workload is a new seed). Parse must never panic; whatever it accepts
-// must be one JSON object with no unknown top-level field, must resolve
-// to Params, and must survive a marshal/Parse round trip unchanged.
+// must be one JSON object with no unknown top-level field, must have a
+// node count whose ids fit in 32 bits, must resolve to Params, and must
+// survive a marshal/Parse round trip unchanged.
 func FuzzParse(f *testing.F) {
 	for _, pattern := range []string{"../../examples/scenarios/*.json", "../../cmd/slrbench/workloads/*.json"} {
 		paths, _ := filepath.Glob(pattern)
@@ -40,6 +42,13 @@ func FuzzParse(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	huge := PaperDefault()
+	huge.Nodes = math.MaxInt32 + 1
+	data, err := json.Marshal(huge)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	known := jsonKeys(reflect.TypeOf(ScenarioSpec{}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,6 +65,9 @@ func FuzzParse(f *testing.F) {
 			if !slices.ContainsFunc(known, func(k string) bool { return strings.EqualFold(k, key) }) {
 				t.Fatalf("Parse accepted unknown field %q", key)
 			}
+		}
+		if s.Nodes > math.MaxInt32 {
+			t.Fatalf("Parse accepted %d nodes, past the 32-bit node ids SRP stores", s.Nodes)
 		}
 		if _, err := s.Params(); err != nil {
 			t.Fatalf("accepted spec has no Params: %v", err)

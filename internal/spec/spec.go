@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -229,6 +230,9 @@ func (s *ScenarioSpec) Validate() error {
 func ValidateParams(p scenario.Params) error {
 	if p.Nodes < 2 {
 		return fmt.Errorf("spec: nodes %d must be >= 2", p.Nodes)
+	}
+	if p.Nodes > math.MaxInt32 {
+		return fmt.Errorf("spec: nodes %d exceeds %d: SRP stores node ids in 32 bits", p.Nodes, math.MaxInt32)
 	}
 	if p.Terrain.Width <= 0 || p.Terrain.Height <= 0 {
 		return fmt.Errorf("spec: terrain %vx%v must be positive", p.Terrain.Width, p.Terrain.Height)

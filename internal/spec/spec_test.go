@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -98,6 +99,7 @@ func TestParseRejects(t *testing.T) {
 		{"bad propagation", mutate(func(s *ScenarioSpec) { s.Radio.Propagation = "warp" }), "propagation"},
 		{"bad speeds", mutate(func(s *ScenarioSpec) { s.Mobility.MinSpeedMps = 30 }), "speeds"},
 		{"one node", mutate(func(s *ScenarioSpec) { s.Nodes = 1 }), "nodes"},
+		{"ids past 32 bits", mutate(func(s *ScenarioSpec) { s.Nodes = math.MaxInt32 + 1 }), "2147483647"},
 		{"no duration", mutate(func(s *ScenarioSpec) { s.DurationSeconds = 0 }), "duration"},
 		{"no flow lifetime", mutate(func(s *ScenarioSpec) { s.Traffic.MeanLifeSeconds = 0 }), "mean_life_seconds"},
 		{"bad model param", mutate(func(s *ScenarioSpec) {
