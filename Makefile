@@ -5,7 +5,7 @@ GO      ?= go
 SCALE   ?= mid
 WORKERS ?= 0
 
-.PHONY: all build test race bench fmt vet lint sweep
+.PHONY: all build test race bench fmt vet lint examples sweep
 
 all: build test
 
@@ -17,6 +17,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every example, each under a second; an example whose claim does not hold
+# (multipath with no multi-successor node) exits non-zero.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/relabel
+	$(GO) run ./examples/mobility
+	$(GO) run ./examples/multipath
 
 # Bench smoke: one iteration of every bench, so regressions in the bench
 # harness itself surface quickly. It measures nothing — the repo's perf

@@ -108,4 +108,11 @@
 // registered protocol through a shared contract: quiet before Start,
 // idempotent Start, deterministic replay at any worker count, and drops
 // only from the canonical vocabulary.
+//
+// A network is wired one way: netstack.NewNetwork builds the channel, the
+// collector and one node per mobility model, and scenario trials, rtest's
+// protocol worlds and the examples all build through it. Its
+// CheckLoopFree is the one loop-freedom checker (Theorem 3): every node's
+// successor sets per destination, through internal/loopcheck, skipping a
+// protocol that exposes none.
 package slr

@@ -2,10 +2,11 @@
 // the label set keeps all successors in topological order, a node may keep
 // *every* feasible in-order neighbor as a successor, not just one.
 //
-// A 4x4 grid of static nodes runs SRP; several corners request routes to
-// node 15. Afterwards the program prints each node's successor set for
-// destination 15 and verifies that the union of all successor sets is a
-// DAG — multiple forwarding choices, zero loops.
+// A 4x4 grid of static nodes runs SRP; six nodes near the opposite corner
+// request routes to node 15, one second apart. Afterwards the program
+// prints each node's successor set for destination 15 and verifies that
+// the union of all successor sets is a DAG — multiple forwarding choices,
+// zero loops. It exits non-zero if no node holds more than one successor.
 //
 // Run with: go run ./examples/multipath
 package main
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"slr/internal/geo"
-	"slr/internal/metrics"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
 	"slr/internal/radio"
@@ -34,31 +34,25 @@ func main() {
 		dest = 15
 	)
 
-	s := sim.New(7)
 	rp := radio.DefaultParams()
 	rp.Range = 120 // connect only grid neighbors (and not diagonals)
-	ch := radio.NewChannel(s, rp)
-	mx := metrics.NewCollector()
-
+	grid := make([]mobility.Model, rows*cols)
+	for i := range grid {
+		grid[i] = &mobility.Static{At: geo.Point{X: float64(i%cols) * gap, Y: float64(i/cols) * gap}}
+	}
 	protos := make([]*srp.Protocol, rows*cols)
-	nodes := make([]*netstack.Node, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			id := netstack.NodeID(r*cols + c)
-			protos[id] = srp.New(srp.DefaultConfig())
-			nodes[id] = netstack.NewNode(s, ch, id, protos[id], mx)
-			ch.Register(id, &mobility.Static{At: geo.Point{X: float64(c) * gap, Y: float64(r) * gap}}, nodes[id].Mac())
-		}
-	}
-	for _, n := range nodes {
-		n.Start()
-	}
+	net := netstack.NewNetwork(sim.New(7), rp, grid, func(id netstack.NodeID) netstack.Protocol {
+		protos[id] = srp.New(srp.DefaultConfig())
+		return protos[id]
+	})
+	net.StartAll()
+	s, nodes := net.Sim, net.Nodes
 
 	// Several sources keep flows toward the far corner alive;
 	// overlapping route computations give interior nodes multiple
 	// feasible successors, all kept in label order.
 	uid := uint64(0)
-	for i, src := range []int{0, 1, 4, 2, 8} {
+	for i, src := range []int{0, 1, 4, 2, 8, 5} {
 		src := src
 		for tick := 0; tick < 20; tick++ {
 			at := sim.Time(i)*time.Second + sim.Time(tick)*500*time.Millisecond
@@ -88,7 +82,7 @@ func main() {
 	}
 	fmt.Printf("\n%d nodes hold more than one successor for the destination.\n", multi)
 	if multi == 0 {
-		fmt.Println("(successor sets are single-path for this seed; re-run with more flows)")
+		log.Fatal("no node holds more than one successor: the grid was routed single-path")
 	}
 
 	// Verify the invariant the labels guarantee: the union of all

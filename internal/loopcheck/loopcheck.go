@@ -1,6 +1,7 @@
 // Package loopcheck detects directed cycles in successor graphs. It backs
-// the loop-freedom-at-every-instant assertions (Theorem 3) in both the test
-// harness and the scenario runner's invariant checking.
+// the loop-freedom-at-every-instant check (Theorem 3),
+// netstack.Network.CheckLoopFree, which protocol tests, scenario trials
+// and -check all run.
 package loopcheck
 
 import "slices"

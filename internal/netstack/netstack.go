@@ -109,9 +109,9 @@ type Node struct {
 	envFree []*controlEnvelope
 }
 
-// NewNode wires a node together. The caller must register node.MAC() (via
-// Mac()) with the radio channel and call Start.
-func NewNode(s *sim.Simulator, ch *radio.Channel, id NodeID, proto Protocol, mx *metrics.Collector) *Node {
+// newNode wires a node together and attaches its protocol; NewNetwork
+// registers it on the channel and StartAll starts it.
+func newNode(s *sim.Simulator, ch *radio.Channel, id NodeID, proto Protocol, mx *metrics.Collector) *Node {
 	n := &Node{
 		id:        id,
 		sim:       s,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"slr/internal/geo"
-	"slr/internal/metrics"
 	"slr/internal/mobility"
 	"slr/internal/radio"
 	"slr/internal/sim"
@@ -71,29 +70,27 @@ func (p *hopProto) DataAcked(to NodeID, pkt *DataPacket)  { p.acked = append(p.a
 func (p *hopProto) ControlFailed(to NodeID, msg any)      { p.ctlFails = append(p.ctlFails, msg) }
 
 type world struct {
-	sim   *sim.Simulator
-	ch    *radio.Channel
-	nodes []*Node
+	*Network
 	prots []*hopProto
-	mx    *metrics.Collector
 }
 
+// buildWorld places one started hopProto node at each x on a line, with a
+// 100 m range.
 func buildWorld(t *testing.T, xs ...float64) *world {
 	t.Helper()
-	s := sim.New(7)
 	p := radio.DefaultParams()
 	p.Range = 100
-	ch := radio.NewChannel(s, p)
-	mx := metrics.NewCollector()
-	w := &world{sim: s, ch: ch, mx: mx}
+	models := make([]mobility.Model, len(xs))
 	for i, x := range xs {
-		pr := &hopProto{nextHop: make(map[NodeID]NodeID)}
-		n := NewNode(s, ch, NodeID(i), pr, mx)
-		ch.Register(NodeID(i), &mobility.Static{At: geo.Point{X: x}}, n.Mac())
-		n.Start()
-		w.nodes = append(w.nodes, n)
-		w.prots = append(w.prots, pr)
+		models[i] = &mobility.Static{At: geo.Point{X: x}}
 	}
+	w := &world{}
+	w.Network = NewNetwork(sim.New(7), p, models, func(NodeID) Protocol {
+		pr := &hopProto{nextHop: make(map[NodeID]NodeID)}
+		w.prots = append(w.prots, pr)
+		return pr
+	})
+	w.StartAll()
 	return w
 }
 
@@ -103,40 +100,40 @@ func TestMultiHopDataDelivery(t *testing.T) {
 	w.prots[0].nextHop[3] = 1
 	w.prots[1].nextHop[3] = 2
 	w.prots[2].nextHop[3] = 3
-	pkt := &DataPacket{UID: 1, Src: 0, Dst: 3, Size: 512, TTL: DefaultTTL, Created: w.sim.Now()}
-	w.nodes[0].SendData(pkt)
-	w.sim.Run()
-	if w.mx.DataSent != 1 || w.mx.DataRecv != 1 {
-		t.Fatalf("sent/recv = %d/%d, want 1/1", w.mx.DataSent, w.mx.DataRecv)
+	pkt := &DataPacket{UID: 1, Src: 0, Dst: 3, Size: 512, TTL: DefaultTTL, Created: w.Sim.Now()}
+	w.Nodes[0].SendData(pkt)
+	w.Sim.Run()
+	if w.MX.DataSent != 1 || w.MX.DataRecv != 1 {
+		t.Fatalf("sent/recv = %d/%d, want 1/1", w.MX.DataSent, w.MX.DataRecv)
 	}
-	if w.mx.MeanHops() != 3 {
-		t.Fatalf("hops = %v, want 3", w.mx.MeanHops())
+	if w.MX.MeanHops() != 3 {
+		t.Fatalf("hops = %v, want 3", w.MX.MeanHops())
 	}
-	if w.mx.MeanLatency() <= 0 || w.mx.MeanLatency() > 0.1 {
-		t.Fatalf("latency = %v s, implausible", w.mx.MeanLatency())
+	if w.MX.MeanLatency() <= 0 || w.MX.MeanLatency() > 0.1 {
+		t.Fatalf("latency = %v s, implausible", w.MX.MeanLatency())
 	}
 }
 
 func TestDuplicateDeliveryCountsOnce(t *testing.T) {
 	w := buildWorld(t, 0, 80)
 	w.prots[0].nextHop[1] = 1
-	pkt := &DataPacket{UID: 9, Src: 0, Dst: 1, Size: 100, TTL: 4, Created: w.sim.Now()}
-	w.nodes[0].SendData(pkt)
-	w.sim.Run()
+	pkt := &DataPacket{UID: 9, Src: 0, Dst: 1, Size: 100, TTL: 4, Created: w.Sim.Now()}
+	w.Nodes[0].SendData(pkt)
+	w.Sim.Run()
 	// Simulate a duplicate arriving later.
-	w.nodes[1].DeliverLocal(pkt)
-	if w.mx.DataRecv != 1 {
-		t.Fatalf("DataRecv = %d, want 1 (dedup)", w.mx.DataRecv)
+	w.Nodes[1].DeliverLocal(pkt)
+	if w.MX.DataRecv != 1 {
+		t.Fatalf("DataRecv = %d, want 1 (dedup)", w.MX.DataRecv)
 	}
 }
 
 func TestNoRouteDrop(t *testing.T) {
 	w := buildWorld(t, 0, 80)
-	pkt := &DataPacket{UID: 2, Src: 0, Dst: 1, Size: 100, TTL: 4, Created: w.sim.Now()}
-	w.nodes[0].SendData(pkt)
-	w.sim.Run()
-	if w.mx.DataDrops["no-route"] != 1 {
-		t.Fatalf("drops = %v", w.mx.DataDrops)
+	pkt := &DataPacket{UID: 2, Src: 0, Dst: 1, Size: 100, TTL: 4, Created: w.Sim.Now()}
+	w.Nodes[0].SendData(pkt)
+	w.Sim.Run()
+	if w.MX.DataDrops["no-route"] != 1 {
+		t.Fatalf("drops = %v", w.MX.DataDrops)
 	}
 }
 
@@ -145,18 +142,18 @@ func TestTTLExpiry(t *testing.T) {
 	w := buildWorld(t, 0, 80)
 	w.prots[0].nextHop[5] = 1
 	w.prots[1].nextHop[5] = 0
-	pkt := &DataPacket{UID: 3, Src: 0, Dst: 5, Size: 100, TTL: 6, Created: w.sim.Now()}
-	w.nodes[0].SendData(pkt)
-	w.sim.Run()
-	if w.mx.DataDrops["ttl-expired"] != 1 {
-		t.Fatalf("drops = %v, want one ttl-expired", w.mx.DataDrops)
+	pkt := &DataPacket{UID: 3, Src: 0, Dst: 5, Size: 100, TTL: 6, Created: w.Sim.Now()}
+	w.Nodes[0].SendData(pkt)
+	w.Sim.Run()
+	if w.MX.DataDrops["ttl-expired"] != 1 {
+		t.Fatalf("drops = %v, want one ttl-expired", w.MX.DataDrops)
 	}
 }
 
 func TestControlBroadcastAndAccounting(t *testing.T) {
 	w := buildWorld(t, 0, 80, 160)
-	w.nodes[0].BroadcastControl(48, "hello-msg")
-	w.sim.Run()
+	w.Nodes[0].BroadcastControl(48, "hello-msg")
+	w.Sim.Run()
 	if len(w.prots[1].control) != 1 || w.prots[1].control[0] != "hello-msg" {
 		t.Fatalf("node1 control = %v", w.prots[1].control)
 	}
@@ -164,15 +161,15 @@ func TestControlBroadcastAndAccounting(t *testing.T) {
 	if len(w.prots[2].control) != 0 {
 		t.Fatalf("node2 control = %v, want none", w.prots[2].control)
 	}
-	if w.mx.ControlTx != 1 || w.mx.ControlBytes != 48 {
-		t.Fatalf("control accounting = %d/%d", w.mx.ControlTx, w.mx.ControlBytes)
+	if w.MX.ControlTx != 1 || w.MX.ControlBytes != 48 {
+		t.Fatalf("control accounting = %d/%d", w.MX.ControlTx, w.MX.ControlBytes)
 	}
 }
 
 func TestUnicastControlFailureCallback(t *testing.T) {
 	w := buildWorld(t, 0, 500)
-	w.nodes[0].UnicastControl(1, 24, "rrep")
-	w.sim.Run()
+	w.Nodes[0].UnicastControl(1, 24, "rrep")
+	w.Sim.Run()
 	if len(w.prots[0].ctlFails) != 1 || w.prots[0].ctlFails[0] != "rrep" {
 		t.Fatalf("ctlFails = %v", w.prots[0].ctlFails)
 	}
@@ -185,9 +182,9 @@ func TestDataFailedCallback(t *testing.T) {
 	// move it out of range is impossible with statics; use missing id:
 	// MAC sends to id 9 which is unregistered — no one ACKs, retries
 	// exhaust, DataFailed fires.
-	pkt := &DataPacket{UID: 4, Src: 0, Dst: 7, Size: 100, TTL: 4, Created: w.sim.Now()}
-	w.nodes[0].SendData(pkt)
-	w.sim.Run()
+	pkt := &DataPacket{UID: 4, Src: 0, Dst: 7, Size: 100, TTL: 4, Created: w.Sim.Now()}
+	w.Nodes[0].SendData(pkt)
+	w.Sim.Run()
 	if len(w.prots[0].failed) != 1 {
 		t.Fatalf("failed = %v, want 1 packet", w.prots[0].failed)
 	}
@@ -196,9 +193,9 @@ func TestDataFailedCallback(t *testing.T) {
 func TestDataAckedCallback(t *testing.T) {
 	w := buildWorld(t, 0, 80)
 	w.prots[0].nextHop[1] = 1
-	pkt := &DataPacket{UID: 5, Src: 0, Dst: 1, Size: 100, TTL: 4, Created: w.sim.Now()}
-	w.nodes[0].SendData(pkt)
-	w.sim.Run()
+	pkt := &DataPacket{UID: 5, Src: 0, Dst: 1, Size: 100, TTL: 4, Created: w.Sim.Now()}
+	w.Nodes[0].SendData(pkt)
+	w.Sim.Run()
 	if len(w.prots[0].acked) != 1 {
 		t.Fatalf("acked = %v, want 1 packet", w.prots[0].acked)
 	}
@@ -207,13 +204,13 @@ func TestDataAckedCallback(t *testing.T) {
 func TestTimersViaNode(t *testing.T) {
 	w := buildWorld(t, 0)
 	fired := false
-	w.nodes[0].After(3*time.Second, func() { fired = true })
-	w.sim.Run()
+	w.Nodes[0].After(3*time.Second, func() { fired = true })
+	w.Sim.Run()
 	if !fired {
 		t.Fatal("timer did not fire")
 	}
-	if w.nodes[0].Now() != 3*time.Second {
-		t.Fatalf("Now = %v", w.nodes[0].Now())
+	if w.Nodes[0].Now() != 3*time.Second {
+		t.Fatalf("Now = %v", w.Nodes[0].Now())
 	}
 }
 
@@ -225,12 +222,12 @@ func TestTimersViaNode(t *testing.T) {
 func TestBroadcastControlAfterMatchesAfter(t *testing.T) {
 	run := func(relay func(n *Node, d sim.Time, size int, msg any)) *world {
 		w := buildWorld(t, 0, 80, 160)
-		w.nodes[0].BroadcastControl(40, "a0")
-		relay(w.nodes[1], 0, 48, "r1")
-		relay(w.nodes[1], 300*time.Microsecond, 56, "r2")
-		relay(w.nodes[1], 2*time.Millisecond, 64, "r3")
-		w.nodes[2].After(300*time.Microsecond, func() { w.nodes[2].BroadcastControl(40, "a2") })
-		w.sim.Run()
+		w.Nodes[0].BroadcastControl(40, "a0")
+		relay(w.Nodes[1], 0, 48, "r1")
+		relay(w.Nodes[1], 300*time.Microsecond, 56, "r2")
+		relay(w.Nodes[1], 2*time.Millisecond, 64, "r3")
+		w.Nodes[2].After(300*time.Microsecond, func() { w.Nodes[2].BroadcastControl(40, "a2") })
+		w.Sim.Run()
 		return w
 	}
 	want := run(func(n *Node, d sim.Time, size int, msg any) {
@@ -246,11 +243,11 @@ func TestBroadcastControlAfterMatchesAfter(t *testing.T) {
 		t.Fatalf("edge nodes heard %d and %d frames, want the relay's 3 each",
 			len(want.prots[0].heard), len(want.prots[2].heard))
 	}
-	if got.sim.Fired() != want.sim.Fired() || got.mx.ControlTx != want.mx.ControlTx ||
-		got.mx.ControlBytes != want.mx.ControlBytes {
+	if got.Sim.Fired() != want.Sim.Fired() || got.MX.ControlTx != want.MX.ControlTx ||
+		got.MX.ControlBytes != want.MX.ControlBytes {
 		t.Errorf("events/control tx/bytes = %d/%d/%d, want %d/%d/%d",
-			got.sim.Fired(), got.mx.ControlTx, got.mx.ControlBytes,
-			want.sim.Fired(), want.mx.ControlTx, want.mx.ControlBytes)
+			got.Sim.Fired(), got.MX.ControlTx, got.MX.ControlBytes,
+			want.Sim.Fired(), want.MX.ControlTx, want.MX.ControlBytes)
 	}
 }
 
@@ -261,18 +258,18 @@ func TestBroadcastControlAfterAllocs(t *testing.T) {
 	w := buildWorld(t, 0, 80)
 	msg := &DataPacket{} // any pointer: the stack never looks inside
 	relay := func() {
-		w.nodes[0].BroadcastControlAfter(time.Millisecond, 48, msg)
-		w.sim.Run()
+		w.Nodes[0].BroadcastControlAfter(time.Millisecond, 48, msg)
+		w.Sim.Run()
 		w.prots[1].control, w.prots[1].heard = w.prots[1].control[:0], w.prots[1].heard[:0]
 	}
 	relay()
-	if len(w.nodes[0].envFree) != 1 {
-		t.Fatalf("%d envelopes pooled after the broadcast left the air, want 1", len(w.nodes[0].envFree))
+	if len(w.Nodes[0].envFree) != 1 {
+		t.Fatalf("%d envelopes pooled after the broadcast left the air, want 1", len(w.Nodes[0].envFree))
 	}
 	if n := testing.AllocsPerRun(200, relay); n != 0 {
 		t.Errorf("delayed broadcast with a warm pool: %v allocs, want 0", n)
 	}
-	if w.mx.ControlTx != 1+1+200 { // AllocsPerRun warms up once
-		t.Fatalf("ControlTx = %d, want 202", w.mx.ControlTx)
+	if w.MX.ControlTx != 1+1+200 { // AllocsPerRun warms up once
+		t.Fatalf("ControlTx = %d, want 202", w.MX.ControlTx)
 	}
 }

@@ -1,7 +1,7 @@
 // Package rtest provides a shared in-memory world harness for routing
-// protocol tests: nodes on a radio channel with static or scripted
-// mobility, application packet injection, and a per-destination
-// successor-graph cycle checker (the loop-freedom invariant).
+// protocol tests: a netstack.Network, wired and loop-checked
+// (CheckLoopFree) the way scenario trials are, with nodes placed at
+// positions or on scripted mobility, and application packet injection.
 package rtest
 
 import (
@@ -10,21 +10,17 @@ import (
 	"runtime"
 
 	"slr/internal/geo"
-	"slr/internal/loopcheck"
-	"slr/internal/metrics"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
 	"slr/internal/radio"
 	"slr/internal/sim"
 )
 
-// World is a small simulated network for protocol tests.
+// World is a small simulated network for protocol tests: a
+// netstack.Network with packet injection on top.
 type World struct {
-	Sim   *sim.Simulator
-	Ch    *radio.Channel
-	Nodes []*netstack.Node
-	MX    *metrics.Collector
-	uid   uint64
+	*netstack.Network
+	uid uint64
 }
 
 // Factory builds a protocol instance for a node.
@@ -46,40 +42,22 @@ func New(seed int64, rangeM float64, f Factory, positions []geo.Point, models []
 // tests can observe the before-Start contract (no control traffic) or
 // exercise Start explicitly.
 func NewStopped(seed int64, rangeM float64, f Factory, positions []geo.Point, models []mobility.Model) *World {
-	s := sim.New(seed)
 	p := radio.DefaultParams()
 	p.Range = rangeM
-	for i, m := range models {
-		if m == nil {
+	placed := make([]mobility.Model, len(positions))
+	for i, pos := range positions {
+		placed[i] = &mobility.Static{At: pos}
+		if models == nil || models[i] == nil {
 			continue
 		}
-		b, ok := m.(interface{ MaxSpeed() float64 })
+		b, ok := models[i].(interface{ MaxSpeed() float64 })
 		if !ok {
-			panic(fmt.Sprintf("rtest: models[%d] (%T) has no MaxSpeed() bound", i, m))
+			panic(fmt.Sprintf("rtest: models[%d] (%T) has no MaxSpeed() bound", i, models[i]))
 		}
 		p.MaxSpeed = math.Max(p.MaxSpeed, b.MaxSpeed())
+		placed[i] = models[i]
 	}
-	ch := radio.NewChannel(s, p)
-	mx := metrics.NewCollector()
-	w := &World{Sim: s, Ch: ch, MX: mx}
-	for i, pos := range positions {
-		id := netstack.NodeID(i)
-		n := netstack.NewNode(s, ch, id, f(id), mx)
-		var m mobility.Model = &mobility.Static{At: pos}
-		if models != nil && models[i] != nil {
-			m = models[i]
-		}
-		ch.Register(id, m, n.Mac())
-		w.Nodes = append(w.Nodes, n)
-	}
-	return w
-}
-
-// StartAll starts every node's protocol.
-func (w *World) StartAll() {
-	for _, n := range w.Nodes {
-		n.Start()
-	}
+	return &World{Network: netstack.NewNetwork(sim.New(seed), p, placed, f)}
 }
 
 // Chain returns n positions spaced `gap` meters apart on a line.
@@ -136,32 +114,4 @@ func (w *World) AllocsPerRelay(runs int, settle sim.Time, fn func()) float64 {
 		w.Sim.RunUntil(w.Sim.Now() + settle)
 	}
 	return float64(mallocs / uint64(runs))
-}
-
-// SuccessorLister is implemented by protocols that expose their successor
-// sets for invariant checking.
-type SuccessorLister interface {
-	SuccessorsOf(dst netstack.NodeID) []netstack.NodeID
-}
-
-// CheckLoopFree verifies that, for every destination, the union of all
-// nodes' successor sets forms an acyclic graph — the paper's loop-freedom
-// at every instant. It returns an error naming the destination on failure.
-func (w *World) CheckLoopFree() error {
-	for dst := range w.Nodes {
-		adj := make(map[int][]int)
-		for i, n := range w.Nodes {
-			sl, ok := n.Protocol().(SuccessorLister)
-			if !ok {
-				continue
-			}
-			for _, s := range sl.SuccessorsOf(netstack.NodeID(dst)) {
-				adj[i] = append(adj[i], int(s))
-			}
-		}
-		if cyc := loopcheck.FindCycle(adj); cyc != nil {
-			return fmt.Errorf("destination %d: routing loop %v at t=%v", dst, cyc, w.Sim.Now())
-		}
-	}
-	return nil
 }

@@ -164,9 +164,10 @@ func TestIntermediateReply(t *testing.T) {
 }
 
 func TestMultipathSuccessors(t *testing.T) {
-	// On a 3x3 grid with diagonal-free spacing, repeated discoveries from
-	// different corners give the center node multiple successors for the
-	// far corner.
+	// On a 3x3 grid with diagonal-free spacing, discoveries from nodes 0,
+	// 1 and 3 leave some node with more than one successor for the far
+	// corner (node 1 holds {0, 4}; the center holds one), and the union
+	// of the successor sets stays acyclic.
 	w := defaultWorld(t, rtest.Grid(3, 3, 100), nil)
 	for _, src := range []int{0, 1, 3} {
 		src := src
@@ -178,6 +179,15 @@ func TestMultipathSuccessors(t *testing.T) {
 	}
 	if w.MX.DataRecv != 3 {
 		t.Fatalf("delivered %d, want 3", w.MX.DataRecv)
+	}
+	multi := 0
+	for _, n := range w.Nodes {
+		if len(n.Protocol().(*Protocol).SuccessorsOf(8)) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no node holds more than one successor for node 8")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"slr/internal/geo"
-	"slr/internal/loopcheck"
 	"slr/internal/metrics"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
@@ -152,11 +151,6 @@ type controlReporter interface {
 	ControlBreakdown() (rreq, rrep, rerr uint64)
 }
 
-// successorLister is implemented by protocols exposing successor sets.
-type successorLister interface {
-	SuccessorsOf(dst netstack.NodeID) []netstack.NodeID
-}
-
 // SimHook, when non-nil, is called with each trial's Simulator right
 // after creation, before any event is scheduled. The scheduler-gate tests
 // in the repo root and slrsim's -ordercheck use it to enable the kernel's
@@ -189,8 +183,6 @@ func Run(p Params) Result {
 	rp.Propagation = p.Propagation
 	rp.Seed = p.Seed
 	rp.MaxSpeed = mobSpec.MaxSpeed
-	ch := radio.NewChannel(s, rp)
-	mx := metrics.NewCollector()
 
 	// Mobility and traffic get RNG streams independent of the protocol
 	// stack, and each node's mobility its own stream, so a seed fixes
@@ -199,25 +191,22 @@ func Run(p Params) Result {
 	// constructor: its draws equal math/rand's per seed, so recorded seeds
 	// replay unchanged, and a stream seeds only the state its draws touch,
 	// so a node's stream costs what the node draws.
-	protos := make([]netstack.Protocol, p.Nodes)
-	nodes := make([]*netstack.Node, p.Nodes)
-	senders := make([]traffic.Sender, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
-		protos[i] = buildProtocol(p)
-		n := netstack.NewNode(s, ch, netstack.NodeID(i), protos[i], mx)
-		mobRng := sim.NewRand(p.Seed<<16 + int64(i))
-		m, err := mobility.Build(p.Terrain, mobRng, mobSpec)
+	models := make([]mobility.Model, p.Nodes)
+	for i := range models {
+		m, err := mobility.Build(p.Terrain, sim.NewRand(p.Seed<<16+int64(i)), mobSpec)
 		if err != nil {
 			// Spec loading validates model names and parameters, so an
 			// error here is a wiring bug.
 			panic(err)
 		}
-		ch.Register(netstack.NodeID(i), m, n.Mac())
-		nodes[i] = n
-		senders[i] = n
+		models[i] = m
 	}
-	for _, n := range nodes {
-		n.Start()
+	net := netstack.NewNetwork(s, rp, models, func(netstack.NodeID) netstack.Protocol { return buildProtocol(p) })
+	net.StartAll()
+	ch, mx := net.Ch, net.MX
+	senders := make([]traffic.Sender, p.Nodes)
+	for i, n := range net.Nodes {
+		senders[i] = n
 	}
 
 	trafRng := sim.NewRand(p.Seed<<16 + int64(p.Nodes) + 1)
@@ -233,7 +222,7 @@ func Run(p Params) Result {
 		}
 		var check func()
 		check = func() {
-			if err := checkLoops(protos); err != nil {
+			if err := net.CheckLoopFree(); err != nil {
 				res.LoopErrors = append(res.LoopErrors,
 					fmt.Sprintf("t=%v: %v", s.Now(), err))
 			}
@@ -261,7 +250,7 @@ func Run(p Params) Result {
 	res.Flows = mx.Flows()
 
 	var drops uint64
-	for _, n := range nodes {
+	for _, n := range net.Nodes {
 		st := n.Mac().Stats()
 		drops += st.Drops()
 		res.MACDropsRetry += st.DropsRetry
@@ -272,7 +261,8 @@ func Run(p Params) Result {
 
 	var seqSum uint64
 	seqCount := 0
-	for _, pr := range protos {
+	for _, n := range net.Nodes {
+		pr := n.Protocol()
 		if sr, ok := pr.(seqnoReporter); ok {
 			seqSum += sr.SeqnoDelta()
 			seqCount++
@@ -303,27 +293,6 @@ func buildProtocol(p Params) netstack.Protocol {
 		panic(fmt.Sprintf("scenario: %v", err))
 	}
 	return proto
-}
-
-// checkLoops verifies per-destination acyclicity over all protocols'
-// successor sets.
-func checkLoops(protos []netstack.Protocol) error {
-	for dst := range protos {
-		adj := make(map[int][]int)
-		for i, pr := range protos {
-			sl, ok := pr.(successorLister)
-			if !ok {
-				return nil // protocol does not expose successors
-			}
-			for _, s := range sl.SuccessorsOf(netstack.NodeID(dst)) {
-				adj[i] = append(adj[i], int(s))
-			}
-		}
-		if cyc := loopcheck.FindCycle(adj); cyc != nil {
-			return fmt.Errorf("destination %d: successor cycle %v", dst, cyc)
-		}
-	}
-	return nil
 }
 
 // TrialSet aggregates per-trial results for one (protocol, pause) point.
