@@ -1,11 +1,12 @@
 # Make targets mirror exactly what CI runs (.github/workflows/ci.yml) so
 # humans and the workflow can never drift apart.
 
-GO      ?= go
-SCALE   ?= mid
-WORKERS ?= 0
+GO       ?= go
+SCALE    ?= mid
+WORKERS  ?= 0
+FUZZTIME ?= 10s
 
-.PHONY: all build test race bench fmt vet lint examples sweep
+.PHONY: all build test race fuzz bench fmt vet lint examples sweep
 
 all: build test
 
@@ -17,6 +18,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Fuzz every Fuzz* target in the repo for FUZZTIME each (`go test` runs
+# only their seed corpora). go test fuzzes one target per invocation, so
+# the targets are listed from the test files; a failing input is saved
+# under the package's testdata/fuzz for a regression test.
+fuzz:
+	@set -e; for file in $$(grep -rl --include='*_test.go' --exclude-dir=testdata '^func Fuzz' .); do \
+		for f in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+			echo "== $$f ($$(dirname $$file))"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$(dirname $$file); \
+		done; \
+	done
 
 # Every example, each under a second; an example whose claim does not hold
 # (multipath with no multi-successor node) exits non-zero.

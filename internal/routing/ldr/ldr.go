@@ -93,6 +93,8 @@ type rreq struct {
 	Reset   bool
 	TTL     int
 	D       int // hops traveled
+	// Comp is the computation's record, shared by every copy and reply.
+	Comp *rcommon.Computation[rreqState]
 }
 
 // rrep advertises a route with the replier's (sequence number, distance).
@@ -103,6 +105,7 @@ type rrep struct {
 	DstSeq   uint64
 	D        int
 	Lifetime sim.Time
+	Comp     *rcommon.Computation[rreqState] // the answered RREQ's record
 }
 
 // rerr lists newly unreachable destinations.
@@ -131,17 +134,16 @@ type entry struct {
 	expiry  sim.Time
 }
 
-type rreqKey struct {
-	src netstack.NodeID
-	id  uint32
-}
-
+// rreqState is a node's share of one route computation: the reverse
+// path's last hop, the request's ordering, and whether the node has
+// answered. It lives in the computation's own record, carried by the RREQ
+// and its RREPs, and lasts until the node's first sweep at or after
+// rcommon.FloodHold past its engagement.
 type rreqState struct {
 	lastHop netstack.NodeID
 	reqSn   uint64
 	reqFD   int
 	replied bool
-	expiry  sim.Time
 }
 
 // Protocol is one node's LDR instance.
@@ -155,7 +157,9 @@ type Protocol struct {
 	seqBumps uint64 // increments, the Fig. 7 metric
 	rreqID   uint32
 	table    map[netstack.NodeID]*entry
-	rreqs    map[rreqKey]*rreqState
+	// swept is the instant of the last 10 s sweep, which is when
+	// computation state expires (rcommon.Computation).
+	swept sim.Time
 	// disc runs route discovery: queues, RREQ rate limit, retries and
 	// hold-down.
 	disc *rcommon.DiscoveryTable
@@ -171,7 +175,6 @@ func New(cfg Config) *Protocol {
 	p := &Protocol{
 		cfg:       cfg,
 		table:     make(map[netstack.NodeID]*entry),
-		rreqs:     make(map[rreqKey]*rreqState),
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
 	}
 	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
@@ -188,12 +191,7 @@ func (p *Protocol) Attach(n *netstack.Node) {
 // Start implements netstack.Protocol. Starting twice is a no-op.
 func (p *Protocol) Start() {
 	p.sweeper.StartEvery(p.node, 10*time.Second, func() {
-		now := p.node.Now()
-		for k, st := range p.rreqs {
-			if st.expiry <= now {
-				delete(p.rreqs, k)
-			}
-		}
+		p.swept = p.node.Now()
 	})
 }
 
@@ -307,15 +305,13 @@ func (p *Protocol) linkBreak(to netstack.NodeID) {
 // discovery table picked.
 func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	p.rreqID++
-	key := rreqKey{src: p.self, id: p.rreqID}
-	p.rreqs[key] = &rreqState{lastHop: p.self, reqFD: infinity,
-		expiry: p.node.Now() + 30*time.Second, replied: true}
 	e := p.get(pd.Dst)
 	r := &rreq{
 		Src:    p.self,
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
 		TTL:    ttl,
+		Comp:   new(rcommon.Computation[rreqState]),
 	}
 	if e.fd == infinity && e.sn == 0 {
 		r.Unknown = true
@@ -343,16 +339,11 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	if r.Src == p.self {
 		return
 	}
-	key := rreqKey{src: r.Src, id: r.RreqID}
-	if _, dup := p.rreqs[key]; dup {
+	st, fresh := r.Comp.Engage(p.self, p.node.Now(), p.swept, rcommon.FloodHold)
+	if !fresh {
 		return
 	}
-	p.rreqs[key] = &rreqState{
-		lastHop: from,
-		reqSn:   r.DstSeq,
-		reqFD:   r.FD,
-		expiry:  p.node.Now() + 30*time.Second,
-	}
+	*st = rreqState{lastHop: from, reqSn: r.DstSeq, reqFD: r.FD}
 
 	if r.Dst == p.self {
 		// Destination reply. A reset-required request forces a larger
@@ -362,7 +353,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 			p.seqBumps++
 		}
 		rep := &rrep{Src: r.Src, RreqID: r.RreqID, Dst: p.self,
-			DstSeq: p.mySeq, D: 0, Lifetime: p.cfg.ActiveRouteTimeout}
+			DstSeq: p.mySeq, D: 0, Lifetime: p.cfg.ActiveRouteTimeout, Comp: r.Comp}
 		p.node.UnicastControl(from, rrepSize, rep)
 		return
 	}
@@ -373,10 +364,9 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 		inOrder := e.sn > r.DstSeq || r.Unknown ||
 			(e.sn == r.DstSeq && e.fd < r.FD && !r.Reset)
 		if inOrder {
-			st := p.rreqs[key]
 			st.replied = true
 			rep := &rrep{Src: r.Src, RreqID: r.RreqID, Dst: r.Dst,
-				DstSeq: e.sn, D: e.d, Lifetime: p.cfg.ActiveRouteTimeout}
+				DstSeq: e.sn, D: e.d, Lifetime: p.cfg.ActiveRouteTimeout, Comp: r.Comp}
 			p.node.UnicastControl(from, rrepSize, rep)
 			return
 		}
@@ -410,26 +400,26 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 }
 
 func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
-	key := rreqKey{src: rep.Src, id: rep.RreqID}
-	st := p.rreqs[key]
-	terminus := rep.Src == p.self
+	// The originator never engages its own computation, so st is nil at
+	// the terminus.
+	st := rep.Comp.State(p.self, p.swept, rcommon.FloodHold)
 
 	if !p.accept(from, rep) {
 		// Infeasible advertisement: answer from the node's own route
 		// when it is in-order for the cached request.
-		if !terminus && st != nil && !st.replied {
+		if st != nil && !st.replied {
 			if e, ok := p.live(rep.Dst); ok &&
 				(e.sn > st.reqSn || (e.sn == st.reqSn && e.fd < st.reqFD)) {
 				st.replied = true
 				y := &rrep{Src: rep.Src, RreqID: rep.RreqID, Dst: rep.Dst,
-					DstSeq: e.sn, D: e.d, Lifetime: p.cfg.ActiveRouteTimeout}
+					DstSeq: e.sn, D: e.d, Lifetime: p.cfg.ActiveRouteTimeout, Comp: rep.Comp}
 				p.node.UnicastControl(st.lastHop, rrepSize, y)
 			}
 		}
 		return
 	}
 
-	if terminus {
+	if rep.Src == p.self {
 		p.disc.Complete(rep.Dst, p.forward)
 		return
 	}
@@ -446,7 +436,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 	}
 	st.replied = true
 	y := &rrep{Src: rep.Src, RreqID: rep.RreqID, Dst: rep.Dst,
-		DstSeq: e.sn, D: e.d, Lifetime: p.cfg.ActiveRouteTimeout}
+		DstSeq: e.sn, D: e.d, Lifetime: p.cfg.ActiveRouteTimeout, Comp: rep.Comp}
 	p.node.UnicastControl(st.lastHop, rrepSize, y)
 }
 

@@ -34,6 +34,13 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
 
+// flooded attaches a fresh computation record to r, as its originator
+// would.
+func flooded(r rreq) *rreq {
+	r.Comp = new(rcommon.Computation[rreqState])
+	return &r
+}
+
 func spyWorld(t *testing.T) (*rtest.World, *Protocol, *spy) {
 	t.Helper()
 	sp := &spy{}
@@ -54,7 +61,7 @@ func TestRelayStrengthensConstraint(t *testing.T) {
 	w, pr, sp := spyWorld(t)
 	e := pr.get(9)
 	e.sn, e.fd, e.d = 4, 2, 2
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3}))
 	w.Sim.RunUntil(time.Second)
 	// D+1 >= MinReplyHops and the entry is NOT active (no valid next
 	// hop), so it relays rather than replies.
@@ -79,7 +86,7 @@ func TestRREQRelayAllocs(t *testing.T) {
 	cost := func(ttl int) float64 {
 		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 			id++
-			pr.handleRREQ(1, &rreq{Src: 5, RreqID: id, Dst: 9, DstSeq: 4, FD: 6, TTL: ttl, D: 3})
+			pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: id, Dst: 9, DstSeq: 4, FD: 6, TTL: ttl, D: 3}))
 		})
 	}
 	unrelayed, relayed := cost(1), cost(5)
@@ -94,7 +101,7 @@ func TestOutOfOrderRelayRequestsReset(t *testing.T) {
 	w, pr, sp := spyWorld(t)
 	e := pr.get(9)
 	e.sn, e.fd, e.d = 4, 8, 8
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4, FD: 3, TTL: 5, D: 1})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4, FD: 3, TTL: 5, D: 1}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
 		t.Fatalf("heard %d rreqs, want 1", len(sp.rreqs))
@@ -111,8 +118,8 @@ func TestFresherRelayClearsReset(t *testing.T) {
 	w, pr, sp := spyWorld(t)
 	e := pr.get(9)
 	e.sn, e.fd, e.d = 9, 4, 4
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4, FD: 3,
-		TTL: 5, D: 1, Reset: true})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4, FD: 3,
+		TTL: 5, D: 1, Reset: true}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
 		t.Fatalf("heard %d rreqs, want 1", len(sp.rreqs))
@@ -128,12 +135,77 @@ func TestFresherRelayClearsReset(t *testing.T) {
 
 func TestDestinationAlwaysAnswers(t *testing.T) {
 	w, pr, sp := spyWorld(t)
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 4, Dst: 0, Unknown: true, FD: infinity, TTL: 5})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 4, Dst: 0, Unknown: true, FD: infinity, TTL: 5}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
 		t.Fatalf("heard %d rreps, want 1", len(sp.rreps))
 	}
 	if sp.rreps[0].D != 0 || sp.rreps[0].Dst != 0 {
 		t.Fatalf("reply = %+v", sp.rreps[0])
+	}
+}
+
+func TestHandleRREQAllocs(t *testing.T) {
+	w, pr, sp := spyWorld(t)
+	req := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3})
+	pr.handleRREQ(1, req)
+	w.Sim.RunUntil(time.Second)
+	if len(sp.rreqs) != 1 {
+		t.Fatalf("heard %d relayed RREQs, want 1", len(sp.rreqs))
+	}
+	if n := testing.AllocsPerRun(200, func() { pr.handleRREQ(1, req) }); n != 0 {
+		t.Errorf("duplicate RREQ: %v allocs, want 0", n)
+	}
+}
+
+// TestReengageAfterSweep: a node's computation state lasts until its first
+// sweep at or after rcommon.FloodHold past its engagement — here the sweep
+// at 30 s, landing exactly on the deadline. A late copy of the RREQ before
+// it is a duplicate; one after it finds the node passive, and the node
+// engages and relays again.
+func TestReengageAfterSweep(t *testing.T) {
+	w, pr, sp := spyWorld(t)
+	req := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, Unknown: true, FD: infinity, TTL: 5, D: 3})
+	pr.handleRREQ(1, req)
+	w.Sim.RunUntil(rcommon.FloodHold - time.Second)
+	late := *req
+	pr.handleRREQ(1, &late)
+	w.Sim.RunUntil(rcommon.FloodHold - 1)
+	if len(sp.rreqs) != 1 {
+		t.Fatalf("before the sweep: heard %d rreqs, want 1 (the late copy is a duplicate)", len(sp.rreqs))
+	}
+	w.Sim.RunUntil(rcommon.FloodHold + time.Second)
+	pr.handleRREQ(1, &late)
+	w.Sim.RunUntil(rcommon.FloodHold + 2*time.Second)
+	if len(sp.rreqs) != 2 {
+		t.Fatalf("after the sweep: heard %d rreqs, want 2 (the node engaged again)", len(sp.rreqs))
+	}
+}
+
+// TestReplyAfterSweepFindsNoState: a RREP reaching a node after its sweep
+// dropped the computation finds no reverse path and is not forwarded; one
+// reaching it before the sweep is forwarded to the cached last hop.
+func TestReplyAfterSweepFindsNoState(t *testing.T) {
+	w, pr, sp := spyWorld(t)
+	early := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, Unknown: true, FD: infinity, TTL: 5, D: 3})
+	late := flooded(rreq{Src: 5, RreqID: 2, Dst: 8, Unknown: true, FD: infinity, TTL: 5, D: 3})
+	pr.handleRREQ(1, early)
+	pr.handleRREQ(1, late)
+	reply := func(r *rreq) *rrep {
+		return &rrep{Src: r.Src, RreqID: r.RreqID, Dst: r.Dst, DstSeq: 1, D: 2, Lifetime: time.Minute, Comp: r.Comp}
+	}
+	w.Sim.RunUntil(rcommon.FloodHold - time.Second)
+	pr.handleRREP(1, reply(early))
+	w.Sim.RunUntil(rcommon.FloodHold + time.Second)
+	if len(sp.rreps) != 1 {
+		t.Fatalf("before the sweep: heard %d rreps, want 1", len(sp.rreps))
+	}
+	pr.handleRREP(1, reply(late))
+	w.Sim.RunUntil(rcommon.FloodHold + 2*time.Second)
+	if len(sp.rreps) != 1 {
+		t.Fatalf("after the sweep: heard %d rreps, want still 1 (no state to forward by)", len(sp.rreps))
+	}
+	if len(pr.SuccessorsOf(8)) != 1 {
+		t.Fatal("the late reply's route was not installed")
 	}
 }

@@ -64,7 +64,8 @@ func (t *IDTable[T]) locate(key uint64) (pos int, s int32) {
 
 // Get returns the value stored under key, or nil. It is locate written
 // out, so that it stays within the inliner's budget: Get is the flood hot
-// path (one call per RREQ heard), the other operations are not.
+// path (route and topology lookups on every RREQ and TC heard), the other
+// operations are not.
 func (t *IDTable[T]) Get(key uint64) *T {
 	if len(t.index) == 0 {
 		return nil

@@ -9,12 +9,15 @@
 //   - the periodic beaconer driving HELLO/TC/sweep schedules on re-armed
 //     sim timers (beacon.go),
 //   - the hello/link-liveness neighbor table (neighbors.go),
-//   - duplicate-flood suppression: a record created with each flood and
-//     carried by all its copies, so a node's duplicate test is a bit test on
-//     the flood, and no node keeps a table of the floods it heard (flood.go),
+//   - flood-carried state: a record created with each flood and carried by
+//     all its copies — and, for a route computation, by its replies — so a
+//     node's duplicate test is a bit test on the flood (Flood), SRP's and
+//     LDR's per-computation state is found by node id in the computation's
+//     record (Computation), and no node keeps a table of the floods it
+//     heard (flood.go),
 //   - sequence-number wraparound comparisons (seqno.go),
-//   - and IDTable, the flat table protocol state keyed by a node id or an
-//     (originator, id) pair lives in (idtable.go).
+//   - and IDTable, the flat table protocol state keyed by a node id lives
+//     in (idtable.go).
 //
 // Node ids are dense 0…N-1, so per-destination state is an indexing
 // problem, not a hashing one — but not an [N]-array one either: 5000 nodes

@@ -15,6 +15,7 @@ import (
 	"slr/internal/frac"
 	"slr/internal/label"
 	"slr/internal/netstack"
+	"slr/internal/routing/rcommon"
 	"slr/internal/sim"
 )
 
@@ -60,6 +61,8 @@ type rreq struct {
 	Flags    flags
 	TTL      int
 	Age      sim.Time
+	// Comp is the computation's record, shared by every copy and reply.
+	Comp *rcommon.Computation[rreqState]
 }
 
 // order returns the solicitation ordering O# (Definition 5 note: U bit means
@@ -77,7 +80,8 @@ func (r *rreq) srcOrder() label.Order {
 }
 
 // rrep is the route reply: an advertisement for Dst traveling back toward
-// Src along the reverse path cached per (Src, RreqID).
+// Src along the reverse path cached per (Src, RreqID), in the record the
+// answered RREQ carried.
 type rrep struct {
 	Src    netstack.NodeID
 	RreqID uint32
@@ -89,6 +93,7 @@ type rrep struct {
 	Lifetime sim.Time
 	Flags    flags
 	Age      sim.Time
+	Comp     *rcommon.Computation[rreqState] // the answered RREQ's record
 }
 
 // order returns the advertised ordering O?.

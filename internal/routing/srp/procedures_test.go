@@ -39,6 +39,13 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
 
+// flooded attaches a fresh computation record to r, as its originator
+// would.
+func flooded(r rreq) *rreq {
+	r.Comp = new(rcommon.Computation[rreqState])
+	return &r
+}
+
 // relayWorld wires node 0 as SRP and node 1 as a spy within range.
 func relayWorld(t *testing.T, cfg Config) (*rtest.World, *Protocol, *spy) {
 	t.Helper()
@@ -63,8 +70,8 @@ func TestRelayCarriesMinimumOrdering(t *testing.T) {
 	r.assigned = true
 	r.order = label.Order{SN: 4, FD: frac.MustNew(1, 3)}
 
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4,
-		F: frac.MustNew(1, 2), TTL: 5, Flags: flagN})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4,
+		F: frac.MustNew(1, 2), TTL: 5, Flags: flagN}))
 	w.Sim.RunUntil(time.Second)
 
 	if len(sp.rreqs) != 1 {
@@ -87,8 +94,8 @@ func TestRelayFresherSeqnoClearsReset(t *testing.T) {
 	r.assigned = true
 	r.order = label.Order{SN: 7, FD: frac.MustNew(2, 3)}
 
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4,
-		F: frac.MustNew(1, 2), TTL: 5, Flags: flagT | flagN})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4,
+		F: frac.MustNew(1, 2), TTL: 5, Flags: flagT | flagN}))
 	w.Sim.RunUntil(time.Second)
 
 	if len(sp.rreqs) != 1 {
@@ -113,8 +120,8 @@ func TestRelaySetsResetOnOverflow(t *testing.T) {
 	// near the 32-bit cap so n+q overflows.
 	r.order = label.Order{SN: 4, FD: frac.F{Num: 1<<32 - 3, Den: 1<<32 - 2}}
 
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4,
-		F: frac.F{Num: 1, Den: 1<<32 - 2}, TTL: 5, Flags: flagN})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4,
+		F: frac.F{Num: 1, Den: 1<<32 - 2}, TTL: 5, Flags: flagN}))
 	w.Sim.RunUntil(time.Second)
 
 	if len(sp.rreqs) != 1 {
@@ -130,7 +137,7 @@ func TestUnassignedRelayKeepsUnknownBit(t *testing.T) {
 	// solicitation stays unknown with the T bit cleared.
 	w, pr, sp := relayWorld(t, DefaultConfig())
 	_ = pr
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 4, Dst: 9, TTL: 5, Flags: flagU | flagT | flagN})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 4, Dst: 9, TTL: 5, Flags: flagU | flagT | flagN}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
 		t.Fatalf("spy heard %d rreqs, want 1", len(sp.rreqs))
@@ -146,7 +153,7 @@ func TestUnassignedRelayKeepsUnknownBit(t *testing.T) {
 
 func TestDuplicateRREQIgnored(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	req := &rreq{Src: 5, RreqID: 7, Dst: 9, TTL: 5, Flags: flagU | flagN}
+	req := flooded(rreq{Src: 5, RreqID: 7, Dst: 9, TTL: 5, Flags: flagU | flagN})
 	pr.handleRREQ(1, req)
 	dup := *req
 	pr.handleRREQ(1, &dup)
@@ -160,8 +167,8 @@ func TestDestinationReplyBumpsOnReset(t *testing.T) {
 	// A reset-required solicitation reaching the destination forces a
 	// larger sequence number (§III), counted for Fig. 7.
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 8, Dst: 0, DstSeq: 6,
-		F: frac.MustNew(1, 2), TTL: 5, Flags: flagT | flagN})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 8, Dst: 0, DstSeq: 6,
+		F: frac.MustNew(1, 2), TTL: 5, Flags: flagT | flagN}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
 		t.Fatalf("spy heard %d rreps, want 1", len(sp.rreps))
@@ -176,7 +183,7 @@ func TestDestinationReplyBumpsOnReset(t *testing.T) {
 
 func TestDestinationReplyNoBumpWithoutReset(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 9, Dst: 0, TTL: 5, Flags: flagU | flagN})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 9, Dst: 0, TTL: 5, Flags: flagU | flagN}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
 		t.Fatalf("spy heard %d rreps, want 1", len(sp.rreps))
@@ -191,25 +198,39 @@ func TestDestinationReplyNoBumpWithoutReset(t *testing.T) {
 
 func TestAgedControlDropped(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	pr.handleRREQ(1, &rreq{Src: 5, RreqID: 10, Dst: 9, TTL: 5,
-		Flags: flagU | flagN, Age: time.Minute})
+	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 10, Dst: 9, TTL: 5,
+		Flags: flagU | flagN, Age: time.Minute}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 0 {
 		t.Fatal("aged RREQ relayed past DELETE_PERIOD")
 	}
 }
 
-// TestHandleRREQAllocs pins what a flood costs the heap. Routes, successor
-// sets and computation state live by value in slabs, so a duplicate of an
-// engaged computation — what a node hears a dozen times per flood, each
-// copy re-advertising the source — allocates nothing, and a new
-// computation from a source already routed allocates only the relayed
-// copy: its envelope and timer come from pools once earlier relays have
-// left the air.
+// computations returns n fresh computation records, made outside the code
+// whose allocations a test counts.
+func computations(n int) []*rcommon.Computation[rreqState] {
+	recs := make([]*rcommon.Computation[rreqState], n)
+	for i := range recs {
+		recs[i] = new(rcommon.Computation[rreqState])
+	}
+	return recs
+}
+
+// TestHandleRREQAllocs pins what a flood costs the heap. Routes and
+// successor sets live by value in slabs and computation state in the
+// flood's own record, so a duplicate of an engaged computation — what a
+// node hears a dozen times per flood, each copy re-advertising the source
+// — allocates nothing. Every new computation is a new flood with its own
+// record, made before the count starts. The node's engagement then
+// allocates on the record alone (its index and entry list), which is
+// measured separately; a new computation from a source already routed may
+// allocate exactly that plus the relayed copy, and nothing per node. The
+// relay's envelope and timer come from pools once earlier relays have left
+// the air.
 func TestHandleRREQAllocs(t *testing.T) {
 	w, pr, _ := relayWorld(t, DefaultConfig())
 	req := rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU,
-		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second}
+		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second, Comp: new(rcommon.Computation[rreqState])}
 	pr.handleRREQ(1, &req)
 	if len(pr.SuccessorsOf(5)) != 1 {
 		t.Fatal("the advertisement piece built no reverse route")
@@ -218,13 +239,80 @@ func TestHandleRREQAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { pr.handleRREQ(1, &req) }); n != 0 {
 		t.Errorf("duplicate RREQ: %v allocs, want 0", n)
 	}
+
+	recs := computations(201) // both counters warm up once
+	recordAllocs := testing.AllocsPerRun(200, func() {
+		recs[0].Engage(pr.self, pr.node.Now(), pr.swept, pr.cfg.DeletePeriod)
+		recs = recs[1:]
+	})
+	t.Logf("a record's first engagement: %v allocs", recordAllocs)
+	recs = computations(201)
+	engaged := recs
 	if n := w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 		req.RreqID++
+		req.Comp, recs = recs[0], recs[1:]
 		pr.handleRREQ(1, &req)
-	}); n != 1 {
-		t.Errorf("new computation from a routed source: %v allocs, want 1 (the relayed copy)", n)
+	}); n != recordAllocs+1 {
+		t.Errorf("new computation from a routed source: %v allocs, want the record's %v + 1 (the relayed copy)", n, recordAllocs)
 	}
-	if got := pr.rreqs.Len(); got != 1+1+200 { // AllocsPerRun warms up once
-		t.Fatalf("%d computations engaged, want 202", got)
+	for i, c := range engaged {
+		if c.State(pr.self, pr.swept, pr.cfg.DeletePeriod) == nil {
+			t.Fatalf("computation %d of %d not engaged", i, len(engaged))
+		}
+	}
+}
+
+// TestReengageAfterSweep: a node's computation state lasts until its first
+// sweep at or after DeletePeriod past its engagement. A late copy of the
+// RREQ before that sweep is a duplicate; one after it finds the node
+// passive, and the node engages and relays again.
+func TestReengageAfterSweep(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DeletePeriod = 2 * time.Second // expired by the first sweep, at 10 s
+	w, pr, sp := relayWorld(t, cfg)
+	req := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU | flagN})
+	pr.handleRREQ(1, req)
+	w.Sim.RunUntil(9 * time.Second)
+	late := *req
+	pr.handleRREQ(1, &late)
+	w.Sim.RunUntil(10*time.Second - 1)
+	if len(sp.rreqs) != 1 {
+		t.Fatalf("before the sweep: spy heard %d rreqs, want 1 (the late copy is a duplicate)", len(sp.rreqs))
+	}
+	w.Sim.RunUntil(11 * time.Second)
+	pr.handleRREQ(1, &late)
+	w.Sim.RunUntil(12 * time.Second)
+	if len(sp.rreqs) != 2 {
+		t.Fatalf("after the sweep: spy heard %d rreqs, want 2 (the node engaged again)", len(sp.rreqs))
+	}
+}
+
+// TestReplyAfterSweepFindsNoState: a RREP reaching a node after its sweep
+// dropped the computation finds no reverse path and is not forwarded; one
+// reaching it before the sweep is forwarded to the cached last hop.
+func TestReplyAfterSweepFindsNoState(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DeletePeriod = 2 * time.Second
+	w, pr, sp := relayWorld(t, cfg)
+	early := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU | flagN})
+	late := flooded(rreq{Src: 5, RreqID: 2, Dst: 8, TTL: 5, Flags: flagU | flagN})
+	pr.handleRREQ(1, early)
+	pr.handleRREQ(1, late)
+	reply := func(r *rreq) *rrep {
+		return &rrep{Src: r.Src, RreqID: r.RreqID, Dst: r.Dst, DstSeq: 1, LF: frac.Zero, Comp: r.Comp}
+	}
+	w.Sim.RunUntil(9 * time.Second)
+	pr.handleRREP(1, reply(early))
+	w.Sim.RunUntil(11 * time.Second)
+	if len(sp.rreps) != 1 {
+		t.Fatalf("before the sweep: spy heard %d rreps, want 1", len(sp.rreps))
+	}
+	pr.handleRREP(1, reply(late))
+	w.Sim.RunUntil(12 * time.Second)
+	if len(sp.rreps) != 1 {
+		t.Fatalf("after the sweep: spy heard %d rreps, want still 1 (no state to forward by)", len(sp.rreps))
+	}
+	if len(pr.SuccessorsOf(8)) != 1 {
+		t.Fatal("the late reply's advertisement was not applied")
 	}
 }

@@ -18,8 +18,8 @@ type Config struct {
 	rcommon.DiscoveryConfig
 	// ActiveRouteTimeout is how long an unused successor stays valid.
 	ActiveRouteTimeout sim.Time
-	// DeletePeriod bounds control-packet age and ordering retention
-	// (§III, 60 s).
+	// DeletePeriod bounds control-packet age, ordering retention and
+	// computation state (§III, 60 s).
 	DeletePeriod sim.Time
 	// MaxDenom triggers a destination-controlled path reset when the
 	// terminus' fraction denominator exceeds it (§III, one billion).
@@ -161,13 +161,15 @@ type Protocol struct {
 	seqIncrements uint64
 
 	rreqID uint32
-	// routes is keyed by destination id, rreqs by rreqKey. A *route or
-	// *rreqState taken from either is valid until the next Put or Delete
-	// on that table (see rcommon.IDTable): nothing may hold one across a
-	// call that can add a route or a computation, and no closure may
-	// capture one.
+	// routes is keyed by destination id. A *route taken from it is valid
+	// until the next Put or Delete (see rcommon.IDTable): nothing may hold
+	// one across a call that can add a route, and no closure may capture
+	// one. Computation state is not here: it travels in each RREQ's
+	// rcommon.Computation record.
 	routes rcommon.IDTable[route]
-	rreqs  rcommon.IDTable[rreqState]
+	// swept is the instant of the last 10 s sweep, which is when
+	// computation state expires (rcommon.Computation).
+	swept sim.Time
 	// disc runs route discovery: queues, RREQ rate limit, retries and
 	// hold-down.
 	disc *rcommon.DiscoveryTable
@@ -209,7 +211,8 @@ func (p *Protocol) Attach(n *netstack.Node) {
 }
 
 // Start implements netstack.Protocol. SRP as simulated in the paper has no
-// periodic messaging; only a slow sweep reclaims expired computation state.
+// periodic messaging; only a slow sweep expires computation state and
+// reclaims invalid routes.
 // When HelloInterval is set, periodic Hello advertisements run too.
 // Starting twice is a no-op.
 func (p *Protocol) Start() {
@@ -290,12 +293,8 @@ func (p *Protocol) OrderViolations() uint64 { return p.statOrderViolations }
 
 func (p *Protocol) sweep() {
 	now := p.node.Now()
+	p.swept = now
 	// Last slot first: Delete moves the last entry into the freed slot.
-	for i := p.rreqs.Len() - 1; i >= 0; i-- {
-		if p.rreqs.At(i).expiry <= now {
-			p.rreqs.Delete(p.rreqs.KeyAt(i))
-		}
-	}
 	for i := p.routes.Len() - 1; i >= 0; i-- {
 		if r := p.routes.At(i); !r.active(now) && r.orderExpiry != 0 && r.orderExpiry <= now {
 			p.routes.Delete(p.routes.KeyAt(i))
@@ -438,18 +437,12 @@ func (p *Protocol) linkBreak(to netstack.NodeID) {
 // the discovery table picked.
 func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	p.rreqID++
-	st, _ := p.rreqs.Put(rreqKey(p.self, p.rreqID))
-	*st = rreqState{
-		cached:  label.Unassigned, // M_k = infinity at the requester
-		lastHop: int32(p.self),
-		active:  true,
-		expiry:  p.node.Now() + p.cfg.DeletePeriod,
-	}
 	r := &rreq{
 		Src:    p.self,
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
 		TTL:    ttl,
+		Comp:   new(rcommon.Computation[rreqState]),
 		// Advertisement for self: own destination label.
 		SrcSeq:   p.mySeq,
 		LF:       frac.Zero,
@@ -497,15 +490,11 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 		p.setRoute(from, r.Src, r.srcOrder(), r.LD+1, label.Unassigned, r.Lifetime)
 	}
 
-	st, passive := p.rreqs.Put(rreqKey(r.Src, r.RreqID))
+	st, passive := r.Comp.Engage(p.self, p.node.Now(), p.swept, p.cfg.DeletePeriod)
 	if !passive {
 		return // only passive nodes may become engaged (§III)
 	}
-	*st = rreqState{
-		cached:  r.order(),
-		lastHop: int32(from),
-		expiry:  p.node.Now() + p.cfg.DeletePeriod,
-	}
+	*st = rreqState{cached: r.order(), lastHop: int32(from)}
 
 	if r.Dst == p.self {
 		p.destinationReply(from, r)
@@ -537,6 +526,7 @@ func (p *Protocol) destinationReply(from netstack.NodeID, r *rreq) {
 		LF:       frac.Zero,
 		LD:       0,
 		Lifetime: p.cfg.ActiveRouteTimeout,
+		Comp:     r.Comp,
 	}
 	if p.cfg.RequestRack {
 		rep.Flags |= flagA
@@ -573,6 +563,7 @@ func (p *Protocol) intermediateReply(from netstack.NodeID, r *rreq) {
 		LF:       rt.order.FD,
 		LD:       int(rt.dist),
 		Lifetime: p.cfg.ActiveRouteTimeout,
+		Comp:     r.Comp,
 	}
 	if p.cfg.RequestRack {
 		rep.Flags |= flagA
@@ -660,13 +651,14 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		p.node.UnicastControl(from, rackSize, &rack{Src: rep.Src, RreqID: rep.RreqID})
 	}
 	terminus := rep.Src == p.self
-	// st stays valid through setRoute (it adds to routes only) and is not
-	// used after completeDiscovery, which may add a computation.
-	st := p.rreqs.Get(rreqKey(rep.Src, rep.RreqID))
+	// The originator never engages its own computation, so st is nil at
+	// the terminus. st stays valid to the end: only an Engage on the
+	// record moves it, and none runs inside this call.
+	st := rep.Comp.State(p.self, p.swept, p.cfg.DeletePeriod)
 
 	// C^A_? — Unassigned at the terminus or without cached state.
 	c := label.Unassigned
-	if !terminus && st != nil {
+	if st != nil {
 		c = st.cached
 	}
 
@@ -675,7 +667,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 	if !mine.IsUnassigned() && !mine.Precedes(adv) {
 		// Infeasible advertisement: issue a fresh advertisement from
 		// this node's own label if it can (§III), else discard.
-		if !terminus && st != nil && !st.replied {
+		if st != nil && !st.replied {
 			if rt := p.route(rep.Dst); rt != nil && rt.assigned && rt.active(p.node.Now()) && c.Precedes(rt.order) {
 				st.replied = true
 				p.forwardRREP(netstack.NodeID(st.lastHop), rep, rt.order, int(rt.dist))
@@ -745,13 +737,6 @@ func (p *Protocol) requestPathReset(dst netstack.NodeID) {
 		return
 	}
 	p.rreqID++
-	st, _ := p.rreqs.Put(rreqKey(p.self, p.rreqID))
-	*st = rreqState{
-		cached:  label.Unassigned,
-		lastHop: int32(p.self),
-		active:  true,
-		expiry:  p.node.Now() + p.cfg.DeletePeriod,
-	}
 	probe := &rreq{
 		Src:    p.self,
 		RreqID: p.rreqID,
@@ -762,6 +747,7 @@ func (p *Protocol) requestPathReset(dst netstack.NodeID) {
 		Flags:  flagD | flagN,
 		SrcSeq: p.mySeq,
 		LF:     frac.Zero,
+		Comp:   new(rcommon.Computation[rreqState]),
 	}
 	p.statRREQ++
 	p.node.UnicastControl(next, rreqSize, probe)

@@ -32,8 +32,7 @@ const (
 // handful, so on large networks successors are most of SRP's memory: the
 // id and distance are 32 bits each, which makes the entry 32 bytes. Node
 // ids are dense and below 2^31 (spec.ValidateParams bounds the node
-// count; rreqKey assumes the same), and a distance counts hops, so it
-// stays far below 2^31 too.
+// count), and a distance counts hops, so it stays far below 2^31 too.
 type successor struct {
 	order  label.Order
 	expiry sim.Time
@@ -190,23 +189,15 @@ func (r *route) pruneOutOfOrder(g label.Order) int {
 	return pruned
 }
 
-// rreqState is the per-(source, rreqID) computation state (§III): passive
-// nodes have no entry; engaged and active nodes cache the solicitation
-// ordering C (the M of SLR) and the last hop for the reverse path. States
-// live by value in Protocol.rreqs; a flood leaves one at nearly every
-// node, so lastHop is 32 bits (a node id, as in successor) and the two
-// flags pack behind it: 32 bytes, not 40.
+// rreqState is a node's share of one route computation (§III): passive
+// nodes have none; an engaged node caches the solicitation ordering C (the
+// M of SLR) and the last hop for the reverse path. States live in the
+// computation's own record (rcommon.Computation), which the RREQ and its
+// RREPs carry, so a node keeps no table of them; a flood leaves one at
+// nearly every node, so lastHop is 32 bits (a node id, as in successor):
+// 24 bytes, 32 with the record's sighting instant.
 type rreqState struct {
 	cached  label.Order // C^A_?: ordering of the relayed solicitation
-	expiry  sim.Time
 	lastHop int32
-	active  bool // true at the computation's originator
 	replied bool // at most one reply forwarded per computation
-}
-
-// rreqKey identifies a route computation in Protocol.rreqs: source in the
-// high 32 bits, rreqid in the low 32. Node ids are dense and non-negative,
-// so 32 bits each side loses nothing.
-func rreqKey(src netstack.NodeID, id uint32) uint64 {
-	return uint64(uint32(src))<<32 | uint64(id)
 }

@@ -3,6 +3,7 @@ package srp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"slr/internal/frac"
 	"slr/internal/label"
 	"slr/internal/netstack"
+	"slr/internal/routing/rcommon"
 	"slr/internal/routing/rtest"
 	"slr/internal/sim"
 )
@@ -87,13 +89,15 @@ func TestPruneOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the three records SRP keeps per node. A flood
-// leaves a computation record at nearly every node and a reverse route
+// TestRecordSizes pins the records SRP's state is made of. A flood engages
+// nearly every node in its computation and leaves each a reverse route
 // with a successor or two, so on flood-5000 these records are most of the
 // live heap: in a heap profile at the end of a trial the successor arrays
 // held 32 MB, the route slab 23 MB and the computation slab 16 MB of
 // about 97 MB when each padded a node id or a distance out to 8 bytes
-// (40, 72 and 40 bytes).
+// (40, 72 and 40 bytes). A computation's per-node entry now lives in the
+// flood's record (rcommon.Computation): the state plus the instant the
+// node engaged, read here from the record's own entry type.
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(successor{}); n != 32 {
 		t.Errorf("successor is %d bytes, want 32 (ordering, expiry, 32-bit id and distance)", n)
@@ -101,8 +105,15 @@ func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(route{}); n != 64 {
 		t.Errorf("route is %d bytes, want 64 (ordering, successor slice, expiry, 32-bit distance and cursor, flag)", n)
 	}
-	if n := unsafe.Sizeof(rreqState{}); n != 32 {
-		t.Errorf("rreqState is %d bytes, want 32 (ordering, expiry, 32-bit last hop, two flags)", n)
+	if n := unsafe.Sizeof(rreqState{}); n != 24 {
+		t.Errorf("rreqState is %d bytes, want 24 (ordering, 32-bit last hop, flag)", n)
+	}
+	entries, ok := reflect.TypeFor[rcommon.Computation[rreqState]]().FieldByName("entries")
+	if !ok {
+		t.Fatal("rcommon.Computation has no entries field")
+	}
+	if n := entries.Type.Elem().Size(); n != 32 {
+		t.Errorf("a computation's per-node entry is %d bytes, want 32 (engagement instant, rreqState)", n)
 	}
 }
 
