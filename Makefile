@@ -6,7 +6,7 @@ SCALE    ?= mid
 WORKERS  ?= 0
 FUZZTIME ?= 10s
 
-.PHONY: all build test race fuzz bench fmt vet lint examples sweep
+.PHONY: all build test race fuzz bench fmt vet lint inline examples sweep
 
 all: build test
 
@@ -64,6 +64,24 @@ vet:
 lint:
 	$(GO) build -o bin/slrlint ./cmd/slrlint
 	$(GO) vet -vettool=$(CURDIR)/bin/slrlint ./...
+
+# Functions whose comments say they stay within the inliner's budget, as
+# `-gcflags=-m=2` names them; a generic method by its shape
+# instantiation, the one its callers in other packages inline. `make
+# inline` fails unless the compiler reports each one `can inline`.
+INLINED := \
+	'\(\*Channel\)\.station' \
+	'\(\*Channel\)\.Busy' \
+	'\(\*Channel\)\.IdleAt' \
+	'\(\*IDTable\[go\.shape\..*\]\)\.Get'
+
+inline:
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/radio ./internal/routing/rcommon 2>&1) || { echo "$$out"; exit 1; }; \
+	status=0; for f in $(INLINED); do \
+		if ! echo "$$out" | grep -qE ": can inline $$f with cost"; then \
+			echo "not within the inlining budget: $$f"; echo "$$out" | grep -E "inline $$f" | cut -c1-200; status=1; \
+		fi; \
+	done; exit $$status
 
 # Regenerate the paper's Table I and Figures 3-7 on the all-cores trial
 # runner. SCALE=full for the paper's exact setup: the whole grid at one

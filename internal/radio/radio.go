@@ -277,8 +277,9 @@ func (c *Channel) station(id NodeID) *station {
 }
 
 // unregistered is station's panic value. A call to fmt in station itself
-// would put it, and with it Busy and IdleAt, over the inlining budget; as a
-// value the message is only built if somebody prints it.
+// would put it, and with it Busy and IdleAt, over the inlining budget
+// (make inline checks all three); as a value the message is only built if
+// somebody prints it.
 type unregistered NodeID
 
 func (u unregistered) Error() string {

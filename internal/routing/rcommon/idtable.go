@@ -4,10 +4,17 @@ import "math/bits"
 
 // IDTable maps uint64 keys — a node id, or an (originator, id) pair packed
 // into one uint64, originator in the high 32 bits — to values of T held by
-// value in one flat slab. An open-addressed index of int32 slab positions
-// (one multiplicative hash, linear probing) finds an entry, so a table
-// costs no heap object per entry and a lookup hashes nothing but one
-// multiply. The zero value is an empty table.
+// value in one flat slab. An open-addressed index (one multiplicative hash,
+// linear probing) finds an entry, so a table costs no heap object per
+// entry and a lookup hashes nothing but one multiply. The zero value is an
+// empty table.
+//
+// Index slots are 4 bytes. With b = log2 of the index length, a slot packs
+// the slab position + 1 (0 = empty) in its low b bits and a tag in the
+// rest: the key's hash bits just below the b home bits. A probe compares
+// tags first and reads the slab entry only on a tag match, so a miss or a
+// collision rarely touches the cold slab. That is what lets the index run
+// at up to 3/4 load: it doubles when an entry would take it past that.
 //
 // Pointer validity: a *T returned by Get, Put or At points into the slab.
 // It is valid until the next Put, Delete or Reset on the same table — Put
@@ -20,23 +27,30 @@ import "math/bits"
 // entry Delete swaps into slot i is one the walk has already visited.
 type IDTable[T any] struct {
 	slab  []idEntry[T]
-	index []int32 // 0 = empty, else slab position + 1; len is a power of two
-	shift uint    // 64 - log2(len(index))
+	index []uint32 // tag | slab position + 1, or 0; len is a power of two
+	// mask is len(index) - 1, and the home position of a key is the top
+	// logN bits of its 32-bit hash (shift = 32 - logN). Get's budget is why
+	// the three are kept rather than derived.
+	mask  uint32
+	logN  uint8
+	shift uint8
 }
 
+// idEntry puts val first: Get's &e.val at offset 0 is free in the
+// inliner's cost model.
 type idEntry[T any] struct {
-	key uint64
 	val T
+	key uint64
 }
 
-// idTableMinIndex is the index size of a table's first entry. The index
-// doubles whenever the slab would fill more than half of it.
+// idTableMinIndex is the index size of a table's first entry.
 const idTableMinIndex = 8
 
-// home is the index position key hashes to (Fibonacci hashing: the top
-// bits of key × 2^64/φ).
-func (t *IDTable[T]) home(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
+// idHash returns key's 32-bit hash: the top half of key × 2^64/φ (Fibonacci
+// hashing). Its top logN bits are key's home position, and idHash << logN
+// is key's tag.
+func idHash(key uint64) uint32 {
+	return uint32(key * 0x9E3779B97F4A7C15 >> 32)
 }
 
 // Len returns the number of entries.
@@ -49,51 +63,62 @@ func (t *IDTable[T]) KeyAt(i int) uint64 { return t.slab[i].key }
 func (t *IDTable[T]) At(i int) *T { return &t.slab[i].val }
 
 // locate probes for key. It returns the index position the probe stopped
-// at and what that position holds: the slab position + 1 of key's entry,
-// or 0 when key is absent and the position is where it would go. The
-// index must not be empty.
-func (t *IDTable[T]) locate(key uint64) (pos int, s int32) {
-	mask := len(t.index) - 1
-	for pos = t.home(key); ; pos = (pos + 1) & mask {
-		s = t.index[pos]
-		if s == 0 || t.slab[s-1].key == key {
-			return pos, s
+// at, the slab position + 1 of key's entry (0 when key is absent and the
+// position is where it would go), and key's tag. The index must not be
+// empty.
+func (t *IDTable[T]) locate(key uint64) (pos uint32, s uint32, tag uint32) {
+	h := idHash(key)
+	tag = h << t.logN
+	for pos = h >> t.shift; ; pos = (pos + 1) & t.mask {
+		x := t.index[pos] ^ tag
+		if x == tag {
+			return pos, 0, tag
+		}
+		if x <= t.mask && t.slab[x-1].key == key {
+			return pos, x, tag
 		}
 	}
 }
 
-// Get returns the value stored under key, or nil. It is locate written
-// out, so that it stays within the inliner's budget: Get is the flood hot
-// path (route and topology lookups on every RREQ and TC heard), the other
-// operations are not.
+// Get returns the value stored under key, or nil. It is locate and idHash
+// written out, so that it stays within the inliner's budget (make inline
+// checks it): Get is the flood hot path (route and topology lookups on
+// every RREQ and TC heard), the other operations are not. x = slot ^ tag
+// is tag exactly at an empty slot (an entry's position bits are never 0),
+// and it is at most mask, the slab position + 1, exactly when the tags
+// match.
 func (t *IDTable[T]) Get(key uint64) *T {
-	if len(t.index) == 0 {
-		return nil
-	}
-	mask := len(t.index) - 1
-	for i := t.home(key); ; i = (i + 1) & mask {
-		s := t.index[i]
-		if s == 0 {
-			return nil
+	h := uint32(key * 0x9E3779B97F4A7C15 >> 32) // idHash(key)
+	tag := h << t.logN
+	for i := h >> t.shift; len(t.index) > 0; i++ {
+		x := t.index[i&t.mask] ^ tag
+		if x == tag {
+			break
 		}
-		if e := &t.slab[s-1]; e.key == key {
-			return &e.val
+		if x <= t.mask {
+			if e := &t.slab[x-1]; e.key == key {
+				return &e.val
+			}
 		}
 	}
+	return nil
 }
 
 // Put returns the value stored under key, first adding a zero value in
 // slot Len() if there is none; fresh reports whether it was added.
 func (t *IDTable[T]) Put(key uint64) (v *T, fresh bool) {
-	if 2*(len(t.slab)+1) > len(t.index) {
+	if 4*(len(t.slab)+1) > 3*len(t.index) {
+		if v := t.Get(key); v != nil {
+			return v, false
+		}
 		t.grow()
 	}
-	pos, s := t.locate(key)
+	pos, s, tag := t.locate(key)
 	if s != 0 {
 		return &t.slab[s-1].val, false
 	}
 	t.slab = append(t.slab, idEntry[T]{key: key})
-	t.index[pos] = int32(len(t.slab))
+	t.index[pos] = tag | uint32(len(t.slab))
 	return &t.slab[len(t.slab)-1].val, true
 }
 
@@ -108,14 +133,17 @@ func (t *IDTable[T]) Reset() {
 // grow doubles the index and re-enters every slot.
 func (t *IDTable[T]) grow() {
 	n := max(2*len(t.index), idTableMinIndex)
-	t.index = make([]int32, n)
-	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	t.index = make([]uint32, n)
+	t.mask = uint32(n - 1)
+	t.logN = uint8(bits.TrailingZeros(uint(n)))
+	t.shift = 32 - t.logN
 	for s := range t.slab {
-		i := t.home(t.slab[s].key)
+		h := idHash(t.slab[s].key)
+		i := h >> t.shift
 		for t.index[i] != 0 {
-			i = (i + 1) & (n - 1)
+			i = (i + 1) & t.mask
 		}
-		t.index[i] = int32(s + 1)
+		t.index[i] = h<<t.logN | uint32(s+1)
 	}
 }
 
@@ -125,14 +153,14 @@ func (t *IDTable[T]) Delete(key uint64) bool {
 	if len(t.index) == 0 {
 		return false
 	}
-	i, s := t.locate(key)
+	i, s, _ := t.locate(key)
 	if s == 0 {
 		return false
 	}
 	slot, last := int(s)-1, len(t.slab)-1
 	if slot != last {
-		moved, _ := t.locate(t.slab[last].key)
-		t.index[moved] = s
+		moved, _, tag := t.locate(t.slab[last].key)
+		t.index[moved] = tag | s
 		t.slab[slot] = t.slab[last]
 	}
 	t.slab[last] = idEntry[T]{} // drop what the value referenced
@@ -141,10 +169,10 @@ func (t *IDTable[T]) Delete(key uint64) bool {
 	// Backward-shift deletion: close the hole at i by pulling back the
 	// next entry of the probe run that sits at least as far from its home
 	// as from the hole, which opens a hole where it was; stop at a gap.
-	mask := len(t.index) - 1
-	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		h := t.home(t.slab[t.index[j]-1].key)
-		if (j-h)&mask >= (j-i)&mask {
+	// A tag does not hold its entry's home, so the slab key is rehashed.
+	for j := (i + 1) & t.mask; t.index[j] != 0; j = (j + 1) & t.mask {
+		h := idHash(t.slab[t.index[j]&t.mask-1].key) >> t.shift
+		if (j-h)&t.mask >= (j-i)&t.mask {
 			t.index[i] = t.index[j]
 			i = j
 		}

@@ -45,7 +45,7 @@ func (c *shadowChecker) locate(seq uint64) string {
 	}
 	for i, r := range s.rungs {
 		for bi := 0; bi < r.used; bi++ {
-			for _, ev := range r.buckets[bi] {
+			for ev := r.buckets[bi].head; ev != nil; ev = ev.next {
 				if find(ev) {
 					return out + "; seq in rung " + itoa(uint64(i)) + " bucket " +
 						itoa(uint64(bi)) + " (cur " + itoa(uint64(r.cur)) + ") at=" + ev.at.String()

@@ -14,11 +14,20 @@ package sim
 //     same comparator the heap-only scheduler used.
 //   - rungs: bucket arrays. rungs[0] is the wheel spread over the current
 //     epoch's span; rungs[r+1] is a finer wheel spawned from one oversized
-//     bucket of rungs[r]. Inserting into a rung is O(1): index the bucket,
-//     append.
-//   - top: an unsorted overflow list for events at or past the current
-//     epoch (at >= topStart). Insertion is O(1); the list is spread into a
-//     fresh rungs[0] when everything nearer has drained.
+//     bucket of rungs[r]. A bucket is an unordered doubly linked list
+//     threaded through Event.next/prev, plus a count, as in Tang, Goh and
+//     Thng's ladder queue (ACM TOMACS 2005). Inserting into a rung is O(1):
+//     index the bucket, link at its head; removing is an O(1) unlink.
+//   - top: an unsorted overflow list (a slice) for events at or past the
+//     current epoch (at >= topStart). Insertion is O(1); the list is
+//     spread into a fresh rungs[0] when everything nearer has drained.
+//
+// Storage: bucket lists live in the events themselves, so a rung keeps one
+// head pointer and one count per bucket (at most maxRungBuckets, pooled)
+// and no slot per event. The bottom heap holds the few promoted events
+// and the top slice one epoch's overflow, bounded like the freelist by
+// the peak pending count: queue storage never keeps the history of a
+// bucket's peak occupancy.
 //
 // Time partition invariant (left to right, earliest to latest):
 //
@@ -82,7 +91,7 @@ const (
 
 // rung is one bucket array of the ladder: buckets of `width` covering
 // [start, start + used*width). Buckets before cur are consumed (empty).
-// rungs and their bucket slices are pooled per Simulator, so steady-state
+// Rungs and their bucket tables are pooled per Simulator, so steady-state
 // epochs allocate nothing once warm.
 type rung struct {
 	start Time
@@ -96,22 +105,55 @@ type rung struct {
 	endT    Time
 	cur     int
 	used    int
-	count   int // events currently stored across buckets
-	buckets [][]*Event
+	buckets []bucket
+}
+
+// bucket is an unordered doubly linked list of events, threaded through
+// their next and prev fields, and its length. Head and count share one
+// table entry, so an insert touches the entry, the event and the old
+// head, and a rung stores nothing per event.
+type bucket struct {
+	head *Event
+	n    int32
 }
 
 func (r *rung) end() Time { return r.endT }
 
-// reset prepares a pooled rung for a new span, growing the bucket table to
-// `used` entries and clearing any stale lengths.
+// reset prepares a pooled rung for a new span of `used` empty buckets.
 func (r *rung) reset(start, end, width Time, used int) {
-	r.start, r.endT, r.width, r.used, r.cur, r.count = start, end, width, used, 0, 0
-	for used > len(r.buckets) {
-		r.buckets = append(r.buckets, nil)
+	r.start, r.endT, r.width, r.used, r.cur = start, end, width, used, 0
+	if used > cap(r.buckets) {
+		// Doubling keeps a slowly growing epoch from reallocating each time.
+		r.buckets = make([]bucket, min(max(used, 2*cap(r.buckets)), maxRungBuckets))
 	}
-	for i := 0; i < used; i++ {
-		r.buckets[i] = r.buckets[i][:0]
+	r.buckets = r.buckets[:used]
+	clear(r.buckets)
+}
+
+// add links ev at the head of bucket i of the rung at s.rungs[loc].
+func (r *rung) add(loc int32, i int, ev *Event) {
+	b := &r.buckets[i]
+	ev.loc, ev.index, ev.next, ev.prev = loc, int32(i), b.head, nil
+	if b.head != nil {
+		b.head.prev = ev
 	}
+	b.head = ev
+	b.n++
+}
+
+// remove unlinks ev from its bucket.
+func (r *rung) remove(ev *Event) {
+	b := &r.buckets[ev.index]
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		b.head = ev.next
+	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
+	ev.next, ev.prev = nil, nil
+	b.n--
 }
 
 // schedule routes ev into the tier its deadline belongs to. The event's
@@ -139,20 +181,16 @@ func (s *Simulator) schedule(ev *Event) {
 		if at >= r.end() && i > 0 {
 			continue
 		}
-		idx := int((at - r.start) / r.width)
-		b := r.buckets[idx]
-		ev.loc, ev.bucket, ev.index = int32(i), int32(idx), int32(len(b))
-		r.buckets[idx] = append(b, ev)
-		r.count++
+		r.add(int32(i), int((at-r.start)/r.width), ev)
 		return
 	}
 	panic("sim: unreachable — rung walk found no tier")
 }
 
 // unlink removes a still-queued event from whatever tier holds it, without
-// releasing the node. Top and rung removal are O(1) swap-removes (bucket
-// order is irrelevant — ordering happens in the bottom heap); bottom
-// removal is the indexed heap delete.
+// releasing the node. Top removal is an O(1) swap-remove and rung removal
+// an O(1) list unlink (order within a tier is irrelevant — ordering
+// happens in the bottom heap); bottom removal is the indexed heap delete.
 func (s *Simulator) unlink(ev *Event) {
 	if s.check != nil {
 		s.check.deleted[ev.seq] = struct{}{}
@@ -170,16 +208,7 @@ func (s *Simulator) unlink(ev *Event) {
 		s.top[last] = nil
 		s.top = s.top[:last]
 	default:
-		r := s.rungs[ev.loc]
-		b := r.buckets[ev.bucket]
-		i := int(ev.index)
-		last := len(b) - 1
-		moved := b[last]
-		b[i] = moved
-		moved.index = int32(i)
-		b[last] = nil
-		r.buckets[ev.bucket] = b[:last]
-		r.count--
+		s.rungs[ev.loc].remove(ev)
 	}
 	ev.loc = locNone
 }
@@ -191,7 +220,7 @@ func (s *Simulator) refill() bool {
 	for len(s.bottom) == 0 {
 		if n := len(s.rungs); n > 0 {
 			r := s.rungs[n-1]
-			for r.cur < r.used && len(r.buckets[r.cur]) == 0 {
+			for r.cur < r.used && r.buckets[r.cur].head == nil {
 				r.cur++
 			}
 			if r.cur == r.used {
@@ -208,22 +237,21 @@ func (s *Simulator) refill() bool {
 				continue
 			}
 			b := r.buckets[r.cur]
+			r.buckets[r.cur] = bucket{}
 			bStart := r.start + Time(r.cur)*r.width
 			r.cur++
-			r.count -= len(b)
-			if len(b) <= ladderThresh || r.width <= minBucketWidth || len(s.rungs) >= maxRungs {
+			if b.n <= ladderThresh || r.width <= minBucketWidth || len(s.rungs) >= maxRungs {
 				// Small or unsplittable bucket: order it in the bottom
 				// heap (the degraded-to-heap path). The last bucket's
 				// nominal end can overshoot the rung's true span (ceil
 				// rounding); clamp so lowBound never crosses into the
 				// parent rung's still-pending region.
-				bEnd := bStart + r.width
-				if bEnd > r.endT {
-					bEnd = r.endT
-				}
-				s.lowBound = bEnd
-				for _, ev := range b {
+				s.lowBound = min(bStart+r.width, r.endT)
+				for ev := b.head; ev != nil; {
+					next := ev.next
+					ev.next, ev.prev = nil, nil
 					s.bottomPush(ev)
+					ev = next
 				}
 			} else {
 				// Oversized bucket: spawn a finer rung across its span. Like
@@ -232,14 +260,14 @@ func (s *Simulator) refill() bool {
 				// child's span to r.endT, or the child would claim a window
 				// the next-coarser rung still holds events for, and new
 				// arrivals in that window would fire ahead of them.
-				span := r.width
-				if bStart+span > r.endT {
-					span = r.endT - bStart
+				child, loc := s.spawnRung(bStart, min(r.width, r.endT-bStart), int(b.n))
+				for ev := b.head; ev != nil; {
+					next := ev.next
+					child.add(loc, int((ev.at-bStart)/child.width), ev)
+					ev = next
 				}
-				s.spawnRung(bStart, span, b)
 				s.lowBound = bStart
 			}
-			r.buckets[r.cur-1] = b[:0]
 			continue
 		}
 		if len(s.top) == 0 {
@@ -250,79 +278,44 @@ func (s *Simulator) refill() bool {
 	return true
 }
 
-// spawnRung spreads the events of one oversized bucket spanning
-// [start, start+span) into a fresh finest rung sized for ~1 event per
-// bucket.
-func (s *Simulator) spawnRung(start, span Time, evs []*Event) {
-	nb := len(evs)
-	if nb > maxRungBuckets {
-		nb = maxRungBuckets
-	}
-	width := (span + Time(nb) - 1) / Time(nb)
-	if width < minBucketWidth {
-		width = minBucketWidth
-	}
+// spawnRung pushes a fresh finest rung over [start, start+span), sized
+// for ~1 of its n events per bucket, and returns it with its index in
+// s.rungs.
+func (s *Simulator) spawnRung(start, span Time, n int) (*rung, int32) {
+	nb := min(n, maxRungBuckets)
+	width := max((span+Time(nb)-1)/Time(nb), minBucketWidth)
 	used := int((span + width - 1) / width)
 	r := s.getRung(start, start+span, width, used)
-	loc := int32(len(s.rungs))
 	s.rungs = append(s.rungs, r)
-	for _, ev := range evs {
-		idx := int((ev.at - start) / width)
-		b := r.buckets[idx]
-		ev.loc, ev.bucket, ev.index = loc, int32(idx), int32(len(b))
-		r.buckets[idx] = append(b, ev)
-	}
-	r.count = len(evs)
+	return r, int32(len(s.rungs) - 1)
 }
 
 // spreadTop starts a new epoch: the overflow list becomes rungs[0], a
 // wheel across the list's exact [min, max] span, and topStart moves past
 // it. Called only when bottom and all rungs are empty. A small overflow
 // skips the wheel entirely and heaps directly — the sparse-queue fast
-// path (and the other degraded-to-heap case).
+// path (and the other degraded-to-heap case). The list stays a slice:
+// both passes over it load events whose addresses are known up front.
 func (s *Simulator) spreadTop() {
 	lo, hi := s.top[0].at, s.top[0].at
 	for _, ev := range s.top[1:] {
-		if ev.at < lo {
-			lo = ev.at
-		}
-		if ev.at > hi {
-			hi = ev.at
-		}
+		lo, hi = min(lo, ev.at), max(hi, ev.at)
 	}
+	s.topStart = hi + 1
 	if len(s.top) <= ladderThresh {
-		for i, ev := range s.top {
+		for _, ev := range s.top {
 			s.bottomPush(ev)
-			s.top[i] = nil
 		}
-		s.top = s.top[:0]
-		s.topStart = hi + 1
 		s.lowBound = hi + 1
-		return
+	} else {
+		r, loc := s.spawnRung(lo, hi-lo+1, len(s.top))
+		for _, ev := range s.top {
+			r.add(loc, int((ev.at-lo)/r.width), ev)
+		}
+		s.lowBound = lo
 	}
-	nb := len(s.top)
-	if nb > maxRungBuckets {
-		nb = maxRungBuckets
-	}
-	span := hi - lo + 1
-	width := (span + Time(nb) - 1) / Time(nb)
-	if width < minBucketWidth {
-		width = minBucketWidth
-	}
-	used := int((span + width - 1) / width)
-	r := s.getRung(lo, hi+1, width, used)
-	s.rungs = append(s.rungs, r)
-	for i, ev := range s.top {
-		idx := int((ev.at - lo) / width)
-		b := r.buckets[idx]
-		ev.loc, ev.bucket, ev.index = 0, int32(idx), int32(len(b))
-		r.buckets[idx] = append(b, ev)
-		s.top[i] = nil
-	}
-	r.count = len(s.top)
+	clear(s.top)
 	s.top = s.top[:0]
-	s.topStart = r.end()
-	s.lowBound = r.start
 }
 
 // getRung takes a rung from the pool (or allocates one) and sizes it for

@@ -209,6 +209,9 @@ func ladderDiff(t *testing.T, seed int64, ops int) {
 		if s.Pending() != len(model.evs) {
 			t.Fatalf("seed %d op %d: Pending()=%d, model holds %d", seed, op, s.Pending(), len(model.evs))
 		}
+		if op%16 == 0 {
+			checkLadder(t, s)
+		}
 	}
 	// Drain completely: every remaining event must fire in model order.
 	for s.Step() {
@@ -374,9 +377,107 @@ func TestLadderDeepDrainArrivals(t *testing.T) {
 	}
 }
 
+// checkLadder walks every tier and checks its links: each rung bucket's
+// count is its list's length, every listed event names its rung, its
+// bucket and its predecessor, every top event its slot, and the tiers
+// together hold exactly Pending() events. It returns the number of
+// entries in the rung tables, pooled rungs included.
+func checkLadder(t *testing.T, s *Simulator) (entries int) {
+	t.Helper()
+	queued := len(s.bottom) + len(s.top)
+	for loc, r := range s.rungs {
+		if len(r.buckets) != r.used {
+			t.Fatalf("rung %d: %d table entries for %d buckets", loc, len(r.buckets), r.used)
+		}
+		for i, b := range r.buckets {
+			n := 0
+			var prev *Event
+			for ev := b.head; ev != nil; ev = ev.next {
+				if ev.prev != prev || ev.loc != int32(loc) || ev.index != int32(i) {
+					t.Fatalf("event seq %d in rung %d bucket %d: prev %p (want %p), loc %d, index %d",
+						ev.seq, loc, i, ev.prev, prev, ev.loc, ev.index)
+				}
+				prev = ev
+				n++
+			}
+			if int32(n) != b.n {
+				t.Fatalf("rung %d bucket %d: list of %d events, count %d", loc, i, n, b.n)
+			}
+			queued += n
+		}
+	}
+	for i, ev := range s.top {
+		if ev.loc != locTop || ev.index != int32(i) || ev.next != nil || ev.prev != nil {
+			t.Fatalf("top slot %d: event seq %d has loc %d, index %d, links %p %p",
+				i, ev.seq, ev.loc, ev.index, ev.next, ev.prev)
+		}
+	}
+	if queued != s.Pending() {
+		t.Fatalf("tiers hold %d events, Pending() = %d", queued, s.Pending())
+	}
+	for _, r := range append(append([]*rung{}, s.rungs...), s.rungPool...) {
+		entries += cap(r.buckets)
+	}
+	return entries
+}
+
+// TestLadderStorageTracksPending pins that the rungs keep no storage
+// from a burst the queue has drained: 200,000 events in one epoch spread
+// into maxRungBuckets buckets, and once they have fired, about 100 pending
+// events run for several epochs. The rungs keep only their bucket tables
+// (at most maxRungs × maxRungBuckets entries, a head and a count each) and
+// no slot per event, the bottom heap holds a few promoted events, and
+// every Event struct is pending or on the freelist. (The top slice, like
+// the freelist, keeps the burst's length.)
+func TestLadderStorageTracksPending(t *testing.T) {
+	const burst, steady = 200_000, 100
+	s := New(1)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < burst; i++ {
+		s.At(time.Millisecond+Time(rng.Int63n(int64(time.Second))), func() {})
+	}
+	s.Step() // spreads the burst
+	if len(s.rungs) == 0 || s.rungs[0].used != maxRungBuckets {
+		t.Fatalf("burst spread into %d rungs, want rungs[0] of %d buckets", len(s.rungs), maxRungBuckets)
+	}
+	checkLadder(t, s)
+	for s.Step() {
+	}
+
+	var rearm func()
+	rearm = func() { s.After(Time(rng.Int63n(int64(100*time.Millisecond))), rearm) }
+	for i := 0; i < steady; i++ {
+		rearm()
+	}
+	epochs, top := 0, s.topStart
+	for s.Now() < 10*time.Second {
+		s.Step()
+		if s.topStart != top {
+			epochs, top = epochs+1, s.topStart
+		}
+	}
+	if epochs < 5 {
+		t.Fatalf("%d epochs, want at least 5", epochs)
+	}
+
+	limit := maxRungs * maxRungBuckets
+	if entries := checkLadder(t, s); entries > limit {
+		t.Fatalf("rung tables hold %d entries, want at most %d", entries, limit)
+	}
+	if c := cap(s.bottom); c > 4*ladderThresh {
+		t.Fatalf("bottom heap keeps %d slots for %d pending events", c, s.Pending())
+	}
+	if n := len(s.free) + s.Pending(); n > burst+eventChunk {
+		t.Fatalf("%d events pending or free after a %d-event burst", n, burst)
+	}
+}
+
 // FuzzLadderVsHeap lets the fuzzer pick the trace seed and length. The
 // corpus seeds replay the deterministic property traces; crashers shrink
-// to a (seed, ops) pair that is trivially replayable in ladderDiff.
+// to a (seed, ops) pair that is trivially replayable in ladderDiff. Each
+// seed cancels and reschedules events sitting in a rung bucket as its
+// head, in its middle and as its only element, dozens of times or more
+// each.
 func FuzzLadderVsHeap(f *testing.F) {
 	f.Add(int64(1), uint16(200))
 	f.Add(int64(42), uint16(800))

@@ -21,16 +21,19 @@
 // scheduler produced: equal-time events run FIFO in schedule order, so a
 // seed's output is byte-identical whichever structure queued the events
 // (enforced by the differential fuzz test against the reference heap,
-// FuzzLadderVsHeap).
+// FuzzLadderVsHeap). A rung bucket is a list threaded through the events'
+// own next/prev fields, so the rungs hold no slot per event: the queue's
+// storage follows the pending set, not the largest bucket it ever held.
 //
 // Amortized cost per operation:
 //
-//	At/After:    O(1) — bucket index + append (O(log b) for the b imminent
-//	             events already promoted to the bottom heap, with b small)
+//	At/After:    O(1) — bucket index + list link (O(log b) for the b
+//	             imminent events already promoted to the bottom heap, with
+//	             b small)
 //	Step:        O(1) — bottom-heap pop of size <= ~ladderThresh, plus each
 //	             event's O(1) share of bucket promotion
-//	Cancel:      O(1) in a bucket or the overflow list (swap-remove);
-//	             O(log b) in the bottom heap
+//	Cancel:      O(1) in a bucket (list unlink) or the overflow list
+//	             (swap-remove); O(log b) in the bottom heap
 //	Reschedule:  one unlink + one insert of the same pooled node
 //	RunUntil:    peek is O(1) after the same promotion work Step would do
 //
@@ -64,13 +67,15 @@ type Event struct {
 	at  Time
 	seq uint64 // tie-break so equal-time events run FIFO
 	fn  func()
+	// next and prev link the event into its rung bucket's list; both are
+	// nil anywhere else.
+	next, prev *Event
 	// loc says which tier holds the event (locNone / locBottom / locTop /
-	// a rung index); index is its slot in that tier, and bucket the bucket
-	// within a rung.
-	loc    int32
-	index  int32
-	bucket int32
-	gen    uint32 // bumped whenever the node returns to the freelist
+	// a rung index); index is its slot in the bottom heap or the top list,
+	// or its bucket within a rung.
+	loc   int32
+	index int32
+	gen   uint32 // bumped whenever the node returns to the freelist
 }
 
 // Timer is a handle to a scheduled event. The zero Timer is inert: Cancel
