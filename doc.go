@@ -98,16 +98,19 @@
 // trials in internal/runner, one Simulator per trial.
 //
 // The routing control plane shares one toolkit: internal/routing/rcommon
-// owns the drop-reason vocabulary, route discovery for the four
-// on-demand protocols and its parameters (solicitation with the RREQ rate
-// limit, TTL pick, retry back-off, hold-down and queue flush; a protocol
-// only builds its RREQ), the RERR rate limiter, the periodic beaconer,
+// owns route discovery for the four on-demand protocols and its
+// parameters (solicitation with the RREQ rate limit, TTL pick, retry
+// back-off, hold-down and queue flush; a protocol only builds its RREQ),
+// the RERR rate limiter, the periodic beaconer,
 // the hello/link-liveness neighbor table, duplicate-flood suppression,
 // and the flat by-value id table (IDTable) that holds SRP's routes and
 // RREQ state. internal/routing/rtest's conformance suite runs every
 // registered protocol through a shared contract: quiet before Start,
 // idempotent Start, deterministic replay at any worker count, and drops
-// only from the canonical vocabulary.
+// only from the canonical vocabulary. The data plane's arrival is
+// netstack's: it delivers packets for its node and drops packets out of
+// TTL for every protocol, and a drop's reason is a netstack.DropReason,
+// so a reason outside the vocabulary does not compile.
 //
 // A network is wired one way: netstack.NewNetwork builds the channel, the
 // collector and one node per mobility model, and scenario trials, rtest's

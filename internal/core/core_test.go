@@ -198,6 +198,30 @@ func TestGraphDetectsCycle(t *testing.T) {
 	}
 }
 
+// anyLess is a broken label set whose Less holds for every pair, so no edge
+// fails the label-order check and only the cycle search can catch a loop.
+type anyLess struct{ FracSet }
+
+func (anyLess) Less(a, b frac.F) bool { return true }
+
+func TestGraphCycleSearchBehindBrokenOrder(t *testing.T) {
+	g := NewGraph[frac.F](anyLess{})
+	g.succ = map[int]map[int]struct{}{
+		1: {2: {}},
+		2: {3: {}},
+		3: {1: {}},
+		4: {1: {}},
+	}
+	err := g.Verify()
+	if err == nil || err.Error() != "routing loop: cycle [1 2 3 1]" {
+		t.Fatalf("Verify = %v, want the cycle [1 2 3 1]", err)
+	}
+	delete(g.succ[3], 1)
+	if err := g.Verify(); err != nil {
+		t.Fatalf("acyclic graph: %v", err)
+	}
+}
+
 func TestGraphVerifyCountsAndAccessors(t *testing.T) {
 	g := NewGraph[frac.F](fs)
 	mustSet(t, g, 1, frac.MustNew(1, 2))

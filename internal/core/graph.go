@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"slr/internal/loopcheck"
 )
 
 // Graph is a live checker for the SLR invariants of Theorems 1–3 over one
@@ -92,8 +94,8 @@ func (g *Graph[L]) Checks() int { return g.checks }
 
 // Verify checks the full invariant: every edge (i, j) satisfies
 // label(j) < label(i) (topological order, which implies acyclicity,
-// Theorem 3), and — defense in depth — an explicit DFS confirms there is no
-// directed cycle.
+// Theorem 3), and — defense in depth — loopcheck.FindCycle confirms there
+// is no directed cycle.
 func (g *Graph[L]) Verify() error {
 	g.checks++
 	for from, set := range g.succ {
@@ -105,63 +107,12 @@ func (g *Graph[L]) Verify() error {
 			}
 		}
 	}
-	if cycle := g.findCycle(); cycle != nil {
+	adj := make(map[int][]int, len(g.succ))
+	for from := range g.succ {
+		adj[from] = g.Successors(from)
+	}
+	if cycle := loopcheck.FindCycle(adj); cycle != nil {
 		return fmt.Errorf("routing loop: cycle %v", cycle)
-	}
-	return nil
-}
-
-// findCycle runs an iterative three-color DFS over the successor graph and
-// returns a cycle as a node list, or nil.
-func (g *Graph[L]) findCycle() []int {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[int]int, len(g.succ))
-	parent := make(map[int]int)
-
-	var roots []int
-	for n := range g.succ {
-		roots = append(roots, n)
-	}
-	sort.Ints(roots)
-
-	for _, root := range roots {
-		if color[root] != white {
-			continue
-		}
-		type frame struct {
-			node int
-			next []int
-		}
-		stack := []frame{{root, g.Successors(root)}}
-		color[root] = gray
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			if len(top.next) == 0 {
-				color[top.node] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			n := top.next[0]
-			top.next = top.next[1:]
-			switch color[n] {
-			case white:
-				color[n] = gray
-				parent[n] = top.node
-				stack = append(stack, frame{n, g.Successors(n)})
-			case gray:
-				// Found a back edge top.node -> n: extract cycle.
-				cycle := []int{n}
-				for v := top.node; v != n; v = parent[v] {
-					cycle = append(cycle, v)
-				}
-				cycle = append(cycle, n)
-				return cycle
-			}
-		}
 	}
 	return nil
 }

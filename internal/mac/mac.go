@@ -222,9 +222,6 @@ func New(s *sim.Simulator, ch *radio.Channel, id radio.NodeID, up UpperLayer) *M
 // Stats returns a copy of the counters.
 func (m *MAC) Stats() Stats { return m.stats }
 
-// QueueLen returns the number of queued (not yet attempted) payloads.
-func (m *MAC) QueueLen() int { return len(m.queue) }
-
 // getJob takes a job from the pool, resetting every field.
 func (m *MAC) getJob(to radio.NodeID, size int, payload any, priority bool) *job {
 	var j *job

@@ -2,13 +2,17 @@
 // routing protocol to the MAC, carries data packets hop by hop, dispatches
 // control messages, and feeds the metrics collector.
 //
-// The routing protocol owns every forwarding decision; the stack only
-// provides transmit primitives, timers, and delivery/drop accounting, so
-// SRP and the four baseline protocols plug in behind one interface.
+// The routing protocol owns every forwarding decision; the stack provides
+// transmit primitives and timers, and is the one place a data packet's
+// arrival and drops are accounted: it delivers the packets addressed to
+// its node, expires the ones out of TTL, and hands the protocol only the
+// packets it must relay. SRP and the four baseline protocols plug in
+// behind one interface.
 package netstack
 
 import (
 	"math/rand"
+	"slices"
 
 	"slr/internal/mac"
 	"slr/internal/metrics"
@@ -47,12 +51,42 @@ type DataPacket struct {
 	Salvaged int
 }
 
+// DropReason is why a data packet was dropped above the MAC. Node.DropData
+// takes only these, so a new reason is a new constant here; its String
+// keys metrics.Collector.DataDrops, scenario.Result.DropReasons and the
+// JSONL drop_reasons.
+type DropReason uint8
+
+// The drop vocabulary, sorted by spelling.
+const (
+	// DropTimeout: route discovery gave up after its last retry.
+	DropTimeout DropReason = iota
+	// DropLinkLost: the MAC exhausted retries toward the next hop and the
+	// protocol could not (or may not) salvage the packet.
+	DropLinkLost
+	// DropNoRoute: no live route and no discovery to queue behind.
+	DropNoRoute
+	// DropQueueFull: the per-destination discovery queue was full.
+	DropQueueFull
+	// DropTTL: the packet's hop budget ran out.
+	DropTTL
+)
+
+var dropNames = [...]string{
+	DropTimeout:   "discovery-timeout",
+	DropLinkLost:  "link-lost",
+	DropNoRoute:   "no-route",
+	DropQueueFull: "queue-full",
+	DropTTL:       "ttl-expired",
+}
+
+// String returns the reason's spelling in the run's outputs.
+func (r DropReason) String() string { return dropNames[r] }
+
+// KnownDropReason reports whether s is the spelling of a DropReason.
+func KnownDropReason(s string) bool { return slices.Contains(dropNames[:], s) }
+
 // Protocol is a routing protocol instance bound to one node.
-//
-// DropData reasons must come from the canonical vocabulary owned by
-// slr/internal/routing/rcommon (the netstack cannot import it — rcommon
-// builds on the Node API — so the conformance suite enforces the
-// vocabulary instead of the type system).
 type Protocol interface {
 	// Attach binds the protocol to its node. Called once, before Start.
 	Attach(n *Node)
@@ -60,7 +94,9 @@ type Protocol interface {
 	Start()
 	// OriginateData is invoked when the local application sends pkt.
 	OriginateData(pkt *DataPacket)
-	// RecvData handles a data packet received from neighbor `from`.
+	// RecvData handles a packet to relay, received from neighbor `from`.
+	// The stack has already counted the hop and spent one TTL; packets
+	// for this node and packets out of TTL never reach the protocol.
 	RecvData(from NodeID, pkt *DataPacket)
 	// RecvControl handles a control message received from neighbor
 	// `from`. Messages are protocol-defined types.
@@ -154,9 +190,6 @@ func (n *Node) RescheduleAfter(t sim.Timer, d sim.Time, fn func()) sim.Timer {
 // Cancel cancels a scheduled event; stale and zero timers are ignored.
 func (n *Node) Cancel(t sim.Timer) { n.sim.Cancel(t) }
 
-// Metrics returns the run's collector.
-func (n *Node) Metrics() *metrics.Collector { return n.mx }
-
 // SendData hands an application packet to the routing protocol.
 func (n *Node) SendData(pkt *DataPacket) {
 	n.mx.Sent(pkt.Flow)
@@ -224,20 +257,32 @@ func (n *Node) UnicastControl(to NodeID, size int, msg any) {
 	n.mac.SendPriority(to, size, n.newEnvelope(size, msg))
 }
 
-// DeliverLocal records the arrival of pkt at its destination. Duplicate
-// UIDs (e.g. a retransmitted copy that raced an ACK) count once.
-func (n *Node) DeliverLocal(pkt *DataPacket) {
-	if _, dup := n.delivered[pkt.UID]; dup {
+// recvData handles a data packet arriving from neighbor `from`: it counts
+// the hop, delivers a packet addressed to this node (a duplicate UID, e.g.
+// a retransmitted copy that raced an ACK, counts once), drops one whose
+// TTL runs out, and hands the rest to the protocol to relay.
+func (n *Node) recvData(from NodeID, pkt *DataPacket) {
+	pkt.Hops++
+	if pkt.Dst == n.id {
+		if _, dup := n.delivered[pkt.UID]; dup {
+			return
+		}
+		n.delivered[pkt.UID] = struct{}{}
+		now := n.sim.Now()
+		n.mx.Delivered(pkt.Flow, now, now-pkt.Created, pkt.Hops)
 		return
 	}
-	n.delivered[pkt.UID] = struct{}{}
-	now := n.sim.Now()
-	n.mx.Delivered(pkt.Flow, now, now-pkt.Created, pkt.Hops)
+	pkt.TTL--
+	if pkt.TTL <= 0 {
+		n.DropData(pkt, DropTTL)
+		return
+	}
+	n.proto.RecvData(from, pkt)
 }
 
-// DropData records a routing-layer drop of pkt.
-func (n *Node) DropData(pkt *DataPacket, reason string) {
-	n.mx.Drop(reason)
+// DropData records a drop of pkt above the MAC.
+func (n *Node) DropData(pkt *DataPacket, reason DropReason) {
+	n.mx.Drop(reason.String())
 }
 
 // macUpper adapts Node to the mac.UpperLayer interface without exposing
@@ -250,7 +295,7 @@ func (u *macUpper) Deliver(from radio.NodeID, payload any) {
 	n := (*Node)(u)
 	switch p := payload.(type) {
 	case *DataPacket:
-		n.proto.RecvData(from, p)
+		n.recvData(from, p)
 	case *controlEnvelope:
 		n.proto.RecvControl(from, p.msg)
 	}

@@ -30,24 +30,12 @@ func (p *hopProto) Start()         { p.started = true }
 
 func (p *hopProto) OriginateData(pkt *DataPacket) { p.route(pkt) }
 
-func (p *hopProto) RecvData(from NodeID, pkt *DataPacket) {
-	pkt.Hops++
-	if pkt.Dst == p.n.ID() {
-		p.n.DeliverLocal(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		p.n.DropData(pkt, "ttl-expired")
-		return
-	}
-	p.route(pkt)
-}
+func (p *hopProto) RecvData(from NodeID, pkt *DataPacket) { p.route(pkt) }
 
 func (p *hopProto) route(pkt *DataPacket) {
 	next, ok := p.nextHop[pkt.Dst]
 	if !ok {
-		p.n.DropData(pkt, "no-route")
+		p.n.DropData(pkt, DropNoRoute)
 		return
 	}
 	p.n.ForwardData(next, pkt)
@@ -121,9 +109,73 @@ func TestDuplicateDeliveryCountsOnce(t *testing.T) {
 	w.Nodes[0].SendData(pkt)
 	w.Sim.Run()
 	// Simulate a duplicate arriving later.
-	w.Nodes[1].DeliverLocal(pkt)
+	(*macUpper)(w.Nodes[1]).Deliver(0, pkt)
 	if w.MX.DataRecv != 1 {
 		t.Fatalf("DataRecv = %d, want 1 (dedup)", w.MX.DataRecv)
+	}
+}
+
+// relayLog is a hopProto that records, instead of routing, every packet
+// that reaches RecvData, as it was on arrival.
+type relayLog struct {
+	hopProto
+	got []DataPacket
+}
+
+func (p *relayLog) RecvData(from NodeID, pkt *DataPacket) { p.got = append(p.got, *pkt) }
+
+// TestArrivalReachesProtocolOnlyToRelay pins the arrival prelude the stack
+// runs for every protocol: a packet for this node is delivered (once per
+// UID) and one arriving with TTL 1 is dropped, neither reaching RecvData;
+// a packet to relay reaches it with its hop counted and one TTL spent.
+func TestArrivalReachesProtocolOnlyToRelay(t *testing.T) {
+	log := &relayLog{}
+	w := NewNetwork(sim.New(7), radio.DefaultParams(), []mobility.Model{&mobility.Static{}},
+		func(NodeID) Protocol { return log })
+	arrive := (*macUpper)(w.Nodes[0]).Deliver
+
+	mine := &DataPacket{UID: 1, Dst: 0, TTL: 1, Hops: 2}
+	arrive(1, mine)
+	arrive(1, mine)
+	if w.MX.DataRecv != 1 || w.MX.HopsSum != 3 {
+		t.Errorf("a packet for this node arriving twice: %d deliveries over %d hops, want 1 over 3",
+			w.MX.DataRecv, w.MX.HopsSum)
+	}
+	arrive(1, &DataPacket{UID: 2, Dst: 5, TTL: 1})
+	if w.MX.DataDrops[DropTTL.String()] != 1 {
+		t.Errorf("drops = %v, want one %s", w.MX.DataDrops, DropTTL)
+	}
+	if len(log.got) != 0 {
+		t.Fatalf("RecvData got %+v, want nothing: neither packet is to relay", log.got)
+	}
+
+	arrive(1, &DataPacket{UID: 3, Dst: 5, TTL: 4, Hops: 2})
+	if len(log.got) != 1 || log.got[0].UID != 3 || log.got[0].Hops != 3 || log.got[0].TTL != 3 {
+		t.Fatalf("RecvData got %+v, want packet 3 with Hops 3 and TTL 3", log.got)
+	}
+	if w.MX.DataRecv != 1 || len(w.MX.DataDrops) != 1 {
+		t.Errorf("relaying changed the accounting: %d deliveries, drops %v", w.MX.DataRecv, w.MX.DataDrops)
+	}
+}
+
+// TestDropVocabulary pins the spellings DropReason keys the outputs with.
+func TestDropVocabulary(t *testing.T) {
+	want := []string{"discovery-timeout", "link-lost", "no-route", "queue-full", "ttl-expired"}
+	for r, name := range want {
+		if got := DropReason(r).String(); got != name {
+			t.Errorf("DropReason(%d) = %q, want %q", r, got, name)
+		}
+		if !KnownDropReason(name) {
+			t.Errorf("reason %q not recognized", name)
+		}
+	}
+	if len(dropNames) != len(want) {
+		t.Errorf("%d reasons, want %d", len(dropNames), len(want))
+	}
+	for _, bad := range []string{"", "rreq-queue-full", "no route", "NO-ROUTE"} {
+		if KnownDropReason(bad) {
+			t.Errorf("reason %q should be unknown", bad)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package registry
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 )
@@ -60,15 +61,62 @@ func Param(params map[string]float64, name string, def float64) float64 {
 	return def
 }
 
+// paramKind says which spec-level values a parameter accepts.
+type paramKind uint8
+
+const (
+	real    paramKind = iota // any finite value
+	integer                  // an integer a float64 holds exactly, |v| <= 2^53
+	boolean                  // exactly 0 or 1
+)
+
+// accepts reports whether v is a value of kind k; NaN and ±Inf are values
+// of no kind.
+func (k paramKind) accepts(v float64) bool {
+	switch k {
+	case integer:
+		return v == math.Trunc(v) && math.Abs(v) <= 1<<53
+	case boolean:
+		return v == 0 || v == 1
+	}
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+func (k paramKind) String() string {
+	return [...]string{real: "a finite number", integer: "an integer", boolean: "0 or 1"}[k]
+}
+
+// Applier sets one parameter of a config C; Real, Int and Bool build one.
+// ApplyParams refuses a value of the wrong kind before the setter runs, so
+// no setter truncates or rounds.
+type Applier[C any] struct {
+	kind paramKind
+	set  func(*C, float64)
+}
+
+// Real is the applier of a parameter that takes any finite value.
+func Real[C any](set func(*C, float64)) Applier[C] { return Applier[C]{real, set} }
+
+// Int is the applier of a parameter that takes an integer.
+func Int[C any](set func(*C, int)) Applier[C] {
+	return Applier[C]{integer, func(c *C, v float64) { set(c, int(v)) }}
+}
+
+// Bool is the applier of a parameter that takes 0 (false) or 1 (true).
+func Bool[C any](set func(*C, bool)) Applier[C] {
+	return Applier[C]{boolean, func(c *C, v float64) { set(c, v == 1) }}
+}
+
 // ApplyParams returns cfg with params applied: it walks params in sorted
 // key order, invoking the matching applier for each entry. A key with no
-// applier is an error naming the known keys — a typoed knob must fail
-// loudly, never silently fall back to a default. It is the shared override
-// mechanism for model families whose parameter set is fixed and validated
-// (routing protocol configs), as opposed to Param's open accessor for
-// optional knobs. apply is the family's package-level table, so a call
-// builds no closures, and one without params allocates nothing.
-func ApplyParams[C any](kind string, params map[string]float64, apply map[string]func(*C, float64), cfg C) (C, error) {
+// applier, or a value its applier's kind refuses, is an error — a typoed
+// knob or a fractional count must fail loudly, never silently fall back to
+// a default or truncate. It is the shared override mechanism for model
+// families whose parameter set is fixed and validated (routing protocol
+// configs), as opposed to Param's open accessor for optional knobs. apply
+// is the family's package-level table, so a call builds no closures, and
+// one without params allocates nothing.
+func ApplyParams[C any](kind string, params map[string]float64, apply map[string]Applier[C], cfg C) (C, error) {
 	if len(params) == 0 {
 		return cfg, nil
 	}
@@ -77,11 +125,15 @@ func ApplyParams[C any](kind string, params map[string]float64, apply map[string
 	c := new(C)
 	*c = cfg
 	for _, k := range slices.Sorted(maps.Keys(params)) {
-		f, ok := apply[k]
+		a, ok := apply[k]
 		if !ok {
 			return cfg, fmt.Errorf("%s: unknown parameter %q (known: %v)", kind, k, slices.Sorted(maps.Keys(apply)))
 		}
-		f(c, params[k])
+		v := params[k]
+		if !a.kind.accepts(v) {
+			return cfg, fmt.Errorf("%s: parameter %q is %v, want %v", kind, k, v, a.kind)
+		}
+		a.set(c, v)
 	}
 	return *c, nil
 }

@@ -46,9 +46,9 @@ func DefaultConfig() Config {
 
 // appliers are AODV's spec-level keys; see ConfigFromParams.
 var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
-	map[string]func(*Config, float64){
-		"active_route_timeout_seconds": func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) },
-		"local_repair":                 func(c *Config, v float64) { c.LocalRepair = v != 0 },
+	map[string]registry.Applier[Config]{
+		"active_route_timeout_seconds": registry.Real(func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) }),
+		"local_repair":                 registry.Bool(func(c *Config, v bool) { c.LocalRepair = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -227,17 +227,6 @@ func (p *Protocol) forward(pkt *netstack.DataPacket) bool {
 
 // RecvData implements netstack.Protocol.
 func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
-	if pkt.Dst == p.self {
-		pkt.Hops++
-		p.node.DeliverLocal(pkt)
-		return
-	}
-	pkt.Hops++
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		p.node.DropData(pkt, rcommon.DropTTL)
-		return
-	}
 	e, ok := p.liveRoute(pkt.Dst)
 	if !ok {
 		seq := uint32(0)
@@ -246,7 +235,7 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 		}
 		out := &rerr{Dests: []rerrDest{{Dst: pkt.Dst, Seq: seq}}}
 		p.node.UnicastControl(from, out.size(), out)
-		p.node.DropData(pkt, rcommon.DropNoRoute)
+		p.node.DropData(pkt, netstack.DropNoRoute)
 		return
 	}
 	p.useRoute(e)
@@ -432,7 +421,7 @@ func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 		pkt.Salvaged++
 		p.disc.Enqueue(pkt, true)
 	} else {
-		p.node.DropData(pkt, rcommon.DropLinkLost)
+		p.node.DropData(pkt, netstack.DropLinkLost)
 	}
 	p.propagateRERR(broken)
 }

@@ -7,7 +7,6 @@ import (
 	"slr/internal/geo"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
-	"slr/internal/routing/rcommon"
 	"slr/internal/routing/rtest"
 	"slr/internal/sim"
 )
@@ -91,7 +90,7 @@ func TestDiscoveryTimeout(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Send(0, 9)
 	w.Sim.RunUntil(time.Minute)
-	if w.MX.DataDrops[rcommon.DropTimeout] != 1 {
+	if w.MX.DataDrops[netstack.DropTimeout.String()] != 1 {
 		t.Fatalf("drops = %v", w.MX.DataDrops)
 	}
 }
@@ -105,7 +104,7 @@ func TestNoRouteIntermediateSendsRERR(t *testing.T) {
 	pkt := &netstack.DataPacket{UID: 1, Src: 0, Dst: 7, Size: 100, TTL: 8, Created: 0}
 	w.Nodes[1].Protocol().RecvData(0, pkt)
 	w.Sim.RunUntil(time.Second)
-	if w.MX.DataDrops[rcommon.DropNoRoute] != 1 {
+	if w.MX.DataDrops[netstack.DropNoRoute.String()] != 1 {
 		t.Fatalf("drops = %v", w.MX.DataDrops)
 	}
 	if w.MX.ControlTx == 0 {

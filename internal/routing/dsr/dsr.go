@@ -49,10 +49,10 @@ func DefaultConfig() Config {
 
 // appliers are DSR's spec-level keys; see ConfigFromParams.
 var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
-	map[string]func(*Config, float64){
-		"cache_lifetime_seconds": func(c *Config, v float64) { c.CacheLifetime = rcommon.Seconds(v) },
-		"routes_per_dest":        func(c *Config, v float64) { c.RoutesPerDest = int(v) },
-		"reply_from_cache":       func(c *Config, v float64) { c.ReplyFromCache = v != 0 },
+	map[string]registry.Applier[Config]{
+		"cache_lifetime_seconds": registry.Real(func(c *Config, v float64) { c.CacheLifetime = rcommon.Seconds(v) }),
+		"routes_per_dest":        registry.Int(func(c *Config, v int) { c.RoutesPerDest = v }),
+		"reply_from_cache":       registry.Bool(func(c *Config, v bool) { c.ReplyFromCache = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -301,20 +301,10 @@ func (p *Protocol) sendAlong(pkt *netstack.DataPacket, path []netstack.NodeID) {
 
 // RecvData implements netstack.Protocol.
 func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
-	pkt.Hops++
-	if pkt.Dst == p.self {
-		p.node.DeliverLocal(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		p.node.DropData(pkt, rcommon.DropTTL)
-		return
-	}
 	// Advance the source route.
 	idx := pkt.RouteIdx + 1
 	if idx >= len(pkt.Route) || pkt.Route[idx] != p.self || idx+1 >= len(pkt.Route) {
-		p.node.DropData(pkt, rcommon.DropNoRoute)
+		p.node.DropData(pkt, netstack.DropNoRoute)
 		return
 	}
 	pkt.RouteIdx = idx
@@ -329,7 +319,7 @@ func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	p.removeLink(p.self, to)
 	p.sendRERR(pkt, to)
 	if pkt.Salvaged >= p.cfg.MaxSalvage {
-		p.node.DropData(pkt, rcommon.DropLinkLost)
+		p.node.DropData(pkt, netstack.DropLinkLost)
 		return
 	}
 	pkt.Salvaged++
@@ -340,7 +330,7 @@ func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 		p.disc.Enqueue(pkt, false)
 		return
 	}
-	p.node.DropData(pkt, rcommon.DropLinkLost)
+	p.node.DropData(pkt, netstack.DropLinkLost)
 }
 
 // sendRERR reports the broken link to pkt's source along the reversed

@@ -195,7 +195,7 @@ func TestDiscoveryTimeout(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Send(0, 9)
 	w.Sim.RunUntil(time.Minute)
-	if w.MX.DataDrops[rcommon.DropTimeout] != 1 {
+	if w.MX.DataDrops[netstack.DropTimeout.String()] != 1 {
 		t.Fatalf("drops = %v", w.MX.DataDrops)
 	}
 }

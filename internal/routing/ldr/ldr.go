@@ -52,10 +52,10 @@ func DefaultConfig() Config {
 
 // appliers are LDR's spec-level keys; see ConfigFromParams.
 var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
-	map[string]func(*Config, float64){
-		"active_route_timeout_seconds": func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) },
-		"min_reply_hops":               func(c *Config, v float64) { c.MinReplyHops = int(v) },
-		"use_packet_cache":             func(c *Config, v float64) { c.UsePacketCache = v != 0 },
+	map[string]registry.Applier[Config]{
+		"active_route_timeout_seconds": registry.Real(func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) }),
+		"min_reply_hops":               registry.Int(func(c *Config, v int) { c.MinReplyHops = v }),
+		"use_packet_cache":             registry.Bool(func(c *Config, v bool) { c.UsePacketCache = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -230,22 +230,11 @@ func (p *Protocol) OriginateData(pkt *netstack.DataPacket) { p.sendOrDiscover(pk
 
 // RecvData implements netstack.Protocol.
 func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
-	if pkt.Dst == p.self {
-		pkt.Hops++
-		p.node.DeliverLocal(pkt)
-		return
-	}
-	pkt.Hops++
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		p.node.DropData(pkt, rcommon.DropTTL)
-		return
-	}
 	e, ok := p.live(pkt.Dst)
 	if !ok {
 		out := &rerr{Dests: []netstack.NodeID{pkt.Dst}}
 		p.node.UnicastControl(from, out.size(), out)
-		p.node.DropData(pkt, rcommon.DropNoRoute)
+		p.node.DropData(pkt, netstack.DropNoRoute)
 		return
 	}
 	e.expiry = p.node.Now() + p.cfg.ActiveRouteTimeout
@@ -273,7 +262,7 @@ func (p *Protocol) forward(pkt *netstack.DataPacket) bool {
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	p.linkBreak(to)
 	if !p.cfg.UsePacketCache || pkt.Salvaged >= p.cfg.MaxSalvage {
-		p.node.DropData(pkt, rcommon.DropLinkLost)
+		p.node.DropData(pkt, netstack.DropLinkLost)
 		return
 	}
 	pkt.Salvaged++

@@ -30,12 +30,12 @@ func DefaultConfig() Config {
 }
 
 // appliers are OLSR's spec-level keys; see ConfigFromParams.
-var appliers = map[string]func(*Config, float64){
-	"hello_interval_seconds": func(c *Config, v float64) { c.HelloInterval = rcommon.Seconds(v) },
-	"tc_interval_seconds":    func(c *Config, v float64) { c.TCInterval = rcommon.Seconds(v) },
-	"neighbor_hold_seconds":  func(c *Config, v float64) { c.NeighborHold = rcommon.Seconds(v) },
-	"topology_hold_seconds":  func(c *Config, v float64) { c.TopologyHold = rcommon.Seconds(v) },
-	"jitter_seconds":         func(c *Config, v float64) { c.Jitter = rcommon.Seconds(v) },
+var appliers = map[string]registry.Applier[Config]{
+	"hello_interval_seconds": registry.Real(func(c *Config, v float64) { c.HelloInterval = rcommon.Seconds(v) }),
+	"tc_interval_seconds":    registry.Real(func(c *Config, v float64) { c.TCInterval = rcommon.Seconds(v) }),
+	"neighbor_hold_seconds":  registry.Real(func(c *Config, v float64) { c.NeighborHold = rcommon.Seconds(v) }),
+	"topology_hold_seconds":  registry.Real(func(c *Config, v float64) { c.TopologyHold = rcommon.Seconds(v) }),
+	"jitter_seconds":         registry.Real(func(c *Config, v float64) { c.Jitter = rcommon.Seconds(v) }),
 }
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in

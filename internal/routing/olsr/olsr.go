@@ -763,32 +763,17 @@ func (p *Protocol) rebuildRoutes(s *scratch) {
 // --- Data plane -------------------------------------------------------
 
 // OriginateData implements netstack.Protocol.
-func (p *Protocol) OriginateData(pkt *netstack.DataPacket) {
-	p.recompute()
-	r := p.routes.Get(uint64(pkt.Dst))
-	if r == nil {
-		p.node.DropData(pkt, rcommon.DropNoRoute)
-		return
-	}
-	p.node.ForwardData(netstack.NodeID(r.nh), pkt)
-}
+func (p *Protocol) OriginateData(pkt *netstack.DataPacket) { p.forward(pkt) }
 
 // RecvData implements netstack.Protocol.
-func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
-	pkt.Hops++
-	if pkt.Dst == p.self {
-		p.node.DeliverLocal(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		p.node.DropData(pkt, rcommon.DropTTL)
-		return
-	}
+func (p *Protocol) RecvData(_ netstack.NodeID, pkt *netstack.DataPacket) { p.forward(pkt) }
+
+// forward sends pkt to its next hop on the current routes, or drops it.
+func (p *Protocol) forward(pkt *netstack.DataPacket) {
 	p.recompute()
 	r := p.routes.Get(uint64(pkt.Dst))
 	if r == nil {
-		p.node.DropData(pkt, rcommon.DropNoRoute)
+		p.node.DropData(pkt, netstack.DropNoRoute)
 		return
 	}
 	p.node.ForwardData(netstack.NodeID(r.nh), pkt)
@@ -801,7 +786,7 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	p.removeNeighbor(to)
 	p.noteMPRs(p.node.Now())
-	p.node.DropData(pkt, rcommon.DropLinkLost)
+	p.node.DropData(pkt, netstack.DropLinkLost)
 }
 
 // ControlFailed implements netstack.Protocol. The removal is not noted as

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -179,6 +180,38 @@ func TestConfigFromParamsAllocs(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(100, func() { _ = c.build() }); avg > 1 {
 			t.Errorf("%s ConfigFromParams(nil) allocates %.0f times, want <= 1 (the TTL schedule)", c.name, avg)
+		}
+	}
+}
+
+// TestParamRefusals pins the value checks every protocol's keys share: an
+// integer key takes only an integral value, a boolean key only 0 or 1, and
+// no key takes NaN or ±Inf — none of them truncates or rounds.
+func TestParamRefusals(t *testing.T) {
+	for _, c := range []struct {
+		proto, key string
+		v          float64
+	}{
+		{"SRP", "rreq_retries", -0.5},
+		{"SRP", "use_lie", math.NaN()},
+		{"SRP", "use_lie", 0.5},
+		{"SRP", "multipath", 1.9},
+		{"SRP", "queue_cap", 2.5},
+		{"SRP", "max_denom", 1e9 + 0.5},
+		{"SRP", "ttl_0", math.Inf(1)},
+		{"SRP", "hello_interval_seconds", math.NaN()},
+		{"LDR", "min_reply_hops", 1e300},
+		{"LDR", "use_packet_cache", -1},
+		{"AODV", "local_repair", 2},
+		{"AODV", "active_route_timeout_seconds", math.Inf(1)},
+		{"DSR", "routes_per_dest", 3.5},
+		{"DSR", "net_ttl", math.NaN()},
+		{"OLSR", "jitter_seconds", math.Inf(-1)},
+		{"OLSR", "tc_interval_seconds", math.NaN()},
+	} {
+		_, err := configs[c.proto].fromParams(map[string]float64{c.key: c.v})
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("%s %s=%v: err %v, want a refusal naming the key", c.proto, c.key, c.v, err)
 		}
 	}
 }

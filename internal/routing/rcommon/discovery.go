@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"slr/internal/netstack"
+	"slr/internal/registry"
 	"slr/internal/sim"
 )
 
@@ -59,18 +60,15 @@ func DefaultDiscovery(ttls ...int) DiscoveryConfig {
 // returns it. disc reaches C's DiscoveryConfig; ttlKeys name the TTL
 // schedule's entries in order; durations arrive in seconds. A protocol
 // builds its table once, at package initialisation.
-func DiscoveryAppliers[C any](disc func(*C) *DiscoveryConfig, ttlKeys []string, own map[string]func(*C, float64)) map[string]func(*C, float64) {
-	set := func(k string, f func(d *DiscoveryConfig, v float64)) {
-		own[k] = func(c *C, v float64) { f(disc(c), v) }
-	}
-	set("node_traversal_seconds", func(d *DiscoveryConfig, v float64) { d.NodeTraversal = Seconds(v) })
-	set("rreq_retries", func(d *DiscoveryConfig, v float64) { d.RreqRetries = int(v) })
-	set("queue_cap", func(d *DiscoveryConfig, v float64) { d.QueueCap = int(v) })
-	set("max_salvage", func(d *DiscoveryConfig, v float64) { d.MaxSalvage = int(v) })
-	set("rreq_rate_limit", func(d *DiscoveryConfig, v float64) { d.RreqRateLimit = int(v) })
-	set("discovery_holddown_seconds", func(d *DiscoveryConfig, v float64) { d.DiscoveryHoldDown = Seconds(v) })
+func DiscoveryAppliers[C any](disc func(*C) *DiscoveryConfig, ttlKeys []string, own map[string]registry.Applier[C]) map[string]registry.Applier[C] {
+	own["node_traversal_seconds"] = registry.Real(func(c *C, v float64) { disc(c).NodeTraversal = Seconds(v) })
+	own["rreq_retries"] = registry.Int(func(c *C, v int) { disc(c).RreqRetries = v })
+	own["queue_cap"] = registry.Int(func(c *C, v int) { disc(c).QueueCap = v })
+	own["max_salvage"] = registry.Int(func(c *C, v int) { disc(c).MaxSalvage = v })
+	own["rreq_rate_limit"] = registry.Int(func(c *C, v int) { disc(c).RreqRateLimit = v })
+	own["discovery_holddown_seconds"] = registry.Real(func(c *C, v float64) { disc(c).DiscoveryHoldDown = Seconds(v) })
 	for i, k := range ttlKeys {
-		set(k, func(d *DiscoveryConfig, v float64) { d.TTLs[i] = int(v) })
+		own[k] = registry.Int(func(c *C, v int) { disc(c).TTLs[i] = v })
 	}
 	return own
 }
@@ -161,14 +159,14 @@ func (t *DiscoveryTable) Enqueue(pkt *netstack.DataPacket, repair bool) {
 	d, ok := t.pending[pkt.Dst]
 	if ok {
 		if len(d.queue) >= t.cfg.QueueCap {
-			t.node.DropData(pkt, DropQueueFull)
+			t.node.DropData(pkt, netstack.DropQueueFull)
 			return
 		}
 		d.queue = append(d.queue, pkt)
 		return
 	}
 	if until, held := t.holdDown[pkt.Dst]; held && t.node.Now() < until {
-		t.node.DropData(pkt, DropNoRoute)
+		t.node.DropData(pkt, netstack.DropNoRoute)
 		return
 	}
 	d = &Discovery{Dst: pkt.Dst, Repair: repair, queue: []*netstack.DataPacket{pkt}}
@@ -210,7 +208,7 @@ func (t *DiscoveryTable) retry(d *Discovery) {
 	delete(t.pending, d.Dst)
 	t.holdDown[d.Dst] = t.node.Now() + t.cfg.DiscoveryHoldDown
 	for _, pkt := range d.queue {
-		t.node.DropData(pkt, DropTimeout)
+		t.node.DropData(pkt, netstack.DropTimeout)
 	}
 	if t.abandoned != nil {
 		t.abandoned(d)
@@ -229,7 +227,7 @@ func (t *DiscoveryTable) Complete(dst netstack.NodeID, forward func(*netstack.Da
 	delete(t.pending, dst)
 	for _, pkt := range d.queue {
 		if !forward(pkt) {
-			t.node.DropData(pkt, DropNoRoute)
+			t.node.DropData(pkt, netstack.DropNoRoute)
 		}
 	}
 }

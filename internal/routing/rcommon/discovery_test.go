@@ -65,7 +65,7 @@ func TestDiscoveryQueueCap(t *testing.T) {
 	for range 3 {
 		w.Send(0, 5)
 	}
-	if got := w.MX.DataDrops[rcommon.DropQueueFull]; got != 1 {
+	if got := w.MX.DataDrops[netstack.DropQueueFull.String()]; got != 1 {
 		t.Fatalf("%d queue-full drops with 3 packets behind a cap of 2, want 1", got)
 	}
 	if len(p.sent) != 1 {
@@ -93,7 +93,7 @@ func TestDiscoveryRetriesAndAbandon(t *testing.T) {
 	if !slices.Equal(p.sent, want) {
 		t.Fatalf("solicitations %v, want %v", p.sent, want)
 	}
-	if got := w.MX.DataDrops[rcommon.DropTimeout]; got != 2 {
+	if got := w.MX.DataDrops[netstack.DropTimeout.String()]; got != 2 {
 		t.Fatalf("%d discovery-timeout drops, want both queued packets", got)
 	}
 	if len(p.abandoned) != 1 || p.abandoned[0].Dst != 5 || p.abandoned[0].Repair {
@@ -103,7 +103,7 @@ func TestDiscoveryRetriesAndAbandon(t *testing.T) {
 	// Abandoned at 520 + 2·4·10ms·8 = 1160ms; held down for 1 s after.
 	w.Sim.RunUntil(2 * time.Second)
 	w.Send(0, 5)
-	if got := w.MX.DataDrops[rcommon.DropNoRoute]; got != 1 || len(p.sent) != 4 {
+	if got := w.MX.DataDrops[netstack.DropNoRoute.String()]; got != 1 || len(p.sent) != 4 {
 		t.Fatalf("during the hold-down: %d no-route drops and %d sends, want 1 and 4", got, len(p.sent))
 	}
 	w.Sim.RunUntil(2200 * time.Millisecond)
@@ -143,16 +143,16 @@ func TestDiscoveryComplete(t *testing.T) {
 		forwarded++
 		return forwarded == 1
 	})
-	if forwarded != 2 || w.MX.DataDrops[rcommon.DropNoRoute] != 1 {
-		t.Fatalf("forward saw %d packets and %d were dropped, want 2 and 1", forwarded, w.MX.DataDrops[rcommon.DropNoRoute])
+	if forwarded != 2 || w.MX.DataDrops[netstack.DropNoRoute.String()] != 1 {
+		t.Fatalf("forward saw %d packets and %d were dropped, want 2 and 1", forwarded, w.MX.DataDrops[netstack.DropNoRoute.String()])
 	}
 	p.disc.Complete(5, func(*netstack.DataPacket) bool {
 		t.Fatal("a second Complete flushed a finished discovery")
 		return false
 	})
 	w.Sim.RunUntil(10 * time.Second)
-	if len(p.sent) != 1 || len(p.abandoned) != 0 || w.MX.DataDrops[rcommon.DropTimeout] != 0 {
+	if len(p.sent) != 1 || len(p.abandoned) != 0 || w.MX.DataDrops[netstack.DropTimeout.String()] != 0 {
 		t.Fatalf("after Complete: %d sends, %d abandoned, %d timeouts, want 1, 0, 0",
-			len(p.sent), len(p.abandoned), w.MX.DataDrops[rcommon.DropTimeout])
+			len(p.sent), len(p.abandoned), w.MX.DataDrops[netstack.DropTimeout.String()])
 	}
 }

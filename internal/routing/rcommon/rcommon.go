@@ -2,7 +2,6 @@
 // protocols: the machinery that every on-demand or proactive MANET
 // protocol reimplements around its actual routing logic. It owns
 //
-//   - the canonical routing-layer drop-reason vocabulary (drops.go),
 //   - the route-discovery bookkeeping — pending queues, retry counting,
 //     and post-failure hold-down (discovery.go),
 //   - sliding-window rate limiters for RREQ/RERR origination (ratelimit.go),

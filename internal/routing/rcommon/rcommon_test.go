@@ -9,19 +9,6 @@ import (
 	"slr/internal/sim"
 )
 
-func TestDropVocabulary(t *testing.T) {
-	for _, r := range DropReasons {
-		if !KnownDropReason(r) {
-			t.Errorf("listed reason %q not recognized", r)
-		}
-	}
-	for _, bad := range []string{"", "rreq-queue-full", "no route", "NO-ROUTE"} {
-		if KnownDropReason(bad) {
-			t.Errorf("reason %q should be unknown", bad)
-		}
-	}
-}
-
 func TestRateLimiterWindow(t *testing.T) {
 	rl := RateLimiter{Cap: 2}
 	now := sim.Time(0)

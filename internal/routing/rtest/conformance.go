@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"slr/internal/netstack"
-	"slr/internal/routing/rcommon"
 	"slr/internal/sim"
 )
 
@@ -22,7 +21,7 @@ type BuildFunc func() netstack.Protocol
 //   - an attached but unstarted protocol transmits nothing,
 //   - Start is idempotent: a doubled Start changes no observable result,
 //   - identical seeds replay to identical metrics,
-//   - every routing-layer drop uses the canonical rcommon vocabulary.
+//   - every routing-layer drop uses netstack's DropReason vocabulary.
 //
 // The registry's conformance test (internal/routing) runs it over every
 // registered protocol, so a new registration cannot land without meeting
@@ -69,9 +68,8 @@ func Conformance(t *testing.T, build BuildFunc) {
 		var drops uint64
 		for reason, n := range w.MX.DataDrops {
 			drops += n
-			if !rcommon.KnownDropReason(reason) {
-				t.Errorf("drop reason %q outside the rcommon vocabulary %v",
-					reason, rcommon.DropReasons)
+			if !netstack.KnownDropReason(reason) {
+				t.Errorf("drop reason %q outside netstack's DropReason vocabulary", reason)
 			}
 		}
 		if drops == 0 {

@@ -24,7 +24,7 @@ type spy struct {
 func (s *spy) Attach(n *netstack.Node) { s.node = n }
 func (s *spy) Start()                  {}
 func (s *spy) OriginateData(pkt *netstack.DataPacket) {
-	s.node.DropData(pkt, rcommon.DropNoRoute)
+	s.node.DropData(pkt, netstack.DropNoRoute)
 }
 func (s *spy) RecvData(netstack.NodeID, *netstack.DataPacket) {}
 func (s *spy) RecvControl(from netstack.NodeID, msg any) {

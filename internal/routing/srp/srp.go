@@ -2,6 +2,7 @@ package srp
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"slr/internal/frac"
@@ -78,24 +79,24 @@ func DefaultConfig() Config {
 // as given, since it is range-checked before its uint32 conversion.
 type overrides struct {
 	Config
-	maxDenom float64
+	maxDenom int
 }
 
 // appliers are SRP's spec-level keys; see ConfigFromParams.
 var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryConfig { return &o.DiscoveryConfig }, ttlKeys,
-	map[string]func(*overrides, float64){
-		"active_route_timeout_seconds": func(o *overrides, v float64) { o.ActiveRouteTimeout = rcommon.Seconds(v) },
-		"delete_period_seconds":        func(o *overrides, v float64) { o.DeletePeriod = rcommon.Seconds(v) },
-		"max_denom":                    func(o *overrides, v float64) { o.maxDenom = v },
-		"min_reply_hops":               func(o *overrides, v float64) { o.MinReplyHops = int(v) },
-		"use_lie":                      func(o *overrides, v float64) { o.UseLie = v != 0 },
-		"use_packet_cache":             func(o *overrides, v float64) { o.UsePacketCache = v != 0 },
-		"farey":                        func(o *overrides, v float64) { o.Farey = v != 0 },
-		"next_element_only":            func(o *overrides, v float64) { o.NextElementOnly = v != 0 },
-		"multipath":                    func(o *overrides, v float64) { o.Multipath = PathPolicy(v) },
-		"hello_interval_seconds":       func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) },
-		"hello_fanout":                 func(o *overrides, v float64) { o.HelloFanout = int(v) },
-		"request_rack":                 func(o *overrides, v float64) { o.RequestRack = v != 0 },
+	map[string]registry.Applier[overrides]{
+		"active_route_timeout_seconds": registry.Real(func(o *overrides, v float64) { o.ActiveRouteTimeout = rcommon.Seconds(v) }),
+		"delete_period_seconds":        registry.Real(func(o *overrides, v float64) { o.DeletePeriod = rcommon.Seconds(v) }),
+		"max_denom":                    registry.Int(func(o *overrides, v int) { o.maxDenom = v }),
+		"min_reply_hops":               registry.Int(func(o *overrides, v int) { o.MinReplyHops = v }),
+		"use_lie":                      registry.Bool(func(o *overrides, v bool) { o.UseLie = v }),
+		"use_packet_cache":             registry.Bool(func(o *overrides, v bool) { o.UsePacketCache = v }),
+		"farey":                        registry.Bool(func(o *overrides, v bool) { o.Farey = v }),
+		"next_element_only":            registry.Bool(func(o *overrides, v bool) { o.NextElementOnly = v }),
+		"multipath":                    registry.Int(func(o *overrides, v int) { o.Multipath = PathPolicy(v) }),
+		"hello_interval_seconds":       registry.Real(func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) }),
+		"hello_fanout":                 registry.Int(func(o *overrides, v int) { o.HelloFanout = v }),
+		"request_rack":                 registry.Bool(func(o *overrides, v bool) { o.RequestRack = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -104,15 +105,14 @@ var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryCo
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
 	def := DefaultConfig()
-	o, err := registry.ApplyParams("srp", params, appliers, overrides{def, float64(def.MaxDenom)})
+	o, err := registry.ApplyParams("srp", params, appliers, overrides{def, int(def.MaxDenom)})
 	if err != nil {
 		return Config{}, err
 	}
-	// Range-check before the uint32 conversion: out-of-range float-to-int
-	// conversions wrap implementation-specifically, so a negative or
-	// oversized max_denom must error here, not truncate.
-	if o.maxDenom < 2 || o.maxDenom > float64(^uint32(0)) {
-		return Config{}, fmt.Errorf("srp: max_denom %v must be in [2, %d]", o.maxDenom, ^uint32(0))
+	// Range-check before the uint32 conversion, so a negative or
+	// oversized max_denom errors here instead of wrapping.
+	if o.maxDenom < 2 || o.maxDenom > math.MaxUint32 {
+		return Config{}, fmt.Errorf("srp: max_denom %d must be in [2, %d]", o.maxDenom, uint32(math.MaxUint32))
 	}
 	cfg := o.Config
 	cfg.MaxDenom = uint32(o.maxDenom)
@@ -342,17 +342,6 @@ func (p *Protocol) OriginateData(pkt *netstack.DataPacket) {
 
 // RecvData implements netstack.Protocol.
 func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
-	if pkt.Dst == p.self {
-		pkt.Hops++
-		p.node.DeliverLocal(pkt)
-		return
-	}
-	pkt.Hops++
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		p.node.DropData(pkt, rcommon.DropTTL)
-		return
-	}
 	r := p.rt(pkt.Dst)
 	next, ok := r.pick(p.cfg.Multipath, p.node.Rand(), p.node.Now())
 	if !ok {
@@ -362,7 +351,7 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 		re := &rerr{Dests: []netstack.NodeID{pkt.Dst}}
 		p.node.UnicastControl(from, re.size(), re)
 		p.statRERR++
-		p.node.DropData(pkt, rcommon.DropNoRoute)
+		p.node.DropData(pkt, netstack.DropNoRoute)
 		return
 	}
 	p.refresh(r, next)
@@ -394,7 +383,7 @@ func (p *Protocol) refresh(r *route, next netstack.NodeID) {
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	p.linkBreak(to)
 	if !p.cfg.UsePacketCache || pkt.Salvaged >= p.cfg.MaxSalvage {
-		p.node.DropData(pkt, rcommon.DropLinkLost)
+		p.node.DropData(pkt, netstack.DropLinkLost)
 		return
 	}
 	pkt.Salvaged++

@@ -9,7 +9,6 @@ import (
 	"slr/internal/label"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
-	"slr/internal/routing/rcommon"
 	"slr/internal/routing/rtest"
 	"slr/internal/sim"
 )
@@ -127,7 +126,7 @@ func TestDiscoveryTimeoutDropsQueue(t *testing.T) {
 	w := defaultWorld(t, rtest.Chain(3, 100), nil)
 	w.Send(0, 9)
 	w.Sim.RunUntil(time.Minute)
-	if w.MX.DataDrops[rcommon.DropTimeout] != 1 {
+	if w.MX.DataDrops[netstack.DropTimeout.String()] != 1 {
 		t.Fatalf("drops = %v, want one discovery-timeout", w.MX.DataDrops)
 	}
 }
@@ -140,7 +139,7 @@ func TestQueueCapDuringDiscovery(t *testing.T) {
 		w.Send(0, 1)
 	}
 	w.Sim.RunUntil(time.Minute)
-	if got := w.MX.DataDrops[rcommon.DropQueueFull]; got != 7 {
+	if got := w.MX.DataDrops[netstack.DropQueueFull.String()]; got != 7 {
 		t.Fatalf("queue-full drops = %d, want 7", got)
 	}
 }

@@ -58,7 +58,6 @@ type Params struct {
 	// CheckInvariants runs the per-destination successor-graph cycle
 	// check every CheckEvery of simulated time.
 	CheckInvariants bool
-	CheckEvery      sim.Time
 	// ProtoParams overrides the selected protocol's constants (spec
 	// "protocol_params": durations in seconds, booleans as 0/1). Keys are
 	// protocol-specific and validated by the routing registry; the
@@ -79,17 +78,16 @@ type Params struct {
 // packets at 4 pps, 900 s runs.
 func DefaultParams(proto ProtocolName, pause sim.Time, seed int64) Params {
 	return Params{
-		Protocol:   proto,
-		Nodes:      100,
-		Terrain:    geo.Terrain{Width: 2200, Height: 600},
-		Range:      275,
-		MinSpeed:   0,
-		MaxSpeed:   20,
-		Pause:      pause,
-		Duration:   900 * time.Second,
-		Seed:       seed,
-		Traffic:    traffic.DefaultParams(),
-		CheckEvery: 5 * time.Second,
+		Protocol: proto,
+		Nodes:    100,
+		Terrain:  geo.Terrain{Width: 2200, Height: 600},
+		Range:    275,
+		MinSpeed: 0,
+		MaxSpeed: 20,
+		Pause:    pause,
+		Duration: 900 * time.Second,
+		Seed:     seed,
+		Traffic:  traffic.DefaultParams(),
 	}
 }
 
@@ -162,6 +160,10 @@ var SimHook func(*sim.Simulator)
 // packets count; a trial ends at Duration + Drain.
 const Drain = 10 * time.Second
 
+// CheckEvery is the simulated interval between loop checks of a trial
+// run with CheckInvariants.
+const CheckEvery = 5 * time.Second
+
 // Run executes one simulation and returns its measurements.
 func Run(p Params) Result {
 	s := sim.New(p.Seed)
@@ -216,10 +218,6 @@ func Run(p Params) Result {
 	res := Result{Protocol: p.Protocol, Pause: p.Pause, Seed: p.Seed}
 
 	if p.CheckInvariants {
-		every := p.CheckEvery
-		if every <= 0 {
-			every = 5 * time.Second
-		}
 		var check func()
 		check = func() {
 			if err := net.CheckLoopFree(); err != nil {
@@ -228,10 +226,10 @@ func Run(p Params) Result {
 			}
 			res.LoopChecks++
 			if s.Now() < p.Duration {
-				s.After(every, check)
+				s.After(CheckEvery, check)
 			}
 		}
-		s.After(every, check)
+		s.After(CheckEvery, check)
 	}
 
 	s.RunUntil(p.Duration + Drain)

@@ -49,6 +49,20 @@ func FuzzParse(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
+	// A fractional count and a boolean that is neither 0 nor 1 must be
+	// refused, not truncated.
+	for _, params := range []map[string]float64{{"rreq_retries": -0.5}, {"use_lie": 0.5}} {
+		s := PaperDefault()
+		s.ProtocolParams = params
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := Parse(data); err == nil {
+			f.Fatalf("Parse accepted protocol_params %v", params)
+		}
+		f.Add(data)
+	}
 	known := jsonKeys(reflect.TypeOf(ScenarioSpec{}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

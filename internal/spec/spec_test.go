@@ -25,7 +25,6 @@ func TestPaperDefaultMatchesDefaultParams(t *testing.T) {
 	// compare the shared scalar core first.
 	gotCore := got
 	gotCore.Mobility = want.Mobility
-	gotCore.CheckEvery = want.CheckEvery
 	if gotCore.Traffic.Model == "cbr" {
 		gotCore.Traffic.Model = "" // the legacy spelling of the default
 	}
