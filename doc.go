@@ -104,7 +104,8 @@
 // the RERR rate limiter, the periodic beaconer,
 // the hello/link-liveness neighbor table, duplicate-flood suppression,
 // and the flat by-value id table (IDTable) that holds SRP's routes and
-// RREQ state. internal/routing/rtest's conformance suite runs every
+// OLSR's neighbors, topology and routes. internal/routing/rtest's
+// conformance suite runs every
 // registered protocol through a shared contract: quiet before Start,
 // idempotent Start, deterministic replay at any worker count, and drops
 // only from the canonical vocabulary. The data plane's arrival is

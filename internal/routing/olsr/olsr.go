@@ -62,9 +62,12 @@
 // copied, because no body is written after its sender hands it to the
 // air. A HELLO body lists ids in slot order, which is deterministic though
 // not sorted; every receiver's two-hop set aliases it, self included, and
-// the readers skip self. A TC body is sorted once by its originator and
-// sits behind one pointer that every relayed copy and every receiver's
-// topology entry share.
+// the readers skip self. A TC body (its sequence number and advertised
+// set, the ids sorted once by its originator) is one immutable object that
+// every relayed copy and every receiver's topology entry point at, so a
+// topology entry is that pointer and an expiry. A content-identical
+// refresh adopts the newer body, which leaves the superseded one to the
+// collector once its last copy has left the air.
 package olsr
 
 import (
@@ -93,13 +96,19 @@ type hello struct {
 // tc floods the sender's MPR-selector set through the MPR backbone.
 type tc struct {
 	Orig netstack.NodeID
-	Seq  uint32
-	// Advertised points at the advertised ids, sorted by the originator
-	// and never written after send. sendTC makes it once; every copy of
-	// the flood and every topology entry holds the one pointer.
-	Advertised *[]netstack.NodeID
-	TTL        int
-	Flood      *rcommon.Flood // duplicate record, shared by every copy
+	// Body is what the originator says, shared by every copy of the flood
+	// and every topology entry it writes.
+	Body  *tcBody
+	TTL   int
+	Flood *rcommon.Flood // duplicate record, shared by every copy
+}
+
+// tcBody is a TC's content: its sequence number and the advertised ids,
+// sorted. sendTC makes one per origination and nothing writes it after
+// send, so receivers keep the pointer and never copy it.
+type tcBody struct {
+	Seq        uint32
+	Advertised []netstack.NodeID
 }
 
 // Wire sizes.
@@ -109,20 +118,23 @@ const (
 	perAddr   = 4
 )
 
+// topoEntry is what a node holds per TC originator: 16 bytes, 24 in the
+// table's slab with the key.
 type topoEntry struct {
-	// advertised is the Advertised pointer of the TC that last changed the
-	// entry, shared, not copied: sorted by the originator, never written
-	// after send, so it is read-only here too. Route recomputation walks
-	// it in id order, so equal-cost tie-breaks do not depend on the order
-	// the originator's table listed its selectors in.
-	advertised *[]netstack.NodeID
-	seq        uint32
-	expiry     sim.Time
+	// body is the body of the last TC accepted from the originator,
+	// shared, not copied: never written after send, so it is read-only
+	// here too. A refresh that advertises the same ids replaces it as well,
+	// so the entry pins no superseded body. Route recomputation walks the
+	// advertised ids in id order, so equal-cost tie-breaks do not depend on
+	// the order the originator's table listed its selectors in.
+	body   *tcBody
+	expiry sim.Time
 }
 
 // route is one routing-table entry: the next hop toward a destination and
 // the length of the path through it. Node ids fit 32 bits in every
-// scenario, and a route slab holds an entry per reachable node.
+// scenario, and a route slab holds an entry per reachable node: 12 bytes
+// with the key.
 type route struct {
 	nh, hops int32
 }
@@ -234,7 +246,7 @@ func (p *Protocol) jitter() sim.Time {
 // SuccessorsOf exposes the next hop for inspection.
 func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 	p.recompute()
-	if r := p.routes.Get(uint64(dst)); r != nil {
+	if r := p.routes.Get(uint32(dst)); r != nil {
 		return []netstack.NodeID{netstack.NodeID(r.nh)}
 	}
 	return nil
@@ -306,7 +318,7 @@ func (p *Protocol) sendTC() {
 	}
 	slices.Sort(selectors)
 	p.tcSeq++
-	m := &tc{Orig: p.self, Seq: p.tcSeq, Advertised: &selectors, TTL: 35, Flood: rcommon.NewFlood(now)}
+	m := &tc{Orig: p.self, Body: &tcBody{Seq: p.tcSeq, Advertised: selectors}, TTL: 35, Flood: rcommon.NewFlood(now)}
 	p.node.BroadcastControl(tcBase+perAddr*len(selectors), m)
 }
 
@@ -450,21 +462,19 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 	}
 	now := p.node.Now()
 	if m.Flood.Witness(p.self, now, p.swept) {
-		te := p.topo.Get(uint64(m.Orig))
-		if te == nil || !seqNewer(te.seq, m.Seq) {
+		te := p.topo.Get(uint32(m.Orig))
+		if te == nil || !seqNewer(te.body.Seq, m.Body.Seq) {
 			exp := now + p.cfg.TopologyHold
-			if te != nil && te.expiry > now && slices.Equal(*te.advertised, *m.Advertised) {
-				// The re-advertisement names the same links and the old
-				// entry is still live: refresh in place. No link appears
-				// or disappears at any instant before the (previous)
-				// horizon, so the route cache stays valid.
-				te.seq = m.Seq
-				te.expiry = exp
-			} else {
-				if te == nil {
-					te, _ = p.topo.Put(uint64(m.Orig))
-				}
-				te.advertised, te.seq, te.expiry = m.Advertised, m.Seq, exp
+			// A re-advertisement that names the same links while the old
+			// entry is still live is a refresh: no link appears or
+			// disappears at any instant before the (previous) horizon, so
+			// the route cache stays valid.
+			refresh := te != nil && te.expiry > now && slices.Equal(te.body.Advertised, m.Body.Advertised)
+			if te == nil {
+				te, _ = p.topo.Put(m.Orig)
+			}
+			te.body, te.expiry = m.Body, exp
+			if !refresh {
 				p.linkVer++
 			}
 			if exp < p.topoHorizon {
@@ -478,7 +488,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 			z := *m
 			z.TTL--
 			jit := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
-			p.node.BroadcastControlAfter(jit, tcBase+perAddr*len(*z.Advertised), &z)
+			p.node.BroadcastControlAfter(jit, tcBase+perAddr*len(z.Body.Advertised), &z)
 		}
 	}
 }
@@ -730,7 +740,7 @@ func (p *Protocol) rebuildRoutes(s *scratch) {
 			continue
 		}
 		queue = append(queue, id)
-		r, _ := p.routes.Put(uint64(id))
+		r, _ := p.routes.Put(id)
 		*r = route{nh: int32(id), hops: 1}
 		horizon = min(horizon, nb.Expiry)
 	}
@@ -739,17 +749,17 @@ func (p *Protocol) rebuildRoutes(s *scratch) {
 	// every rebuild). Self has no entry; it is skipped by id instead.
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		te := p.topo.Get(uint64(cur))
+		te := p.topo.Get(uint32(cur))
 		if te == nil || te.expiry <= now {
 			continue
 		}
 		horizon = min(horizon, te.expiry)
-		via := *p.routes.Get(uint64(cur)) // copied: Put below may move it
-		for _, adv := range *te.advertised {
+		via := *p.routes.Get(uint32(cur)) // copied: Put below may move it
+		for _, adv := range te.body.Advertised {
 			if adv == p.self {
 				continue
 			}
-			if r, fresh := p.routes.Put(uint64(adv)); fresh {
+			if r, fresh := p.routes.Put(adv); fresh {
 				*r = route{nh: via.nh, hops: via.hops + 1}
 				queue = append(queue, adv)
 			}
@@ -771,7 +781,7 @@ func (p *Protocol) RecvData(_ netstack.NodeID, pkt *netstack.DataPacket) { p.for
 // forward sends pkt to its next hop on the current routes, or drops it.
 func (p *Protocol) forward(pkt *netstack.DataPacket) {
 	p.recompute()
-	r := p.routes.Get(uint64(pkt.Dst))
+	r := p.routes.Get(uint32(pkt.Dst))
 	if r == nil {
 		p.node.DropData(pkt, netstack.DropNoRoute)
 		return

@@ -2,10 +2,13 @@ package olsr
 
 import (
 	"maps"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
+	"weak"
 
 	"slr/internal/geo"
 	"slr/internal/mobility"
@@ -216,7 +219,7 @@ func TestScratchIsolation(t *testing.T) {
 		b.rebuildRoutes(s)
 		routes := map[netstack.NodeID]route{}
 		for i := range b.routes.Len() {
-			routes[netstack.NodeID(b.routes.KeyAt(i))] = *b.routes.At(i)
+			routes[b.routes.KeyAt(i)] = *b.routes.At(i)
 		}
 		return slices.Clone(b.mprs), routes
 	}
@@ -247,19 +250,38 @@ func TestScratchIsolation(t *testing.T) {
 	}
 }
 
-// TestEntrySizes pins the per-entry sizes of the two tables that grow with
-// the network: every node keeps a topology entry per TC originator it
-// hears and a route per reachable node. On olsr-1000 the topology slab
+// TestRecordSizes pins the per-entry sizes of the two tables that grow
+// with the network: every node keeps a topology entry per TC originator
+// it hears and a route per reachable node. On olsr-1000 the topology slab
 // alone held 27 of 61 sampled MB at the end of a trial when an entry
-// carried its own slice header (48 bytes with the key), and a route was
-// two full ints.
-func TestEntrySizes(t *testing.T) {
-	if n := unsafe.Sizeof(topoEntry{}); n != 24 {
-		t.Errorf("topoEntry is %d bytes, want 24 (one pointer to the TC body, seq, expiry)", n)
+// carried its own slice header (48 bytes with the key), and 22.7 of 38.2
+// MB in use when it held the TC's sequence number beside a pointer to the
+// advertised ids and a 64-bit key (32 bytes). The slab entries, key
+// included, are read from the tables' own slabs; a field added to either
+// record spills its entry.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(topoEntry{}); n != 16 {
+		t.Errorf("topoEntry is %d bytes, want 16 (one pointer to the TC body, expiry)", n)
+	}
+	if n := slabElem[rcommon.IDTable[topoEntry]](t).Size(); n != 24 {
+		t.Errorf("a topology-table entry is %d bytes, want 24 (topoEntry, 32-bit key)", n)
 	}
 	if n := unsafe.Sizeof(route{}); n != 8 {
 		t.Errorf("route is %d bytes, want 8 (two int32s)", n)
 	}
+	if n := slabElem[rcommon.IDTable[route]](t).Size(); n != 12 {
+		t.Errorf("a route-table entry is %d bytes, want 12 (route, 32-bit key)", n)
+	}
+}
+
+// slabElem returns the element type of table type T's slab.
+func slabElem[T any](t *testing.T) reflect.Type {
+	t.Helper()
+	f, ok := reflect.TypeFor[T]().FieldByName("slab")
+	if !ok || f.Type.Kind() != reflect.Slice {
+		t.Fatalf("%v has no slab slice", reflect.TypeFor[T]())
+	}
+	return f.Type.Elem()
 }
 
 func TestRecomputeSkipsWhenInputsUnchanged(t *testing.T) {
@@ -420,137 +442,196 @@ func floodRecords(n int) []*rcommon.Flood {
 	return recs
 }
 
+// bodies returns n TC bodies with the sequence numbers after+1…after+n,
+// body i advertising adv(i), made outside the code whose allocations a
+// test counts.
+func bodies(after uint32, n int, adv func(i int) []netstack.NodeID) []*tcBody {
+	out := make([]*tcBody, n)
+	for i := range out {
+		out[i] = &tcBody{Seq: after + 1 + uint32(i), Advertised: adv(i)}
+	}
+	return out
+}
+
 func TestHandleTCAllocs(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
 	p := w.Nodes[0].Protocol().(*Protocol)
 	// TTL 1: no relay; TestTCRelayAllocs prices that. The body is sorted,
 	// as every originator sends it.
-	m := flooded(tc{Orig: 9, Seq: 1, Advertised: &[]netstack.NodeID{3, 5, 7}, TTL: 1})
+	m := flooded(tc{Orig: 9, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}}, TTL: 1})
 	p.handleTC(1, m)
-	if te := p.topo.Get(9); te == nil || !slices.Equal(*te.advertised, []netstack.NodeID{3, 5, 7}) {
-		t.Fatalf("topology entry of 9 = %+v, want advertised [3 5 7]", te)
+	if te := p.topo.Get(9); te == nil || te.body != m.Body {
+		t.Fatalf("topology entry of 9 = %+v, want the TC's body %+v", te, m.Body)
 	}
 	if n := testing.AllocsPerRun(200, func() { p.handleTC(1, m) }); n != 0 {
 		t.Errorf("duplicate TC: %v allocs, want 0", n)
 	}
 
-	// Every new TC is a new flood with its own record, made before the
-	// count starts. The node's first sighting then allocates on the record
-	// alone: it grows the record's bit words and its sighting list, which
-	// is 2 allocations (3 under the race detector, whose instrumentation
-	// keeps append from growing a slice by a make in place). handleTC may
-	// allocate exactly that and nothing per node.
+	// Every new TC is a new flood with its own record and body, made
+	// before the count starts. The node's first sighting then allocates
+	// on the record alone: it grows the record's bit words and its
+	// sighting list, which is 2 allocations (3 under the race detector,
+	// whose instrumentation keeps append from growing a slice by a make in
+	// place). handleTC may allocate exactly that and nothing per node.
 	recs := floodRecords(201) // AllocsPerRun warms up once
 	recordAllocs := testing.AllocsPerRun(200, func() {
 		recs[0].Witness(p.self, p.node.Now(), p.swept)
 		recs = recs[1:]
 	})
 	t.Logf("a record's first sighting: %v allocs", recordAllocs)
-	recs = floodRecords(201)
-	next := func() {
-		m.Seq++
+	var next []*tcBody
+	send := func() {
 		m.Flood, recs = recs[0], recs[1:]
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		next()
+		m.Body, next = next[0], next[1:]
 		p.handleTC(1, m)
-	}); n != recordAllocs {
+	}
+	recs = floodRecords(201)
+	next = bodies(m.Body.Seq, 201, func(int) []netstack.NodeID { return []netstack.NodeID{3, 5, 7} })
+	if n := testing.AllocsPerRun(200, send); n != recordAllocs {
 		t.Errorf("content-identical TC refresh: %v allocs, want the record's %v", n, recordAllocs)
 	}
-	// A changed body of any length is stored by aliasing it: a longer one
-	// costs no more than a shorter one, and neither does a body longer
-	// than every earlier one, which a copy into the entry would have to
-	// grow for.
+	// A changed body of any length is stored by pointing at it: a longer
+	// one costs no more than a shorter one, and neither does a body
+	// longer than every earlier one, which a copy into the entry would
+	// have to grow for.
 	linkVer := p.linkVer
-	changed := []*[]netstack.NodeID{{3, 4}, {2, 4, 6, 8, 10, 12, 14}}
+	changed := [][]netstack.NodeID{{3, 4}, {2, 4, 6, 8, 10, 12, 14}}
 	recs = floodRecords(201)
-	if n := testing.AllocsPerRun(200, func() {
-		next()
-		m.Advertised = changed[m.Seq%2]
-		p.handleTC(1, m)
-	}); n != recordAllocs {
+	next = bodies(m.Body.Seq, 201, func(i int) []netstack.NodeID { return changed[i%2] })
+	if n := testing.AllocsPerRun(200, send); n != recordAllocs {
 		t.Errorf("changed TC: %v allocs, want the record's %v", n, recordAllocs)
 	}
 	if p.linkVer == linkVer {
 		t.Fatal("changed TCs did not register as topology changes")
 	}
-	growing := make([]*[]netstack.NodeID, 5)
-	for i := range growing {
-		body := make([]netstack.NodeID, 16<<i)
-		for j := range body {
-			body[j] = netstack.NodeID(j + 10)
+	const growing = 5
+	recs = floodRecords(growing)
+	next = bodies(m.Body.Seq, growing, func(i int) []netstack.NodeID {
+		adv := make([]netstack.NodeID, 16<<i)
+		for j := range adv {
+			adv[j] = netstack.NodeID(j + 10)
 		}
-		growing[i] = &body
-	}
-	recs = floodRecords(len(growing))
-	if n := testing.AllocsPerRun(len(growing)-1, func() {
-		next()
-		m.Advertised, growing = growing[0], growing[1:]
-		p.handleTC(1, m)
-	}); n != recordAllocs {
+		return adv
+	})
+	if n := testing.AllocsPerRun(growing-1, send); n != recordAllocs {
 		t.Errorf("TC longer than every earlier one: %v allocs, want the record's %v", n, recordAllocs)
 	}
 }
 
-// TestTCBodySharedByReceivers pins the TC body's life: the originator
-// sorts it once, and every receiver's topology entry holds the one
-// pointer that went on the air.
+// TestTCBodySharedByReceivers pins the TC body's life on the air: the
+// originator sorts it once, every receiver's topology entry holds the one
+// body that went on the air, and a content-identical refresh leaves the
+// receivers on the newer body, with their route inputs unchanged, so that
+// the superseded one is garbage once its last copy has left the air.
 func TestTCBodySharedByReceivers(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
 	p := w.Nodes[1].Protocol().(*Protocol)
+	receivers := []*Protocol{w.Nodes[0].Protocol().(*Protocol), w.Nodes[2].Protocol().(*Protocol)}
 	// Selectors that joined in descending id order sit in the neighbor
 	// table's slots out of order.
 	for _, id := range []netstack.NodeID{90, 70, 40} {
 		p.nbrs.Touch(id, p.node.Now()+time.Minute).SelectsMe = true
 	}
-	p.sendTC()
-	w.Sim.RunUntil(w.Sim.Now() + 50*time.Millisecond)
-	var sent *[]netstack.NodeID
-	for _, i := range []int{0, 2} {
-		te := w.Nodes[i].Protocol().(*Protocol).topo.Get(1)
-		if te == nil || te.seq != p.tcSeq {
-			t.Fatalf("node %d holds %+v for node 1, want the entry of TC %d", i, te, p.tcSeq)
+	// heard sends a TC from node 1 and returns the body both receivers
+	// then hold, as a weak pointer: the test itself pins no body.
+	heard := func() weak.Pointer[tcBody] {
+		p.sendTC()
+		w.Sim.RunUntil(w.Sim.Now() + 50*time.Millisecond)
+		sent := receivers[0].topo.Get(1)
+		for _, r := range receivers {
+			te := r.topo.Get(1)
+			if te == nil || te.body.Seq != p.tcSeq {
+				t.Fatalf("node %d holds %+v for node 1, want the entry of TC %d", r.self, te, p.tcSeq)
+			}
+			if adv := te.body.Advertised; !slices.IsSorted(adv) || !slices.Contains(adv, 40) || len(adv) < 3 {
+				t.Fatalf("node %d holds advertised %v, want node 1's selectors, sorted", r.self, adv)
+			}
+			if te.body != sent.body {
+				t.Fatalf("nodes 0 and 2 hold different bodies of node 1's TC %d, want one shared body", p.tcSeq)
+			}
 		}
-		adv := *te.advertised
-		if !slices.IsSorted(adv) || !slices.Contains(adv, 40) || len(adv) < 3 {
-			t.Fatalf("node %d holds advertised %v, want node 1's selectors, sorted", i, adv)
+		return weak.Make(sent.body)
+	}
+	first := heard()
+	linkVers := []uint64{receivers[0].linkVer, receivers[1].linkVer}
+	second := heard()
+	if first.Value() == second.Value() {
+		t.Fatal("the refresh's body is the first TC's")
+	}
+	for i, r := range receivers {
+		if r.linkVer != linkVers[i] {
+			t.Errorf("node %d counted the content-identical refresh as a topology change", r.self)
 		}
-		if sent == nil {
-			sent = te.advertised
-		} else if te.advertised != sent {
-			t.Errorf("nodes 0 and 2 hold copies of node 1's TC body, want one shared body")
-		}
+	}
+	// Every copy of the first TC, relayed ones included, has left the air
+	// a second later; nothing else may hold its body.
+	w.Sim.RunUntil(w.Sim.Now() + time.Second)
+	runtime.GC()
+	if first.Value() != nil {
+		t.Error("the superseded body is still reachable after its flood ended")
 	}
 }
 
 // TestTCBodyAliasedNotCopied pins that handleTC stores the TC's own body
-// pointer, and that a later, changed TC from the same originator replaces
-// it without writing through it.
+// pointer: a later, changed TC from the same originator replaces it
+// without writing through it and counts as a topology change, and a
+// content-identical refresh replaces it too without counting as one, so
+// the entry pins no superseded body.
 func TestTCBodyAliasedNotCopied(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(10 * time.Second)
 	p0 := w.Nodes[0].Protocol().(*Protocol)
 	p2 := w.Nodes[2].Protocol().(*Protocol)
-	first := []netstack.NodeID{3, 5, 7}
-	m := flooded(tc{Orig: 9, Seq: 1, Advertised: &first, TTL: 1})
+	first := &tcBody{Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}}
+	m := flooded(tc{Orig: 9, Body: first, TTL: 1})
 	p0.handleTC(1, m)
 	p2.handleTC(1, m)
 	for _, p := range []*Protocol{p0, p2} {
-		if te := p.topo.Get(9); te == nil || te.advertised != m.Advertised || &(*te.advertised)[0] != &first[0] {
+		if te := p.topo.Get(9); te == nil || te.body != first {
 			t.Fatalf("node %d's entry of 9 = %+v, want it to hold the TC's body", p.self, te)
 		}
 	}
-	for i, later := range [][]netstack.NodeID{{2, 4}, {1, 2, 4, 6, 8}} {
-		n := flooded(tc{Orig: 9, Seq: m.Seq + 1 + uint32(i), Advertised: &later, TTL: 1})
+	seq := first.Seq
+	for _, later := range [][]netstack.NodeID{{2, 4}, {1, 2, 4, 6, 8}} {
+		seq++
+		n := flooded(tc{Orig: 9, Body: &tcBody{Seq: seq, Advertised: later}, TTL: 1})
+		linkVer := p0.linkVer
 		p0.handleTC(1, n)
-		if te := p0.topo.Get(9); te.advertised != n.Advertised || !slices.Equal(*te.advertised, later) {
-			t.Fatalf("entry of 9 = %v after TC %d, want %v", *te.advertised, n.Seq, later)
+		if te := p0.topo.Get(9); te.body != n.Body || !slices.Equal(te.body.Advertised, later) {
+			t.Fatalf("entry of 9 = %+v after TC %d, want its body %v", *te.body, seq, later)
 		}
-		if !slices.Equal(*m.Advertised, []netstack.NodeID{3, 5, 7}) {
-			t.Fatalf("TC %d rewrote the earlier body to %v", n.Seq, *m.Advertised)
+		if p0.linkVer == linkVer {
+			t.Fatalf("changed TC %d did not register as a topology change", seq)
 		}
+		if first.Seq != 1 || !slices.Equal(first.Advertised, []netstack.NodeID{3, 5, 7}) {
+			t.Fatalf("TC %d rewrote the earlier body to %+v", seq, *first)
+		}
+	}
+	// superseded hands p0 a TC with a fresh body of the entry's content
+	// and the next sequence number, then a content-identical refresh, and
+	// returns the first of the two as a weak pointer.
+	superseded := func() weak.Pointer[tcBody] {
+		held := p0.topo.Get(9).body
+		older := &tcBody{Seq: seq + 1, Advertised: slices.Clone(held.Advertised)}
+		newer := &tcBody{Seq: seq + 2, Advertised: slices.Clone(held.Advertised)}
+		seq += 2
+		linkVer := p0.linkVer
+		p0.handleTC(1, flooded(tc{Orig: 9, Body: older, TTL: 1}))
+		p0.handleTC(1, flooded(tc{Orig: 9, Body: newer, TTL: 1}))
+		if te := p0.topo.Get(9); te.body != newer {
+			t.Fatalf("entry of 9 holds %+v after a content-identical refresh, want its body %+v", *te.body, *newer)
+		}
+		if p0.linkVer != linkVer {
+			t.Fatal("content-identical refreshes registered as topology changes")
+		}
+		return weak.Make(older)
+	}
+	older := superseded()
+	runtime.GC()
+	if older.Value() != nil {
+		t.Error("the entry pins a body a content-identical refresh superseded")
 	}
 }
 
@@ -566,12 +647,13 @@ func TestTCRelayAllocs(t *testing.T) {
 	if nb := p.nbrs.Get(0); nb == nil || !nb.SelectsMe {
 		t.Fatal("node 0 does not select node 1 as MPR")
 	}
-	m := tc{Orig: 9, Advertised: &[]netstack.NodeID{3, 5, 7}}
+	m := tc{Orig: 9, Body: &tcBody{}}
 	cost := func(ttl int) float64 {
 		recs := floodRecords(201) // AllocsPerRelay warms up once
+		next := bodies(m.Body.Seq, 201, func(int) []netstack.NodeID { return []netstack.NodeID{3, 5, 7} })
 		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
-			m.Seq++
 			m.TTL, m.Flood, recs = ttl, recs[0], recs[1:]
+			m.Body, next = next[0], next[1:]
 			p.handleTC(0, &m)
 		})
 	}

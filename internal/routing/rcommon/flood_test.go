@@ -14,13 +14,13 @@ import (
 // dupCache is the per-node duplicate set that Flood replaced, kept as the
 // reference Flood is held to: each (originator, id) is acted on once and
 // remembered until the first Sweep at or after its deadline. Sightings
-// live in an IDTable under a packed key and are queued in insertion
-// order, which is expiry order because the clock is monotone and the
-// retention fixed.
+// live in a map under a packed key and are queued in insertion order,
+// which is expiry order because the clock is monotone and the retention
+// fixed.
 type dupCache struct {
-	m    IDTable[sim.Time] // key -> retention deadline
-	q    []dupEntry        // insertion order == expiry order
-	head int               // first live queue slot; compacted when past the midpoint
+	m    map[uint64]sim.Time // key -> retention deadline
+	q    []dupEntry          // insertion order == expiry order
+	head int                 // first live queue slot; compacted when past the midpoint
 	ttl  sim.Time
 }
 
@@ -37,12 +37,15 @@ func dupKey(orig netstack.NodeID, id uint32) uint64 {
 // was new; a repeat sighting inside the retention window returns false.
 func (c *dupCache) Witness(orig netstack.NodeID, id uint32, now sim.Time) bool {
 	key := dupKey(orig, id)
-	if c.m.Get(key) != nil {
+	if _, seen := c.m[key]; seen {
 		return false
 	}
-	v, _ := c.m.Put(key)
-	*v = now + c.ttl
-	c.q = append(c.q, dupEntry{key: key, exp: *v})
+	if c.m == nil {
+		c.m = make(map[uint64]sim.Time)
+	}
+	exp := now + c.ttl
+	c.m[key] = exp
+	c.q = append(c.q, dupEntry{key: key, exp: exp})
 	return true
 }
 
@@ -55,8 +58,8 @@ func (c *dupCache) Sweep(now sim.Time) {
 		e := c.q[c.head]
 		c.q[c.head] = dupEntry{}
 		c.head++
-		if exp := c.m.Get(e.key); exp != nil && *exp == e.exp {
-			c.m.Delete(e.key)
+		if exp, ok := c.m[e.key]; ok && exp == e.exp {
+			delete(c.m, e.key)
 		}
 	}
 	if c.head == len(c.q) {
@@ -172,7 +175,7 @@ func TestFloodWithoutRecordPanics(t *testing.T) {
 // (source, rreqid), made at a node's first receipt of the RREQ and
 // deleted by the node's first sweep at or after its deadline, at + hold.
 type compTable struct {
-	m    IDTable[compRef]
+	m    map[uint64]*compRef
 	hold sim.Time
 }
 
@@ -191,16 +194,21 @@ type compState struct {
 
 // Engage returns the state of (orig, id) and whether it was made now.
 func (c *compTable) Engage(orig netstack.NodeID, id uint32, now sim.Time) (*compState, bool) {
-	r, fresh := c.m.Put(dupKey(orig, id))
-	if fresh {
-		*r = compRef{exp: now + c.hold}
+	key := dupKey(orig, id)
+	if r, ok := c.m[key]; ok {
+		return &r.val, false
 	}
-	return &r.val, fresh
+	if c.m == nil {
+		c.m = make(map[uint64]*compRef)
+	}
+	r := &compRef{exp: now + c.hold}
+	c.m[key] = r
+	return &r.val, true
 }
 
 // State returns the state of (orig, id), or nil.
 func (c *compTable) State(orig netstack.NodeID, id uint32) *compState {
-	if r := c.m.Get(dupKey(orig, id)); r != nil {
+	if r, ok := c.m[dupKey(orig, id)]; ok {
 		return &r.val
 	}
 	return nil
@@ -208,9 +216,9 @@ func (c *compTable) State(orig netstack.NodeID, id uint32) *compState {
 
 // Sweep deletes every entry whose deadline has passed.
 func (c *compTable) Sweep(now sim.Time) {
-	for i := c.m.Len() - 1; i >= 0; i-- { // Delete moves the last slot
-		if c.m.At(i).exp <= now {
-			c.m.Delete(c.m.KeyAt(i))
+	for key, r := range c.m {
+		if r.exp <= now {
+			delete(c.m, key)
 		}
 	}
 }

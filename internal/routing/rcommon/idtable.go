@@ -1,13 +1,22 @@
 package rcommon
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
 
-// IDTable maps uint64 keys — a node id, or an (originator, id) pair packed
-// into one uint64, originator in the high 32 bits — to values of T held by
-// value in one flat slab. An open-addressed index (one multiplicative hash,
-// linear probing) finds an entry, so a table costs no heap object per
-// entry and a lookup hashes nothing but one multiply. The zero value is an
-// empty table.
+	"slr/internal/netstack"
+)
+
+// IDTable maps node ids to values of T held by value in one flat slab. A
+// key is a node id in [0, 2^31), stored in 32 bits: ids are dense and
+// spec.ValidateParams bounds the node count, so Put refuses any other id
+// instead of truncating it into one that could alias a stored key. An
+// entry is its value plus the 4-byte key, rounded up to the value's
+// alignment: 12 bytes for a value of two int32s, 24 for one of two
+// 8-byte words, 64 for a 56-byte value. An open-addressed index (one
+// multiplicative hash, linear probing) finds an entry, so a table costs
+// no heap object per entry and a lookup hashes nothing but one multiply.
+// The zero value is an empty table.
 //
 // Index slots are 4 bytes. With b = log2 of the index length, a slot packs
 // the slab position + 1 (0 = empty) in its low b bits and a tag in the
@@ -37,27 +46,33 @@ type IDTable[T any] struct {
 }
 
 // idEntry puts val first: Get's &e.val at offset 0 is free in the
-// inliner's cost model.
+// inliner's cost model. The key fills what would otherwise be padding
+// wherever T's size leaves 4 bytes to its alignment.
 type idEntry[T any] struct {
 	val T
-	key uint64
+	key uint32
 }
 
 // idTableMinIndex is the index size of a table's first entry.
 const idTableMinIndex = 8
 
-// idHash returns key's 32-bit hash: the top half of key × 2^64/φ (Fibonacci
-// hashing). Its top logN bits are key's home position, and idHash << logN
-// is key's tag.
-func idHash(key uint64) uint32 {
-	return uint32(key * 0x9E3779B97F4A7C15 >> 32)
-}
+// maxIDKey is the largest key a table stores, 2^31 - 1. A negative id
+// converts to a uint64 above it.
+const maxIDKey = 1<<31 - 1
+
+// idHashMul is 2^32/φ, rounded to odd: key × idHashMul mod 2^32 is a
+// bijection on 32-bit keys (Fibonacci hashing).
+const idHashMul = 0x9E3779B9
+
+// idHash returns key's 32-bit hash, key × 2^32/φ. Its top logN bits are
+// key's home position, and idHash << logN is key's tag.
+func idHash(key uint32) uint32 { return key * idHashMul }
 
 // Len returns the number of entries.
 func (t *IDTable[T]) Len() int { return len(t.slab) }
 
-// KeyAt returns the key in slot i, 0 <= i < Len().
-func (t *IDTable[T]) KeyAt(i int) uint64 { return t.slab[i].key }
+// KeyAt returns the node id in slot i, 0 <= i < Len().
+func (t *IDTable[T]) KeyAt(i int) netstack.NodeID { return netstack.NodeID(t.slab[i].key) }
 
 // At returns the value in slot i, 0 <= i < Len().
 func (t *IDTable[T]) At(i int) *T { return &t.slab[i].val }
@@ -66,7 +81,7 @@ func (t *IDTable[T]) At(i int) *T { return &t.slab[i].val }
 // at, the slab position + 1 of key's entry (0 when key is absent and the
 // position is where it would go), and key's tag. The index must not be
 // empty.
-func (t *IDTable[T]) locate(key uint64) (pos uint32, s uint32, tag uint32) {
+func (t *IDTable[T]) locate(key uint32) (pos uint32, s uint32, tag uint32) {
 	h := idHash(key)
 	tag = h << t.logN
 	for pos = h >> t.shift; ; pos = (pos + 1) & t.mask {
@@ -80,15 +95,18 @@ func (t *IDTable[T]) locate(key uint64) (pos uint32, s uint32, tag uint32) {
 	}
 }
 
-// Get returns the value stored under key, or nil. It is locate and idHash
-// written out, so that it stays within the inliner's budget (make inline
-// checks it): Get is the flood hot path (route and topology lookups on
-// every RREQ and TC heard), the other operations are not. x = slot ^ tag
-// is tag exactly at an empty slot (an entry's position bits are never 0),
-// and it is at most mask, the slab position + 1, exactly when the tags
-// match.
-func (t *IDTable[T]) Get(key uint64) *T {
-	h := uint32(key * 0x9E3779B97F4A7C15 >> 32) // idHash(key)
+// Get returns the value stored under key, a node id as uint32, or nil. A
+// key of 2^31 or more is never stored, so it misses. Get takes the 32-bit
+// key rather than a NodeID, and is locate and idHash written out, so that
+// it stays within the inliner's budget (make inline checks it; cost 75 of
+// 80 at its shape instantiation, and 81 with a NodeID argument converted
+// inside): Get is the flood hot path
+// (route and topology lookups on every RREQ and TC heard), the other
+// operations are not. x = slot ^ tag is tag exactly at an empty slot (an
+// entry's position bits are never 0), and it is at most mask, the slab
+// position + 1, exactly when the tags match.
+func (t *IDTable[T]) Get(key uint32) *T {
+	h := key * idHashMul // idHash(key)
 	tag := h << t.logN
 	for i := h >> t.shift; len(t.index) > 0; i++ {
 		x := t.index[i&t.mask] ^ tag
@@ -104,9 +122,14 @@ func (t *IDTable[T]) Get(key uint64) *T {
 	return nil
 }
 
-// Put returns the value stored under key, first adding a zero value in
-// slot Len() if there is none; fresh reports whether it was added.
-func (t *IDTable[T]) Put(key uint64) (v *T, fresh bool) {
+// Put returns the value stored under node id id, first adding a zero
+// value in slot Len() if there is none; fresh reports whether it was
+// added. It panics if id is outside [0, 2^31).
+func (t *IDTable[T]) Put(id netstack.NodeID) (v *T, fresh bool) {
+	if uint64(id) > maxIDKey {
+		panic(fmt.Sprintf("rcommon: IDTable key %d is not a node id in [0, 2^31)", id))
+	}
+	key := uint32(id)
 	if 4*(len(t.slab)+1) > 3*len(t.index) {
 		if v := t.Get(key); v != nil {
 			return v, false
@@ -147,13 +170,14 @@ func (t *IDTable[T]) grow() {
 	}
 }
 
-// Delete removes key and reports whether it was present. The last slot's
-// entry moves into the freed slot.
-func (t *IDTable[T]) Delete(key uint64) bool {
-	if len(t.index) == 0 {
+// Delete removes node id id and reports whether it was present. The last
+// slot's entry moves into the freed slot. An id outside [0, 2^31) is
+// never present.
+func (t *IDTable[T]) Delete(id netstack.NodeID) bool {
+	if len(t.index) == 0 || uint64(id) > maxIDKey {
 		return false
 	}
-	i, s, _ := t.locate(key)
+	i, s, _ := t.locate(uint32(id))
 	if s == 0 {
 		return false
 	}

@@ -1,7 +1,9 @@
 package rcommon
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"slr/internal/netstack"
@@ -17,15 +19,15 @@ type idVal struct {
 type idModel struct {
 	t    *testing.T
 	tab  IDTable[idVal]
-	ref  map[uint64]idVal
+	ref  map[netstack.NodeID]idVal
 	step uint64
 }
 
 func newIDModel(t *testing.T) *idModel {
-	return &idModel{t: t, ref: make(map[uint64]idVal)}
+	return &idModel{t: t, ref: make(map[netstack.NodeID]idVal)}
 }
 
-func (m *idModel) put(key uint64) {
+func (m *idModel) put(key netstack.NodeID) {
 	m.step++
 	v, fresh := m.tab.Put(key)
 	old, had := m.ref[key]
@@ -40,7 +42,7 @@ func (m *idModel) put(key uint64) {
 	m.check(key)
 }
 
-func (m *idModel) del(key uint64) {
+func (m *idModel) del(key netstack.NodeID) {
 	m.step++
 	_, had := m.ref[key]
 	if got := m.tab.Delete(key); got != had {
@@ -51,7 +53,7 @@ func (m *idModel) del(key uint64) {
 }
 
 // reset empties the table and the map, then checks key.
-func (m *idModel) reset(key uint64) {
+func (m *idModel) reset(key netstack.NodeID) {
 	m.step++
 	m.tab.Reset()
 	clear(m.ref)
@@ -59,10 +61,10 @@ func (m *idModel) reset(key uint64) {
 }
 
 // check compares presence and value of key, Len, and every slot.
-func (m *idModel) check(key uint64) {
+func (m *idModel) check(key netstack.NodeID) {
 	m.step++
 	want, had := m.ref[key]
-	if got := m.tab.Get(key); (got != nil) != had || (had && *got != want) {
+	if got := m.tab.Get(uint32(key)); (got != nil) != had || (had && *got != want) {
 		m.t.Fatalf("step %d: Get(%#x) = %v, want %+v present %v", m.step, key, got, want, had)
 	}
 	if m.tab.Len() != len(m.ref) {
@@ -75,21 +77,22 @@ func (m *idModel) check(key uint64) {
 		if want, ok := m.ref[k]; !ok || *v != want {
 			m.t.Fatalf("step %d: slot %d holds %#x = %+v, map has %+v present %v", m.step, i, k, *v, want, ok)
 		}
-		if m.tab.Get(k) != v {
+		if m.tab.Get(uint32(k)) != v {
 			m.t.Fatalf("step %d: Get(%#x) does not find slot %d", m.step, k, i)
 		}
 	}
 }
 
-// idKeys returns n distinct keys of both shapes SRP uses: plain node ids
-// and (originator, id) pairs packed like dupKey.
-func idKeys(n int) []uint64 {
-	keys := make([]uint64, n)
+// idKeys returns n distinct node ids: dense small ones, as in a network,
+// and ones from the top of the id range. The boundary ids 0 and 2^31-1
+// are the first two.
+func idKeys(n int) []netstack.NodeID {
+	keys := make([]netstack.NodeID, n)
 	for i := range keys {
 		if i%2 == 0 {
-			keys[i] = uint64(i * 13) // ids up to a few thousand
+			keys[i] = netstack.NodeID(i * 13) // ids up to a few thousand
 		} else {
-			keys[i] = dupKey(netstack.NodeID(i*7%5000), uint32(i/8+1))
+			keys[i] = math.MaxInt32 - netstack.NodeID(i/2*7919)
 		}
 	}
 	return keys
@@ -137,53 +140,91 @@ func TestIDTableMatchesMap(t *testing.T) {
 		t.Fatalf("walk reached %d entries and emptied the table %d times, %d by Reset; want >= %d, >= 2 and >= 2",
 			peak, emptied, resets, full)
 	}
-	if m.tab.Get(1<<40) != nil || m.tab.Delete(1<<40) {
+	if m.tab.Get(1<<31) != nil || m.tab.Delete(1<<40) {
 		t.Fatal("a key never put is present")
 	}
 }
 
-// keyWithHash returns a key whose idHash is h: the key whose product with
-// the hash multiplier has h as its top half and lo as its bottom half.
-// Keys built with the same h and different lo collide in the index at
-// every size: same home, same tag.
-func keyWithHash(h, lo uint32) uint64 {
-	const mul = 0x9E3779B97F4A7C15
-	inv := uint64(mul) // Newton's iteration for mul⁻¹ mod 2^64
-	for i := 0; i < 5; i++ {
-		inv *= 2 - mul*inv
+// TestIDTablePutRefusesNonIDs pins Put's panic on a key that is not a
+// node id: truncated to 32 bits, 1<<32 + 5 would alias 5 and -1 would
+// take a key Get could find. Delete reports such a key absent and leaves
+// the id it would alias in place.
+func TestIDTablePutRefusesNonIDs(t *testing.T) {
+	var tab IDTable[idVal]
+	*must(tab.Put(5)) = idVal{a: 5}
+	for _, id := range []netstack.NodeID{-1, math.MinInt64, 1 << 31, 1<<32 + 5} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "not a node id") {
+					t.Errorf("Put(%d): panic %q, want one naming the key as no node id", id, msg)
+				}
+			}()
+			tab.Put(id)
+		}()
+		if tab.Delete(id) {
+			t.Errorf("Delete(%d) found an entry", id)
+		}
 	}
-	return (uint64(h)<<32 | uint64(lo)) * inv
+	if tab.Len() != 1 || tab.KeyAt(0) != 5 || tab.Get(5).a != 5 {
+		t.Fatalf("after the refused keys the table holds %d entries, slot 0 %d; want only 5", tab.Len(), tab.KeyAt(0))
+	}
 }
 
-// collidingKeys returns n distinct keys that crowd an index of up to 512
-// slots: eight homes (the top three hash bits), four tags at every such
-// size (the bottom two hash bits), and n/32 keys per (home, tag) pair
-// that only the slab's key tells apart.
-func collidingKeys(n int) []uint64 {
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = keyWithHash(uint32(i&7)<<29|uint32(i>>3&3), uint32(i))
+// must returns Put's value.
+func must(v *idVal, _ bool) *idVal { return v }
+
+// keysWithHashes returns the first n node ids among the keys whose
+// idHash is hash(0), hash(1), …: the key with hash h is h times the
+// multiplier's inverse mod 2^32, and about half of those keys are 2^31 or
+// more, which no table stores.
+func keysWithHashes(n int, hash func(i uint32) uint32) []netstack.NodeID {
+	inv := uint32(idHashMul) // Newton's iteration for idHashMul⁻¹ mod 2^32
+	for range 5 {
+		inv *= 2 - idHashMul*inv
+	}
+	var keys []netstack.NodeID
+	for i := uint32(0); len(keys) < n; i++ {
+		if i == 1<<16 {
+			panic("keysWithHashes: too few hashes map to node ids")
+		}
+		if k := hash(i) * inv; k <= maxIDKey {
+			keys = append(keys, netstack.NodeID(k))
+		}
 	}
 	return keys
 }
 
+// collidingKeys returns n distinct node ids that crowd an index of up to
+// 512 slots. The top three hash bits pick one of eight homes and the next
+// six are zero, so at every such size the keys share eight homes; the
+// low 23 bits are a tag class, shared by four keys at four different
+// homes (the class's keys at the other four are 2^31 or more). A probe
+// run that crosses from one home into the next meets tags of its own
+// class, which only the slab's key tells apart.
+func collidingKeys(n int) []netstack.NodeID {
+	return keysWithHashes(n, func(i uint32) uint32 { return i&7<<29 | i>>3 })
+}
+
 // TestIDTableTagCollisions drives keys that defeat the index's shortcuts:
-// keys sharing one home slot with different tags, keys with the same home
-// and tag that only the slab tells apart, and keys with equal tags at
-// different homes. Deleting from the front of their merged probe run makes
-// Delete's backward shift walk across mixed tags.
+// keys sharing one home slot with different tags, keys with one tag at
+// homes inside that home's probe run, and keys with equal tags at
+// different homes. The hash is a bijection on 32-bit keys, so no two keys
+// share both home and tag; a tag match at a slot that is not the probed
+// key's home is what only the slab tells apart, and a probe that starts
+// inside the run passes every tag-sharing key placed after it. Deleting
+// from the front of the merged probe run makes Delete's backward shift
+// walk across mixed tags.
 func TestIDTableTagCollisions(t *testing.T) {
-	var same, home, tag []uint64
-	for i := uint32(0); i < 4; i++ { // one home, one tag
-		same = append(same, keyWithHash(0x8001_2345, i))
-	}
-	for i := uint32(0); i < 6; i++ { // one home at <= 256 slots, distinct tags
-		home = append(home, keyWithHash(0x8000_0000|i<<8, 0))
-	}
-	for i := uint32(0); i < 4; i++ { // distinct homes, one tag at >= 16 slots
-		tag = append(tag, keyWithHash((8+i)<<28|0x0ab_cdef, 0))
-	}
-	keys := append(append(append([]uint64{}, same...), home...), tag...)
+	const run = 16 << 27 // home 16 of a 32-slot index: the top five hash bits
+	// One home at <= 256 slots, distinct tags.
+	home := keysWithHashes(6, func(i uint32) uint32 { return run | i<<8 })
+	// One tag at 32 slots (the low 27 hash bits), homes 16 to 21, which
+	// home's run covers; the last is never put.
+	spill := keysWithHashes(4, func(i uint32) uint32 { return (run + i<<27) | 0x1_2345 })
+	spill, absent := spill[:3], spill[3]
+	// Distinct homes, one tag at >= 16 slots.
+	tag := keysWithHashes(4, func(i uint32) uint32 { return (8+i)<<28 | 0x0ab_cdf2 })
+	keys := append(append(append([]netstack.NodeID{}, home...), spill...), tag...)
 
 	var probe IDTable[idVal]
 	for _, k := range keys {
@@ -192,23 +233,23 @@ func TestIDTableTagCollisions(t *testing.T) {
 	if len(probe.index) != 32 {
 		t.Fatalf("%d keys take a %d-slot index, want 32", len(keys), len(probe.index))
 	}
-	homeOf := func(k uint64) uint32 { return idHash(k) >> probe.shift }
-	tagOf := func(k uint64) uint32 { return idHash(k) << probe.logN }
-	for _, k := range append(append([]uint64{}, same[1:]...), home...) {
-		if homeOf(k) != homeOf(same[0]) {
-			t.Fatalf("key %#x homes at %d, want %d", k, homeOf(k), homeOf(same[0]))
-		}
-	}
-	for _, k := range same[1:] {
-		if tagOf(k) != tagOf(same[0]) {
-			t.Fatalf("key %#x has tag %#x, want %#x", k, tagOf(k), tagOf(same[0]))
-		}
-	}
+	homeOf := func(k netstack.NodeID) uint32 { return idHash(uint32(k)) >> probe.shift }
+	tagOf := func(k netstack.NodeID) uint32 { return idHash(uint32(k)) << probe.logN }
+	h0 := homeOf(home[0])
 	for i, k := range home {
+		if homeOf(k) != h0 {
+			t.Fatalf("key %#x homes at %d, want %d", k, homeOf(k), h0)
+		}
 		for _, k2 := range home[:i] {
 			if tagOf(k) == tagOf(k2) {
 				t.Fatalf("keys %#x and %#x share a tag", k, k2)
 			}
+		}
+	}
+	for i, k := range append(spill[1:], absent) {
+		if tagOf(k) != tagOf(spill[0]) || homeOf(k) <= homeOf(spill[i]) || homeOf(k)-h0 >= uint32(len(home)) {
+			t.Fatalf("key %#x: tag %#x, home %d; want tag %#x at a home in (%d, %d)",
+				k, tagOf(k), homeOf(k), tagOf(spill[0]), homeOf(spill[i]), h0+uint32(len(home)))
 		}
 	}
 	for i, k := range tag {
@@ -219,8 +260,6 @@ func TestIDTableTagCollisions(t *testing.T) {
 			}
 		}
 	}
-	// A key that matches same's home and tag but was never put.
-	absent := keyWithHash(0x8001_2345, 99)
 
 	m := newIDModel(t)
 	for _, k := range keys {
@@ -229,7 +268,7 @@ func TestIDTableTagCollisions(t *testing.T) {
 	m.check(absent)
 	// Delete the front of the run (the first key put at the shared home),
 	// then each group's middle, then refill: every step is held to the map.
-	for _, k := range []uint64{same[0], home[2], tag[1], same[2], home[0], tag[0]} {
+	for _, k := range []netstack.NodeID{home[0], spill[1], tag[1], home[2], spill[0], tag[0]} {
 		m.del(k)
 		m.check(absent)
 	}

@@ -60,16 +60,16 @@ func (t *NeighborTable) Len() int { return t.m.Len() }
 
 // At returns the id and entry in slot i, 0 <= i < Len().
 func (t *NeighborTable) At(i int) (netstack.NodeID, *Neighbor) {
-	return netstack.NodeID(t.m.KeyAt(i)), t.m.At(i)
+	return t.m.KeyAt(i), t.m.At(i)
 }
 
 // Get returns the entry for id, or nil.
-func (t *NeighborTable) Get(id netstack.NodeID) *Neighbor { return t.m.Get(uint64(id)) }
+func (t *NeighborTable) Get(id netstack.NodeID) *Neighbor { return t.m.Get(uint32(id)) }
 
 // Touch records hello receipt from id: the entry is created on first
 // contact and its liveness deadline extended to expiry.
 func (t *NeighborTable) Touch(id netstack.NodeID, expiry sim.Time) *Neighbor {
-	nb, _ := t.m.Put(uint64(id))
+	nb, _ := t.m.Put(id)
 	nb.Expiry = expiry
 	if expiry < t.horizon {
 		t.horizon = expiry
@@ -79,7 +79,7 @@ func (t *NeighborTable) Touch(id netstack.NodeID, expiry sim.Time) *Neighbor {
 
 // Remove drops id on link-layer failure evidence; it reports whether an
 // entry existed.
-func (t *NeighborTable) Remove(id netstack.NodeID) bool { return t.m.Delete(uint64(id)) }
+func (t *NeighborTable) Remove(id netstack.NodeID) bool { return t.m.Delete(id) }
 
 // Expire ages out neighbors whose hellos stopped and reports whether any
 // did. Sweeps before the horizon return immediately: no deadline in the

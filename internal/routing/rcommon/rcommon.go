@@ -22,9 +22,9 @@
 // problem, not a hashing one — but not an [N]-array one either: 5000 nodes
 // with a slot per destination is 25 M slots for tables that hold dozens.
 // IDTable keeps values by value in a slab sized to what a node has
-// actually heard of, behind a small int32 index; there is no heap object
-// per entry, and a pointer into the slab is good only until the table's
-// next Put or Delete.
+// actually heard of, behind a small index of 4-byte slots; there is no
+// heap object per entry, and a pointer into the slab is good only until
+// the table's next Put or Delete.
 //
 // Every helper is a pure extraction: porting a protocol onto rcommon must
 // not change its packet trace. Helpers therefore never draw randomness

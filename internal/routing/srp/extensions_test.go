@@ -130,7 +130,6 @@ func TestHelloAdvertisementFeasibilityGuard(t *testing.T) {
 	_ = w
 	// Give the node an assigned order for dst 9.
 	r := p.rt(9)
-	r.assigned = true
 	r.order = label.Order{SN: 2, FD: frac.MustNew(1, 3)}
 	// Stale advertisement: older seqno.
 	p.handleHello(5, &hello{Entries: []helloEntry{{Dst: 9, SN: 1, F: frac.MustNew(1, 8), D: 1}}})

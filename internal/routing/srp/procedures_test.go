@@ -67,7 +67,6 @@ func TestRelayCarriesMinimumOrdering(t *testing.T) {
 	// (the relay's own ordering).
 	w, pr, sp := relayWorld(t, DefaultConfig())
 	r := pr.rt(9)
-	r.assigned = true
 	r.order = label.Order{SN: 4, FD: frac.MustNew(1, 3)}
 
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4,
@@ -91,7 +90,6 @@ func TestRelayFresherSeqnoClearsReset(t *testing.T) {
 	// it clears the T bit and carries its own ordering (Eq. 10 case 2).
 	w, pr, sp := relayWorld(t, DefaultConfig())
 	r := pr.rt(9)
-	r.assigned = true
 	r.order = label.Order{SN: 7, FD: frac.MustNew(2, 3)}
 
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4,
@@ -115,7 +113,6 @@ func TestRelaySetsResetOnOverflow(t *testing.T) {
 	// overflow 32 bits must set the T bit.
 	w, pr, sp := relayWorld(t, DefaultConfig())
 	r := pr.rt(9)
-	r.assigned = true
 	// Same sn, fraction ABOVE the request's (out of order), denominator
 	// near the 32-bit cap so n+q overflows.
 	r.order = label.Order{SN: 4, FD: frac.F{Num: 1<<32 - 3, Den: 1<<32 - 2}}

@@ -239,8 +239,8 @@ func (p *Protocol) sendHello() {
 	now := p.node.Now()
 	var dsts []netstack.NodeID
 	for i := 0; i < p.routes.Len(); i++ {
-		if r := p.routes.At(i); r.assigned && r.active(now) {
-			dsts = append(dsts, netstack.NodeID(p.routes.KeyAt(i)))
+		if r := p.routes.At(i); r.assigned() && r.active(now) {
+			dsts = append(dsts, p.routes.KeyAt(i))
 		}
 	}
 	sortNodeIDs(dsts)
@@ -306,12 +306,12 @@ func (p *Protocol) sweep() {
 // into the routes slab: valid until the next rt or setRoute that adds a
 // destination, or the next sweep.
 func (p *Protocol) route(dst netstack.NodeID) *route {
-	return p.routes.Get(uint64(dst))
+	return p.routes.Get(uint32(dst))
 }
 
 // rt returns the route entry for dst, creating it if needed.
 func (p *Protocol) rt(dst netstack.NodeID) *route {
-	r, _ := p.routes.Put(uint64(dst))
+	r, _ := p.routes.Put(dst)
 	return r
 }
 
@@ -327,7 +327,7 @@ func (p *Protocol) order(dst netstack.NodeID) label.Order {
 // assignedOrder returns r's ordering, Unassigned for a missing or
 // unassigned route.
 func assignedOrder(r *route) label.Order {
-	if r != nil && r.assigned {
+	if r != nil && r.assigned() {
 		return r.order
 	}
 	return label.Unassigned
@@ -409,7 +409,7 @@ func (p *Protocol) linkBreak(to netstack.NodeID) {
 		}
 		if r.dropSuccessor(to, now) {
 			r.orderExpiry = now + p.cfg.DeletePeriod
-			lost = append(lost, netstack.NodeID(p.routes.KeyAt(i)))
+			lost = append(lost, p.routes.KeyAt(i))
 		}
 	}
 	if len(lost) > 0 && p.rerrLimit.Allow(now) {
@@ -531,7 +531,7 @@ func (p *Protocol) satisfiesSDC(r *rreq) bool {
 		return false
 	}
 	rt := p.route(r.Dst)
-	if rt == nil || !rt.assigned || !rt.active(p.node.Now()) {
+	if rt == nil || !rt.assigned() || !rt.active(p.node.Now()) {
 		return false
 	}
 	if rt.order.SN > r.DstSeq {
@@ -605,7 +605,7 @@ func (p *Protocol) relayRREQ(from netstack.NodeID, r *rreq) {
 
 	// Advertisement piece for the source: replace with this node's own
 	// route to Src if active, else mark N (§III).
-	if rt := p.route(r.Src); rt != nil && rt.assigned && rt.active(p.node.Now()) {
+	if rt := p.route(r.Src); rt != nil && rt.assigned() && rt.active(p.node.Now()) {
 		z.SrcSeq, z.LF, z.LD = rt.order.SN, rt.order.FD, int(rt.dist)
 		z.Flags &^= flagN
 		z.Lifetime = p.cfg.ActiveRouteTimeout
@@ -657,7 +657,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		// Infeasible advertisement: issue a fresh advertisement from
 		// this node's own label if it can (§III), else discard.
 		if st != nil && !st.replied {
-			if rt := p.route(rep.Dst); rt != nil && rt.assigned && rt.active(p.node.Now()) && c.Precedes(rt.order) {
+			if rt := p.route(rep.Dst); rt != nil && rt.assigned() && rt.active(p.node.Now()) && c.Precedes(rt.order) {
 				st.replied = true
 				p.forwardRREP(netstack.NodeID(st.lastHop), rep, rt.order, int(rt.dist))
 			}
@@ -768,7 +768,6 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 	if r == nil {
 		r = p.rt(dst)
 	}
-	r.assigned = true
 	r.order = g
 	r.dist = int32(dist)
 	if g.FD.Den > p.maxDenomSeen {
@@ -816,8 +815,8 @@ func (p *Protocol) Orders() map[netstack.NodeID]label.Order {
 	out := make(map[netstack.NodeID]label.Order, p.routes.Len()+1)
 	out[p.self] = label.Destination(p.mySeq)
 	for i := 0; i < p.routes.Len(); i++ {
-		if r := p.routes.At(i); r.assigned {
-			out[netstack.NodeID(p.routes.KeyAt(i))] = r.order
+		if r := p.routes.At(i); r.assigned() {
+			out[p.routes.KeyAt(i)] = r.order
 		}
 	}
 	return out

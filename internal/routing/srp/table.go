@@ -44,9 +44,12 @@ type successor struct {
 // (Definition 3: "assigned" once present; it must be kept for at least
 // DELETE_PERIOD after the route becomes invalid), the successor set, and
 // the measured distance. Routes live by value in Protocol.routes. The
-// distance is 32 bits for the reason successor's is, and assigned sits
-// after the two 32-bit fields, so a route is 64 bytes, not 72.
+// distance is 32 bits for the reason successor's is, and whether the
+// ordering is assigned is read off the ordering itself (assigned), so a
+// route is 56 bytes and its routes-table entry, key included, 64: one
+// cache line.
 type route struct {
+	// order is the zero Order until setRoute first installs one.
 	order label.Order
 	// succ is unordered and holds at most one entry per next hop. A route
 	// has a handful of successors, so membership is a linear scan.
@@ -55,9 +58,14 @@ type route struct {
 	orderExpiry sim.Time
 	dist        int32
 	// rrIndex cycles PolicyRoundRobin through the successor set.
-	rrIndex  uint32
-	assigned bool
+	rrIndex uint32
 }
+
+// assigned reports whether the route holds an ordering. setRoute installs
+// only finite orderings (numerator below denominator, so the denominator
+// is positive) and nothing clears one; a route that rt made for a queued
+// packet holds the zero Order, whose denominator 0 makes it no label.
+func (r *route) assigned() bool { return r.order.FD.Den != 0 }
 
 // index returns the position in succ of next hop n, or -1.
 func (r *route) index(n netstack.NodeID) int {

@@ -97,24 +97,36 @@ func TestPruneOutOfOrder(t *testing.T) {
 // about 97 MB when each padded a node id or a distance out to 8 bytes
 // (40, 72 and 40 bytes). A computation's per-node entry now lives in the
 // flood's record (rcommon.Computation): the state plus the instant the
-// node engaged, read here from the record's own entry type.
+// node engaged, read here from the record's own entry type. A route
+// keeps no assigned flag (the ordering says it), so its routes-table
+// entry, with the 32-bit key, is one 64-byte cache line, read here from
+// the table's slab; a field added to route spills it to 72.
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(successor{}); n != 32 {
 		t.Errorf("successor is %d bytes, want 32 (ordering, expiry, 32-bit id and distance)", n)
 	}
-	if n := unsafe.Sizeof(route{}); n != 64 {
-		t.Errorf("route is %d bytes, want 64 (ordering, successor slice, expiry, 32-bit distance and cursor, flag)", n)
+	if n := unsafe.Sizeof(route{}); n != 56 {
+		t.Errorf("route is %d bytes, want 56 (ordering, successor slice, expiry, 32-bit distance and cursor)", n)
+	}
+	if n := slabElem[rcommon.IDTable[route]](t, "slab").Size(); n != 64 {
+		t.Errorf("a routes-table entry is %d bytes, want 64 (route, 32-bit key)", n)
 	}
 	if n := unsafe.Sizeof(rreqState{}); n != 24 {
 		t.Errorf("rreqState is %d bytes, want 24 (ordering, 32-bit last hop, flag)", n)
 	}
-	entries, ok := reflect.TypeFor[rcommon.Computation[rreqState]]().FieldByName("entries")
-	if !ok {
-		t.Fatal("rcommon.Computation has no entries field")
-	}
-	if n := entries.Type.Elem().Size(); n != 32 {
+	if n := slabElem[rcommon.Computation[rreqState]](t, "entries").Size(); n != 32 {
 		t.Errorf("a computation's per-node entry is %d bytes, want 32 (engagement instant, rreqState)", n)
 	}
+}
+
+// slabElem returns the element type of T's slice field named field.
+func slabElem[T any](t *testing.T, field string) reflect.Type {
+	t.Helper()
+	f, ok := reflect.TypeFor[T]().FieldByName(field)
+	if !ok || f.Type.Kind() != reflect.Slice {
+		t.Fatalf("%v has no slice field %s", reflect.TypeFor[T](), field)
+	}
+	return f.Type.Elem()
 }
 
 // succModel is the reference for one route's successor set: a map from
