@@ -80,13 +80,13 @@
 // alone — byte-identical to the in-process output, without re-simulating.
 //
 // The large-N tier keeps thousands-of-node scenarios tractable: OLSR's
-// routing table and MPR set are cached behind structure versions and
-// expiry horizons and rebuild into preallocated storage (allocation-free
-// in steady state, byte-identical per seed — see internal/routing/olsr),
-// its duplicate cache and neighbor/topology sweeps are expiry-ordered
-// and horizon-gated, the MAC's steady-state path allocates nothing, and
-// the radio channel's spatial grid amortizes position refreshes at
-// N=5000 (BenchmarkChannelTransmitLargeN). The tier has its own
+// routing table is cached behind a structure version and an expiry
+// horizon, its MPR set is selected only when its own HELLO reads it, and
+// both rebuild into pooled storage (allocation-free in steady state,
+// byte-identical per seed — see internal/routing/olsr), its neighbor and
+// topology sweeps are horizon-gated, the MAC's steady-state path
+// allocates nothing, and the radio channel's spatial grid amortizes
+// position refreshes at N=5000 (BenchmarkChannelTransmitLargeN). The tier has its own
 // reference scenarios (examples/scenarios/manhattan-5000.json and
 // manhattan-20000.json), bench family (BenchmarkLargeN, through
 // N=5000), and a timeboxed 20000-node CI smoke. cmd/slrsim's
@@ -101,9 +101,8 @@
 // owns route discovery for the four on-demand protocols and its
 // parameters (solicitation with the RREQ rate limit, TTL pick, retry
 // back-off, hold-down and queue flush; a protocol only builds its RREQ),
-// the RERR rate limiter, the periodic beaconer,
-// the hello/link-liveness neighbor table, duplicate-flood suppression,
-// and the flat by-value id table (IDTable) that holds SRP's routes and
+// the RERR rate limiter, the periodic beaconer, duplicate-flood
+// suppression, and the flat by-value id table (IDTable) that holds SRP's routes and
 // OLSR's neighbors, topology and routes. internal/routing/rtest's
 // conformance suite runs every
 // registered protocol through a shared contract: quiet before Start,

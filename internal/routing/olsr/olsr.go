@@ -11,66 +11,54 @@
 // overhead (Fig. 5) — and it is not loop-free at every instant during
 // topology transients.
 //
-// # Incremental recomputation
+// # The route cache
 //
-// The routing table and the MPR set are pure functions of the link-state
-// inputs alive at the evaluation instant: the symmetric-neighbor set, the
-// two-hop neighborhoods, and the TC-learned topology, each filtered by its
-// expiry deadline. Both computations are therefore cached behind two
-// signals:
+// The routing table is a pure function of the link-state inputs alive at
+// the evaluation instant: the symmetric neighbors and the TC-learned
+// topology, each filtered by its expiry deadline. It is rebuilt only when
+// read (recompute) and only if one of two signals says the inputs moved:
 //
 //   - a structure version, bumped only when an input actually changes (a
-//     link appears, flips symmetry, or is removed; an advertised set
-//     differs; a dead entry revives), not on every control receipt; and
+//     symmetric link appears, disappears or revives; an advertised set
+//     differs; the sweep deletes an entry), not on every control receipt;
+//     and
 //   - an expiry horizon, the earliest deadline among the inputs the last
-//     computation consumed. Before the horizon, with an unchanged version,
-//     re-running the computation would read exactly the same inputs and
-//     produce exactly the same output, so it is skipped.
+//     rebuild consumed. Before the horizon, with an unchanged version, a
+//     rebuild would read exactly the same inputs and produce exactly the
+//     same table, so it is skipped.
 //
-// The MPR set is moreover computed on demand. It is read in one place, the
-// node's own HELLO, yet its inputs change with nearly every HELLO heard.
-// So a HELLO heard, the once-a-second expiry sweep (when anything changed
-// since the last route rebuild) and a failed data unicast do not run the
-// cover: each notes the instant the inputs changed (mprAt) and leaves the
-// selection pending. sendHello settles it by running the cover, skip rule
-// included, as of mprAt. The result is the set the cover would have left
-// behind had it run at every note, by one invariant: every mutation of the
-// MPR inputs is either noted at the instant it happens (HELLO, expiry
-// sweep, DataFailed) or preceded by a settle (ControlFailed's removal,
-// after which the selection stays as it was until the next note). When
-// sendHello settles, the inputs are therefore exactly those of mprAt, and
-// the cover is a pure function of them and mprAt. A new mutator of the
-// neighbor table must note or settle, too.
+// # MPR selection: note or settle
 //
-// Rebuilds that do run reuse storage instead of allocating it: the route
-// table is emptied in place, the symmetric-neighbor ids are maintained as
-// a sorted slice incrementally, and the working storage of a run (the BFS
-// queue, popped by head index; the cover's bitsets, counts and chains) is
-// a scratch taken from one package-level pool for the call and put back
-// at its end. A node holds no scratch between calls, so N nodes share a
-// handful instead of keeping N node-id-indexed sets each. Every call
-// resets what it reads from its scratch, and a returned scratch points
-// into no node's tables. The steady-state data plane allocates nothing —
-// pinned by TestRecomputeAllocFree. Outputs are byte-identical per seed to
-// the full-rebuild-per-dirty-flag implementation (the olsr-small row of
-// cmd/slrsim's TestGoldens pins the JSONL stream), because every skip is
-// justified by the purity argument above and every rebuild visits
-// neighbors in the same sorted order.
+// The MPR set is read in one place, the node's own HELLO, yet its inputs
+// (the symmetric neighbors and their two-hop sets) change with nearly
+// every HELLO heard. So a HELLO heard, the once-a-second expiry sweep
+// (when anything changed since the last route rebuild) and a failed data
+// unicast do not run the cover: each notes the instant the inputs changed
+// (mprAt) and leaves the selection pending. sendHello settles it by
+// running the cover as of mprAt. The result is the set the cover would
+// have left behind had it run at every note, by one invariant: every
+// mutation of the MPR inputs is either noted at the instant it happens
+// (HELLO, expiry sweep, DataFailed) or preceded by a settle
+// (ControlFailed's removal, after which the selection stays as it was
+// until the next note). When sendHello settles, the inputs are therefore
+// exactly those of mprAt, and the cover is a pure function of them and
+// mprAt. A new mutator of the neighbor table must note or settle, too;
+// TestNoteOrSettle holds the rule to a cover run at every note.
 //
-// No state is hashed: neighbors, topology and routes live by value in
-// rcommon.IDTable slabs. What a node hears it keeps by reference, never
-// copied, because no body is written after its sender hands it to the
-// air. A HELLO body lists ids in slot order, which is deterministic though
-// not sorted; every receiver's two-hop set aliases it, self included, and
-// the readers skip self. A TC body (its sequence number and advertised
-// set, the ids sorted once by its originator) is one immutable object that
-// every relayed copy and every receiver's topology entry point at, so a
-// topology entry is that pointer and an expiry. A content-identical
-// refresh adopts the newer body, which leaves the superseded one to the
-// collector once its last copy has left the air.
+// Neither computation keeps storage of its own between calls: the route
+// table is emptied in place, and the working storage of a run (the BFS
+// queue; the cover's candidates, bitsets, counts and chains) is a scratch
+// taken from one package-level pool and put back at its end. Neighbors,
+// topology and routes live by value in rcommon.IDTable slabs. What a node
+// hears it keeps by reference, never copied, because no body is written
+// after its sender hands it to the air: every receiver's two-hop set
+// aliases the HELLO's neighbor list, self included, and every relayed copy
+// and topology entry points at the TC's one body (its sequence number and
+// advertised ids, sorted once by its originator).
 package olsr
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -131,6 +119,26 @@ type topoEntry struct {
 	expiry sim.Time
 }
 
+// neighbor is what a node holds per neighbor it hears: HELLO liveness and
+// what the neighbor's last HELLO said.
+type neighbor struct {
+	// expiry is the HELLO-liveness deadline; a neighbor whose HELLOs stop
+	// ages out at it.
+	expiry sim.Time
+	// twoHop is the neighbor list of the neighbor's last HELLO, the two-hop
+	// neighborhood the MPR cover covers: the HELLO's own slice, which its
+	// sender never writes after send, in the sender's slot order and
+	// without duplicates. It names this node whenever the link is
+	// symmetric, and readers skip it. The HELLO has no link types, so
+	// twoHop includes the neighbor's asymmetric links too (RFC 3626 §8.3.1
+	// keeps only symmetric ones). It needs no deadline of its own: the
+	// HELLO that writes it also writes expiry.
+	twoHop []netstack.NodeID
+	// sym marks the link symmetric: the neighbor's last HELLO listed this
+	// node. selectsMe marks that the HELLO named this node an MPR.
+	sym, selectsMe bool
+}
+
 // route is one routing-table entry: the next hop toward a destination and
 // the length of the path through it. Node ids fit 32 bits in every
 // scenario, and a route slab holds an entry per reachable node: 12 bytes
@@ -140,14 +148,15 @@ type route struct {
 }
 
 // forever is the expiry horizon of a computation that consumed no
-// expirable inputs: it can never be invalidated by the clock alone.
+// expirable inputs, and the sweep horizon of an empty table: the clock
+// alone never reaches it.
 const forever = sim.Time(math.MaxInt64)
 
 // symNeighbor is one live symmetric neighbor of an MPR selection run: the
 // id plus its table entry, which is valid for that run only.
 type symNeighbor struct {
 	id netstack.NodeID
-	nb *rcommon.Neighbor
+	nb *neighbor
 }
 
 // Protocol is one node's OLSR instance.
@@ -157,21 +166,17 @@ type Protocol struct {
 	node *netstack.Node
 	self netstack.NodeID
 
-	// nbrs is the hello-liveness neighbor table: Touch on every HELLO,
-	// Remove on link-layer failure, Expire from the periodic sweep.
-	nbrs *rcommon.NeighborTable
-	// symList holds the ids of the Sym entries of nbrs, sorted, maintained
-	// incrementally on symmetry flips and removals (and rebuilt wholesale
-	// after the once-a-second expiry sweep). It holds ids, not entries: a
-	// *Neighbor dies at the table's next Touch, Remove or Expire. Entries
-	// may be expired-but-unswept; consumers filter by Expiry.
-	symList []netstack.NodeID
+	// nbrs is the HELLO-liveness neighbor table: written by every HELLO
+	// heard (touch), deleted from on link-layer failure and by the sweep.
+	// Entries may be expired but not yet swept; readers filter by expiry.
+	nbrs rcommon.IDTable[neighbor]
 	// mprs is the MPR set as of the last selection, in selection order.
 	mprs []netstack.NodeID
 	topo rcommon.IDTable[topoEntry]
-	// topoHorizon lower-bounds every topo entry's expiry; the per-second
-	// sweep skips scanning the table before it. handleTC lowers it on
-	// entry writes, the sweep recomputes the exact minimum.
+	// nbrHorizon and topoHorizon lower-bound every expiry in nbrs and
+	// topo: the once-a-second sweep skips a table before its horizon. A
+	// write of an expiry lowers the horizon, a sweep sets the exact minimum.
+	nbrHorizon  sim.Time
 	topoHorizon sim.Time
 	tcSeq       uint32
 	// swept is the instant of the last once-a-second sweep, which is when
@@ -185,25 +190,20 @@ type Protocol struct {
 	routes rcommon.IDTable[route] // dst -> route, refilled by each rebuild
 
 	// linkVer counts structural changes to the route inputs (symmetric
-	// links and TC-learned links); mprInVer counts structural changes to
-	// the MPR inputs (symmetric links and two-hop sets). Expiry refreshes
-	// and content-identical re-advertisements bump neither.
-	linkVer  uint64
-	mprInVer uint64
-	// routeVer/routeHorizon stamp the inputs of the last route rebuild;
-	// mprVer/mprHorizon those of the last MPR selection. See the package
-	// comment for the skip rule.
+	// links and TC-learned links). Expiry refreshes and content-identical
+	// re-advertisements do not bump it.
+	linkVer uint64
+	// routeVer/routeHorizon stamp the inputs of the last route rebuild.
+	// See the package comment for the skip rule.
 	routeVer     uint64
 	routeHorizon sim.Time
-	mprVer       uint64
-	mprHorizon   sim.Time
 	// mprAt is the instant of the last noted change to the MPR inputs;
 	// mprPending says the selection has not been settled since. See the
 	// package comment for the note-or-settle rule.
 	mprAt      sim.Time
 	mprPending bool
 	// rebuilds/mprRuns count the computations that actually ran, for
-	// tests and profiling; skips are the difference against dirty events.
+	// tests and profiling.
 	rebuilds uint64
 	mprRuns  uint64
 
@@ -215,7 +215,7 @@ var _ netstack.Protocol = (*Protocol)(nil)
 
 // New returns an OLSR instance.
 func New(cfg Config) *Protocol {
-	return &Protocol{cfg: cfg, nbrs: rcommon.NewNeighborTable()}
+	return &Protocol{cfg: cfg}
 }
 
 // Attach implements netstack.Protocol.
@@ -252,34 +252,6 @@ func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 	return nil
 }
 
-// --- Symmetric-neighbor slice ------------------------------------------
-
-// symInsert adds id to the sorted symmetric slice.
-func (p *Protocol) symInsert(id netstack.NodeID) {
-	if i, found := slices.BinarySearch(p.symList, id); !found {
-		p.symList = slices.Insert(p.symList, i, id)
-	}
-}
-
-// symRemove drops id from the sorted symmetric slice, if present.
-func (p *Protocol) symRemove(id netstack.NodeID) {
-	if i, found := slices.BinarySearch(p.symList, id); found {
-		p.symList = slices.Delete(p.symList, i, i+1)
-	}
-}
-
-// rebuildSymList re-derives the slice from the table after a bulk change
-// (the once-a-second expiry sweep, which removes entries en masse).
-func (p *Protocol) rebuildSymList() {
-	p.symList = p.symList[:0]
-	for i := range p.nbrs.Len() {
-		if id, nb := p.nbrs.At(i); nb.Sym {
-			p.symList = append(p.symList, id)
-		}
-	}
-	slices.Sort(p.symList)
-}
-
 // --- Periodic control -------------------------------------------------
 
 func (p *Protocol) sendHello() {
@@ -290,13 +262,13 @@ func (p *Protocol) sendHello() {
 	// asymmetric links must be included to bootstrap.
 	nbs := make([]netstack.NodeID, 0, p.nbrs.Len())
 	for i := range p.nbrs.Len() {
-		if id, nb := p.nbrs.At(i); nb.Expiry > now {
-			nbs = append(nbs, id)
+		if p.nbrs.At(i).expiry > now {
+			nbs = append(nbs, p.nbrs.KeyAt(i))
 		}
 	}
 	var mprList []netstack.NodeID
 	for _, id := range p.mprs {
-		if nb := p.nbrs.Get(id); nb != nil && nb.Expiry > now {
+		if nb := p.nbrs.Get(uint32(id)); nb != nil && nb.expiry > now {
 			mprList = append(mprList, id)
 		}
 	}
@@ -309,8 +281,8 @@ func (p *Protocol) sendTC() {
 	var selectors []netstack.NodeID
 	now := p.node.Now()
 	for i := range p.nbrs.Len() {
-		if id, nb := p.nbrs.At(i); nb.Expiry > now && nb.SelectsMe {
-			selectors = append(selectors, id)
+		if nb := p.nbrs.At(i); nb.expiry > now && nb.selectsMe {
+			selectors = append(selectors, p.nbrs.KeyAt(i))
 		}
 	}
 	if len(selectors) == 0 {
@@ -324,38 +296,39 @@ func (p *Protocol) sendTC() {
 
 func (p *Protocol) expire() {
 	now := p.node.Now()
-	if p.nbrs.Expire(now) {
-		// The sweep removes neighbors in bulk; re-derive the symmetric
-		// slice and invalidate both caches rather than attributing each
-		// individual removal. Once a second, this is noise next to the
-		// per-hello savings.
+	lostNbrs := sweep(&p.nbrs, &p.nbrHorizon, now, func(nb *neighbor) sim.Time { return nb.expiry })
+	lostTopo := sweep(&p.topo, &p.topoHorizon, now, func(te *topoEntry) sim.Time { return te.expiry })
+	if lostNbrs || lostTopo {
 		p.dirty = true
 		p.linkVer++
-		p.mprInVer++
-		p.rebuildSymList()
-	}
-	// The topology sweep is gated on the same horizon rule as the MPR and
-	// route caches: topoHorizon lower-bounds every entry's expiry, so a
-	// sweep before it provably removes nothing. Each real sweep recomputes
-	// the exact minimum; entry writes in handleTC lower the bound. The walk
-	// goes down because Delete moves the last entry into the freed slot.
-	if now >= p.topoHorizon {
-		min := forever
-		for i := p.topo.Len() - 1; i >= 0; i-- {
-			if exp := p.topo.At(i).expiry; exp <= now {
-				p.topo.Delete(p.topo.KeyAt(i))
-				p.dirty = true
-				p.linkVer++
-			} else if exp < min {
-				min = exp
-			}
-		}
-		p.topoHorizon = min
 	}
 	p.swept = now
 	if p.dirty {
 		p.noteMPRs(now)
 	}
+}
+
+// sweep deletes the entries of t whose expiry has passed at now and
+// reports whether it deleted any. *horizon lower-bounds every expiry in t,
+// so a sweep before it provably deletes nothing and returns at once; a
+// sweep that walks sets it to the exact minimum, and every write of an
+// expiry must lower it. The walk goes down because Delete moves the last
+// entry into the freed slot.
+func sweep[T any](t *rcommon.IDTable[T], horizon *sim.Time, now sim.Time, expiry func(*T) sim.Time) bool {
+	if now < *horizon {
+		return false
+	}
+	min, deleted := forever, false
+	for i := t.Len() - 1; i >= 0; i-- {
+		if exp := expiry(t.At(i)); exp <= now {
+			t.Delete(t.KeyAt(i))
+			deleted = true
+		} else if exp < min {
+			min = exp
+		}
+	}
+	*horizon = min
+	return deleted
 }
 
 // RecvControl implements netstack.Protocol.
@@ -370,90 +343,31 @@ func (p *Protocol) RecvControl(from netstack.NodeID, msg any) {
 
 func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 	now := p.node.Now()
-	// A live symmetric link before this hello; the hello's Touch always
-	// leaves the entry live, so comparing against the recomputed Sym
-	// below detects both symmetry flips and the revival of an
-	// expired-but-unswept link — the two ways a hello can change which
-	// links the next rebuild sees.
-	old := p.nbrs.Get(from)
-	wasLiveSym := old != nil && old.Sym && old.Expiry > now
-	nb := p.nbrs.Touch(from, now+p.cfg.NeighborHold)
+	// A live symmetric link before this hello; the hello leaves the entry
+	// live, so comparing against the new sym below detects both symmetry
+	// flips and the revival of an expired-but-unswept link — the two ways
+	// a hello can change which links the next rebuild sees.
+	old := p.nbrs.Get(uint32(from))
+	wasLiveSym := old != nil && old.sym && old.expiry > now
+	nb := p.touch(from, now+p.cfg.NeighborHold)
 	// The link is symmetric once the neighbor lists us.
-	sym := slices.Contains(h.Neighbors, p.self)
-	if sym != nb.Sym {
-		nb.Sym = sym
-		if sym {
-			p.symInsert(from)
-		} else {
-			p.symRemove(from)
-		}
-	}
-	if sym != wasLiveSym {
+	nb.sym = slices.Contains(h.Neighbors, p.self)
+	if nb.sym != wasLiveSym {
 		p.linkVer++
-		p.mprInVer++
 	}
-	nb.SelectsMe = slices.Contains(h.MPRs, p.self)
-	// Two-hop neighborhood from the neighbor's neighbor list, aliased:
-	// the sender never writes it after send, and the readers skip self.
-	// Only a changed set invalidates the MPR cache; the common
-	// steady-state hello re-advertises the same neighbors, and Touch has
-	// already refreshed the deadline they share with nb.
-	if !p.sameTwoHop(nb, h.Neighbors) {
-		nb.TwoHop, nb.TwoHopMax = h.Neighbors, 0
-		for _, n := range h.Neighbors {
-			nb.TwoHopMax = max(nb.TwoHopMax, n)
-		}
-		p.mprInVer++
-	}
+	nb.selectsMe = slices.Contains(h.MPRs, p.self)
+	nb.twoHop = h.Neighbors
 	p.dirty = true
 	p.noteMPRs(now)
 }
 
-// sameTwoHop reports whether incoming and nb.TwoHop, each less self, name
-// the same set. A neighbor lists its neighbors in its table's slot order,
-// which rarely changes between two of its hellos, so the common case is a
-// positional match; any other order falls back to membership in a
-// scratch bitset.
-func (p *Protocol) sameTwoHop(nb *rcommon.Neighbor, incoming []netstack.NodeID) bool {
-	held := nb.TwoHop
-	i, j := 0, 0
-	for {
-		// Neither list repeats an id, so self is skipped at most once.
-		if i < len(incoming) && incoming[i] == p.self {
-			i++
-		}
-		if j < len(held) && held[j] == p.self {
-			j++
-		}
-		if i == len(incoming) || j == len(held) {
-			return i == len(incoming) && j == len(held)
-		}
-		if incoming[i] != held[j] {
-			break
-		}
-		i++
-		j++
-	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.symBits.reset(int(nb.TwoHopMax) + 1)
-	left := 0
-	for _, th := range held {
-		if th != p.self {
-			s.symBits.set(th)
-			left++
-		}
-	}
-	for _, n := range incoming {
-		if n == p.self {
-			continue
-		}
-		if n > nb.TwoHopMax || !s.symBits.has(n) {
-			return false
-		}
-		left--
-	}
-	return left == 0
+// touch records a HELLO from id, live until expiry: the entry is made on
+// first contact and the neighbor sweep's horizon lowered to the deadline.
+func (p *Protocol) touch(id netstack.NodeID, expiry sim.Time) *neighbor {
+	nb, _ := p.nbrs.Put(id)
+	nb.expiry = expiry
+	p.nbrHorizon = min(p.nbrHorizon, expiry)
+	return nb
 }
 
 func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
@@ -484,7 +398,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 		}
 		// MPR forwarding rule: relay only if the transmitter selected
 		// this node as MPR.
-		if nb := p.nbrs.Get(from); nb != nil && nb.SelectsMe && m.TTL > 1 {
+		if nb := p.nbrs.Get(uint32(from)); nb != nil && nb.selectsMe && m.TTL > 1 {
 			z := *m
 			z.TTL--
 			jit := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
@@ -516,14 +430,8 @@ func (p *Protocol) settleMPRs() {
 }
 
 // selectMPRsAt runs the greedy set cover of the strict two-hop
-// neighborhood as of now — unless the one/two-hop neighborhood provably
-// has not changed since the last run (unchanged structure version, now
-// before the expiry horizon), in which case the cached set is already
-// exactly what the cover would produce.
+// neighborhood as of now.
 func (p *Protocol) selectMPRsAt(now sim.Time) {
-	if p.mprVer == p.mprInVer && now < p.mprHorizon {
-		return
-	}
 	s := scratchPool.Get().(*scratch)
 	p.coverTwoHop(s, now)
 	scratchPool.Put(s)
@@ -531,25 +439,28 @@ func (p *Protocol) selectMPRsAt(now sim.Time) {
 
 // coverTwoHop selects the MPR set as of now, working in s.
 //
-// The cover runs over bitsets indexed by node id and the flat TwoHop
+// The cover runs over bitsets indexed by node id and the flat two-hop
 // lists: node ids are dense in every scenario, so membership is one
 // shift+mask. Cover counts are order-independent sums and the candidate
-// scan walks liveSym in sorted id order, so the selected set does not
-// depend on the order of any TwoHop list. Every piece of s is reset before
-// it is read, and s leaves holding no pointer into p's tables.
+// scan walks liveSym in id order, so the selected set depends on the
+// order of neither the neighbor table nor any two-hop list. Every piece
+// of s is reset before it is read, and s leaves holding no pointer into
+// p's tables.
 func (p *Protocol) coverTwoHop(s *scratch, now sim.Time) {
 	p.mprRuns++
-	horizon := forever
 	s.liveSym = s.liveSym[:0]
 	maxID := p.self
-	for _, id := range p.symList {
-		nb := p.nbrs.Get(id)
-		if nb.Expiry > now {
+	for i := range p.nbrs.Len() {
+		if nb := p.nbrs.At(i); nb.sym && nb.expiry > now {
+			id := p.nbrs.KeyAt(i)
 			s.liveSym = append(s.liveSym, symNeighbor{id: id, nb: nb})
-			horizon = min(horizon, nb.Expiry)
-			maxID = max(maxID, id, nb.TwoHopMax)
+			maxID = max(maxID, id)
+			for _, th := range nb.twoHop {
+				maxID = max(maxID, th)
+			}
 		}
 	}
+	slices.SortFunc(s.liveSym, func(a, b symNeighbor) int { return cmp.Compare(a.id, b.id) })
 	s.symBits.reset(int(maxID) + 1)
 	s.uncov.reset(int(maxID) + 1)
 	for _, e := range s.liveSym {
@@ -579,7 +490,7 @@ func (p *Protocol) coverTwoHop(s *scratch, now sim.Time) {
 	// selection is identical.
 	for i, e := range s.liveSym {
 		cnt := int32(0)
-		for _, th := range e.nb.TwoHop {
+		for _, th := range e.nb.twoHop {
 			if th == p.self || s.symBits.has(th) {
 				continue
 			}
@@ -616,7 +527,7 @@ func (p *Protocol) coverTwoHop(s *scratch, now sim.Time) {
 		s.chosen[best] = true
 		p.mprs = append(p.mprs, bestE.id)
 		// Self is never in uncov, so the alias's own entry is skipped here.
-		for _, th := range bestE.nb.TwoHop {
+		for _, th := range bestE.nb.twoHop {
 			if s.uncov.has(th) {
 				s.uncov.clearBit(th)
 				uncovered--
@@ -634,19 +545,16 @@ func (p *Protocol) coverTwoHop(s *scratch, now sim.Time) {
 		p.mprs = append(p.mprs, s.liveSym[0].id)
 	}
 	clear(s.liveSym) // its entries point into p's neighbor table
-	p.mprVer = p.mprInVer
-	p.mprHorizon = horizon
 }
 
-// scratch is the working storage of one MPR selection, route rebuild or
-// two-hop comparison. No node owns one: each call that needs it takes one
-// from scratchPool and puts it back on return, so concurrent trials never
-// share one and a node holds none between calls.
+// scratch is the working storage of one MPR selection or route rebuild.
+// No node owns one: each call that needs it takes one from scratchPool and
+// puts it back on return, so concurrent trials never share one and a node
+// holds none between calls.
 type scratch struct {
 	queue []netstack.NodeID // BFS queue, popped by head index
-	// liveSym holds the live symmetric neighbors of a selection run;
-	// symBits and uncov are membership bitsets over node ids. symBits is
-	// also sameTwoHop's set.
+	// liveSym holds the live symmetric neighbors of a selection run,
+	// sorted by id; symBits and uncov are membership bitsets over node ids.
 	liveSym []symNeighbor
 	symBits bitset
 	uncov   bitset
@@ -729,20 +637,20 @@ func (p *Protocol) rebuildRoutes(s *scratch) {
 	p.routes.Reset()
 	horizon := forever
 
-	// First ring: symmetric neighbors, visited in id order — the BFS
-	// assigns each destination the first equal-cost route it reaches, so
-	// tie-breaks must not depend on table order. symList is maintained
-	// sorted, so no per-rebuild sort.
+	// First ring: the live symmetric neighbors, visited in id order — the
+	// BFS assigns each destination the first equal-cost route it reaches,
+	// so tie-breaks must not depend on table order.
 	queue := s.queue[:0]
-	for _, id := range p.symList {
-		nb := p.nbrs.Get(id)
-		if nb.Expiry <= now {
-			continue
+	for i := range p.nbrs.Len() {
+		if nb := p.nbrs.At(i); nb.sym && nb.expiry > now {
+			queue = append(queue, p.nbrs.KeyAt(i))
+			horizon = min(horizon, nb.expiry)
 		}
-		queue = append(queue, id)
+	}
+	slices.Sort(queue)
+	for _, id := range queue {
 		r, _ := p.routes.Put(id)
 		*r = route{nh: int32(id), hops: 1}
-		horizon = min(horizon, nb.Expiry)
 	}
 	// Expand over TC-advertised links, popping by head index (re-slicing
 	// the queue would keep the whole backing array pinned and re-grow it
@@ -812,15 +720,11 @@ func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
 // disappeared (removing an asymmetric or already-expired entry changes no
 // computation input).
 func (p *Protocol) removeNeighbor(to netstack.NodeID) {
-	if nb := p.nbrs.Get(to); nb != nil {
-		if nb.Sym {
-			p.symRemove(to)
-			if nb.Expiry > p.node.Now() {
-				p.linkVer++
-				p.mprInVer++
-			}
+	if nb := p.nbrs.Get(uint32(to)); nb != nil {
+		if nb.sym && nb.expiry > p.node.Now() {
+			p.linkVer++
 		}
-		p.nbrs.Remove(to)
+		p.nbrs.Delete(to)
 	}
 	p.dirty = true
 }

@@ -79,7 +79,6 @@ var vocabulary = map[string]map[string]float64{
 		"next_element_only":            0,
 		"node_traversal_seconds":       0.04,
 		"queue_cap":                    10,
-		"request_rack":                 0,
 		"rreq_rate_limit":              10,
 		"rreq_retries":                 2,
 		"ttl_0":                        5,
@@ -200,6 +199,7 @@ func TestParamRefusals(t *testing.T) {
 		{"SRP", "max_denom", 1e9 + 0.5},
 		{"SRP", "ttl_0", math.Inf(1)},
 		{"SRP", "hello_interval_seconds", math.NaN()},
+		{"SRP", "request_rack", 1}, // removed: an unknown key now
 		{"LDR", "min_reply_hops", 1e300},
 		{"LDR", "use_packet_cache", -1},
 		{"AODV", "local_repair", 2},

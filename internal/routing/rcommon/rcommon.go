@@ -7,7 +7,6 @@
 //   - sliding-window rate limiters for RREQ/RERR origination (ratelimit.go),
 //   - the periodic beaconer driving HELLO/TC/sweep schedules on re-armed
 //     sim timers (beacon.go),
-//   - the hello/link-liveness neighbor table (neighbors.go),
 //   - flood-carried state: a record created with each flood and carried by
 //     all its copies — and, for a route computation, by its replies — so a
 //     node's duplicate test is a bit test on the flood (Flood), SRP's and

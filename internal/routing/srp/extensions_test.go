@@ -48,26 +48,6 @@ func TestHelloRespectsFanout(t *testing.T) {
 	}
 }
 
-func TestRackRequested(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RequestRack = true
-	w := rtest.New(1, 120, factory(cfg), rtest.Chain(3, 100), nil)
-	w.Send(0, 2)
-	w.Sim.RunUntil(5 * time.Second)
-	if w.MX.DataRecv != 1 {
-		t.Fatalf("delivered %d, want 1", w.MX.DataRecv)
-	}
-	// Every RREP hop draws a RACK: the reply traveled 2 hops, so the
-	// repliers' RACK counters total 2.
-	var racks uint64
-	for _, n := range w.Nodes {
-		racks += n.Protocol().(*Protocol).statRACK
-	}
-	if racks == 0 {
-		t.Fatal("no RACKs received")
-	}
-}
-
 func TestMultipathPolicies(t *testing.T) {
 	now := sim.Time(0)
 	r := &route{succ: []successor{
@@ -129,7 +109,7 @@ func TestHelloAdvertisementFeasibilityGuard(t *testing.T) {
 		rtest.Chain(1, 100), nil)
 	_ = w
 	// Give the node an assigned order for dst 9.
-	r := p.rt(9)
+	r, _ := p.routes.Put(9)
 	r.order = label.Order{SN: 2, FD: frac.MustNew(1, 3)}
 	// Stale advertisement: older seqno.
 	p.handleHello(5, &hello{Entries: []helloEntry{{Dst: 9, SN: 1, F: frac.MustNew(1, 8), D: 1}}})

@@ -19,7 +19,7 @@ import (
 	"slr/internal/sim"
 )
 
-// Flag bits of RREQ/RREP packets (§III).
+// Flag bits of RREQ packets (§III).
 type flags uint8
 
 const (
@@ -27,7 +27,7 @@ const (
 	// the destination (Unknown).
 	flagU flags = 1 << iota
 	// flagN marks a RREQ that is no longer an advertisement for its
-	// source, or a RREP whose reverse path could not be built.
+	// source.
 	flagN
 	// flagD forces the RREQ to travel to the destination itself, used to
 	// request a path reset.
@@ -36,8 +36,6 @@ const (
 	// ordering violation could occur and the path must be reset with a
 	// larger sequence number.
 	flagT
-	// flagA asks the next hop of a RREP to confirm receipt with a RACK.
-	flagA
 )
 
 // rreq is the route request. The solicitation piece is
@@ -91,7 +89,6 @@ type rrep struct {
 	LF       frac.F
 	LD       int // advertised measured distance to Dst
 	Lifetime sim.Time
-	Flags    flags
 	Age      sim.Time
 	Comp     *rcommon.Computation[rreqState] // the answered RREQ's record
 }
@@ -106,14 +103,6 @@ type rerr struct {
 	// Dests lists destinations now unreachable via the sender, with the
 	// sequence number known at the sender.
 	Dests []netstack.NodeID
-}
-
-// rack acknowledges a RREP hop (AODV's RREP-ACK carrying, per §III, the src
-// and rreqid of the corresponding RREP). With a MAC that already ACKs
-// unicasts it is informational; it is kept for protocol completeness.
-type rack struct {
-	Src    netstack.NodeID
-	RreqID uint32
 }
 
 // hello is a periodic advertisement of this node's orderings for a subset
@@ -138,7 +127,6 @@ const (
 	rrepSize     = 40
 	rerrBaseSize = 4
 	rerrPerDest  = 12
-	rackSize     = 8
 	helloBase    = 4
 	helloPerDest = 20
 )

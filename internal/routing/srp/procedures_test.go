@@ -66,7 +66,7 @@ func TestRelayCarriesMinimumOrdering(t *testing.T) {
 	// fraction — the relayed solicitation must carry the minimum
 	// (the relay's own ordering).
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	r := pr.rt(9)
+	r, _ := pr.routes.Put(9)
 	r.order = label.Order{SN: 4, FD: frac.MustNew(1, 3)}
 
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4,
@@ -89,7 +89,7 @@ func TestRelayFresherSeqnoClearsReset(t *testing.T) {
 	// Eq. 11 second case: the relay knows a fresher sequence number, so
 	// it clears the T bit and carries its own ordering (Eq. 10 case 2).
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	r := pr.rt(9)
+	r, _ := pr.routes.Put(9)
 	r.order = label.Order{SN: 7, FD: frac.MustNew(2, 3)}
 
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4,
@@ -112,7 +112,7 @@ func TestRelaySetsResetOnOverflow(t *testing.T) {
 	// Eq. 11 third case: an out-of-order relay whose split would
 	// overflow 32 bits must set the T bit.
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	r := pr.rt(9)
+	r, _ := pr.routes.Put(9)
 	// Same sn, fraction ABOVE the request's (out of order), denominator
 	// near the 32-bit cap so n+q overflows.
 	r.order = label.Order{SN: 4, FD: frac.F{Num: 1<<32 - 3, Den: 1<<32 - 2}}

@@ -50,10 +50,6 @@ type Config struct {
 	HelloInterval sim.Time
 	// HelloFanout caps the advertised destinations per Hello.
 	HelloFanout int
-	// RequestRack asks the next hop of every forwarded RREP to confirm
-	// it with a RACK message (AODV's RREP-ACK carrying src and rreqid,
-	// §III). With a MAC that ACKs unicasts it is informational.
-	RequestRack bool
 }
 
 // ttlKeys name the entries of the expanding-ring TTL schedule.
@@ -96,7 +92,6 @@ var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryCo
 		"multipath":                    registry.Int(func(o *overrides, v int) { o.Multipath = PathPolicy(v) }),
 		"hello_interval_seconds":       registry.Real(func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) }),
 		"hello_fanout":                 registry.Int(func(o *overrides, v int) { o.HelloFanout = v }),
-		"request_rack":                 registry.Bool(func(o *overrides, v bool) { o.RequestRack = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -185,9 +180,9 @@ type Protocol struct {
 	helloCursor uint32
 
 	// stats for analysis.
-	statRREQ, statRREP, statRERR, statRACK uint64
-	statOrderViolations                    uint64
-	maxDenomSeen                           uint32
+	statRREQ, statRREP, statRERR uint64
+	statOrderViolations          uint64
+	maxDenomSeen                 uint32
 }
 
 var _ netstack.Protocol = (*Protocol)(nil)
@@ -302,17 +297,12 @@ func (p *Protocol) sweep() {
 	}
 }
 
-// route returns the route entry for dst, or nil. Like rt's, the pointer is
-// into the routes slab: valid until the next rt or setRoute that adds a
-// destination, or the next sweep.
+// route returns the route entry for dst, or nil. The pointer is into the
+// routes slab: valid until the next setRoute that adds a destination, or
+// the next sweep. Only setRoute adds one: forwarding and discovery read
+// the table and take a missing route for one without a live successor.
 func (p *Protocol) route(dst netstack.NodeID) *route {
 	return p.routes.Get(uint32(dst))
-}
-
-// rt returns the route entry for dst, creating it if needed.
-func (p *Protocol) rt(dst netstack.NodeID) *route {
-	r, _ := p.routes.Put(dst)
-	return r
 }
 
 // order returns this node's ordering for dst; for itself it is the
@@ -342,7 +332,7 @@ func (p *Protocol) OriginateData(pkt *netstack.DataPacket) {
 
 // RecvData implements netstack.Protocol.
 func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
-	r := p.rt(pkt.Dst)
+	r := p.route(pkt.Dst)
 	next, ok := r.pick(p.cfg.Multipath, p.node.Rand(), p.node.Now())
 	if !ok {
 		// §II route errors: unicast a RERR to the data packet's last
@@ -361,7 +351,7 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 // sendOrDiscover forwards pkt if a route is active, else queues it behind a
 // route discovery (Procedure 1).
 func (p *Protocol) sendOrDiscover(pkt *netstack.DataPacket) {
-	r := p.rt(pkt.Dst)
+	r := p.route(pkt.Dst)
 	if next, ok := r.pick(p.cfg.Multipath, p.node.Rand(), p.node.Now()); ok {
 		p.refresh(r, next)
 		p.node.ForwardData(next, pkt)
@@ -460,8 +450,6 @@ func (p *Protocol) RecvControl(from netstack.NodeID, msg any) {
 		p.handleRREP(from, m)
 	case *rerr:
 		p.handleRERR(from, m)
-	case *rack:
-		p.statRACK++
 	case *hello:
 		p.handleHello(from, m)
 	}
@@ -517,9 +505,6 @@ func (p *Protocol) destinationReply(from netstack.NodeID, r *rreq) {
 		Lifetime: p.cfg.ActiveRouteTimeout,
 		Comp:     r.Comp,
 	}
-	if p.cfg.RequestRack {
-		rep.Flags |= flagA
-	}
 	p.statRREP++
 	p.node.UnicastControl(from, rrepSize, rep)
 }
@@ -553,9 +538,6 @@ func (p *Protocol) intermediateReply(from netstack.NodeID, r *rreq) {
 		LD:       int(rt.dist),
 		Lifetime: p.cfg.ActiveRouteTimeout,
 		Comp:     r.Comp,
-	}
-	if p.cfg.RequestRack {
-		rep.Flags |= flagA
 	}
 	p.statRREP++
 	p.node.UnicastControl(from, rrepSize, rep)
@@ -636,9 +618,6 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 	if rep.Age >= p.cfg.DeletePeriod {
 		return
 	}
-	if rep.Flags&flagA != 0 {
-		p.node.UnicastControl(from, rackSize, &rack{Src: rep.Src, RreqID: rep.RreqID})
-	}
 	terminus := rep.Src == p.self
 	// The originator never engages its own computation, so st is nil at
 	// the terminus. st stays valid to the end: only an Engage on the
@@ -705,7 +684,10 @@ func (p *Protocol) completeDiscovery(rep *rrep, g label.Order) {
 // forwardBest sends pkt to the best live successor toward its destination
 // (no multipath draw), refreshing it; it reports false when there is none.
 func (p *Protocol) forwardBest(pkt *netstack.DataPacket) bool {
-	r := p.rt(pkt.Dst)
+	r := p.route(pkt.Dst)
+	if r == nil {
+		return false
+	}
 	next, live := r.best(p.node.Now())
 	if live {
 		p.refresh(r, next)
@@ -766,7 +748,7 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 		return label.Unassigned
 	}
 	if r == nil {
-		r = p.rt(dst)
+		r, _ = p.routes.Put(dst)
 	}
 	r.order = g
 	r.dist = int32(dist)

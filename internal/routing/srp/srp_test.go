@@ -37,6 +37,39 @@ func TestChainDiscoveryAndDelivery(t *testing.T) {
 	}
 }
 
+// TestDataPathAddsNoRoutes pins that only setRoute adds a route: a relay
+// toward a destination with no route (which answers with a RERR), an
+// origination toward one (which queues behind a discovery) and the salvage
+// of a failed packet toward one leave the node's table as they found it,
+// so no destination a packet merely names gets an entry no sweep deletes.
+func TestDataPathAddsNoRoutes(t *testing.T) {
+	w := defaultWorld(t, rtest.Chain(3, 100), nil)
+	w.Send(0, 2)
+	w.Sim.RunUntil(5 * time.Second)
+	if w.MX.DataRecv != 1 {
+		t.Fatalf("delivered %d, want 1 (drops: %v)", w.MX.DataRecv, w.MX.DataDrops)
+	}
+	relay := w.Nodes[1].Protocol().(*Protocol)
+	origin := w.Nodes[0].Protocol().(*Protocol)
+	relayed, originated := relay.routes.Len(), origin.routes.Len()
+	if relayed == 0 || originated == 0 {
+		t.Fatalf("nodes 1 and 0 hold %d and %d routes after a delivery, want some", relayed, originated)
+	}
+	const unrouted = 9
+	pkt := func(src netstack.NodeID) *netstack.DataPacket {
+		return &netstack.DataPacket{UID: 100 + uint64(src), Src: src, Dst: unrouted, Size: 512, TTL: netstack.DefaultTTL}
+	}
+	relay.RecvData(0, pkt(0))
+	origin.OriginateData(pkt(0))
+	origin.DataFailed(1, pkt(0))
+	if n := relay.routes.Len(); n != relayed || relay.route(unrouted) != nil {
+		t.Errorf("relaying toward %d took node 1 from %d routes to %d", unrouted, relayed, n)
+	}
+	if n := origin.routes.Len(); n != originated || origin.route(unrouted) != nil {
+		t.Errorf("originating toward %d took node 0 from %d routes to %d", unrouted, originated, n)
+	}
+}
+
 func TestLabelsInTopologicalOrder(t *testing.T) {
 	w := defaultWorld(t, rtest.Chain(5, 100), nil)
 	w.Send(0, 4)

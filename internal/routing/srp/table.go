@@ -63,8 +63,8 @@ type route struct {
 
 // assigned reports whether the route holds an ordering. setRoute installs
 // only finite orderings (numerator below denominator, so the denominator
-// is positive) and nothing clears one; a route that rt made for a queued
-// packet holds the zero Order, whose denominator 0 makes it no label.
+// is positive) and nothing clears one, so only the zero Order, whose
+// denominator is 0, reads as unassigned.
 func (r *route) assigned() bool { return r.order.FD.Den != 0 }
 
 // index returns the position in succ of next hop n, or -1.
@@ -132,8 +132,12 @@ func (r *route) best(now sim.Time) (netstack.NodeID, bool) {
 	return bestID, found
 }
 
-// pick returns a successor per the policy; ok is false when none is live.
+// pick returns a successor per the policy; ok is false when none is live,
+// and for a nil route (no route to the destination).
 func (r *route) pick(policy PathPolicy, rng *rand.Rand, now sim.Time) (netstack.NodeID, bool) {
+	if r == nil {
+		return 0, false
+	}
 	switch policy {
 	case PolicyRoundRobin:
 		live := r.successors(now)
