@@ -6,7 +6,7 @@ SCALE    ?= mid
 WORKERS  ?= 0
 FUZZTIME ?= 10s
 
-.PHONY: all build test race fuzz bench fmt vet lint inline examples sweep
+.PHONY: all build test race fuzz bench fmt vet lint inline examples identity sweep
 
 all: build test
 
@@ -85,10 +85,18 @@ inline:
 		fi; \
 	done; exit $$status
 
+# Byte-identity against a base revision: slrsim's output from the working
+# tree against BASE's on a fixed list of runs, SAME or DIFF per run; any
+# DIFF fails (scripts/identity.sh lists the runs).
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	sh scripts/identity.sh $(BASE)
+
 # Regenerate the paper's Table I and Figures 3-7 on the all-cores trial
 # runner. SCALE=full for the paper's exact setup: the whole grid at one
-# trial per cell took 1 m 40 s wall on a 2-vCPU host, so the paper's 10
-# trials take about 17 minutes there. -force: re-running the target
+# trial per cell took between 1 m 40 s and 5 m 42 s wall on 2-vCPU hosts
+# (5 m 38 s on the latest measurement), so the paper's 10 trials take
+# about 17-57 minutes (README). -force: re-running the target
 # deliberately regenerates the results file (the binary otherwise
 # refuses to clobber a non-empty sweep output).
 sweep:

@@ -118,13 +118,15 @@ func (e *rerr) size() int { return rerrBaseSize + rerrPerDest*len(e.Dests) }
 
 // routeEntry is a routing-table row.
 type routeEntry struct {
-	seq        uint32
-	validSeq   bool
-	hops       int
-	nextHop    netstack.NodeID
-	valid      bool
-	expiry     sim.Time
-	precursors map[netstack.NodeID]struct{}
+	seq      uint32
+	validSeq bool
+	hops     int
+	nextHop  netstack.NodeID
+	valid    bool
+	expiry   sim.Time
+	// precursor: some neighbor was sent an intermediate or forwarded
+	// reply for this route. RERRs are broadcast, so who does not matter.
+	precursor bool
 }
 
 // Protocol is one node's AODV instance.
@@ -136,7 +138,8 @@ type Protocol struct {
 
 	seq    uint32 // own sequence number, starts at 0 (Fig. 7 baseline)
 	rreqID uint32
-	table  map[netstack.NodeID]*routeEntry
+	// table holds the routes update made: only update adds an entry.
+	table map[netstack.NodeID]*routeEntry
 	// swept is the instant of the last 10 s sweep, which is when RREQ
 	// sightings expire (rcommon.Flood).
 	swept sim.Time
@@ -185,15 +188,6 @@ func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 		return []netstack.NodeID{e.nextHop}
 	}
 	return nil
-}
-
-func (p *Protocol) entry(dst netstack.NodeID) *routeEntry {
-	e, ok := p.table[dst]
-	if !ok {
-		e = &routeEntry{precursors: make(map[netstack.NodeID]struct{})}
-		p.table[dst] = e
-	}
-	return e
 }
 
 // liveRoute returns the valid, unexpired entry for dst.
@@ -277,15 +271,15 @@ func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 // repairFailed runs when an abandoned discovery was a local repair:
 // invalidate the route and report upstream.
 func (p *Protocol) repairFailed(pd *rcommon.Discovery) {
-	if !pd.Repair {
+	e, ok := p.table[pd.Dst]
+	if !pd.Repair || !ok {
 		return
 	}
-	e := p.entry(pd.Dst)
 	if e.valid {
 		e.valid = false
 		e.seq++
 	}
-	p.propagateRERR(map[netstack.NodeID]*routeEntry{pd.Dst: e})
+	p.propagateRERR(e.report(pd.Dst, nil))
 }
 
 // --- Control plane ----------------------------------------------------
@@ -328,7 +322,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	// Intermediate reply: valid route with a sequence number at least as
 	// fresh as requested.
 	if e, ok := p.liveRoute(r.Dst); ok && e.validSeq && (r.UnknownSeq || seqGE(e.seq, r.DstSeq)) {
-		e.precursors[from] = struct{}{}
+		e.precursor = true
 		rep := &rrep{Src: r.Src, Dst: r.Dst, DstSeq: e.seq, HopCount: e.hops,
 			Lifetime: e.expiry - p.node.Now()}
 		p.node.UnicastControl(from, rrepSize, rep)
@@ -363,8 +357,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		return
 	}
 	p.useRoute(rev)
-	fwd := p.entry(rep.Dst)
-	fwd.precursors[rev.nextHop] = struct{}{}
+	p.table[rep.Dst].precursor = true
 	y := *rep
 	y.HopCount++
 	p.node.UnicastControl(rev.nextHop, rrepSize, &y)
@@ -377,7 +370,11 @@ func (p *Protocol) update(dst netstack.NodeID, seq uint32, validSeq bool, hops i
 	if dst == p.self {
 		return false
 	}
-	e := p.entry(dst)
+	e, ok := p.table[dst]
+	if !ok {
+		e = &routeEntry{}
+		p.table[dst] = e
+	}
 	adopt := !e.valid || !e.validSeq
 	if !adopt && validSeq {
 		adopt = seqGT(seq, e.seq) || (seq == e.seq && hops < e.hops)
@@ -399,7 +396,7 @@ func (p *Protocol) update(dst netstack.NodeID, seq uint32, validSeq bool, hops i
 }
 
 func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {
-	broken := make(map[netstack.NodeID]*routeEntry)
+	var lost []rerrDest
 	for _, d := range e.Dests {
 		ent, ok := p.table[d.Dst]
 		if !ok || !ent.valid || ent.nextHop != from {
@@ -409,21 +406,21 @@ func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {
 		if seqGT(d.Seq, ent.seq) {
 			ent.seq = d.Seq
 		}
-		broken[d.Dst] = ent
+		lost = ent.report(d.Dst, lost)
 	}
-	p.propagateRERR(broken)
+	p.propagateRERR(lost)
 }
 
 // DataFailed implements netstack.Protocol: the MAC reported a broken link.
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
-	broken := p.breakLink(to)
+	lost := p.breakLink(to)
 	if p.cfg.LocalRepair && pkt.Salvaged < p.cfg.MaxSalvage {
 		pkt.Salvaged++
 		p.disc.Enqueue(pkt, true)
 	} else {
 		p.node.DropData(pkt, netstack.DropLinkLost)
 	}
-	p.propagateRERR(broken)
+	p.propagateRERR(lost)
 }
 
 // ControlFailed implements netstack.Protocol.
@@ -431,31 +428,33 @@ func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
 	p.propagateRERR(p.breakLink(to))
 }
 
-// breakLink invalidates all routes through `to`, incrementing their
-// sequence numbers as the draft requires on invalidation.
-func (p *Protocol) breakLink(to netstack.NodeID) map[netstack.NodeID]*routeEntry {
-	broken := make(map[netstack.NodeID]*routeEntry)
+// breakLink invalidates all routes through `to`, bumping their sequence
+// numbers as the draft requires, and returns the route errors to report.
+func (p *Protocol) breakLink(to netstack.NodeID) []rerrDest {
+	var lost []rerrDest
 	for dst, e := range p.table {
 		if e.valid && e.nextHop == to {
 			e.valid = false
 			e.seq++
-			broken[dst] = e
+			lost = e.report(dst, lost)
 		}
 	}
-	return broken
+	return lost
 }
 
-// propagateRERR notifies precursors of newly invalid destinations, capped
-// at RERR_RATELIMIT (10 per second, RFC 3561 §10).
-func (p *Protocol) propagateRERR(broken map[netstack.NodeID]*routeEntry) {
-	var dests []rerrDest
-	for dst, e := range broken {
-		if len(e.precursors) == 0 {
-			continue
-		}
-		dests = append(dests, rerrDest{Dst: dst, Seq: e.seq})
-		e.precursors = make(map[netstack.NodeID]struct{})
+// report appends dst, whose route e was just invalidated, to dests if a
+// precursor needs telling, and clears the mark: one RERR per invalidation.
+func (e *routeEntry) report(dst netstack.NodeID, dests []rerrDest) []rerrDest {
+	if !e.precursor {
+		return dests
 	}
+	e.precursor = false
+	return append(dests, rerrDest{Dst: dst, Seq: e.seq})
+}
+
+// propagateRERR broadcasts newly invalid destinations a precursor uses,
+// capped at RERR_RATELIMIT (10 per second, RFC 3561 §10).
+func (p *Protocol) propagateRERR(dests []rerrDest) {
 	if len(dests) == 0 || !p.rerrLimit.Allow(p.node.Now()) {
 		return
 	}

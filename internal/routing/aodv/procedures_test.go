@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ type spy struct {
 	node  *netstack.Node
 	rreqs []*rreq
 	rreps []*rrep
+	rerrs []*rerr
 }
 
 func (s *spy) Attach(n *netstack.Node) { s.node = n }
@@ -30,6 +32,8 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 		s.rreqs = append(s.rreqs, m)
 	case *rrep:
 		s.rreps = append(s.rreps, m)
+	case *rerr:
+		s.rerrs = append(s.rerrs, m)
 	}
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
@@ -173,5 +177,103 @@ func TestRouteUpdateRules(t *testing.T) {
 	}
 	if e, _ := pr.liveRoute(9); e.nextHop != 3 || e.hops != 9 {
 		t.Fatalf("route = %+v", e)
+	}
+}
+
+// TestRERRNeedsPrecursor pins when a broken route is reported: only when
+// some neighbor routes through this node, because it sent that neighbor an
+// intermediate reply or forwarded it a reply. Then one RERR names the
+// destination with its bumped sequence number, and breaking the route
+// again reports nothing. Node 1 of a three-node chain runs AODV between two
+// spies; its route to the absent node 9 goes through node 2.
+func TestRERRNeedsPrecursor(t *testing.T) {
+	chain := func(t *testing.T) (*rtest.World, *Protocol, *spy) {
+		t.Helper()
+		sp := &spy{}
+		var pr *Protocol
+		w := rtest.New(1, 150, func(id netstack.NodeID) netstack.Protocol {
+			switch id {
+			case 0:
+				return sp
+			case 1:
+				pr = New(DefaultConfig())
+				return pr
+			}
+			return &spy{}
+		}, rtest.Chain(3, 100), nil)
+		return w, pr, sp
+	}
+	// toDst installs the route to 9 through node 2 with a reply that
+	// answers node 1's own discovery.
+	toDst := func(w *rtest.World, pr *Protocol) {
+		pr.handleRREP(2, &rrep{Src: 1, Dst: 9, DstSeq: 4, HopCount: 1, Lifetime: time.Minute})
+		w.Sim.RunUntil(w.Sim.Now() + time.Second)
+	}
+	// breakAndHear breaks the link to node 2 and returns the RERRs node
+	// 0 heard.
+	breakAndHear := func(w *rtest.World, pr *Protocol, sp *spy) []*rerr {
+		n := len(sp.rerrs)
+		pr.ControlFailed(2, nil)
+		w.Sim.RunUntil(w.Sim.Now() + time.Second)
+		return sp.rerrs[n:]
+	}
+	for _, tc := range []struct {
+		name      string
+		precursor func(w *rtest.World, pr *Protocol)
+		reported  bool
+	}{
+		{"no precursor", toDst, false},
+		{"intermediate reply", func(w *rtest.World, pr *Protocol) {
+			toDst(w, pr)
+			pr.handleRREQ(0, flooded(rreq{Src: 5, SrcSeq: 1, RreqID: 1, Dst: 9, DstSeq: 4, TTL: 5}))
+		}, true},
+		{"forwarded reply", func(w *rtest.World, pr *Protocol) {
+			pr.handleRREQ(0, flooded(rreq{Src: 5, SrcSeq: 1, RreqID: 1, Dst: 9, UnknownSeq: true, TTL: 5}))
+			w.Sim.RunUntil(w.Sim.Now() + time.Second)
+			pr.handleRREP(2, &rrep{Src: 5, Dst: 9, DstSeq: 4, HopCount: 1, Lifetime: time.Minute})
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, pr, sp := chain(t)
+			tc.precursor(w, pr)
+			w.Sim.RunUntil(w.Sim.Now() + time.Second)
+			if _, ok := pr.liveRoute(9); !ok {
+				t.Fatal("no live route to 9 before the break")
+			}
+			heard := breakAndHear(w, pr, sp)
+			if _, ok := pr.liveRoute(9); ok {
+				t.Fatal("the route to 9 survived the break")
+			}
+			if !tc.reported {
+				if len(heard) != 0 {
+					t.Fatalf("a route no neighbor uses was reported: %+v", heard[0].Dests)
+				}
+				return
+			}
+			if len(heard) != 1 {
+				t.Fatalf("heard %d RERRs, want 1", len(heard))
+			}
+			if want := []rerrDest{{Dst: 9, Seq: 5}}; !slices.Equal(heard[0].Dests, want) {
+				t.Fatalf("RERR names %+v, want %+v", heard[0].Dests, want)
+			}
+			if again := breakAndHear(w, pr, sp); len(again) != 0 {
+				t.Fatalf("breaking the route again sent %d RERRs, want none", len(again))
+			}
+		})
+	}
+}
+
+// TestFailedRepairPlantsNoEntry: only update adds a routing-table entry, so
+// a local repair that fails toward a destination this node holds no route
+// for leaves the table as it was and reports nothing.
+func TestFailedRepairPlantsNoEntry(t *testing.T) {
+	w, pr, sp := spyWorld(t)
+	pr.repairFailed(&rcommon.Discovery{Dst: 9, Repair: true})
+	w.Sim.RunUntil(time.Second)
+	if len(pr.table) != 0 {
+		t.Fatalf("table holds %d entries after a failed repair toward an unknown destination, want 0", len(pr.table))
+	}
+	if len(sp.rerrs) != 0 {
+		t.Fatalf("heard %d RERRs, want 0", len(sp.rerrs))
 	}
 }

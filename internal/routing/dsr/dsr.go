@@ -113,6 +113,7 @@ const (
 	perAddr  = 4
 )
 
+// cachedRoute is one route of the cache, held by value.
 type cachedRoute struct {
 	path   []netstack.NodeID // self exclusive, ends at destination
 	expiry sim.Time
@@ -126,7 +127,7 @@ type Protocol struct {
 	self netstack.NodeID
 
 	rreqID uint32
-	cache  map[netstack.NodeID][]*cachedRoute
+	cache  map[netstack.NodeID][]cachedRoute
 	// swept is the instant of the last 10 s sweep, which is when RREQ
 	// sightings expire (rcommon.Flood).
 	swept sim.Time
@@ -142,7 +143,7 @@ var _ netstack.Protocol = (*Protocol)(nil)
 func New(cfg Config) *Protocol {
 	p := &Protocol{
 		cfg:   cfg,
-		cache: make(map[netstack.NodeID][]*cachedRoute),
+		cache: make(map[netstack.NodeID][]cachedRoute),
 	}
 	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
 	return p
@@ -211,15 +212,15 @@ func (p *Protocol) addRoute(path []netstack.NodeID) {
 
 func (p *Protocol) insert(dst netstack.NodeID, path []netstack.NodeID) {
 	routes := p.cache[dst]
-	for _, r := range routes {
-		if equalPath(r.path, path) {
-			r.expiry = p.node.Now() + p.cfg.CacheLifetime
+	for i := range routes {
+		if equalPath(routes[i].path, path) {
+			routes[i].expiry = p.node.Now() + p.cfg.CacheLifetime
 			return
 		}
 	}
 	cp := make([]netstack.NodeID, len(path))
 	copy(cp, path)
-	routes = append(routes, &cachedRoute{path: cp, expiry: p.node.Now() + p.cfg.CacheLifetime})
+	routes = append(routes, cachedRoute{path: cp, expiry: p.node.Now() + p.cfg.CacheLifetime})
 	if len(routes) > p.cfg.RoutesPerDest {
 		// Evict the longest.
 		worst := 0

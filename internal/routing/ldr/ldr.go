@@ -156,7 +156,9 @@ type Protocol struct {
 	mySeq    uint64 // own destination sequence number, starts at 0
 	seqBumps uint64 // increments, the Fig. 7 metric
 	rreqID   uint32
-	table    map[netstack.NodeID]*entry
+	// table holds the routes accept installed, each with a finite feasible
+	// distance; a destination with no entry is unknown.
+	table map[netstack.NodeID]*entry
 	// swept is the instant of the last 10 s sweep, which is when
 	// computation state expires (rcommon.Computation).
 	swept sim.Time
@@ -204,15 +206,6 @@ func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 		return []netstack.NodeID{e.nextHop}
 	}
 	return nil
-}
-
-func (p *Protocol) get(dst netstack.NodeID) *entry {
-	e, ok := p.table[dst]
-	if !ok {
-		e = &entry{fd: infinity}
-		p.table[dst] = e
-	}
-	return e
 }
 
 func (p *Protocol) live(dst netstack.NodeID) (*entry, bool) {
@@ -294,7 +287,6 @@ func (p *Protocol) linkBreak(to netstack.NodeID) {
 // discovery table picked.
 func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	p.rreqID++
-	e := p.get(pd.Dst)
 	r := &rreq{
 		Src:    p.self,
 		RreqID: p.rreqID,
@@ -302,12 +294,12 @@ func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 		TTL:    ttl,
 		Comp:   new(rcommon.Computation[rreqState]),
 	}
-	if e.fd == infinity && e.sn == 0 {
-		r.Unknown = true
-		r.FD = infinity
-	} else {
+	if e, ok := p.table[pd.Dst]; ok {
 		r.DstSeq = e.sn
 		r.FD = e.fd
+	} else {
+		r.Unknown = true
+		r.FD = infinity
 	}
 	p.node.BroadcastControl(rreqSize, r)
 }
@@ -372,7 +364,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	z := *r
 	z.TTL--
 	z.D++
-	if e, ok := p.table[r.Dst]; ok && e.fd != infinity {
+	if e, ok := p.table[r.Dst]; ok {
 		switch {
 		case e.sn > r.DstSeq || r.Unknown:
 			z.DstSeq, z.FD = e.sn, e.fd
@@ -431,12 +423,16 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 
 // accept applies the SNC update rule: adopt a fresher era, or a same-era
 // route whose advertised distance is strictly below the stored feasible
-// distance. It reports whether the route was installed.
+// distance. It reports whether it installed the route; only then is an
+// entry added.
 func (p *Protocol) accept(from netstack.NodeID, rep *rrep) bool {
 	if rep.Dst == p.self {
 		return false
 	}
-	e := p.get(rep.Dst)
+	e, known := p.table[rep.Dst]
+	if !known {
+		e = &entry{fd: infinity}
+	}
 	switch {
 	case rep.DstSeq > e.sn:
 		e.sn = rep.DstSeq
@@ -453,6 +449,9 @@ func (p *Protocol) accept(from netstack.NodeID, rep *rrep) bool {
 	e.nextHop = from
 	e.valid = true
 	e.expiry = p.node.Now() + rep.Lifetime
+	if !known {
+		p.table[rep.Dst] = e
+	}
 	return true
 }
 

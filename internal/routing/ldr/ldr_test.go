@@ -77,8 +77,9 @@ func TestOutOfOrderRelaySetsReset(t *testing.T) {
 	_ = w
 	// Relay has a same-era entry with fd >= the carried constraint: the
 	// relayed RREQ must carry the reset flag.
-	e := p.get(9)
-	e.sn, e.fd, e.d = 4, 5, 5
+	if !p.accept(5, &rrep{Dst: 9, DstSeq: 4, D: 4, Lifetime: time.Second}) {
+		t.Fatal("entry (sn 4, fd 5) not installed")
+	}
 	r := flooded(rreq{Src: 3, RreqID: 7, Dst: 9, DstSeq: 4, FD: 3, TTL: 4, D: 1})
 	p.handleRREQ(3, r)
 	// The relayed packet is scheduled with jitter; run the sim and
@@ -165,5 +166,22 @@ func TestMobileNetworkLoopFree(t *testing.T) {
 	w.Sim.RunUntil(45 * time.Second)
 	if w.MX.DataRecv == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// TestDiscoveryPlantsNoEntry: only accept adds a routing-table entry, so a
+// discovery toward a destination nobody answers for leaves no entry at any
+// node, the requester included.
+func TestDiscoveryPlantsNoEntry(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w.Send(0, 9)
+	w.Sim.RunUntil(time.Minute)
+	if w.MX.DataDrops[netstack.DropTimeout.String()] != 1 || w.MX.ControlTx == 0 {
+		t.Fatalf("the discovery for 9 did not run and time out: drops %v, %d control packets", w.MX.DataDrops, w.MX.ControlTx)
+	}
+	for i, n := range w.Nodes {
+		if e, ok := n.Protocol().(*Protocol).table[9]; ok {
+			t.Errorf("node %d holds an entry for 9, which nobody advertised: %+v", i, *e)
+		}
 	}
 }

@@ -55,12 +55,23 @@ func spyWorld(t *testing.T) (*rtest.World, *Protocol, *spy) {
 	return w, pr, sp
 }
 
+// brokenRoute gives p an invalid route to dst in era sn with distance and
+// feasible distance d, the way one arises: accept installs it, and a link
+// break takes it down. Such a route orders the RREQs p relays but answers
+// none.
+func brokenRoute(t *testing.T, p *Protocol, dst netstack.NodeID, sn uint64, d int) {
+	t.Helper()
+	if !p.accept(7, &rrep{Dst: dst, DstSeq: sn, D: d - 1, Lifetime: time.Minute}) {
+		t.Fatalf("route to %d (sn %d, d %d) not installed", dst, sn, d)
+	}
+	p.table[dst].valid = false
+}
+
 func TestRelayStrengthensConstraint(t *testing.T) {
 	// A relay with a same-era smaller FD must carry its own FD as the
 	// new constraint (the integer analogue of SRP's Eq. 10).
 	w, pr, sp := spyWorld(t)
-	e := pr.get(9)
-	e.sn, e.fd, e.d = 4, 2, 2
+	brokenRoute(t, pr, 9, 4, 2)
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3}))
 	w.Sim.RunUntil(time.Second)
 	// D+1 >= MinReplyHops and the entry is NOT active (no valid next
@@ -99,8 +110,7 @@ func TestOutOfOrderRelayRequestsReset(t *testing.T) {
 	// Same era, FD not below the constraint: integers are not dense, so
 	// the relay cannot be threaded in-order — reset required.
 	w, pr, sp := spyWorld(t)
-	e := pr.get(9)
-	e.sn, e.fd, e.d = 4, 8, 8
+	brokenRoute(t, pr, 9, 4, 8)
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4, FD: 3, TTL: 5, D: 1}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
@@ -116,8 +126,7 @@ func TestOutOfOrderRelayRequestsReset(t *testing.T) {
 
 func TestFresherRelayClearsReset(t *testing.T) {
 	w, pr, sp := spyWorld(t)
-	e := pr.get(9)
-	e.sn, e.fd, e.d = 9, 4, 4
+	brokenRoute(t, pr, 9, 9, 4)
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4, FD: 3,
 		TTL: 5, D: 1, Reset: true}))
 	w.Sim.RunUntil(time.Second)

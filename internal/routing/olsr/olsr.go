@@ -343,13 +343,12 @@ func (p *Protocol) RecvControl(from netstack.NodeID, msg any) {
 
 func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 	now := p.node.Now()
+	nb, old := p.touch(from, now+p.cfg.NeighborHold)
 	// A live symmetric link before this hello; the hello leaves the entry
 	// live, so comparing against the new sym below detects both symmetry
 	// flips and the revival of an expired-but-unswept link — the two ways
 	// a hello can change which links the next rebuild sees.
-	old := p.nbrs.Get(uint32(from))
-	wasLiveSym := old != nil && old.sym && old.expiry > now
-	nb := p.touch(from, now+p.cfg.NeighborHold)
+	wasLiveSym := old.sym && old.expiry > now
 	// The link is symmetric once the neighbor lists us.
 	nb.sym = slices.Contains(h.Neighbors, p.self)
 	if nb.sym != wasLiveSym {
@@ -363,11 +362,14 @@ func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 
 // touch records a HELLO from id, live until expiry: the entry is made on
 // first contact and the neighbor sweep's horizon lowered to the deadline.
-func (p *Protocol) touch(id netstack.NodeID, expiry sim.Time) *neighbor {
-	nb, _ := p.nbrs.Put(id)
+// It returns the entry and its prior state (zero on first contact), so a
+// HELLO costs one table probe.
+func (p *Protocol) touch(id netstack.NodeID, expiry sim.Time) (nb *neighbor, old neighbor) {
+	nb, _ = p.nbrs.Put(id)
+	old = *nb
 	nb.expiry = expiry
 	p.nbrHorizon = min(p.nbrHorizon, expiry)
-	return nb
+	return nb, old
 }
 
 func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {

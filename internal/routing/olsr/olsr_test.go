@@ -319,7 +319,7 @@ func TestMPRCoverProperty(t *testing.T) {
 		nNb := 1 + rng.Intn(8)
 		twoHopUniverse := make(map[netstack.NodeID]bool)
 		for i := 0; i < nNb; i++ {
-			nb := p.touch(netstack.NodeID(100+i), sim.Time(time.Hour))
+			nb, _ := p.touch(netstack.NodeID(100+i), sim.Time(time.Hour))
 			nb.sym = true
 			for j := 0; j < rng.Intn(6); j++ {
 				th := netstack.NodeID(200 + rng.Intn(10))
@@ -549,14 +549,21 @@ func TestNeighborTableLiveness(t *testing.T) {
 		p.expire()
 		return p.linkVer != ver
 	}
-	nb := p.touch(3, 6*time.Second)
-	nb.sym = true
-	nb.twoHop = append(nb.twoHop, 9)
+	nb, old := p.touch(3, 6*time.Second)
 	if p.nbrs.Get(3) != nb {
 		t.Fatal("touch must create and return the entry")
 	}
-	if same := p.touch(3, 8*time.Second); same != nb {
+	if old.expiry != 0 || old.sym || old.selectsMe || old.twoHop != nil {
+		t.Fatalf("touch must report no prior state on first contact: %+v", old)
+	}
+	nb.sym = true
+	nb.twoHop = append(nb.twoHop, 9)
+	same, old := p.touch(3, 8*time.Second)
+	if same != nb {
 		t.Fatal("touch must reuse the existing entry")
+	}
+	if old.expiry != 6*time.Second || !old.sym || len(old.twoHop) != 1 {
+		t.Fatalf("touch must report the entry as it was before: %+v", old)
 	}
 	if nb.expiry != 8*time.Second || !nb.sym || len(nb.twoHop) != 1 {
 		t.Fatalf("touch must extend liveness and keep the rest: %+v", *nb)
@@ -567,7 +574,8 @@ func TestNeighborTableLiveness(t *testing.T) {
 	if !sweepAt(9*time.Second) || p.nbrs.Len() != 0 || p.nbrs.Get(3) != nil {
 		t.Fatal("hello-silent neighbor must age out")
 	}
-	p.touch(5, 20*time.Second).sym = true
+	nb, _ = p.touch(5, 20*time.Second)
+	nb.sym = true
 	ver := p.linkVer
 	p.removeNeighbor(5)
 	if p.nbrs.Len() != 0 || p.linkVer == ver {
@@ -600,7 +608,7 @@ func TestNeighborTableExpireWhileWalking(t *testing.T) {
 	for _, i := range rng.Perm(n) {
 		id := netstack.NodeID(i)
 		exp := sim.Time(1+rng.Intn(50)) * time.Second
-		nb := p.touch(id, exp)
+		nb, _ := p.touch(id, exp)
 		nb.twoHop = append(nb.twoHop, id, id+1)
 		expiry[id] = exp
 	}
@@ -743,7 +751,8 @@ func TestTCBodySharedByReceivers(t *testing.T) {
 	// Selectors that joined in descending id order sit in the neighbor
 	// table's slots out of order.
 	for _, id := range []netstack.NodeID{90, 70, 40} {
-		p.touch(id, p.node.Now()+time.Minute).selectsMe = true
+		nb, _ := p.touch(id, p.node.Now()+time.Minute)
+		nb.selectsMe = true
 	}
 	// heard sends a TC from node 1 and returns the body both receivers
 	// then hold, as a weak pointer: the test itself pins no body.

@@ -1,6 +1,7 @@
 package srp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -108,17 +109,16 @@ func TestHelloAdvertisementFeasibilityGuard(t *testing.T) {
 	w := rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
 		rtest.Chain(1, 100), nil)
 	_ = w
-	// Give the node an assigned order for dst 9.
-	r, _ := p.routes.Put(9)
-	r.order = label.Order{SN: 2, FD: frac.MustNew(1, 3)}
+	// Give the node the ordering (2, 1/3) for dst 9, through next hop 7.
+	assign(t, p, 7, 9, label.Order{SN: 2, FD: frac.MustNew(1, 3)})
 	// Stale advertisement: older seqno.
 	p.handleHello(5, &hello{Entries: []helloEntry{{Dst: 9, SN: 1, F: frac.MustNew(1, 8), D: 1}}})
-	if len(p.SuccessorsOf(9)) != 0 {
-		t.Fatal("infeasible hello advertisement accepted")
+	if got := p.SuccessorsOf(9); !slices.Equal(got, []netstack.NodeID{7}) {
+		t.Fatalf("successors %v after an infeasible hello advertisement, want [7]", got)
 	}
 	// Feasible advertisement: same seqno, smaller fraction.
 	p.handleHello(5, &hello{Entries: []helloEntry{{Dst: 9, SN: 2, F: frac.MustNew(1, 8), D: 1}}})
-	if len(p.SuccessorsOf(9)) != 1 {
-		t.Fatal("feasible hello advertisement rejected")
+	if got := p.SuccessorsOf(9); !slices.Equal(got, []netstack.NodeID{5, 7}) {
+		t.Fatalf("successors %v after a feasible hello advertisement, want [5 7]", got)
 	}
 }

@@ -78,12 +78,13 @@ func newOrder(oA, c, oAdv label.Order, mode splitKind) label.Order {
 	return g
 }
 
-// splitOrder returns (sn?, split(F?, F_C)) when the fractions are ordered
-// and representable, else Unassigned.
+// splitOrder returns (sn?, split(F?, F_C)) when the orderings are ordered
+// and the split is representable, else Unassigned.
 func splitOrder(c, oAdv label.Order, mode splitKind) label.Order {
-	// Fact 2 defensively verified: the advertised fraction must be
-	// strictly below the cached request fraction.
-	if !oAdv.FD.Less(c.FD) {
+	// Fact 2 defensively verified: C ≺ O?. Comparing fractions alone is
+	// not enough: a request at a larger sequence number than the
+	// advertisement's leaves no label at sn? below C (Eq. 4).
+	if !c.Precedes(oAdv) {
 		return label.Unassigned
 	}
 	switch mode {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"slr/internal/core"
 	"slr/internal/frac"
 	"slr/internal/label"
 )
@@ -137,6 +138,44 @@ func TestNewOrderMaintainsOrderProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzNewOrderDefinition1 holds Algorithm 1 to Definition 1 as core
+// states it: for a node ordering oA, a cached request ordering c and an
+// advertisement adv that pass setRoute's feasibility guard, every finite
+// newOrder result, in each split mode, satisfies Eqs. 3–5
+// (core.CheckOrder; successor pruning is the caller's, so Eq. 6 is not
+// asked). A denominator of 0 stands for Unassigned; sequence numbers run
+// 0–3 so that they often tie. The seed is a request at a larger sequence
+// number than the advertisement's, which a split that compares fractions
+// alone answers with a label at the advertisement's sequence number that
+// is not below the request (Eq. 4).
+func FuzzNewOrderDefinition1(f *testing.F) {
+	f.Add(uint8(0), uint32(0), uint32(0), uint8(2), uint32(9), uint32(11), uint8(1), uint32(0), uint32(5))
+	f.Add(uint8(1), uint32(1), uint32(2), uint8(2), uint32(2), uint32(3), uint8(2), uint32(1), uint32(2))
+	f.Add(uint8(2), uint32(2), uint32(3), uint8(2), uint32(2), uint32(3), uint8(2), uint32(1), uint32(2))
+	f.Add(uint8(1), uint32(0), uint32(0), uint8(0), uint32(0), uint32(0), uint8(1), uint32(5), uint32(8))
+	mk := func(sn uint8, num, den uint32) label.Order {
+		if den == 0 {
+			return label.Unassigned
+		}
+		return label.Order{SN: label.SeqNo(sn % 4), FD: frac.F{Num: num % den, Den: den}}
+	}
+	f.Fuzz(func(t *testing.T, aSN uint8, aNum, aDen uint32, cSN uint8, cNum, cDen uint32, vSN uint8, vNum, vDen uint32) {
+		oA, c, adv := mk(aSN, aNum, aDen), mk(cSN, cNum, cDen), mk(vSN, vNum, vDen)
+		if adv.FD == frac.One || (!oA.IsUnassigned() && !oA.Precedes(adv)) {
+			return // setRoute refuses the advertisement before newOrder
+		}
+		for _, mode := range []splitKind{splitMediant, splitFarey, splitNextOnly} {
+			g := newOrder(oA, c, adv, mode)
+			if !g.Finite() {
+				continue
+			}
+			if err := core.CheckOrder(core.OrderSet{}, g, oA, c, adv, nil); err != nil {
+				t.Fatalf("mode %d: newOrder(oA %v, c %v, adv %v) = %v: %v", mode, oA, c, adv, g, err)
+			}
+		}
+	})
 }
 
 func TestLie(t *testing.T) {

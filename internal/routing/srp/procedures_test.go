@@ -61,13 +61,23 @@ func relayWorld(t *testing.T, cfg Config) (*rtest.World, *Protocol, *spy) {
 	return w, pr, sp
 }
 
+// assign gives p a route to dst with the finite ordering o, made the only
+// way a route is: setRoute adopting an advertisement from next hop from,
+// here the one whose next-element is o (Algorithm 1 line 5).
+func assign(t *testing.T, p *Protocol, from, dst netstack.NodeID, o label.Order) {
+	t.Helper()
+	adv := label.Order{SN: o.SN, FD: frac.F{Num: o.FD.Num - 1, Den: o.FD.Den - 1}}
+	if g := p.setRoute(from, dst, adv, 1, label.Unassigned, 0); g != o {
+		t.Fatalf("setRoute(%v) installed %v, want %v", adv, g, o)
+	}
+}
+
 func TestRelayCarriesMinimumOrdering(t *testing.T) {
 	// Eq. 10 third case: relay has same sequence number and a smaller
 	// fraction — the relayed solicitation must carry the minimum
 	// (the relay's own ordering).
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	r, _ := pr.routes.Put(9)
-	r.order = label.Order{SN: 4, FD: frac.MustNew(1, 3)}
+	assign(t, pr, 3, 9, label.Order{SN: 4, FD: frac.MustNew(1, 3)})
 
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4,
 		F: frac.MustNew(1, 2), TTL: 5, Flags: flagN}))
@@ -89,8 +99,7 @@ func TestRelayFresherSeqnoClearsReset(t *testing.T) {
 	// Eq. 11 second case: the relay knows a fresher sequence number, so
 	// it clears the T bit and carries its own ordering (Eq. 10 case 2).
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	r, _ := pr.routes.Put(9)
-	r.order = label.Order{SN: 7, FD: frac.MustNew(2, 3)}
+	assign(t, pr, 3, 9, label.Order{SN: 7, FD: frac.MustNew(2, 3)})
 
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4,
 		F: frac.MustNew(1, 2), TTL: 5, Flags: flagT | flagN}))
@@ -112,10 +121,9 @@ func TestRelaySetsResetOnOverflow(t *testing.T) {
 	// Eq. 11 third case: an out-of-order relay whose split would
 	// overflow 32 bits must set the T bit.
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	r, _ := pr.routes.Put(9)
 	// Same sn, fraction ABOVE the request's (out of order), denominator
 	// near the 32-bit cap so n+q overflows.
-	r.order = label.Order{SN: 4, FD: frac.F{Num: 1<<32 - 3, Den: 1<<32 - 2}}
+	assign(t, pr, 3, 9, label.Order{SN: 4, FD: frac.F{Num: 1<<32 - 3, Den: 1<<32 - 2}})
 
 	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4,
 		F: frac.F{Num: 1, Den: 1<<32 - 2}, TTL: 5, Flags: flagN}))

@@ -234,7 +234,7 @@ func (p *Protocol) sendHello() {
 	now := p.node.Now()
 	var dsts []netstack.NodeID
 	for i := 0; i < p.routes.Len(); i++ {
-		if r := p.routes.At(i); r.assigned() && r.active(now) {
+		if p.routes.At(i).active(now) {
 			dsts = append(dsts, p.routes.KeyAt(i))
 		}
 	}
@@ -311,16 +311,7 @@ func (p *Protocol) order(dst netstack.NodeID) label.Order {
 	if dst == p.self {
 		return label.Destination(p.mySeq)
 	}
-	return assignedOrder(p.route(dst))
-}
-
-// assignedOrder returns r's ordering, Unassigned for a missing or
-// unassigned route.
-func assignedOrder(r *route) label.Order {
-	if r != nil && r.assigned() {
-		return r.order
-	}
-	return label.Unassigned
+	return p.route(dst).ordering()
 }
 
 // --- Data plane -------------------------------------------------------
@@ -516,7 +507,7 @@ func (p *Protocol) satisfiesSDC(r *rreq) bool {
 		return false
 	}
 	rt := p.route(r.Dst)
-	if rt == nil || !rt.assigned() || !rt.active(p.node.Now()) {
+	if rt == nil || !rt.active(p.node.Now()) {
 		return false
 	}
 	if rt.order.SN > r.DstSeq {
@@ -587,7 +578,7 @@ func (p *Protocol) relayRREQ(from netstack.NodeID, r *rreq) {
 
 	// Advertisement piece for the source: replace with this node's own
 	// route to Src if active, else mark N (§III).
-	if rt := p.route(r.Src); rt != nil && rt.assigned() && rt.active(p.node.Now()) {
+	if rt := p.route(r.Src); rt != nil && rt.active(p.node.Now()) {
 		z.SrcSeq, z.LF, z.LD = rt.order.SN, rt.order.FD, int(rt.dist)
 		z.Flags &^= flagN
 		z.Lifetime = p.cfg.ActiveRouteTimeout
@@ -636,7 +627,7 @@ func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
 		// Infeasible advertisement: issue a fresh advertisement from
 		// this node's own label if it can (§III), else discard.
 		if st != nil && !st.replied {
-			if rt := p.route(rep.Dst); rt != nil && rt.assigned() && rt.active(p.node.Now()) && c.Precedes(rt.order) {
+			if rt := p.route(rep.Dst); rt != nil && rt.active(p.node.Now()) && c.Precedes(rt.order) {
 				st.replied = true
 				p.forwardRREP(netstack.NodeID(st.lastHop), rep, rt.order, int(rt.dist))
 			}
@@ -732,7 +723,7 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 		return label.Unassigned
 	}
 	r := p.route(dst)
-	mine := assignedOrder(r)
+	mine := r.ordering()
 	if !mine.IsUnassigned() && !mine.Precedes(adv) {
 		return label.Unassigned // infeasible (Theorem 2 guard)
 	}
@@ -791,15 +782,13 @@ func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {
 	}
 }
 
-// Orders exposes the node's (assigned) orderings per destination for
-// invariant checking by the scenario harness.
+// Orders exposes the node's orderings per destination for invariant
+// checking by the scenario harness.
 func (p *Protocol) Orders() map[netstack.NodeID]label.Order {
 	out := make(map[netstack.NodeID]label.Order, p.routes.Len()+1)
 	out[p.self] = label.Destination(p.mySeq)
 	for i := 0; i < p.routes.Len(); i++ {
-		if r := p.routes.At(i); r.assigned() {
-			out[p.routes.KeyAt(i)] = r.order
-		}
+		out[p.routes.KeyAt(i)] = p.routes.At(i).order
 	}
 	return out
 }

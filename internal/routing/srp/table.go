@@ -41,15 +41,14 @@ type successor struct {
 }
 
 // route is the per-destination state at a node: its own ordering O^A_T
-// (Definition 3: "assigned" once present; it must be kept for at least
-// DELETE_PERIOD after the route becomes invalid), the successor set, and
-// the measured distance. Routes live by value in Protocol.routes. The
-// distance is 32 bits for the reason successor's is, and whether the
-// ordering is assigned is read off the ordering itself (assigned), so a
-// route is 56 bytes and its routes-table entry, key included, 64: one
-// cache line.
+// (Definition 3; it must be kept for at least DELETE_PERIOD after the route
+// becomes invalid), the successor set, and the measured distance. Routes
+// live by value in Protocol.routes, and only setRoute adds one. The
+// distance is 32 bits for the reason successor's is, so a route is 56
+// bytes and its routes-table entry, key included, 64: one cache line.
 type route struct {
-	// order is the zero Order until setRoute first installs one.
+	// order is always finite: setRoute adds a route only with the finite
+	// ordering it computed, and only ever replaces it with another.
 	order label.Order
 	// succ is unordered and holds at most one entry per next hop. A route
 	// has a handful of successors, so membership is a linear scan.
@@ -61,11 +60,13 @@ type route struct {
 	rrIndex uint32
 }
 
-// assigned reports whether the route holds an ordering. setRoute installs
-// only finite orderings (numerator below denominator, so the denominator
-// is positive) and nothing clears one, so only the zero Order, whose
-// denominator is 0, reads as unassigned.
-func (r *route) assigned() bool { return r.order.FD.Den != 0 }
+// ordering returns r's ordering, Unassigned for a nil route (none).
+func (r *route) ordering() label.Order {
+	if r == nil {
+		return label.Unassigned
+	}
+	return r.order
+}
 
 // index returns the position in succ of next hop n, or -1.
 func (r *route) index(n netstack.NodeID) int {

@@ -98,9 +98,9 @@ func TestPruneOutOfOrder(t *testing.T) {
 // (40, 72 and 40 bytes). A computation's per-node entry now lives in the
 // flood's record (rcommon.Computation): the state plus the instant the
 // node engaged, read here from the record's own entry type. A route
-// keeps no assigned flag (the ordering says it), so its routes-table
-// entry, with the 32-bit key, is one 64-byte cache line, read here from
-// the table's slab; a field added to route spills it to 72.
+// always holds a finite ordering and keeps no flag about it, so its
+// routes-table entry, with the 32-bit key, is one 64-byte cache line, read
+// here from the table's slab; a field added to route spills it to 72.
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(successor{}); n != 32 {
 		t.Errorf("successor is %d bytes, want 32 (ordering, expiry, 32-bit id and distance)", n)
@@ -164,7 +164,9 @@ func (m succModel) prune(g label.Order) {
 // setRoute, refresh, dropSuccessor, pruneOutOfOrder and the passing of
 // time, with ids and distances up to MaxInt32, and holds it to a map after
 // every step: the live successors, the best one (least distance, then
-// least id) and whether the route is active.
+// least id) and whether the route is active. After every step, too, every
+// route in the table holds a finite ordering: only setRoute adds one, and
+// only with the finite ordering it computed.
 func TestSuccessorSetMatchesMap(t *testing.T) {
 	const steps = 200_000
 	w := rtest.New(1, 100, factory(DefaultConfig()), rtest.Chain(1, 100), nil)
@@ -234,6 +236,11 @@ func TestSuccessorSetMatchesMap(t *testing.T) {
 			expired += n - len(m.live(w.Sim.Now()))
 		}
 
+		for i := 0; i < pr.routes.Len(); i++ {
+			if o := pr.routes.At(i).order; !o.Finite() {
+				t.Fatalf("step %d: the route to %d holds ordering %v, not finite", s, pr.routes.KeyAt(i), o)
+			}
+		}
 		now = w.Sim.Now()
 		want := m.live(now)
 		r := pr.route(dst)
