@@ -18,11 +18,11 @@ import (
 
 	"slr/internal/experiments"
 	"slr/internal/frac"
-	"slr/internal/geo"
 	"slr/internal/label"
 	"slr/internal/runner"
 	"slr/internal/scenario"
 	"slr/internal/sim"
+	"slr/internal/spec"
 )
 
 // benchPause is the mobility point benches run at: constant motion, the
@@ -185,11 +185,11 @@ func BenchmarkAblationNoRing(b *testing.B) {
 // the in-test counterpart of examples/scenarios/manhattan-5000.json.
 func largeNParams(proto scenario.ProtocolName, nodes int) scenario.Params {
 	side := 1000 * math.Sqrt(float64(nodes)/75.8)
-	s := experiments.Scale{
-		Name:  "large",
-		Nodes: nodes, Terrain: geo.Terrain{Width: side, Height: side},
-		Range: 275, Flows: 50, Duration: 10 * time.Second, Trials: 1,
-	}
+	s := experiments.Scale{Name: "large", Spec: *spec.PaperDefault()}
+	s.Spec.Nodes = nodes
+	s.Spec.Terrain = spec.Terrain{WidthM: side, HeightM: side}
+	s.Spec.Traffic.Flows = 50
+	s.Spec.DurationSeconds = 10
 	return s.Params(proto, benchPause, 1)
 }
 
@@ -278,10 +278,10 @@ func BenchmarkScenarioSecond(b *testing.B) {
 // grid, keeping the harness honest between full sweeps.
 func TestSweepAPISmoke(t *testing.T) {
 	scale := experiments.Small
-	scale.Trials = 1
-	scale.Nodes = 12
-	scale.Flows = 3
-	scale.Duration = 15 * time.Second
+	scale.Spec.Trials = 1
+	scale.Spec.Nodes = 12
+	scale.Spec.Traffic.Flows = 3
+	scale.Spec.DurationSeconds = 15
 	recs, err := experiments.SweepOpts(scale.Jobs([]scenario.ProtocolName{scenario.SRP}, 1), runner.Options{})
 	if err != nil {
 		t.Fatal(err)

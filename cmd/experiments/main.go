@@ -137,13 +137,13 @@ func plan(c *config, protos []scenario.ProtocolName) (*sweep, error) {
 			return nil, err
 		}
 		if c.trials > 0 {
-			scale.Trials = c.trials
+			scale.Spec.Trials = c.trials
 		}
 		return &sweep{
 			jobs:  scale.Jobs(protos, c.seed),
 			scale: &scale,
 			descr: fmt.Sprintf("%s scale: %d nodes, %d flows, %v, %d trials x %d pauses x %d protocols",
-				scale.Name, scale.Nodes, scale.Flows, scale.Duration, scale.Trials,
+				scale.Name, scale.Spec.Nodes, scale.Spec.Traffic.Flows, scale.Spec.Duration(), scale.Spec.TrialCount(),
 				len(experiments.PauseFractions), len(protos)),
 		}, nil
 	}

@@ -403,7 +403,7 @@ func TestPlanRules(t *testing.T) {
 	if len(sw.jobs) != 1 || sw.jobs[0].Params.Seed != 1 || sw.name != "tiny-smoke" {
 		t.Errorf("spec defaults: %d jobs, seed %d, name %q", len(sw.jobs), sw.jobs[0].Params.Seed, sw.name)
 	}
-	if sw, err = planArgs(t, scenario.AllProtocols, "-scale", "small"); err != nil || len(sw.jobs) != 5*8*experiments.Small.Trials {
+	if sw, err = planArgs(t, scenario.AllProtocols, "-scale", "small"); err != nil || len(sw.jobs) != 5*8*experiments.Small.Spec.TrialCount() {
 		t.Errorf("scale default trials: %v, %v", sw, err)
 	}
 	if _, err := planArgs(t, scenario.AllProtocols, "-spec", tiny, "-pparam", "no_such_knob=1"); err == nil || !strings.Contains(err.Error(), "no_such_knob") {

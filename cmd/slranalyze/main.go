@@ -135,7 +135,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *trials > 0 {
 		// Mirror the sweep's own -trials override so the missing-cell
 		// check expects what actually ran, not the scale's default.
-		scale.Trials = *trials
+		scale.Spec.Trials = *trials
 	}
 	rep, err := merged.Render(*report, &scale, nil)
 	if err != nil {
@@ -156,7 +156,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	// actually holds.
 	if len(rep.Missing) > 0 {
 		fmt.Fprintf(stderr, "slranalyze: %d grid cells deviate from %d trials (missing shard, unfinished resume, or mixed sweeps? a sweep run with -trials needs the same flag here):\n",
-			len(rep.Missing), scale.Trials)
+			len(rep.Missing), scale.Spec.TrialCount())
 		for _, m := range rep.Missing {
 			fmt.Fprintln(stderr, "  "+m)
 		}

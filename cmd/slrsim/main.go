@@ -41,7 +41,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"slr/internal/mobility"
 	"slr/internal/routing"
@@ -62,19 +61,20 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("slrsim", flag.ContinueOnError)
 	// The defaults shown are paper-default's values; a flag takes effect
 	// only when given, so under -spec the spec's values are the defaults.
+	d := spec.PaperDefault()
 	var (
-		protoName = fs.String("protocol", "SRP", "routing protocol: SRP, LDR, AODV, DSR, OLSR")
-		nodes     = fs.Int("nodes", 100, "number of nodes")
-		width     = fs.Float64("width", 2200, "terrain width in meters")
-		height    = fs.Float64("height", 600, "terrain height in meters")
-		rng       = fs.Float64("range", 275, "radio range in meters")
+		protoName = fs.String("protocol", d.Protocol, "routing protocol: SRP, LDR, AODV, DSR, OLSR")
+		nodes     = fs.Int("nodes", d.Nodes, "number of nodes")
+		width     = fs.Float64("width", d.Terrain.WidthM, "terrain width in meters")
+		height    = fs.Float64("height", d.Terrain.HeightM, "terrain height in meters")
+		rng       = fs.Float64("range", d.Radio.RangeM, "radio range in meters")
 		pause     = fs.Duration("pause", 0, "random-waypoint pause time")
-		maxSpeed  = fs.Float64("speed", 20, "maximum node speed in m/s")
-		duration  = fs.Duration("duration", 900*time.Second, "simulated time")
-		seed      = fs.Int64("seed", 1, "random seed (fixes topology and traffic)")
-		flows     = fs.Int("flows", 30, "concurrent CBR flows")
-		rate      = fs.Float64("rate", 4, "packets per second per flow")
-		pktSize   = fs.Int("size", 512, "CBR payload bytes")
+		maxSpeed  = fs.Float64("speed", d.Mobility.MaxSpeedMps, "maximum node speed in m/s")
+		duration  = fs.Duration("duration", d.Duration(), "simulated time")
+		seed      = fs.Int64("seed", d.Seed, "random seed (fixes topology and traffic)")
+		flows     = fs.Int("flows", d.Traffic.Flows, "concurrent CBR flows")
+		rate      = fs.Float64("rate", d.Traffic.RatePps, "packets per second per flow")
+		pktSize   = fs.Int("size", d.Traffic.PacketSizeBytes, "CBR payload bytes")
 		check     = fs.Bool("check", false, "verify loop-freedom invariant during the run")
 		ordrcheck = fs.Bool("ordercheck", false, "shadow the event queue with a reference implementation and verify dispatch order (slow; debugging aid)")
 		trials    = fs.Int("trials", 1, "independent trials (seeds seed..seed+trials-1; default 1, or the spec's count under -spec)")
@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	s := spec.PaperDefault()
+	s := d
 	if *specArg != "" {
 		var err error
 		if s, err = spec.Resolve(*specArg); err != nil {
@@ -148,14 +148,15 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		// the waypoint those flags describe, keeping the spec's value for
 		// whichever of the pair was not given and never letting the floor
 		// exceed the new speed ceiling.
+		mob := mobility.Spec{Model: "waypoint", MaxSpeed: p.Mobility.MaxSpeed, Pause: p.Mobility.Pause}
 		if set["speed"] {
-			p.MaxSpeed = *maxSpeed
+			mob.MaxSpeed = *maxSpeed
 		}
 		if set["pause"] {
-			p.Pause = *pause
+			mob.Pause = *pause
 		}
-		p.MinSpeed = math.Min(p.MinSpeed, p.MaxSpeed)
-		p.Mobility = mobility.Spec{}
+		mob.MinSpeed = math.Min(p.Mobility.MinSpeed, mob.MaxSpeed)
+		p.Mobility = mob
 	}
 	if set["check"] {
 		p.CheckInvariants = *check
@@ -211,7 +212,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if *memProf != "" && heapErr != nil {
 		return heapErr
 	}
-	ts := scenario.TrialSet{Protocol: p.Protocol, Pause: p.Pause, Results: results}
+	ts := scenario.TrialSet{Protocol: p.Protocol, Pause: p.Mobility.Pause, Results: results}
 	for _, r := range ts.Results {
 		fmt.Fprintf(stdout, "protocol=%s seed=%d pause=%v\n", r.Protocol, r.Seed, r.Pause)
 		fmt.Fprintf(stdout, "  delivery ratio  %.4f  (%d/%d)\n", r.DeliveryRatio, r.DataRecv, r.DataSent)

@@ -69,6 +69,10 @@
 // examples/scenarios/aodv-aggressive.json. The paper's evaluation setup
 // is the built-in "paper-default" spec; both cmd/slrsim and
 // cmd/experiments take -spec, and -pparam overrides single constants.
+// A spec is the only statement of a scenario: the paper grid's scales
+// (experiments.Full, Mid, Small) are paper-default itself and copies of
+// it with fewer nodes, flows, seconds and trials, and a grid point is
+// its scale's spec with protocol, seed and pause laid over it.
 //
 // Measurement is a streaming pipeline: internal/metrics collects run
 // totals, fixed-bucket log2 latency/hop histograms with exact

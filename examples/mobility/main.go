@@ -11,35 +11,39 @@ package main
 
 import (
 	"fmt"
-	"time"
+	"log"
 
-	"slr/internal/geo"
 	"slr/internal/scenario"
-	"slr/internal/traffic"
+	"slr/internal/spec"
 )
 
 func main() {
 	fmt.Println("SRP vs AODV, 40 nodes, 12 CBR flows, 180 simulated seconds")
 	fmt.Println()
 
+	// The paper's setup, shrunk.
+	s := spec.PaperDefault()
+	s.Nodes = 40
+	s.Terrain = spec.Terrain{WidthM: 1400, HeightM: 400}
+	s.DurationSeconds = 180
+	s.Traffic.Flows = 12
+	s.Seed = 42
 	for _, mob := range []struct {
 		name  string
-		pause time.Duration
+		pause float64 // seconds
 	}{
 		{"constant mobility (pause 0s, 0-20 m/s)", 0},
-		{"no mobility (pause = full run)", 180 * time.Second},
+		{"no mobility (pause = full run)", 180},
 	} {
 		fmt.Println(mob.name)
+		s.Mobility.PauseSeconds = mob.pause
 		for _, proto := range []scenario.ProtocolName{scenario.SRP, scenario.AODV} {
-			p := scenario.DefaultParams(proto, mob.pause, 42)
-			p.Nodes = 40
-			p.Terrain = geo.Terrain{Width: 1400, Height: 400}
-			p.Duration = 180 * time.Second
-			p.Traffic = traffic.Params{
-				Flows: 12, PacketSize: 512, Rate: 4,
-				MeanLife: 60 * time.Second,
+			s.Protocol = string(proto)
+			s.CheckInvariants = proto == scenario.SRP
+			p, err := s.Params()
+			if err != nil {
+				log.Fatal(err)
 			}
-			p.CheckInvariants = proto == scenario.SRP
 			r := scenario.Run(p)
 			fmt.Printf("  %-5s delivery %.3f   net load %.3f   latency %.3f s   avg seqno %.1f\n",
 				proto, r.DeliveryRatio, r.NetworkLoad, r.Latency, r.AvgSeqno)

@@ -129,7 +129,7 @@ func (m *Merged) Grid(s Scale) (*Grid, []runner.Record) {
 	// the same value), so fractions match by equality, not tolerance.
 	fracOf := make(map[float64]float64, len(PauseFractions))
 	for _, pf := range PauseFractions {
-		fracOf[(sim.Time(pf * float64(s.Duration))).Seconds()] = pf
+		fracOf[s.pause(pf).Seconds()] = pf
 	}
 
 	g := &Grid{Scale: s, cells: make(map[point]scenario.TrialSet, len(m.groups))}
@@ -142,7 +142,7 @@ func (m *Merged) Grid(s Scale) (*Grid, []runner.Record) {
 			continue
 		}
 		ts := grp.trialSet()
-		ts.Pause = sim.Time(pf * float64(s.Duration))
+		ts.Pause = s.pause(pf)
 		g.cells[point{grp.proto, pf}] = ts
 		seen[grp.proto] = true
 	}

@@ -7,7 +7,6 @@ import (
 
 	"slr/internal/runner"
 	"slr/internal/scenario"
-	"slr/internal/sim"
 )
 
 // cellResult builds one synthetic trial result.
@@ -34,7 +33,7 @@ func fullGrid(s Scale) *Grid {
 	}
 	for _, p := range g.Protos {
 		for _, pf := range PauseFractions {
-			ts := scenario.TrialSet{Protocol: p, Pause: sim.Time(pf * float64(s.Duration))}
+			ts := scenario.TrialSet{Protocol: p, Pause: s.pause(pf)}
 			for trial := 0; trial < 2; trial++ {
 				ts.Results = append(ts.Results,
 					cellResult(p, int64(trial+1), delivs[p], loads[p], seqs[p]))
@@ -155,7 +154,7 @@ func TestTablesRenderAllNaNCellAsNA(t *testing.T) {
 func TestGridFromRecordsReconstruction(t *testing.T) {
 	s := Small
 	pauseSec := func(i int) float64 {
-		return (sim.Time(PauseFractions[i] * float64(s.Duration))).Seconds()
+		return s.pause(PauseFractions[i]).Seconds()
 	}
 	load := 1.5
 	mk := func(proto string, pauseIdx, trial int, seed int64, deliv float64) runner.Record {
@@ -195,7 +194,7 @@ func TestGridFromRecordsReconstruction(t *testing.T) {
 // sample.
 func TestGridFromRecordsDedupsShardOverlap(t *testing.T) {
 	s := Small
-	pauseSec := (sim.Time(PauseFractions[0] * float64(s.Duration))).Seconds()
+	pauseSec := s.pause(PauseFractions[0]).Seconds()
 	load := 1.5
 	mk := func(trial int, seed int64) runner.Record {
 		return runner.Record{

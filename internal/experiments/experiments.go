@@ -7,56 +7,49 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
-	"slr/internal/geo"
 	"slr/internal/metrics"
 	"slr/internal/runner"
 	"slr/internal/scenario"
 	"slr/internal/sim"
-	"slr/internal/traffic"
+	"slr/internal/spec"
 )
 
-// Scale describes an experiment size. Full is the paper's setup; Mid and
-// Small shrink nodes, traffic, and duration proportionally so the sweep
-// completes quickly on a laptop while preserving the protocol ranking.
+// Scale is an experiment size: a name and the scenario spec the grid runs.
+// Full is the paper's setup, the built-in spec "paper-default"; Mid and
+// Small are that spec with fewer nodes, a smaller terrain, fewer flows,
+// shorter runs and fewer trials, so the sweep completes quickly on a laptop
+// while preserving the protocol ranking.
 type Scale struct {
-	Name     string
-	Nodes    int
-	Terrain  geo.Terrain
-	Range    float64
-	Flows    int
-	Duration sim.Time
-	Trials   int
+	Name string
+	Spec spec.ScenarioSpec
 }
 
 // The provided scales.
 var (
 	// Full is the paper's configuration: 100 nodes, 2200 m x 600 m,
 	// 30 flows x 4 pps x 512 B, 900 s, 10 trials per point.
-	Full = Scale{
-		Name:  "full",
-		Nodes: 100, Terrain: geo.Terrain{Width: 2200, Height: 600},
-		Range: 275, Flows: 30, Duration: 900 * time.Second, Trials: 10,
-	}
+	Full = Scale{Name: "full", Spec: *spec.PaperDefault()}
 	// Mid halves the network and shortens runs while keeping the paper's
 	// per-collision-domain offered load (22 flows over ~2 reuse domains
 	// matches 30 flows over ~4); the default for regenerating the tables
 	// on one machine.
-	Mid = Scale{
-		Name:  "mid",
-		Nodes: 50, Terrain: geo.Terrain{Width: 1500, Height: 450},
-		Range: 275, Flows: 22, Duration: 300 * time.Second, Trials: 3,
-	}
+	Mid = paperScaled("mid", 50, spec.Terrain{WidthM: 1500, HeightM: 450}, 22, 300, 3)
 	// Small is for tests and benchmarks, load-matched like Mid.
-	Small = Scale{
-		Name:  "small",
-		Nodes: 30, Terrain: geo.Terrain{Width: 1200, Height: 350},
-		Range: 275, Flows: 14, Duration: 120 * time.Second, Trials: 2,
-	}
+	Small = paperScaled("small", 30, spec.Terrain{WidthM: 1200, HeightM: 350}, 14, 120, 2)
 )
+
+// paperScaled returns the paper's spec resized to a smaller scale.
+func paperScaled(name string, nodes int, terrain spec.Terrain, flows int, seconds float64, trials int) Scale {
+	s := spec.PaperDefault()
+	s.Nodes = nodes
+	s.Terrain = terrain
+	s.Traffic.Flows = flows
+	s.DurationSeconds = seconds
+	s.Trials = trials
+	return Scale{Name: name, Spec: *s}
+}
 
 // ScaleByName returns the named scale.
 func ScaleByName(name string) (Scale, error) {
@@ -77,21 +70,27 @@ func ScaleByName(name string) (Scale, error) {
 // mobility gradient.
 var PauseFractions = []float64{0, 50. / 900, 100. / 900, 200. / 900, 300. / 900, 500. / 900, 700. / 900, 1}
 
-// PauseLabel renders the pause time of fraction f at this scale.
-func (s Scale) PauseLabel(f float64) string {
-	return fmt.Sprintf("%.0f", (time.Duration(f * float64(s.Duration))).Seconds())
+// pause is the pause time of fraction f at this scale.
+func (s Scale) pause(f float64) sim.Time {
+	return sim.Time(f * float64(s.Spec.Duration()))
 }
 
-// Params builds scenario parameters for one grid point.
+// PauseLabel renders the pause time of fraction f at this scale.
+func (s Scale) PauseLabel(f float64) string {
+	return fmt.Sprintf("%.0f", s.pause(f).Seconds())
+}
+
+// Params builds scenario parameters for one grid point: the scale's spec,
+// validated, with the protocol, seed and pause laid over it.
 func (s Scale) Params(proto scenario.ProtocolName, pauseFrac float64, seed int64) scenario.Params {
-	p := scenario.DefaultParams(proto, sim.Time(pauseFrac*float64(s.Duration)), seed)
-	p.Nodes = s.Nodes
-	p.Terrain = s.Terrain
-	p.Range = s.Range
-	p.Duration = s.Duration
-	p.Traffic = traffic.Params{
-		Flows: s.Flows, PacketSize: 512, Rate: 4, MeanLife: 60 * time.Second,
+	p, err := s.Spec.Params()
+	if err != nil {
+		// The scales are built-in specs that a test validates.
+		panic(fmt.Sprintf("experiments: %s scale: %v", s.Name, err))
 	}
+	p.Protocol = proto
+	p.Seed = seed
+	p.Mobility.Pause = s.pause(pauseFrac)
 	return p
 }
 
@@ -100,7 +99,7 @@ func (s Scale) Params(proto scenario.ProtocolName, pauseFrac float64, seed int64
 // protocols so each trial compares protocols on identical topology and
 // traffic, as the paper does.
 func (s Scale) Jobs(protos []scenario.ProtocolName, seed int64) []runner.Job {
-	return runner.GridJobs(protos, PauseFractions, s.Trials, seed, s.Params)
+	return runner.GridJobs(protos, PauseFractions, s.Spec.TrialCount(), seed, s.Params)
 }
 
 // point identifies a grid cell.
@@ -195,7 +194,7 @@ func (g *Grid) FigureTable(m Metric) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s vs pause time (%d nodes, %d flows, %s scale)\n",
-		m.Fig, m.Name, g.Scale.Nodes, g.Scale.Flows, g.Scale.Name)
+		m.Fig, m.Name, g.Scale.Spec.Nodes, g.Scale.Spec.Traffic.Flows, g.Scale.Name)
 	fmt.Fprintf(&b, "%-8s", "pause")
 	for _, p := range protos {
 		fmt.Fprintf(&b, "%-18s", p)
@@ -384,7 +383,7 @@ func (g *Grid) ShapeReport() string {
 func (g *Grid) LatencyPercentileTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Data latency percentiles (s): p50/p95/p99 vs pause time (%d nodes, %d flows, %s scale)\n",
-		g.Scale.Nodes, g.Scale.Flows, g.Scale.Name)
+		g.Scale.Spec.Nodes, g.Scale.Spec.Traffic.Flows, g.Scale.Name)
 	fmt.Fprintf(&b, "%-8s", "pause")
 	for _, p := range g.Protos {
 		fmt.Fprintf(&b, "%-20s", p)
@@ -463,13 +462,6 @@ func TrialReport(name string, ts scenario.TrialSet) string {
 	return b.String()
 }
 
-// SortedPauses returns the pause fractions in order (exported for tools).
-func SortedPauses() []float64 {
-	out := append([]float64{}, PauseFractions...)
-	sort.Float64s(out)
-	return out
-}
-
 // MissingCells lists the grid cells whose trial count deviates from what
 // the scale expects, one human-readable line per anomaly — the merge
 // check for sharded sweeps: a complete union of shards reports none, a
@@ -482,16 +474,17 @@ func SortedPauses() []float64 {
 // analysis is not "missing" the filtered protocols).
 func (g *Grid) MissingCells() []string {
 	var out []string
+	trials := g.Scale.Spec.TrialCount()
 	for _, p := range g.Protos {
 		for _, pf := range PauseFractions {
 			n := len(g.cells[point{p, pf}].Results)
 			switch {
-			case n < g.Scale.Trials:
+			case n < trials:
 				out = append(out, fmt.Sprintf("%s pause=%ss: %d/%d trials",
-					p, g.Scale.PauseLabel(pf), n, g.Scale.Trials))
-			case n > g.Scale.Trials:
+					p, g.Scale.PauseLabel(pf), n, trials))
+			case n > trials:
 				out = append(out, fmt.Sprintf("%s pause=%ss: %d/%d trials (excess: mixed sweeps?)",
-					p, g.Scale.PauseLabel(pf), n, g.Scale.Trials))
+					p, g.Scale.PauseLabel(pf), n, trials))
 			}
 		}
 	}

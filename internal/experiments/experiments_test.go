@@ -1,22 +1,19 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"slr/internal/geo"
 	"slr/internal/runner"
 	"slr/internal/scenario"
+	"slr/internal/spec"
 )
 
 // tinyScale keeps unit tests fast: 10 nodes, 1 trial, 8-second runs.
 func tinyScale() Scale {
-	return Scale{
-		Name:  "tiny",
-		Nodes: 10, Terrain: geo.Terrain{Width: 600, Height: 300},
-		Range: 275, Flows: 3, Duration: 8 * time.Second, Trials: 1,
-	}
+	return paperScaled("tiny", 10, spec.Terrain{WidthM: 600, HeightM: 300}, 3, 8, 1)
 }
 
 func TestScaleByName(t *testing.T) {
@@ -28,6 +25,19 @@ func TestScaleByName(t *testing.T) {
 	}
 	if _, err := ScaleByName("bogus"); err == nil {
 		t.Error("bogus scale accepted")
+	}
+}
+
+// TestScalesAreSpecs verifies every scale is a runnable spec and that the
+// full scale is the paper's built-in spec itself.
+func TestScalesAreSpecs(t *testing.T) {
+	for _, s := range []Scale{Full, Mid, Small} {
+		if err := s.Spec.Validate(); err != nil {
+			t.Errorf("%s scale: %v", s.Name, err)
+		}
+	}
+	if !reflect.DeepEqual(Full.Spec, *spec.PaperDefault()) {
+		t.Errorf("full scale = %+v, want paper-default %+v", Full.Spec, *spec.PaperDefault())
 	}
 }
 
@@ -50,8 +60,8 @@ func TestPauseFractionsMatchPaper(t *testing.T) {
 func TestParamsScalesPause(t *testing.T) {
 	s := tinyScale()
 	p := s.Params(scenario.SRP, 0.5, 7)
-	if p.Pause != 4*time.Second {
-		t.Errorf("pause = %v, want 4s (half of 8s)", p.Pause)
+	if p.Mobility.Pause != 4*time.Second {
+		t.Errorf("pause = %v, want 4s (half of 8s)", p.Mobility.Pause)
 	}
 	if p.Nodes != 10 || p.Seed != 7 || p.Protocol != scenario.SRP {
 		t.Errorf("params = %+v", p)
@@ -67,7 +77,7 @@ func scatterGrid(s Scale, protos []scenario.ProtocolName, jobs []runner.Job, res
 		pt := point{j.Params.Protocol, j.PauseFrac}
 		ts, ok := g.cells[pt]
 		if !ok {
-			ts = scenario.TrialSet{Protocol: j.Params.Protocol, Pause: j.Params.Pause}
+			ts = scenario.TrialSet{Protocol: j.Params.Protocol, Pause: j.Params.Mobility.Pause}
 		}
 		ts.Results = append(ts.Results, results[i])
 		g.cells[pt] = ts
@@ -77,10 +87,10 @@ func scatterGrid(s Scale, protos []scenario.ProtocolName, jobs []runner.Job, res
 
 func TestSweepAndReports(t *testing.T) {
 	s := tinyScale()
-	s.Trials = 2
+	s.Spec.Trials = 2
 	protos := []scenario.ProtocolName{scenario.SRP, scenario.AODV}
 	jobs := s.Jobs(protos, 1)
-	if len(jobs) != len(protos)*len(PauseFractions)*s.Trials {
+	if len(jobs) != len(protos)*len(PauseFractions)*s.Spec.TrialCount() {
 		t.Fatalf("grid plan has %d jobs", len(jobs))
 	}
 	recs, err := SweepOpts(jobs, runner.Options{})
@@ -141,7 +151,7 @@ func TestRenderKinds(t *testing.T) {
 			t.Errorf("Render(%q) = %q, %v", kind, r.Text, err)
 		}
 		if kind != "trials" && len(r.Missing) != len(PauseFractions) {
-			t.Errorf("Render(%q): %d missing cells, want every SRP cell short of %d trials", kind, len(r.Missing), s.Trials)
+			t.Errorf("Render(%q): %d missing cells, want every SRP cell short of %d trials", kind, len(r.Missing), s.Spec.TrialCount())
 		}
 	}
 	if _, err := m.Render("fig99", &s, nil); err == nil || !strings.Contains(err.Error(), "table1") {
@@ -167,19 +177,5 @@ func TestRenderKinds(t *testing.T) {
 	off.PauseSeconds = 123.456
 	if r, _ := MergeRecords([]runner.Record{rec, off}).Render("table1", &s, nil); len(r.Leftover) != 1 {
 		t.Errorf("off-grid record not reported as leftover: %+v", r.Leftover)
-	}
-}
-
-func TestSortedPauses(t *testing.T) {
-	ps := SortedPauses()
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1] > ps[i] {
-			t.Fatalf("pauses not sorted: %v", ps)
-		}
-	}
-	// Must be a copy, not the shared slice.
-	ps[0] = 99
-	if PauseFractions[0] == 99 {
-		t.Fatal("SortedPauses aliases PauseFractions")
 	}
 }

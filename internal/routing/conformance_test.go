@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"slr/internal/geo"
+	"slr/internal/mobility"
 	"slr/internal/netstack"
 	"slr/internal/routing"
 	"slr/internal/routing/rtest"
@@ -162,7 +163,7 @@ func TestByteIdenticalReplayAcrossWorkers(t *testing.T) {
 				Nodes:    12,
 				Terrain:  geo.Terrain{Width: 600, Height: 400},
 				Range:    250,
-				MaxSpeed: 10,
+				Mobility: mobility.Spec{Model: "waypoint", MaxSpeed: 10},
 				Duration: 15 * time.Second,
 				Seed:     1,
 				Traffic: traffic.Params{
@@ -177,7 +178,7 @@ func TestByteIdenticalReplayAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ts := scenario.TrialSet{Protocol: p.Protocol, Pause: p.Pause, Results: results}
+				ts := scenario.TrialSet{Protocol: p.Protocol, Pause: p.Mobility.Pause, Results: results}
 				if got := jsonlBytes(t, ts); !bytes.Equal(got, serial) {
 					t.Fatalf("workers=%d records differ from serial reference:\n%s\nvs\n%s",
 						workers, got, serial)

@@ -198,29 +198,39 @@ func (p *Protocol) lookup(dst netstack.NodeID) ([]netstack.NodeID, bool) {
 }
 
 // addRoute caches path (self-exclusive, ending at its destination) and all
-// its prefixes.
+// its prefixes. Nothing writes a cached path, so the prefixes it keeps
+// share one copy of path, made when the first of them is new.
 func (p *Protocol) addRoute(path []netstack.NodeID) {
+	var own []netstack.NodeID
 	for end := 1; end <= len(path); end++ {
-		sub := path[:end]
-		dst := sub[end-1]
-		if dst == p.self {
+		dst := path[end-1]
+		if dst == p.self || p.refresh(dst, path[:end]) {
 			continue
 		}
-		p.insert(dst, sub)
+		if own == nil {
+			own = slices.Clone(path)
+		}
+		p.insert(dst, own[:end:end])
 	}
 }
 
-func (p *Protocol) insert(dst netstack.NodeID, path []netstack.NodeID) {
+// refresh renews the cached route to dst along path, reporting whether
+// there was one.
+func (p *Protocol) refresh(dst netstack.NodeID, path []netstack.NodeID) bool {
 	routes := p.cache[dst]
 	for i := range routes {
-		if equalPath(routes[i].path, path) {
+		if slices.Equal(routes[i].path, path) {
 			routes[i].expiry = p.node.Now() + p.cfg.CacheLifetime
-			return
+			return true
 		}
 	}
-	cp := make([]netstack.NodeID, len(path))
-	copy(cp, path)
-	routes = append(routes, cachedRoute{path: cp, expiry: p.node.Now() + p.cfg.CacheLifetime})
+	return false
+}
+
+// insert caches path, which is new, as a route to dst, evicting the
+// longest route past RoutesPerDest.
+func (p *Protocol) insert(dst netstack.NodeID, path []netstack.NodeID) {
+	routes := append(p.cache[dst], cachedRoute{path: path, expiry: p.node.Now() + p.cfg.CacheLifetime})
 	if len(routes) > p.cfg.RoutesPerDest {
 		// Evict the longest.
 		worst := 0
@@ -257,18 +267,6 @@ func usesLink(self netstack.NodeID, path []netstack.NodeID, a, b netstack.NodeID
 		prev = n
 	}
 	return false
-}
-
-func equalPath(a, b []netstack.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // --- Data plane -------------------------------------------------------
@@ -436,12 +434,10 @@ func spliceFull(src netstack.NodeID, path []netstack.NodeID, self netstack.NodeI
 	full = append(full, path...)
 	full = append(full, self)
 	full = append(full, cached...)
-	seen := make(map[netstack.NodeID]struct{}, len(full))
-	for _, n := range full {
-		if _, dup := seen[n]; dup {
+	for i, n := range full {
+		if slices.Contains(full[:i], n) {
 			return nil
 		}
-		seen[n] = struct{}{}
 	}
 	return full
 }
@@ -451,7 +447,7 @@ func (p *Protocol) reply(from netstack.NodeID, r *rreq, full []netstack.NodeID) 
 	if full == nil {
 		return
 	}
-	idx := indexOf(full, p.self)
+	idx := slices.Index(full, p.self)
 	if idx < 0 {
 		return // the replier must appear on the route record
 	}
@@ -462,17 +458,8 @@ func (p *Protocol) reply(from netstack.NodeID, r *rreq, full []netstack.NodeID) 
 	p.node.UnicastControl(from, rrepBase+perAddr*len(full), rep)
 }
 
-func indexOf(path []netstack.NodeID, n netstack.NodeID) int {
-	for i, v := range path {
-		if v == n {
-			return i
-		}
-	}
-	return -1
-}
-
 func (p *Protocol) handleRREP(from netstack.NodeID, rep *rrep) {
-	idx := indexOf(rep.Full, p.self)
+	idx := slices.Index(rep.Full, p.self)
 	if idx < 0 {
 		return
 	}

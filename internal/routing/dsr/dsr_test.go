@@ -1,6 +1,7 @@
 package dsr
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -83,7 +84,7 @@ func TestSourceRouteCarried(t *testing.T) {
 		t.Fatal("source has no cached route")
 	}
 	want := []netstack.NodeID{1, 2, 3}
-	if !equalPath(path, want) {
+	if !slices.Equal(path, want) {
 		t.Fatalf("cached path = %v, want %v", path, want)
 	}
 }
@@ -161,8 +162,33 @@ func TestSpliceRejectsLoops(t *testing.T) {
 	}
 	full := spliceFull(0, []netstack.NodeID{1}, 2, []netstack.NodeID{3, 4})
 	want := []netstack.NodeID{0, 1, 2, 3, 4}
-	if !equalPath(full, want) {
+	if !slices.Equal(full, want) {
 		t.Fatalf("splice = %v, want %v", full, want)
+	}
+}
+
+// TestAddRouteAllocs pins what caching a learned path costs the heap once
+// the cache has room for it: one copy of the path, which every new prefix
+// shares, however many hops it has.
+func TestAddRouteAllocs(t *testing.T) {
+	p := New(DefaultConfig())
+	rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
+		[]geo.Point{{X: 0}}, nil)
+	path := []netstack.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
+	p.addRoute(path) // gives every destination its slot
+	n := testing.AllocsPerRun(100, func() {
+		for _, dst := range path {
+			p.cache[dst] = p.cache[dst][:0]
+		}
+		p.addRoute(path)
+	})
+	if n != 1 {
+		t.Errorf("caching an %d-hop path: %v allocs, want 1 (one shared copy)", len(path), n)
+	}
+	for end := 1; end <= len(path); end++ {
+		if got, _ := p.lookup(path[end-1]); !slices.Equal(got, path[:end]) {
+			t.Fatalf("route to %d = %v, want %v", path[end-1], got, path[:end])
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func (k Key) String() string {
 func (j Job) Key() Key {
 	return Key{
 		Protocol: string(j.Params.Protocol),
-		Pause:    j.Params.Pause.Seconds(),
+		Pause:    j.Params.Mobility.Pause.Seconds(),
 		Trial:    j.Trial,
 		Seed:     j.Params.Seed,
 	}

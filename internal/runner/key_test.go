@@ -39,12 +39,12 @@ func TestKeyStringDistinct(t *testing.T) {
 // from the Job's emitted-and-reparsed Record render the same string.
 func TestKeyStringMatchesJSONRoundTrip(t *testing.T) {
 	p := tinyParams(scenario.SRP, 11)
-	p.Pause = time.Duration(float64(p.Duration) * 50 / 900) // awkward fraction
+	p.Mobility.Pause = time.Duration(float64(p.Duration) * 50 / 900) // awkward fraction
 	jobs := TrialJobs(p, 2)
 	var buf strings.Builder
 	e := NewJSONL(&buf)
 	for _, j := range jobs {
-		if err := e.Emit(j, scenario.Result{Protocol: p.Protocol, Pause: j.Params.Pause, Seed: j.Params.Seed}); err != nil {
+		if err := e.Emit(j, scenario.Result{Protocol: p.Protocol, Pause: j.Params.Mobility.Pause, Seed: j.Params.Seed}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -71,14 +71,14 @@ func TestKeyIdentityJobVsRecord(t *testing.T) {
 	jobs := GridJobs([]scenario.ProtocolName{scenario.SRP, scenario.AODV}, []float64{0, 50. / 900}, 2, 9,
 		func(proto scenario.ProtocolName, pf float64, seed int64) scenario.Params {
 			p := tinyParams(proto, seed)
-			p.Pause = sim.Time(pf * float64(p.Duration))
+			p.Mobility.Pause = sim.Time(pf * float64(p.Duration))
 			return p
 		})
 	for _, j := range jobs {
 		// The record carries the result's pause/seed, which scenario.Run
 		// copies verbatim from Params; mirror that here without running.
 		rec := NewRecord(j, scenario.Result{
-			Protocol: j.Params.Protocol, Pause: j.Params.Pause, Seed: j.Params.Seed,
+			Protocol: j.Params.Protocol, Pause: j.Params.Mobility.Pause, Seed: j.Params.Seed,
 		})
 		if j.Key() != rec.Key() {
 			t.Fatalf("job %d: key mismatch: job %+v, record %+v", j.Index, j.Key(), rec.Key())
@@ -87,10 +87,10 @@ func TestKeyIdentityJobVsRecord(t *testing.T) {
 	// And through actual JSONL bytes: float pauses must survive the trip.
 	j := Job{Trial: 3, Params: tinyParams(scenario.SRP, 7)}
 	ns := float64(50_000_000_000) // 50/9 s: an awkward decimal
-	j.Params.Pause = sim.Time(ns / 9)
+	j.Params.Mobility.Pause = sim.Time(ns / 9)
 	var buf bytes.Buffer
 	e := NewJSONL(&buf)
-	if err := e.Emit(j, scenario.Result{Protocol: scenario.SRP, Pause: j.Params.Pause, Seed: 7}); err != nil {
+	if err := e.Emit(j, scenario.Result{Protocol: scenario.SRP, Pause: j.Params.Mobility.Pause, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()

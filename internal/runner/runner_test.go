@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"slr/internal/geo"
+	"slr/internal/mobility"
 	"slr/internal/scenario"
 	"slr/internal/traffic"
 )
@@ -17,12 +18,16 @@ import (
 // tinyParams is a fast full-stack scenario (12 nodes, 15 s) for runner
 // tests.
 func tinyParams(proto scenario.ProtocolName, seed int64) scenario.Params {
-	p := scenario.DefaultParams(proto, 0, seed)
-	p.Nodes = 12
-	p.Terrain = geo.Terrain{Width: 700, Height: 300}
-	p.Duration = 15 * time.Second
-	p.Traffic = traffic.Params{Flows: 3, PacketSize: 512, Rate: 4, MeanLife: 10 * time.Second}
-	return p
+	return scenario.Params{
+		Protocol: proto,
+		Nodes:    12,
+		Terrain:  geo.Terrain{Width: 700, Height: 300},
+		Range:    275,
+		Duration: 15 * time.Second,
+		Seed:     seed,
+		Traffic:  traffic.Params{Flows: 3, PacketSize: 512, Rate: 4, MeanLife: 10 * time.Second},
+		Mobility: mobility.Spec{Model: "waypoint", MaxSpeed: 20},
+	}
 }
 
 func TestTrialJobsSeeding(t *testing.T) {
@@ -42,7 +47,7 @@ func TestGridJobsLayout(t *testing.T) {
 	pauses := []float64{0, 0.5, 1}
 	jobs := GridJobs(protos, pauses, 2, 7, func(proto scenario.ProtocolName, pf float64, seed int64) scenario.Params {
 		p := tinyParams(proto, seed)
-		p.Pause = time.Duration(pf * float64(p.Duration))
+		p.Mobility.Pause = time.Duration(pf * float64(p.Duration))
 		return p
 	})
 	if len(jobs) != 2*3*2 {

@@ -1,11 +1,11 @@
 // Package scenario wires a complete simulation run: N nodes moving on a
 // terrain, a routing protocol per node, a traffic workload, metrics
 // collection, and optional continuous loop-freedom checking. It is the
-// reproduction of the paper's GloMoSim experiment driver (§V), defaulting
-// to that evaluation's exact setup (random waypoint, CBR, unit-disk
-// radio); Params.Mobility, Params.Traffic.Model, and Params.Propagation
-// select any other registered model, and internal/spec loads a complete
-// Params from a declarative JSON scenario file.
+// reproduction of the paper's GloMoSim experiment driver (§V):
+// Params.Mobility, Params.Traffic.Model, and Params.Propagation select
+// registered models, and internal/spec loads a complete Params from a
+// declarative JSON scenario file. The evaluation's exact setup (random
+// waypoint, CBR, unit-disk radio) is the built-in spec "paper-default".
 package scenario
 
 import (
@@ -42,13 +42,16 @@ const (
 // whole registry in a stable order.
 var AllProtocols = []ProtocolName{SRP, LDR, AODV, DSR, OLSR}
 
-// Params configures one run. The zero value is unusable; start from
-// DefaultParams.
+// Params configures one run. The zero value is unusable; internal/spec
+// resolves a scenario spec into a complete Params.
 type Params struct {
 	Protocol ProtocolName
 	Nodes    int
 	Terrain  geo.Terrain
 	Range    float64
+	// Deprecated: MinSpeed, MaxSpeed and Pause are unread; Mobility says
+	// how nodes move. cmd/slrbench's traceParams still names them, in a
+	// branch no spec-built Params reaches, and they go with that branch.
 	MinSpeed float64
 	MaxSpeed float64
 	Pause    sim.Time
@@ -63,38 +66,12 @@ type Params struct {
 	// protocol-specific and validated by the routing registry; the
 	// ablation benches toggle SRP heuristics through it.
 	ProtoParams map[string]float64
-	// Mobility optionally selects a registered mobility model. The zero
-	// value keeps the paper's random waypoint built from MinSpeed,
-	// MaxSpeed, and Pause; a non-empty Model overrides all three from
-	// its own fields.
+	// Mobility selects a registered mobility model and carries its
+	// speeds and pause; Run builds it for every node.
 	Mobility mobility.Spec
 	// Propagation optionally selects a registered radio propagation
 	// model; the zero value is unit-disk at Range, the paper's radio.
 	Propagation radio.PropSpec
-}
-
-// DefaultParams returns the paper's simulation setup: 100 nodes on
-// 2200 m x 600 m, 0-20 m/s random waypoint, 30 CBR flows of 512-byte
-// packets at 4 pps, 900 s runs.
-func DefaultParams(proto ProtocolName, pause sim.Time, seed int64) Params {
-	return Params{
-		Protocol: proto,
-		Nodes:    100,
-		Terrain:  geo.Terrain{Width: 2200, Height: 600},
-		Range:    275,
-		MinSpeed: 0,
-		MaxSpeed: 20,
-		Pause:    pause,
-		Duration: 900 * time.Second,
-		Seed:     seed,
-		Traffic:  traffic.DefaultParams(),
-	}
-}
-
-// PaperPauseTimes are the eight pause times of Figs. 3–7.
-var PaperPauseTimes = []sim.Time{
-	0, 50 * time.Second, 100 * time.Second, 200 * time.Second,
-	300 * time.Second, 500 * time.Second, 700 * time.Second, 900 * time.Second,
 }
 
 // Result carries one run's measurements.
@@ -170,21 +147,11 @@ func Run(p Params) Result {
 	if SimHook != nil {
 		SimHook(s)
 	}
-	mobSpec := p.Mobility
-	if mobSpec.Model == "" {
-		// The paper's random waypoint, from the legacy scalar fields.
-		mobSpec = mobility.Spec{
-			Model:    "waypoint",
-			MinSpeed: p.MinSpeed,
-			MaxSpeed: p.MaxSpeed,
-			Pause:    p.Pause,
-		}
-	}
 	rp := radio.DefaultParams()
 	rp.Range = p.Range
 	rp.Propagation = p.Propagation
 	rp.Seed = p.Seed
-	rp.MaxSpeed = mobSpec.MaxSpeed
+	rp.MaxSpeed = p.Mobility.MaxSpeed
 
 	// Mobility and traffic get RNG streams independent of the protocol
 	// stack, and each node's mobility its own stream, so a seed fixes
@@ -195,7 +162,7 @@ func Run(p Params) Result {
 	// so a node's stream costs what the node draws.
 	models := make([]mobility.Model, p.Nodes)
 	for i := range models {
-		m, err := mobility.Build(p.Terrain, sim.NewRand(p.Seed<<16+int64(i)), mobSpec)
+		m, err := mobility.Build(p.Terrain, sim.NewRand(p.Seed<<16+int64(i)), p.Mobility)
 		if err != nil {
 			// Spec loading validates model names and parameters, so an
 			// error here is a wiring bug.
@@ -215,7 +182,7 @@ func Run(p Params) Result {
 	gen := traffic.NewGenerator(s, trafRng, senders, p.Traffic, p.Duration)
 	gen.Start()
 
-	res := Result{Protocol: p.Protocol, Pause: p.Pause, Seed: p.Seed}
+	res := Result{Protocol: p.Protocol, Pause: p.Mobility.Pause, Seed: p.Seed}
 
 	if p.CheckInvariants {
 		var check func()
@@ -325,5 +292,5 @@ func RunTrials(p Params, trials int) TrialSet {
 		tp.Seed = p.Seed + int64(i)
 		results[i] = Run(tp)
 	}
-	return TrialSet{Protocol: p.Protocol, Pause: p.Pause, Results: results}
+	return TrialSet{Protocol: p.Protocol, Pause: p.Mobility.Pause, Results: results}
 }

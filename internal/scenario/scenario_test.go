@@ -6,18 +6,23 @@ import (
 	"time"
 
 	"slr/internal/geo"
+	"slr/internal/mobility"
 	"slr/internal/traffic"
 )
 
 // smallParams returns a scaled-down scenario (25 nodes, 60 s, 8 flows)
 // that keeps test time reasonable while exercising the full stack.
 func smallParams(proto ProtocolName, pause time.Duration, seed int64) Params {
-	p := DefaultParams(proto, pause, seed)
-	p.Nodes = 25
-	p.Terrain = geo.Terrain{Width: 1100, Height: 300}
-	p.Duration = 60 * time.Second
-	p.Traffic = traffic.Params{Flows: 8, PacketSize: 512, Rate: 4, MeanLife: 30 * time.Second}
-	return p
+	return Params{
+		Protocol: proto,
+		Nodes:    25,
+		Terrain:  geo.Terrain{Width: 1100, Height: 300},
+		Range:    275,
+		Duration: 60 * time.Second,
+		Seed:     seed,
+		Traffic:  traffic.Params{Flows: 8, PacketSize: 512, Rate: 4, MeanLife: 30 * time.Second},
+		Mobility: mobility.Spec{Model: "waypoint", MaxSpeed: 20, Pause: pause},
+	}
 }
 
 func TestAllProtocolsDeliverTraffic(t *testing.T) {
@@ -151,7 +156,8 @@ func TestUnknownProtocolPanics(t *testing.T) {
 		}
 	}()
 	Run(Params{Protocol: "bogus", Nodes: 2, Terrain: geo.Terrain{Width: 100, Height: 100},
-		Range: 100, Duration: time.Second, Traffic: traffic.DefaultParams()})
+		Range: 100, Duration: time.Second, Mobility: mobility.Spec{Model: "static"},
+		Traffic: traffic.Params{Flows: 1, PacketSize: 512, Rate: 4, MeanLife: time.Second}})
 }
 
 // TestFlowAndHistogramAccounting verifies the streaming metrics pipeline

@@ -130,7 +130,7 @@ func PaperDefault() *ScenarioSpec {
 		DurationSeconds: 900,
 		Seed:            1,
 		Trials:          10,
-		Radio:           Radio{RangeM: 275},
+		Radio:           Radio{RangeM: 275, Propagation: "unit-disk"},
 		Mobility:        Mobility{Model: "waypoint", MaxSpeedMps: 20},
 		Traffic:         Traffic{Model: "cbr", Flows: 30, PacketSizeBytes: 512, RatePps: 4, MeanLifeSeconds: 60},
 	}
@@ -246,20 +246,14 @@ func ValidateParams(p scenario.Params) error {
 	if err := routing.Validate(routing.Spec{Name: string(p.Protocol), Params: p.ProtoParams}); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if p.MaxSpeed < p.MinSpeed || p.MinSpeed < 0 {
-		return fmt.Errorf("spec: mobility speeds [%v, %v] invalid", p.MinSpeed, p.MaxSpeed)
+	if mob := p.Mobility; mob.MaxSpeed < mob.MinSpeed || mob.MinSpeed < 0 {
+		return fmt.Errorf("spec: mobility speeds [%v, %v] invalid", mob.MinSpeed, mob.MaxSpeed)
 	}
 	if p.Traffic.Flows <= 0 || p.Traffic.Rate <= 0 || p.Traffic.PacketSize <= 0 || p.Traffic.MeanLife <= 0 {
 		return fmt.Errorf("spec: traffic flows=%d rate_pps=%v packet_size_bytes=%d mean_life_seconds=%v must all be positive",
 			p.Traffic.Flows, p.Traffic.Rate, p.Traffic.PacketSize, p.Traffic.MeanLife.Seconds())
 	}
-	mob := p.Mobility
-	if mob.Model == "" {
-		// The paper's random waypoint, from the scalar fields (as
-		// scenario.Run resolves it).
-		mob = mobility.Spec{Model: "waypoint", MinSpeed: p.MinSpeed, MaxSpeed: p.MaxSpeed, Pause: p.Pause}
-	}
-	if _, err := mobility.Build(p.Terrain, nullRng(), mob); err != nil {
+	if _, err := mobility.Build(p.Terrain, nullRng(), p.Mobility); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 	if _, err := traffic.NewPacer(p.Traffic); err != nil {
@@ -288,17 +282,13 @@ func (s *ScenarioSpec) params() scenario.Params {
 	if seed == 0 {
 		seed = 1
 	}
-	secs := func(v float64) sim.Time { return sim.Time(v * float64(time.Second)) }
 	return scenario.Params{
 		Protocol:    scenario.ProtocolName(strings.ToUpper(s.Protocol)),
 		ProtoParams: s.ProtocolParams,
 		Nodes:       s.Nodes,
 		Terrain:     geo.Terrain{Width: s.Terrain.WidthM, Height: s.Terrain.HeightM},
 		Range:       s.Radio.RangeM,
-		MinSpeed:    s.Mobility.MinSpeedMps,
-		MaxSpeed:    s.Mobility.MaxSpeedMps,
-		Pause:       secs(s.Mobility.PauseSeconds),
-		Duration:    secs(s.DurationSeconds),
+		Duration:    s.Duration(),
 		Seed:        seed,
 		Traffic: traffic.Params{
 			Flows:       s.Traffic.Flows,
@@ -322,6 +312,12 @@ func (s *ScenarioSpec) params() scenario.Params {
 		CheckInvariants: s.CheckInvariants,
 	}
 }
+
+// Duration returns the spec's simulated run time.
+func (s *ScenarioSpec) Duration() sim.Time { return secs(s.DurationSeconds) }
+
+// secs converts a spec's seconds to simulated time.
+func secs(v float64) sim.Time { return sim.Time(v * float64(time.Second)) }
 
 // TrialCount returns the spec's trial count with its default applied.
 func (s *ScenarioSpec) TrialCount() int {

@@ -9,50 +9,53 @@ import (
 	"testing"
 	"time"
 
+	"slr/internal/geo"
+	"slr/internal/mobility"
+	"slr/internal/radio"
 	"slr/internal/scenario"
+	"slr/internal/traffic"
 )
 
-// TestPaperDefaultMatchesDefaultParams verifies the named built-in spec
-// resolves to exactly the parameters scenario.DefaultParams hard-codes:
-// the declarative path and the legacy path describe the same experiment.
-func TestPaperDefaultMatchesDefaultParams(t *testing.T) {
+// TestPaperDefaultIsThePaperSetup pins the built-in spec to §V's setup:
+// 100 nodes on 2200 m x 600 m with a 275 m unit-disk radio, 0-20 m/s
+// random waypoint, and 30 CBR flows of 512-byte packets at 4 pps living
+// 60 s on average, for 900 s, 10 trials.
+func TestPaperDefaultIsThePaperSetup(t *testing.T) {
 	got, err := PaperDefault().Params()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scenario.DefaultParams(scenario.SRP, 0, 1)
-	// The spec path also fills the explicit model fields; blank them to
-	// compare the shared scalar core first.
-	gotCore := got
-	gotCore.Mobility = want.Mobility
-	if gotCore.Traffic.Model == "cbr" {
-		gotCore.Traffic.Model = "" // the legacy spelling of the default
+	want := scenario.Params{
+		Protocol: scenario.SRP,
+		Nodes:    100,
+		Terrain:  geo.Terrain{Width: 2200, Height: 600},
+		Range:    275,
+		Duration: 900 * time.Second,
+		Seed:     1,
+		Traffic: traffic.Params{Flows: 30, PacketSize: 512, Rate: 4,
+			MeanLife: 60 * time.Second, Model: "cbr"},
+		Mobility:    mobility.Spec{Model: "waypoint", MinSpeed: 0, MaxSpeed: 20, Pause: 0},
+		Propagation: radio.PropSpec{Model: "unit-disk"},
 	}
-	if !reflect.DeepEqual(gotCore, want) {
-		t.Fatalf("paper-default params diverge:\nspec:    %+v\ndefault: %+v", gotCore, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("paper-default params:\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if got.Mobility.Model != "waypoint" || got.Mobility.MaxSpeed != 20 {
-		t.Fatalf("paper-default mobility spec = %+v", got.Mobility)
+	if n := PaperDefault().TrialCount(); n != 10 {
+		t.Fatalf("paper-default runs %d trials, want 10", n)
 	}
 }
 
-// TestPaperDefaultRunsIdenticallyToDefaultParams runs both paths on a
-// scaled-down copy and demands byte-identical results.
-func TestPaperDefaultRunsIdenticallyToDefaultParams(t *testing.T) {
-	shrink := func(p scenario.Params) scenario.Params {
-		p.Nodes = 20
-		p.Duration = 30 * time.Second
-		p.Traffic.Flows = 6
-		return p
-	}
-	fromSpec, err := PaperDefault().Params()
+// TestValidateParamsRefusesNoMobility verifies a Params that names no
+// mobility model is refused: Run builds exactly the model Params.Mobility
+// names and has no fallback.
+func TestValidateParamsRefusesNoMobility(t *testing.T) {
+	p, err := PaperDefault().Params()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := scenario.Run(shrink(fromSpec))
-	b := scenario.Run(shrink(scenario.DefaultParams(scenario.SRP, 0, 1)))
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("spec-built and legacy-built runs diverge:\nspec:   %+v\nlegacy: %+v", a, b)
+	p.Mobility = mobility.Spec{}
+	if err := ValidateParams(p); err == nil || !strings.Contains(err.Error(), "mobility") {
+		t.Fatalf("ValidateParams with no mobility model = %v, want a mobility error", err)
 	}
 }
 
@@ -153,6 +156,11 @@ func TestExampleSpecsLoad(t *testing.T) {
 			}
 			if _, err := s.Params(); err != nil {
 				t.Fatal(err)
+			}
+			// The goldens run this file; slrsim's default and make
+			// identity run the built-in. They must be one scenario.
+			if filepath.Base(path) == "paper-default.json" && !reflect.DeepEqual(s, PaperDefault()) {
+				t.Fatalf("%s = %+v, want the built-in %+v", path, s, PaperDefault())
 			}
 		})
 	}

@@ -33,7 +33,7 @@ func runModel(t *testing.T, model string, params map[string]float64, seed int64,
 		sinks[i] = &sink{id: netstack.NodeID(i), s: s}
 		nodes[i] = sinks[i]
 	}
-	p := DefaultParams()
+	p := paperParams()
 	p.Flows = 5
 	p.Model = model
 	p.ModelParams = params
@@ -58,7 +58,7 @@ func TestModelsRegistered(t *testing.T) {
 // TestEmptyModelIsCBR verifies the zero Params.Model selects the paper's
 // constant-bit-rate pacer.
 func TestEmptyModelIsCBR(t *testing.T) {
-	p := DefaultParams()
+	p := paperParams()
 	pacer, err := NewPacer(p)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestEmptyModelIsCBR(t *testing.T) {
 
 // TestUnknownModelErrors verifies NewPacer rejects unregistered names.
 func TestUnknownModelErrors(t *testing.T) {
-	p := DefaultParams()
+	p := paperParams()
 	p.Model = "torrent"
 	if _, err := NewPacer(p); err == nil {
 		t.Fatal("NewPacer accepted unknown model")
@@ -105,7 +105,7 @@ func TestModelsGenerateAndReplay(t *testing.T) {
 
 // TestPoissonGapsVary verifies poisson is not constant-rate.
 func TestPoissonGapsVary(t *testing.T) {
-	p := DefaultParams()
+	p := paperParams()
 	p.Model = "poisson"
 	pacer, err := NewPacer(p)
 	if err != nil {
@@ -124,7 +124,7 @@ func TestPoissonGapsVary(t *testing.T) {
 // TestOnOffBursts verifies the on/off pacer emits CBR-spaced packets
 // inside bursts and longer silences between them.
 func TestOnOffBursts(t *testing.T) {
-	p := DefaultParams()
+	p := paperParams()
 	p.Model = "onoff"
 	p.ModelParams = map[string]float64{"on_mean_seconds": 2, "off_mean_seconds": 5}
 	pacer, err := NewPacer(p)
@@ -157,7 +157,7 @@ func TestGeneratorPanicsOnBadModel(t *testing.T) {
 			t.Fatal("NewGenerator accepted unknown model")
 		}
 	}()
-	p := DefaultParams()
+	p := paperParams()
 	p.Model = "torrent"
 	NewGenerator(sim.New(1), rand.New(rand.NewSource(1)), nil, p, time.Second)
 }

@@ -28,11 +28,6 @@ type Params struct {
 	ModelParams map[string]float64
 }
 
-// DefaultParams returns the paper's workload parameters.
-func DefaultParams() Params {
-	return Params{Flows: 30, PacketSize: 512, Rate: 4, MeanLife: 60 * time.Second}
-}
-
 // Sender originates one application packet toward dst; implemented by
 // netstack.Node.
 type Sender interface {

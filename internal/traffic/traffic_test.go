@@ -24,6 +24,12 @@ func totalPackets(ss []*fakeSender) (n int) {
 	return n
 }
 
+// paperParams is the paper's workload: 30 CBR flows of 512-byte packets
+// at 4 pps, each living 60 s on average.
+func paperParams() Params {
+	return Params{Flows: 30, PacketSize: 512, Rate: 4, MeanLife: 60 * time.Second}
+}
+
 func build(n int) (*sim.Simulator, []*fakeSender, []Sender) {
 	s := sim.New(5)
 	senders := make([]*fakeSender, n)
@@ -37,7 +43,7 @@ func build(n int) (*sim.Simulator, []*fakeSender, []Sender) {
 
 func TestRateApproximatesWorkload(t *testing.T) {
 	s, senders, ifaces := build(50)
-	p := DefaultParams()
+	p := paperParams()
 	end := sim.Time(100 * time.Second)
 	g := NewGenerator(s, rand.New(rand.NewSource(1)), ifaces, p, end)
 	g.Start()
@@ -53,7 +59,7 @@ func TestRateApproximatesWorkload(t *testing.T) {
 
 func TestEndpointsDistinct(t *testing.T) {
 	s, senders, ifaces := build(10)
-	g := NewGenerator(s, rand.New(rand.NewSource(2)), ifaces, DefaultParams(), 50*time.Second)
+	g := NewGenerator(s, rand.New(rand.NewSource(2)), ifaces, paperParams(), 50*time.Second)
 	g.Start()
 	s.RunUntil(time.Minute)
 	for _, snd := range senders {
@@ -70,7 +76,7 @@ func TestEndpointsDistinct(t *testing.T) {
 
 func TestUIDsUnique(t *testing.T) {
 	s, senders, ifaces := build(10)
-	g := NewGenerator(s, rand.New(rand.NewSource(3)), ifaces, DefaultParams(), 30*time.Second)
+	g := NewGenerator(s, rand.New(rand.NewSource(3)), ifaces, paperParams(), 30*time.Second)
 	g.Start()
 	s.RunUntil(time.Minute)
 	seen := make(map[uint64]bool)
@@ -89,7 +95,7 @@ func TestUIDsUnique(t *testing.T) {
 
 func TestFlowPopulationConstant(t *testing.T) {
 	s, _, ifaces := build(20)
-	p := DefaultParams()
+	p := paperParams()
 	p.Flows = 7
 	g := NewGenerator(s, rand.New(rand.NewSource(4)), ifaces, p, 5*time.Minute)
 	g.Start()
@@ -107,7 +113,7 @@ func TestFlowPopulationConstant(t *testing.T) {
 func TestStopsAtEnd(t *testing.T) {
 	s, senders, ifaces := build(5)
 	end := sim.Time(10 * time.Second)
-	g := NewGenerator(s, rand.New(rand.NewSource(6)), ifaces, DefaultParams(), end)
+	g := NewGenerator(s, rand.New(rand.NewSource(6)), ifaces, paperParams(), end)
 	g.Start()
 	s.RunUntil(time.Hour)
 	for _, snd := range senders {
@@ -124,7 +130,7 @@ func TestStopsAtEnd(t *testing.T) {
 
 func TestTooFewNodes(t *testing.T) {
 	s, senders, ifaces := build(1)
-	g := NewGenerator(s, rand.New(rand.NewSource(7)), ifaces, DefaultParams(), 10*time.Second)
+	g := NewGenerator(s, rand.New(rand.NewSource(7)), ifaces, paperParams(), 10*time.Second)
 	g.Start()
 	s.RunUntil(time.Minute)
 	if totalPackets(senders) != 0 {
