@@ -69,13 +69,17 @@ lint:
 # `-gcflags=-m=2` names them; a generic method by its shape
 # instantiation, the one its callers in other packages inline. rcommon
 # instantiates no IDTable itself, so IDTable.Get is priced where olsr
-# instantiates it, under its package-qualified name. `make inline` fails
-# unless the compiler reports each one `can inline`.
+# instantiates it (for its neighbor table, the only IDTable olsr has),
+# under its package-qualified name. olsr's topoOf and routeTo are the
+# dense-table lookups of every TC heard and every data packet forwarded.
+# `make inline` fails unless the compiler reports each one `can inline`.
 INLINED := \
 	'\(\*Channel\)\.station' \
 	'\(\*Channel\)\.Busy' \
 	'\(\*Channel\)\.IdleAt' \
-	'rcommon\.\(\*IDTable\[go\.shape\..*\]\)\.Get'
+	'rcommon\.\(\*IDTable\[go\.shape\..*\]\)\.Get' \
+	'\(\*Protocol\)\.topoOf' \
+	'\(\*Protocol\)\.routeTo'
 
 inline:
 	@out=$$($(GO) build -gcflags=-m=2 ./internal/radio ./internal/routing/rcommon ./internal/routing/olsr 2>&1) || { echo "$$out"; exit 1; }; \

@@ -107,7 +107,8 @@
 // back-off, hold-down and queue flush; a protocol only builds its RREQ),
 // the RERR rate limiter, the periodic beaconer, duplicate-flood
 // suppression, and the flat by-value id table (IDTable) that holds SRP's routes and
-// OLSR's neighbors, topology and routes. internal/routing/rtest's
+// OLSR's neighbors (OLSR's topology and routes, keyed by the whole network,
+// are slices indexed by node id). internal/routing/rtest's
 // conformance suite runs every
 // registered protocol through a shared contract: quiet before Start,
 // idempotent Start, deterministic replay at any worker count, and drops

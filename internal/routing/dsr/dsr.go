@@ -135,6 +135,9 @@ type Protocol struct {
 	// hold-down.
 	disc    *rcommon.DiscoveryTable
 	sweeper rcommon.Beaconer
+	// rev is handleRREQ's scratch for the reversed route record. addRoute
+	// keeps no reference to its argument, so it is reused for every RREQ.
+	rev []netstack.NodeID
 }
 
 var _ netstack.Protocol = (*Protocol)(nil)
@@ -199,7 +202,8 @@ func (p *Protocol) lookup(dst netstack.NodeID) ([]netstack.NodeID, bool) {
 
 // addRoute caches path (self-exclusive, ending at its destination) and all
 // its prefixes. Nothing writes a cached path, so the prefixes it keeps
-// share one copy of path, made when the first of them is new.
+// share one copy of path, made when the first of them is new; path itself
+// is not kept, and the caller may reuse it.
 func (p *Protocol) addRoute(path []netstack.NodeID) {
 	var own []netstack.NodeID
 	for end := 1; end <= len(path); end++ {
@@ -387,12 +391,12 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 		}
 	}
 	// Cache the reverse route to the requester (bidirectional links).
-	rev := make([]netstack.NodeID, 0, len(r.Path)+1)
+	rev := p.rev[:0]
 	for i := len(r.Path) - 1; i >= 0; i-- {
 		rev = append(rev, r.Path[i])
 	}
-	rev = append(rev, r.Src)
-	p.addRoute(rev)
+	p.rev = append(rev, r.Src)
+	p.addRoute(p.rev)
 
 	if r.Dst == p.self {
 		full := buildFull(r.Src, r.Path, p.self)

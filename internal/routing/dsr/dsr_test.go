@@ -192,6 +192,46 @@ func TestAddRouteAllocs(t *testing.T) {
 	}
 }
 
+// TestReverseRouteAllocs pins what caching the reverse route of a new RREQ
+// costs the heap when every prefix of it is already cached: nothing. The
+// record is reversed into the node's scratch, not a fresh slice, so a new
+// RREQ over a known path allocates on its flood record alone, which the
+// node's first sighting grows.
+func TestReverseRouteAllocs(t *testing.T) {
+	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	p := w.Nodes[1].Protocol().(*Protocol)
+	// Dst 99 is no node and TTL 1 stops the relay: the RREQ is only heard.
+	req := rreq{Src: 0, Dst: 99, Path: []netstack.NodeID{4, 5, 6}, TTL: 1}
+	p.handleRREQ(0, flooded(req)) // caches 6, 6-5, 6-5-4 and 6-5-4-0
+	if got, _ := p.lookup(0); !slices.Equal(got, []netstack.NodeID{6, 5, 4, 0}) {
+		t.Fatalf("reverse route to 0 = %v, want [6 5 4 0]", got)
+	}
+	recs := floodRecords(201) // AllocsPerRun warms up once
+	recordAllocs := testing.AllocsPerRun(200, func() {
+		recs[0].Witness(p.self, p.node.Now(), p.swept)
+		recs = recs[1:]
+	})
+	recs = floodRecords(201)
+	n := testing.AllocsPerRun(200, func() {
+		req.ID++
+		req.Flood, recs = recs[0], recs[1:]
+		p.handleRREQ(0, &req)
+	})
+	if n != recordAllocs {
+		t.Errorf("new RREQ over a cached path: %v allocs, want the flood record's %v", n, recordAllocs)
+	}
+}
+
+// floodRecords returns n fresh flood records, made outside the code whose
+// allocations a test counts.
+func floodRecords(n int) []*rcommon.Flood {
+	recs := make([]*rcommon.Flood, n)
+	for i := range recs {
+		recs[i] = rcommon.NewFlood(0)
+	}
+	return recs
+}
+
 func TestCacheEviction(t *testing.T) {
 	p := New(DefaultConfig())
 	w := rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },

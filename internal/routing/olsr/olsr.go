@@ -48,13 +48,25 @@
 // Neither computation keeps storage of its own between calls: the route
 // table is emptied in place, and the working storage of a run (the BFS
 // queue; the cover's candidates, bitsets, counts and chains) is a scratch
-// taken from one package-level pool and put back at its end. Neighbors,
-// topology and routes live by value in rcommon.IDTable slabs. What a node
-// hears it keeps by reference, never copied, because no body is written
-// after its sender hands it to the air: every receiver's two-hop set
-// aliases the HELLO's neighbor list, self included, and every relayed copy
-// and topology entry points at the TC's one body (its sequence number and
-// advertised ids, sorted once by its originator).
+// taken from one package-level pool and put back at its end. Neighbors
+// live by value in an rcommon.IDTable slab, topology entries and routes in
+// dense tables (below). What a node hears it keeps by reference, never
+// copied, because no body is written after its sender hands it to the air:
+// every receiver's two-hop set aliases the HELLO's neighbor list, self
+// included, and every relayed copy and topology entry points at the TC's
+// one body (its sequence number and advertised ids, sorted once by its
+// originator).
+//
+// # The dense tables
+//
+// A node hears a TC from every originator in the network and, once it
+// forwards data, holds a route to every node it can reach, so the topology
+// table and the route table are slices indexed by node id, not IDTables: a
+// lookup reads one entry, with no index slot before it and no key beside
+// it. The zero value is "no entry" (a topology entry with no body, a route
+// of no hops), and reading past the end finds it too. A slice grows on the
+// first write past its end (fit), never at construction. The neighbor
+// table holds a neighborhood, not the network, and stays an IDTable.
 package olsr
 
 import (
@@ -106,8 +118,8 @@ const (
 	perAddr   = 4
 )
 
-// topoEntry is what a node holds per TC originator: 16 bytes, 24 in the
-// table's slab with the key.
+// topoEntry is what a node holds per TC originator: 16 bytes, the
+// topology table's element. The zero value, with no body, is no entry.
 type topoEntry struct {
 	// body is the body of the last TC accepted from the originator,
 	// shared, not copied: never written after send, so it is read-only
@@ -140,9 +152,8 @@ type neighbor struct {
 }
 
 // route is one routing-table entry: the next hop toward a destination and
-// the length of the path through it. Node ids fit 32 bits in every
-// scenario, and a route slab holds an entry per reachable node: 12 bytes
-// with the key.
+// the length of the path through it, 8 bytes: node ids fit 32 bits in
+// every scenario. The zero value, of no hops, is no route.
 type route struct {
 	nh, hops int32
 }
@@ -172,7 +183,10 @@ type Protocol struct {
 	nbrs rcommon.IDTable[neighbor]
 	// mprs is the MPR set as of the last selection, in selection order.
 	mprs []netstack.NodeID
-	topo rcommon.IDTable[topoEntry]
+	// topo is the topology table: the last TC accepted from originator id
+	// is topo[id] (see the package comment on the dense tables). Entries
+	// may be expired but not yet swept; readers filter by expiry.
+	topo []topoEntry
 	// nbrHorizon and topoHorizon lower-bound every expiry in nbrs and
 	// topo: the once-a-second sweep skips a table before its horizon. A
 	// write of an expiry lowers the horizon, a sweep sets the exact minimum.
@@ -187,7 +201,7 @@ type Protocol struct {
 	tcBeacon    rcommon.Beaconer
 	sweeper     rcommon.Beaconer
 
-	routes rcommon.IDTable[route] // dst -> route, refilled by each rebuild
+	routes []route // routes[dst], dense like topo, refilled by each rebuild
 
 	// linkVer counts structural changes to the route inputs (symmetric
 	// links and TC-learned links). Expiry refreshes and content-identical
@@ -246,10 +260,43 @@ func (p *Protocol) jitter() sim.Time {
 // SuccessorsOf exposes the next hop for inspection.
 func (p *Protocol) SuccessorsOf(dst netstack.NodeID) []netstack.NodeID {
 	p.recompute()
-	if r := p.routes.Get(uint32(dst)); r != nil {
+	if r := p.routeTo(dst); r.hops != 0 {
 		return []netstack.NodeID{netstack.NodeID(r.nh)}
 	}
 	return nil
+}
+
+// topoOf returns the topology entry of originator id, the zero entry when
+// there is none. It is a lookup on every TC heard and stays within the
+// inliner's budget (make inline checks it).
+func (p *Protocol) topoOf(id netstack.NodeID) topoEntry {
+	if uint(id) < uint(len(p.topo)) {
+		return p.topo[id]
+	}
+	return topoEntry{}
+}
+
+// routeTo returns the route to dst, the zero route when there is none. It
+// is the lookup of every data packet forwarded and stays within the
+// inliner's budget (make inline checks it).
+func (p *Protocol) routeTo(dst netstack.NodeID) route {
+	if uint(dst) < uint(len(p.routes)) {
+		return p.routes[dst]
+	}
+	return route{}
+}
+
+// fit returns t long enough to hold the entry of node id: t itself when it
+// is, else t extended with zero entries by append and resliced to its
+// capacity, which append zeroes too. append's growth (double while small,
+// then about a quarter) keeps the copies amortised; strict doubling would
+// leave a table of a 1000-node network about 1,500 slots long on average.
+func fit[T any](t []T, id netstack.NodeID) []T {
+	if uint(id) < uint(len(t)) {
+		return t
+	}
+	t = append(t, make([]T, int(id)+1-len(t))...)
+	return t[:cap(t)]
 }
 
 // --- Periodic control -------------------------------------------------
@@ -296,8 +343,8 @@ func (p *Protocol) sendTC() {
 
 func (p *Protocol) expire() {
 	now := p.node.Now()
-	lostNbrs := sweep(&p.nbrs, &p.nbrHorizon, now, func(nb *neighbor) sim.Time { return nb.expiry })
-	lostTopo := sweep(&p.topo, &p.topoHorizon, now, func(te *topoEntry) sim.Time { return te.expiry })
+	lostNbrs := p.sweepNbrs(now)
+	lostTopo := p.sweepTopo(now)
 	if lostNbrs || lostTopo {
 		p.dirty = true
 		p.linkVer++
@@ -308,26 +355,49 @@ func (p *Protocol) expire() {
 	}
 }
 
-// sweep deletes the entries of t whose expiry has passed at now and
-// reports whether it deleted any. *horizon lower-bounds every expiry in t,
-// so a sweep before it provably deletes nothing and returns at once; a
-// sweep that walks sets it to the exact minimum, and every write of an
-// expiry must lower it. The walk goes down because Delete moves the last
-// entry into the freed slot.
-func sweep[T any](t *rcommon.IDTable[T], horizon *sim.Time, now sim.Time, expiry func(*T) sim.Time) bool {
-	if now < *horizon {
+// sweepNbrs deletes the neighbors whose expiry has passed at now and
+// reports whether it deleted any. nbrHorizon lower-bounds every expiry in
+// the table, so a sweep before it provably deletes nothing and returns at
+// once; a sweep that walks sets it to the exact minimum, and every write
+// of an expiry must lower it. The walk goes down because Delete moves the
+// last entry into the freed slot.
+func (p *Protocol) sweepNbrs(now sim.Time) bool {
+	if now < p.nbrHorizon {
 		return false
 	}
 	min, deleted := forever, false
-	for i := t.Len() - 1; i >= 0; i-- {
-		if exp := expiry(t.At(i)); exp <= now {
-			t.Delete(t.KeyAt(i))
+	for i := p.nbrs.Len() - 1; i >= 0; i-- {
+		if exp := p.nbrs.At(i).expiry; exp <= now {
+			p.nbrs.Delete(p.nbrs.KeyAt(i))
 			deleted = true
 		} else if exp < min {
 			min = exp
 		}
 	}
-	*horizon = min
+	p.nbrHorizon = min
+	return deleted
+}
+
+// sweepTopo is sweepNbrs for the topology table and topoHorizon; it
+// deletes an entry by zeroing it.
+func (p *Protocol) sweepTopo(now sim.Time) bool {
+	if now < p.topoHorizon {
+		return false
+	}
+	min, deleted := forever, false
+	for i := range p.topo {
+		te := &p.topo[i]
+		if te.body == nil {
+			continue
+		}
+		if te.expiry <= now {
+			*te = topoEntry{}
+			deleted = true
+		} else if te.expiry < min {
+			min = te.expiry
+		}
+	}
+	p.topoHorizon = min
 	return deleted
 }
 
@@ -378,18 +448,16 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 	}
 	now := p.node.Now()
 	if m.Flood.Witness(p.self, now, p.swept) {
-		te := p.topo.Get(uint32(m.Orig))
-		if te == nil || !seqNewer(te.body.Seq, m.Body.Seq) {
+		te := p.topoOf(m.Orig)
+		if te.body == nil || !seqNewer(te.body.Seq, m.Body.Seq) {
 			exp := now + p.cfg.TopologyHold
 			// A re-advertisement that names the same links while the old
 			// entry is still live is a refresh: no link appears or
 			// disappears at any instant before the (previous) horizon, so
 			// the route cache stays valid.
-			refresh := te != nil && te.expiry > now && slices.Equal(te.body.Advertised, m.Body.Advertised)
-			if te == nil {
-				te, _ = p.topo.Put(m.Orig)
-			}
-			te.body, te.expiry = m.Body, exp
+			refresh := te.body != nil && te.expiry > now && slices.Equal(te.body.Advertised, m.Body.Advertised)
+			p.topo = fit(p.topo, m.Orig)
+			p.topo[m.Orig] = topoEntry{body: m.Body, expiry: exp}
 			if !refresh {
 				p.linkVer++
 			}
@@ -636,7 +704,7 @@ func (p *Protocol) recompute() {
 func (p *Protocol) rebuildRoutes(s *scratch) {
 	now := p.node.Now()
 	p.rebuilds++
-	p.routes.Reset()
+	clear(p.routes)
 	horizon := forever
 
 	// First ring: the live symmetric neighbors, visited in id order — the
@@ -651,25 +719,26 @@ func (p *Protocol) rebuildRoutes(s *scratch) {
 	}
 	slices.Sort(queue)
 	for _, id := range queue {
-		r, _ := p.routes.Put(id)
-		*r = route{nh: int32(id), hops: 1}
+		p.routes = fit(p.routes, id)
+		p.routes[id] = route{nh: int32(id), hops: 1}
 	}
 	// Expand over TC-advertised links, popping by head index (re-slicing
 	// the queue would keep the whole backing array pinned and re-grow it
 	// every rebuild). Self has no entry; it is skipped by id instead.
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		te := p.topo.Get(uint32(cur))
-		if te == nil || te.expiry <= now {
+		te := p.topoOf(cur)
+		if te.body == nil || te.expiry <= now {
 			continue
 		}
 		horizon = min(horizon, te.expiry)
-		via := *p.routes.Get(uint32(cur)) // copied: Put below may move it
+		via := p.routes[cur]
 		for _, adv := range te.body.Advertised {
 			if adv == p.self {
 				continue
 			}
-			if r, fresh := p.routes.Put(adv); fresh {
+			p.routes = fit(p.routes, adv)
+			if r := &p.routes[adv]; r.hops == 0 {
 				*r = route{nh: via.nh, hops: via.hops + 1}
 				queue = append(queue, adv)
 			}
@@ -691,8 +760,8 @@ func (p *Protocol) RecvData(_ netstack.NodeID, pkt *netstack.DataPacket) { p.for
 // forward sends pkt to its next hop on the current routes, or drops it.
 func (p *Protocol) forward(pkt *netstack.DataPacket) {
 	p.recompute()
-	r := p.routes.Get(uint32(pkt.Dst))
-	if r == nil {
+	r := p.routeTo(pkt.Dst)
+	if r.hops == 0 {
 		p.node.DropData(pkt, netstack.DropNoRoute)
 		return
 	}

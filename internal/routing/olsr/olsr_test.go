@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-	"unsafe"
 	"weak"
 
 	"slr/internal/geo"
@@ -101,7 +100,7 @@ func TestTCFloodBuildsRemoteRoutes(t *testing.T) {
 		t.Fatalf("route 0->5 next hop = %v, want [1]", got)
 	}
 	p.recompute()
-	if r := p.routes.Get(5); r == nil || r.hops != 5 {
+	if r := p.routeTo(5); r.hops != 5 {
 		t.Fatalf("route to 5 = %+v, want 5 hops", r)
 	}
 }
@@ -215,8 +214,10 @@ func TestScratchIsolation(t *testing.T) {
 		b.coverTwoHop(s, now)
 		b.rebuildRoutes(s)
 		routes := map[netstack.NodeID]route{}
-		for i := range b.routes.Len() {
-			routes[b.routes.KeyAt(i)] = *b.routes.At(i)
+		for dst, r := range b.routes {
+			if r.hops != 0 {
+				routes[netstack.NodeID(dst)] = r
+			}
 		}
 		return slices.Clone(b.mprs), routes
 	}
@@ -253,30 +254,26 @@ func TestScratchIsolation(t *testing.T) {
 // alone held 27 of 61 sampled MB at the end of a trial when an entry
 // carried its own slice header (48 bytes with the key), and 22.7 of 38.2
 // MB in use when it held the TC's sequence number beside a pointer to the
-// advertised ids and a 64-bit key (32 bytes). The slab entries, key
-// included, are read from the tables' own slabs; a field added to either
-// record spills its entry.
+// advertised ids and a 64-bit key (32 bytes). Both tables are dense, slices
+// indexed by node id with no key beside an entry; the element sizes are
+// read from Protocol's own fields, so a field added to either record, or
+// a table that stops being a plain slice, fails here.
 func TestRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(topoEntry{}); n != 16 {
-		t.Errorf("topoEntry is %d bytes, want 16 (one pointer to the TC body, expiry)", n)
+	if n := denseElem(t, "topo").Size(); n != 16 {
+		t.Errorf("a topology-table entry is %d bytes, want 16 (one pointer to the TC body, expiry)", n)
 	}
-	if n := slabElem[rcommon.IDTable[topoEntry]](t).Size(); n != 24 {
-		t.Errorf("a topology-table entry is %d bytes, want 24 (topoEntry, 32-bit key)", n)
-	}
-	if n := unsafe.Sizeof(route{}); n != 8 {
-		t.Errorf("route is %d bytes, want 8 (two int32s)", n)
-	}
-	if n := slabElem[rcommon.IDTable[route]](t).Size(); n != 12 {
-		t.Errorf("a route-table entry is %d bytes, want 12 (route, 32-bit key)", n)
+	if n := denseElem(t, "routes").Size(); n != 8 {
+		t.Errorf("a route-table entry is %d bytes, want 8 (two int32s)", n)
 	}
 }
 
-// slabElem returns the element type of table type T's slab.
-func slabElem[T any](t *testing.T) reflect.Type {
+// denseElem returns the element type of Protocol's field name, which must
+// be a slice.
+func denseElem(t *testing.T, name string) reflect.Type {
 	t.Helper()
-	f, ok := reflect.TypeFor[T]().FieldByName("slab")
+	f, ok := reflect.TypeFor[Protocol]().FieldByName(name)
 	if !ok || f.Type.Kind() != reflect.Slice {
-		t.Fatalf("%v has no slab slice", reflect.TypeFor[T]())
+		t.Fatalf("Protocol.%s is not a slice", name)
 	}
 	return f.Type.Elem()
 }
@@ -680,7 +677,7 @@ func TestHandleTCAllocs(t *testing.T) {
 	// as every originator sends it.
 	m := flooded(tc{Orig: 9, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}}, TTL: 1})
 	p.handleTC(1, m)
-	if te := p.topo.Get(9); te == nil || te.body != m.Body {
+	if te := p.topoOf(9); te.body != m.Body {
 		t.Fatalf("topology entry of 9 = %+v, want the TC's body %+v", te, m.Body)
 	}
 	if n := testing.AllocsPerRun(200, func() { p.handleTC(1, m) }); n != 0 {
@@ -759,10 +756,10 @@ func TestTCBodySharedByReceivers(t *testing.T) {
 	heard := func() weak.Pointer[tcBody] {
 		p.sendTC()
 		w.Sim.RunUntil(w.Sim.Now() + 50*time.Millisecond)
-		sent := receivers[0].topo.Get(1)
+		sent := receivers[0].topoOf(1)
 		for _, r := range receivers {
-			te := r.topo.Get(1)
-			if te == nil || te.body.Seq != p.tcSeq {
+			te := r.topoOf(1)
+			if te.body == nil || te.body.Seq != p.tcSeq {
 				t.Fatalf("node %d holds %+v for node 1, want the entry of TC %d", r.self, te, p.tcSeq)
 			}
 			if adv := te.body.Advertised; !slices.IsSorted(adv) || !slices.Contains(adv, 40) || len(adv) < 3 {
@@ -809,7 +806,7 @@ func TestTCBodyAliasedNotCopied(t *testing.T) {
 	p0.handleTC(1, m)
 	p2.handleTC(1, m)
 	for _, p := range []*Protocol{p0, p2} {
-		if te := p.topo.Get(9); te == nil || te.body != first {
+		if te := p.topoOf(9); te.body != first {
 			t.Fatalf("node %d's entry of 9 = %+v, want it to hold the TC's body", p.self, te)
 		}
 	}
@@ -819,7 +816,7 @@ func TestTCBodyAliasedNotCopied(t *testing.T) {
 		n := flooded(tc{Orig: 9, Body: &tcBody{Seq: seq, Advertised: later}, TTL: 1})
 		linkVer := p0.linkVer
 		p0.handleTC(1, n)
-		if te := p0.topo.Get(9); te.body != n.Body || !slices.Equal(te.body.Advertised, later) {
+		if te := p0.topoOf(9); te.body != n.Body || !slices.Equal(te.body.Advertised, later) {
 			t.Fatalf("entry of 9 = %+v after TC %d, want its body %v", *te.body, seq, later)
 		}
 		if p0.linkVer == linkVer {
@@ -833,14 +830,14 @@ func TestTCBodyAliasedNotCopied(t *testing.T) {
 	// and the next sequence number, then a content-identical refresh, and
 	// returns the first of the two as a weak pointer.
 	superseded := func() weak.Pointer[tcBody] {
-		held := p0.topo.Get(9).body
+		held := p0.topoOf(9).body
 		older := &tcBody{Seq: seq + 1, Advertised: slices.Clone(held.Advertised)}
 		newer := &tcBody{Seq: seq + 2, Advertised: slices.Clone(held.Advertised)}
 		seq += 2
 		linkVer := p0.linkVer
 		p0.handleTC(1, flooded(tc{Orig: 9, Body: older, TTL: 1}))
 		p0.handleTC(1, flooded(tc{Orig: 9, Body: newer, TTL: 1}))
-		if te := p0.topo.Get(9); te.body != newer {
+		if te := p0.topoOf(9); te.body != newer {
 			t.Fatalf("entry of 9 holds %+v after a content-identical refresh, want its body %+v", *te.body, *newer)
 		}
 		if p0.linkVer != linkVer {

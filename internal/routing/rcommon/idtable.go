@@ -26,7 +26,7 @@ import (
 // at up to 3/4 load: it doubles when an entry would take it past that.
 //
 // Pointer validity: a *T returned by Get, Put or At points into the slab.
-// It is valid until the next Put, Delete or Reset on the same table — Put
+// It is valid until the next Put or Delete on the same table — Put
 // may move the slab to grow it, Delete moves the last entry into the freed
 // slot — and must not be kept, or captured by a closure, past any of them.
 //
@@ -100,8 +100,8 @@ func (t *IDTable[T]) locate(key uint32) (pos uint32, s uint32, tag uint32) {
 // key rather than a NodeID, and is locate and idHash written out, so that
 // it stays within the inliner's budget (make inline checks it; cost 75 of
 // 80 at its shape instantiation, and 81 with a NodeID argument converted
-// inside): Get is the flood hot path
-// (route and topology lookups on every RREQ and TC heard), the other
+// inside): Get is the per-message lookup (SRP's route on every RREQ heard
+// and data packet forwarded, OLSR's neighbor on every TC heard), the other
 // operations are not. x = slot ^ tag is tag exactly at an empty slot (an
 // entry's position bits are never 0), and it is at most mask, the slab
 // position + 1, exactly when the tags match.
@@ -143,14 +143,6 @@ func (t *IDTable[T]) Put(id netstack.NodeID) (v *T, fresh bool) {
 	t.slab = append(t.slab, idEntry[T]{key: key})
 	t.index[pos] = tag | uint32(len(t.slab))
 	return &t.slab[len(t.slab)-1].val, true
-}
-
-// Reset removes every entry and keeps the slab's and the index's storage,
-// so a table emptied and refilled to the same size allocates nothing.
-func (t *IDTable[T]) Reset() {
-	clear(t.slab) // drop what the values referenced
-	t.slab = t.slab[:0]
-	clear(t.index)
 }
 
 // grow doubles the index and re-enters every slot.

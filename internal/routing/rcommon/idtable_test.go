@@ -52,14 +52,6 @@ func (m *idModel) del(key netstack.NodeID) {
 	m.check(key)
 }
 
-// reset empties the table and the map, then checks key.
-func (m *idModel) reset(key netstack.NodeID) {
-	m.step++
-	m.tab.Reset()
-	clear(m.ref)
-	m.check(key)
-}
-
 // check compares presence and value of key, Len, and every slot.
 func (m *idModel) check(key netstack.NodeID) {
 	m.step++
@@ -104,13 +96,11 @@ func TestIDTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m := newIDModel(t)
 	const full = 280 // entries; needs a 512-slot index, six doublings from 8
-	filling, peak, emptied, resets := true, 0, 0, 0
+	filling, peak, emptied := true, 0, 0
 	for s := 0; s < steps; s++ {
 		key := keys[rng.Intn(len(keys))]
 		// Fill with random keys until nearly all are in, then empty the
-		// table — every other round by draining occupied slots one by one,
-		// otherwise by one Reset, whose kept storage the next round
-		// refills — and go round.
+		// table by draining occupied slots one by one, and go round.
 		r := rng.Intn(100)
 		switch {
 		case r < 10:
@@ -125,10 +115,6 @@ func TestIDTableMatchesMap(t *testing.T) {
 		n := m.tab.Len()
 		peak = max(peak, n)
 		switch {
-		case n >= full && emptied%2 == 1:
-			m.reset(key)
-			resets++
-			emptied++
 		case n >= full:
 			filling = false
 		case n == 0:
@@ -136,9 +122,9 @@ func TestIDTableMatchesMap(t *testing.T) {
 			emptied++
 		}
 	}
-	if peak < full || emptied < 2 || resets < 2 {
-		t.Fatalf("walk reached %d entries and emptied the table %d times, %d by Reset; want >= %d, >= 2 and >= 2",
-			peak, emptied, resets, full)
+	if peak < full || emptied < 2 {
+		t.Fatalf("walk reached %d entries and emptied the table %d times; want >= %d and >= 2",
+			peak, emptied, full)
 	}
 	if m.tab.Get(1<<31) != nil || m.tab.Delete(1<<40) {
 		t.Fatal("a key never put is present")
@@ -324,8 +310,8 @@ func TestIDTableZeroValue(t *testing.T) {
 // holds the table to the map after every one; an op byte with its top bit
 // set picks from collidingKeys instead. The seeds fill the table past
 // several growths, empty it front to back and back to front, hammer one
-// probe run, refill a Reset table into its kept storage, and fill and
-// churn the colliding keys.
+// probe run, refill a partly drained table, and fill and churn the
+// colliding keys.
 func FuzzIDTable(f *testing.F) {
 	var fill, drainUp, drainDown, churn, collide []byte
 	for i := 0; i < 256; i++ {
@@ -342,7 +328,7 @@ func FuzzIDTable(f *testing.F) {
 	f.Add(append(append([]byte{}, fill...), drainUp...))
 	f.Add(append(append([]byte{}, fill...), drainDown...))
 	f.Add(churn)
-	f.Add(append(append(append(append([]byte{}, fill...), 4, 0), drainDown[:64]...), fill...))
+	f.Add(append(append(append([]byte{}, fill...), drainDown[:64]...), fill...))
 	f.Add(collide)
 	keys, colliding := idKeys(256), collidingKeys(256)
 
@@ -353,15 +339,13 @@ func FuzzIDTable(f *testing.F) {
 			if ops[i]&0x80 != 0 {
 				key = colliding[ops[i+1]]
 			}
-			switch ops[i] & 0x7f % 5 {
+			switch ops[i] & 0x7f % 4 {
 			case 0, 1:
 				m.put(key)
 			case 2:
 				m.del(key)
-			case 3:
-				m.check(key)
 			default:
-				m.reset(key)
+				m.check(key)
 			}
 		}
 	})

@@ -18,8 +18,13 @@
 //     in (idtable.go).
 //
 // Node ids are dense 0…N-1, so per-destination state is an indexing
-// problem, not a hashing one — but not an [N]-array one either: 5000 nodes
-// with a slot per destination is 25 M slots for tables that hold dozens.
+// problem, not a hashing one. Which index depends on the key set a table
+// holds by the protocol's design. A table whose keys are the whole network
+// (OLSR's topology and routes: every originator's TC reaches every node)
+// is a slice indexed by node id, zero meaning no entry, grown on the first
+// write past its end: a lookup reads one entry. A table keyed by a
+// neighborhood or by the active flows is an IDTable: 5000 nodes with a
+// slot per destination would be 25 M slots for tables that hold dozens.
 // IDTable keeps values by value in a slab sized to what a node has
 // actually heard of, behind a small index of 4-byte slots; there is no
 // heap object per entry, and a pointer into the slab is good only until

@@ -10,12 +10,15 @@
 # either build fails on it. The specs it reads are never written. Run it
 # from the repository root: make identity BASE=<rev>.
 #
-# The cases: the four cmd/slrbench workloads at seed 1000; table1-mid under
-# each protocol (its six trials); 120 s of paper-default under each protocol
-# with the loop checker on; SRP with fast expiry, hellos and round-robin
-# multipath (CI's fast-expiry step); the aodv-aggressive spec; the -pause
-# and -speed overlay on paper-default and on manhattan-500, whose model it
-# resets to waypoint; and the small-scale paper grid of cmd/experiments.
+# The 20 cases: the four cmd/slrbench workloads at seed 1000; 10 s of
+# olsr-1000 with the loop checker on, the one case whose checker reads
+# route tables above 100 nodes (it prints one violation); table1-mid under
+# each protocol (its six trials); 120 s of paper-default under each
+# protocol with the loop checker on; SRP with fast expiry, hellos and
+# round-robin multipath (CI's fast-expiry step); the aodv-aggressive spec;
+# the -pause and -speed overlay on paper-default and on manhattan-500,
+# whose model it resets to waypoint; and the small-scale paper grid of
+# cmd/experiments.
 set -eu
 
 base=${1:?usage: scripts/identity.sh <rev>}
@@ -67,6 +70,7 @@ run() {
 for w in table1-mid city-500 flood-5000 olsr-1000; do
 	run "workload-$w" slrsim -spec "cmd/slrbench/workloads/$w.json" -seed 1000
 done
+run olsr-1000-check slrsim -spec cmd/slrbench/workloads/olsr-1000.json -seed 1000 -duration 10s -check
 for p in SRP LDR AODV DSR OLSR; do
 	run "table1-mid-$p" slrsim -spec cmd/slrbench/workloads/table1-mid.json -protocol "$p" -seed 1000 -trials 6
 done
