@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,6 +172,28 @@ func TestManhattanRejectsOversizedBlock(t *testing.T) {
 	_, err := Build(geo.Terrain{Width: 1000, Height: 600}, rand.New(rand.NewSource(1)), spec)
 	if err == nil {
 		t.Fatal("oversized block_m accepted")
+	}
+}
+
+// TestGaussMarkovRefusesOutOfRange verifies gauss-markov refuses a knob
+// out of its range, naming it, instead of clamping it to one in range: a
+// memory parameter outside [0, 1], a step shorter than a nanosecond or
+// past what a sim.Time holds, a negative spread.
+func TestGaussMarkovRefusesOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		key string
+		v   float64
+	}{
+		{"alpha", -0.1}, {"alpha", 1.5},
+		{"step_seconds", 0}, {"step_seconds", -1}, {"step_seconds", 1e-10}, {"step_seconds", 1e10},
+		{"speed_sigma", -1}, {"dir_sigma", -0.4},
+	} {
+		spec := conformanceSpec("gauss-markov")
+		spec.Params = map[string]float64{c.key: c.v}
+		_, err := Build(geo.Terrain{Width: 1000, Height: 600}, rand.New(rand.NewSource(1)), spec)
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("gauss-markov %s=%v: err %v, want a refusal naming it", c.key, c.v, err)
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
 	"slr/internal/geo"
+	"slr/internal/registry"
 	"slr/internal/sim"
 )
 
@@ -21,10 +23,11 @@ import (
 // Brownian. Nodes reflect off terrain edges, which also re-aims the mean
 // direction so they drift back inside.
 //
-// Spec.Params knobs: "alpha" (default 0.75), "step_seconds" (default 1),
-// "speed_sigma" (default (max-min)/4), "dir_sigma" in radians (default
-// 0.4). Speed is clamped to [MinSpeed, MaxSpeed], so the model honours the
-// Spec.MaxSpeed drift contract.
+// Spec.Params knobs: "alpha" in [0, 1] (default 0.75), "step_seconds" of
+// at least a nanosecond (default 1), "speed_sigma" >= 0 (default
+// (max-min)/4), "dir_sigma" >= 0 in radians (default 0.4); a value out of
+// range is an error. Speed is clamped to [MinSpeed, MaxSpeed], so the
+// model honours the Spec.MaxSpeed drift contract.
 type GaussMarkov struct {
 	terrain geo.Terrain
 	rng     *rand.Rand
@@ -49,36 +52,61 @@ type GaussMarkov struct {
 
 var _ Model = (*GaussMarkov)(nil)
 
+// gaussMarkovParams are the model's Spec.Params knobs in spec units.
+type gaussMarkovParams struct {
+	alpha, stepSeconds, speedSigma, dirSigma float64
+}
+
+// gaussMarkovAppliers are gauss-markov's Spec.Params keys.
+var gaussMarkovAppliers = map[string]registry.Applier[gaussMarkovParams]{
+	"alpha":        registry.Real(func(k *gaussMarkovParams, v float64) { k.alpha = v }),
+	"step_seconds": registry.Real(func(k *gaussMarkovParams, v float64) { k.stepSeconds = v }),
+	"speed_sigma":  registry.Real(func(k *gaussMarkovParams, v float64) { k.speedSigma = v }),
+	"dir_sigma":    registry.Real(func(k *gaussMarkovParams, v float64) { k.dirSigma = v }),
+}
+
 // NewGaussMarkov returns a Gauss-Markov model starting at a uniform random
 // point with a uniform random heading.
-func NewGaussMarkov(t geo.Terrain, rng *rand.Rand, s Spec) *GaussMarkov {
+func NewGaussMarkov(t geo.Terrain, rng *rand.Rand, s Spec) (*GaussMarkov, error) {
 	// maxSpeed is the hard contract the radio grid trusts; an inverted
 	// range clamps the floor down, never the ceiling up.
 	minSpeed, maxSpeed := s.MinSpeed, s.MaxSpeed
 	if minSpeed > maxSpeed {
 		minSpeed = maxSpeed
 	}
-	step := sim.Time(s.param("step_seconds", 1) * float64(time.Second))
-	if step <= 0 {
-		step = time.Second
+	k, err := registry.ApplyParams("mobility: gauss-markov", s.Params, gaussMarkovAppliers,
+		gaussMarkovParams{alpha: 0.75, stepSeconds: 1, speedSigma: (maxSpeed - minSpeed) / 4, dirSigma: 0.4})
+	if err != nil {
+		return nil, err
+	}
+	// The step is converted to whole nanoseconds, so it must be at least
+	// one and fit a sim.Time.
+	stepNs := k.stepSeconds * float64(time.Second)
+	switch {
+	case !(k.alpha >= 0 && k.alpha <= 1):
+		return nil, fmt.Errorf("mobility: gauss-markov alpha %v must be in [0, 1]", k.alpha)
+	case !(stepNs >= 1 && stepNs < math.MaxInt64):
+		return nil, fmt.Errorf("mobility: gauss-markov step_seconds %v must be at least 1 ns and fit a sim.Time", k.stepSeconds)
+	case k.speedSigma < 0 || k.dirSigma < 0:
+		return nil, fmt.Errorf("mobility: gauss-markov speed_sigma %v and dir_sigma %v must be >= 0", k.speedSigma, k.dirSigma)
 	}
 	g := &GaussMarkov{
 		terrain:    t,
 		rng:        rng,
-		alpha:      math.Min(math.Max(s.param("alpha", 0.75), 0), 1),
+		alpha:      k.alpha,
 		meanSpeed:  (minSpeed + maxSpeed) / 2,
 		minSpeed:   minSpeed,
 		maxSpeed:   maxSpeed,
-		sigmaSpeed: s.param("speed_sigma", (maxSpeed-minSpeed)/4),
-		sigmaDir:   s.param("dir_sigma", 0.4),
-		step:       step,
+		sigmaSpeed: k.speedSigma,
+		sigmaDir:   k.dirSigma,
+		step:       sim.Time(stepNs),
 	}
 	g.from = randPoint(t, rng)
 	g.dir = rng.Float64() * 2 * math.Pi
 	g.meanDir = g.dir
 	g.speed = g.meanSpeed
 	g.to = g.advanceFrom(g.from)
-	return g
+	return g, nil
 }
 
 // Position returns the node's position at time t, advancing steps as needed.

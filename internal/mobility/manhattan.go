@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"slr/internal/geo"
+	"slr/internal/registry"
 	"slr/internal/sim"
 )
 
@@ -45,10 +46,19 @@ type Manhattan struct {
 
 var _ Model = (*Manhattan)(nil)
 
+// manhattanAppliers are manhattan's Spec.Params keys; each sets the
+// block side in meters.
+var manhattanAppliers = map[string]registry.Applier[float64]{
+	"block_m": registry.Real(func(block *float64, v float64) { *block = v }),
+}
+
 // NewManhattan returns a Manhattan model starting at a uniform random
 // intersection with a uniform random valid heading.
 func NewManhattan(t geo.Terrain, rng *rand.Rand, s Spec) (*Manhattan, error) {
-	block := s.param("block_m", 100)
+	block, err := registry.ApplyParams("mobility: manhattan", s.Params, manhattanAppliers, 100)
+	if err != nil {
+		return nil, err
+	}
 	if block <= 0 {
 		return nil, fmt.Errorf("mobility: manhattan block_m %v must be positive", block)
 	}

@@ -28,13 +28,9 @@ type Spec struct {
 	// a natural stopping point.
 	Pause sim.Time
 	// Params carries model-specific tuning knobs; missing keys take the
-	// model's documented defaults.
+	// model's documented defaults, and a key the model does not have is
+	// an error (registry.ApplyParams).
 	Params map[string]float64
-}
-
-// param returns the named model parameter or its default.
-func (s Spec) param(name string, def float64) float64 {
-	return registry.Param(s.Params, name, def)
 }
 
 // Factory builds a model for one node. Each node gets its own rng stream so
@@ -62,13 +58,19 @@ func Build(t geo.Terrain, rng *rand.Rand, s Spec) (Model, error) {
 
 func init() {
 	Register("static", func(t geo.Terrain, rng *rand.Rand, s Spec) (Model, error) {
+		if err := registry.NoParams("mobility: static", s.Params); err != nil {
+			return nil, err
+		}
 		return &Static{At: randPoint(t, rng)}, nil
 	})
 	Register("waypoint", func(t geo.Terrain, rng *rand.Rand, s Spec) (Model, error) {
+		if err := registry.NoParams("mobility: waypoint", s.Params); err != nil {
+			return nil, err
+		}
 		return NewWaypoint(t, rng, s.MinSpeed, s.MaxSpeed, s.Pause), nil
 	})
 	Register("gauss-markov", func(t geo.Terrain, rng *rand.Rand, s Spec) (Model, error) {
-		return NewGaussMarkov(t, rng, s), nil
+		return NewGaussMarkov(t, rng, s)
 	})
 	Register("manhattan", func(t geo.Terrain, rng *rand.Rand, s Spec) (Model, error) {
 		return NewManhattan(t, rng, s)

@@ -70,10 +70,19 @@ const gridSlackFraction = 0.25
 
 // newGrid sizes a grid for the given propagation reach and speed bound.
 // maxSpeed 0 means stations are known never to move: no slack, no
-// refreshing. A bound so large (or infinite: a teleporting Trace) that the
-// epoch rounds to no time at all panics — every transmission would re-cache
-// every station.
-func newGrid(maxRange, maxSpeed float64) *grid {
+// refreshing. It refuses a maxRange that is not finite and positive (the
+// cells are sized from it), and a speed bound that leaves no epoch of
+// whole nanoseconds that fits a sim.Time: one so large (or infinite: a
+// teleporting Trace) that the epoch rounds to no time at all, when every
+// transmission would re-cache every station, or one so small that it does
+// not fit.
+func newGrid(maxRange, maxSpeed float64) (*grid, error) {
+	if !(maxRange > 0 && maxRange <= math.MaxFloat64) {
+		return nil, fmt.Errorf("radio: propagation MaxRange %v m must be finite and positive", maxRange)
+	}
+	if !(maxSpeed >= 0) {
+		return nil, fmt.Errorf("radio: MaxSpeed %v m/s must be >= 0", maxSpeed)
+	}
 	g := &grid{
 		cell:  maxRange,
 		inv:   1 / maxRange,
@@ -87,12 +96,13 @@ func newGrid(maxRange, maxSpeed float64) *grid {
 		// Truncated to whole nanoseconds, so an epoch is never longer
 		// than slack / MaxSpeed and drift stays under slack with no
 		// epsilon.
-		g.refresh = sim.Time(g.slack / maxSpeed * float64(time.Second))
-		if g.refresh <= 0 {
-			panic(fmt.Sprintf("radio: MaxSpeed %.3f m/s leaves no refresh epoch over %.3f m of slack", maxSpeed, g.slack))
+		epoch := g.slack / maxSpeed * float64(time.Second)
+		if !(epoch >= 1 && epoch < math.MaxInt64) {
+			return nil, fmt.Errorf("radio: MaxSpeed %v m/s leaves no refresh epoch over %v m of slack", maxSpeed, g.slack)
 		}
+		g.refresh = sim.Time(epoch)
 	}
-	return g
+	return g, nil
 }
 
 // drift bounds how far any station can be from its cached position at now:
@@ -211,7 +221,7 @@ func (g *grid) query(pos geo.Point) []int32 {
 				if pos.Dist2(st.cachedPos) <= r2 {
 					in = 1
 				}
-				g.marks[st.idx>>6] |= in << (uint(st.idx) & 63)
+				g.marks[st.id>>6] |= in << (uint(st.id) & 63)
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func (o *oracle) audible(sender *station, pos geo.Point) []hit {
 	now := o.ch.sim.Now()
 	max := o.prop.MaxRange()
 	var out []hit
-	for _, st := range o.ch.byIdx {
+	for _, st := range o.ch.stations {
 		if st == sender {
 			continue
 		}
@@ -74,7 +74,7 @@ func (o *oracle) check(id NodeID) []NodeID {
 	if o.ch.listBuilds != before {
 		o.builds++
 		reach := o.ch.grid.reach
-		for _, st := range o.ch.byIdx {
+		for _, st := range o.ch.stations {
 			if st != sender && sender.cachedPos.Dist2(st.cachedPos) <= reach*reach {
 				o.inBuild++
 			}
@@ -107,7 +107,7 @@ func (o *oracle) transmit(f *Frame) {
 func register(t *testing.T, ch *Channel, n int, terrain geo.Terrain, spec mobility.Spec) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		id := NodeID(len(ch.byIdx))
+		id := NodeID(len(ch.stations))
 		m, err := mobility.Build(terrain, rand.New(rand.NewSource(int64(1000+id))), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +239,7 @@ func TestGridLateRegistrationMatchesLinear(t *testing.T) {
 	s.At(100*time.Second, func() { register(t, ch, late, terrain, waypoint) })
 	driveRandomTraffic(s, o, n+late, 300, 100*time.Second+1, 300*time.Second, 6)
 	s.Run()
-	heard := heardAFrame(ch.byIdx[n:])
+	heard := heardAFrame(ch.stations[n:])
 	if o.checks != 900 || heard == 0 {
 		t.Fatalf("%d checks, %d of %d late stations ever heard a frame", o.checks, heard, late)
 	}
@@ -327,7 +327,7 @@ func TestHearerListMatchesOracle(t *testing.T) {
 				driveRandomTraffic(s, o, n+late, 100, 100*time.Second+1, 200*time.Second, seed+8)
 				s.Run()
 
-				heard := heardAFrame(ch.byIdx[n:])
+				heard := heardAFrame(ch.stations[n:])
 				if o.checks != 340 || o.inMax < o.checks*dense || heard == 0 {
 					t.Fatalf("seed %d: %d checks with %d stations within MaxRange in all (want more than %d each), %d of %d late stations ever heard a frame",
 						seed, o.checks, o.inMax, dense, heard, late)

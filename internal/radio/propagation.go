@@ -40,13 +40,9 @@ type PropSpec struct {
 	// Empty means "unit-disk".
 	Model string `json:"model,omitempty"`
 	// Params carries model-specific knobs (e.g. shadowing's "sigma_db");
-	// missing keys take documented defaults.
+	// missing keys take documented defaults, and a key the model does not
+	// have is an error (registry.ApplyParams).
 	Params map[string]float64 `json:"params,omitempty"`
-}
-
-// param returns the named model parameter or its default.
-func (s PropSpec) param(name string, def float64) float64 {
-	return registry.Param(s.Params, name, def)
 }
 
 // PropFactory builds a propagation model from the channel parameters
@@ -133,19 +129,23 @@ type shadowing struct {
 	max   float64
 }
 
+// shadowingAppliers are shadowing's PropSpec.Params keys.
+var shadowingAppliers = map[string]registry.Applier[shadowing]{
+	"sigma_db":     registry.Real(func(s *shadowing, v float64) { s.sigma = v }),
+	"pathloss_exp": registry.Real(func(s *shadowing, v float64) { s.n = v }),
+}
+
 func newShadowing(p Params, spec PropSpec) (Propagation, error) {
-	sigma := spec.param("sigma_db", 4)
-	n := spec.param("pathloss_exp", 3)
-	if sigma < 0 || n <= 0 {
-		return nil, fmt.Errorf("radio: shadowing sigma_db %v must be >= 0 and pathloss_exp %v > 0", sigma, n)
+	s, err := registry.ApplyParams("radio: shadowing", spec.Params, shadowingAppliers,
+		shadowing{r: p.Range, seed: p.Seed, sigma: 4, n: 3})
+	if err != nil {
+		return nil, err
 	}
-	return shadowing{
-		r:     p.Range,
-		seed:  p.Seed,
-		sigma: sigma,
-		n:     n,
-		max:   p.Range * math.Pow(10, 3*sigma/(10*n)),
-	}, nil
+	if s.sigma < 0 || s.n <= 0 {
+		return nil, fmt.Errorf("radio: shadowing sigma_db %v must be >= 0 and pathloss_exp %v > 0", s.sigma, s.n)
+	}
+	s.max = p.Range * math.Pow(10, 3*s.sigma/(10*s.n))
+	return s, nil
 }
 
 func (s shadowing) MaxRange() float64 { return s.max }
@@ -161,7 +161,10 @@ func (s shadowing) LinkRange(a, b NodeID) float64 {
 }
 
 func init() {
-	RegisterPropagation("unit-disk", func(p Params, _ PropSpec) (Propagation, error) {
+	RegisterPropagation("unit-disk", func(p Params, spec PropSpec) (Propagation, error) {
+		if err := registry.NoParams("radio: unit-disk", spec.Params); err != nil {
+			return nil, err
+		}
 		return unitDisk{r: p.Range}, nil
 	})
 	RegisterPropagation("shadowing", newShadowing)

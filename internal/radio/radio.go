@@ -154,9 +154,8 @@ type transmission struct {
 // candidate) in the first. Its hearer list lives outside it, behind
 // Channel.lists.
 type station struct {
-	id   NodeID
-	idx  int32 // registration order, the deterministic iteration key
-	slot int32 // index in its grid cell's bucket
+	id   NodeID // its index in Channel.stations, the deterministic iteration key
+	slot int32  // index in its grid cell's bucket
 	mob  mobility.Model
 	// cachedPos is the position the spatial grid last cached (see grid).
 	cachedPos geo.Point
@@ -175,9 +174,9 @@ type station struct {
 // station has already moved the generation off zero.
 type hearerList struct {
 	gen uint64
-	// The peers, by registration index, are Channel.peers[off : off+n];
-	// their cached positions are read through Channel.byIdx, as
-	// grid.query reads them.
+	// The peers, by id, are Channel.peers[off : off+n]; their cached
+	// positions are read through Channel.stations, as grid.query reads
+	// them.
 	off, n int32
 	// The links' ranges, asked of the propagation model once, when the
 	// list was built, are Channel.ranges[lrs : lrs+n] — or, when every one
@@ -189,18 +188,15 @@ type hearerList struct {
 // Channel is the shared medium. It is not safe for concurrent use; a
 // simulation run is single-threaded by construction.
 type Channel struct {
-	sim      *sim.Simulator
-	p        Params
-	prop     Propagation
-	stations map[NodeID]*station
-	// byID is a dense lookup table over non-negative IDs (the scenario
-	// assigns 0..N-1): the per-frame entry points (Busy, IdleAt, SetNAV,
-	// Transmit) resolve stations without hashing. Sparse or exotic IDs
-	// fall back to the map.
-	byID  []*station
-	byIdx []*station // stations in registration order, the deterministic iteration key
-	grid  *grid
-	// lists holds every station's hearer list header, indexed like byIdx;
+	sim  *sim.Simulator
+	p    Params
+	prop Propagation
+	// stations is indexed by id: Register takes ids 0, 1, 2, ... in
+	// order, so id order is registration order, the deterministic
+	// iteration key.
+	stations []*station
+	grid     *grid
+	// lists holds every station's hearer list header, indexed by id;
 	// peers and ranges are the arenas holding every list of generation
 	// arenaGen, each list contiguous and exactly as long as it is (see
 	// hearers).
@@ -218,60 +214,66 @@ type Channel struct {
 	listBuilds uint64 // hearer lists built; read by tests and benchmarks
 }
 
-// NewChannel returns an empty channel bound to the simulator. An
-// unregistered Params.Propagation model or a model without a positive
-// MaxRange panics: spec loading validates model names and range_m, so
-// reaching here with either is a wiring bug.
-func NewChannel(s *sim.Simulator, p Params) *Channel {
+// Validate reports whether a channel can be built on p: its propagation
+// model is registered and takes its params, and the spatial grid can be
+// sized for the model's MaxRange and p.MaxSpeed (see newGrid). NewChannel
+// panics exactly when Validate returns an error, so spec loading calls it
+// to refuse such a scenario before any trial starts.
+func Validate(p Params) error {
+	_, _, err := newMedium(p)
+	return err
+}
+
+// newMedium builds p's propagation model and the grid that indexes it.
+func newMedium(p Params) (Propagation, *grid, error) {
 	prop, err := NewPropagation(p)
 	if err != nil {
-		panic(err)
+		return nil, nil, err
 	}
-	max := prop.MaxRange()
-	if !(max > 0) {
-		panic(fmt.Sprintf("radio: propagation MaxRange %.3f m (Params.Range %.3f m) must be positive", max, p.Range))
+	g, err := newGrid(prop.MaxRange(), p.MaxSpeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prop, g, nil
+}
+
+// NewChannel returns an empty channel bound to the simulator. Params that
+// Validate refuses panic: spec loading validates them, so reaching here
+// with such Params is a wiring bug.
+func NewChannel(s *sim.Simulator, p Params) *Channel {
+	prop, g, err := newMedium(p)
+	if err != nil {
+		panic(err)
 	}
 	return &Channel{
 		sim:      s,
 		p:        p,
 		prop:     prop,
-		stations: make(map[NodeID]*station),
-		grid:     newGrid(max, p.MaxSpeed),
-		maxRange: max,
+		grid:     g,
+		maxRange: prop.MaxRange(),
 	}
 }
 
-// Register attaches a station with its mobility model and frame receiver.
-// Registering the same id twice panics: it is a wiring bug.
+// Register attaches station id with its mobility model and frame
+// receiver. Ids are registered in order, 0 first, so a station's id is
+// its index in every table the channel keeps; an id registered twice or
+// out of order panics: it is a wiring bug.
 func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
-	if _, dup := c.stations[id]; dup {
-		panic(fmt.Sprintf("radio: station %d registered twice", id))
+	if n := len(c.stations); int(id) != n {
+		panic(fmt.Sprintf("radio: station %d registered twice or out of order (next id is %d)", id, n))
 	}
-	st := &station{id: id, idx: int32(len(c.byIdx)), mob: m, recv: r}
-	c.stations[id] = st
-	c.byIdx = append(c.byIdx, st)
+	st := &station{id: id, mob: m, recv: r}
+	c.stations = append(c.stations, st)
 	c.lists = append(c.lists, hearerList{})
-	if id >= 0 {
-		for int(id) >= len(c.byID) {
-			c.byID = append(c.byID, nil)
-		}
-		c.byID[id] = st
-	}
-	c.grid.insert(st, m.Position(c.sim.Now()), len(c.byIdx))
+	c.grid.insert(st, m.Position(c.sim.Now()), len(c.stations))
 }
 
-// station resolves id through the dense table, falling back to the map
-// for IDs outside it. Every entry point that takes a NodeID goes through
-// it, so an id nobody registered (a wiring bug) panics by name instead of
-// dereferencing nil.
+// station resolves id by index. Every entry point that takes a NodeID
+// goes through it, so an id nobody registered (a wiring bug) panics by
+// name instead of indexing out of range.
 func (c *Channel) station(id NodeID) *station {
-	if id >= 0 && int(id) < len(c.byID) {
-		if st := c.byID[id]; st != nil {
-			return st
-		}
-	}
-	if st := c.stations[id]; st != nil {
-		return st
+	if uint(id) < uint(len(c.stations)) {
+		return c.stations[id]
 	}
 	panic(unregistered(id))
 }
@@ -358,7 +360,7 @@ type hit struct {
 // The slice is scratch, valid until the next call.
 func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 	now := c.sim.Now()
-	c.grid.maybeRefresh(c.byIdx, now)
+	c.grid.maybeRefresh(c.stations, now)
 	if c.grid.refresh == 0 && pos != sender.cachedPos {
 		panic(fmt.Sprintf("radio: station %d moved from %v to %v but Params.MaxSpeed is 0 (stations never move); pass a true speed bound",
 			sender.id, sender.cachedPos, pos))
@@ -366,8 +368,8 @@ func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 	drift := c.grid.drift(now)
 	c.hits = c.hits[:0]
 	peers, ranges := c.hearers(sender)
-	for i, idx := range peers {
-		st := c.byIdx[idx]
+	for i, id := range peers {
+		st := c.stations[id]
 		lr := c.maxRange
 		if ranges != nil {
 			lr = ranges[i]
@@ -414,7 +416,7 @@ func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 // there serves three or four frames, the same harness (grid/N=500) read
 // 1.55 us before the lists and 1.25 with them.
 func (c *Channel) hearers(sender *station) (peers []int32, ranges []float64) {
-	l := &c.lists[sender.idx]
+	l := &c.lists[sender.id]
 	if l.gen != c.grid.gen {
 		c.buildHearers(sender, l)
 	}
@@ -435,8 +437,8 @@ func (c *Channel) buildHearers(sender *station, l *hearerList) {
 	off, lrs := len(c.peers), len(c.ranges)
 	twoSlack := 2 * c.grid.slack
 	uniform := true
-	for _, idx := range c.grid.query(sender.cachedPos) {
-		st := c.byIdx[idx]
+	for _, id := range c.grid.query(sender.cachedPos) {
+		st := c.stations[id]
 		if st == sender {
 			continue
 		}
@@ -444,7 +446,7 @@ func (c *Channel) buildHearers(sender *station, l *hearerList) {
 		if far := lr + twoSlack; sender.cachedPos.Dist2(st.cachedPos) > far*far {
 			continue
 		}
-		c.peers = append(c.peers, idx)
+		c.peers = append(c.peers, id)
 		c.ranges = append(c.ranges, lr)
 		uniform = uniform && lr == c.maxRange
 	}

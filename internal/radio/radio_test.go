@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -195,6 +196,64 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	ch.Register(0, &mobility.Static{}, &recorder{})
+}
+
+// TestRegisterOutOfOrderPanics verifies stations are registered in id
+// order, 0 first: an id is the station's index in the channel's tables, so
+// a skipped or negative id is a wiring bug.
+func TestRegisterOutOfOrderPanics(t *testing.T) {
+	ch := NewChannel(sim.New(1), DefaultParams())
+	mustPanic(t, func() { ch.Register(1, &mobility.Static{}, &recorder{}) }, "station 1 registered twice or out of order", "next id is 0")
+	ch.Register(0, &mobility.Static{}, &recorder{})
+	mustPanic(t, func() { ch.Register(-1, &mobility.Static{}, &recorder{}) }, "station -1 registered", "next id is 1")
+	mustPanic(t, func() { ch.Register(0, &mobility.Static{}, &recorder{}) }, "station 0 registered twice", "next id is 1")
+}
+
+// TestValidateMatchesNewChannel verifies Validate and NewChannel apply one
+// check: Validate refuses exactly the Params NewChannel panics on, with the
+// same message — an unknown propagation key, a MaxRange that is not
+// finite and positive, and a speed bound with no refresh epoch.
+func TestValidateMatchesNewChannel(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		edit  func(*Params)
+		wants string // "" when the Params are sound
+	}{
+		{"default", func(*Params) {}, ""},
+		{"moving", func(p *Params) { p.MaxSpeed = 20 }, ""},
+		{"shadowing", func(p *Params) {
+			p.Propagation = PropSpec{Model: "shadowing", Params: map[string]float64{"sigma_db": 8}}
+		}, ""},
+		{"unknown key", func(p *Params) { p.Propagation = PropSpec{Model: "shadowing", Params: map[string]float64{"sigma": 12}} }, `unknown parameter "sigma"`},
+		{"unit-disk key", func(p *Params) { p.Propagation = PropSpec{Params: map[string]float64{"sigma_db": 4}} }, `unknown parameter "sigma_db"`},
+		{"infinite sigma", func(p *Params) {
+			p.Propagation = PropSpec{Model: "shadowing", Params: map[string]float64{"sigma_db": 1e300}}
+		}, "MaxRange +Inf"},
+		{"vanishing exponent", func(p *Params) {
+			p.Propagation = PropSpec{Model: "shadowing", Params: map[string]float64{"pathloss_exp": 1e-300}}
+		}, "MaxRange +Inf"},
+		{"zero range", func(p *Params) { p.Range = 0 }, "MaxRange 0"},
+		{"fast", func(p *Params) { p.MaxSpeed = 1e12 }, "no refresh epoch"},
+		{"crawling", func(p *Params) { p.MaxSpeed = 1e-300 }, "no refresh epoch"},
+		{"NaN speed", func(p *Params) { p.MaxSpeed = math.NaN() }, "MaxSpeed NaN"},
+	} {
+		p := DefaultParams()
+		c.edit(&p)
+		err := Validate(p)
+		if c.wants == "" {
+			if err != nil {
+				t.Errorf("%s: Validate = %v", c.name, err)
+			} else {
+				NewChannel(sim.New(1), p)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wants) {
+			t.Errorf("%s: Validate = %v, want an error mentioning %q", c.name, err, c.wants)
+			continue
+		}
+		mustPanic(t, func() { NewChannel(sim.New(1), p) }, err.Error())
+	}
 }
 
 // mustPanic runs f and fails unless it panics with a message containing

@@ -1,8 +1,10 @@
 // Package registry is the tiny generic name-to-factory registry shared by
 // the pluggable model families (mobility models, traffic pacers, radio
-// propagation). One implementation means one behavior everywhere:
-// duplicate registration panics, name listings are sorted, and
-// model-specific parameter maps resolve through a single accessor.
+// propagation, routing protocols). One implementation means one behavior
+// everywhere: duplicate registration panics, name listings are sorted,
+// and every parameter map a spec carries is read by ApplyParams against
+// its model's fixed vocabulary, so an unknown key or a value of the wrong
+// kind is an error in every family alike.
 package registry
 
 import (
@@ -51,16 +53,6 @@ func (r *Registry[T]) Get(name string) (T, bool) {
 	return v, ok
 }
 
-// Param returns params[name], or def when the key is absent — the shared
-// accessor for model-specific parameter maps, where missing knobs take
-// the model's documented defaults.
-func Param(params map[string]float64, name string, def float64) float64 {
-	if v, ok := params[name]; ok {
-		return v
-	}
-	return def
-}
-
 // paramKind says which spec-level values a parameter accepts.
 type paramKind uint8
 
@@ -107,15 +99,18 @@ func Bool[C any](set func(*C, bool)) Applier[C] {
 	return Applier[C]{boolean, func(c *C, v float64) { set(c, v == 1) }}
 }
 
-// ApplyParams returns cfg with params applied: it walks params in sorted
-// key order, invoking the matching applier for each entry. A key with no
-// applier, or a value its applier's kind refuses, is an error — a typoed
-// knob or a fractional count must fail loudly, never silently fall back to
-// a default or truncate. It is the shared override mechanism for model
-// families whose parameter set is fixed and validated (routing protocol
-// configs), as opposed to Param's open accessor for optional knobs. apply
-// is the family's package-level table, so a call builds no closures, and
-// one without params allocates nothing.
+// ApplyParams returns cfg with params applied: each entry runs the applier
+// its key names. A key with no applier, or a value its applier's kind
+// refuses, is an error — a typoed knob or a fractional count must fail
+// loudly, never silently fall back to a default or truncate. It is the one
+// reader of every parameter map a spec carries: a model's or protocol's
+// keys are exactly its table's, and a missing key leaves cfg's default.
+//
+// apply is the family's package-level table, so a call builds no closures;
+// one without params allocates nothing, and one with params allocates only
+// the copy its setters write. The appliers set distinct fields, so the
+// order params are applied in does not matter; the error names the first
+// bad key in sorted order, whatever order the map iterates in.
 func ApplyParams[C any](kind string, params map[string]float64, apply map[string]Applier[C], cfg C) (C, error) {
 	if len(params) == 0 {
 		return cfg, nil
@@ -124,16 +119,34 @@ func ApplyParams[C any](kind string, params map[string]float64, apply map[string
 	// on every call.
 	c := new(C)
 	*c = cfg
-	for _, k := range slices.Sorted(maps.Keys(params)) {
+	for k, v := range params {
 		a, ok := apply[k]
-		if !ok {
-			return cfg, fmt.Errorf("%s: unknown parameter %q (known: %v)", kind, k, slices.Sorted(maps.Keys(apply)))
-		}
-		v := params[k]
-		if !a.kind.accepts(v) {
-			return cfg, fmt.Errorf("%s: parameter %q is %v, want %v", kind, k, v, a.kind)
+		if !ok || !a.kind.accepts(v) {
+			return cfg, paramError(kind, params, apply)
 		}
 		a.set(c, v)
 	}
 	return *c, nil
+}
+
+// paramError words ApplyParams' refusal of params: the first key in sorted
+// order that apply does not know or whose value its kind refuses.
+func paramError[C any](kind string, params map[string]float64, apply map[string]Applier[C]) error {
+	for _, k := range slices.Sorted(maps.Keys(params)) {
+		a, ok := apply[k]
+		if !ok {
+			return fmt.Errorf("%s: unknown parameter %q (known: %v)", kind, k, slices.Sorted(maps.Keys(apply)))
+		}
+		if v := params[k]; !a.kind.accepts(v) {
+			return fmt.Errorf("%s: parameter %q is %v, want %v", kind, k, v, a.kind)
+		}
+	}
+	panic("registry: paramError called on params ApplyParams accepts")
+}
+
+// NoParams is ApplyParams for a model that has no parameters: every key
+// is unknown.
+func NoParams(kind string, params map[string]float64) error {
+	_, err := ApplyParams[struct{}](kind, params, nil, struct{}{})
+	return err
 }

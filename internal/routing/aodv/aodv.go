@@ -26,10 +26,6 @@ import (
 type Config struct {
 	rcommon.DiscoveryConfig
 	ActiveRouteTimeout sim.Time
-	// LocalRepair lets an intermediate node that detects a link break
-	// attempt a repair discovery before reporting upstream (§V: "AODV
-	// uses local repair").
-	LocalRepair bool
 }
 
 // ttlKeys name the entries of the expanding-ring TTL schedule.
@@ -40,7 +36,6 @@ func DefaultConfig() Config {
 	return Config{
 		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
 		ActiveRouteTimeout: 10 * time.Second,
-		LocalRepair:        true,
 	}
 }
 
@@ -48,7 +43,6 @@ func DefaultConfig() Config {
 var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
 	map[string]registry.Applier[Config]{
 		"active_route_timeout_seconds": registry.Real(func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) }),
-		"local_repair":                 registry.Bool(func(c *Config, v bool) { c.LocalRepair = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -412,9 +406,12 @@ func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {
 }
 
 // DataFailed implements netstack.Protocol: the MAC reported a broken link.
+// The node attempts a local repair (§V: "AODV uses local repair"): the
+// packet waits on a repair discovery, up to MaxSalvage times, before it is
+// dropped; the routes lost are reported upstream either way.
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	lost := p.breakLink(to)
-	if p.cfg.LocalRepair && pkt.Salvaged < p.cfg.MaxSalvage {
+	if pkt.Salvaged < p.cfg.MaxSalvage {
 		pkt.Salvaged++
 		p.disc.Enqueue(pkt, true)
 	} else {

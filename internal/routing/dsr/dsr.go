@@ -13,7 +13,6 @@
 package dsr
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -23,16 +22,19 @@ import (
 	"slr/internal/sim"
 )
 
-// Config holds DSR's constants. Its TTL schedule has two entries: the
-// non-propagating first attempt (first_ttl), then network-wide floods
+// Config holds DSR's tunable constants. Its TTL schedule has two entries:
+// the non-propagating first attempt (first_ttl), then network-wide floods
 // (net_ttl).
 type Config struct {
 	rcommon.DiscoveryConfig
-	CacheLifetime sim.Time
-	RoutesPerDest int
-	// ReplyFromCache lets intermediate nodes answer with cached routes.
-	ReplyFromCache bool
 }
+
+// The route cache: a learned route lives cacheLifetime unless it is
+// renewed, and a node keeps at most routesPerDest routes per destination.
+const (
+	cacheLifetime = 300 * time.Second
+	routesPerDest = 3
+)
 
 // ttlKeys name the entries of the TTL schedule.
 var ttlKeys = []string{"first_ttl", "net_ttl"}
@@ -41,19 +43,12 @@ var ttlKeys = []string{"first_ttl", "net_ttl"}
 func DefaultConfig() Config {
 	return Config{
 		DiscoveryConfig: rcommon.DefaultDiscovery(1, 35),
-		CacheLifetime:   300 * time.Second,
-		RoutesPerDest:   3,
-		ReplyFromCache:  true,
 	}
 }
 
 // appliers are DSR's spec-level keys; see ConfigFromParams.
 var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
-	map[string]registry.Applier[Config]{
-		"cache_lifetime_seconds": registry.Real(func(c *Config, v float64) { c.CacheLifetime = rcommon.Seconds(v) }),
-		"routes_per_dest":        registry.Int(func(c *Config, v int) { c.RoutesPerDest = v }),
-		"reply_from_cache":       registry.Bool(func(c *Config, v bool) { c.ReplyFromCache = v }),
-	})
+	map[string]registry.Applier[Config]{})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds, booleans as 0/1. Unknown
@@ -71,10 +66,6 @@ func ConfigFromParams(params map[string]float64) (Config, error) {
 
 // validate rejects configurations no deployment could run.
 func (c Config) validate() error {
-	if c.CacheLifetime <= 0 || c.RoutesPerDest < 1 {
-		return fmt.Errorf("dsr: cache_lifetime_seconds %v must be positive and routes_per_dest %d >= 1",
-			c.CacheLifetime, c.RoutesPerDest)
-	}
 	return c.DiscoveryConfig.Validate("dsr", ttlKeys)
 }
 
@@ -224,7 +215,7 @@ func (p *Protocol) refresh(dst netstack.NodeID, path []netstack.NodeID) bool {
 	routes := p.cache[dst]
 	for i := range routes {
 		if slices.Equal(routes[i].path, path) {
-			routes[i].expiry = p.node.Now() + p.cfg.CacheLifetime
+			routes[i].expiry = p.node.Now() + cacheLifetime
 			return true
 		}
 	}
@@ -232,10 +223,10 @@ func (p *Protocol) refresh(dst netstack.NodeID, path []netstack.NodeID) bool {
 }
 
 // insert caches path, which is new, as a route to dst, evicting the
-// longest route past RoutesPerDest.
+// longest route past routesPerDest.
 func (p *Protocol) insert(dst netstack.NodeID, path []netstack.NodeID) {
-	routes := append(p.cache[dst], cachedRoute{path: path, expiry: p.node.Now() + p.cfg.CacheLifetime})
-	if len(routes) > p.cfg.RoutesPerDest {
+	routes := append(p.cache[dst], cachedRoute{path: path, expiry: p.node.Now() + cacheLifetime})
+	if len(routes) > routesPerDest {
 		// Evict the longest.
 		worst := 0
 		for i, r := range routes {
@@ -403,12 +394,11 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 		p.reply(from, r, full)
 		return
 	}
-	if p.cfg.ReplyFromCache {
-		if cached, ok := p.lookup(r.Dst); ok {
-			if full := spliceFull(r.Src, r.Path, p.self, cached); full != nil {
-				p.reply(from, r, full)
-				return
-			}
+	// An intermediate node with a cached route answers from its cache.
+	if cached, ok := p.lookup(r.Dst); ok {
+		if full := spliceFull(r.Src, r.Path, p.self, cached); full != nil {
+			p.reply(from, r, full)
+			return
 		}
 	}
 	if r.TTL <= 1 {

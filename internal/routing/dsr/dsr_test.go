@@ -242,8 +242,8 @@ func TestCacheEviction(t *testing.T) {
 	p.insert(9, []netstack.NodeID{4, 5, 6, 9})
 	p.insert(9, []netstack.NodeID{7, 9}) // evicts the longest
 	routes := p.cache[9]
-	if len(routes) != p.cfg.RoutesPerDest {
-		t.Fatalf("cache size = %d, want %d", len(routes), p.cfg.RoutesPerDest)
+	if len(routes) != routesPerDest {
+		t.Fatalf("cache size = %d, want %d", len(routes), routesPerDest)
 	}
 	for _, r := range routes {
 		if len(r.path) == 4 {

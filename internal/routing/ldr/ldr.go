@@ -33,8 +33,6 @@ const infinity = int(^uint(0) >> 1)
 type Config struct {
 	rcommon.DiscoveryConfig
 	ActiveRouteTimeout sim.Time
-	MinReplyHops       int
-	UsePacketCache     bool
 }
 
 // ttlKeys name the entries of the expanding-ring TTL schedule.
@@ -45,8 +43,6 @@ func DefaultConfig() Config {
 	return Config{
 		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
 		ActiveRouteTimeout: 10 * time.Second,
-		MinReplyHops:       2,
-		UsePacketCache:     true,
 	}
 }
 
@@ -54,8 +50,6 @@ func DefaultConfig() Config {
 var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
 	map[string]registry.Applier[Config]{
 		"active_route_timeout_seconds": registry.Real(func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) }),
-		"min_reply_hops":               registry.Int(func(c *Config, v int) { c.MinReplyHops = v }),
-		"use_packet_cache":             registry.Bool(func(c *Config, v bool) { c.UsePacketCache = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -74,9 +68,8 @@ func ConfigFromParams(params map[string]float64) (Config, error) {
 
 // validate rejects configurations no deployment could run.
 func (c Config) validate() error {
-	if c.ActiveRouteTimeout <= 0 || c.MinReplyHops < 0 {
-		return fmt.Errorf("ldr: active_route_timeout_seconds %v must be positive and min_reply_hops %d non-negative",
-			c.ActiveRouteTimeout, c.MinReplyHops)
+	if c.ActiveRouteTimeout <= 0 {
+		return fmt.Errorf("ldr: active_route_timeout_seconds %v must be positive", c.ActiveRouteTimeout)
 	}
 	return c.DiscoveryConfig.Validate("ldr", ttlKeys)
 }
@@ -251,10 +244,12 @@ func (p *Protocol) forward(pkt *netstack.DataPacket) bool {
 	return ok
 }
 
-// DataFailed implements netstack.Protocol.
+// DataFailed implements netstack.Protocol: the link is declared broken, and
+// the packet cache SRP also keeps resends the packet on a new route, up to
+// MaxSalvage times.
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	p.linkBreak(to)
-	if !p.cfg.UsePacketCache || pkt.Salvaged >= p.cfg.MaxSalvage {
+	if pkt.Salvaged >= p.cfg.MaxSalvage {
 		p.node.DropData(pkt, netstack.DropLinkLost)
 		return
 	}
@@ -341,7 +336,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 
 	// Intermediate reply: an active route that is in-order for the
 	// request (fresher era, or same era below the FD constraint).
-	if e, ok := p.live(r.Dst); ok && r.D+1 >= p.cfg.MinReplyHops {
+	if e, ok := p.live(r.Dst); ok && r.D+1 >= rcommon.MinReplyHops {
 		inOrder := e.sn > r.DstSeq || r.Unknown ||
 			(e.sn == r.DstSeq && e.fd < r.FD && !r.Reset)
 		if inOrder {

@@ -81,6 +81,18 @@ import (
 	"slr/internal/sim"
 )
 
+// OLSR runs at the draft's default timing: a HELLO every helloInterval and
+// a TC every tcInterval, each plus a uniform jitter below maxJitter; a
+// neighbor is held neighborHold past its last HELLO, a topology entry
+// topologyHold past its last TC.
+const (
+	helloInterval = 2 * time.Second
+	tcInterval    = 5 * time.Second
+	neighborHold  = 6 * time.Second
+	topologyHold  = 15 * time.Second
+	maxJitter     = 500 * time.Millisecond
+)
+
 // hello advertises the sender's neighbor set; receivers use it for link
 // sensing (bidirectionality), two-hop discovery, and MPR signaling.
 type hello struct {
@@ -173,7 +185,6 @@ type symNeighbor struct {
 // Protocol is one node's OLSR instance.
 type Protocol struct {
 	netstack.BaseProtocol
-	cfg  Config
 	node *netstack.Node
 	self netstack.NodeID
 
@@ -228,8 +239,8 @@ type Protocol struct {
 var _ netstack.Protocol = (*Protocol)(nil)
 
 // New returns an OLSR instance.
-func New(cfg Config) *Protocol {
-	return &Protocol{cfg: cfg}
+func New() *Protocol {
+	return &Protocol{}
 }
 
 // Attach implements netstack.Protocol.
@@ -247,14 +258,14 @@ func (p *Protocol) Start() {
 	}
 	p.started = true
 	p.helloBeacon.Start(p.node, p.jitter(),
-		func() sim.Time { return p.cfg.HelloInterval + p.jitter() }, p.sendHello)
-	p.tcBeacon.Start(p.node, p.cfg.HelloInterval+p.jitter(),
-		func() sim.Time { return p.cfg.TCInterval + p.jitter() }, p.sendTC)
+		func() sim.Time { return helloInterval + p.jitter() }, p.sendHello)
+	p.tcBeacon.Start(p.node, helloInterval+p.jitter(),
+		func() sim.Time { return tcInterval + p.jitter() }, p.sendTC)
 	p.sweeper.StartEvery(p.node, time.Second, p.expire)
 }
 
 func (p *Protocol) jitter() sim.Time {
-	return sim.Time(p.node.Rand().Int63n(int64(p.cfg.Jitter)))
+	return sim.Time(p.node.Rand().Int63n(int64(maxJitter)))
 }
 
 // SuccessorsOf exposes the next hop for inspection.
@@ -413,7 +424,7 @@ func (p *Protocol) RecvControl(from netstack.NodeID, msg any) {
 
 func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 	now := p.node.Now()
-	nb, old := p.touch(from, now+p.cfg.NeighborHold)
+	nb, old := p.touch(from, now+neighborHold)
 	// A live symmetric link before this hello; the hello leaves the entry
 	// live, so comparing against the new sym below detects both symmetry
 	// flips and the revival of an expired-but-unswept link — the two ways
@@ -450,7 +461,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 	if m.Flood.Witness(p.self, now, p.swept) {
 		te := p.topoOf(m.Orig)
 		if te.body == nil || !seqNewer(te.body.Seq, m.Body.Seq) {
-			exp := now + p.cfg.TopologyHold
+			exp := now + topologyHold
 			// A re-advertisement that names the same links while the old
 			// entry is still live is a refresh: no link appears or
 			// disappears at any instant before the (previous) horizon, so

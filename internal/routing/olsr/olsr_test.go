@@ -17,7 +17,7 @@ import (
 	"slr/internal/sim"
 )
 
-func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
+func factory(id netstack.NodeID) netstack.Protocol { return New() }
 
 // selectMPRs runs the selection as of now, as the eager code did on every
 // change of its inputs.
@@ -308,7 +308,7 @@ func TestMPRCoverProperty(t *testing.T) {
 	// neighbor.
 	rng := sim.New(21).Rand()
 	for trial := 0; trial < 200; trial++ {
-		p := New(DefaultConfig())
+		p := New()
 		w := rtest.New(int64(trial), 120,
 			func(netstack.NodeID) netstack.Protocol { return p },
 			[]geo.Point{{X: 0}}, nil)
@@ -405,7 +405,7 @@ func TestMPRSelectedOnDemand(t *testing.T) {
 func loneNode(seed int64) (*rtest.World, *Protocol) {
 	var p *Protocol
 	w := rtest.NewStopped(seed, 120, func(netstack.NodeID) netstack.Protocol {
-		p = New(DefaultConfig())
+		p = New()
 		return p
 	}, []geo.Point{{}}, nil)
 	return w, p

@@ -145,7 +145,7 @@ func FuzzDenseTables(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, p := loneNode(1)
-		ref := &refTopo{self: p.self, hold: p.cfg.TopologyHold, entries: make(map[netstack.NodeID]topoEntry)}
+		ref := &refTopo{self: p.self, hold: topologyHold, entries: make(map[netstack.NodeID]topoEntry)}
 		sent := make(map[netstack.NodeID]uint32) // newest sequence number per originator
 		s := new(scratch)
 		now := sim.Time(0)

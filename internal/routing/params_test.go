@@ -11,7 +11,6 @@ import (
 	"slr/internal/routing/aodv"
 	"slr/internal/routing/dsr"
 	"slr/internal/routing/ldr"
-	"slr/internal/routing/olsr"
 	"slr/internal/routing/srp"
 )
 
@@ -21,7 +20,6 @@ var vocabulary = map[string]map[string]float64{
 	"AODV": {
 		"active_route_timeout_seconds": 10,
 		"discovery_holddown_seconds":   3,
-		"local_repair":                 1,
 		"max_salvage":                  3,
 		"node_traversal_seconds":       0.04,
 		"queue_cap":                    10,
@@ -32,15 +30,12 @@ var vocabulary = map[string]map[string]float64{
 		"ttl_2":                        35,
 	},
 	"DSR": {
-		"cache_lifetime_seconds":     300,
 		"discovery_holddown_seconds": 3,
 		"first_ttl":                  1,
 		"max_salvage":                3,
 		"net_ttl":                    35,
 		"node_traversal_seconds":     0.04,
 		"queue_cap":                  10,
-		"reply_from_cache":           1,
-		"routes_per_dest":            3,
 		"rreq_rate_limit":            10,
 		"rreq_retries":               2,
 	},
@@ -48,7 +43,6 @@ var vocabulary = map[string]map[string]float64{
 		"active_route_timeout_seconds": 10,
 		"discovery_holddown_seconds":   3,
 		"max_salvage":                  3,
-		"min_reply_hops":               2,
 		"node_traversal_seconds":       0.04,
 		"queue_cap":                    10,
 		"rreq_rate_limit":              10,
@@ -56,25 +50,17 @@ var vocabulary = map[string]map[string]float64{
 		"ttl_0":                        5,
 		"ttl_1":                        10,
 		"ttl_2":                        35,
-		"use_packet_cache":             1,
 	},
-	"OLSR": {
-		"hello_interval_seconds": 2,
-		"jitter_seconds":         0.5,
-		"neighbor_hold_seconds":  6,
-		"tc_interval_seconds":    5,
-		"topology_hold_seconds":  15,
-	},
+	// OLSR runs at the draft's default timing and takes no parameters.
+	"OLSR": {},
 	"SRP": {
 		"active_route_timeout_seconds": 10,
 		"delete_period_seconds":        60,
 		"discovery_holddown_seconds":   3,
 		"farey":                        0,
-		"hello_fanout":                 10,
 		"hello_interval_seconds":       0,
 		"max_denom":                    1e9,
 		"max_salvage":                  3,
-		"min_reply_hops":               2,
 		"multipath":                    0,
 		"next_element_only":            0,
 		"node_traversal_seconds":       0.04,
@@ -90,7 +76,8 @@ var vocabulary = map[string]map[string]float64{
 }
 
 // configs reaches each protocol's ConfigFromParams and DefaultConfig
-// behind one signature.
+// behind one signature. OLSR has no config: its entry builds through the
+// registry and stands for a nil config.
 var configs = map[string]struct {
 	fromParams func(map[string]float64) (any, error)
 	defaults   func() any
@@ -108,8 +95,11 @@ var configs = map[string]struct {
 		func() any { return ldr.DefaultConfig() },
 	},
 	"OLSR": {
-		func(p map[string]float64) (any, error) { return olsr.ConfigFromParams(p) },
-		func() any { return olsr.DefaultConfig() },
+		func(p map[string]float64) (any, error) {
+			_, err := routing.Build(routing.Spec{Name: "OLSR", Params: p})
+			return nil, err
+		},
+		func() any { return nil },
 	},
 	"SRP": {
 		func(p map[string]float64) (any, error) { return srp.ConfigFromParams(p) },
@@ -171,7 +161,6 @@ func TestConfigFromParamsAllocs(t *testing.T) {
 		{"AODV", func() error { _, err := aodv.ConfigFromParams(nil); return err }},
 		{"DSR", func() error { _, err := dsr.ConfigFromParams(nil); return err }},
 		{"LDR", func() error { _, err := ldr.ConfigFromParams(nil); return err }},
-		{"OLSR", func() error { _, err := olsr.ConfigFromParams(nil); return err }},
 		{"SRP", func() error { _, err := srp.ConfigFromParams(nil); return err }},
 	} {
 		if err := c.build(); err != nil {
@@ -200,18 +189,50 @@ func TestParamRefusals(t *testing.T) {
 		{"SRP", "ttl_0", math.Inf(1)},
 		{"SRP", "hello_interval_seconds", math.NaN()},
 		{"SRP", "request_rack", 1}, // removed: an unknown key now
-		{"LDR", "min_reply_hops", 1e300},
-		{"LDR", "use_packet_cache", -1},
-		{"AODV", "local_repair", 2},
+		{"LDR", "rreq_rate_limit", 1e300},
+		{"LDR", "queue_cap", -1.5},
+		{"AODV", "ttl_1", 2.5},
 		{"AODV", "active_route_timeout_seconds", math.Inf(1)},
-		{"DSR", "routes_per_dest", 3.5},
+		{"DSR", "first_ttl", 3.5},
 		{"DSR", "net_ttl", math.NaN()},
 		{"OLSR", "jitter_seconds", math.Inf(-1)},
-		{"OLSR", "tc_interval_seconds", math.NaN()},
+		{"OLSR", "tc_interval_seconds", 5},
 	} {
 		_, err := configs[c.proto].fromParams(map[string]float64{c.key: c.v})
 		if err == nil || !strings.Contains(err.Error(), c.key) {
 			t.Errorf("%s %s=%v: err %v, want a refusal naming the key", c.proto, c.key, c.v, err)
 		}
+	}
+}
+
+// removedKeys are the protocol_params keys no experiment set, each with
+// its old default, which the constant that replaced it now holds.
+var removedKeys = map[string]map[string]float64{
+	"SRP":  {"min_reply_hops": 2, "hello_fanout": 10},
+	"LDR":  {"min_reply_hops": 2, "use_packet_cache": 1},
+	"AODV": {"local_repair": 1},
+	"DSR":  {"cache_lifetime_seconds": 300, "routes_per_dest": 3, "reply_from_cache": 1},
+	"OLSR": {"hello_interval_seconds": 2, "tc_interval_seconds": 5, "neighbor_hold_seconds": 6, "topology_hold_seconds": 15, "jitter_seconds": 0.5},
+}
+
+// TestRemovedKeysRefused verifies every protocol refuses each key that
+// became a constant as unknown, even at its old default, and counts the
+// vocabulary: 13 keys went, 46 remain.
+func TestRemovedKeysRefused(t *testing.T) {
+	removed, kept := 0, 0
+	for name, keys := range removedKeys {
+		for k, v := range keys {
+			removed++
+			err := routing.Validate(routing.Spec{Name: name, Params: map[string]float64{k: v}})
+			if err == nil || !strings.Contains(err.Error(), "unknown parameter \""+k+"\"") {
+				t.Errorf("%s %s=%v: err %v, want it refused as unknown", name, k, v, err)
+			}
+		}
+	}
+	for _, keys := range vocabulary {
+		kept += len(keys)
+	}
+	if removed != 13 || kept != 46 {
+		t.Errorf("%d keys removed and %d kept, want 13 and 46", removed, kept)
 	}
 }

@@ -150,11 +150,11 @@ func init() {
 		}
 		return dsr.New(cfg), nil
 	})
+	// OLSR runs at the draft's default timing and takes no parameters.
 	Register("OLSR", func(params map[string]float64) (netstack.Protocol, error) {
-		cfg, err := olsr.ConfigFromParams(params)
-		if err != nil {
+		if err := registry.NoParams("olsr", params); err != nil {
 			return nil, err
 		}
-		return olsr.New(cfg), nil
+		return olsr.New(), nil
 	})
 }

@@ -34,18 +34,32 @@ func TestHelloAdvertisementsBuildRoutes(t *testing.T) {
 	}
 }
 
+// TestHelloRespectsFanout verifies a Hello advertises at most helloFanout
+// destinations, and that a node with more active routes than that rotates
+// through all of them over successive Hellos.
 func TestHelloRespectsFanout(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HelloInterval = time.Second
-	cfg.HelloFanout = 1
-	w := rtest.New(1, 200, factory(cfg), rtest.Grid(2, 3, 100), nil)
-	w.Send(0, 5)
-	w.Send(0, 4)
-	w.Sim.RunUntil(10 * time.Second)
-	// No assertion on exact counts — just exercise the path and keep
-	// the invariant.
-	if err := w.CheckLoopFree(); err != nil {
-		t.Fatal(err)
+	w, pr, sp := relayWorld(t, DefaultConfig())
+	const routes = helloFanout + 3
+	for dst := netstack.NodeID(2); dst < 2+routes; dst++ {
+		assign(t, pr, 1, dst, label.Order{SN: 1, FD: frac.F{Num: 1, Den: 2}})
+	}
+	pr.sendHello()
+	pr.sendHello()
+	w.Sim.RunUntil(time.Second)
+	if len(sp.hellos) != 2 {
+		t.Fatalf("spy heard %d hellos, want 2", len(sp.hellos))
+	}
+	seen := map[netstack.NodeID]bool{}
+	for i, h := range sp.hellos {
+		if len(h.Entries) != helloFanout {
+			t.Errorf("hello %d advertises %d destinations, want %d", i, len(h.Entries), helloFanout)
+		}
+		for _, e := range h.Entries {
+			seen[e.Dst] = true
+		}
+	}
+	if len(seen) != routes {
+		t.Errorf("two hellos advertised %d distinct destinations, want all %d", len(seen), routes)
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 // spy records control messages it hears.
 type spy struct {
 	netstack.BaseProtocol
-	node  *netstack.Node
-	rreqs []*rreq
-	rreps []*rrep
-	rerrs []*rerr
+	node   *netstack.Node
+	rreqs  []*rreq
+	rreps  []*rrep
+	rerrs  []*rerr
+	hellos []*hello
 }
 
 func (s *spy) Attach(n *netstack.Node) { s.node = n }
@@ -35,6 +36,8 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 		s.rreps = append(s.rreps, m)
 	case *rerr:
 		s.rerrs = append(s.rerrs, m)
+	case *hello:
+		s.hellos = append(s.hellos, m)
 	}
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
@@ -319,5 +322,71 @@ func TestReplyAfterSweepFindsNoState(t *testing.T) {
 	}
 	if len(pr.SuccessorsOf(8)) != 1 {
 		t.Fatal("the late reply's advertisement was not applied")
+	}
+}
+
+// probeTap is an SRP node that also records every RREQ it hears, with
+// its sender.
+type probeTap struct {
+	*Protocol
+	from  []netstack.NodeID
+	heard []rreq
+}
+
+func (p *probeTap) RecvControl(from netstack.NodeID, msg any) {
+	if r, ok := msg.(*rreq); ok {
+		p.from = append(p.from, from)
+		p.heard = append(p.heard, *r)
+	}
+	p.Protocol.RecvControl(from, msg)
+}
+
+// TestPathReset drives §III's destination-controlled path reset on the
+// chain 0-1-2-3. Node 2 holds a deep ordering (1, 5/7) toward 3 and
+// answers 0's flood itself, so 0 installs (1, 7/9), past MaxDenom 8:
+// completeDiscovery then has 0 probe the forward path with a D-bit RREQ,
+// which 1 and 2 unicast toward 3 instead of flooding. The destination
+// raises its sequence number once and replies, and the new reply installs
+// the larger ordering (2, 3/4) along the chain, shallow enough that no
+// second reset follows.
+func TestPathReset(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxDenom = 8
+	var ps [4]*Protocol
+	dst := &probeTap{}
+	w := rtest.New(1, 120, func(id netstack.NodeID) netstack.Protocol {
+		ps[id] = New(cfg)
+		if id == 3 {
+			dst.Protocol = ps[id]
+			return dst
+		}
+		return ps[id]
+	}, rtest.Chain(4, 100), nil)
+	assign(t, ps[2], 3, 3, label.Order{SN: 1, FD: frac.F{Num: 5, Den: 7}})
+	w.Send(0, 3)
+	w.Sim.RunUntil(2 * time.Second)
+
+	if got := ps[0].maxDenomSeen; got != 9 {
+		t.Fatalf("terminus saw denominators up to %d, want 9 (the intermediate reply's 7/9)", got)
+	}
+	if len(dst.heard) != 1 {
+		t.Fatalf("destination heard %d RREQs, want 1 (the probe; node 2 answered the flood)", len(dst.heard))
+	}
+	if probe := dst.heard[0]; dst.from[0] != 2 || probe.Flags&flagD == 0 || probe.Src != 0 || probe.D != 2 || probe.DstSeq != 1 {
+		t.Errorf("destination heard %+v from %d, want 0's D-bit probe for sequence number 1, relayed 0-1-2", probe, dst.from[0])
+	}
+	if ps[2].statRREQ != 1 {
+		t.Errorf("node 2 relayed %d RREQs, want 1: the probe", ps[2].statRREQ)
+	}
+	if ps[3].mySeq != 2 || ps[3].seqIncrements != 1 {
+		t.Errorf("destination sequence number %d after %d increments, want 2 after 1", ps[3].mySeq, ps[3].seqIncrements)
+	}
+	for i, want := range []label.Order{{SN: 2, FD: frac.F{Num: 3, Den: 4}}, {SN: 2, FD: frac.F{Num: 2, Den: 3}}, {SN: 2, FD: frac.F{Num: 1, Den: 2}}} {
+		if got := ps[i].order(3); got != want {
+			t.Errorf("node %d ordering toward 3 = %v, want %v", i, got, want)
+		}
+	}
+	if w.MX.DataRecv != 1 {
+		t.Errorf("delivered %d packets, want 1", w.MX.DataRecv)
 	}
 }

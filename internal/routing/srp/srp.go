@@ -25,10 +25,6 @@ type Config struct {
 	// MaxDenom triggers a destination-controlled path reset when the
 	// terminus' fraction denominator exceeds it (§III, one billion).
 	MaxDenom uint32
-	// MinReplyHops keeps intermediate nodes within this many hops of the
-	// source from answering (§V: "RREQ packets need to travel several
-	// hops before allowing a node to reply").
-	MinReplyHops int
 	// UseLie enables the understated RREQ ordering of §V.
 	UseLie bool
 	// UsePacketCache enables resending MAC-dropped packets on new routes.
@@ -48,9 +44,11 @@ type Config struct {
 	// C = Unassigned). The paper's simulations run without hellos; this
 	// is the protocol-complete option.
 	HelloInterval sim.Time
-	// HelloFanout caps the advertised destinations per Hello.
-	HelloFanout int
 }
+
+// helloFanout caps the advertised destinations per Hello; a node with more
+// active routes rotates through them over successive Hellos.
+const helloFanout = 10
 
 // ttlKeys name the entries of the expanding-ring TTL schedule.
 var ttlKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
@@ -62,12 +60,10 @@ func DefaultConfig() Config {
 		ActiveRouteTimeout: 10 * time.Second,
 		DeletePeriod:       60 * time.Second,
 		MaxDenom:           1_000_000_000,
-		MinReplyHops:       2,
 		UseLie:             true,
 		UsePacketCache:     true,
 		Farey:              false,
 		Multipath:          PolicyMinHop,
-		HelloFanout:        10,
 	}
 }
 
@@ -84,14 +80,12 @@ var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryCo
 		"active_route_timeout_seconds": registry.Real(func(o *overrides, v float64) { o.ActiveRouteTimeout = rcommon.Seconds(v) }),
 		"delete_period_seconds":        registry.Real(func(o *overrides, v float64) { o.DeletePeriod = rcommon.Seconds(v) }),
 		"max_denom":                    registry.Int(func(o *overrides, v int) { o.maxDenom = v }),
-		"min_reply_hops":               registry.Int(func(o *overrides, v int) { o.MinReplyHops = v }),
 		"use_lie":                      registry.Bool(func(o *overrides, v bool) { o.UseLie = v }),
 		"use_packet_cache":             registry.Bool(func(o *overrides, v bool) { o.UsePacketCache = v }),
 		"farey":                        registry.Bool(func(o *overrides, v bool) { o.Farey = v }),
 		"next_element_only":            registry.Bool(func(o *overrides, v bool) { o.NextElementOnly = v }),
 		"multipath":                    registry.Int(func(o *overrides, v int) { o.Multipath = PathPolicy(v) }),
 		"hello_interval_seconds":       registry.Real(func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) }),
-		"hello_fanout":                 registry.Int(func(o *overrides, v int) { o.HelloFanout = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -132,10 +126,6 @@ func (c Config) validate() error {
 		// nonsense anyway.
 		return fmt.Errorf("srp: hello_interval %v must be 0 (disabled) or >= 1ms", c.HelloInterval)
 	}
-	if c.MinReplyHops < 0 || c.HelloInterval < 0 || c.HelloFanout < 0 {
-		return fmt.Errorf("srp: min_reply_hops %d, hello_interval %v, hello_fanout %d out of range",
-			c.MinReplyHops, c.HelloInterval, c.HelloFanout)
-	}
 	if c.Multipath != PolicyMinHop && c.Multipath != PolicyRoundRobin && c.Multipath != PolicyRandom {
 		return fmt.Errorf("srp: multipath policy %d unknown (0 min-hop, 1 round-robin, 2 random)", c.Multipath)
 	}
@@ -174,7 +164,7 @@ type Protocol struct {
 	sweeper     rcommon.Beaconer
 	helloBeacon rcommon.Beaconer
 	started     bool
-	// helloCursor rotates the HelloFanout window over the (sorted) active
+	// helloCursor rotates the helloFanout window over the (sorted) active
 	// destinations, so which routes a HELLO advertises does not depend on
 	// the order of the routes table.
 	helloCursor uint32
@@ -228,7 +218,7 @@ func (p *Protocol) Start() {
 	}
 }
 
-// sendHello broadcasts this node's orderings for up to HelloFanout active
+// sendHello broadcasts this node's orderings for up to helloFanout active
 // destinations.
 func (p *Protocol) sendHello() {
 	now := p.node.Now()
@@ -239,10 +229,7 @@ func (p *Protocol) sendHello() {
 		}
 	}
 	sortNodeIDs(dsts)
-	limit := len(dsts)
-	if p.cfg.HelloFanout > 0 && limit > p.cfg.HelloFanout {
-		limit = p.cfg.HelloFanout
-	}
+	limit := min(len(dsts), helloFanout)
 	h := &hello{}
 	for k := 0; k < limit; k++ {
 		dst := dsts[(int(p.helloCursor)+k)%len(dsts)]
@@ -503,7 +490,7 @@ func (p *Protocol) destinationReply(from netstack.NodeID, r *rreq) {
 // satisfiesSDC checks the Start Distance Condition plus the §V
 // several-hops heuristic for intermediate replies.
 func (p *Protocol) satisfiesSDC(r *rreq) bool {
-	if r.D+1 < p.cfg.MinReplyHops {
+	if r.D+1 < rcommon.MinReplyHops {
 		return false
 	}
 	rt := p.route(r.Dst)

@@ -141,17 +141,25 @@ const Drain = 10 * time.Second
 // run with CheckInvariants.
 const CheckEvery = 5 * time.Second
 
+// RadioParams returns the channel parameters a run of p builds its radio
+// from: the paper's radio at p's range and propagation model, fading drawn
+// from p's seed, and p's mobility speed bound.
+func (p Params) RadioParams() radio.Params {
+	rp := radio.DefaultParams()
+	rp.Range = p.Range
+	rp.Propagation = p.Propagation
+	rp.Seed = p.Seed
+	rp.MaxSpeed = p.Mobility.MaxSpeed
+	return rp
+}
+
 // Run executes one simulation and returns its measurements.
 func Run(p Params) Result {
 	s := sim.New(p.Seed)
 	if SimHook != nil {
 		SimHook(s)
 	}
-	rp := radio.DefaultParams()
-	rp.Range = p.Range
-	rp.Propagation = p.Propagation
-	rp.Seed = p.Seed
-	rp.MaxSpeed = p.Mobility.MaxSpeed
+	rp := p.RadioParams()
 
 	// Mobility and traffic get RNG streams independent of the protocol
 	// stack, and each node's mobility its own stream, so a seed fixes

@@ -10,6 +10,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"slr/internal/radio"
+	"slr/internal/sim"
 )
 
 // jsonKeys returns the JSON field names of struct type t.
@@ -26,8 +29,9 @@ func jsonKeys(t reflect.Type) []string {
 // spec file the repo ships (read in place, so a new example or benchmark
 // workload is a new seed). Parse must never panic; whatever it accepts
 // must be one JSON object with no unknown top-level field, must have a
-// node count whose ids fit in 32 bits, must resolve to Params, and must
-// survive a marshal/Parse round trip unchanged.
+// node count whose ids fit in 32 bits, must resolve to Params whose radio
+// channel builds without panicking, and must survive a marshal/Parse round
+// trip unchanged.
 func FuzzParse(f *testing.F) {
 	for _, pattern := range []string{"../../examples/scenarios/*.json", "../../cmd/slrbench/workloads/*.json"} {
 		paths, _ := filepath.Glob(pattern)
@@ -63,6 +67,26 @@ func FuzzParse(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// Specs whose channel cannot be built (an infinite MaxRange, a speed
+	// bound with no grid epoch) and a knob in a model that lacks it must
+	// be refused, not run on defaults or panic in the trial.
+	fast := PaperDefault()
+	fast.Mobility.MaxSpeedMps = 1e12
+	for _, s := range []*ScenarioSpec{
+		withModel("radio", "shadowing", map[string]float64{"sigma_db": 1e300}),
+		withModel("radio", "shadowing", map[string]float64{"pathloss_exp": 1e-300}),
+		fast,
+		withModel("radio", "shadowing", map[string]float64{"sigma": 12}),
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := Parse(data); err == nil {
+			f.Fatalf("Parse accepted %s", data)
+		}
+		f.Add(data)
+	}
 	known := jsonKeys(reflect.TypeOf(ScenarioSpec{}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -83,9 +107,12 @@ func FuzzParse(f *testing.F) {
 		if s.Nodes > math.MaxInt32 {
 			t.Fatalf("Parse accepted %d nodes, past the 32-bit node ids SRP stores", s.Nodes)
 		}
-		if _, err := s.Params(); err != nil {
+		p, err := s.Params()
+		if err != nil {
 			t.Fatalf("accepted spec has no Params: %v", err)
 		}
+		// The channel a trial builds first must not panic on it.
+		radio.NewChannel(sim.New(1), p.RadioParams())
 		out, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)

@@ -29,10 +29,12 @@
 // {"model": "manhattan", "params": {"block_m": 150}}), and the routing
 // protocol's constants in the top-level "protocol_params" map (durations
 // in seconds, booleans as 0/1 — e.g. {"rreq_retries": 4,
-// "ttl_0": 35}), resolved against the routing registry's per-protocol
-// vocabulary. Unknown fields are rejected so typos fail loudly, and
-// Validate resolves every model and protocol name against its registry
-// before a simulator is built.
+// "ttl_0": 35}). Every one of these maps is strict: it is read by
+// registry.ApplyParams against its model's or protocol's own vocabulary,
+// so a key the model does not have, a fractional count or a non-finite
+// value is an error, never a default. Unknown fields are rejected so typos
+// fail loudly, and Validate resolves every model and protocol name against
+// its registry before a simulator is built.
 package spec
 
 import (
@@ -151,8 +153,9 @@ func NamedSpecs() []string {
 	return names
 }
 
-// Parse decodes and validates one spec document. Unknown fields and
-// trailing data are errors: a typoed knob must not silently fall back to
+// Parse decodes and validates one spec document. Unknown fields, trailing
+// data and a key no model or protocol of the spec has in any of its
+// parameter maps are errors: a typoed knob must not silently fall back to
 // a default.
 func Parse(data []byte) (*ScenarioSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -209,15 +212,6 @@ func (s *ScenarioSpec) Validate() error {
 	if s.Trials < 0 {
 		return fmt.Errorf("spec: trials %d must be >= 0", s.Trials)
 	}
-	if !slices.Contains(mobility.Models(), s.Mobility.Model) {
-		return fmt.Errorf("spec: unknown mobility model %q (registered: %v)", s.Mobility.Model, mobility.Models())
-	}
-	if tm := s.Traffic.Model; tm != "" && !slices.Contains(traffic.Models(), tm) {
-		return fmt.Errorf("spec: unknown traffic model %q (registered: %v)", tm, traffic.Models())
-	}
-	if pm := s.Radio.Propagation; pm != "" && !slices.Contains(radio.PropagationModels(), pm) {
-		return fmt.Errorf("spec: unknown propagation %q (registered: %v)", pm, radio.PropagationModels())
-	}
 	return ValidateParams(s.params())
 }
 
@@ -225,8 +219,10 @@ func (s *ScenarioSpec) Validate() error {
 // rules every spec passes at load time, applied to resolved parameters so
 // that values arriving another way (cmd/slrsim's flags overlaid on a
 // spec) are refused exactly as the same values in a spec file would be.
-// It also dry-builds the models, so parameter errors (bad block_m,
-// negative sigma) surface before any simulator exists.
+// It also dry-builds the models, so parameter errors (an unknown key, a
+// bad block_m, a negative sigma) surface before any simulator exists, and
+// checks the radio channel a trial would build (radio.Validate), so a
+// scenario that passes never panics in it.
 func ValidateParams(p scenario.Params) error {
 	if p.Nodes < 2 {
 		return fmt.Errorf("spec: nodes %d must be >= 2", p.Nodes)
@@ -259,10 +255,7 @@ func ValidateParams(p scenario.Params) error {
 	if _, err := traffic.NewPacer(p.Traffic); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	rp := radio.DefaultParams()
-	rp.Range = p.Range
-	rp.Propagation = p.Propagation
-	if _, err := radio.NewPropagation(rp); err != nil {
+	if err := radio.Validate(p.RadioParams()); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 	return nil

@@ -122,6 +122,88 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// withModel returns the paper-default spec with one model section swapped:
+// family "mobility", "traffic" or "radio" set to model with params.
+func withModel(family, model string, params map[string]float64) *ScenarioSpec {
+	s := PaperDefault()
+	switch family {
+	case "mobility":
+		s.Mobility.Model, s.Mobility.Params = model, params
+	case "traffic":
+		s.Traffic.Model, s.Traffic.Params = model, params
+	case "radio":
+		s.Radio.Propagation, s.Radio.Params = model, params
+	}
+	return s
+}
+
+// parseSpec marshals s and parses it back, as a spec file would load.
+func parseSpec(t *testing.T, s *ScenarioSpec) error {
+	t.Helper()
+	blob, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Parse(blob)
+	return err
+}
+
+// TestModelParamsStrict verifies every model's params map is read against
+// the model's own vocabulary, like protocol_params: a key the model does
+// not have fails Parse, naming the key, for every registered mobility,
+// traffic and propagation model — those without parameters included — and
+// a knob put in the wrong model's map is not quietly ignored.
+func TestModelParamsStrict(t *testing.T) {
+	const typo = "definitely_not_a_knob"
+	for family, models := range map[string][]string{
+		"mobility": mobility.Models(),
+		"traffic":  traffic.Models(),
+		"radio":    radio.PropagationModels(),
+	} {
+		for _, model := range models {
+			if err := parseSpec(t, withModel(family, model, nil)); err != nil {
+				t.Fatalf("%s model %s without params: %v", family, model, err)
+			}
+			err := parseSpec(t, withModel(family, model, map[string]float64{typo: 1}))
+			if err == nil || !strings.Contains(err.Error(), typo) {
+				t.Errorf("%s model %s with params {%s: 1}: err %v, want a refusal naming the key", family, model, typo, err)
+			}
+		}
+	}
+	for _, c := range []struct{ family, model, key string }{
+		{"radio", "shadowing", "sigma"},
+		{"mobility", "waypoint", "block_m"},
+		{"traffic", "cbr", "on_mean_seconds"},
+	} {
+		err := parseSpec(t, withModel(c.family, c.model, map[string]float64{c.key: 12}))
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("%s %s with %s: err %v, want a refusal naming the key", c.family, c.model, c.key, err)
+		}
+	}
+}
+
+// TestChannelBreakingSpecsRefused verifies a spec whose radio channel
+// cannot be built fails Parse with an error instead of validating and then
+// panicking when a trial builds the channel: a shadowing spread or
+// pathloss exponent that makes MaxRange infinite, and a speed bound that
+// leaves the spatial grid no refresh epoch.
+func TestChannelBreakingSpecsRefused(t *testing.T) {
+	fast := PaperDefault()
+	fast.Mobility.MaxSpeedMps = 1e12
+	for name, c := range map[string]struct {
+		s    *ScenarioSpec
+		want string
+	}{
+		"sigma_db":      {withModel("radio", "shadowing", map[string]float64{"sigma_db": 1e300}), "MaxRange"},
+		"pathloss_exp":  {withModel("radio", "shadowing", map[string]float64{"pathloss_exp": 1e-300}), "MaxRange"},
+		"max_speed_mps": {fast, "refresh epoch"},
+	} {
+		if err := parseSpec(t, c.s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want a refusal mentioning %q", name, err, c.want)
+		}
+	}
+}
+
 // TestResolveBuiltin verifies bare names fall back to the built-ins with a
 // helpful error for unknown ones.
 func TestResolveBuiltin(t *testing.T) {
@@ -185,20 +267,21 @@ func TestTinySpecRuns(t *testing.T) {
 
 // TestProtocolParamsThread verifies the spec's protocol_params section
 // reaches scenario.Params untouched and that every registered protocol
-// accepts a spec overriding at least three of its constants — the
-// protocol-parameter-sweep workload contract.
+// with parameters accepts a spec overriding at least three of its
+// constants — the protocol-parameter-sweep workload contract. OLSR takes
+// no parameters, so its spec carries an empty map.
 func TestProtocolParamsThread(t *testing.T) {
 	overrides := map[string]map[string]float64{
 		"SRP":  {"rreq_retries": 4, "hello_interval_seconds": 2, "max_denom": 1e6},
-		"LDR":  {"rreq_retries": 3, "queue_cap": 20, "min_reply_hops": 1},
-		"AODV": {"active_route_timeout_seconds": 5, "local_repair": 0, "rreq_rate_limit": 20},
-		"DSR":  {"cache_lifetime_seconds": 120, "routes_per_dest": 5, "reply_from_cache": 0},
-		"OLSR": {"hello_interval_seconds": 1, "tc_interval_seconds": 3, "neighbor_hold_seconds": 3},
+		"LDR":  {"rreq_retries": 3, "queue_cap": 20, "ttl_0": 3},
+		"AODV": {"active_route_timeout_seconds": 5, "ttl_1": 8, "rreq_rate_limit": 20},
+		"DSR":  {"first_ttl": 2, "net_ttl": 30, "queue_cap": 20},
+		"OLSR": {},
 	}
 	for _, proto := range scenario.AllProtocols {
 		t.Run(string(proto), func(t *testing.T) {
 			params, ok := overrides[string(proto)]
-			if !ok || len(params) < 3 {
+			if !ok || len(params) < 3 && proto != scenario.OLSR {
 				t.Fatalf("need >= 3 override keys for %s", proto)
 			}
 			s := PaperDefault()

@@ -43,11 +43,6 @@ func NewPacer(p Params) (Pacer, error) {
 	return f(p)
 }
 
-// param returns the named model parameter or its default.
-func (p Params) param(name string, def float64) float64 {
-	return registry.Param(p.ModelParams, name, def)
-}
-
 // cbrPacer emits packets at a constant interval: the paper's CBR flows.
 // It draws nothing from the rng, so runs that predate the model registry
 // replay byte-identically.
@@ -81,6 +76,12 @@ type onoffPacer struct {
 	onLeft   sim.Time
 }
 
+// onoffAppliers are onoff's Params.ModelParams keys.
+var onoffAppliers = map[string]registry.Applier[onoffPacer]{
+	"on_mean_seconds":  registry.Real(func(o *onoffPacer, v float64) { o.onMean = v }),
+	"off_mean_seconds": registry.Real(func(o *onoffPacer, v float64) { o.offMean = v }),
+}
+
 func (o *onoffPacer) Next(rng *rand.Rand) sim.Time {
 	if o.onLeft <= 0 {
 		o.onLeft = sim.Time(rng.ExpFloat64() * o.onMean * float64(time.Second))
@@ -95,12 +96,18 @@ func (o *onoffPacer) Next(rng *rand.Rand) sim.Time {
 
 func init() {
 	RegisterModel("cbr", func(p Params) (Pacer, error) {
+		if err := registry.NoParams("traffic: cbr", p.ModelParams); err != nil {
+			return nil, err
+		}
 		if p.Rate <= 0 {
 			return nil, fmt.Errorf("traffic: cbr rate %v must be positive", p.Rate)
 		}
 		return cbrPacer{interval: sim.Time(float64(time.Second) / p.Rate)}, nil
 	})
 	RegisterModel("poisson", func(p Params) (Pacer, error) {
+		if err := registry.NoParams("traffic: poisson", p.ModelParams); err != nil {
+			return nil, err
+		}
 		if p.Rate <= 0 {
 			return nil, fmt.Errorf("traffic: poisson rate %v must be positive", p.Rate)
 		}
@@ -110,15 +117,14 @@ func init() {
 		if p.Rate <= 0 {
 			return nil, fmt.Errorf("traffic: onoff rate %v must be positive", p.Rate)
 		}
-		on := p.param("on_mean_seconds", 1)
-		off := p.param("off_mean_seconds", 1)
-		if on <= 0 || off <= 0 {
-			return nil, fmt.Errorf("traffic: onoff periods on=%v off=%v must be positive", on, off)
+		o, err := registry.ApplyParams("traffic: onoff", p.ModelParams, onoffAppliers,
+			onoffPacer{interval: sim.Time(float64(time.Second) / p.Rate), onMean: 1, offMean: 1})
+		if err != nil {
+			return nil, err
 		}
-		return &onoffPacer{
-			interval: sim.Time(float64(time.Second) / p.Rate),
-			onMean:   on,
-			offMean:  off,
-		}, nil
+		if o.onMean <= 0 || o.offMean <= 0 {
+			return nil, fmt.Errorf("traffic: onoff periods on=%v off=%v must be positive", o.onMean, o.offMean)
+		}
+		return &o, nil
 	})
 }

@@ -24,7 +24,8 @@ type Params struct {
 	// when empty), "poisson", or "onoff". See RegisterModel.
 	Model string
 	// ModelParams carries model-specific knobs (e.g. onoff's
-	// "on_mean_seconds"); missing keys take documented defaults.
+	// "on_mean_seconds"); missing keys take documented defaults, and a
+	// key the model does not have is an error (registry.ApplyParams).
 	ModelParams map[string]float64
 }
 

@@ -10,15 +10,17 @@
 # either build fails on it. The specs it reads are never written. Run it
 # from the repository root: make identity BASE=<rev>.
 #
-# The 20 cases: the four cmd/slrbench workloads at seed 1000; 10 s of
+# The 25 cases: the four cmd/slrbench workloads at seed 1000; 10 s of
 # olsr-1000 with the loop checker on, the one case whose checker reads
 # route tables above 100 nodes (it prints one violation); table1-mid under
 # each protocol (its six trials); 120 s of paper-default under each
 # protocol with the loop checker on; SRP with fast expiry, hellos and
 # round-robin multipath (CI's fast-expiry step); the aodv-aggressive spec;
 # the -pause and -speed overlay on paper-default and on manhattan-500,
-# whose model it resets to waypoint; and the small-scale paper grid of
-# cmd/experiments.
+# whose model it resets to waypoint; the tiny-smoke spec under each
+# protocol (gauss-markov mobility, poisson traffic and shadowing at their
+# defaults, so each family's params reader runs); and the small-scale paper
+# grid of cmd/experiments.
 set -eu
 
 base=${1:?usage: scripts/identity.sh <rev>}
@@ -85,6 +87,9 @@ run aodv-aggressive slrsim -spec examples/scenarios/aodv-aggressive.json
 run paper-default-overlay slrsim -spec paper-default -protocol AODV -duration 60s -pause 30s -speed 10
 run manhattan-500-overlay slrsim -spec examples/scenarios/manhattan-500.json -protocol SRP \
 	-duration 10s -pause 5s -trials 1
+for p in SRP LDR AODV DSR OLSR; do
+	run "tiny-smoke-$p" slrsim -spec examples/scenarios/tiny-smoke.json -protocol "$p"
+done
 run grid-small experiments -scale small -quiet
 
 exit "$status"
