@@ -151,13 +151,13 @@ func BenchmarkAblationHello(b *testing.B) {
 // out-of-order paths and forces sequence-number resets — SRP degraded
 // toward an integer-ordering protocol.
 func BenchmarkAblationNextElementOnly(b *testing.B) {
-	srpVariant(b, map[string]float64{"next_element_only": 1})
+	srpVariant(b, map[string]float64{"split": 2})
 }
 
 // BenchmarkAblationFarey swaps the mediant for the Stern-Brocot simplest
 // fraction (§VI future work): same behaviour, far smaller denominators.
 func BenchmarkAblationFarey(b *testing.B) {
-	srpVariant(b, map[string]float64{"farey": 1})
+	srpVariant(b, map[string]float64{"split": 1})
 }
 
 // BenchmarkAblationNoLie disables the §V understated-RREQ heuristic.

@@ -16,7 +16,9 @@ import (
 	"log"
 	"time"
 
+	"slr/internal/core"
 	"slr/internal/geo"
+	"slr/internal/label"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
 	"slr/internal/radio"
@@ -85,19 +87,27 @@ func main() {
 		log.Fatal("no node holds more than one successor: the grid was routed single-path")
 	}
 
-	// Verify the invariant the labels guarantee: the union of all
-	// successor edges is acyclic.
+	// Verify the invariant the labels guarantee: load every ordering and
+	// successor edge into core's checker, which refuses an edge whose
+	// successor's label is not below its own and then searches the
+	// union of the edges for a cycle.
+	g := core.NewGraph[label.Order](core.OrderSet{})
 	for id, p := range protos {
-		mine := p.Orders()[dest]
-		for _, nxt := range p.SuccessorsOf(dest) {
-			their, ok := protos[nxt].Orders()[dest]
-			if !ok {
-				continue
-			}
-			if !mine.Precedes(their) {
-				log.Fatalf("order violated on edge %d->%d: %v !≺ %v", id, nxt, mine, their)
+		if o, ok := p.Orders()[dest]; ok {
+			if err := g.SetLabel(id, o); err != nil {
+				log.Fatal(err)
 			}
 		}
+	}
+	for id, p := range protos {
+		for _, nxt := range p.SuccessorsOf(dest) {
+			if err := g.AddSuccessor(id, int(nxt)); err != nil {
+				log.Fatalf("order violated: %v", err)
+			}
+		}
+	}
+	if err := g.Verify(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("every successor edge satisfies the ordering criteria: the multipath")
 	fmt.Println("successor graph is in topological order and therefore loop-free.")

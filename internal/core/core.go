@@ -18,8 +18,9 @@
 //     reproducing the paper's Examples 1 and 2 exactly.
 //
 // The production asynchronous instance of SLR is SRP, in
-// slr/internal/routing/srp, built on the Order label set of
-// slr/internal/label.
+// slr/internal/routing/srp: its relabels split in a Set[frac.F] (FracSet,
+// FareySet or its next-element-only ablation) and pass CheckOrder over
+// OrderSet, the Order label set of slr/internal/label.
 package core
 
 import (

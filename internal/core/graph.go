@@ -17,8 +17,6 @@ type Graph[L any] struct {
 	set    Set[L]
 	labels map[int]L
 	succ   map[int]map[int]struct{}
-	// checks counts invariant verifications, for test introspection.
-	checks int
 }
 
 // NewGraph returns an empty checker over the given label set. Nodes that
@@ -69,11 +67,6 @@ func (g *Graph[L]) AddSuccessor(from, to int) error {
 	return nil
 }
 
-// RemoveSuccessor drops the edge (from, to) if present.
-func (g *Graph[L]) RemoveSuccessor(from, to int) {
-	delete(g.succ[from], to)
-}
-
 // ClearSuccessors drops all successor edges of from.
 func (g *Graph[L]) ClearSuccessors(from int) {
 	delete(g.succ, from)
@@ -89,15 +82,11 @@ func (g *Graph[L]) Successors(from int) []int {
 	return out
 }
 
-// Checks returns how many times Verify has run.
-func (g *Graph[L]) Checks() int { return g.checks }
-
 // Verify checks the full invariant: every edge (i, j) satisfies
 // label(j) < label(i) (topological order, which implies acyclicity,
 // Theorem 3), and — defense in depth — loopcheck.FindCycle confirms there
 // is no directed cycle.
 func (g *Graph[L]) Verify() error {
-	g.checks++
 	for from, set := range g.succ {
 		lf := g.Label(from)
 		for to := range set {

@@ -80,20 +80,6 @@ func (f F) Equal(g F) bool {
 	return uint64(f.Num)*uint64(g.Den) == uint64(g.Num)*uint64(f.Den)
 }
 
-// Cmp returns -1, 0, or 1 as f is less than, equal to, or greater than g.
-func (f F) Cmp(g F) int {
-	lhs := uint64(f.Num) * uint64(g.Den)
-	rhs := uint64(g.Num) * uint64(f.Den)
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // SplitOverflows reports whether the mediant of f and g cannot be
 // represented in 32 bits. This is the overflow test of Procedure 2 (Eq. 11)
 // and Algorithm 1 lines 6 and 11: the relay checks n+q before splitting.
@@ -127,8 +113,8 @@ func (f F) Next() (next F, ok bool) {
 func Add(f, g F) (F, bool) { return Mediant(f, g) }
 
 // Reduce returns f with numerator and denominator divided by their GCD.
-// SRP as published does not reduce fractions (§VI), but reduction preserves
-// numeric order, so it is exposed for the Farey-tree extension and tests.
+// SRP as published does not reduce fractions (§VI); Reduce is the oracle
+// that shows Between's results already are.
 func (f F) Reduce() F {
 	if f.Num == 0 {
 		return Zero
@@ -173,47 +159,5 @@ func Between(lo, hi F) (F, bool) {
 		default:
 			return m, true
 		}
-	}
-}
-
-// SplitDepth returns how many successive mediant splits with One are
-// possible starting from f before 32-bit overflow. It quantifies the
-// paper's Fibonacci bound: from 0/1 the depth against a fresh reply chain
-// is at least 45.
-func SplitDepth(f F) int {
-	depth := 0
-	cur := f
-	for {
-		next, ok := cur.Next()
-		if !ok {
-			return depth
-		}
-		cur = next
-		depth++
-	}
-}
-
-// MaxMediantChain returns the length of the worst-case mediant chain
-// starting from the pair (a, b): each step replaces an alternating endpoint
-// with the mediant, which makes the components grow like the Fibonacci
-// sequence — the fastest possible growth, yielding the paper's "at least 45
-// times" figure for 32-bit integers.
-func MaxMediantChain(a, b F) int {
-	n := 0
-	lo, hi := a, b
-	if hi.Less(lo) {
-		lo, hi = hi, lo
-	}
-	for {
-		m, ok := Mediant(lo, hi)
-		if !ok {
-			return n
-		}
-		if n%2 == 0 {
-			lo = m
-		} else {
-			hi = m
-		}
-		n++
 	}
 }

@@ -64,15 +64,12 @@ func TestLess(t *testing.T) {
 	}
 }
 
-func TestCmpAndEqual(t *testing.T) {
-	if MustNew(1, 2).Cmp(MustNew(2, 4)) != 0 {
-		t.Error("1/2 should compare equal to 2/4")
-	}
+func TestEqual(t *testing.T) {
 	if !MustNew(1, 2).Equal(MustNew(2, 4)) {
 		t.Error("1/2 should Equal 2/4")
 	}
-	if Zero.Cmp(One) != -1 || One.Cmp(Zero) != 1 {
-		t.Error("sentinel Cmp wrong")
+	if Zero.Equal(One) || One.Equal(Zero) {
+		t.Error("0/1 and 1/1 should differ")
 	}
 }
 
@@ -134,23 +131,28 @@ func TestMediantOverflow(t *testing.T) {
 func TestFibonacciBound(t *testing.T) {
 	// The paper: "The least upper bound on the number of times we may do
 	// this in a 32-bit unsigned integer is found from the Fibonacci
-	// sequence to be 45 times."
-	got := MaxMediantChain(Zero, One)
-	if got < 45 {
-		t.Fatalf("worst-case mediant chain = %d, want >= 45", got)
+	// sequence to be 45 times." The worst case replaces the two ends of
+	// the interval alternately with their mediant, so the components grow
+	// like the Fibonacci sequence, the fastest any split chain can.
+	lo, hi := Zero, One
+	splits := 0
+	for {
+		m, ok := Mediant(lo, hi)
+		if !ok {
+			break
+		}
+		if splits%2 == 0 {
+			lo = m
+		} else {
+			hi = m
+		}
+		splits++
 	}
-	if got > 50 {
-		t.Fatalf("worst-case mediant chain = %d, suspiciously large", got)
+	if splits < 45 {
+		t.Fatalf("worst-case mediant chain = %d, want >= 45", splits)
 	}
-}
-
-func TestSplitDepth(t *testing.T) {
-	// Next-element splits grow denominators by 1, so from 0/1 the depth
-	// is MaxUint32-1 steps; just check it is monotone on small cases via
-	// a capped variant: splitting near the top runs out quickly.
-	top := F{Num: math.MaxUint32 - 2, Den: math.MaxUint32 - 1}
-	if d := SplitDepth(top); d != 1 {
-		t.Fatalf("SplitDepth near max = %d, want 1", d)
+	if splits > 50 {
+		t.Fatalf("worst-case mediant chain = %d, suspiciously large", splits)
 	}
 }
 

@@ -57,16 +57,15 @@ var vocabulary = map[string]map[string]float64{
 		"active_route_timeout_seconds": 10,
 		"delete_period_seconds":        60,
 		"discovery_holddown_seconds":   3,
-		"farey":                        0,
 		"hello_interval_seconds":       0,
 		"max_denom":                    1e9,
 		"max_salvage":                  3,
 		"multipath":                    0,
-		"next_element_only":            0,
 		"node_traversal_seconds":       0.04,
 		"queue_cap":                    10,
 		"rreq_rate_limit":              10,
 		"rreq_retries":                 2,
+		"split":                        0,
 		"ttl_0":                        5,
 		"ttl_1":                        10,
 		"ttl_2":                        35,
@@ -174,7 +173,9 @@ func TestConfigFromParamsAllocs(t *testing.T) {
 
 // TestParamRefusals pins the value checks every protocol's keys share: an
 // integer key takes only an integral value, a boolean key only 0 or 1, and
-// no key takes NaN or ±Inf — none of them truncates or rounds.
+// no key takes NaN or ±Inf — none of them truncates or rounds. A value
+// out of its key's range (split 3) or against SRP's timer rule (a delete
+// period below the active route timeout) is refused too.
 func TestParamRefusals(t *testing.T) {
 	for _, c := range []struct {
 		proto, key string
@@ -184,6 +185,9 @@ func TestParamRefusals(t *testing.T) {
 		{"SRP", "use_lie", math.NaN()},
 		{"SRP", "use_lie", 0.5},
 		{"SRP", "multipath", 1.9},
+		{"SRP", "split", 3},
+		{"SRP", "split", 1.5},
+		{"SRP", "delete_period_seconds", 2}, // below active_route_timeout_seconds' 10
 		{"SRP", "queue_cap", 2.5},
 		{"SRP", "max_denom", 1e9 + 0.5},
 		{"SRP", "ttl_0", math.Inf(1)},
@@ -206,9 +210,10 @@ func TestParamRefusals(t *testing.T) {
 }
 
 // removedKeys are the protocol_params keys no experiment set, each with
-// its old default, which the constant that replaced it now holds.
+// its old default, which the constant that replaced it now holds, and
+// SRP's two split flags, which the split key replaced.
 var removedKeys = map[string]map[string]float64{
-	"SRP":  {"min_reply_hops": 2, "hello_fanout": 10},
+	"SRP":  {"min_reply_hops": 2, "hello_fanout": 10, "farey": 0, "next_element_only": 0},
 	"LDR":  {"min_reply_hops": 2, "use_packet_cache": 1},
 	"AODV": {"local_repair": 1},
 	"DSR":  {"cache_lifetime_seconds": 300, "routes_per_dest": 3, "reply_from_cache": 1},
@@ -216,8 +221,8 @@ var removedKeys = map[string]map[string]float64{
 }
 
 // TestRemovedKeysRefused verifies every protocol refuses each key that
-// became a constant as unknown, even at its old default, and counts the
-// vocabulary: 13 keys went, 46 remain.
+// became a constant or was replaced as unknown, even at its old default,
+// and counts the vocabulary: 15 keys went, 45 remain.
 func TestRemovedKeysRefused(t *testing.T) {
 	removed, kept := 0, 0
 	for name, keys := range removedKeys {
@@ -232,7 +237,7 @@ func TestRemovedKeysRefused(t *testing.T) {
 	for _, keys := range vocabulary {
 		kept += len(keys)
 	}
-	if removed != 13 || kept != 46 {
-		t.Errorf("%d keys removed and %d kept, want 13 and 46", removed, kept)
+	if removed != 15 || kept != 45 {
+		t.Errorf("%d keys removed and %d kept, want 15 and 45", removed, kept)
 	}
 }

@@ -1,33 +1,24 @@
 package srp
 
 import (
+	"slr/internal/core"
 	"slr/internal/frac"
 	"slr/internal/label"
 )
 
-// splitKind selects how splitOrder interpolates between orderings.
-type splitKind int
+// nextElementOnly is the ablation's label set: core.FracSet without
+// interpolation. Its Split may only take the next-element of lo, and fails
+// unless that falls below hi, so a relabel that needs a split between the
+// advertisement and the request bound fails and forces a path reset,
+// degrading SRP toward an integer-ordering protocol like LDR.
+type nextElementOnly struct{ core.FracSet }
 
-const (
-	// splitMediant is the paper's Algorithm 1: the fraction mediant.
-	splitMediant splitKind = iota
-	// splitFarey uses the Stern-Brocot simplest fraction (§VI).
-	splitFarey
-	// splitNextOnly forbids interpolation: only the next-element of the
-	// advertisement is tried, the AblationNextElementOnly mode.
-	splitNextOnly
-)
-
-// splitMode maps a Config to its splitKind.
-func splitMode(cfg Config) splitKind {
-	switch {
-	case cfg.NextElementOnly:
-		return splitNextOnly
-	case cfg.Farey:
-		return splitFarey
-	default:
-		return splitMediant
+// Split returns lo's next-element when it lies below hi.
+func (nextElementOnly) Split(lo, hi frac.F) (frac.F, bool) {
+	if f, ok := lo.Next(); ok && f.Less(hi) {
+		return f, true
 	}
+	return frac.F{}, false
 }
 
 // newOrder implements Algorithm 1 (NEWORDER) of the paper: compute node A's
@@ -38,14 +29,13 @@ func splitMode(cfg Config) splitKind {
 //
 // It returns the unordered result (0, (1,1)) when no label maintaining
 // order exists within 32-bit fraction precision, which forces Procedure 3
-// to ignore the advertisement (Theorem 6). When farey is true, mediant
-// splits are replaced by the Stern–Brocot simplest-fraction interpolation
-// (§VI future work), which produces reduced fractions and postpones
-// overflow; this is the AblationFarey variant.
+// to ignore the advertisement (Theorem 6). Splits (lines 7 and 12) are
+// set's: the paper's mediant, or another interpolation of the same
+// fractions (Config.Labels).
 //
 // Successor elimination (Algorithm 1 line 13) is the caller's job: the
 // route table prunes successors not preceded by G.
-func newOrder(oA, c, oAdv label.Order, mode splitKind) label.Order {
+func newOrder(oA, c, oAdv label.Order, set core.Set[frac.F]) label.Order {
 	g := label.Unassigned
 	switch {
 	case oA.SN < oAdv.SN:
@@ -60,7 +50,7 @@ func newOrder(oA, c, oAdv label.Order, mode splitKind) label.Order {
 			// number. Requires Fact 2 (C ≺ O?) for betweenness; under
 			// network drift the fact can fail, in which case no
 			// in-order label exists and we return unordered.
-			g = splitOrder(c, oAdv, mode)
+			g = splitOrder(c, oAdv, set)
 		}
 	case oA.SN == oAdv.SN:
 		switch {
@@ -69,7 +59,7 @@ func newOrder(oA, c, oAdv label.Order, mode splitKind) label.Order {
 			g = oA
 		default:
 			// Line 12: as line 7.
-			g = splitOrder(c, oAdv, mode)
+			g = splitOrder(c, oAdv, set)
 		}
 	}
 	// oA.SN > oAdv.SN: the advertisement is infeasible (cannot occur for
@@ -78,30 +68,17 @@ func newOrder(oA, c, oAdv label.Order, mode splitKind) label.Order {
 	return g
 }
 
-// splitOrder returns (sn?, split(F?, F_C)) when the orderings are ordered
-// and the split is representable, else Unassigned.
-func splitOrder(c, oAdv label.Order, mode splitKind) label.Order {
+// splitOrder returns (sn?, set.Split(F?, F_C)) when the orderings are
+// ordered and the split is representable, else Unassigned.
+func splitOrder(c, oAdv label.Order, set core.Set[frac.F]) label.Order {
 	// Fact 2 defensively verified: C ≺ O?. Comparing fractions alone is
 	// not enough: a request at a larger sequence number than the
 	// advertisement's leaves no label at sn? below C (Eq. 4).
 	if !c.Precedes(oAdv) {
 		return label.Unassigned
 	}
-	switch mode {
-	case splitFarey:
-		if f, ok := frac.Between(oAdv.FD, c.FD); ok {
-			return label.Order{SN: oAdv.SN, FD: f}
-		}
-	case splitNextOnly:
-		// No interpolation: the next-element must happen to fit below
-		// the request bound, else the relabel fails (ablation).
-		if f, ok := oAdv.FD.Next(); ok && f.Less(c.FD) {
-			return label.Order{SN: oAdv.SN, FD: f}
-		}
-	default:
-		if f, ok := frac.Mediant(oAdv.FD, c.FD); ok {
-			return label.Order{SN: oAdv.SN, FD: f}
-		}
+	if f, ok := set.Split(oAdv.FD, c.FD); ok {
+		return label.Order{SN: oAdv.SN, FD: f}
 	}
 	return label.Unassigned
 }

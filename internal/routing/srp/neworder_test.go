@@ -19,12 +19,12 @@ func ord(sn label.SeqNo, num, den uint32) label.Order {
 
 func TestNewOrderCaseII(t *testing.T) {
 	// Algorithm 1 line 5: snA < sn? and snC < sn? -> O? + 1/1.
-	g := newOrder(ord(1, 1, 2), ord(1, 2, 3), ord(2, 0, 1), splitMediant)
+	g := newOrder(ord(1, 1, 2), ord(1, 2, 3), ord(2, 0, 1), core.FracSet{})
 	if g != ord(2, 1, 2) {
 		t.Fatalf("g = %v, want (2, 1/2)", g)
 	}
 	// Unassigned node, unassigned cache.
-	g = newOrder(label.Unassigned, label.Unassigned, ord(1, 0, 1), splitMediant)
+	g = newOrder(label.Unassigned, label.Unassigned, ord(1, 0, 1), core.FracSet{})
 	if g != ord(1, 1, 2) {
 		t.Fatalf("g = %v, want (1, 1/2)", g)
 	}
@@ -32,7 +32,7 @@ func TestNewOrderCaseII(t *testing.T) {
 
 func TestNewOrderCaseIII(t *testing.T) {
 	// Line 7: snA < sn?, snC == sn? -> mediant of C and O? fractions.
-	g := newOrder(ord(1, 1, 2), ord(2, 2, 3), ord(2, 1, 2), splitMediant)
+	g := newOrder(ord(1, 1, 2), ord(2, 2, 3), ord(2, 1, 2), core.FracSet{})
 	if g != ord(2, 3, 5) {
 		t.Fatalf("g = %v, want (2, 3/5)", g)
 	}
@@ -41,7 +41,7 @@ func TestNewOrderCaseIII(t *testing.T) {
 func TestNewOrderCaseIV(t *testing.T) {
 	// Line 10: snA == sn?, C ≺ O_A -> keep own label.
 	own := ord(2, 2, 3)
-	g := newOrder(own, ord(2, 3, 4), ord(2, 1, 2), splitMediant)
+	g := newOrder(own, ord(2, 3, 4), ord(2, 1, 2), core.FracSet{})
 	if g != own {
 		t.Fatalf("g = %v, want keep %v", g, own)
 	}
@@ -49,7 +49,7 @@ func TestNewOrderCaseIV(t *testing.T) {
 
 func TestNewOrderCaseV(t *testing.T) {
 	// Line 12: snA == sn?, C not ≺ O_A -> split C with O?.
-	g := newOrder(ord(2, 2, 3), ord(2, 2, 3), ord(2, 1, 2), splitMediant)
+	g := newOrder(ord(2, 2, 3), ord(2, 2, 3), ord(2, 1, 2), core.FracSet{})
 	if g != ord(2, 3, 5) {
 		t.Fatalf("g = %v, want (2, 3/5)", g)
 	}
@@ -57,7 +57,7 @@ func TestNewOrderCaseV(t *testing.T) {
 
 func TestNewOrderInfeasibleSeqno(t *testing.T) {
 	// snA > sn?: Case I — unordered result.
-	g := newOrder(ord(3, 1, 2), label.Unassigned, ord(2, 0, 1), splitMediant)
+	g := newOrder(ord(3, 1, 2), label.Unassigned, ord(2, 0, 1), core.FracSet{})
 	if !g.IsUnassigned() {
 		t.Fatalf("g = %v, want unassigned", g)
 	}
@@ -66,7 +66,7 @@ func TestNewOrderInfeasibleSeqno(t *testing.T) {
 func TestNewOrderOverflowReturnsUnordered(t *testing.T) {
 	big := label.Order{SN: 2, FD: frac.F{Num: math.MaxUint32 - 2, Den: math.MaxUint32 - 1}}
 	adv := label.Order{SN: 2, FD: frac.F{Num: 1, Den: math.MaxUint32}}
-	g := newOrder(ord(1, 1, 2), big, adv, splitMediant)
+	g := newOrder(ord(1, 1, 2), big, adv, core.FracSet{})
 	if !g.IsUnassigned() {
 		t.Fatalf("g = %v, want unassigned on overflow", g)
 	}
@@ -75,7 +75,7 @@ func TestNewOrderOverflowReturnsUnordered(t *testing.T) {
 func TestNewOrderFactTwoViolation(t *testing.T) {
 	// If the cached C does not precede the advertisement (unstable
 	// network), no in-order label exists; must return unordered.
-	g := newOrder(ord(1, 1, 2), ord(2, 1, 3), ord(2, 1, 2), splitMediant)
+	g := newOrder(ord(1, 1, 2), ord(2, 1, 3), ord(2, 1, 2), core.FracSet{})
 	if !g.IsUnassigned() {
 		t.Fatalf("g = %v, want unassigned when C does not precede O?", g)
 	}
@@ -83,8 +83,8 @@ func TestNewOrderFactTwoViolation(t *testing.T) {
 
 func TestNewOrderFareyProducesSimplerFractions(t *testing.T) {
 	c, adv := ord(2, 7, 9), ord(2, 5, 8)
-	med := newOrder(ord(1, 1, 2), c, adv, splitMediant)
-	fay := newOrder(ord(1, 1, 2), c, adv, splitFarey)
+	med := newOrder(ord(1, 1, 2), c, adv, core.FracSet{})
+	fay := newOrder(ord(1, 1, 2), c, adv, core.FareySet{})
 	if med.IsUnassigned() || fay.IsUnassigned() {
 		t.Fatal("unexpected unordered result")
 	}
@@ -116,7 +116,7 @@ func TestNewOrderMaintainsOrderProperty(t *testing.T) {
 		if !own.Precedes(adv) || !c.Precedes(adv) {
 			return true // preconditions (Facts 1–2) not met
 		}
-		g := newOrder(own, c, adv, splitMediant)
+		g := newOrder(own, c, adv, core.FracSet{})
 		if g.IsUnassigned() {
 			return true // overflow path is always allowed
 		}
@@ -143,9 +143,9 @@ func TestNewOrderMaintainsOrderProperty(t *testing.T) {
 // FuzzNewOrderDefinition1 holds Algorithm 1 to Definition 1 as core
 // states it: for a node ordering oA, a cached request ordering c and an
 // advertisement adv that pass setRoute's feasibility guard, every finite
-// newOrder result, in each split mode, satisfies Eqs. 3–5
-// (core.CheckOrder; successor pruning is the caller's, so Eq. 6 is not
-// asked). A denominator of 0 stands for Unassigned; sequence numbers run
+// newOrder result, in each label set the split key selects (splitSets),
+// satisfies Eqs. 3–5 (core.CheckOrder; successor pruning is the caller's,
+// so Eq. 6 is not asked). A denominator of 0 stands for Unassigned; sequence numbers run
 // 0–3 so that they often tie. The seed is a request at a larger sequence
 // number than the advertisement's, which a split that compares fractions
 // alone answers with a label at the advertisement's sequence number that
@@ -166,13 +166,13 @@ func FuzzNewOrderDefinition1(f *testing.F) {
 		if adv.FD == frac.One || (!oA.IsUnassigned() && !oA.Precedes(adv)) {
 			return // setRoute refuses the advertisement before newOrder
 		}
-		for _, mode := range []splitKind{splitMediant, splitFarey, splitNextOnly} {
-			g := newOrder(oA, c, adv, mode)
+		for split, set := range splitSets {
+			g := newOrder(oA, c, adv, set)
 			if !g.Finite() {
 				continue
 			}
 			if err := core.CheckOrder(core.OrderSet{}, g, oA, c, adv, nil); err != nil {
-				t.Fatalf("mode %d: newOrder(oA %v, c %v, adv %v) = %v: %v", mode, oA, c, adv, g, err)
+				t.Fatalf("split %d: newOrder(oA %v, c %v, adv %v) = %v: %v", split, oA, c, adv, g, err)
 			}
 		}
 	})

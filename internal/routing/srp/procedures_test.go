@@ -390,3 +390,71 @@ func TestPathReset(t *testing.T) {
 		t.Errorf("delivered %d packets, want 1", w.MX.DataRecv)
 	}
 }
+
+// TestNoResetStormBelowPathLength: a fresh path of n hops labels its
+// terminus n/(n+1) whatever the destination's sequence number, so when
+// MaxDenom is below n+1 a path reset cannot bring the terminus's
+// denominator under it. The terminus must not ask for one: on the chain
+// 0-1-2-3 (n = 3) each reply would otherwise trigger another reset, and the
+// destination would raise its sequence number on every round trip.
+func TestNoResetStormBelowPathLength(t *testing.T) {
+	for _, maxDenom := range []uint32{2, 3} {
+		cfg := DefaultConfig()
+		cfg.MaxDenom = maxDenom
+		var ps [4]*Protocol
+		w := rtest.New(1, 120, func(id netstack.NodeID) netstack.Protocol {
+			ps[id] = New(cfg)
+			return ps[id]
+		}, rtest.Chain(4, 100), nil)
+		w.Send(0, 3)
+		w.Sim.RunUntil(2 * time.Second)
+		if got := ps[3].SeqnoDelta(); got > 1 {
+			t.Errorf("MaxDenom %d: destination raised its sequence number %d times, want at most 1", maxDenom, got)
+		}
+		if w.MX.DataRecv != 1 {
+			t.Errorf("MaxDenom %d: delivered %d packets, want 1", maxDenom, w.MX.DataRecv)
+		}
+	}
+}
+
+// TestShortDeletePeriodLoops pins why validate refuses a DeletePeriod
+// below ActiveRouteTimeout. Neighbour 0 holds node 1 as its successor
+// toward 2, recorded at 1's ordering (1, 1/2), for ActiveRouteTimeout.
+// 1's link to 2 breaks and its RERR is lost (0 is out of radio range here),
+// so 0 keeps the successor. With DeletePeriod 2 s, 1's sweep at 10 s
+// deletes the route while 0's successor entry lives to 11 s; 1 then
+// relabels from Unassigned on 0's Hello, above the ordering 0 recorded,
+// and each node routes to 2 through the other.
+func TestShortDeletePeriodLoops(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DeletePeriod = 2 * time.Second
+	if _, err := ConfigFromParams(map[string]float64{"delete_period_seconds": 2}); err == nil {
+		t.Fatal("ConfigFromParams admits a delete period below the active route timeout")
+	}
+	var ps [3]*Protocol
+	w := rtest.New(1, 10, func(id netstack.NodeID) netstack.Protocol {
+		ps[id] = New(cfg)
+		return ps[id]
+	}, rtest.Chain(3, 100), nil)
+	w.Sim.RunUntil(time.Second)
+	held := label.Order{SN: 1, FD: frac.MustNew(1, 2)}
+	assign(t, ps[1], 2, 2, held)
+	ps[0].setRoute(1, 2, held, 2, label.Unassigned, cfg.ActiveRouteTimeout)
+	ps[1].linkBreak(2)
+
+	w.Sim.RunUntil(10*time.Second + time.Millisecond)
+	if r := ps[1].route(2); r != nil {
+		t.Fatalf("node 1's sweep kept its broken route %+v", *r)
+	}
+	if got := ps[0].SuccessorsOf(2); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("node 0's successors toward 2 = %v, want [1] (recorded at %v)", got, held)
+	}
+	o0 := ps[0].order(2)
+	ps[1].handleHello(0, &hello{Entries: []helloEntry{{Dst: 2, SN: o0.SN, F: o0.FD, D: 2}}})
+	if got := ps[1].order(2); !got.Precedes(held) {
+		t.Fatalf("node 1 relabeled to %v, want above the %v node 0 recorded", got, held)
+	}
+	if got := ps[1].SuccessorsOf(2); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("node 1's successors toward 2 = %v, want [0]: the loop 0-1-0", got)
+	}
+}

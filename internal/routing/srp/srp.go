@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"slr/internal/core"
 	"slr/internal/frac"
 	"slr/internal/label"
 	"slr/internal/netstack"
@@ -29,13 +30,11 @@ type Config struct {
 	UseLie bool
 	// UsePacketCache enables resending MAC-dropped packets on new routes.
 	UsePacketCache bool
-	// Farey replaces mediant splits with Stern–Brocot interpolation.
-	Farey bool
-	// NextElementOnly disables mediant splits: relabeling may only take
-	// the next-element of the advertisement, which frequently violates
-	// the cached request bound and forces path resets — an ablation that
-	// degrades SRP toward integer-ordering protocols like LDR.
-	NextElementOnly bool
+	// Labels is the fraction label set Algorithm 1 splits in (§II): the
+	// paper's mediant (core.FracSet), the Stern–Brocot simplest fraction
+	// of §VI (core.FareySet) or the next-element-only ablation; the
+	// split key selects it (splitSets).
+	Labels core.Set[frac.F]
 	// Multipath selects the successor-choice policy for forwarding.
 	Multipath PathPolicy
 	// HelloInterval, when positive, broadcasts periodic Hello
@@ -62,16 +61,21 @@ func DefaultConfig() Config {
 		MaxDenom:           1_000_000_000,
 		UseLie:             true,
 		UsePacketCache:     true,
-		Farey:              false,
+		Labels:             core.FracSet{},
 		Multipath:          PolicyMinHop,
 	}
 }
 
-// overrides is what SRP's spec-level keys set: the Config, and max_denom
-// as given, since it is range-checked before its uint32 conversion.
+// splitSets are the label sets the split key selects, by its value.
+var splitSets = [...]core.Set[frac.F]{core.FracSet{}, core.FareySet{}, nextElementOnly{}}
+
+// overrides is what SRP's spec-level keys set: the Config, max_denom as
+// given, since it is range-checked before its uint32 conversion, and split
+// as given, since it indexes splitSets.
 type overrides struct {
 	Config
 	maxDenom int
+	split    int
 }
 
 // appliers are SRP's spec-level keys; see ConfigFromParams.
@@ -82,19 +86,19 @@ var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryCo
 		"max_denom":                    registry.Int(func(o *overrides, v int) { o.maxDenom = v }),
 		"use_lie":                      registry.Bool(func(o *overrides, v bool) { o.UseLie = v }),
 		"use_packet_cache":             registry.Bool(func(o *overrides, v bool) { o.UsePacketCache = v }),
-		"farey":                        registry.Bool(func(o *overrides, v bool) { o.Farey = v }),
-		"next_element_only":            registry.Bool(func(o *overrides, v bool) { o.NextElementOnly = v }),
+		"split":                        registry.Int(func(o *overrides, v int) { o.split = v }),
 		"multipath":                    registry.Int(func(o *overrides, v int) { o.Multipath = PathPolicy(v) }),
 		"hello_interval_seconds":       registry.Real(func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds, booleans as 0/1, multipath
-// as the PathPolicy ordinal (0 min-hop, 1 round-robin, 2 random). Unknown
+// as the PathPolicy ordinal (0 min-hop, 1 round-robin, 2 random) and split
+// as the label set's (0 mediant, 1 Farey, 2 next-element only). Unknown
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
 	def := DefaultConfig()
-	o, err := registry.ApplyParams("srp", params, appliers, overrides{def, int(def.MaxDenom)})
+	o, err := registry.ApplyParams("srp", params, appliers, overrides{def, int(def.MaxDenom), 0})
 	if err != nil {
 		return Config{}, err
 	}
@@ -103,8 +107,12 @@ func ConfigFromParams(params map[string]float64) (Config, error) {
 	if o.maxDenom < 2 || o.maxDenom > math.MaxUint32 {
 		return Config{}, fmt.Errorf("srp: max_denom %d must be in [2, %d]", o.maxDenom, uint32(math.MaxUint32))
 	}
+	if o.split < 0 || o.split >= len(splitSets) {
+		return Config{}, fmt.Errorf("srp: split %d unknown (0 mediant, 1 farey, 2 next-element only)", o.split)
+	}
 	cfg := o.Config
 	cfg.MaxDenom = uint32(o.maxDenom)
+	cfg.Labels = splitSets[o.split]
 	if err := cfg.validate(); err != nil {
 		return Config{}, err
 	}
@@ -116,6 +124,12 @@ func (c Config) validate() error {
 	if c.ActiveRouteTimeout <= 0 || c.DeletePeriod <= 0 {
 		return fmt.Errorf("srp: timeouts must be positive (active_route_timeout %v, delete_period %v)",
 			c.ActiveRouteTimeout, c.DeletePeriod)
+	}
+	if c.DeletePeriod < c.ActiveRouteTimeout {
+		// A route deleted before its neighbours' successor entries
+		// expire can relabel above them: a loop (TestShortDeletePeriodLoops).
+		return fmt.Errorf("srp: delete_period_seconds %v must be at least active_route_timeout_seconds %v",
+			c.DeletePeriod.Seconds(), c.ActiveRouteTimeout.Seconds())
 	}
 	if c.MaxDenom < 2 {
 		return fmt.Errorf("srp: max_denom %d must be >= 2", c.MaxDenom)
@@ -269,8 +283,8 @@ func (p *Protocol) ControlBreakdown() (rreq, rrep, rerr uint64) {
 	return p.statRREQ, p.statRREP, p.statRERR
 }
 
-// OrderViolations reports how often the Theorem 1 guard rejected a label
-// that would have increased — zero in a correct implementation.
+// OrderViolations reports how often the Theorem 1 guard rejected a relabel
+// that breaks Definition 1 — zero in a correct implementation.
 func (p *Protocol) OrderViolations() uint64 { return p.statOrderViolations }
 
 func (p *Protocol) sweep() {
@@ -649,9 +663,12 @@ func (p *Protocol) forwardRREP(to netstack.NodeID, rep *rrep, o label.Order, dis
 }
 
 // completeDiscovery flushes queued packets once the requester installs the
-// route, and requests a path reset when the fraction has grown too deep.
+// route, and requests a path reset when the fraction has grown too deep
+// and a reset can help: a fresh path of n = LD+1 hops labels its terminus
+// n/(n+1), so under a MaxDenom below n+1 every reset's reply would ask
+// for another.
 func (p *Protocol) completeDiscovery(rep *rrep, g label.Order) {
-	if g.FD.Den > p.cfg.MaxDenom {
+	if g.FD.Den > p.cfg.MaxDenom && uint64(rep.LD)+2 <= uint64(p.cfg.MaxDenom) {
 		p.requestPathReset(rep.Dst)
 	}
 	// Any reply for the destination completes the discovery, even one
@@ -714,14 +731,16 @@ func (p *Protocol) setRoute(from, dst netstack.NodeID, adv label.Order, dist int
 	if !mine.IsUnassigned() && !mine.Precedes(adv) {
 		return label.Unassigned // infeasible (Theorem 2 guard)
 	}
-	g := newOrder(mine, c, adv, splitMode(p.cfg))
+	g := newOrder(mine, c, adv, p.cfg.Labels)
 	if !g.Finite() {
 		return g
 	}
-	// Theorem 1 guard: labels are non-increasing with time. Algorithm 1
+	// Theorem 1 guard: a relabel maintains order (Definition 1, Eqs.
+	// 3–5; pruneOutOfOrder below makes Eq. 6 hold). Algorithm 1
 	// guarantees this structurally (Theorem 6); the check is defensive
-	// and counts violations instead of installing an unsafe label.
-	if !mine.IsUnassigned() && !g.Equal(mine) && !mine.Precedes(g) {
+	// and counts violations instead of installing an unsafe label. An
+	// unchanged label already meets Eqs. 3–5.
+	if !g.Equal(mine) && core.CheckOrder(core.OrderSet{}, g, mine, c, adv, nil) != nil {
 		p.statOrderViolations++
 		return label.Unassigned
 	}

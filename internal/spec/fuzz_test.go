@@ -67,6 +67,9 @@ func FuzzParse(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// A rate whose packet interval rounds to 0 ns must be refused, not
+	// hang the trial.
+	f.Add(fastCBR(f))
 	// Specs whose channel cannot be built (an infinite MaxRange, a speed
 	// bound with no grid epoch) and a knob in a model that lacks it must
 	// be refused, not run on defaults or panic in the trial.

@@ -104,6 +104,9 @@ func TestParseRejects(t *testing.T) {
 		{"ids past 32 bits", mutate(func(s *ScenarioSpec) { s.Nodes = math.MaxInt32 + 1 }), "2147483647"},
 		{"no duration", mutate(func(s *ScenarioSpec) { s.DurationSeconds = 0 }), "duration"},
 		{"no flow lifetime", mutate(func(s *ScenarioSpec) { s.Traffic.MeanLifeSeconds = 0 }), "mean_life_seconds"},
+		// A flow's tick would reschedule itself at the same instant
+		// forever.
+		{"sub-nanosecond packet interval", fastCBR(t), "rate_pps"},
 		{"bad model param", mutate(func(s *ScenarioSpec) {
 			s.Mobility.Model = "manhattan"
 			s.Mobility.Params = map[string]float64{"block_m": 1e9}
@@ -263,6 +266,22 @@ func TestTinySpecRuns(t *testing.T) {
 	if r.DataSent == 0 {
 		t.Fatal("tiny smoke spec generated no traffic")
 	}
+}
+
+// fastCBR is the tiny-smoke spec with cbr traffic at 2e9 packets per
+// second per flow: a packet interval of 0.5 ns, which rounds to 0.
+func fastCBR(tb testing.TB) []byte {
+	tb.Helper()
+	s, err := Load("../../examples/scenarios/tiny-smoke.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.Traffic.Model, s.Traffic.RatePps = "cbr", 2e9
+	blob, err := json.Marshal(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
 }
 
 // TestProtocolParamsThread verifies the spec's protocol_params section

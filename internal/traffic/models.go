@@ -30,7 +30,9 @@ func RegisterModel(name string, f PacerFactory) { pacerFactories.Register(name, 
 func Models() []string { return pacerFactories.Names() }
 
 // NewPacer builds a pacer for one flow of p. An empty model name selects
-// "cbr", the paper's workload.
+// "cbr", the paper's workload. It refuses a rate whose packet interval is
+// below the kernel's 1 ns tick: such an interval rounds to 0, and a flow
+// would reschedule its tick at the same instant forever.
 func NewPacer(p Params) (Pacer, error) {
 	name := p.Model
 	if name == "" {
@@ -39,6 +41,9 @@ func NewPacer(p Params) (Pacer, error) {
 	f, ok := pacerFactories.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("traffic: unknown model %q (registered: %v)", name, Models())
+	}
+	if p.Rate > 0 && float64(time.Second)/p.Rate < 1 {
+		return nil, fmt.Errorf("traffic: rate_pps %v gives a packet interval below 1 ns", p.Rate)
 	}
 	return f(p)
 }
