@@ -12,59 +12,25 @@
 package aodv
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"slr/internal/netstack"
-	"slr/internal/registry"
 	"slr/internal/routing/rcommon"
 	"slr/internal/sim"
 )
 
-// Config holds AODV's protocol constants.
-type Config struct {
-	rcommon.DiscoveryConfig
-	ActiveRouteTimeout sim.Time
-}
-
-// ttlKeys name the entries of the expanding-ring TTL schedule.
-var ttlKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
+// Config holds AODV's constants, the ones LDR and SRP run under too
+// for a fair comparison (§V).
+type Config = rcommon.RouteConfig
 
 // DefaultConfig returns the constants used in the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
-		ActiveRouteTimeout: 10 * time.Second,
-	}
-}
-
-// appliers are AODV's spec-level keys; see ConfigFromParams.
-var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
-	map[string]registry.Applier[Config]{
-		"active_route_timeout_seconds": registry.Real(func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) }),
-	})
+func DefaultConfig() Config { return rcommon.DefaultRouteConfig() }
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
-// params applied; durations arrive in seconds, booleans as 0/1. Unknown
-// keys and out-of-range values are errors.
+// params applied; see rcommon.RouteConfigFromParams.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg, err := registry.ApplyParams("aodv", params, appliers, DefaultConfig())
-	if err != nil {
-		return Config{}, err
-	}
-	if err := cfg.validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// validate rejects configurations no deployment could run.
-func (c Config) validate() error {
-	if c.ActiveRouteTimeout <= 0 {
-		return fmt.Errorf("aodv: active_route_timeout_seconds %v must be positive", c.ActiveRouteTimeout)
-	}
-	return c.DiscoveryConfig.Validate("aodv", ttlKeys)
+	return rcommon.RouteConfigFromParams("aodv", params)
 }
 
 // rreq is the AODV route request.
@@ -315,7 +281,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	}
 	// Intermediate reply: valid route with a sequence number at least as
 	// fresh as requested.
-	if e, ok := p.liveRoute(r.Dst); ok && e.validSeq && (r.UnknownSeq || seqGE(e.seq, r.DstSeq)) {
+	if e, ok := p.liveRoute(r.Dst); ok && e.validSeq && (r.UnknownSeq || rcommon.SeqGE(e.seq, r.DstSeq)) {
 		e.precursor = true
 		rep := &rrep{Src: r.Src, Dst: r.Dst, DstSeq: e.seq, HopCount: e.hops,
 			Lifetime: e.expiry - p.node.Now()}
@@ -329,7 +295,7 @@ func (p *Protocol) handleRREQ(from netstack.NodeID, r *rreq) {
 	z := *r
 	z.TTL--
 	z.HopCount++
-	if e, ok := p.table[r.Dst]; ok && e.validSeq && seqGE(e.seq, z.DstSeq) && !z.UnknownSeq {
+	if e, ok := p.table[r.Dst]; ok && e.validSeq && rcommon.SeqGE(e.seq, z.DstSeq) && !z.UnknownSeq {
 		z.DstSeq = e.seq
 	}
 	jitter := sim.Time(p.node.Rand().Int63n(int64(10 * time.Millisecond)))
@@ -371,7 +337,7 @@ func (p *Protocol) update(dst netstack.NodeID, seq uint32, validSeq bool, hops i
 	}
 	adopt := !e.valid || !e.validSeq
 	if !adopt && validSeq {
-		adopt = seqGT(seq, e.seq) || (seq == e.seq && hops < e.hops)
+		adopt = rcommon.SeqGT(seq, e.seq) || (seq == e.seq && hops < e.hops)
 	}
 	if !adopt && e.valid && e.nextHop == next && e.seq == seq {
 		p.useRoute(e) // same route refreshed
@@ -397,7 +363,7 @@ func (p *Protocol) handleRERR(from netstack.NodeID, e *rerr) {
 			continue
 		}
 		ent.valid = false
-		if seqGT(d.Seq, ent.seq) {
+		if rcommon.SeqGT(d.Seq, ent.seq) {
 			ent.seq = d.Seq
 		}
 		lost = ent.report(d.Dst, lost)
@@ -460,9 +426,3 @@ func (p *Protocol) propagateRERR(dests []rerrDest) {
 	out := &rerr{Dests: dests}
 	p.node.BroadcastControl(out.size(), out)
 }
-
-// seqGT and seqGE compare sequence numbers with wraparound (RFC 3561
-// §6.1), via the shared helpers.
-func seqGT(a, b uint32) bool { return rcommon.SeqGT(a, b) }
-
-func seqGE(a, b uint32) bool { return rcommon.SeqGE(a, b) }

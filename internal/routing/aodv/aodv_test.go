@@ -112,18 +112,6 @@ func TestNoRouteIntermediateSendsRERR(t *testing.T) {
 	}
 }
 
-func TestSeqCompareWraps(t *testing.T) {
-	if !seqGT(1, 0xFFFFFFFF) {
-		t.Error("wraparound compare failed")
-	}
-	if seqGT(0xFFFFFFFF, 1) {
-		t.Error("wraparound compare inverted")
-	}
-	if !seqGE(5, 5) {
-		t.Error("seqGE equality failed")
-	}
-}
-
 func TestMobileNetworkLoopFree(t *testing.T) {
 	const n = 20
 	positions := make([]geo.Point, n)

@@ -22,12 +22,10 @@ import (
 	"slr/internal/sim"
 )
 
-// Config holds DSR's tunable constants. Its TTL schedule has two entries:
-// the non-propagating first attempt (first_ttl), then network-wide floods
-// (net_ttl).
-type Config struct {
-	rcommon.DiscoveryConfig
-}
+// Config holds DSR's tunable constants, all of them discovery's. Its TTL
+// schedule has two entries: the non-propagating first attempt (first_ttl),
+// then network-wide floods (net_ttl).
+type Config = rcommon.DiscoveryConfig
 
 // The route cache: a learned route lives cacheLifetime unless it is
 // renewed, and a node keeps at most routesPerDest routes per destination.
@@ -40,33 +38,17 @@ const (
 var ttlKeys = []string{"first_ttl", "net_ttl"}
 
 // DefaultConfig returns the evaluation constants.
-func DefaultConfig() Config {
-	return Config{
-		DiscoveryConfig: rcommon.DefaultDiscovery(1, 35),
-	}
-}
+func DefaultConfig() Config { return rcommon.DefaultDiscovery(1, 35) }
 
 // appliers are DSR's spec-level keys; see ConfigFromParams.
-var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
-	map[string]registry.Applier[Config]{})
+var appliers = rcommon.DiscoveryAppliers(func(c *Config) *Config { return c }, ttlKeys, map[string]registry.Applier[Config]{})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
 // params applied; durations arrive in seconds, booleans as 0/1. Unknown
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg, err := registry.ApplyParams("dsr", params, appliers, DefaultConfig())
-	if err != nil {
-		return Config{}, err
-	}
-	if err := cfg.validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// validate rejects configurations no deployment could run.
-func (c Config) validate() error {
-	return c.DiscoveryConfig.Validate("dsr", ttlKeys)
+	return rcommon.Configure("dsr", params, appliers, DefaultConfig(),
+		func(c Config, kind string) error { return c.Validate(kind, ttlKeys) })
 }
 
 // rreq accumulates the traversed path in Path (intermediate nodes only,
@@ -139,7 +121,7 @@ func New(cfg Config) *Protocol {
 		cfg:   cfg,
 		cache: make(map[netstack.NodeID][]cachedRoute),
 	}
-	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
+	p.disc = rcommon.NewDiscoveryTable(cfg, p.solicit, nil)
 	return p
 }
 

@@ -16,12 +16,10 @@
 package ldr
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"slr/internal/netstack"
-	"slr/internal/registry"
 	"slr/internal/routing/rcommon"
 	"slr/internal/sim"
 )
@@ -29,49 +27,17 @@ import (
 // infinity is the feasible distance of an unassigned node.
 const infinity = int(^uint(0) >> 1)
 
-// Config holds LDR's constants; they mirror SRP's for a fair comparison.
-type Config struct {
-	rcommon.DiscoveryConfig
-	ActiveRouteTimeout sim.Time
-}
+// Config holds LDR's constants, the ones AODV and SRP run under too
+// for a fair comparison (§V).
+type Config = rcommon.RouteConfig
 
-// ttlKeys name the entries of the expanding-ring TTL schedule.
-var ttlKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
-
-// DefaultConfig returns the evaluation constants.
-func DefaultConfig() Config {
-	return Config{
-		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
-		ActiveRouteTimeout: 10 * time.Second,
-	}
-}
-
-// appliers are LDR's spec-level keys; see ConfigFromParams.
-var appliers = rcommon.DiscoveryAppliers(func(c *Config) *rcommon.DiscoveryConfig { return &c.DiscoveryConfig }, ttlKeys,
-	map[string]registry.Applier[Config]{
-		"active_route_timeout_seconds": registry.Real(func(c *Config, v float64) { c.ActiveRouteTimeout = rcommon.Seconds(v) }),
-	})
+// DefaultConfig returns the constants used in the evaluation.
+func DefaultConfig() Config { return rcommon.DefaultRouteConfig() }
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
-// params applied; durations arrive in seconds, booleans as 0/1. Unknown
-// keys and out-of-range values are errors.
+// params applied; see rcommon.RouteConfigFromParams.
 func ConfigFromParams(params map[string]float64) (Config, error) {
-	cfg, err := registry.ApplyParams("ldr", params, appliers, DefaultConfig())
-	if err != nil {
-		return Config{}, err
-	}
-	if err := cfg.validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// validate rejects configurations no deployment could run.
-func (c Config) validate() error {
-	if c.ActiveRouteTimeout <= 0 {
-		return fmt.Errorf("ldr: active_route_timeout_seconds %v must be positive", c.ActiveRouteTimeout)
-	}
-	return c.DiscoveryConfig.Validate("ldr", ttlKeys)
+	return rcommon.RouteConfigFromParams("ldr", params)
 }
 
 // rreq is the LDR route request: a solicitation carrying the requester's

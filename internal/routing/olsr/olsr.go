@@ -14,9 +14,11 @@
 // # The route cache
 //
 // The routing table is a pure function of the link-state inputs alive at
-// the evaluation instant: the symmetric neighbors and the TC-learned
-// topology, each filtered by its expiry deadline. It is rebuilt only when
-// read (recompute) and only if one of two signals says the inputs moved:
+// its last rebuild: the symmetric neighbors and the TC-learned topology,
+// each filtered by its expiry deadline. It is rebuilt only when read
+// (recompute), only once something has marked it dirty (a HELLO heard, a
+// TC accepted, a link failure, a sweep that deleted an entry), and then
+// only if one of two signals says the inputs moved:
 //
 //   - a structure version, bumped only when an input actually changes (a
 //     symmetric link appears, disappears or revives; an advertised set
@@ -26,6 +28,10 @@
 //     rebuild consumed. Before the horizon, with an unchanged version, a
 //     rebuild would read exactly the same inputs and produce exactly the
 //     same table, so it is skipped.
+//
+// An input's expiry marks nothing dirty. Past its deadline, until the
+// once-a-second sweep deletes it or something else marks the table, routes
+// over it are still served (TestExpiredLinkServedUntilDirty).
 //
 // # MPR selection: note or settle
 //
@@ -460,7 +466,7 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 	now := p.node.Now()
 	if m.Flood.Witness(p.self, now, p.swept) {
 		te := p.topoOf(m.Orig)
-		if te.body == nil || !seqNewer(te.body.Seq, m.Body.Seq) {
+		if te.body == nil || !rcommon.SeqGT(te.body.Seq, m.Body.Seq) {
 			exp := now + topologyHold
 			// A re-advertisement that names the same links while the old
 			// entry is still live is a refresh: no link appears or
@@ -487,10 +493,6 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 		}
 	}
 }
-
-// seqNewer reports that stored is newer than incoming, via the shared
-// wraparound comparison.
-func seqNewer(stored, incoming uint32) bool { return rcommon.SeqGT(stored, incoming) }
 
 // --- MPR selection ------------------------------------------------------
 

@@ -302,47 +302,126 @@ func TestRecomputeSkipsWhenInputsUnchanged(t *testing.T) {
 	}
 }
 
+// TestExpiredLinkServedUntilDirty pins the route cache's rule as it
+// stands: recompute consults the expiry horizon only once an input change
+// has marked the table dirty, so past a neighbor's hold, with nothing
+// heard, the table still routes over it until the sweep deletes the entry.
+// Rebuilding at the horizon instead moves the OLSR goldens (ROADMAP).
+func TestExpiredLinkServedUntilDirty(t *testing.T) {
+	w, p := loneNode(1)
+	const nb = 1
+	p.handleHello(nb, &hello{From: nb, Neighbors: []netstack.NodeID{0}})
+	if got := p.SuccessorsOf(nb); !slices.Equal(got, []netstack.NodeID{nb}) {
+		t.Fatalf("route to a live symmetric neighbor = %v, want [%d]", got, nb)
+	}
+	if p.routeHorizon != neighborHold {
+		t.Fatalf("routeHorizon = %v, want the neighbor's hold %v", p.routeHorizon, neighborHold)
+	}
+	w.Sim.RunUntil(neighborHold) // the link's expiry instant: dead from here
+	if got := p.SuccessorsOf(nb); !slices.Equal(got, []netstack.NodeID{nb}) {
+		t.Fatalf("route over the expired link = %v, want it still served as [%d]", got, nb)
+	}
+	p.expire()
+	if got := p.SuccessorsOf(nb); got != nil {
+		t.Fatalf("route after the sweep deleted the link = %v, want none", got)
+	}
+}
+
 func TestMPRCoverProperty(t *testing.T) {
-	// Property: for random neighborhoods, the greedy MPR set covers
-	// every strict two-hop neighbor reachable through a symmetric
-	// neighbor.
+	// Property: for random neighborhoods, the MPR set is exactly the
+	// greedy cover written from its definition (greedyCover), it covers
+	// every strict two-hop neighbor reachable through a live symmetric
+	// neighbor, and it is not empty while such a neighbor exists. The
+	// neighborhoods mix in asymmetric and expired neighbors, list self and
+	// symmetric neighbors among the two-hop ids, and tie cover counts; the
+	// counts below make sure every trial set draws each case.
+	const self = 0
+	const now = 10 * time.Second
 	rng := sim.New(21).Rand()
+	var asym, expired, selfListed, symListed, tied int
 	for trial := 0; trial < 200; trial++ {
-		p := New()
-		w := rtest.New(int64(trial), 120,
-			func(netstack.NodeID) netstack.Protocol { return p },
-			[]geo.Point{{X: 0}}, nil)
-		_ = w
-		nNb := 1 + rng.Intn(8)
-		twoHopUniverse := make(map[netstack.NodeID]bool)
-		for i := 0; i < nNb; i++ {
-			nb, _ := p.touch(netstack.NodeID(100+i), sim.Time(time.Hour))
-			nb.sym = true
-			for j := 0; j < rng.Intn(6); j++ {
-				th := netstack.NodeID(200 + rng.Intn(10))
-				if !slices.Contains(nb.twoHop, th) {
+		w, p := loneNode(int64(trial))
+		w.Sim.RunUntil(now)
+		for _, k := range rng.Perm(10)[:1+rng.Intn(8)] {
+			expiry := sim.Time(time.Hour)
+			if rng.Intn(5) == 0 {
+				expiry = now - sim.Time(rng.Intn(2))*time.Second // dead at or before now
+			}
+			nb, _ := p.touch(netstack.NodeID(1+k), expiry)
+			nb.sym = rng.Intn(4) > 0
+			for range rng.Intn(7) {
+				// 0 is self, 1-10 may be neighbors, 11-15 are not.
+				if th := netstack.NodeID(rng.Intn(16)); !slices.Contains(nb.twoHop, th) {
 					nb.twoHop = append(nb.twoHop, th)
 				}
-				twoHopUniverse[th] = true
 			}
 		}
+		live := func(id netstack.NodeID) bool {
+			nb := p.nbrs.Get(uint32(id))
+			return nb != nil && nb.sym && nb.expiry > now
+		}
+		// strict is each live symmetric neighbor's strict two-hop set.
+		strict := make(map[netstack.NodeID][]netstack.NodeID)
+		universe := make(map[netstack.NodeID]bool)
+		for i := range p.nbrs.Len() {
+			id, nb := p.nbrs.KeyAt(i), p.nbrs.At(i)
+			switch {
+			case !nb.sym:
+				asym++
+				continue
+			case !live(id):
+				expired++
+				continue
+			}
+			strict[id] = []netstack.NodeID{}
+			for _, th := range nb.twoHop {
+				switch {
+				case th == self:
+					selfListed++
+				case live(th):
+					symListed++
+				default:
+					strict[id] = append(strict[id], th)
+					universe[th] = true
+				}
+			}
+		}
+		best, atBest := 0, 0
+		for _, ths := range strict {
+			switch {
+			case len(ths) > best:
+				best, atBest = len(ths), 1
+			case len(ths) == best:
+				atBest++
+			}
+		}
+		if best > 0 && atBest > 1 {
+			tied++
+		}
+
 		p.selectMPRs()
-		// Verify cover.
+		if want := greedyCover(p, now); !slices.Equal(p.mprs, want) {
+			t.Fatalf("trial %d: MPRs %v, the greedy cover is %v", trial, p.mprs, want)
+		}
 		covered := make(map[netstack.NodeID]bool)
 		for _, id := range p.mprs {
-			for _, th := range p.nbrs.Get(uint32(id)).twoHop {
+			for _, th := range strict[id] {
 				covered[th] = true
 			}
 		}
-		for th := range twoHopUniverse {
+		for th := range universe {
 			if !covered[th] {
 				t.Fatalf("trial %d: two-hop %d uncovered by MPRs %v", trial, th, p.mprs)
 			}
 		}
-		// Non-emptiness rule: some MPR whenever a neighbor exists.
-		if nNb > 0 && len(p.mprs) == 0 {
-			t.Fatalf("trial %d: no MPR selected with %d neighbors", trial, nNb)
+		if len(strict) > 0 && len(p.mprs) == 0 {
+			t.Fatalf("trial %d: no MPR selected with %d live symmetric neighbors", trial, len(strict))
 		}
+	}
+	t.Logf("cases drawn: %d asymmetric, %d expired, %d self listed, %d symmetric listed, %d tied", asym, expired, selfListed, symListed, tied)
+	if asym == 0 || expired == 0 || selfListed == 0 || symListed == 0 || tied == 0 {
+		t.Errorf("cases drawn: %d asymmetric, %d expired, %d self listed, %d symmetric listed, %d tied; want each > 0",
+			asym, expired, selfListed, symListed, tied)
 	}
 }
 

@@ -2,7 +2,6 @@ package rcommon
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"slr/internal/netstack"
@@ -92,17 +91,70 @@ func (c DiscoveryConfig) Validate(kind string, ttlKeys []string) error {
 		longest = max(longest, ttl)
 	}
 	// The last attempt waits at most 2·longest·NodeTraversal·2^RreqRetries.
-	if c.NodeTraversal > (maxWait>>c.RreqRetries)/sim.Time(2*longest) {
+	if c.NodeTraversal > (sim.MaxSpan>>c.RreqRetries)/sim.Time(2*longest) {
 		return fmt.Errorf("%s: node_traversal_seconds %v, ttl %d and rreq_retries %d make the last wait, 2·ttl·node_traversal·2^rreq_retries, exceed %v",
-			kind, c.NodeTraversal, longest, c.RreqRetries, maxWait)
+			kind, c.NodeTraversal, longest, c.RreqRetries, sim.MaxSpan)
 	}
 	return nil
 }
 
-// maxWait bounds a discovery's longest wait. It is half of sim.Time's
-// range, so the clock plus the wait cannot wrap in any trial shorter than
-// that (146 years).
-const maxWait = sim.Time(math.MaxInt64 >> 1)
+// RouteConfig holds the constants AODV, LDR and SRP share, so §V compares
+// them under one set: route discovery with the TTL schedule ttl_0..2, and
+// the active route timeout. AODV's and LDR's Config is this type; SRP's
+// embeds it.
+type RouteConfig struct {
+	DiscoveryConfig
+	// ActiveRouteTimeout is how long an unused route stays valid.
+	ActiveRouteTimeout sim.Time
+}
+
+// routeTTLKeys name the entries of a RouteConfig's TTL schedule.
+var routeTTLKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
+
+// DefaultRouteConfig returns the evaluation's constants: TTLs 5, 10, 35
+// and a 10 s active route timeout.
+func DefaultRouteConfig() RouteConfig {
+	return RouteConfig{DefaultDiscovery(5, 10, 35), 10 * time.Second}
+}
+
+// RouteAppliers adds the appliers of a RouteConfig's keys to own, the
+// spec-level appliers of a protocol config C, and returns it; route
+// reaches C's RouteConfig.
+func RouteAppliers[C any](route func(*C) *RouteConfig, own map[string]registry.Applier[C]) map[string]registry.Applier[C] {
+	own["active_route_timeout_seconds"] = registry.Real(func(c *C, v float64) { route(c).ActiveRouteTimeout = Seconds(v) })
+	return DiscoveryAppliers(func(c *C) *DiscoveryConfig { return &route(c).DiscoveryConfig }, routeTTLKeys, own)
+}
+
+// routeAppliers are the keys of a protocol whose config is a RouteConfig.
+var routeAppliers = RouteAppliers(func(c *RouteConfig) *RouteConfig { return c }, map[string]registry.Applier[RouteConfig]{})
+
+// Validate rejects route constants no deployment could run, naming the
+// offending key; kind prefixes the error.
+func (c RouteConfig) Validate(kind string) error {
+	if c.ActiveRouteTimeout <= 0 {
+		return fmt.Errorf("%s: active_route_timeout_seconds %v must be positive", kind, c.ActiveRouteTimeout)
+	}
+	return c.DiscoveryConfig.Validate(kind, routeTTLKeys)
+}
+
+// RouteConfigFromParams is Configure for a protocol whose config is a
+// RouteConfig at DefaultRouteConfig; kind names the protocol.
+func RouteConfigFromParams(kind string, params map[string]float64) (RouteConfig, error) {
+	return Configure(kind, params, routeAppliers, DefaultRouteConfig(), RouteConfig.Validate)
+}
+
+// Configure is the one path a protocol's protocol_params take: def with
+// params applied by apply (durations in seconds, booleans as 0/1), then
+// checked by validate. Unknown keys, values of the wrong kind and
+// out-of-range values are errors prefixed by kind; with one, the returned
+// config is not meant to run.
+func Configure[C any](kind string, params map[string]float64, apply map[string]registry.Applier[C], def C, validate func(C, string) error) (C, error) {
+	c, err := registry.ApplyParams(kind, params, apply, def)
+	if err == nil {
+		err = validate(c, kind)
+	}
+	return c, err
+}
 
 // Discovery is one in-flight route discovery: the packets queued behind
 // it, the attempt counter, and the timer of its next retry or deferred

@@ -3,7 +3,9 @@
 // protocol reimplements around its actual routing logic. It owns
 //
 //   - the route-discovery bookkeeping — pending queues, retry counting,
-//     and post-failure hold-down (discovery.go),
+//     and post-failure hold-down — and the one protocol_params path every
+//     protocol's config takes, with the route constants AODV, LDR and SRP
+//     share (discovery.go),
 //   - sliding-window rate limiters for RREQ/RERR origination (ratelimit.go),
 //   - the periodic beaconer driving HELLO/TC/sweep schedules on re-armed
 //     sim timers (beacon.go),

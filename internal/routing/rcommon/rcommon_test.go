@@ -31,8 +31,9 @@ func TestSeqWraparound(t *testing.T) {
 	if !SeqGT(1, 0) || SeqGT(0, 1) || !SeqGE(1, 1) {
 		t.Fatal("basic ordering broken")
 	}
-	// Freshness survives rollover: 3 is fresher than MaxUint32-2.
-	if !SeqGT(3, ^uint32(0)-2) {
+	// Freshness survives rollover: 3 is fresher than MaxUint32-2, not the
+	// other way round.
+	if !SeqGT(3, ^uint32(0)-2) || SeqGT(^uint32(0)-2, 3) || !SeqGE(3, ^uint32(0)-2) {
 		t.Fatal("wraparound comparison broken")
 	}
 }

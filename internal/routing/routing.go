@@ -121,35 +121,23 @@ func MergeParams(base, override map[string]float64) map[string]float64 {
 	return merged
 }
 
+// register adds the protocol whose config configure reads from a spec's
+// protocol_params and whose node instance build makes from that config.
+func register[C any, P netstack.Protocol](name string, configure func(map[string]float64) (C, error), build func(C) P) {
+	Register(name, func(params map[string]float64) (netstack.Protocol, error) {
+		cfg, err := configure(params)
+		if err != nil {
+			return nil, err
+		}
+		return build(cfg), nil
+	})
+}
+
 func init() {
-	Register("SRP", func(params map[string]float64) (netstack.Protocol, error) {
-		cfg, err := srp.ConfigFromParams(params)
-		if err != nil {
-			return nil, err
-		}
-		return srp.New(cfg), nil
-	})
-	Register("LDR", func(params map[string]float64) (netstack.Protocol, error) {
-		cfg, err := ldr.ConfigFromParams(params)
-		if err != nil {
-			return nil, err
-		}
-		return ldr.New(cfg), nil
-	})
-	Register("AODV", func(params map[string]float64) (netstack.Protocol, error) {
-		cfg, err := aodv.ConfigFromParams(params)
-		if err != nil {
-			return nil, err
-		}
-		return aodv.New(cfg), nil
-	})
-	Register("DSR", func(params map[string]float64) (netstack.Protocol, error) {
-		cfg, err := dsr.ConfigFromParams(params)
-		if err != nil {
-			return nil, err
-		}
-		return dsr.New(cfg), nil
-	})
+	register("SRP", srp.ConfigFromParams, srp.New)
+	register("LDR", ldr.ConfigFromParams, ldr.New)
+	register("AODV", aodv.ConfigFromParams, aodv.New)
+	register("DSR", dsr.ConfigFromParams, dsr.New)
 	// OLSR runs at the draft's default timing and takes no parameters.
 	Register("OLSR", func(params map[string]float64) (netstack.Protocol, error) {
 		if err := registry.NoParams("olsr", params); err != nil {

@@ -17,9 +17,7 @@ import (
 // Config holds SRP's protocol constants and the heuristic switches that the
 // ablation benchmarks toggle.
 type Config struct {
-	rcommon.DiscoveryConfig
-	// ActiveRouteTimeout is how long an unused successor stays valid.
-	ActiveRouteTimeout sim.Time
+	rcommon.RouteConfig // discovery and the route timeout, as AODV's and LDR's
 	// DeletePeriod bounds control-packet age, ordering retention and
 	// computation state (§III, 60 s).
 	DeletePeriod sim.Time
@@ -49,20 +47,16 @@ type Config struct {
 // active routes rotates through them over successive Hellos.
 const helloFanout = 10
 
-// ttlKeys name the entries of the expanding-ring TTL schedule.
-var ttlKeys = []string{"ttl_0", "ttl_1", "ttl_2"}
-
 // DefaultConfig returns the configuration used in the paper's simulations.
 func DefaultConfig() Config {
 	return Config{
-		DiscoveryConfig:    rcommon.DefaultDiscovery(5, 10, 35),
-		ActiveRouteTimeout: 10 * time.Second,
-		DeletePeriod:       60 * time.Second,
-		MaxDenom:           1_000_000_000,
-		UseLie:             true,
-		UsePacketCache:     true,
-		Labels:             core.FracSet{},
-		Multipath:          PolicyMinHop,
+		RouteConfig:    rcommon.DefaultRouteConfig(),
+		DeletePeriod:   60 * time.Second,
+		MaxDenom:       1_000_000_000,
+		UseLie:         true,
+		UsePacketCache: true,
+		Labels:         core.FracSet{},
+		Multipath:      PolicyMinHop,
 	}
 }
 
@@ -78,17 +72,17 @@ type overrides struct {
 	split    int
 }
 
-// appliers are SRP's spec-level keys; see ConfigFromParams.
-var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryConfig { return &o.DiscoveryConfig }, ttlKeys,
+// appliers are SRP's spec-level keys, the shared route keys and SRP's own;
+// see ConfigFromParams.
+var appliers = rcommon.RouteAppliers(func(o *overrides) *rcommon.RouteConfig { return &o.RouteConfig },
 	map[string]registry.Applier[overrides]{
-		"active_route_timeout_seconds": registry.Real(func(o *overrides, v float64) { o.ActiveRouteTimeout = rcommon.Seconds(v) }),
-		"delete_period_seconds":        registry.Real(func(o *overrides, v float64) { o.DeletePeriod = rcommon.Seconds(v) }),
-		"max_denom":                    registry.Int(func(o *overrides, v int) { o.maxDenom = v }),
-		"use_lie":                      registry.Bool(func(o *overrides, v bool) { o.UseLie = v }),
-		"use_packet_cache":             registry.Bool(func(o *overrides, v bool) { o.UsePacketCache = v }),
-		"split":                        registry.Int(func(o *overrides, v int) { o.split = v }),
-		"multipath":                    registry.Int(func(o *overrides, v int) { o.Multipath = PathPolicy(v) }),
-		"hello_interval_seconds":       registry.Real(func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) }),
+		"delete_period_seconds":  registry.Real(func(o *overrides, v float64) { o.DeletePeriod = rcommon.Seconds(v) }),
+		"max_denom":              registry.Int(func(o *overrides, v int) { o.maxDenom = v }),
+		"use_lie":                registry.Bool(func(o *overrides, v bool) { o.UseLie = v }),
+		"use_packet_cache":       registry.Bool(func(o *overrides, v bool) { o.UsePacketCache = v }),
+		"split":                  registry.Int(func(o *overrides, v int) { o.split = v }),
+		"multipath":              registry.Int(func(o *overrides, v int) { o.Multipath = PathPolicy(v) }),
+		"hello_interval_seconds": registry.Real(func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in
@@ -98,52 +92,43 @@ var appliers = rcommon.DiscoveryAppliers(func(o *overrides) *rcommon.DiscoveryCo
 // keys and out-of-range values are errors.
 func ConfigFromParams(params map[string]float64) (Config, error) {
 	def := DefaultConfig()
-	o, err := registry.ApplyParams("srp", params, appliers, overrides{def, int(def.MaxDenom), 0})
+	o, err := rcommon.Configure("srp", params, appliers, overrides{def, int(def.MaxDenom), 0}, overrides.validate)
 	if err != nil {
 		return Config{}, err
 	}
-	// Range-check before the uint32 conversion, so a negative or
-	// oversized max_denom errors here instead of wrapping.
-	if o.maxDenom < 2 || o.maxDenom > math.MaxUint32 {
-		return Config{}, fmt.Errorf("srp: max_denom %d must be in [2, %d]", o.maxDenom, uint32(math.MaxUint32))
-	}
-	if o.split < 0 || o.split >= len(splitSets) {
-		return Config{}, fmt.Errorf("srp: split %d unknown (0 mediant, 1 farey, 2 next-element only)", o.split)
-	}
-	cfg := o.Config
-	cfg.MaxDenom = uint32(o.maxDenom)
-	cfg.Labels = splitSets[o.split]
-	if err := cfg.validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
+	o.MaxDenom, o.Labels = uint32(o.maxDenom), splitSets[o.split]
+	return o.Config, nil
 }
 
 // validate rejects configurations no deployment could run.
-func (c Config) validate() error {
-	if c.ActiveRouteTimeout <= 0 || c.DeletePeriod <= 0 {
-		return fmt.Errorf("srp: timeouts must be positive (active_route_timeout %v, delete_period %v)",
-			c.ActiveRouteTimeout, c.DeletePeriod)
+func (o overrides) validate(kind string) error {
+	// Range-check before the uint32 conversion, so a negative or
+	// oversized max_denom errors here instead of wrapping.
+	if o.maxDenom < 2 || o.maxDenom > math.MaxUint32 {
+		return fmt.Errorf("srp: max_denom %d must be in [2, %d]", o.maxDenom, uint32(math.MaxUint32))
 	}
-	if c.DeletePeriod < c.ActiveRouteTimeout {
+	if o.split < 0 || o.split >= len(splitSets) {
+		return fmt.Errorf("srp: split %d unknown (0 mediant, 1 farey, 2 next-element only)", o.split)
+	}
+	if err := o.RouteConfig.Validate(kind); err != nil {
+		return err
+	}
+	if o.DeletePeriod < o.ActiveRouteTimeout {
 		// A route deleted before its neighbours' successor entries
 		// expire can relabel above them: a loop (TestShortDeletePeriodLoops).
 		return fmt.Errorf("srp: delete_period_seconds %v must be at least active_route_timeout_seconds %v",
-			c.DeletePeriod.Seconds(), c.ActiveRouteTimeout.Seconds())
+			o.DeletePeriod.Seconds(), o.ActiveRouteTimeout.Seconds())
 	}
-	if c.MaxDenom < 2 {
-		return fmt.Errorf("srp: max_denom %d must be >= 2", c.MaxDenom)
-	}
-	if c.HelloInterval != 0 && c.HelloInterval < time.Millisecond {
+	if o.HelloInterval != 0 && o.HelloInterval < time.Millisecond {
 		// Start jitters hellos by Rand.Int63n(HelloInterval/4), which
 		// needs a positive argument; a sub-millisecond beacon period is
 		// nonsense anyway.
-		return fmt.Errorf("srp: hello_interval %v must be 0 (disabled) or >= 1ms", c.HelloInterval)
+		return fmt.Errorf("srp: hello_interval %v must be 0 (disabled) or >= 1ms", o.HelloInterval)
 	}
-	if c.Multipath != PolicyMinHop && c.Multipath != PolicyRoundRobin && c.Multipath != PolicyRandom {
-		return fmt.Errorf("srp: multipath policy %d unknown (0 min-hop, 1 round-robin, 2 random)", c.Multipath)
+	if o.Multipath != PolicyMinHop && o.Multipath != PolicyRoundRobin && o.Multipath != PolicyRandom {
+		return fmt.Errorf("srp: multipath policy %d unknown (0 min-hop, 1 round-robin, 2 random)", o.Multipath)
 	}
-	return c.DiscoveryConfig.Validate("srp", ttlKeys)
+	return nil
 }
 
 // Protocol is one node's SRP instance.

@@ -18,7 +18,6 @@ import (
 	"slr/internal/netstack"
 	"slr/internal/radio"
 	"slr/internal/routing"
-	"slr/internal/routing/srp"
 	"slr/internal/sim"
 	"slr/internal/traffic"
 )
@@ -119,6 +118,10 @@ type Result struct {
 
 // seqnoReporter is implemented by SRP, LDR and AODV (Fig. 7's protocols).
 type seqnoReporter interface{ SeqnoDelta() uint64 }
+
+// denominatorReporter is implemented by SRP: the largest fraction
+// denominator its orderings reached.
+type denominatorReporter interface{ MaxDenominator() uint32 }
 
 // controlReporter is implemented by protocols that split their control
 // traffic by type.
@@ -240,8 +243,8 @@ func Run(p Params) Result {
 			seqSum += sr.SeqnoDelta()
 			seqCount++
 		}
-		if sp, ok := pr.(*srp.Protocol); ok {
-			if d := sp.MaxDenominator(); d > res.MaxDenom {
+		if dr, ok := pr.(denominatorReporter); ok {
+			if d := dr.MaxDenominator(); d > res.MaxDenom {
 				res.MaxDenom = d
 			}
 		}

@@ -52,6 +52,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -60,6 +61,11 @@ import (
 // code can use natural literals (e.g. 50*time.Millisecond) while remaining a
 // pure virtual quantity.
 type Time = time.Duration
+
+// MaxSpan bounds every span a run's inputs set (a duration, a pause, a
+// packet interval, a protocol's longest wait): half of Time's range, so
+// the clock plus one span cannot wrap in a run that long (146 years).
+const MaxSpan = Time(math.MaxInt64 >> 1)
 
 // Event is a pooled scheduler node. User code never constructs or holds
 // Events directly; At, After, and Reschedule return Timer handles.

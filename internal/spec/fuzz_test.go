@@ -68,8 +68,11 @@ func FuzzParse(f *testing.F) {
 		f.Add(data)
 	}
 	// A rate whose packet interval rounds to 0 ns must be refused, not
-	// hang the trial.
-	f.Add(fastCBR(f))
+	// hang the trial; inputs that would wrap the clock must be refused,
+	// not panic it.
+	for _, u := range unrunnable {
+		f.Add(tinySpec(f, u.set))
+	}
 	// Specs whose channel cannot be built (an infinite MaxRange, a speed
 	// bound with no grid epoch) and a knob in a model that lacks it must
 	// be refused, not run on defaults or panic in the trial.

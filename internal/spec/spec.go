@@ -212,6 +212,13 @@ func (s *ScenarioSpec) Validate() error {
 	if s.Trials < 0 {
 		return fmt.Errorf("spec: trials %d must be >= 0", s.Trials)
 	}
+	// Refuse seconds past sim.MaxSpan as given: secs would wrap them.
+	keys := [...]string{"duration_seconds", "pause_seconds", "mean_life_seconds"}
+	for i, v := range [...]float64{s.DurationSeconds, s.Mobility.PauseSeconds, s.Traffic.MeanLifeSeconds} {
+		if math.Abs(v) > sim.MaxSpan.Seconds() {
+			return fmt.Errorf("spec: %s %v exceeds the simulator's span of %v s", keys[i], v, sim.MaxSpan.Seconds())
+		}
+	}
 	return ValidateParams(s.params())
 }
 
@@ -242,12 +249,17 @@ func ValidateParams(p scenario.Params) error {
 	if err := routing.Validate(routing.Spec{Name: string(p.Protocol), Params: p.ProtoParams}); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if mob := p.Mobility; mob.MaxSpeed < mob.MinSpeed || mob.MinSpeed < 0 {
-		return fmt.Errorf("spec: mobility speeds [%v, %v] invalid", mob.MinSpeed, mob.MaxSpeed)
+	if mob := p.Mobility; mob.MaxSpeed < mob.MinSpeed || mob.MinSpeed < 0 || mob.Pause < 0 {
+		return fmt.Errorf("spec: mobility speeds [%v, %v] or pause_seconds %v invalid", mob.MinSpeed, mob.MaxSpeed, mob.Pause.Seconds())
 	}
 	if p.Traffic.Flows <= 0 || p.Traffic.Rate <= 0 || p.Traffic.PacketSize <= 0 || p.Traffic.MeanLife <= 0 {
 		return fmt.Errorf("spec: traffic flows=%d rate_pps=%v packet_size_bytes=%d mean_life_seconds=%v must all be positive",
 			p.Traffic.Flows, p.Traffic.Rate, p.Traffic.PacketSize, p.Traffic.MeanLife.Seconds())
+	}
+	// IP's length field bounds a packet; far larger sizes overflow the
+	// channel's air time.
+	if p.Traffic.PacketSize > math.MaxUint16 {
+		return fmt.Errorf("spec: traffic packet_size_bytes %d exceeds %d, an IP datagram's largest", p.Traffic.PacketSize, math.MaxUint16)
 	}
 	if _, err := mobility.Build(p.Terrain, nullRng(), p.Mobility); err != nil {
 		return fmt.Errorf("spec: %w", err)

@@ -104,13 +104,17 @@ func TestParseRejects(t *testing.T) {
 		{"ids past 32 bits", mutate(func(s *ScenarioSpec) { s.Nodes = math.MaxInt32 + 1 }), "2147483647"},
 		{"no duration", mutate(func(s *ScenarioSpec) { s.DurationSeconds = 0 }), "duration"},
 		{"no flow lifetime", mutate(func(s *ScenarioSpec) { s.Traffic.MeanLifeSeconds = 0 }), "mean_life_seconds"},
-		// A flow's tick would reschedule itself at the same instant
-		// forever.
-		{"sub-nanosecond packet interval", fastCBR(t), "rate_pps"},
 		{"bad model param", mutate(func(s *ScenarioSpec) {
 			s.Mobility.Model = "manhattan"
 			s.Mobility.Params = map[string]float64{"block_m": 1e9}
 		}), "block_m"},
+	}
+	for _, u := range unrunnable {
+		cases = append(cases, struct {
+			name string
+			blob []byte
+			want string
+		}{u.name, tinySpec(t, u.set), u.want})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -268,15 +272,34 @@ func TestTinySpecRuns(t *testing.T) {
 	}
 }
 
-// fastCBR is the tiny-smoke spec with cbr traffic at 2e9 packets per
-// second per flow: a packet interval of 0.5 ns, which rounds to 0.
-func fastCBR(tb testing.TB) []byte {
+// unrunnable are changes to the tiny-smoke spec that the simulator cannot
+// run, each with what its refusal must quote: the key and the value as
+// given.
+var unrunnable = []struct {
+	name, want string
+	set        func(*ScenarioSpec)
+}{
+	// 2e9 packets per second per flow is a packet interval of 0.5 ns,
+	// which rounds to 0: a flow's tick would reschedule itself at the
+	// same instant forever.
+	{"sub-nanosecond packet interval", "rate_pps 2e+09", func(s *ScenarioSpec) { s.Traffic.Model, s.Traffic.RatePps = "cbr", 2e9 }},
+	// Each of the next four would wrap sim.Time: the packet's air time,
+	// the packet interval (1e21 ns), the duration or the flow lifetime.
+	{"oversized packet", "packet_size_bytes 2000000000000000000", func(s *ScenarioSpec) { s.Traffic.PacketSizeBytes = 2e18 }},
+	{"packet interval past the clock", "rate_pps 1e-12", func(s *ScenarioSpec) { s.Traffic.Model, s.Traffic.RatePps = "cbr", 1e-12 }},
+	{"duration past the clock", "duration_seconds 1e+12", func(s *ScenarioSpec) { s.DurationSeconds = 1e12 }},
+	{"flow lifetime past the clock", "mean_life_seconds 1e+12", func(s *ScenarioSpec) { s.Traffic.MeanLifeSeconds = 1e12 }},
+	{"negative pause", "pause_seconds -3", func(s *ScenarioSpec) { s.Mobility.Model, s.Mobility.PauseSeconds = "waypoint", -3 }},
+}
+
+// tinySpec is the tiny-smoke spec changed by set, encoded.
+func tinySpec(tb testing.TB, set func(*ScenarioSpec)) []byte {
 	tb.Helper()
 	s, err := Load("../../examples/scenarios/tiny-smoke.json")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s.Traffic.Model, s.Traffic.RatePps = "cbr", 2e9
+	set(s)
 	blob, err := json.Marshal(s)
 	if err != nil {
 		tb.Fatal(err)

@@ -31,8 +31,9 @@ func Models() []string { return pacerFactories.Names() }
 
 // NewPacer builds a pacer for one flow of p. An empty model name selects
 // "cbr", the paper's workload. It refuses a rate whose packet interval is
-// below the kernel's 1 ns tick: such an interval rounds to 0, and a flow
-// would reschedule its tick at the same instant forever.
+// below the kernel's 1 ns tick, where it rounds to 0 and a flow would
+// reschedule its tick at the same instant forever, or above sim.MaxSpan,
+// where the tick's instant would wrap.
 func NewPacer(p Params) (Pacer, error) {
 	name := p.Model
 	if name == "" {
@@ -42,8 +43,8 @@ func NewPacer(p Params) (Pacer, error) {
 	if !ok {
 		return nil, fmt.Errorf("traffic: unknown model %q (registered: %v)", name, Models())
 	}
-	if p.Rate > 0 && float64(time.Second)/p.Rate < 1 {
-		return nil, fmt.Errorf("traffic: rate_pps %v gives a packet interval below 1 ns", p.Rate)
+	if gap := float64(time.Second) / p.Rate; p.Rate > 0 && (gap < 1 || gap > float64(sim.MaxSpan)) {
+		return nil, fmt.Errorf("traffic: rate_pps %v gives a packet interval outside [1ns, %v]", p.Rate, sim.MaxSpan)
 	}
 	return f(p)
 }

@@ -10,16 +10,18 @@
 # either build fails on it. The specs it reads are never written. Run it
 # from the repository root: make identity BASE=<rev>.
 #
-# The 28 cases: the four cmd/slrbench workloads at seed 1000; 10 s of
+# The 29 cases: the four cmd/slrbench workloads at seed 1000; 10 s of
 # olsr-1000 with the loop checker on, the one case whose checker reads
 # route tables above 100 nodes (it prints one violation); table1-mid under
 # each protocol (its six trials); 120 s of paper-default under each
 # protocol with the loop checker on; SRP with fast expiry, hellos and
 # round-robin multipath (CI's fast-expiry step); 30 s of SRP on table1-mid
 # with the loop checker on in each of its ablations: split=1 (Farey
-# splits), split=2 (next-element only) and use_lie=0; the aodv-aggressive spec;
-# the -pause and -speed overlay on paper-default and on manhattan-500,
-# whose model it resets to waypoint; the tiny-smoke spec under each
+# splits), split=2 (next-element only) and use_lie=0; 30 s of LDR on
+# table1-mid with the loop checker on, its route timeout and last TTL off
+# their defaults (active_route_timeout_seconds=5, ttl_2=20); the
+# aodv-aggressive spec; the -pause and -speed overlay on paper-default and
+# on manhattan-500, whose model it resets to waypoint; the tiny-smoke spec under each
 # protocol (gauss-markov mobility, poisson traffic and shadowing at their
 # defaults, so each family's params reader runs); and the small-scale paper
 # grid of cmd/experiments.
@@ -89,6 +91,9 @@ for pp in split=1 split=2 use_lie=0; do
 	run "srp-$pp" slrsim -spec cmd/slrbench/workloads/table1-mid.json -protocol SRP \
 		-trials 1 -duration 30s -check -pparam "$pp"
 done
+run ldr-tuned slrsim -spec cmd/slrbench/workloads/table1-mid.json -protocol LDR \
+	-trials 1 -duration 30s -check \
+	-pparam active_route_timeout_seconds=5 -pparam ttl_2=20
 run aodv-aggressive slrsim -spec examples/scenarios/aodv-aggressive.json
 run paper-default-overlay slrsim -spec paper-default -protocol AODV -duration 60s -pause 30s -speed 10
 run manhattan-500-overlay slrsim -spec examples/scenarios/manhattan-500.json -protocol SRP \
