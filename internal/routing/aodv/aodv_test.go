@@ -7,6 +7,7 @@ import (
 	"slr/internal/geo"
 	"slr/internal/mobility"
 	"slr/internal/netstack"
+	"slr/internal/routing/rcommon"
 	"slr/internal/routing/rtest"
 	"slr/internal/sim"
 )
@@ -109,6 +110,20 @@ func TestNoRouteIntermediateSendsRERR(t *testing.T) {
 	}
 	if w.MX.ControlTx == 0 {
 		t.Fatal("no RERR sent")
+	}
+}
+
+// TestSeqCompareWraps holds the sequence-number comparisons AODV's
+// freshness rules call to RFC 3561 §6.1 rollover semantics.
+func TestSeqCompareWraps(t *testing.T) {
+	if !rcommon.SeqGT(1, 0xFFFFFFFF) {
+		t.Error("wraparound compare failed")
+	}
+	if rcommon.SeqGT(0xFFFFFFFF, 1) {
+		t.Error("wraparound compare inverted")
+	}
+	if !rcommon.SeqGE(5, 5) {
+		t.Error("seqGE equality failed")
 	}
 }
 
