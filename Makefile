@@ -72,8 +72,10 @@ lint:
 # instantiates it (for its neighbor table, the only IDTable olsr has),
 # under its package-qualified name. olsr's topoOf and routeTo are the
 # dense-table lookups of every TC heard and every data packet forwarded.
+# sim's Span converts every frame's air time and every pacer draw.
 # `make inline` fails unless the compiler reports each one `can inline`.
 INLINED := \
+	'Span' \
 	'\(\*Channel\)\.station' \
 	'\(\*Channel\)\.Busy' \
 	'\(\*Channel\)\.IdleAt' \
@@ -82,7 +84,7 @@ INLINED := \
 	'\(\*Protocol\)\.routeTo'
 
 inline:
-	@out=$$($(GO) build -gcflags=-m=2 ./internal/radio ./internal/routing/rcommon ./internal/routing/olsr 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/sim ./internal/radio ./internal/routing/rcommon ./internal/routing/olsr 2>&1) || { echo "$$out"; exit 1; }; \
 	status=0; for f in $(INLINED); do \
 		if ! echo "$$out" | grep -qE ": can inline $$f with cost"; then \
 			echo "not within the inlining budget: $$f"; echo "$$out" | grep -E "inline $$f" | cut -c1-200; status=1; \

@@ -1,8 +1,9 @@
-// Command slrlint is the repo's determinism linter: the four analyzers of
-// internal/analysis (mapiter, walltime, floatfmt, pooledescape), each
-// machine-enforcing an invariant the byte-identical-per-seed contract
-// depends on, behind slrlint.Main — a standard-library-only driver for
-// the go tool's vet protocol. It has no package loader and no flags of
+// Command slrlint is the repo's determinism linter: the five analyzers of
+// internal/analysis (mapiter, walltime, floatfmt, pooledescape,
+// timeconv), each machine-enforcing an invariant the
+// byte-identical-per-seed contract or a trial's clock depends on, behind
+// slrlint.Main — a standard-library-only driver for the go tool's vet
+// protocol. It has no package loader and no flags of
 // its own; `go vet` hands it one type-checkable package at a time:
 //
 //	go build -o bin/slrlint ./cmd/slrlint
@@ -19,6 +20,7 @@ import (
 	"slr/internal/analysis/mapiter"
 	"slr/internal/analysis/pooledescape"
 	"slr/internal/analysis/slrlint"
+	"slr/internal/analysis/timeconv"
 	"slr/internal/analysis/walltime"
 )
 
@@ -28,5 +30,6 @@ func main() {
 		walltime.Analyzer,
 		floatfmt.Analyzer,
 		pooledescape.Analyzer,
+		timeconv.Analyzer,
 	)
 }

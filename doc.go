@@ -47,10 +47,12 @@
 // files.
 //
 // That byte-identical contract is machine-enforced: internal/analysis
-// holds four analyzers — map-iteration order escaping into
+// holds five analyzers — map-iteration order escaping into
 // output or scheduling, wall-clock or global-rand use in sim-reachable
-// code, float formatting outside the canonical runner.Key codec, and
-// pooled values retained past their callback — which cmd/slrlint runs
+// code, float formatting outside the canonical runner.Key codec, pooled
+// values retained past their callback, and a float converted to sim.Time
+// outside internal/sim's checked sim.Seconds and saturating sim.Span —
+// which cmd/slrlint runs
 // over the whole repo through go vet -vettool (make lint) on a
 // standard-library-only driver, so the module has no dependencies.
 // Deliberate exceptions carry //slrlint:allow annotations with mandatory

@@ -1,5 +1,5 @@
 // Package analysis is the home of slrlint, the repo's determinism
-// linter: four analyzers that machine-enforce the invariants every PR
+// linter: five analyzers that machine-enforce the invariants every PR
 // since PR 1 has re-proven by hand. They are written against the small
 // Analyzer/Pass types of internal/analysis/slrlint — standard library
 // only (go/ast, go/types, go/importer), no flags.
@@ -21,6 +21,10 @@
 //   - pooledescape: pooled values (*sim.Event, control envelopes)
 //     retained past the callback that received them — the
 //     use-after-recycle hazard of the PR 1/PR 3 pooling.
+//   - timeconv: a float converted to sim.Time or time.Duration outside
+//     internal/sim, where sim.Seconds (checked, for inputs in seconds)
+//     and sim.Span (saturating at sim.MaxSpan, for draws) live — the
+//     wrapped-span bug class: a 1e12 s period became a negative instant.
 //
 // Deliberate exceptions carry //slrlint:allow <analyzer> <reason> on or
 // directly above the flagged line; the reason is mandatory. cmd/slrlint

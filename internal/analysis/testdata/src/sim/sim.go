@@ -14,6 +14,15 @@ func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // Time is simulated time.
 type Time int64
 
+// Span is the saturating float conversion: its package is the one
+// timeconv lets convert a float to Time.
+func Span(ns float64) Time {
+	if ns < 1<<62 {
+		return Time(ns)
+	}
+	return 1<<62 - 1
+}
+
 // Event is a pooled scheduler node: recycled onto the freelist the
 // moment its callback returns.
 type Event struct {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"slr/internal/runner"
 	"slr/internal/scenario"
@@ -54,7 +53,10 @@ type mergeGroup struct {
 
 // trialSet converts the group's trial-ordered records into a TrialSet.
 func (g mergeGroup) trialSet() scenario.TrialSet {
-	ts := scenario.TrialSet{Protocol: g.proto, Pause: sim.Time(g.pause * float64(time.Second))}
+	// The records' pause_seconds passed sim.Seconds in SalvageRecords, or
+	// came from a sim.Time.
+	pause, _ := sim.Seconds(g.pause)
+	ts := scenario.TrialSet{Protocol: g.proto, Pause: pause}
 	for _, rec := range g.recs {
 		ts.Results = append(ts.Results, rec.Result())
 	}

@@ -72,7 +72,7 @@ var PauseFractions = []float64{0, 50. / 900, 100. / 900, 200. / 900, 300. / 900,
 
 // pause is the pause time of fraction f at this scale.
 func (s Scale) pause(f float64) sim.Time {
-	return sim.Time(f * float64(s.Spec.Duration()))
+	return sim.Span(f * float64(s.Spec.Duration()))
 }
 
 // PauseLabel renders the pause time of fraction f at this scale.

@@ -54,13 +54,14 @@ var _ Model = (*GaussMarkov)(nil)
 
 // gaussMarkovParams are the model's Spec.Params knobs in spec units.
 type gaussMarkovParams struct {
-	alpha, stepSeconds, speedSigma, dirSigma float64
+	alpha, speedSigma, dirSigma float64
+	step                        sim.Time
 }
 
 // gaussMarkovAppliers are gauss-markov's Spec.Params keys.
 var gaussMarkovAppliers = map[string]registry.Applier[gaussMarkovParams]{
 	"alpha":        registry.Real(func(k *gaussMarkovParams, v float64) { k.alpha = v }),
-	"step_seconds": registry.Real(func(k *gaussMarkovParams, v float64) { k.stepSeconds = v }),
+	"step_seconds": registry.Seconds(func(k *gaussMarkovParams, v sim.Time) { k.step = v }),
 	"speed_sigma":  registry.Real(func(k *gaussMarkovParams, v float64) { k.speedSigma = v }),
 	"dir_sigma":    registry.Real(func(k *gaussMarkovParams, v float64) { k.dirSigma = v }),
 }
@@ -75,18 +76,15 @@ func NewGaussMarkov(t geo.Terrain, rng *rand.Rand, s Spec) (*GaussMarkov, error)
 		minSpeed = maxSpeed
 	}
 	k, err := registry.ApplyParams("mobility: gauss-markov", s.Params, gaussMarkovAppliers,
-		gaussMarkovParams{alpha: 0.75, stepSeconds: 1, speedSigma: (maxSpeed - minSpeed) / 4, dirSigma: 0.4})
+		gaussMarkovParams{alpha: 0.75, step: time.Second, speedSigma: (maxSpeed - minSpeed) / 4, dirSigma: 0.4})
 	if err != nil {
 		return nil, err
 	}
-	// The step is converted to whole nanoseconds, so it must be at least
-	// one and fit a sim.Time.
-	stepNs := k.stepSeconds * float64(time.Second)
 	switch {
 	case !(k.alpha >= 0 && k.alpha <= 1):
 		return nil, fmt.Errorf("mobility: gauss-markov alpha %v must be in [0, 1]", k.alpha)
-	case !(stepNs >= 1 && stepNs < math.MaxInt64):
-		return nil, fmt.Errorf("mobility: gauss-markov step_seconds %v must be at least 1 ns and fit a sim.Time", k.stepSeconds)
+	case k.step < 1:
+		return nil, fmt.Errorf("mobility: gauss-markov step_seconds must be at least 1 ns")
 	case k.speedSigma < 0 || k.dirSigma < 0:
 		return nil, fmt.Errorf("mobility: gauss-markov speed_sigma %v and dir_sigma %v must be >= 0", k.speedSigma, k.dirSigma)
 	}
@@ -99,7 +97,7 @@ func NewGaussMarkov(t geo.Terrain, rng *rand.Rand, s Spec) (*GaussMarkov, error)
 		maxSpeed:   maxSpeed,
 		sigmaSpeed: k.speedSigma,
 		sigmaDir:   k.dirSigma,
-		step:       sim.Time(stepNs),
+		step:       k.step,
 	}
 	g.from = randPoint(t, rng)
 	g.dir = rng.Float64() * 2 * math.Pi

@@ -154,7 +154,7 @@ func (m *Manhattan) nextLeg() {
 	if floor := math.Min(0.1, m.maxSpeed); speed < floor {
 		speed = floor
 	}
-	travel := sim.Time(float64(time.Second) * m.block / speed)
+	travel := sim.Span(float64(time.Second) * m.block / speed)
 	if travel <= 0 {
 		travel = 1
 	}

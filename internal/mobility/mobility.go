@@ -116,7 +116,7 @@ func (w *Waypoint) nextLeg() {
 		speed = floor
 	}
 	dist := w.from.Dist(w.to)
-	travel := sim.Time(float64(time.Second) * dist / speed)
+	travel := sim.Span(float64(time.Second) * dist / speed)
 	if travel <= 0 {
 		travel = 1 // degenerate zero-length leg: keep time advancing
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"slr/internal/geo"
 	"slr/internal/sim"
@@ -96,11 +95,11 @@ func newGrid(maxRange, maxSpeed float64) (*grid, error) {
 		// Truncated to whole nanoseconds, so an epoch is never longer
 		// than slack / MaxSpeed and drift stays under slack with no
 		// epsilon.
-		epoch := g.slack / maxSpeed * float64(time.Second)
-		if !(epoch >= 1 && epoch < math.MaxInt64) {
+		epoch, err := sim.Seconds(g.slack / maxSpeed)
+		if err != nil || epoch < 1 {
 			return nil, fmt.Errorf("radio: MaxSpeed %v m/s leaves no refresh epoch over %v m of slack", maxSpeed, g.slack)
 		}
-		g.refresh = sim.Time(epoch)
+		g.refresh = epoch
 	}
 	return g, nil
 }

@@ -290,7 +290,7 @@ func (u unregistered) Error() string {
 
 // AirTime returns how long a frame of size bytes occupies the medium.
 func (c *Channel) AirTime(size int) sim.Time {
-	return c.p.PhyOverhead + sim.Time(float64(size*8)/c.p.BitRate*float64(time.Second))
+	return c.p.PhyOverhead + sim.Span(float64(size*8)/c.p.BitRate*float64(time.Second))
 }
 
 // Busy reports whether station id senses the medium busy right now:

@@ -13,6 +13,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"slr/internal/sim"
 )
 
 // Registry maps model names to factories for one model family. The zero
@@ -60,6 +62,7 @@ const (
 	real    paramKind = iota // any finite value
 	integer                  // an integer a float64 holds exactly, |v| <= 2^53
 	boolean                  // exactly 0 or 1
+	seconds                  // seconds sim.Seconds converts
 )
 
 // accepts reports whether v is a value of kind k; NaN and ±Inf are values
@@ -70,17 +73,20 @@ func (k paramKind) accepts(v float64) bool {
 		return v == math.Trunc(v) && math.Abs(v) <= 1<<53
 	case boolean:
 		return v == 0 || v == 1
+	case seconds:
+		_, err := sim.Seconds(v)
+		return err == nil
 	}
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 func (k paramKind) String() string {
-	return [...]string{real: "a finite number", integer: "an integer", boolean: "0 or 1"}[k]
+	return [...]string{real: "a finite number", integer: "an integer", boolean: "0 or 1", seconds: "seconds in [0, 4611686018.427]"}[k]
 }
 
-// Applier sets one parameter of a config C; Real, Int and Bool build one.
-// ApplyParams refuses a value of the wrong kind before the setter runs, so
-// no setter truncates or rounds.
+// Applier sets one parameter of a config C; the constructors below build
+// one. ApplyParams refuses a value of the wrong kind before the setter
+// runs, so no setter truncates or rounds.
 type Applier[C any] struct {
 	kind paramKind
 	set  func(*C, float64)
@@ -98,6 +104,17 @@ func Int[C any](set func(*C, int)) Applier[C] {
 func Bool[C any](set func(*C, bool)) Applier[C] {
 	return Applier[C]{boolean, func(c *C, v float64) { set(c, v == 1) }}
 }
+
+// Seconds is the applier of a parameter in seconds: set gets sim.Seconds(v).
+func Seconds[C any](set func(*C, sim.Time)) Applier[C] {
+	return Applier[C]{seconds, func(c *C, v float64) {
+		t, _ := sim.Seconds(v)
+		set(c, t)
+	}}
+}
+
+// SecondsAsGiven is Seconds for a mean a draw scales: set gets v as given.
+func SecondsAsGiven[C any](set func(*C, float64)) Applier[C] { return Applier[C]{seconds, set} }
 
 // ApplyParams returns cfg with params applied: each entry runs the applier
 // its key names. A key with no applier, or a value its applier's kind

@@ -1,9 +1,13 @@
 package registry
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
+	"time"
+
+	"slr/internal/sim"
 )
 
 func TestRegistryBasics(t *testing.T) {
@@ -80,6 +84,40 @@ func TestApplyParams(t *testing.T) {
 	}
 	if err := NoParams("bare", map[string]float64{"x": 1}); err == nil || err.Error() != `bare: unknown parameter "x" (known: [])` {
 		t.Fatalf("NoParams(x) = %v", err)
+	}
+}
+
+// timers has one parameter of each seconds applier.
+type timers struct {
+	hold   sim.Time
+	period float64
+}
+
+var timerAppliers = map[string]Applier[timers]{
+	"hold_seconds":   Seconds(func(k *timers, v sim.Time) { k.hold = v }),
+	"period_seconds": SecondsAsGiven(func(k *timers, v float64) { k.period = v }),
+}
+
+// TestSecondsAppliers pins the seconds kind: Seconds sets the span
+// sim.Seconds converts, SecondsAsGiven the value as given, and both refuse
+// by name a value sim.Seconds refuses, quoting sim.MaxSpan as the bound.
+func TestSecondsAppliers(t *testing.T) {
+	got, err := ApplyParams("test", map[string]float64{"hold_seconds": 2.5, "period_seconds": 0.3}, timerAppliers, timers{})
+	if err != nil || got != (timers{2500 * time.Millisecond, 0.3}) {
+		t.Fatalf("ApplyParams = %+v, %v", got, err)
+	}
+	bound := fmt.Sprintf("want seconds in [0, %.3f]", sim.MaxSpan.Seconds())
+	for _, c := range []struct {
+		key string
+		v   float64
+	}{
+		{"hold_seconds", -0.001}, {"hold_seconds", 1e12}, {"hold_seconds", math.Inf(1)},
+		{"period_seconds", math.NaN()}, {"period_seconds", 5e9},
+	} {
+		want := fmt.Sprintf("test: parameter %q is %v, %s", c.key, c.v, bound)
+		if _, err := ApplyParams("test", map[string]float64{c.key: c.v}, timerAppliers, timers{}); err == nil || err.Error() != want {
+			t.Errorf("%s=%v: error %v, want %s", c.key, c.v, err, want)
+		}
 	}
 }
 

@@ -201,10 +201,37 @@ func TestParamRefusals(t *testing.T) {
 		{"DSR", "net_ttl", math.NaN()},
 		{"OLSR", "jitter_seconds", math.Inf(-1)},
 		{"OLSR", "tc_interval_seconds", 5},
+		// Just outside each range; TestParamAcceptances pins the edges
+		// inside.
+		{"LDR", "ttl_0", 256},
+		{"AODV", "active_route_timeout_seconds", 0},
+		{"DSR", "rreq_retries", -1},
+		{"SRP", "queue_cap", 0},
+		{"LDR", "max_salvage", -1},
+		{"DSR", "discovery_holddown_seconds", -0.001},
 	} {
 		_, err := configs[c.proto].fromParams(map[string]float64{c.key: c.v})
 		if err == nil || !strings.Contains(err.Error(), c.key) {
 			t.Errorf("%s %s=%v: err %v, want a refusal naming the key", c.proto, c.key, c.v, err)
+		}
+	}
+}
+
+// TestParamAcceptances pins what the range checks still admit: each value
+// is its key's boundary, one step from a TestParamRefusals row.
+func TestParamAcceptances(t *testing.T) {
+	for _, c := range []struct {
+		proto  string
+		params map[string]float64
+	}{
+		{"LDR", map[string]float64{"ttl_0": 255}},
+		{"SRP", map[string]float64{"queue_cap": 1}},
+		{"DSR", map[string]float64{"discovery_holddown_seconds": 0}},
+		{"SRP", map[string]float64{"delete_period_seconds": 10}}, // active_route_timeout_seconds' default
+		{"SRP", map[string]float64{"delete_period_seconds": 4.5, "active_route_timeout_seconds": 4.5}},
+	} {
+		if _, err := configs[c.proto].fromParams(c.params); err != nil {
+			t.Errorf("%s %v: %v, want it accepted", c.proto, c.params, err)
 		}
 	}
 }

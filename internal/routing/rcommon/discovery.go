@@ -60,12 +60,12 @@ func DefaultDiscovery(ttls ...int) DiscoveryConfig {
 // schedule's entries in order; durations arrive in seconds. A protocol
 // builds its table once, at package initialisation.
 func DiscoveryAppliers[C any](disc func(*C) *DiscoveryConfig, ttlKeys []string, own map[string]registry.Applier[C]) map[string]registry.Applier[C] {
-	own["node_traversal_seconds"] = registry.Real(func(c *C, v float64) { disc(c).NodeTraversal = Seconds(v) })
+	own["node_traversal_seconds"] = registry.Seconds(func(c *C, v sim.Time) { disc(c).NodeTraversal = v })
 	own["rreq_retries"] = registry.Int(func(c *C, v int) { disc(c).RreqRetries = v })
 	own["queue_cap"] = registry.Int(func(c *C, v int) { disc(c).QueueCap = v })
 	own["max_salvage"] = registry.Int(func(c *C, v int) { disc(c).MaxSalvage = v })
 	own["rreq_rate_limit"] = registry.Int(func(c *C, v int) { disc(c).RreqRateLimit = v })
-	own["discovery_holddown_seconds"] = registry.Real(func(c *C, v float64) { disc(c).DiscoveryHoldDown = Seconds(v) })
+	own["discovery_holddown_seconds"] = registry.Seconds(func(c *C, v sim.Time) { disc(c).DiscoveryHoldDown = v })
 	for i, k := range ttlKeys {
 		own[k] = registry.Int(func(c *C, v int) { disc(c).TTLs[i] = v })
 	}
@@ -79,9 +79,9 @@ func (c DiscoveryConfig) Validate(kind string, ttlKeys []string) error {
 	if c.NodeTraversal <= 0 {
 		return fmt.Errorf("%s: node_traversal_seconds %v must be positive", kind, c.NodeTraversal)
 	}
-	if c.RreqRetries < 0 || c.QueueCap < 1 || c.MaxSalvage < 0 || c.DiscoveryHoldDown < 0 {
-		return fmt.Errorf("%s: rreq_retries %d, queue_cap %d, max_salvage %d, discovery_holddown_seconds %v out of range",
-			kind, c.RreqRetries, c.QueueCap, c.MaxSalvage, c.DiscoveryHoldDown)
+	if c.RreqRetries < 0 || c.QueueCap < 1 || c.MaxSalvage < 0 {
+		return fmt.Errorf("%s: rreq_retries %d, queue_cap %d, max_salvage %d out of range",
+			kind, c.RreqRetries, c.QueueCap, c.MaxSalvage)
 	}
 	longest := 0
 	for i, ttl := range c.TTLs {
@@ -121,7 +121,7 @@ func DefaultRouteConfig() RouteConfig {
 // spec-level appliers of a protocol config C, and returns it; route
 // reaches C's RouteConfig.
 func RouteAppliers[C any](route func(*C) *RouteConfig, own map[string]registry.Applier[C]) map[string]registry.Applier[C] {
-	own["active_route_timeout_seconds"] = registry.Real(func(c *C, v float64) { route(c).ActiveRouteTimeout = Seconds(v) })
+	own["active_route_timeout_seconds"] = registry.Seconds(func(c *C, v sim.Time) { route(c).ActiveRouteTimeout = v })
 	return DiscoveryAppliers(func(c *C) *DiscoveryConfig { return &route(c).DiscoveryConfig }, routeTTLKeys, own)
 }
 

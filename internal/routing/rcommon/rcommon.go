@@ -40,19 +40,7 @@
 // code did.
 package rcommon
 
-import (
-	"time"
-
-	"slr/internal/sim"
-)
-
 // MinReplyHops is how many hops an SRP or LDR route request travels before
 // an intermediate node may answer it (§V: "RREQ packets need to travel
 // several hops before allowing a node to reply").
 const MinReplyHops = 2
-
-// Seconds converts a spec-level float seconds value (the unit of every
-// protocol parameter map) to simulation time.
-func Seconds(v float64) sim.Time {
-	return sim.Time(v * float64(time.Second))
-}

@@ -37,9 +37,3 @@ func TestSeqWraparound(t *testing.T) {
 		t.Fatal("wraparound comparison broken")
 	}
 }
-
-func TestSeconds(t *testing.T) {
-	if Seconds(2.5) != 2500*time.Millisecond {
-		t.Fatalf("Seconds(2.5) = %v", Seconds(2.5))
-	}
-}

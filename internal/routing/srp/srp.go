@@ -76,13 +76,13 @@ type overrides struct {
 // see ConfigFromParams.
 var appliers = rcommon.RouteAppliers(func(o *overrides) *rcommon.RouteConfig { return &o.RouteConfig },
 	map[string]registry.Applier[overrides]{
-		"delete_period_seconds":  registry.Real(func(o *overrides, v float64) { o.DeletePeriod = rcommon.Seconds(v) }),
+		"delete_period_seconds":  registry.Seconds(func(o *overrides, v sim.Time) { o.DeletePeriod = v }),
 		"max_denom":              registry.Int(func(o *overrides, v int) { o.maxDenom = v }),
 		"use_lie":                registry.Bool(func(o *overrides, v bool) { o.UseLie = v }),
 		"use_packet_cache":       registry.Bool(func(o *overrides, v bool) { o.UsePacketCache = v }),
 		"split":                  registry.Int(func(o *overrides, v int) { o.split = v }),
 		"multipath":              registry.Int(func(o *overrides, v int) { o.Multipath = PathPolicy(v) }),
-		"hello_interval_seconds": registry.Real(func(o *overrides, v float64) { o.HelloInterval = rcommon.Seconds(v) }),
+		"hello_interval_seconds": registry.Seconds(func(o *overrides, v sim.Time) { o.HelloInterval = v }),
 	})
 
 // ConfigFromParams returns DefaultConfig with the spec-level overrides in

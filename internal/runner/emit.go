@@ -3,10 +3,10 @@ package runner
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"sort"
-	"time"
 
 	"slr/internal/metrics"
 	"slr/internal/scenario"
@@ -171,7 +171,7 @@ func NewRecord(j Job, r scenario.Result) Record {
 func (r Record) Result() scenario.Result {
 	res := scenario.Result{
 		Protocol:      scenario.ProtocolName(r.Protocol),
-		Pause:         sim.Time(r.PauseSeconds * float64(time.Second)),
+		Pause:         seconds(r.PauseSeconds),
 		Seed:          r.Seed,
 		DeliveryRatio: r.DeliveryRatio,
 		NetworkLoad:   math.NaN(),
@@ -213,12 +213,38 @@ func (r Record) Result() scenario.Result {
 				Flow:      fr.Flow,
 				Sent:      fr.Sent,
 				Recv:      fr.Recv,
-				FirstRecv: sim.Time(fr.FirstRecvSec * float64(time.Second)),
-				LastRecv:  sim.Time(fr.LastRecvSec * float64(time.Second)),
+				FirstRecv: seconds(fr.FirstRecvSec),
+				LastRecv:  seconds(fr.LastRecvSec),
 			}
 		}
 	}
 	return res
+}
+
+// seconds converts one of a record's seconds fields: sim.Seconds, which
+// SalvageRecords has checked it against (checkSeconds), so a value it
+// refuses reads as 0 only in a Record built by hand.
+func seconds(v float64) sim.Time {
+	t, _ := sim.Seconds(v)
+	return t
+}
+
+// checkSeconds refuses a record whose seconds fields sim.Seconds refuses,
+// naming the field: a sweep never writes one, and Result would misread
+// it.
+func (r Record) checkSeconds() error {
+	if _, err := sim.Seconds(r.PauseSeconds); err != nil {
+		return fmt.Errorf("pause_seconds %w", err)
+	}
+	for _, f := range r.Flows {
+		if _, err := sim.Seconds(f.FirstRecvSec); err != nil {
+			return fmt.Errorf("flow %d first_recv_sec %w", f.Flow, err)
+		}
+		if _, err := sim.Seconds(f.LastRecvSec); err != nil {
+			return fmt.Errorf("flow %d last_recv_sec %w", f.Flow, err)
+		}
+	}
+	return nil
 }
 
 // JSONLEmitter streams one JSON object per line per completed trial.

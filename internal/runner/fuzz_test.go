@@ -24,6 +24,8 @@ func FuzzSalvageRecords(f *testing.F) {
 	f.Add(line[:len(line)-1]) // final newline lost
 	f.Add(line[:len(line)/2]) // killed mid-record
 	f.Add(append(bytes.Clone(line), "not a record\n"...))
+	// Seconds past sim.MaxSpan, which Result would wrap negative.
+	f.Add([]byte(`{"protocol":"AODV","pause_seconds":1e300,"trial":0,"seed":1,"schema":2}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, clean, _ := SalvageRecords(bytes.NewReader(data))

@@ -30,8 +30,8 @@ var ErrMissingNewline = errors.New("final record missing its newline")
 // for appending — and an error describing the first damage: a line cut
 // off mid-record (ErrTruncatedTail), a final record missing only its
 // newline (ErrMissingNewline; the record IS returned, it just cannot be
-// appended after as-is), a line that is no record at all, or an I/O
-// failure. A nil error means the stream was clean JSONL to EOF.
+// appended after as-is), a line that is no record at all, a record whose
+// seconds sim.Seconds refuses (naming the field), or an I/O failure. A nil error means the stream was clean JSONL to EOF.
 func SalvageRecords(r io.Reader) (recs []Record, clean int64, err error) {
 	br := bufio.NewReader(r)
 	for {
@@ -65,6 +65,9 @@ func SalvageRecords(r io.Reader) (recs []Record, clean int64, err error) {
 				// when the final newline is missing — so this is never the
 				// killed-writer signature.
 				return recs, clean, fmt.Errorf("line after %d complete records: JSON object is not a sweep record (no protocol field)", len(recs))
+			}
+			if serr := rec.checkSeconds(); serr != nil {
+				return recs, clean, fmt.Errorf("line after %d complete records: %w", len(recs), serr)
 			}
 			if !complete {
 				recs = append(recs, rec)

@@ -63,6 +63,26 @@ func TestSalvageRecords(t *testing.T) {
 	}
 }
 
+// TestSalvageRefusesSpanlessSeconds verifies a record whose seconds
+// sim.Seconds refuses is refused by name, after the records before it:
+// Result would otherwise wrap pause_seconds 1e300 to a negative pause and
+// slranalyze print "pause=-9223372037s".
+func TestSalvageRefusesSpanlessSeconds(t *testing.T) {
+	for _, c := range []struct{ line, want string }{
+		{`{"protocol":"AODV","pause_seconds":1e300,"trial":0,"seed":1,"schema":2}`, "pause_seconds 1e+300"},
+		{`{"protocol":"AODV","pause_seconds":-1,"trial":0,"seed":1,"schema":2}`, "pause_seconds -1"},
+		{`{"protocol":"AODV","pause_seconds":0,"trial":0,"seed":1,"schema":2,"flows":[{"flow":3,"sent":2,"recv":1,"first_recv_sec":1e300,"last_recv_sec":2}]}`, "flow 3 first_recv_sec 1e+300"},
+		{`{"protocol":"AODV","pause_seconds":0,"trial":0,"seed":1,"schema":2,"flows":[{"flow":4,"sent":2,"recv":1,"first_recv_sec":1,"last_recv_sec":1e19}]}`, "flow 4 last_recv_sec 1e+19"},
+	} {
+		in := twoRecords + c.line + "\n"
+		recs, clean, err := SalvageRecords(strings.NewReader(in))
+		if len(recs) != 2 || clean != int64(len(twoRecords)) || err == nil || !strings.Contains(err.Error(), c.want) ||
+			errors.Is(err, ErrTruncatedTail) || errors.Is(err, ErrMissingNewline) {
+			t.Errorf("%s: got %d records, clean=%d, err %v; want 2, %d and a refusal quoting %q", c.line, len(recs), clean, err, len(twoRecords), c.want)
+		}
+	}
+}
+
 // errOther marks salvage-table cases whose error must NOT be a
 // killed-writer signature (resume refuses instead of repairing).
 var errOther = errors.New("any non-kill-artifact error")

@@ -65,7 +65,27 @@ type Time = time.Duration
 // MaxSpan bounds every span a run's inputs set (a duration, a pause, a
 // packet interval, a protocol's longest wait): half of Time's range, so
 // the clock plus one span cannot wrap in a run that long (146 years).
+// Seconds and Span are the only float-to-Time conversions (slrlint's
+// timeconv).
 const MaxSpan = Time(math.MaxInt64 >> 1)
+
+// Seconds converts v seconds, an input, to Time: v·1e9 ns, truncated. It
+// refuses NaN, ±Inf, a negative v and one past MaxSpan, quoting v.
+func Seconds(v float64) (Time, error) {
+	if ns := v * float64(time.Second); ns >= 0 && ns < float64(MaxSpan) {
+		return Time(ns), nil
+	}
+	return 0, fmt.Errorf("%v is not a span of seconds in [0, %.3f]", v, MaxSpan.Seconds())
+}
+
+// Span converts ns float nanoseconds, a draw or a derived span, to Time,
+// truncated; at or past MaxSpan, or NaN, it is MaxSpan: "never this run".
+func Span(ns float64) Time {
+	if ns < float64(MaxSpan) {
+		return Time(ns)
+	}
+	return MaxSpan
+}
 
 // Event is a pooled scheduler node. User code never constructs or holds
 // Events directly; At, After, and Reschedule return Timer handles.

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -460,5 +462,69 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Fatalf("steady-state schedule/fire allocates %.1f times per 50 events", avg)
+	}
+}
+
+// TestSeconds pins the checked conversion of a seconds input: v·1e9 ns
+// truncated, and a refusal quoting v as given for NaN, ±Inf, a negative
+// value and one past MaxSpan.
+func TestSeconds(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want Time
+	}{
+		{0, 0},
+		{math.Copysign(0, -1), 0},
+		{1, time.Second},
+		{2.5, 2500 * time.Millisecond},
+		{0.04, 40 * time.Millisecond},
+		{1e-10, 0},
+		{math.Nextafter(float64(MaxSpan)/1e9, 0), Time(math.Nextafter(float64(MaxSpan)/1e9, 0) * 1e9)},
+	} {
+		got, err := Seconds(c.v)
+		if err != nil || got != c.want {
+			t.Errorf("Seconds(%v) = %v, %v; want %v", c.v, got, err, c.want)
+		}
+		if got < 0 || got > MaxSpan {
+			t.Errorf("Seconds(%v) = %d, outside [0, MaxSpan]", c.v, got)
+		}
+	}
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{math.NaN(), "NaN"},
+		{math.Inf(1), "+Inf"},
+		{math.Inf(-1), "-Inf"},
+		{-0.001, "-0.001"},
+		{1e12, "1e+12"},
+		{MaxSpan.Seconds(), "4.611686018427388e+09"},
+	} {
+		if got, err := Seconds(c.v); err == nil || !strings.HasPrefix(err.Error(), c.want+" ") {
+			t.Errorf("Seconds(%v) = %v, %v; want a refusal quoting %s", c.v, got, err, c.want)
+		}
+	}
+}
+
+// TestSpan pins the saturating conversion of a draw: float nanoseconds
+// truncated, anything at or past MaxSpan (NaN and +Inf too) MaxSpan.
+func TestSpan(t *testing.T) {
+	below := math.Nextafter(float64(MaxSpan), 0)
+	for _, c := range []struct {
+		ns   float64
+		want Time
+	}{
+		{0, 0},
+		{1.9, 1},
+		{2.5e8, 250 * time.Millisecond},
+		{below, Time(below)},
+		{float64(MaxSpan), MaxSpan},
+		{1e300, MaxSpan},
+		{math.Inf(1), MaxSpan},
+		{math.NaN(), MaxSpan},
+	} {
+		if got := Span(c.ns); got != c.want {
+			t.Errorf("Span(%v) = %d, want %d", c.ns, got, c.want)
+		}
 	}
 }

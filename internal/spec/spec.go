@@ -47,7 +47,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"slr/internal/geo"
 	"slr/internal/mobility"
@@ -206,20 +205,8 @@ func Resolve(arg string) (*ScenarioSpec, error) {
 // Validate checks structural invariants and resolves every model name
 // against its registry, so a bad spec fails before any simulator exists.
 func (s *ScenarioSpec) Validate() error {
-	if s.Version != Version {
-		return fmt.Errorf("spec: version %d unsupported (want %d)", s.Version, Version)
-	}
-	if s.Trials < 0 {
-		return fmt.Errorf("spec: trials %d must be >= 0", s.Trials)
-	}
-	// Refuse seconds past sim.MaxSpan as given: secs would wrap them.
-	keys := [...]string{"duration_seconds", "pause_seconds", "mean_life_seconds"}
-	for i, v := range [...]float64{s.DurationSeconds, s.Mobility.PauseSeconds, s.Traffic.MeanLifeSeconds} {
-		if math.Abs(v) > sim.MaxSpan.Seconds() {
-			return fmt.Errorf("spec: %s %v exceeds the simulator's span of %v s", keys[i], v, sim.MaxSpan.Seconds())
-		}
-	}
-	return ValidateParams(s.params())
+	_, err := s.Params()
+	return err
 }
 
 // ValidateParams is the one statement of what a runnable scenario is: the
@@ -273,33 +260,39 @@ func ValidateParams(p scenario.Params) error {
 	return nil
 }
 
-// Params resolves the spec into runnable scenario parameters.
+// Params resolves the spec into runnable scenario parameters, refusing
+// what Validate refuses.
 func (s *ScenarioSpec) Params() (scenario.Params, error) {
-	if err := s.Validate(); err != nil {
-		return scenario.Params{}, err
+	if s.Version != Version {
+		return scenario.Params{}, fmt.Errorf("spec: version %d unsupported (want %d)", s.Version, Version)
 	}
-	return s.params(), nil
-}
-
-// params is the unvalidated conversion shared by Params and Validate.
-func (s *ScenarioSpec) params() scenario.Params {
+	if s.Trials < 0 {
+		return scenario.Params{}, fmt.Errorf("spec: trials %d must be >= 0", s.Trials)
+	}
+	var span [3]sim.Time
+	for i, v := range [...]float64{s.DurationSeconds, s.Mobility.PauseSeconds, s.Traffic.MeanLifeSeconds} {
+		var err error
+		if span[i], err = sim.Seconds(v); err != nil {
+			return scenario.Params{}, fmt.Errorf("spec: %s %w", [...]string{"duration_seconds", "pause_seconds", "mean_life_seconds"}[i], err)
+		}
+	}
 	seed := s.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	return scenario.Params{
+	p := scenario.Params{
 		Protocol:    scenario.ProtocolName(strings.ToUpper(s.Protocol)),
 		ProtoParams: s.ProtocolParams,
 		Nodes:       s.Nodes,
 		Terrain:     geo.Terrain{Width: s.Terrain.WidthM, Height: s.Terrain.HeightM},
 		Range:       s.Radio.RangeM,
-		Duration:    s.Duration(),
+		Duration:    span[0],
 		Seed:        seed,
 		Traffic: traffic.Params{
 			Flows:       s.Traffic.Flows,
 			PacketSize:  s.Traffic.PacketSizeBytes,
 			Rate:        s.Traffic.RatePps,
-			MeanLife:    secs(s.Traffic.MeanLifeSeconds),
+			MeanLife:    span[2],
 			Model:       s.Traffic.Model,
 			ModelParams: s.Traffic.Params,
 		},
@@ -307,7 +300,7 @@ func (s *ScenarioSpec) params() scenario.Params {
 			Model:    s.Mobility.Model,
 			MinSpeed: s.Mobility.MinSpeedMps,
 			MaxSpeed: s.Mobility.MaxSpeedMps,
-			Pause:    secs(s.Mobility.PauseSeconds),
+			Pause:    span[1],
 			Params:   s.Mobility.Params,
 		},
 		Propagation: radio.PropSpec{
@@ -316,13 +309,15 @@ func (s *ScenarioSpec) params() scenario.Params {
 		},
 		CheckInvariants: s.CheckInvariants,
 	}
+	return p, ValidateParams(p)
 }
 
-// Duration returns the spec's simulated run time.
-func (s *ScenarioSpec) Duration() sim.Time { return secs(s.DurationSeconds) }
-
-// secs converts a spec's seconds to simulated time.
-func secs(v float64) sim.Time { return sim.Time(v * float64(time.Second)) }
+// Duration returns the spec's simulated run time; 0 if Validate refuses
+// its duration_seconds.
+func (s *ScenarioSpec) Duration() sim.Time {
+	d, _ := sim.Seconds(s.DurationSeconds)
+	return d
+}
 
 // TrialCount returns the spec's trial count with its default applied.
 func (s *ScenarioSpec) TrialCount() int {

@@ -290,6 +290,18 @@ var unrunnable = []struct {
 	{"duration past the clock", "duration_seconds 1e+12", func(s *ScenarioSpec) { s.DurationSeconds = 1e12 }},
 	{"flow lifetime past the clock", "mean_life_seconds 1e+12", func(s *ScenarioSpec) { s.Traffic.MeanLifeSeconds = 1e12 }},
 	{"negative pause", "pause_seconds -3", func(s *ScenarioSpec) { s.Mobility.Model, s.Mobility.PauseSeconds = "waypoint", -3 }},
+	// Model and protocol periods past sim.MaxSpan: an OFF gap drawn from
+	// this mean wrapped negative and panicked the kernel mid-trial; the
+	// timer was refused as a wrapped negative span.
+	{"onoff off period past the clock", `"off_mean_seconds" is 1e+12`, func(s *ScenarioSpec) {
+		s.Traffic.Model, s.Traffic.Params = "onoff", map[string]float64{"off_mean_seconds": 1e12}
+	}},
+	{"route timeout past the clock", `"active_route_timeout_seconds" is 1e+12`, func(s *ScenarioSpec) {
+		s.ProtocolParams = map[string]float64{"active_route_timeout_seconds": 1e12}
+	}},
+	{"gauss-markov step past the clock", `"step_seconds" is 1e+12`, func(s *ScenarioSpec) {
+		s.Mobility.Model, s.Mobility.Params = "gauss-markov", map[string]float64{"step_seconds": 1e12}
+	}},
 }
 
 // tinySpec is the tiny-smoke spec changed by set, encoded.

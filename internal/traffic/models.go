@@ -31,9 +31,8 @@ func Models() []string { return pacerFactories.Names() }
 
 // NewPacer builds a pacer for one flow of p. An empty model name selects
 // "cbr", the paper's workload. It refuses a rate whose packet interval is
-// below the kernel's 1 ns tick, where it rounds to 0 and a flow would
-// reschedule its tick at the same instant forever, or above sim.MaxSpan,
-// where the tick's instant would wrap.
+// not a span (sim.Seconds of 1/rate_pps) or rounds to 0 ns, where a flow
+// would reschedule its tick at the same instant forever.
 func NewPacer(p Params) (Pacer, error) {
 	name := p.Model
 	if name == "" {
@@ -43,11 +42,14 @@ func NewPacer(p Params) (Pacer, error) {
 	if !ok {
 		return nil, fmt.Errorf("traffic: unknown model %q (registered: %v)", name, Models())
 	}
-	if gap := float64(time.Second) / p.Rate; p.Rate > 0 && (gap < 1 || gap > float64(sim.MaxSpan)) {
+	if _, err := sim.Seconds(1 / p.Rate); err != nil || interval(p.Rate) < 1 {
 		return nil, fmt.Errorf("traffic: rate_pps %v gives a packet interval outside [1ns, %v]", p.Rate, sim.MaxSpan)
 	}
 	return f(p)
 }
+
+// interval is the packet interval at rate packets per second.
+func interval(rate float64) sim.Time { return sim.Span(float64(time.Second) / rate) }
 
 // cbrPacer emits packets at a constant interval: the paper's CBR flows.
 // It draws nothing from the rng, so runs that predate the model registry
@@ -66,7 +68,7 @@ type poissonPacer struct {
 }
 
 func (p poissonPacer) Next(rng *rand.Rand) sim.Time {
-	return sim.Time(rng.ExpFloat64() * p.mean * float64(time.Second))
+	return sim.Span(rng.ExpFloat64() * p.mean * float64(time.Second))
 }
 
 // onoffPacer is a bursty on/off source: CBR at the configured rate during
@@ -84,18 +86,18 @@ type onoffPacer struct {
 
 // onoffAppliers are onoff's Params.ModelParams keys.
 var onoffAppliers = map[string]registry.Applier[onoffPacer]{
-	"on_mean_seconds":  registry.Real(func(o *onoffPacer, v float64) { o.onMean = v }),
-	"off_mean_seconds": registry.Real(func(o *onoffPacer, v float64) { o.offMean = v }),
+	"on_mean_seconds":  registry.SecondsAsGiven(func(o *onoffPacer, v float64) { o.onMean = v }),
+	"off_mean_seconds": registry.SecondsAsGiven(func(o *onoffPacer, v float64) { o.offMean = v }),
 }
 
 func (o *onoffPacer) Next(rng *rand.Rand) sim.Time {
 	if o.onLeft <= 0 {
-		o.onLeft = sim.Time(rng.ExpFloat64() * o.onMean * float64(time.Second))
+		o.onLeft = sim.Span(rng.ExpFloat64() * o.onMean * float64(time.Second))
 	}
 	gap := o.interval
 	o.onLeft -= o.interval
 	if o.onLeft <= 0 {
-		gap += sim.Time(rng.ExpFloat64() * o.offMean * float64(time.Second))
+		gap = min(gap+sim.Span(rng.ExpFloat64()*o.offMean*float64(time.Second)), sim.MaxSpan)
 	}
 	return gap
 }
@@ -105,26 +107,17 @@ func init() {
 		if err := registry.NoParams("traffic: cbr", p.ModelParams); err != nil {
 			return nil, err
 		}
-		if p.Rate <= 0 {
-			return nil, fmt.Errorf("traffic: cbr rate %v must be positive", p.Rate)
-		}
-		return cbrPacer{interval: sim.Time(float64(time.Second) / p.Rate)}, nil
+		return cbrPacer{interval: interval(p.Rate)}, nil
 	})
 	RegisterModel("poisson", func(p Params) (Pacer, error) {
 		if err := registry.NoParams("traffic: poisson", p.ModelParams); err != nil {
 			return nil, err
 		}
-		if p.Rate <= 0 {
-			return nil, fmt.Errorf("traffic: poisson rate %v must be positive", p.Rate)
-		}
 		return poissonPacer{mean: 1 / p.Rate}, nil
 	})
 	RegisterModel("onoff", func(p Params) (Pacer, error) {
-		if p.Rate <= 0 {
-			return nil, fmt.Errorf("traffic: onoff rate %v must be positive", p.Rate)
-		}
 		o, err := registry.ApplyParams("traffic: onoff", p.ModelParams, onoffAppliers,
-			onoffPacer{interval: sim.Time(float64(time.Second) / p.Rate), onMean: 1, offMean: 1})
+			onoffPacer{interval: interval(p.Rate), onMean: 1, offMean: 1})
 		if err != nil {
 			return nil, err
 		}

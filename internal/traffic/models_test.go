@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -160,4 +161,75 @@ func TestGeneratorPanicsOnBadModel(t *testing.T) {
 	p := paperParams()
 	p.Model = "torrent"
 	NewGenerator(sim.New(1), rand.New(rand.NewSource(1)), nil, p, time.Second)
+}
+
+// largest returns the largest value sim.Seconds admits of f(v) as v
+// steps down from start.
+func largest(start float64, f func(float64) float64) float64 {
+	v := start
+	for {
+		if _, err := sim.Seconds(f(v)); err == nil {
+			return v
+		}
+		v = math.Nextafter(v, 0)
+	}
+}
+
+// TestDrawsStayInSpan draws poisson and onoff gaps, and flow lifetimes,
+// at the largest means the checked conversion admits: every gap must lie
+// in [0, sim.MaxSpan] and every flow must send before it stops. Converted
+// without saturation, an exponential draw past twice the mean wraps
+// sim.Time negative and the kernel panics on the schedule.
+func TestDrawsStayInSpan(t *testing.T) {
+	id := func(v float64) float64 { return v }
+	top := largest(sim.MaxSpan.Seconds(), id)
+	// The smallest rate whose packet interval, 1/rate seconds, is a span.
+	slowest := 1 / largest(top, func(v float64) float64 { return 1 / (1 / v) })
+	for _, c := range []struct {
+		model  string
+		rate   float64
+		params map[string]float64
+	}{
+		{"poisson", slowest, nil},
+		// A nanosecond ON period ends at every packet, so every gap
+		// carries an OFF draw on top of the longest interval.
+		{"onoff", slowest, map[string]float64{"on_mean_seconds": 1e-9, "off_mean_seconds": top}},
+		{"onoff", 4, map[string]float64{"on_mean_seconds": top, "off_mean_seconds": top}},
+	} {
+		p := paperParams()
+		p.Model, p.Rate, p.ModelParams = c.model, c.rate, c.params
+		pacer, err := NewPacer(p)
+		if err != nil {
+			t.Fatalf("%s at rate %v %v: %v", c.model, c.rate, c.params, err)
+		}
+		rng := sim.NewRand(1)
+		for i := 0; i < 1000; i++ {
+			if gap := pacer.Next(rng); gap < 0 || gap > sim.MaxSpan {
+				t.Fatalf("%s at rate %v %v: gap %d outside [0, %d]", c.model, c.rate, c.params, gap, sim.MaxSpan)
+			}
+		}
+	}
+
+	// A flow whose lifetime wrapped negative would stop before its first
+	// tick and leave its id without a packet.
+	p := paperParams()
+	var err error
+	if p.MeanLife, err = sim.Seconds(top); err != nil {
+		t.Fatal(err)
+	}
+	s, senders, ifaces := build(4)
+	g := NewGenerator(s, sim.NewRand(1), ifaces, p, sim.MaxSpan)
+	g.Start()
+	s.RunUntil(2 * time.Second)
+	sent := map[uint32]bool{}
+	for _, k := range senders {
+		for _, pkt := range k.pkts {
+			sent[pkt.Flow] = true
+		}
+	}
+	for f := uint32(1); f <= g.flowSeq; f++ {
+		if !sent[f] {
+			t.Fatalf("flow %d of %d sent nothing: it stopped before it started", f, g.flowSeq)
+		}
+	}
 }

@@ -90,11 +90,7 @@ func (g *Generator) startFlow() {
 	for dst.ID() == src.ID() {
 		dst = g.nodes[g.rng.Intn(len(g.nodes))]
 	}
-	life := sim.Time(g.rng.ExpFloat64() * float64(g.p.MeanLife))
-	stop := g.sim.Now() + life
-	if stop > g.end {
-		stop = g.end
-	}
+	stop := min(g.sim.Now()+sim.Span(g.rng.ExpFloat64()*float64(g.p.MeanLife)), g.end)
 	g.flows++
 	g.flowSeq++
 	flow := g.flowSeq
