@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"slr/internal/runner"
 )
@@ -138,6 +139,30 @@ func TestRunRejectsUnrunnable(t *testing.T) {
 	} {
 		if err := run(tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) = %v, want an error mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRunRefusesSpansPastTheClock: a -duration or -pause past
+// sim.MaxSpan is refused by name before the trial starts; it used to be
+// accepted, and the run went on until killed.
+func TestRunRefusesSpansPastTheClock(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-spec", "../../examples/scenarios/tiny-smoke.json", "-duration", "2000000h"}, "duration_seconds 7.2e+09"},
+		{[]string{"-spec", "paper-default", "-pause", "2000000h"}, "pause_seconds 7.2e+09"},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run(tc.args, io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%v) = %v, want an error mentioning %q", tc.args, err, tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run(%v) still running after 10 s, want an immediate refusal", tc.args)
 		}
 	}
 }

@@ -131,6 +131,7 @@ type controlEnvelope struct {
 // Node is one simulated host: MAC below, routing protocol above.
 type Node struct {
 	id    NodeID
+	size  int // the network's node count: ids are 0…size-1
 	sim   *sim.Simulator
 	mac   *mac.MAC
 	proto Protocol
@@ -145,11 +146,12 @@ type Node struct {
 	envFree []*controlEnvelope
 }
 
-// newNode wires a node together and attaches its protocol; NewNetwork
-// registers it on the channel and StartAll starts it.
-func newNode(s *sim.Simulator, ch *radio.Channel, id NodeID, proto Protocol, mx *metrics.Collector) *Node {
+// newNode wires node id of a size-node network and attaches its protocol;
+// NewNetwork registers it on the channel and StartAll starts it.
+func newNode(s *sim.Simulator, ch *radio.Channel, id NodeID, size int, proto Protocol, mx *metrics.Collector) *Node {
 	n := &Node{
 		id:        id,
+		size:      size,
 		sim:       s,
 		proto:     proto,
 		mx:        mx,
@@ -171,6 +173,10 @@ func (n *Node) Protocol() Protocol { return n.proto }
 
 // ID returns the node id.
 func (n *Node) ID() NodeID { return n.id }
+
+// NetworkSize returns the node count of the node's network: ids are 0…
+// NetworkSize()-1, so a table indexed by id is allocated once at it.
+func (n *Node) NetworkSize() int { return n.size }
 
 // Now returns the current virtual time.
 func (n *Node) Now() sim.Time { return n.sim.Now() }

@@ -31,7 +31,7 @@ func NewNetwork(s *sim.Simulator, rp radio.Params, models []mobility.Model, prot
 	nodes := make([]*Node, len(models))
 	for i, m := range models {
 		id := NodeID(i)
-		nodes[i] = newNode(s, ch, id, proto(id), mx)
+		nodes[i] = newNode(s, ch, id, len(models), proto(id), mx)
 		ch.Register(id, m, nodes[i].mac)
 	}
 	return &Network{Sim: s, Ch: ch, MX: mx, Nodes: nodes}

@@ -42,6 +42,9 @@ func TestCheckLoopFree(t *testing.T) {
 		if got := w.Ch.Position(n.ID()); n.ID() != NodeID(i) || got != want {
 			t.Errorf("Nodes[%d] is node %d at %v, want node %d at models[%d]'s %v", i, n.ID(), got, i, i, want)
 		}
+		if n.NetworkSize() != len(w.Nodes) {
+			t.Errorf("node %d: NetworkSize %d, want the network's %d nodes", i, n.NetworkSize(), len(w.Nodes))
+		}
 		if n.Protocol().(*succProto).started {
 			t.Errorf("node %d started by NewNetwork", i)
 		}

@@ -218,7 +218,7 @@ func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
 		TTL:    ttl,
-		Flood:  rcommon.NewFlood(p.node.Now()),
+		Flood:  rcommon.NewFlood(p.node.Now(), p.node.NetworkSize()),
 	}
 	if e, ok := p.table[pd.Dst]; ok && e.validSeq {
 		r.DstSeq = e.seq

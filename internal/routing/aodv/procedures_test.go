@@ -52,10 +52,14 @@ func spyWorld(t *testing.T) (*rtest.World, *Protocol, *spy) {
 	return w, pr, sp
 }
 
+// worldNodes sizes the records tests make by hand for a network of this
+// many nodes, which holds every id of every test world here.
+const worldNodes = 64
+
 // flooded returns r as its originator would send it: carrying a fresh
 // flood record.
 func flooded(r rreq) *rreq {
-	r.Flood = rcommon.NewFlood(0)
+	r.Flood = rcommon.NewFlood(0, worldNodes)
 	return &r
 }
 

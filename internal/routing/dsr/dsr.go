@@ -335,7 +335,7 @@ func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
 // discovery table picked: first_ttl, then net_ttl on every retry.
 func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 	p.rreqID++
-	r := &rreq{Src: p.self, ID: p.rreqID, Dst: pd.Dst, TTL: ttl, Flood: rcommon.NewFlood(p.node.Now())}
+	r := &rreq{Src: p.self, ID: p.rreqID, Dst: pd.Dst, TTL: ttl, Flood: rcommon.NewFlood(p.node.Now(), p.node.NetworkSize())}
 	p.node.BroadcastControl(rreqBase, r)
 }
 

@@ -15,10 +15,14 @@ import (
 
 func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
 
+// worldNodes sizes the records tests make by hand for a network of this
+// many nodes, which holds every id of every test world here.
+const worldNodes = 64
+
 // flooded returns r as its originator would send it: carrying a fresh
 // flood record.
 func flooded(r rreq) *rreq {
-	r.Flood = rcommon.NewFlood(0)
+	r.Flood = rcommon.NewFlood(0, worldNodes)
 	return &r
 }
 
@@ -227,7 +231,7 @@ func TestReverseRouteAllocs(t *testing.T) {
 func floodRecords(n int) []*rcommon.Flood {
 	recs := make([]*rcommon.Flood, n)
 	for i := range recs {
-		recs[i] = rcommon.NewFlood(0)
+		recs[i] = rcommon.NewFlood(0, worldNodes)
 	}
 	return recs
 }

@@ -253,7 +253,7 @@ func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
 		TTL:    ttl,
-		Comp:   new(rcommon.Computation[rreqState]),
+		Comp:   rcommon.NewComputation[rreqState](p.node.NetworkSize()),
 	}
 	if e, ok := p.table[pd.Dst]; ok {
 		r.DstSeq = e.sn

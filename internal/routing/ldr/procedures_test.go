@@ -34,10 +34,14 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
 
+// worldNodes sizes the records tests make by hand for a network of this
+// many nodes, which holds every id of every test world here.
+const worldNodes = 64
+
 // flooded attaches a fresh computation record to r, as its originator
 // would.
 func flooded(r rreq) *rreq {
-	r.Comp = new(rcommon.Computation[rreqState])
+	r.Comp = rcommon.NewComputation[rreqState](worldNodes)
 	return &r
 }
 

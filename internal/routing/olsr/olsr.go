@@ -70,9 +70,11 @@
 // table and the route table are slices indexed by node id, not IDTables: a
 // lookup reads one entry, with no index slot before it and no key beside
 // it. The zero value is "no entry" (a topology entry with no body, a route
-// of no hops), and reading past the end finds it too. A slice grows on the
-// first write past its end (fit), never at construction. The neighbor
-// table holds a neighborhood, not the network, and stays an IDTable.
+// of no hops), and so is a read from a table never written, which is nil.
+// A table is allocated at the network size (netstack.Node.NetworkSize) on
+// its first write, never at construction and never grown, so a node that
+// never computes routes holds no route table. The neighbor table holds a
+// neighborhood, not the network, and stays an IDTable.
 package olsr
 
 import (
@@ -303,19 +305,6 @@ func (p *Protocol) routeTo(dst netstack.NodeID) route {
 	return route{}
 }
 
-// fit returns t long enough to hold the entry of node id: t itself when it
-// is, else t extended with zero entries by append and resliced to its
-// capacity, which append zeroes too. append's growth (double while small,
-// then about a quarter) keeps the copies amortised; strict doubling would
-// leave a table of a 1000-node network about 1,500 slots long on average.
-func fit[T any](t []T, id netstack.NodeID) []T {
-	if uint(id) < uint(len(t)) {
-		return t
-	}
-	t = append(t, make([]T, int(id)+1-len(t))...)
-	return t[:cap(t)]
-}
-
 // --- Periodic control -------------------------------------------------
 
 func (p *Protocol) sendHello() {
@@ -354,7 +343,7 @@ func (p *Protocol) sendTC() {
 	}
 	slices.Sort(selectors)
 	p.tcSeq++
-	m := &tc{Orig: p.self, Body: &tcBody{Seq: p.tcSeq, Advertised: selectors}, TTL: 35, Flood: rcommon.NewFlood(now)}
+	m := &tc{Orig: p.self, Body: &tcBody{Seq: p.tcSeq, Advertised: selectors}, TTL: 35, Flood: rcommon.NewFlood(now, p.node.NetworkSize())}
 	p.node.BroadcastControl(tcBase+perAddr*len(selectors), m)
 }
 
@@ -473,7 +462,9 @@ func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
 			// disappears at any instant before the (previous) horizon, so
 			// the route cache stays valid.
 			refresh := te.body != nil && te.expiry > now && slices.Equal(te.body.Advertised, m.Body.Advertised)
-			p.topo = fit(p.topo, m.Orig)
+			if p.topo == nil {
+				p.topo = make([]topoEntry, p.node.NetworkSize())
+			}
 			p.topo[m.Orig] = topoEntry{body: m.Body, expiry: exp}
 			if !refresh {
 				p.linkVer++
@@ -717,6 +708,9 @@ func (p *Protocol) recompute() {
 func (p *Protocol) rebuildRoutes(s *scratch) {
 	now := p.node.Now()
 	p.rebuilds++
+	if p.routes == nil {
+		p.routes = make([]route, p.node.NetworkSize())
+	}
 	clear(p.routes)
 	horizon := forever
 
@@ -732,7 +726,6 @@ func (p *Protocol) rebuildRoutes(s *scratch) {
 	}
 	slices.Sort(queue)
 	for _, id := range queue {
-		p.routes = fit(p.routes, id)
 		p.routes[id] = route{nh: int32(id), hops: 1}
 	}
 	// Expand over TC-advertised links, popping by head index (re-slicing
@@ -750,7 +743,6 @@ func (p *Protocol) rebuildRoutes(s *scratch) {
 			if adv == p.self {
 				continue
 			}
-			p.routes = fit(p.routes, adv)
 			if r := &p.routes[adv]; r.hops == 0 {
 				*r = route{nh: via.nh, hops: via.hops + 1}
 				queue = append(queue, adv)

@@ -308,7 +308,7 @@ func TestRecomputeSkipsWhenInputsUnchanged(t *testing.T) {
 // heard, the table still routes over it until the sweep deletes the entry.
 // Rebuilding at the horizon instead moves the OLSR goldens (ROADMAP).
 func TestExpiredLinkServedUntilDirty(t *testing.T) {
-	w, p := loneNode(1)
+	w, p := loneNode(1, 2)
 	const nb = 1
 	p.handleHello(nb, &hello{From: nb, Neighbors: []netstack.NodeID{0}})
 	if got := p.SuccessorsOf(nb); !slices.Equal(got, []netstack.NodeID{nb}) {
@@ -340,7 +340,7 @@ func TestMPRCoverProperty(t *testing.T) {
 	rng := sim.New(21).Rand()
 	var asym, expired, selfListed, symListed, tied int
 	for trial := 0; trial < 200; trial++ {
-		w, p := loneNode(int64(trial))
+		w, p := loneNode(int64(trial), 1)
 		w.Sim.RunUntil(now)
 		for _, k := range rng.Perm(10)[:1+rng.Intn(8)] {
 			expiry := sim.Time(time.Hour)
@@ -479,15 +479,27 @@ func TestMPRSelectedOnDemand(t *testing.T) {
 	}
 }
 
-// loneNode returns one stopped OLSR node, alone on the air: its clock
-// moves only when the test runs the world, and no timer of its own fires.
-func loneNode(seed int64) (*rtest.World, *Protocol) {
-	var p *Protocol
-	w := rtest.NewStopped(seed, 120, func(netstack.NodeID) netstack.Protocol {
-		p = New()
-		return p
-	}, []geo.Point{{}}, nil)
-	return w, p
+// loneNode returns node 0 of a stopped OLSR network of nodes nodes, alone
+// on the air: the others sit a kilometre apart, out of range, and no node
+// starts, so its clock moves only when the test runs the world and no
+// timer of its own fires. The ids a test injects must be below nodes.
+func loneNode(seed int64, nodes int) (*rtest.World, *Protocol) {
+	w := rtest.NewStopped(seed, 120, factory, rtest.Chain(nodes, 1000), nil)
+	return w, w.Nodes[0].Protocol().(*Protocol)
+}
+
+// chainIn returns a world whose nodes 0, 1 and 2 run as a chain 100 m
+// apart, in a network of nodes nodes: the others sit a kilometre apart,
+// out of range, and never start, so the chain runs as it would alone while
+// a test injects ids below nodes.
+func chainIn(nodes int) *rtest.World {
+	pts := rtest.Chain(nodes, 1000)
+	copy(pts, rtest.Chain(3, 100))
+	w := rtest.NewStopped(1, 120, factory, pts, nil)
+	for _, n := range w.Nodes[:3] {
+		n.Start()
+	}
+	return w
 }
 
 // TestNoteOrSettle machine-checks the note-or-settle rule. One node hears
@@ -503,7 +515,7 @@ func TestNoteOrSettle(t *testing.T) {
 	const self = 0
 	checked := 0
 	for seed := int64(1); seed <= 30; seed++ {
-		w, p := loneNode(seed)
+		w, p := loneNode(seed, 9)
 		rng := sim.NewRand(seed)
 		var want []netstack.NodeID
 		eager := func() { want = greedyCover(p, w.Sim.Now()) }
@@ -616,7 +628,7 @@ func greedyCover(p *Protocol, now sim.Time) []netstack.NodeID {
 // HELLO (touch) makes or extends an entry, the once-a-second sweep ages out
 // one whose HELLOs stopped, and a link-layer failure removes one at once.
 func TestNeighborTableLiveness(t *testing.T) {
-	w, p := loneNode(1)
+	w, p := loneNode(1, 1)
 	// sweepAt runs the sweep at instant at and reports whether it changed
 	// the route inputs.
 	sweepAt := func(at sim.Time) bool {
@@ -678,7 +690,7 @@ func TestNeighborTableLiveness(t *testing.T) {
 // with its own contents, and every due entry must be gone.
 func TestNeighborTableExpireWhileWalking(t *testing.T) {
 	const n = 300
-	w, p := loneNode(1)
+	w, p := loneNode(1, 1)
 	expiry := make(map[netstack.NodeID]sim.Time)
 	rng := sim.NewRand(5)
 	for _, i := range rng.Perm(n) {
@@ -720,10 +732,14 @@ func TestNeighborTableExpireWhileWalking(t *testing.T) {
 	}
 }
 
+// worldNodes sizes the records tests make by hand for a network of this
+// many nodes, which holds every id of every test world here.
+const worldNodes = 64
+
 // flooded returns m as its originator would send it: carrying a fresh
 // flood record.
 func flooded(m tc) *tc {
-	m.Flood = rcommon.NewFlood(0)
+	m.Flood = rcommon.NewFlood(0, worldNodes)
 	return &m
 }
 
@@ -732,7 +748,7 @@ func flooded(m tc) *tc {
 func floodRecords(n int) []*rcommon.Flood {
 	recs := make([]*rcommon.Flood, n)
 	for i := range recs {
-		recs[i] = rcommon.NewFlood(0)
+		recs[i] = rcommon.NewFlood(0, worldNodes)
 	}
 	return recs
 }
@@ -749,7 +765,7 @@ func bodies(after uint32, n int, adv func(i int) []netstack.NodeID) []*tcBody {
 }
 
 func TestHandleTCAllocs(t *testing.T) {
-	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w := chainIn(10)
 	w.Sim.RunUntil(10 * time.Second)
 	p := w.Nodes[0].Protocol().(*Protocol)
 	// TTL 1: no relay; TestTCRelayAllocs prices that. The body is sorted,
@@ -765,10 +781,9 @@ func TestHandleTCAllocs(t *testing.T) {
 
 	// Every new TC is a new flood with its own record and body, made
 	// before the count starts. The node's first sighting then allocates
-	// on the record alone: it grows the record's bit words and its
-	// sighting list, which is 2 allocations (3 under the race detector,
-	// whose instrumentation keeps append from growing a slice by a make in
-	// place). handleTC may allocate exactly that and nothing per node.
+	// on the record alone: it appends to the record's sighting list (its
+	// bit words came with the record). handleTC may allocate exactly that
+	// and nothing per node.
 	recs := floodRecords(201) // AllocsPerRun warms up once
 	recordAllocs := testing.AllocsPerRun(200, func() {
 		recs[0].Witness(p.self, p.node.Now(), p.swept)
@@ -811,6 +826,41 @@ func TestHandleTCAllocs(t *testing.T) {
 	})
 	if n := testing.AllocsPerRun(growing-1, send); n != recordAllocs {
 		t.Errorf("TC longer than every earlier one: %v allocs, want the record's %v", n, recordAllocs)
+	}
+}
+
+// TestDenseTablesAllocatedOnce pins when the dense tables are allocated:
+// none before its first write, then at the network size, the topology
+// table at the first accepted TC and the route table at the first rebuild,
+// and never again: writes at the highest id keep both arrays.
+func TestDenseTablesAllocatedOnce(t *testing.T) {
+	const nodes = 40
+	_, p := loneNode(1, nodes)
+	last := netstack.NodeID(p.node.NetworkSize() - 1)
+	if p.topo != nil || p.routes != nil {
+		t.Fatalf("a node that heard nothing holds tables of %d and %d entries", len(p.topo), len(p.routes))
+	}
+	p.handleHello(1, &hello{From: 1, Neighbors: []netstack.NodeID{0}})
+	s := new(scratch)
+	p.rebuildRoutes(s)
+	if len(p.routes) != nodes {
+		t.Fatalf("first rebuild: route table of %d entries, want the network's %d", len(p.routes), nodes)
+	}
+	routes := &p.routes[0]
+	p.handleTC(1, flooded(tc{Orig: 1, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{5}}, TTL: 1}))
+	if len(p.topo) != nodes {
+		t.Fatalf("first TC: topology table of %d entries, want the network's %d", len(p.topo), nodes)
+	}
+	topo := &p.topo[0]
+	p.handleTC(1, flooded(tc{Orig: last, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{1}}, TTL: 1}))
+	if p.topoOf(last).body == nil || &p.topo[0] != topo || len(p.topo) != nodes {
+		t.Errorf("a TC from the highest id %d moved or resized the topology table (%d entries)", last, len(p.topo))
+	}
+	p.handleTC(1, flooded(tc{Orig: 1, Body: &tcBody{Seq: 2, Advertised: []netstack.NodeID{5, last}}, TTL: 1}))
+	p.rebuildRoutes(s)
+	if p.routeTo(last).hops != 2 || &p.routes[0] != routes || len(p.routes) != nodes {
+		t.Errorf("a rebuild reaching the highest id %d moved or resized the route table (%d entries, route %+v)",
+			last, len(p.routes), p.routeTo(last))
 	}
 }
 
@@ -876,7 +926,7 @@ func TestTCBodySharedByReceivers(t *testing.T) {
 // content-identical refresh replaces it too without counting as one, so
 // the entry pins no superseded body.
 func TestTCBodyAliasedNotCopied(t *testing.T) {
-	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w := chainIn(10)
 	w.Sim.RunUntil(10 * time.Second)
 	p0 := w.Nodes[0].Protocol().(*Protocol)
 	p2 := w.Nodes[2].Protocol().(*Protocol)
@@ -937,7 +987,7 @@ func TestTCBodyAliasedNotCopied(t *testing.T) {
 // have left the air. The middle of a chain relays for both ends, which
 // select it as their MPR.
 func TestTCRelayAllocs(t *testing.T) {
-	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
+	w := chainIn(10)
 	w.Sim.RunUntil(10 * time.Second)
 	p := w.Nodes[1].Protocol().(*Protocol)
 	if nb := p.nbrs.Get(0); nb == nil || !nb.selectsMe {

@@ -12,8 +12,9 @@ import (
 	"slr/internal/sim"
 )
 
-// maxOrig bounds the TC originators and advertised ids of FuzzDenseTables:
-// a few hundred, so the dense tables grow many times past their ends. Most
+// maxOrig bounds the TC originators and advertised ids of FuzzDenseTables
+// and is the size of its network: a few hundred, so the dense tables hold
+// far more slots than live entries. Most
 // TCs come from the hot ids below hot, which also fill most advertised
 // sets, so an originator is heard again before and after its entry
 // expires and routes run several hops deep.
@@ -144,7 +145,7 @@ func FuzzDenseTables(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, p := loneNode(1)
+		w, p := loneNode(1, maxOrig)
 		ref := &refTopo{self: p.self, hold: topologyHold, entries: make(map[netstack.NodeID]topoEntry)}
 		sent := make(map[netstack.NodeID]uint32) // newest sequence number per originator
 		s := new(scratch)
@@ -174,7 +175,7 @@ func FuzzDenseTables(f *testing.F) {
 					seq = last - 1 - uint32(c>>3)%8
 				}
 				body := &tcBody{Seq: seq, Advertised: advertised(orig, int(c>>5)%4)}
-				p.handleTC(netstack.NodeID(1+a%hot), &tc{Orig: orig, Body: body, TTL: 1, Flood: rcommon.NewFlood(now)})
+				p.handleTC(netstack.NodeID(1+a%hot), &tc{Orig: orig, Body: body, TTL: 1, Flood: rcommon.NewFlood(now, maxOrig)})
 				if changed := ref.accept(orig, body, now); changed != (p.linkVer != linkVer) {
 					t.Fatalf("step %d: TC %d from %d changed a link = %v, linkVer %d -> %d",
 						step, seq, orig, changed, linkVer, p.linkVer)

@@ -39,8 +39,8 @@ func retained(at, swept, hold sim.Time) bool { return at+hold > swept }
 // The only per-node state is the instant of the node's last sweep, which
 // the node passes to Witness.
 //
-// Storage grows with the nodes the flood reaches: a bit per node id up to
-// the highest one reached, and one sighting per node that saw the flood.
+// Storage is a bit per node id of the network, allocated with the record,
+// and one sighting per node that saw the flood.
 type Flood struct {
 	born      sim.Time
 	seen      []uint64   // bit per node id: the node has sighted the flood
@@ -52,8 +52,9 @@ type sighting struct {
 	at   sim.Time
 }
 
-// NewFlood returns the record of a flood originated at now.
-func NewFlood(now sim.Time) *Flood { return &Flood{born: now} }
+// NewFlood returns the record of a flood originated at now in a network
+// of n nodes (netstack.Node.NetworkSize).
+func NewFlood(now sim.Time, n int) *Flood { return &Flood{born: now, seen: make([]uint64, (n+63)/64)} }
 
 // Witness records node's receipt of a copy of f at now and reports whether
 // it is new: the node's first sighting, or one after its previous
@@ -64,9 +65,6 @@ func (f *Flood) Witness(node netstack.NodeID, now, swept sim.Time) bool {
 		panic("rcommon: flooded message carries no Flood record")
 	}
 	w, bit := int(node>>6), uint64(1)<<(node&63)
-	if w >= len(f.seen) {
-		f.seen = append(f.seen, make([]uint64, w+1-len(f.seen))...)
-	}
 	if f.seen[w]&bit == 0 {
 		f.seen[w] |= bit
 		f.sightings = append(f.sightings, sighting{node: node, at: now})
@@ -98,10 +96,11 @@ func (f *Flood) Witness(node netstack.NodeID, now, swept sim.Time) bool {
 // n after that engages it afresh. Like a Flood, the record is garbage once
 // its last copy is gone, and a message that carries nil panics.
 //
-// Unlike a Flood, it is looked up by node id in O(1): a dense index up to
-// the highest id engaged holds each node's position in entries. Only the
-// reactive protocols that keep data per node pay for it; duplicate tests
-// alone use Flood. The zero value is an empty record.
+// Unlike a Flood, it is looked up by node id in O(1): a dense index over
+// the network's ids, allocated by NewComputation, holds each node's
+// position in entries. Only the reactive protocols that keep data per node
+// pay for it; duplicate tests alone use Flood. The zero value holds no
+// index and is not a usable record.
 type Computation[T any] struct {
 	index   []int32         // per node id: 0 = never engaged, else entry position + 1
 	entries []engagement[T] // each engaged node's latest state, in first-engagement order
@@ -111,6 +110,10 @@ type engagement[T any] struct {
 	at  sim.Time
 	val T
 }
+
+// NewComputation returns an empty record of a computation in a network of
+// n nodes (netstack.Node.NetworkSize).
+func NewComputation[T any](n int) *Computation[T] { return &Computation[T]{index: make([]int32, n)} }
 
 // Engage records node's receipt of a copy of c's RREQ at now and returns
 // the node's state; fresh reports that the node was passive — never
@@ -122,9 +125,7 @@ func (c *Computation[T]) Engage(node netstack.NodeID, now, swept, hold sim.Time)
 	if c == nil {
 		panic("rcommon: flooded message carries no Computation record")
 	}
-	if int(node) >= len(c.index) {
-		c.index = append(c.index, make([]int32, int(node)+1-len(c.index))...)
-	} else if i := c.index[node]; i != 0 {
+	if i := c.index[node]; i != 0 {
 		e := &c.entries[i-1]
 		if retained(e.at, swept, hold) {
 			return &e.val, false
@@ -144,10 +145,8 @@ func (c *Computation[T]) State(node netstack.NodeID, swept, hold sim.Time) *T {
 	if c == nil {
 		panic("rcommon: flooded message carries no Computation record")
 	}
-	if int(node) < len(c.index) {
-		if i := c.index[node]; i != 0 && retained(c.entries[i-1].at, swept, hold) {
-			return &c.entries[i-1].val
-		}
+	if i := c.index[node]; i != 0 && retained(c.entries[i-1].at, swept, hold) {
+		return &c.entries[i-1].val
 	}
 	return nil
 }

@@ -123,6 +123,7 @@ func FuzzFloodVsDupCache(f *testing.F) {
 	}
 
 	nodes := [4]netstack.NodeID{0, 5, 64, 130}
+	const network = 131 // the nodes above are ids of a network this large
 	f.Fuzz(func(t *testing.T, schedule []byte) {
 		var (
 			now    sim.Time
@@ -142,7 +143,7 @@ func FuzzFloodVsDupCache(f *testing.F) {
 				now += sim.Time(arg) * 500 * time.Millisecond
 			case evOriginate:
 				ids[s]++
-				floods[s] = NewFlood(now)
+				floods[s] = NewFlood(now, network)
 			case evReceive:
 				if floods[s] == nil {
 					continue
@@ -158,6 +159,29 @@ func FuzzFloodVsDupCache(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecordArraysSizedAtBirth pins that a record's per-id array comes
+// with the record, at the network's size: a Witness or an Engage at the
+// highest id keeps its array and its length.
+func TestRecordArraysSizedAtBirth(t *testing.T) {
+	const n = 130
+	f := NewFlood(0, n)
+	seen := &f.seen[0]
+	if !f.Witness(n-1, 0, 0) {
+		t.Fatal("the highest id's first sighting is not new")
+	}
+	if &f.seen[0] != seen || len(f.seen) != (n+63)/64 {
+		t.Errorf("Witness(%d) left %d bit words at another array, want the record's %d", n-1, len(f.seen), (n+63)/64)
+	}
+	c := NewComputation[compState](n)
+	index := &c.index[0]
+	if _, fresh := c.Engage(n-1, 0, 0, FloodHold); !fresh {
+		t.Fatal("the highest id's first engagement is not fresh")
+	}
+	if &c.index[0] != index || len(c.index) != n || c.State(n-1, 0, FloodHold) == nil {
+		t.Errorf("Engage(%d) left an index of %d slots at another array, want the record's %d", n-1, len(c.index), n)
+	}
 }
 
 func TestFloodWithoutRecordPanics(t *testing.T) {
@@ -279,6 +303,7 @@ func FuzzComputationVsTable(f *testing.F) {
 	}
 
 	nodes := [4]netstack.NodeID{0, 5, 64, 130}
+	const network = 131 // the nodes above are ids of a network this large
 	f.Fuzz(func(t *testing.T, holdHalfSeconds uint8, schedule []byte) {
 		hold := sim.Time(holdHalfSeconds%120+1) * 500 * time.Millisecond
 		var (
@@ -305,7 +330,7 @@ func FuzzComputationVsTable(f *testing.F) {
 			}
 			if op == cvOriginate {
 				ids[s]++
-				comps[s] = new(Computation[compState])
+				comps[s] = NewComputation[compState](network)
 				continue
 			}
 			if comps[s] == nil {

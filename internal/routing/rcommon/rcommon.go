@@ -23,8 +23,10 @@
 // problem, not a hashing one. Which index depends on the key set a table
 // holds by the protocol's design. A table whose keys are the whole network
 // (OLSR's topology and routes: every originator's TC reaches every node)
-// is a slice indexed by node id, zero meaning no entry, grown on the first
-// write past its end: a lookup reads one entry. A table keyed by a
+// is a slice indexed by node id, zero meaning no entry, allocated at the
+// network size (netstack.Node.NetworkSize) on its first write: a lookup
+// reads one entry. A flood record's per-id arrays are allocated with it
+// at that size too (NewFlood, NewComputation). A table keyed by a
 // neighborhood or by the active flows is an IDTable: 5000 nodes with a
 // slot per destination would be 25 M slots for tables that hold dozens.
 // IDTable keeps values by value in a slab sized to what a node has

@@ -42,10 +42,14 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
 
+// worldNodes sizes the records tests make by hand for a network of this
+// many nodes, which holds every id of every test world here.
+const worldNodes = 64
+
 // flooded attaches a fresh computation record to r, as its originator
 // would.
 func flooded(r rreq) *rreq {
-	r.Comp = new(rcommon.Computation[rreqState])
+	r.Comp = rcommon.NewComputation[rreqState](worldNodes)
 	return &r
 }
 
@@ -219,7 +223,7 @@ func TestAgedControlDropped(t *testing.T) {
 func computations(n int) []*rcommon.Computation[rreqState] {
 	recs := make([]*rcommon.Computation[rreqState], n)
 	for i := range recs {
-		recs[i] = new(rcommon.Computation[rreqState])
+		recs[i] = rcommon.NewComputation[rreqState](worldNodes)
 	}
 	return recs
 }
@@ -230,7 +234,8 @@ func computations(n int) []*rcommon.Computation[rreqState] {
 // node hears a dozen times per flood, each copy re-advertising the source
 // — allocates nothing. Every new computation is a new flood with its own
 // record, made before the count starts. The node's engagement then
-// allocates on the record alone (its index and entry list), which is
+// allocates on the record alone (its entry list; the index came with the
+// record), which is
 // measured separately; a new computation from a source already routed may
 // allocate exactly that plus the relayed copy, and nothing per node. The
 // relay's envelope and timer come from pools once earlier relays have left
@@ -238,7 +243,7 @@ func computations(n int) []*rcommon.Computation[rreqState] {
 func TestHandleRREQAllocs(t *testing.T) {
 	w, pr, _ := relayWorld(t, DefaultConfig())
 	req := rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU,
-		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second, Comp: new(rcommon.Computation[rreqState])}
+		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second, Comp: rcommon.NewComputation[rreqState](worldNodes)}
 	pr.handleRREQ(1, &req)
 	if len(pr.SuccessorsOf(5)) != 1 {
 		t.Fatal("the advertisement piece built no reverse route")

@@ -398,7 +398,7 @@ func (p *Protocol) solicit(pd *rcommon.Discovery, ttl int) {
 		RreqID: p.rreqID,
 		Dst:    pd.Dst,
 		TTL:    ttl,
-		Comp:   new(rcommon.Computation[rreqState]),
+		Comp:   rcommon.NewComputation[rreqState](p.node.NetworkSize()),
 		// Advertisement for self: own destination label.
 		SrcSeq:   p.mySeq,
 		LF:       frac.Zero,
@@ -698,7 +698,7 @@ func (p *Protocol) requestPathReset(dst netstack.NodeID) {
 		Flags:  flagD | flagN,
 		SrcSeq: p.mySeq,
 		LF:     frac.Zero,
-		Comp:   new(rcommon.Computation[rreqState]),
+		Comp:   rcommon.NewComputation[rreqState](p.node.NetworkSize()),
 	}
 	p.statRREQ++
 	p.node.UnicastControl(next, rreqSize, probe)

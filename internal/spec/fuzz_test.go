@@ -10,9 +10,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"slr/internal/mobility"
 	"slr/internal/radio"
 	"slr/internal/sim"
+	"slr/internal/traffic"
 )
 
 // jsonKeys returns the JSON field names of struct type t.
@@ -25,12 +28,92 @@ func jsonKeys(t reflect.Type) []string {
 	return keys
 }
 
+// modelRanges names every key of the registered models that take params
+// with a value the paper-default spec admits and, on each side of it, a
+// value it refuses, NaN on a side with no bound: edgeSeeds finds the edges
+// between them.
+var modelRanges = []struct {
+	family, model, key string
+	below, in, above   float64
+}{
+	{"traffic", "onoff", "on_mean_seconds", 0, 1, 1e10},
+	{"traffic", "onoff", "off_mean_seconds", 0, 1, 1e10},
+	{"mobility", "gauss-markov", "step_seconds", 0, 1, 1e10},
+	{"mobility", "manhattan", "block_m", 0, 100, 1e4},
+	{"radio", "shadowing", "sigma_db", -1, 4, 1e300},
+	{"radio", "shadowing", "pathloss_exp", 0, 3, math.NaN()},
+}
+
+// edgeSeeds returns, for every key of modelRanges, the paper-default spec
+// at each edge of the key's admitted range and one float step past it,
+// or at math.MaxFloat64 on a side with no bound. It fails tb unless Parse
+// accepts every edge and refuses every step past one.
+func edgeSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var seeds [][]byte
+	add := func(s *ScenarioSpec, accept bool) {
+		data, err := json.Marshal(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := Parse(data); (err == nil) != accept {
+			tb.Fatalf("Parse(%s) = %v, want accepted %v", data, err, accept)
+		}
+		seeds = append(seeds, data)
+	}
+	for _, r := range modelRanges {
+		at := func(v float64) *ScenarioSpec { return withModel(r.family, r.model, map[string]float64{r.key: v}) }
+		accepts := func(v float64) bool {
+			data, _ := json.Marshal(at(v))
+			_, err := Parse(data)
+			return err == nil
+		}
+		for _, out := range []float64{r.below, r.above} {
+			if math.IsNaN(out) {
+				add(at(math.MaxFloat64), true)
+				continue
+			}
+			edge := lastAccepted(accepts, r.in, out)
+			add(at(edge), true)
+			add(at(math.Nextafter(edge, out)), false)
+		}
+	}
+	return seeds
+}
+
+// lastAccepted returns the float between in, which accept takes, and out,
+// which it refuses, that accept takes and whose neighbour toward out it
+// refuses, by bisection over the floats' order.
+func lastAccepted(accept func(float64) bool, in, out float64) float64 {
+	// order maps floats to integers of the same order, and back.
+	order := func(x int64) int64 {
+		if x < 0 {
+			return math.MinInt64 - x
+		}
+		return x
+	}
+	lo, hi := order(int64(math.Float64bits(in))), order(int64(math.Float64bits(out)))
+	// The two may be 2^63 or more apart: the distance is unsigned.
+	for uint64(max(lo, hi)-min(lo, hi)) > 1 {
+		mid := lo>>1 + hi>>1 + lo&hi&1
+		if accept(math.Float64frombits(uint64(order(mid)))) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Float64frombits(uint64(order(lo)))
+}
+
 // FuzzParse feeds arbitrary bytes to the spec parser, seeded from every
 // spec file the repo ships (read in place, so a new example or benchmark
-// workload is a new seed). Parse must never panic; whatever it accepts
-// must be one JSON object with no unknown top-level field, must have a
-// node count whose ids fit in 32 bits, must resolve to Params whose radio
-// channel builds without panicking, and must survive a marshal/Parse round
+// workload is a new seed) and from every model parameter at the edges of
+// its admitted range and one step past each (edgeSeeds). Parse must never
+// panic; whatever it accepts must be one JSON object with no unknown
+// top-level field, must have a node count whose ids fit in 32 bits, must
+// resolve to Params whose radio channel builds without panicking, whose
+// mobility models draw positions that are numbers and whose traffic pacer
+// draws gaps in [0, sim.MaxSpan], and must survive a marshal/Parse round
 // trip unchanged.
 func FuzzParse(f *testing.F) {
 	for _, pattern := range []string{"../../examples/scenarios/*.json", "../../cmd/slrbench/workloads/*.json"} {
@@ -93,6 +176,9 @@ func FuzzParse(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	for _, data := range edgeSeeds(f) {
+		f.Add(data)
+	}
 	known := jsonKeys(reflect.TypeOf(ScenarioSpec{}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -117,8 +203,32 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec has no Params: %v", err)
 		}
-		// The channel a trial builds first must not panic on it.
+		// The channel a trial builds first must not panic on it, nor the
+		// models it builds next on their first draws: two nodes' first
+		// positions (at instants short enough for a 1 ns step or block)
+		// and a flow's first gaps.
 		radio.NewChannel(sim.New(1), p.RadioParams())
+		rng := sim.NewRand(1)
+		for range 2 {
+			m, err := mobility.Build(p.Terrain, rng, p.Mobility)
+			if err != nil {
+				t.Fatalf("accepted spec's mobility does not build: %v", err)
+			}
+			for _, at := range []sim.Time{0, time.Microsecond, time.Millisecond} {
+				if pos := m.Position(at); math.IsNaN(pos.X) || math.IsNaN(pos.Y) {
+					t.Fatalf("%s position at %v is %v", p.Mobility.Model, at, pos)
+				}
+			}
+		}
+		pacer, err := traffic.NewPacer(p.Traffic)
+		if err != nil {
+			t.Fatalf("accepted spec's pacer does not build: %v", err)
+		}
+		for range 8 {
+			if gap := pacer.Next(rng); gap < 0 || gap > sim.MaxSpan {
+				t.Fatalf("%s pacer drew a gap of %v, outside [0, %v]", p.Traffic.Model, gap, sim.MaxSpan)
+			}
+		}
 		out, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)

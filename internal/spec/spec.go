@@ -227,8 +227,9 @@ func ValidateParams(p scenario.Params) error {
 	if p.Terrain.Width <= 0 || p.Terrain.Height <= 0 {
 		return fmt.Errorf("spec: terrain %vx%v must be positive", p.Terrain.Width, p.Terrain.Height)
 	}
-	if p.Duration <= 0 {
-		return fmt.Errorf("spec: duration_seconds %v must be positive", p.Duration.Seconds())
+	// Spans from a spec file passed sim.Seconds; cmd/slrsim's flags did not.
+	if p.Duration <= 0 || p.Duration > sim.MaxSpan {
+		return fmt.Errorf("spec: duration_seconds %v must be in (0, %.3f]", p.Duration.Seconds(), sim.MaxSpan.Seconds())
 	}
 	if p.Range <= 0 {
 		return fmt.Errorf("spec: radio range_m %v must be positive", p.Range)
@@ -236,7 +237,7 @@ func ValidateParams(p scenario.Params) error {
 	if err := routing.Validate(routing.Spec{Name: string(p.Protocol), Params: p.ProtoParams}); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if mob := p.Mobility; mob.MaxSpeed < mob.MinSpeed || mob.MinSpeed < 0 || mob.Pause < 0 {
+	if mob := p.Mobility; mob.MaxSpeed < mob.MinSpeed || mob.MinSpeed < 0 || mob.Pause < 0 || mob.Pause > sim.MaxSpan {
 		return fmt.Errorf("spec: mobility speeds [%v, %v] or pause_seconds %v invalid", mob.MinSpeed, mob.MaxSpeed, mob.Pause.Seconds())
 	}
 	if p.Traffic.Flows <= 0 || p.Traffic.Rate <= 0 || p.Traffic.PacketSize <= 0 || p.Traffic.MeanLife <= 0 {

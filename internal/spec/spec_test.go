@@ -13,6 +13,7 @@ import (
 	"slr/internal/mobility"
 	"slr/internal/radio"
 	"slr/internal/scenario"
+	"slr/internal/sim"
 	"slr/internal/traffic"
 )
 
@@ -56,6 +57,35 @@ func TestValidateParamsRefusesNoMobility(t *testing.T) {
 	p.Mobility = mobility.Spec{}
 	if err := ValidateParams(p); err == nil || !strings.Contains(err.Error(), "mobility") {
 		t.Fatalf("ValidateParams with no mobility model = %v, want a mobility error", err)
+	}
+}
+
+// TestValidateParamsRefusesSpansPastTheClock verifies ValidateParams
+// itself bounds a run's duration and pause by sim.MaxSpan, naming the key
+// and the value: cmd/slrsim overlays both from flags, which sim.Seconds
+// never sees, and a 2,000,000 h run used to be accepted and run until
+// killed. Each span at the bound is accepted.
+func TestValidateParamsRefusesSpansPastTheClock(t *testing.T) {
+	const past = 2000000 * time.Hour
+	for _, c := range []struct {
+		want string
+		set  func(*scenario.Params, sim.Time)
+	}{
+		{"duration_seconds 7.2e+09", func(p *scenario.Params, v sim.Time) { p.Duration = v }},
+		{"pause_seconds 7.2e+09", func(p *scenario.Params, v sim.Time) { p.Mobility.Pause = v }},
+	} {
+		p, err := PaperDefault().Params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.set(&p, sim.MaxSpan)
+		if err := ValidateParams(p); err != nil {
+			t.Errorf("ValidateParams at sim.MaxSpan: %v, want it accepted", err)
+		}
+		c.set(&p, past)
+		if err := ValidateParams(p); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ValidateParams past sim.MaxSpan = %v, want a refusal quoting %q", err, c.want)
+		}
 	}
 }
 
@@ -290,6 +320,7 @@ var unrunnable = []struct {
 	{"duration past the clock", "duration_seconds 1e+12", func(s *ScenarioSpec) { s.DurationSeconds = 1e12 }},
 	{"flow lifetime past the clock", "mean_life_seconds 1e+12", func(s *ScenarioSpec) { s.Traffic.MeanLifeSeconds = 1e12 }},
 	{"negative pause", "pause_seconds -3", func(s *ScenarioSpec) { s.Mobility.Model, s.Mobility.PauseSeconds = "waypoint", -3 }},
+	{"pause past the clock", "pause_seconds 1e+12", func(s *ScenarioSpec) { s.Mobility.Model, s.Mobility.PauseSeconds = "waypoint", 1e12 }},
 	// Model and protocol periods past sim.MaxSpan: an OFF gap drawn from
 	// this mean wrapped negative and panicked the kernel mid-trial; the
 	// timer was refused as a wrapped negative span.
