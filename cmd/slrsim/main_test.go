@@ -144,8 +144,7 @@ func TestRunRejectsUnrunnable(t *testing.T) {
 }
 
 // TestRunRefusesSpansPastTheClock: a -duration or -pause past
-// sim.MaxSpan is refused by name before the trial starts; it used to be
-// accepted, and the run went on until killed.
+// sim.MaxSpan is refused by name before the trial starts.
 func TestRunRefusesSpansPastTheClock(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

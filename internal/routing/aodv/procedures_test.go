@@ -52,14 +52,10 @@ func spyWorld(t *testing.T) (*rtest.World, *Protocol, *spy) {
 	return w, pr, sp
 }
 
-// worldNodes sizes the records tests make by hand for a network of this
-// many nodes, which holds every id of every test world here.
-const worldNodes = 64
-
 // flooded returns r as its originator would send it: carrying a fresh
-// flood record.
-func flooded(r rreq) *rreq {
-	r.Flood = rcommon.NewFlood(0, worldNodes)
+// flood record, sized to the network of pr, the node it is handed to.
+func flooded(pr *Protocol, r rreq) *rreq {
+	r.Flood = rcommon.NewFlood(0, pr.node.NetworkSize())
 	return &r
 }
 
@@ -92,7 +88,7 @@ func TestExpandingRingTTLs(t *testing.T) {
 
 func TestReverseRouteFromRREQ(t *testing.T) {
 	w, pr, _ := spyWorld(t)
-	pr.handleRREQ(1, flooded(rreq{Src: 7, SrcSeq: 3, RreqID: 1, Dst: 42,
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 7, SrcSeq: 3, RreqID: 1, Dst: 42,
 		UnknownSeq: true, HopCount: 2, TTL: 5}))
 	w.Sim.RunUntil(time.Second)
 	e, ok := pr.liveRoute(7)
@@ -106,7 +102,7 @@ func TestReverseRouteFromRREQ(t *testing.T) {
 
 func TestHandleRREQAllocs(t *testing.T) {
 	w, pr, sp := spyWorld(t)
-	req := flooded(rreq{Src: 7, SrcSeq: 3, RreqID: 1, Dst: 42, UnknownSeq: true, HopCount: 2, TTL: 5})
+	req := flooded(pr, rreq{Src: 7, SrcSeq: 3, RreqID: 1, Dst: 42, UnknownSeq: true, HopCount: 2, TTL: 5})
 	pr.handleRREQ(1, req)
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
@@ -128,7 +124,7 @@ func TestRREQRelayAllocs(t *testing.T) {
 		reqs := make([]*rreq, 201) // AllocsPerRelay warms up once
 		for i := range reqs {
 			id++
-			reqs[i] = flooded(rreq{Src: 7, SrcSeq: 3, RreqID: id, Dst: 42, UnknownSeq: true, HopCount: 2, TTL: ttl})
+			reqs[i] = flooded(pr, rreq{Src: 7, SrcSeq: 3, RreqID: id, Dst: 42, UnknownSeq: true, HopCount: 2, TTL: ttl})
 		}
 		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 			pr.handleRREQ(1, reqs[0])
@@ -146,7 +142,7 @@ func TestDestinationReplyHonorsSeqnoRule(t *testing.T) {
 	// number, increment it before replying."
 	w, pr, sp := spyWorld(t)
 	pr.seq = 5
-	pr.handleRREQ(1, flooded(rreq{Src: 7, SrcSeq: 1, RreqID: 2, Dst: 0, DstSeq: 5, TTL: 5}))
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 7, SrcSeq: 1, RreqID: 2, Dst: 0, DstSeq: 5, TTL: 5}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
 		t.Fatalf("heard %d RREPs, want 1", len(sp.rreps))
@@ -229,10 +225,10 @@ func TestRERRNeedsPrecursor(t *testing.T) {
 		{"no precursor", toDst, false},
 		{"intermediate reply", func(w *rtest.World, pr *Protocol) {
 			toDst(w, pr)
-			pr.handleRREQ(0, flooded(rreq{Src: 5, SrcSeq: 1, RreqID: 1, Dst: 9, DstSeq: 4, TTL: 5}))
+			pr.handleRREQ(0, flooded(pr, rreq{Src: 5, SrcSeq: 1, RreqID: 1, Dst: 9, DstSeq: 4, TTL: 5}))
 		}, true},
 		{"forwarded reply", func(w *rtest.World, pr *Protocol) {
-			pr.handleRREQ(0, flooded(rreq{Src: 5, SrcSeq: 1, RreqID: 1, Dst: 9, UnknownSeq: true, TTL: 5}))
+			pr.handleRREQ(0, flooded(pr, rreq{Src: 5, SrcSeq: 1, RreqID: 1, Dst: 9, UnknownSeq: true, TTL: 5}))
 			w.Sim.RunUntil(w.Sim.Now() + time.Second)
 			pr.handleRREP(2, &rrep{Src: 5, Dst: 9, DstSeq: 4, HopCount: 1, Lifetime: time.Minute})
 		}, true},

@@ -15,21 +15,17 @@ import (
 
 func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
 
-// worldNodes sizes the records tests make by hand for a network of this
-// many nodes, which holds every id of every test world here.
-const worldNodes = 64
-
 // flooded returns r as its originator would send it: carrying a fresh
-// flood record.
-func flooded(r rreq) *rreq {
-	r.Flood = rcommon.NewFlood(0, worldNodes)
+// flood record, sized to the network of p, the node it is handed to.
+func flooded(p *Protocol, r rreq) *rreq {
+	r.Flood = rcommon.NewFlood(0, p.node.NetworkSize())
 	return &r
 }
 
 func TestHandleRREQAllocs(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(3, 100), nil)
 	p := w.Nodes[1].Protocol().(*Protocol)
-	req := flooded(rreq{Src: 0, ID: 1, Dst: 2, TTL: 5})
+	req := flooded(p, rreq{Src: 0, ID: 1, Dst: 2, TTL: 5})
 	p.handleRREQ(0, req)
 	if _, ok := p.lookup(0); !ok {
 		t.Fatal("the RREQ cached no reverse route")
@@ -52,7 +48,7 @@ func TestRREQRelayAllocs(t *testing.T) {
 		for i := range reqs {
 			id++
 			// Dst 99 is no node: nothing ever answers, so every copy relays.
-			reqs[i] = flooded(rreq{Src: 0, ID: id, Dst: 99, TTL: ttl})
+			reqs[i] = flooded(p, rreq{Src: 0, ID: id, Dst: 99, TTL: ttl})
 		}
 		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 			p.handleRREQ(0, reqs[0])
@@ -206,16 +202,16 @@ func TestReverseRouteAllocs(t *testing.T) {
 	p := w.Nodes[1].Protocol().(*Protocol)
 	// Dst 99 is no node and TTL 1 stops the relay: the RREQ is only heard.
 	req := rreq{Src: 0, Dst: 99, Path: []netstack.NodeID{4, 5, 6}, TTL: 1}
-	p.handleRREQ(0, flooded(req)) // caches 6, 6-5, 6-5-4 and 6-5-4-0
+	p.handleRREQ(0, flooded(p, req)) // caches 6, 6-5, 6-5-4 and 6-5-4-0
 	if got, _ := p.lookup(0); !slices.Equal(got, []netstack.NodeID{6, 5, 4, 0}) {
 		t.Fatalf("reverse route to 0 = %v, want [6 5 4 0]", got)
 	}
-	recs := floodRecords(201) // AllocsPerRun warms up once
+	recs := floodRecords(p, 201) // AllocsPerRun warms up once
 	recordAllocs := testing.AllocsPerRun(200, func() {
 		recs[0].Witness(p.self, p.node.Now(), p.swept)
 		recs = recs[1:]
 	})
-	recs = floodRecords(201)
+	recs = floodRecords(p, 201)
 	n := testing.AllocsPerRun(200, func() {
 		req.ID++
 		req.Flood, recs = recs[0], recs[1:]
@@ -226,12 +222,12 @@ func TestReverseRouteAllocs(t *testing.T) {
 	}
 }
 
-// floodRecords returns n fresh flood records, made outside the code whose
-// allocations a test counts.
-func floodRecords(n int) []*rcommon.Flood {
+// floodRecords returns n fresh flood records sized to p's network, made
+// outside the code whose allocations a test counts.
+func floodRecords(p *Protocol, n int) []*rcommon.Flood {
 	recs := make([]*rcommon.Flood, n)
 	for i := range recs {
-		recs[i] = rcommon.NewFlood(0, worldNodes)
+		recs[i] = rcommon.NewFlood(0, p.node.NetworkSize())
 	}
 	return recs
 }

@@ -61,7 +61,7 @@ func TestResetRequiredBumpsSeqno(t *testing.T) {
 	// increment its sequence number past the requested one.
 	w := rtest.New(1, 120, factory, rtest.Chain(2, 100), nil)
 	d := w.Nodes[1].Protocol().(*Protocol)
-	d.handleRREQ(0, flooded(rreq{Src: 0, RreqID: 1, Dst: 1, DstSeq: 5, FD: 3, Reset: true, TTL: 3}))
+	d.handleRREQ(0, flooded(d, rreq{Src: 0, RreqID: 1, Dst: 1, DstSeq: 5, FD: 3, Reset: true, TTL: 3}))
 	if d.mySeq != 6 {
 		t.Fatalf("mySeq = %d, want 6", d.mySeq)
 	}
@@ -80,7 +80,7 @@ func TestOutOfOrderRelaySetsReset(t *testing.T) {
 	if !p.accept(5, &rrep{Dst: 9, DstSeq: 4, D: 4, Lifetime: time.Second}) {
 		t.Fatal("entry (sn 4, fd 5) not installed")
 	}
-	r := flooded(rreq{Src: 3, RreqID: 7, Dst: 9, DstSeq: 4, FD: 3, TTL: 4, D: 1})
+	r := flooded(p, rreq{Src: 3, RreqID: 7, Dst: 9, DstSeq: 4, FD: 3, TTL: 4, D: 1})
 	p.handleRREQ(3, r)
 	// The relayed packet is scheduled with jitter; run the sim and
 	// inspect via the control counter (1 broadcast happened).

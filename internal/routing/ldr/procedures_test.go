@@ -34,14 +34,10 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
 
-// worldNodes sizes the records tests make by hand for a network of this
-// many nodes, which holds every id of every test world here.
-const worldNodes = 64
-
 // flooded attaches a fresh computation record to r, as its originator
-// would.
-func flooded(r rreq) *rreq {
-	r.Comp = rcommon.NewComputation[rreqState](worldNodes)
+// would, sized to the network of pr, the node it is handed to.
+func flooded(pr *Protocol, r rreq) *rreq {
+	r.Comp = rcommon.NewComputation[rreqState](pr.node.NetworkSize())
 	return &r
 }
 
@@ -76,7 +72,7 @@ func TestRelayStrengthensConstraint(t *testing.T) {
 	// new constraint (the integer analogue of SRP's Eq. 10).
 	w, pr, sp := spyWorld(t)
 	brokenRoute(t, pr, 9, 4, 2)
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3}))
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3}))
 	w.Sim.RunUntil(time.Second)
 	// D+1 >= MinReplyHops and the entry is NOT active (no valid next
 	// hop), so it relays rather than replies.
@@ -101,7 +97,7 @@ func TestRREQRelayAllocs(t *testing.T) {
 	cost := func(ttl int) float64 {
 		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 			id++
-			pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: id, Dst: 9, DstSeq: 4, FD: 6, TTL: ttl, D: 3}))
+			pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: id, Dst: 9, DstSeq: 4, FD: 6, TTL: ttl, D: 3}))
 		})
 	}
 	unrelayed, relayed := cost(1), cost(5)
@@ -115,7 +111,7 @@ func TestOutOfOrderRelayRequestsReset(t *testing.T) {
 	// the relay cannot be threaded in-order — reset required.
 	w, pr, sp := spyWorld(t)
 	brokenRoute(t, pr, 9, 4, 8)
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4, FD: 3, TTL: 5, D: 1}))
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4, FD: 3, TTL: 5, D: 1}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
 		t.Fatalf("heard %d rreqs, want 1", len(sp.rreqs))
@@ -131,7 +127,7 @@ func TestOutOfOrderRelayRequestsReset(t *testing.T) {
 func TestFresherRelayClearsReset(t *testing.T) {
 	w, pr, sp := spyWorld(t)
 	brokenRoute(t, pr, 9, 9, 4)
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4, FD: 3,
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4, FD: 3,
 		TTL: 5, D: 1, Reset: true}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
@@ -148,7 +144,7 @@ func TestFresherRelayClearsReset(t *testing.T) {
 
 func TestDestinationAlwaysAnswers(t *testing.T) {
 	w, pr, sp := spyWorld(t)
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 4, Dst: 0, Unknown: true, FD: infinity, TTL: 5}))
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 4, Dst: 0, Unknown: true, FD: infinity, TTL: 5}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
 		t.Fatalf("heard %d rreps, want 1", len(sp.rreps))
@@ -160,7 +156,7 @@ func TestDestinationAlwaysAnswers(t *testing.T) {
 
 func TestHandleRREQAllocs(t *testing.T) {
 	w, pr, sp := spyWorld(t)
-	req := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3})
+	req := flooded(pr, rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4, FD: 6, TTL: 5, D: 3})
 	pr.handleRREQ(1, req)
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
@@ -178,7 +174,7 @@ func TestHandleRREQAllocs(t *testing.T) {
 // engages and relays again.
 func TestReengageAfterSweep(t *testing.T) {
 	w, pr, sp := spyWorld(t)
-	req := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, Unknown: true, FD: infinity, TTL: 5, D: 3})
+	req := flooded(pr, rreq{Src: 5, RreqID: 1, Dst: 9, Unknown: true, FD: infinity, TTL: 5, D: 3})
 	pr.handleRREQ(1, req)
 	w.Sim.RunUntil(rcommon.FloodHold - time.Second)
 	late := *req
@@ -200,8 +196,8 @@ func TestReengageAfterSweep(t *testing.T) {
 // reaching it before the sweep is forwarded to the cached last hop.
 func TestReplyAfterSweepFindsNoState(t *testing.T) {
 	w, pr, sp := spyWorld(t)
-	early := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, Unknown: true, FD: infinity, TTL: 5, D: 3})
-	late := flooded(rreq{Src: 5, RreqID: 2, Dst: 8, Unknown: true, FD: infinity, TTL: 5, D: 3})
+	early := flooded(pr, rreq{Src: 5, RreqID: 1, Dst: 9, Unknown: true, FD: infinity, TTL: 5, D: 3})
+	late := flooded(pr, rreq{Src: 5, RreqID: 2, Dst: 8, Unknown: true, FD: infinity, TTL: 5, D: 3})
 	pr.handleRREQ(1, early)
 	pr.handleRREQ(1, late)
 	reply := func(r *rreq) *rrep {

@@ -732,23 +732,19 @@ func TestNeighborTableExpireWhileWalking(t *testing.T) {
 	}
 }
 
-// worldNodes sizes the records tests make by hand for a network of this
-// many nodes, which holds every id of every test world here.
-const worldNodes = 64
-
 // flooded returns m as its originator would send it: carrying a fresh
-// flood record.
-func flooded(m tc) *tc {
-	m.Flood = rcommon.NewFlood(0, worldNodes)
+// flood record, sized to the network of p, the node it is handed to.
+func flooded(p *Protocol, m tc) *tc {
+	m.Flood = rcommon.NewFlood(0, p.node.NetworkSize())
 	return &m
 }
 
-// floodRecords returns n fresh flood records, made outside the code whose
-// allocations a test counts.
-func floodRecords(n int) []*rcommon.Flood {
+// floodRecords returns n fresh flood records sized to p's network, made
+// outside the code whose allocations a test counts.
+func floodRecords(p *Protocol, n int) []*rcommon.Flood {
 	recs := make([]*rcommon.Flood, n)
 	for i := range recs {
-		recs[i] = rcommon.NewFlood(0, worldNodes)
+		recs[i] = rcommon.NewFlood(0, p.node.NetworkSize())
 	}
 	return recs
 }
@@ -770,7 +766,7 @@ func TestHandleTCAllocs(t *testing.T) {
 	p := w.Nodes[0].Protocol().(*Protocol)
 	// TTL 1: no relay; TestTCRelayAllocs prices that. The body is sorted,
 	// as every originator sends it.
-	m := flooded(tc{Orig: 9, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}}, TTL: 1})
+	m := flooded(p, tc{Orig: 9, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}}, TTL: 1})
 	p.handleTC(1, m)
 	if te := p.topoOf(9); te.body != m.Body {
 		t.Fatalf("topology entry of 9 = %+v, want the TC's body %+v", te, m.Body)
@@ -784,7 +780,7 @@ func TestHandleTCAllocs(t *testing.T) {
 	// on the record alone: it appends to the record's sighting list (its
 	// bit words came with the record). handleTC may allocate exactly that
 	// and nothing per node.
-	recs := floodRecords(201) // AllocsPerRun warms up once
+	recs := floodRecords(p, 201) // AllocsPerRun warms up once
 	recordAllocs := testing.AllocsPerRun(200, func() {
 		recs[0].Witness(p.self, p.node.Now(), p.swept)
 		recs = recs[1:]
@@ -796,7 +792,7 @@ func TestHandleTCAllocs(t *testing.T) {
 		m.Body, next = next[0], next[1:]
 		p.handleTC(1, m)
 	}
-	recs = floodRecords(201)
+	recs = floodRecords(p, 201)
 	next = bodies(m.Body.Seq, 201, func(int) []netstack.NodeID { return []netstack.NodeID{3, 5, 7} })
 	if n := testing.AllocsPerRun(200, send); n != recordAllocs {
 		t.Errorf("content-identical TC refresh: %v allocs, want the record's %v", n, recordAllocs)
@@ -807,7 +803,7 @@ func TestHandleTCAllocs(t *testing.T) {
 	// have to grow for.
 	linkVer := p.linkVer
 	changed := [][]netstack.NodeID{{3, 4}, {2, 4, 6, 8, 10, 12, 14}}
-	recs = floodRecords(201)
+	recs = floodRecords(p, 201)
 	next = bodies(m.Body.Seq, 201, func(i int) []netstack.NodeID { return changed[i%2] })
 	if n := testing.AllocsPerRun(200, send); n != recordAllocs {
 		t.Errorf("changed TC: %v allocs, want the record's %v", n, recordAllocs)
@@ -816,7 +812,7 @@ func TestHandleTCAllocs(t *testing.T) {
 		t.Fatal("changed TCs did not register as topology changes")
 	}
 	const growing = 5
-	recs = floodRecords(growing)
+	recs = floodRecords(p, growing)
 	next = bodies(m.Body.Seq, growing, func(i int) []netstack.NodeID {
 		adv := make([]netstack.NodeID, 16<<i)
 		for j := range adv {
@@ -847,16 +843,16 @@ func TestDenseTablesAllocatedOnce(t *testing.T) {
 		t.Fatalf("first rebuild: route table of %d entries, want the network's %d", len(p.routes), nodes)
 	}
 	routes := &p.routes[0]
-	p.handleTC(1, flooded(tc{Orig: 1, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{5}}, TTL: 1}))
+	p.handleTC(1, flooded(p, tc{Orig: 1, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{5}}, TTL: 1}))
 	if len(p.topo) != nodes {
 		t.Fatalf("first TC: topology table of %d entries, want the network's %d", len(p.topo), nodes)
 	}
 	topo := &p.topo[0]
-	p.handleTC(1, flooded(tc{Orig: last, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{1}}, TTL: 1}))
+	p.handleTC(1, flooded(p, tc{Orig: last, Body: &tcBody{Seq: 1, Advertised: []netstack.NodeID{1}}, TTL: 1}))
 	if p.topoOf(last).body == nil || &p.topo[0] != topo || len(p.topo) != nodes {
 		t.Errorf("a TC from the highest id %d moved or resized the topology table (%d entries)", last, len(p.topo))
 	}
-	p.handleTC(1, flooded(tc{Orig: 1, Body: &tcBody{Seq: 2, Advertised: []netstack.NodeID{5, last}}, TTL: 1}))
+	p.handleTC(1, flooded(p, tc{Orig: 1, Body: &tcBody{Seq: 2, Advertised: []netstack.NodeID{5, last}}, TTL: 1}))
 	p.rebuildRoutes(s)
 	if p.routeTo(last).hops != 2 || &p.routes[0] != routes || len(p.routes) != nodes {
 		t.Errorf("a rebuild reaching the highest id %d moved or resized the route table (%d entries, route %+v)",
@@ -931,7 +927,7 @@ func TestTCBodyAliasedNotCopied(t *testing.T) {
 	p0 := w.Nodes[0].Protocol().(*Protocol)
 	p2 := w.Nodes[2].Protocol().(*Protocol)
 	first := &tcBody{Seq: 1, Advertised: []netstack.NodeID{3, 5, 7}}
-	m := flooded(tc{Orig: 9, Body: first, TTL: 1})
+	m := flooded(p0, tc{Orig: 9, Body: first, TTL: 1})
 	p0.handleTC(1, m)
 	p2.handleTC(1, m)
 	for _, p := range []*Protocol{p0, p2} {
@@ -942,7 +938,7 @@ func TestTCBodyAliasedNotCopied(t *testing.T) {
 	seq := first.Seq
 	for _, later := range [][]netstack.NodeID{{2, 4}, {1, 2, 4, 6, 8}} {
 		seq++
-		n := flooded(tc{Orig: 9, Body: &tcBody{Seq: seq, Advertised: later}, TTL: 1})
+		n := flooded(p0, tc{Orig: 9, Body: &tcBody{Seq: seq, Advertised: later}, TTL: 1})
 		linkVer := p0.linkVer
 		p0.handleTC(1, n)
 		if te := p0.topoOf(9); te.body != n.Body || !slices.Equal(te.body.Advertised, later) {
@@ -964,8 +960,8 @@ func TestTCBodyAliasedNotCopied(t *testing.T) {
 		newer := &tcBody{Seq: seq + 2, Advertised: slices.Clone(held.Advertised)}
 		seq += 2
 		linkVer := p0.linkVer
-		p0.handleTC(1, flooded(tc{Orig: 9, Body: older, TTL: 1}))
-		p0.handleTC(1, flooded(tc{Orig: 9, Body: newer, TTL: 1}))
+		p0.handleTC(1, flooded(p0, tc{Orig: 9, Body: older, TTL: 1}))
+		p0.handleTC(1, flooded(p0, tc{Orig: 9, Body: newer, TTL: 1}))
 		if te := p0.topoOf(9); te.body != newer {
 			t.Fatalf("entry of 9 holds %+v after a content-identical refresh, want its body %+v", *te.body, *newer)
 		}
@@ -995,7 +991,7 @@ func TestTCRelayAllocs(t *testing.T) {
 	}
 	m := tc{Orig: 9, Body: &tcBody{}}
 	cost := func(ttl int) float64 {
-		recs := floodRecords(201) // AllocsPerRelay warms up once
+		recs := floodRecords(p, 201) // AllocsPerRelay warms up once
 		next := bodies(m.Body.Seq, 201, func(int) []netstack.NodeID { return []netstack.NodeID{3, 5, 7} })
 		return w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 			m.TTL, m.Flood, recs = ttl, recs[0], recs[1:]

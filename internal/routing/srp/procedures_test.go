@@ -42,14 +42,10 @@ func (s *spy) RecvControl(from netstack.NodeID, msg any) {
 }
 func (s *spy) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
 
-// worldNodes sizes the records tests make by hand for a network of this
-// many nodes, which holds every id of every test world here.
-const worldNodes = 64
-
 // flooded attaches a fresh computation record to r, as its originator
-// would.
-func flooded(r rreq) *rreq {
-	r.Comp = rcommon.NewComputation[rreqState](worldNodes)
+// would, sized to the network of pr, the node it is handed to.
+func flooded(pr *Protocol, r rreq) *rreq {
+	r.Comp = rcommon.NewComputation[rreqState](pr.node.NetworkSize())
 	return &r
 }
 
@@ -86,7 +82,7 @@ func TestRelayCarriesMinimumOrdering(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
 	assign(t, pr, 3, 9, label.Order{SN: 4, FD: frac.MustNew(1, 3)})
 
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4,
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 1, Dst: 9, DstSeq: 4,
 		F: frac.MustNew(1, 2), TTL: 5, Flags: flagN}))
 	w.Sim.RunUntil(time.Second)
 
@@ -108,7 +104,7 @@ func TestRelayFresherSeqnoClearsReset(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
 	assign(t, pr, 3, 9, label.Order{SN: 7, FD: frac.MustNew(2, 3)})
 
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4,
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 2, Dst: 9, DstSeq: 4,
 		F: frac.MustNew(1, 2), TTL: 5, Flags: flagT | flagN}))
 	w.Sim.RunUntil(time.Second)
 
@@ -132,7 +128,7 @@ func TestRelaySetsResetOnOverflow(t *testing.T) {
 	// near the 32-bit cap so n+q overflows.
 	assign(t, pr, 3, 9, label.Order{SN: 4, FD: frac.F{Num: 1<<32 - 3, Den: 1<<32 - 2}})
 
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4,
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 3, Dst: 9, DstSeq: 4,
 		F: frac.F{Num: 1, Den: 1<<32 - 2}, TTL: 5, Flags: flagN}))
 	w.Sim.RunUntil(time.Second)
 
@@ -149,7 +145,7 @@ func TestUnassignedRelayKeepsUnknownBit(t *testing.T) {
 	// solicitation stays unknown with the T bit cleared.
 	w, pr, sp := relayWorld(t, DefaultConfig())
 	_ = pr
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 4, Dst: 9, TTL: 5, Flags: flagU | flagT | flagN}))
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 4, Dst: 9, TTL: 5, Flags: flagU | flagT | flagN}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 1 {
 		t.Fatalf("spy heard %d rreqs, want 1", len(sp.rreqs))
@@ -165,7 +161,7 @@ func TestUnassignedRelayKeepsUnknownBit(t *testing.T) {
 
 func TestDuplicateRREQIgnored(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	req := flooded(rreq{Src: 5, RreqID: 7, Dst: 9, TTL: 5, Flags: flagU | flagN})
+	req := flooded(pr, rreq{Src: 5, RreqID: 7, Dst: 9, TTL: 5, Flags: flagU | flagN})
 	pr.handleRREQ(1, req)
 	dup := *req
 	pr.handleRREQ(1, &dup)
@@ -179,7 +175,7 @@ func TestDestinationReplyBumpsOnReset(t *testing.T) {
 	// A reset-required solicitation reaching the destination forces a
 	// larger sequence number (§III), counted for Fig. 7.
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 8, Dst: 0, DstSeq: 6,
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 8, Dst: 0, DstSeq: 6,
 		F: frac.MustNew(1, 2), TTL: 5, Flags: flagT | flagN}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
@@ -195,7 +191,7 @@ func TestDestinationReplyBumpsOnReset(t *testing.T) {
 
 func TestDestinationReplyNoBumpWithoutReset(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 9, Dst: 0, TTL: 5, Flags: flagU | flagN}))
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 9, Dst: 0, TTL: 5, Flags: flagU | flagN}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreps) != 1 {
 		t.Fatalf("spy heard %d rreps, want 1", len(sp.rreps))
@@ -210,7 +206,7 @@ func TestDestinationReplyNoBumpWithoutReset(t *testing.T) {
 
 func TestAgedControlDropped(t *testing.T) {
 	w, pr, sp := relayWorld(t, DefaultConfig())
-	pr.handleRREQ(1, flooded(rreq{Src: 5, RreqID: 10, Dst: 9, TTL: 5,
+	pr.handleRREQ(1, flooded(pr, rreq{Src: 5, RreqID: 10, Dst: 9, TTL: 5,
 		Flags: flagU | flagN, Age: time.Minute}))
 	w.Sim.RunUntil(time.Second)
 	if len(sp.rreqs) != 0 {
@@ -218,12 +214,12 @@ func TestAgedControlDropped(t *testing.T) {
 	}
 }
 
-// computations returns n fresh computation records, made outside the code
-// whose allocations a test counts.
-func computations(n int) []*rcommon.Computation[rreqState] {
+// computations returns n fresh computation records sized to pr's network,
+// made outside the code whose allocations a test counts.
+func computations(pr *Protocol, n int) []*rcommon.Computation[rreqState] {
 	recs := make([]*rcommon.Computation[rreqState], n)
 	for i := range recs {
-		recs[i] = rcommon.NewComputation[rreqState](worldNodes)
+		recs[i] = rcommon.NewComputation[rreqState](pr.node.NetworkSize())
 	}
 	return recs
 }
@@ -243,7 +239,7 @@ func computations(n int) []*rcommon.Computation[rreqState] {
 func TestHandleRREQAllocs(t *testing.T) {
 	w, pr, _ := relayWorld(t, DefaultConfig())
 	req := rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU,
-		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second, Comp: rcommon.NewComputation[rreqState](worldNodes)}
+		SrcSeq: 1, LF: frac.Zero, Lifetime: time.Second, Comp: rcommon.NewComputation[rreqState](pr.node.NetworkSize())}
 	pr.handleRREQ(1, &req)
 	if len(pr.SuccessorsOf(5)) != 1 {
 		t.Fatal("the advertisement piece built no reverse route")
@@ -253,13 +249,13 @@ func TestHandleRREQAllocs(t *testing.T) {
 		t.Errorf("duplicate RREQ: %v allocs, want 0", n)
 	}
 
-	recs := computations(201) // both counters warm up once
+	recs := computations(pr, 201) // both counters warm up once
 	recordAllocs := testing.AllocsPerRun(200, func() {
 		recs[0].Engage(pr.self, pr.node.Now(), pr.swept, pr.cfg.DeletePeriod)
 		recs = recs[1:]
 	})
 	t.Logf("a record's first engagement: %v allocs", recordAllocs)
-	recs = computations(201)
+	recs = computations(pr, 201)
 	engaged := recs
 	if n := w.AllocsPerRelay(200, 50*time.Millisecond, func() {
 		req.RreqID++
@@ -283,7 +279,7 @@ func TestReengageAfterSweep(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeletePeriod = 2 * time.Second // expired by the first sweep, at 10 s
 	w, pr, sp := relayWorld(t, cfg)
-	req := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU | flagN})
+	req := flooded(pr, rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU | flagN})
 	pr.handleRREQ(1, req)
 	w.Sim.RunUntil(9 * time.Second)
 	late := *req
@@ -307,8 +303,8 @@ func TestReplyAfterSweepFindsNoState(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeletePeriod = 2 * time.Second
 	w, pr, sp := relayWorld(t, cfg)
-	early := flooded(rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU | flagN})
-	late := flooded(rreq{Src: 5, RreqID: 2, Dst: 8, TTL: 5, Flags: flagU | flagN})
+	early := flooded(pr, rreq{Src: 5, RreqID: 1, Dst: 9, TTL: 5, Flags: flagU | flagN})
+	late := flooded(pr, rreq{Src: 5, RreqID: 2, Dst: 8, TTL: 5, Flags: flagU | flagN})
 	pr.handleRREQ(1, early)
 	pr.handleRREQ(1, late)
 	reply := func(r *rreq) *rrep {

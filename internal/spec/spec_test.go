@@ -62,9 +62,8 @@ func TestValidateParamsRefusesNoMobility(t *testing.T) {
 
 // TestValidateParamsRefusesSpansPastTheClock verifies ValidateParams
 // itself bounds a run's duration and pause by sim.MaxSpan, naming the key
-// and the value: cmd/slrsim overlays both from flags, which sim.Seconds
-// never sees, and a 2,000,000 h run used to be accepted and run until
-// killed. Each span at the bound is accepted.
+// and the value, since cmd/slrsim overlays both from flags that
+// sim.Seconds never sees. Each span at the bound is accepted.
 func TestValidateParamsRefusesSpansPastTheClock(t *testing.T) {
 	const past = 2000000 * time.Hour
 	for _, c := range []struct {
