@@ -43,8 +43,9 @@ func main() {
 		grid[i] = &mobility.Static{At: geo.Point{X: float64(i%cols) * gap, Y: float64(i/cols) * gap}}
 	}
 	protos := make([]*srp.Protocol, rows*cols)
+	cfg := srp.DefaultConfig() // one config, shared by every node
 	net := netstack.NewNetwork(sim.New(7), rp, grid, func(id netstack.NodeID) netstack.Protocol {
-		protos[id] = srp.New(srp.DefaultConfig())
+		protos[id] = srp.New(&cfg)
 		return protos[id]
 	})
 	net.StartAll()

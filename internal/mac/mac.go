@@ -144,7 +144,9 @@ type MAC struct {
 	// awaitingCts marks the RTS phase of cur's exchange.
 	awaitingCts bool
 	seq         uint32
-	// lastSeq dedups retransmitted unicasts per sender.
+	// lastSeq dedups retransmitted unicasts per sender; it is made at
+	// the first unicast received, so a station that never receives one
+	// holds none.
 	lastSeq map[radio.NodeID]uint32
 	stats   Stats
 
@@ -165,11 +167,10 @@ var _ radio.Receiver = (*MAC)(nil)
 // which the scenario owns).
 func New(s *sim.Simulator, ch *radio.Channel, id radio.NodeID, up UpperLayer) *MAC {
 	m := &MAC{
-		id:      id,
-		sim:     s,
-		ch:      ch,
-		up:      up,
-		lastSeq: make(map[radio.NodeID]uint32),
+		id:  id,
+		sim: s,
+		ch:  ch,
+		up:  up,
 	}
 	m.bd, _ = up.(BroadcastDone)
 	// The timers below are canceled (or superseded by Reschedule) in
@@ -500,6 +501,9 @@ func (m *MAC) OnFrame(f *radio.Frame) {
 			// Dedup retransmissions whose ACK was lost.
 			if last, ok := m.lastSeq[f.From]; ok && last == f.Seq {
 				return
+			}
+			if m.lastSeq == nil {
+				m.lastSeq = make(map[radio.NodeID]uint32)
 			}
 			m.lastSeq[f.From] = f.Seq
 			m.stats.RxData++

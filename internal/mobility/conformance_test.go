@@ -165,19 +165,24 @@ func divmod(v, m float64) (int, float64) {
 	return n, v - float64(n)*m
 }
 
-// TestManhattanRejectsOversizedBlock verifies grid fitting is validated.
+// TestManhattanRejectsOversizedBlock verifies grid fitting is validated,
+// naming block_m: a block wider than the terrain, a block under a meter,
+// and one making more blocks a side than an int32 counts, which must be
+// refused before the count is converted to an int.
 func TestManhattanRejectsOversizedBlock(t *testing.T) {
-	spec := conformanceSpec("manhattan")
-	spec.Params = map[string]float64{"block_m": 5000}
-	_, err := Build(geo.Terrain{Width: 1000, Height: 600}, rand.New(rand.NewSource(1)), spec)
-	if err == nil {
-		t.Fatal("oversized block_m accepted")
+	for _, c := range []struct{ block, width float64 }{{5000, 1000}, {0.5, 1000}, {1, 1e10}} {
+		spec := conformanceSpec("manhattan")
+		spec.Params = map[string]float64{"block_m": c.block}
+		_, err := Build(geo.Terrain{Width: c.width, Height: 600}, rand.New(rand.NewSource(1)), spec)
+		if err == nil || !strings.Contains(err.Error(), "block_m") {
+			t.Errorf("manhattan block_m=%v on a %v m wide terrain: err %v, want a refusal naming block_m", c.block, c.width, err)
+		}
 	}
 }
 
 // TestGaussMarkovRefusesOutOfRange verifies gauss-markov refuses a knob
 // out of its range, naming it, instead of clamping it to one in range: a
-// memory parameter outside [0, 1], a step shorter than a nanosecond or
+// memory parameter outside [0, 1], a step shorter than a millisecond or
 // past what a sim.Time holds, a negative spread.
 func TestGaussMarkovRefusesOutOfRange(t *testing.T) {
 	for _, c := range []struct {
@@ -185,7 +190,7 @@ func TestGaussMarkovRefusesOutOfRange(t *testing.T) {
 		v   float64
 	}{
 		{"alpha", -0.1}, {"alpha", 1.5},
-		{"step_seconds", 0}, {"step_seconds", -1}, {"step_seconds", 1e-10}, {"step_seconds", 1e10},
+		{"step_seconds", 0}, {"step_seconds", -1}, {"step_seconds", 1e-10}, {"step_seconds", 5e-4}, {"step_seconds", 1e10},
 		{"speed_sigma", -1}, {"dir_sigma", -0.4},
 	} {
 		spec := conformanceSpec("gauss-markov")

@@ -24,7 +24,7 @@ import (
 // direction so they drift back inside.
 //
 // Spec.Params knobs: "alpha" in [0, 1] (default 0.75), "step_seconds" of
-// at least a nanosecond (default 1), "speed_sigma" >= 0 (default
+// at least a millisecond (default 1), "speed_sigma" >= 0 (default
 // (max-min)/4), "dir_sigma" >= 0 in radians (default 0.4); a value out of
 // range is an error. Speed is clamped to [MinSpeed, MaxSpeed], so the
 // model honours the Spec.MaxSpeed drift contract.
@@ -51,6 +51,9 @@ type GaussMarkov struct {
 }
 
 var _ Model = (*GaussMarkov)(nil)
+
+// minStep is the shortest step gauss-markov admits.
+const minStep = sim.Time(time.Millisecond)
 
 // gaussMarkovParams are the model's Spec.Params knobs in spec units.
 type gaussMarkovParams struct {
@@ -83,8 +86,10 @@ func NewGaussMarkov(t geo.Terrain, rng *rand.Rand, s Spec) (*GaussMarkov, error)
 	switch {
 	case !(k.alpha >= 0 && k.alpha <= 1):
 		return nil, fmt.Errorf("mobility: gauss-markov alpha %v must be in [0, 1]", k.alpha)
-	case k.step < 1:
-		return nil, fmt.Errorf("mobility: gauss-markov step_seconds must be at least 1 ns")
+	case k.step < minStep:
+		// Steps far shorter make a trial draw one per simulated
+		// nanosecond or so; a millisecond is the floor.
+		return nil, fmt.Errorf("mobility: gauss-markov step_seconds %v must be at least %v", k.step.Seconds(), minStep.Seconds())
 	case k.speedSigma < 0 || k.dirSigma < 0:
 		return nil, fmt.Errorf("mobility: gauss-markov speed_sigma %v and dir_sigma %v must be >= 0", k.speedSigma, k.dirSigma)
 	}

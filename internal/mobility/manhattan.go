@@ -15,12 +15,12 @@ import (
 var manhattanDirs = [4]geo.Point{{X: 1}, {Y: 1}, {X: -1}, {Y: -1}}
 
 // Manhattan is the Manhattan-grid mobility model: nodes move along a
-// rectangular grid of streets spaced "block_m" meters apart (default 100),
-// as in an urban map. A node travels one block at a uniform random speed in
-// [MinSpeed, MaxSpeed], then at the intersection continues straight with
-// probability 1/2 or turns left/right with probability 1/4 each (invalid
-// headings at the terrain boundary are re-drawn among the valid ones), and
-// rests Spec.Pause before the next block.
+// rectangular grid of streets spaced "block_m" meters apart (default 100,
+// at least 1), as in an urban map. A node travels one block at a uniform
+// random speed in [MinSpeed, MaxSpeed], then at the intersection continues
+// straight with probability 1/2 or turns left/right with probability 1/4
+// each (invalid headings at the terrain boundary are re-drawn among the
+// valid ones), and rests Spec.Pause before the next block.
 //
 // The street grid spans the largest whole number of blocks that fits the
 // terrain, so every position is inside the terrain and speed never exceeds
@@ -46,6 +46,9 @@ type Manhattan struct {
 
 var _ Model = (*Manhattan)(nil)
 
+// minBlock is the shortest block_m manhattan admits, in meters.
+const minBlock = 1
+
 // manhattanAppliers are manhattan's Spec.Params keys; each sets the
 // block side in meters.
 var manhattanAppliers = map[string]registry.Applier[float64]{
@@ -59,10 +62,19 @@ func NewManhattan(t geo.Terrain, rng *rand.Rand, s Spec) (*Manhattan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if block <= 0 {
-		return nil, fmt.Errorf("mobility: manhattan block_m %v must be positive", block)
+	// Blocks far under a meter make legs so short that a trial advances
+	// one per simulated nanosecond; a meter is the floor.
+	if block < minBlock {
+		return nil, fmt.Errorf("mobility: manhattan block_m %v must be at least %v", block, minBlock)
 	}
-	nx, ny := int(t.Width/block), int(t.Height/block)
+	// The quotients are compared before the conversion, whose result past
+	// the int range depends on the platform.
+	fx, fy := t.Width/block, t.Height/block
+	if !(fx < math.MaxInt32 && fy < math.MaxInt32) {
+		return nil, fmt.Errorf("mobility: manhattan block_m %v makes more than %d blocks a side on terrain %vx%v",
+			block, math.MaxInt32, t.Width, t.Height)
+	}
+	nx, ny := int(fx), int(fy)
 	if nx < 1 || ny < 1 {
 		return nil, fmt.Errorf("mobility: manhattan block_m %v does not fit terrain %vx%v",
 			block, t.Width, t.Height)

@@ -140,7 +140,8 @@ type Node struct {
 	// (e.g. a retransmitted copy that raced an ACK). UIDs themselves are
 	// allocated by the originating side — the traffic generator for
 	// workload packets, test harnesses for injected ones — never by the
-	// Node.
+	// Node. It is made at the first delivery, so a node no flow ends at
+	// holds none.
 	delivered map[uint64]struct{}
 	// envFree pools controlEnvelope boxes for reuse across control sends.
 	envFree []*controlEnvelope
@@ -150,12 +151,11 @@ type Node struct {
 // NewNetwork registers it on the channel and StartAll starts it.
 func newNode(s *sim.Simulator, ch *radio.Channel, id NodeID, size int, proto Protocol, mx *metrics.Collector) *Node {
 	n := &Node{
-		id:        id,
-		size:      size,
-		sim:       s,
-		proto:     proto,
-		mx:        mx,
-		delivered: make(map[uint64]struct{}),
+		id:    id,
+		size:  size,
+		sim:   s,
+		proto: proto,
+		mx:    mx,
 	}
 	n.mac = mac.New(s, ch, id, (*macUpper)(n))
 	proto.Attach(n)
@@ -272,6 +272,9 @@ func (n *Node) recvData(from NodeID, pkt *DataPacket) {
 	if pkt.Dst == n.id {
 		if _, dup := n.delivered[pkt.UID]; dup {
 			return
+		}
+		if n.delivered == nil {
+			n.delivered = make(map[uint64]struct{})
 		}
 		n.delivered[pkt.UID] = struct{}{}
 		now := n.sim.Now()

@@ -92,7 +92,7 @@ type routeEntry struct {
 // Protocol is one node's AODV instance.
 type Protocol struct {
 	netstack.BaseProtocol
-	cfg  Config
+	cfg  *Config
 	node *netstack.Node
 	self netstack.NodeID
 
@@ -105,7 +105,7 @@ type Protocol struct {
 	swept sim.Time
 	// disc runs route discovery: queues, RREQ rate limit, retries and
 	// hold-down.
-	disc *rcommon.DiscoveryTable
+	disc rcommon.DiscoveryTable
 	// rerrLimit enforces RERR_RATELIMIT.
 	rerrLimit rcommon.RateLimiter
 	sweeper   rcommon.Beaconer
@@ -113,14 +113,15 @@ type Protocol struct {
 
 var _ netstack.Protocol = (*Protocol)(nil)
 
-// New returns an AODV instance.
-func New(cfg Config) *Protocol {
+// New returns an AODV instance running under cfg, which the instances of a
+// trial share: nothing writes it after configuration.
+func New(cfg *Config) *Protocol {
 	p := &Protocol{
 		cfg:       cfg,
 		table:     make(map[netstack.NodeID]*routeEntry),
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
 	}
-	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, p.repairFailed)
+	p.disc = rcommon.NewDiscoveryTable(&cfg.DiscoveryConfig, p.solicit, p.repairFailed)
 	return p
 }
 

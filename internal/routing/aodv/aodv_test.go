@@ -12,7 +12,13 @@ import (
 	"slr/internal/sim"
 )
 
-func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
+func factory(id netstack.NodeID) netstack.Protocol { return newDefault() }
+
+// newDefault returns an instance under its own copy of DefaultConfig.
+func newDefault() *Protocol {
+	cfg := DefaultConfig()
+	return New(&cfg)
+}
 
 func TestChainDiscoveryAndDelivery(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(5, 100), nil)

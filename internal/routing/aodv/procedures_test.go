@@ -44,7 +44,7 @@ func spyWorld(t *testing.T) (*rtest.World, *Protocol, *spy) {
 	var pr *Protocol
 	w := rtest.New(1, 150, func(id netstack.NodeID) netstack.Protocol {
 		if id == 0 {
-			pr = New(DefaultConfig())
+			pr = newDefault()
 			return pr
 		}
 		return sp
@@ -196,7 +196,7 @@ func TestRERRNeedsPrecursor(t *testing.T) {
 			case 0:
 				return sp
 			case 1:
-				pr = New(DefaultConfig())
+				pr = newDefault()
 				return pr
 			}
 			return &spy{}

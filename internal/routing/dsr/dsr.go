@@ -95,7 +95,7 @@ type cachedRoute struct {
 // Protocol is one node's DSR instance.
 type Protocol struct {
 	netstack.BaseProtocol
-	cfg  Config
+	cfg  *Config
 	node *netstack.Node
 	self netstack.NodeID
 
@@ -106,7 +106,7 @@ type Protocol struct {
 	swept sim.Time
 	// disc runs route discovery: queues, RREQ rate limit, retries and
 	// hold-down.
-	disc    *rcommon.DiscoveryTable
+	disc    rcommon.DiscoveryTable
 	sweeper rcommon.Beaconer
 	// rev is handleRREQ's scratch for the reversed route record. addRoute
 	// keeps no reference to its argument, so it is reused for every RREQ.
@@ -115,8 +115,9 @@ type Protocol struct {
 
 var _ netstack.Protocol = (*Protocol)(nil)
 
-// New returns a DSR instance.
-func New(cfg Config) *Protocol {
+// New returns a DSR instance running under cfg, which the instances of a
+// trial share: nothing writes it after configuration.
+func New(cfg *Config) *Protocol {
 	p := &Protocol{
 		cfg:   cfg,
 		cache: make(map[netstack.NodeID][]cachedRoute),

@@ -13,7 +13,13 @@ import (
 	"slr/internal/sim"
 )
 
-func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
+func factory(id netstack.NodeID) netstack.Protocol { return newDefault() }
+
+// newDefault returns an instance under its own copy of DefaultConfig.
+func newDefault() *Protocol {
+	cfg := DefaultConfig()
+	return New(&cfg)
+}
 
 // flooded returns r as its originator would send it: carrying a fresh
 // flood record, sized to the network of p, the node it is handed to.
@@ -137,7 +143,7 @@ func TestSalvageOnLinkBreak(t *testing.T) {
 }
 
 func TestRERRPurgesStaleCache(t *testing.T) {
-	p := New(DefaultConfig())
+	p := newDefault()
 	w := rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
 		[]geo.Point{{X: 0}}, nil)
 	_ = w
@@ -171,7 +177,7 @@ func TestSpliceRejectsLoops(t *testing.T) {
 // the cache has room for it: one copy of the path, which every new prefix
 // shares, however many hops it has.
 func TestAddRouteAllocs(t *testing.T) {
-	p := New(DefaultConfig())
+	p := newDefault()
 	rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
 		[]geo.Point{{X: 0}}, nil)
 	path := []netstack.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
@@ -233,7 +239,7 @@ func floodRecords(p *Protocol, n int) []*rcommon.Flood {
 }
 
 func TestCacheEviction(t *testing.T) {
-	p := New(DefaultConfig())
+	p := newDefault()
 	w := rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
 		[]geo.Point{{X: 0}}, nil)
 	_ = w

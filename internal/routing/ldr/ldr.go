@@ -108,7 +108,7 @@ type rreqState struct {
 // Protocol is one node's LDR instance.
 type Protocol struct {
 	netstack.BaseProtocol
-	cfg  Config
+	cfg  *Config
 	node *netstack.Node
 	self netstack.NodeID
 
@@ -123,7 +123,7 @@ type Protocol struct {
 	swept sim.Time
 	// disc runs route discovery: queues, RREQ rate limit, retries and
 	// hold-down.
-	disc *rcommon.DiscoveryTable
+	disc rcommon.DiscoveryTable
 	// rerrLimit enforces RERR_RATELIMIT.
 	rerrLimit rcommon.RateLimiter
 	sweeper   rcommon.Beaconer
@@ -131,14 +131,15 @@ type Protocol struct {
 
 var _ netstack.Protocol = (*Protocol)(nil)
 
-// New returns an LDR instance.
-func New(cfg Config) *Protocol {
+// New returns an LDR instance running under cfg, which the instances of a
+// trial share: nothing writes it after configuration.
+func New(cfg *Config) *Protocol {
 	p := &Protocol{
 		cfg:       cfg,
 		table:     make(map[netstack.NodeID]*entry),
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
 	}
-	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
+	p.disc = rcommon.NewDiscoveryTable(&cfg.DiscoveryConfig, p.solicit, nil)
 	return p
 }
 

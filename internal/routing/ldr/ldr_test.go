@@ -11,7 +11,13 @@ import (
 	"slr/internal/sim"
 )
 
-func factory(id netstack.NodeID) netstack.Protocol { return New(DefaultConfig()) }
+func factory(id netstack.NodeID) netstack.Protocol { return newDefault() }
+
+// newDefault returns an instance under its own copy of DefaultConfig.
+func newDefault() *Protocol {
+	cfg := DefaultConfig()
+	return New(&cfg)
+}
 
 func TestChainDiscoveryAndDelivery(t *testing.T) {
 	w := rtest.New(1, 120, factory, rtest.Chain(5, 100), nil)
@@ -71,7 +77,7 @@ func TestResetRequiredBumpsSeqno(t *testing.T) {
 }
 
 func TestOutOfOrderRelaySetsReset(t *testing.T) {
-	p := New(DefaultConfig())
+	p := newDefault()
 	w := rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
 		[]geo.Point{{X: 0}}, nil)
 	_ = w
@@ -91,7 +97,7 @@ func TestOutOfOrderRelaySetsReset(t *testing.T) {
 }
 
 func TestAcceptRules(t *testing.T) {
-	p := New(DefaultConfig())
+	p := newDefault()
 	w := rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
 		[]geo.Point{{X: 0}}, nil)
 	_ = w

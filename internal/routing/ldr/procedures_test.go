@@ -47,7 +47,7 @@ func spyWorld(t *testing.T) (*rtest.World, *Protocol, *spy) {
 	var pr *Protocol
 	w := rtest.New(1, 150, func(id netstack.NodeID) netstack.Protocol {
 		if id == 0 {
-			pr = New(DefaultConfig())
+			pr = newDefault()
 			return pr
 		}
 		return sp

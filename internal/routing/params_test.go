@@ -149,9 +149,9 @@ func TestParamVocabulary(t *testing.T) {
 	}
 }
 
-// TestConfigFromParamsAllocs pins what a protocol's config costs each node
-// it is built for: the appliers are package-level tables, so applying no
-// params allocates at most the TTL schedule.
+// TestConfigFromParamsAllocs pins what a protocol's config costs the
+// trial that resolves it: the appliers are package-level tables, so
+// applying no params allocates at most the TTL schedule.
 func TestConfigFromParamsAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -209,6 +209,10 @@ func TestParamRefusals(t *testing.T) {
 		{"SRP", "queue_cap", 0},
 		{"LDR", "max_salvage", -1},
 		{"DSR", "discovery_holddown_seconds", -0.001},
+		{"SRP", "node_traversal_seconds", 0},
+		// A cap below 1 would switch RREQ_RATELIMIT off.
+		{"AODV", "rreq_rate_limit", 0},
+		{"DSR", "rreq_rate_limit", -1},
 	} {
 		_, err := configs[c.proto].fromParams(map[string]float64{c.key: c.v})
 		if err == nil || !strings.Contains(err.Error(), c.key) {
@@ -226,6 +230,7 @@ func TestParamAcceptances(t *testing.T) {
 	}{
 		{"LDR", map[string]float64{"ttl_0": 255}},
 		{"SRP", map[string]float64{"queue_cap": 1}},
+		{"AODV", map[string]float64{"rreq_rate_limit": 1}},
 		{"DSR", map[string]float64{"discovery_holddown_seconds": 0}},
 		{"SRP", map[string]float64{"delete_period_seconds": 10}}, // active_route_timeout_seconds' default
 		{"SRP", map[string]float64{"delete_period_seconds": 4.5, "active_route_timeout_seconds": 4.5}},

@@ -17,7 +17,9 @@ type Beaconer struct {
 	node  *netstack.Node
 	timer sim.Timer
 	fire  func()
+	// next draws each gap; when it is nil the gap is every.
 	next  func() sim.Time
+	every sim.Time
 	tick  func()
 }
 
@@ -25,21 +27,27 @@ type Beaconer struct {
 // next() thereafter. Starting an already-running Beaconer is a no-op, so
 // protocol Start methods are idempotent for free.
 func (b *Beaconer) Start(n *netstack.Node, initial sim.Time, next func() sim.Time, fire func()) {
-	if b.node != nil {
-		return
-	}
-	b.node = n
-	b.fire = fire
-	b.next = next
-	b.tick = func() {
-		b.fire()
-		b.timer = b.node.RescheduleAfter(b.timer, b.next(), b.tick)
-	}
-	b.timer = n.After(initial, b.tick)
+	b.start(n, initial, next, 0, fire)
 }
 
 // StartEvery runs fire every fixed interval, first firing `interval` from
 // now — the shape of the periodic state sweeps.
 func (b *Beaconer) StartEvery(n *netstack.Node, interval sim.Time, fire func()) {
-	b.Start(n, interval, func() sim.Time { return interval }, fire)
+	b.start(n, interval, nil, interval, fire)
+}
+
+func (b *Beaconer) start(n *netstack.Node, initial sim.Time, next func() sim.Time, every sim.Time, fire func()) {
+	if b.node != nil {
+		return
+	}
+	b.node, b.next, b.every, b.fire = n, next, every, fire
+	b.tick = func() {
+		b.fire()
+		gap := b.every
+		if b.next != nil {
+			gap = b.next()
+		}
+		b.timer = b.node.RescheduleAfter(b.timer, gap, b.tick)
+	}
+	b.timer = n.After(initial, b.tick)
 }

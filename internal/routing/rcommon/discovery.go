@@ -83,6 +83,11 @@ func (c DiscoveryConfig) Validate(kind string, ttlKeys []string) error {
 		return fmt.Errorf("%s: rreq_retries %d, queue_cap %d, max_salvage %d out of range",
 			kind, c.RreqRetries, c.QueueCap, c.MaxSalvage)
 	}
+	// RateLimiter reads a cap below 1 as "no limit", which no spec may
+	// ask for by accident.
+	if c.RreqRateLimit < 1 {
+		return fmt.Errorf("%s: rreq_rate_limit %d must be at least 1", kind, c.RreqRateLimit)
+	}
 	longest := 0
 	for i, ttl := range c.TTLs {
 		if ttl < 1 || ttl > maxTTL {
@@ -174,10 +179,12 @@ type Discovery struct {
 // pending discoveries and the bounded packet queue behind each, the RREQ
 // rate limit, the expanding-ring TTL pick, the retry timer with its binary
 // exponential back-off, and the post-failure hold-down. The protocol only
-// builds and broadcasts the RREQ.
+// builds and broadcasts the RREQ. A protocol holds its table by value; the
+// table reads the trial's shared config and makes its maps on their first
+// write, so a node that never discovers a route allocates nothing here.
 type DiscoveryTable struct {
 	node      *netstack.Node
-	cfg       DiscoveryConfig
+	cfg       *DiscoveryConfig
 	send      func(d *Discovery, ttl int)
 	abandoned func(d *Discovery)
 	limit     RateLimiter
@@ -185,18 +192,16 @@ type DiscoveryTable struct {
 	holdDown  map[netstack.NodeID]sim.Time
 }
 
-// NewDiscoveryTable returns a table running discoveries under cfg. send
-// builds and broadcasts one RREQ for d with the given TTL. abandoned, which
-// may be nil, runs once a discovery that failed all retries has dropped
-// its queue.
-func NewDiscoveryTable(cfg DiscoveryConfig, send func(d *Discovery, ttl int), abandoned func(d *Discovery)) *DiscoveryTable {
-	return &DiscoveryTable{
+// NewDiscoveryTable returns a table running discoveries under cfg, which
+// nothing may write while the table runs. send builds and broadcasts one
+// RREQ for d with the given TTL. abandoned, which may be nil, runs once a
+// discovery that failed all retries has dropped its queue.
+func NewDiscoveryTable(cfg *DiscoveryConfig, send func(d *Discovery, ttl int), abandoned func(d *Discovery)) DiscoveryTable {
+	return DiscoveryTable{
 		cfg:       cfg,
 		send:      send,
 		abandoned: abandoned,
 		limit:     RateLimiter{Cap: cfg.RreqRateLimit},
-		pending:   make(map[netstack.NodeID]*Discovery),
-		holdDown:  make(map[netstack.NodeID]sim.Time),
 	}
 }
 
@@ -222,6 +227,9 @@ func (t *DiscoveryTable) Enqueue(pkt *netstack.DataPacket, repair bool) {
 		return
 	}
 	d = &Discovery{Dst: pkt.Dst, Repair: repair, queue: []*netstack.DataPacket{pkt}}
+	if t.pending == nil {
+		t.pending = make(map[netstack.NodeID]*Discovery)
+	}
 	t.pending[pkt.Dst] = d
 	t.solicit(d)
 }
@@ -258,6 +266,9 @@ func (t *DiscoveryTable) retry(d *Discovery) {
 		return
 	}
 	delete(t.pending, d.Dst)
+	if t.holdDown == nil {
+		t.holdDown = make(map[netstack.NodeID]sim.Time)
+	}
 	t.holdDown[d.Dst] = t.node.Now() + t.cfg.DiscoveryHoldDown
 	for _, pkt := range d.queue {
 		t.node.DropData(pkt, netstack.DropTimeout)

@@ -22,7 +22,7 @@ type solicitation struct {
 // records what the table asks of it.
 type discoverer struct {
 	netstack.BaseProtocol
-	disc      *rcommon.DiscoveryTable
+	disc      rcommon.DiscoveryTable
 	node      *netstack.Node
 	sent      []solicitation
 	abandoned []*rcommon.Discovery
@@ -40,7 +40,7 @@ func (p *discoverer) DataFailed(netstack.NodeID, *netstack.DataPacket) {}
 // newDiscoverer returns a lone node running discoveries under cfg.
 func newDiscoverer(cfg rcommon.DiscoveryConfig) (*rtest.World, *discoverer) {
 	p := &discoverer{}
-	p.disc = rcommon.NewDiscoveryTable(cfg,
+	p.disc = rcommon.NewDiscoveryTable(&cfg,
 		func(d *rcommon.Discovery, ttl int) {
 			p.sent = append(p.sent, solicitation{p.node.Now(), d.Dst, ttl})
 		},
@@ -154,5 +154,23 @@ func TestDiscoveryComplete(t *testing.T) {
 	if len(p.sent) != 1 || len(p.abandoned) != 0 || w.MX.DataDrops[netstack.DropTimeout.String()] != 0 {
 		t.Fatalf("after Complete: %d sends, %d abandoned, %d timeouts, want 1, 0, 0",
 			len(p.sent), len(p.abandoned), w.MX.DataDrops[netstack.DropTimeout.String()])
+	}
+}
+
+// TestDiscoveryTableIdleAllocs checks that a table allocates nothing
+// before its first Enqueue: making it, attaching it and completing a
+// discovery it never started cost a node that never discovers a route
+// nothing, since its maps come with the first write.
+func TestDiscoveryTableIdleAllocs(t *testing.T) {
+	_, p := newDiscoverer(testDiscovery())
+	cfg := testDiscovery()
+	send := func(*rcommon.Discovery, int) {}
+	forward := func(*netstack.DataPacket) bool { return true }
+	if avg := testing.AllocsPerRun(100, func() {
+		p.disc = rcommon.NewDiscoveryTable(&cfg, send, nil)
+		p.disc.Attach(p.node)
+		p.disc.Complete(5, forward)
+	}); avg != 0 {
+		t.Errorf("an idle discovery table allocates %.0f times, want 0", avg)
 	}
 }

@@ -34,6 +34,13 @@
 // heap object per entry, and a pointer into the slab is good only until
 // the table's next Put or Delete.
 //
+// A trial resolves its protocol once and its nodes share the config:
+// Configure runs once per trial (routing.Resolve), every node's instance
+// and its DiscoveryTable point at that one config, and nothing writes it
+// after Configure. A node allocates no state it may never use: a
+// DiscoveryTable lives by value in its protocol and makes its maps on
+// their first write.
+//
 // Every helper is a pure extraction: porting a protocol onto rcommon must
 // not change its packet trace. Helpers therefore never draw randomness
 // themselves — jitter stays in protocol callbacks so each protocol's RNG

@@ -1,11 +1,11 @@
 // Package routing is the protocol registry: the five protocols of the
 // paper's evaluation (SRP and its four baselines) registered by name with
 // validated per-protocol parameter maps, exactly like the mobility,
-// traffic, and radio-propagation model registries. internal/spec selects
-// a protocol through Build, so a declarative scenario file can both name
-// the protocol and tune its constants ("protocol_params") without any
-// code knowing the concrete type — protocol-parameter sweeps are just
-// spec files.
+// traffic, and radio-propagation model registries. internal/spec checks
+// a protocol through Validate and a trial builds its nodes through
+// Resolve, so a declarative scenario file can both name the protocol and
+// tune its constants ("protocol_params") without any code knowing the
+// concrete type — protocol-parameter sweeps are just spec files.
 //
 // Registration is centralized here rather than in per-protocol init
 // functions so importing slr/internal/routing is sufficient to see every
@@ -44,30 +44,60 @@ type Spec struct {
 // strictly per node.
 type Factory func(params map[string]float64) (netstack.Protocol, error)
 
-var factories = registry.New[Factory]("routing protocol")
+// resolver configures and validates a protocol from a spec's parameter
+// overrides once, and returns the builder of its node instances.
+type resolver func(params map[string]float64) (func() netstack.Protocol, error)
+
+var resolvers = registry.New[resolver]("routing protocol")
 
 // Register adds a protocol factory under name. Registering a duplicate
-// name panics: it is a wiring bug.
-func Register(name string, f Factory) { factories.Register(name, f) }
+// name panics: it is a wiring bug. Resolve checks a factory's params by
+// building one instance and then calls the factory once per node.
+func Register(name string, f Factory) {
+	resolvers.Register(name, func(params map[string]float64) (func() netstack.Protocol, error) {
+		if _, err := f(params); err != nil {
+			return nil, err
+		}
+		return func() netstack.Protocol {
+			p, err := f(params)
+			if err != nil {
+				panic(fmt.Sprintf("routing: %v after the same params resolved", err))
+			}
+			return p
+		}, nil
+	})
+}
 
 // Protocols returns the registered protocol names, sorted.
-func Protocols() []string { return factories.Names() }
+func Protocols() []string { return resolvers.Names() }
 
-// Build constructs one node's instance of the protocol selected by s.
-func Build(s Spec) (netstack.Protocol, error) {
-	f, ok := factories.Get(strings.ToUpper(s.Name))
+// Resolve configures and validates the protocol selected by s once, and
+// returns a builder whose every call makes a fresh node instance. A trial
+// resolves its protocol once and its nodes share the one config: the
+// builder's instances all point at it, and nothing writes it. The config
+// lives in the builder, so concurrent trials never share one.
+func Resolve(s Spec) (func() netstack.Protocol, error) {
+	r, ok := resolvers.Get(strings.ToUpper(s.Name))
 	if !ok {
 		return nil, fmt.Errorf("routing: unknown protocol %q (registered: %v)", s.Name, Protocols())
 	}
-	return f(s.Params)
+	return r(s.Params)
+}
+
+// Build constructs one node's instance of the protocol selected by s.
+func Build(s Spec) (netstack.Protocol, error) {
+	build, err := Resolve(s)
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
 }
 
 // Validate checks that s names a registered protocol and that its params
-// resolve to a buildable configuration, without keeping the instance —
-// the spec-load-time check that makes a bad scenario fail before any
-// simulator exists.
+// resolve to a buildable configuration — the spec-load-time check that
+// makes a bad scenario fail before any simulator exists.
 func Validate(s Spec) error {
-	_, err := Build(s)
+	_, err := Resolve(s)
 	return err
 }
 
@@ -122,14 +152,15 @@ func MergeParams(base, override map[string]float64) map[string]float64 {
 }
 
 // register adds the protocol whose config configure reads from a spec's
-// protocol_params and whose node instance build makes from that config.
-func register[C any, P netstack.Protocol](name string, configure func(map[string]float64) (C, error), build func(C) P) {
-	Register(name, func(params map[string]float64) (netstack.Protocol, error) {
+// protocol_params and whose node instances build makes, all sharing that
+// one config.
+func register[C any, P netstack.Protocol](name string, configure func(map[string]float64) (C, error), build func(*C) P) {
+	resolvers.Register(name, func(params map[string]float64) (func() netstack.Protocol, error) {
 		cfg, err := configure(params)
 		if err != nil {
 			return nil, err
 		}
-		return build(cfg), nil
+		return func() netstack.Protocol { return build(&cfg) }, nil
 	})
 }
 
@@ -139,10 +170,9 @@ func init() {
 	register("AODV", aodv.ConfigFromParams, aodv.New)
 	register("DSR", dsr.ConfigFromParams, dsr.New)
 	// OLSR runs at the draft's default timing and takes no parameters.
-	Register("OLSR", func(params map[string]float64) (netstack.Protocol, error) {
-		if err := registry.NoParams("olsr", params); err != nil {
-			return nil, err
-		}
-		return olsr.New(), nil
-	})
+	register("OLSR",
+		func(params map[string]float64) (struct{}, error) {
+			return struct{}{}, registry.NoParams("olsr", params)
+		},
+		func(*struct{}) *olsr.Protocol { return olsr.New() })
 }

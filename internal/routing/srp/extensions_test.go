@@ -119,7 +119,8 @@ func TestRoundRobinDeliveryStaysLoopFree(t *testing.T) {
 func TestHelloAdvertisementFeasibilityGuard(t *testing.T) {
 	// A hello advertising an ordering that is not feasible for the
 	// receiver must be ignored (Theorem 2 guard inside setRoute).
-	p := New(DefaultConfig())
+	cfg := DefaultConfig()
+	p := New(&cfg)
 	w := rtest.New(1, 120, func(netstack.NodeID) netstack.Protocol { return p },
 		rtest.Chain(1, 100), nil)
 	_ = w

@@ -56,7 +56,7 @@ func relayWorld(t *testing.T, cfg Config) (*rtest.World, *Protocol, *spy) {
 	var pr *Protocol
 	w := rtest.New(1, 150, func(id netstack.NodeID) netstack.Protocol {
 		if id == 0 {
-			pr = New(cfg)
+			pr = New(&cfg)
 			return pr
 		}
 		return sp
@@ -356,7 +356,7 @@ func TestPathReset(t *testing.T) {
 	var ps [4]*Protocol
 	dst := &probeTap{}
 	w := rtest.New(1, 120, func(id netstack.NodeID) netstack.Protocol {
-		ps[id] = New(cfg)
+		ps[id] = New(&cfg)
 		if id == 3 {
 			dst.Protocol = ps[id]
 			return dst
@@ -404,7 +404,7 @@ func TestNoResetStormBelowPathLength(t *testing.T) {
 		cfg.MaxDenom = maxDenom
 		var ps [4]*Protocol
 		w := rtest.New(1, 120, func(id netstack.NodeID) netstack.Protocol {
-			ps[id] = New(cfg)
+			ps[id] = New(&cfg)
 			return ps[id]
 		}, rtest.Chain(4, 100), nil)
 		w.Send(0, 3)
@@ -434,7 +434,7 @@ func TestShortDeletePeriodLoops(t *testing.T) {
 	}
 	var ps [3]*Protocol
 	w := rtest.New(1, 10, func(id netstack.NodeID) netstack.Protocol {
-		ps[id] = New(cfg)
+		ps[id] = New(&cfg)
 		return ps[id]
 	}, rtest.Chain(3, 100), nil)
 	w.Sim.RunUntil(time.Second)

@@ -134,7 +134,7 @@ func (o overrides) validate(kind string) error {
 // Protocol is one node's SRP instance.
 type Protocol struct {
 	netstack.BaseProtocol
-	cfg  Config
+	cfg  *Config
 	node *netstack.Node
 	self netstack.NodeID
 
@@ -156,7 +156,7 @@ type Protocol struct {
 	swept sim.Time
 	// disc runs route discovery: queues, RREQ rate limit, retries and
 	// hold-down.
-	disc *rcommon.DiscoveryTable
+	disc rcommon.DiscoveryTable
 	// rerrLimit enforces RERR_RATELIMIT of the AODV framework SRP's
 	// messaging follows.
 	rerrLimit   rcommon.RateLimiter
@@ -176,14 +176,15 @@ type Protocol struct {
 
 var _ netstack.Protocol = (*Protocol)(nil)
 
-// New returns an SRP instance with the given configuration.
-func New(cfg Config) *Protocol {
+// New returns an SRP instance running under cfg, which the instances of a
+// trial share: nothing writes it after configuration.
+func New(cfg *Config) *Protocol {
 	p := &Protocol{
 		cfg:       cfg,
 		mySeq:     1,
 		rerrLimit: rcommon.RateLimiter{Cap: 10},
 	}
-	p.disc = rcommon.NewDiscoveryTable(cfg.DiscoveryConfig, p.solicit, nil)
+	p.disc = rcommon.NewDiscoveryTable(&cfg.DiscoveryConfig, p.solicit, nil)
 	return p
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 func factory(cfg Config) rtest.Factory {
-	return func(netstack.NodeID) netstack.Protocol { return New(cfg) }
+	return func(netstack.NodeID) netstack.Protocol { return New(&cfg) }
 }
 
 func defaultWorld(t *testing.T, positions []geo.Point, models []mobility.Model) *rtest.World {

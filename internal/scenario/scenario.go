@@ -181,7 +181,13 @@ func Run(p Params) Result {
 		}
 		models[i] = m
 	}
-	net := netstack.NewNetwork(s, rp, models, func(netstack.NodeID) netstack.Protocol { return buildProtocol(p) })
+	build, err := routing.Resolve(routing.Spec{Name: string(p.Protocol), Params: p.ProtoParams})
+	if err != nil {
+		// Spec loading validates protocol names and parameters, so an
+		// error here is a wiring bug.
+		panic(fmt.Sprintf("scenario: %v", err))
+	}
+	net := netstack.NewNetwork(s, rp, models, func(netstack.NodeID) netstack.Protocol { return build() })
 	net.StartAll()
 	ch, mx := net.Ch, net.MX
 	senders := make([]traffic.Sender, p.Nodes)
@@ -259,16 +265,6 @@ func Run(p Params) Result {
 		res.AvgSeqno = float64(seqSum) / float64(seqCount)
 	}
 	return res
-}
-
-func buildProtocol(p Params) netstack.Protocol {
-	proto, err := routing.Build(routing.Spec{Name: string(p.Protocol), Params: p.ProtoParams})
-	if err != nil {
-		// Spec loading validates protocol names and parameters, so an
-		// error here is a wiring bug.
-		panic(fmt.Sprintf("scenario: %v", err))
-	}
-	return proto
 }
 
 // TrialSet aggregates per-trial results for one (protocol, pause) point.

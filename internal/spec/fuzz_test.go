@@ -205,8 +205,8 @@ func FuzzParse(f *testing.F) {
 		}
 		// The channel a trial builds first must not panic on it, nor the
 		// models it builds next on their first draws: two nodes' first
-		// positions (at instants short enough for a 1 ns step or block)
-		// and a flow's first gaps.
+		// positions (at instants up to the shortest step, 1 ms) and a
+		// flow's first gaps.
 		radio.NewChannel(sim.New(1), p.RadioParams())
 		rng := sim.NewRand(1)
 		for range 2 {

@@ -332,6 +332,14 @@ var unrunnable = []struct {
 	{"gauss-markov step past the clock", `"step_seconds" is 1e+12`, func(s *ScenarioSpec) {
 		s.Mobility.Model, s.Mobility.Params = "gauss-markov", map[string]float64{"step_seconds": 1e12}
 	}},
+	// Legs this short advance once per simulated nanosecond or so, about
+	// 80 s of host time per node per simulated second.
+	{"gauss-markov step under a millisecond", "step_seconds 0.0005", func(s *ScenarioSpec) {
+		s.Mobility.Model, s.Mobility.Params = "gauss-markov", map[string]float64{"step_seconds": 5e-4}
+	}},
+	{"manhattan block under a meter", "block_m 0.5", func(s *ScenarioSpec) {
+		s.Mobility.Model, s.Mobility.Params = "manhattan", map[string]float64{"block_m": 0.5}
+	}},
 }
 
 // tinySpec is the tiny-smoke spec changed by set, encoded.
